@@ -9,9 +9,10 @@
 // workload with probes runtime-disabled vs runtime-enabled. Both land in
 // BENCH_micro.json. Pass --benchmark_filter=... etc. through to
 // google-benchmark as usual; --skip-pool / --skip-overhead skip the
-// respective pre-suite bench, --senders-scaling[=maxN] adds the scalar-vs-
-// batch population-scaling bench (default maxN 100000; =1000000 adds the
-// million-sender batch-only point), --telemetry[=path] and
+// respective pre-suite bench, --senders-scaling[=maxN] adds the
+// materialized-vs-uniform population-scaling bench from n=1 (default maxN
+// 100000; =1000000 adds the million-sender uniform-only point),
+// --telemetry[=path] and
 // --backend=fluid|packet (AXIOMCC_BACKEND env; drives the EvalConfig-based
 // benches) work as in the other benches. --record[=dir,classes=mask]
 // flight-records one representative parking-lot run per backend into dir
@@ -259,19 +260,22 @@ void run_pool_throughput_bench(BenchReport& bench) {
   std::printf("\n");
 }
 
-/// Population-scaling bench for the fluid engine's SoA batch path: scalar vs
-/// batch senders/sec (and cells/sec = senders·steps/sec) at growing n, both
-/// sides on aggregate traces so trace retention never dominates. Runs once
-/// before the google-benchmark suite when --senders-scaling[=maxN] is given
-/// and lands in BENCH_senders_scaling.json / its own ledger group, so the
-/// artifact carries the machine's measured population-scaling curve. n above
-/// 100k (e.g. the million-sender point, =1000000) runs the batch path only —
-/// the scalar path at that scale is minutes, which is the point of the
-/// batch path.
+/// Population-scaling bench for the fluid engine's cohort tick loop: the
+/// uniform layout (one representative per cohort, what an aggregate-trace
+/// run without a step monitor takes) against the materialized layout (every
+/// member stored, forced here by a pass-through step monitor), as ns/cell
+/// and cells/sec (cells = senders·steps) at growing n, both on aggregate
+/// traces so trace retention never dominates. The small-population points
+/// (n = 1, 2, 8) guard the per-cell cost the evaluator's 1–2-sender runs
+/// pay; they repeat until each point covers ~1M cells. Runs once before the
+/// google-benchmark suite when --senders-scaling[=maxN] is given and lands
+/// in BENCH_senders_scaling.json / its own ledger group. n above 100k (the
+/// million-sender point, =1000000) runs the uniform layout only.
 void run_senders_scaling_bench(BenchReport& bench, long max_n) {
   constexpr long kSteps = 1000;
+  constexpr double kMinCells = 1e6;
   const long jobs = hardware_jobs();
-  const auto run_population = [&](long n, bool batch) {
+  const auto seconds_per_run = [&](long n, bool materialized) {
     // Per-sender bandwidth held constant so dynamics are n-independent.
     const auto link = fluid::make_link_mbps(
         std::max(30.0, 0.03 * static_cast<double>(n)), 42.0, 100.0);
@@ -279,41 +283,55 @@ void run_senders_scaling_bench(BenchReport& bench, long max_n) {
     opt.steps = kSteps;
     opt.trace_detail = fluid::TraceDetail::kAggregate;
     opt.tracked_senders = 8;
-    opt.batch = batch;
-    opt.jobs = batch ? jobs : 1;
-    fluid::FluidSimulation sim(link, opt);
-    sim.add_senders(cc::Aimd(1.0, 0.5), n, 2.0);
+    opt.jobs = jobs;
+    const long reps = std::max(
+        1L, static_cast<long>(kMinCells / static_cast<double>(n * kSteps)));
     WallTimer timer;
-    benchmark::DoNotOptimize(sim.run());
-    return timer.seconds();
+    for (long r = 0; r < reps; ++r) {
+      fluid::FluidSimulation sim(link, opt);
+      sim.add_senders(cc::Aimd(1.0, 0.5), n, 2.0);
+      if (materialized) {
+        sim.set_step_monitor(
+            [](long, std::span<const double>, double, double) { return true; });
+      }
+      benchmark::DoNotOptimize(sim.run());
+    }
+    return timer.seconds() / static_cast<double>(reps);
   };
 
   std::printf("--- senders scaling: %ld-step AIMD runs, jobs=%ld ---\n",
               kSteps, jobs);
-  for (const long n : {1000L, 10000L, 100000L, 1000000L}) {
+  (void)seconds_per_run(1, /*materialized=*/false);  // warm-up, untimed
+  for (const long n : {1L, 2L, 8L, 1000L, 10000L, 100000L, 1000000L}) {
     if (n > max_n) break;
-    const bool run_scalar = n <= 100000;
-    const double batch_sec = run_population(n, /*batch=*/true);
     const double cells = static_cast<double>(n) * static_cast<double>(kSteps);
     const std::string suffix = "_n" + std::to_string(n);
-    bench.add_phase("batch" + suffix, batch_sec);
-    bench.add_counter("batch_cells_per_sec" + suffix, cells / batch_sec);
-    bench.add_counter("batch_senders_per_sec" + suffix,
-                      static_cast<double>(n) / batch_sec);
-    if (run_scalar) {
-      const double scalar_sec = run_population(n, /*batch=*/false);
-      bench.add_phase("scalar" + suffix, scalar_sec);
-      bench.add_counter("scalar_cells_per_sec" + suffix, cells / scalar_sec);
-      bench.add_counter("batch_speedup" + suffix, scalar_sec / batch_sec);
-      std::printf(
-          "n=%-8ld scalar %8.3fs  batch %8.3fs  %8.2fM cells/s  "
-          "speedup %.2fx\n",
-          n, scalar_sec, batch_sec, cells / batch_sec / 1e6,
-          scalar_sec / batch_sec);
-    } else {
-      std::printf("n=%-8ld batch %8.3fs  %8.2fM cells/s  (scalar skipped)\n",
-                  n, batch_sec, cells / batch_sec / 1e6);
+    const double uniform_sec = seconds_per_run(n, /*materialized=*/false);
+    bench.add_phase("uniform" + suffix, uniform_sec);
+    bench.add_counter("uniform_ns_per_cell" + suffix,
+                      uniform_sec / cells * 1e9);
+    bench.add_counter("uniform_cells_per_sec" + suffix, cells / uniform_sec);
+    bench.add_counter("uniform_senders_per_sec" + suffix,
+                      static_cast<double>(n) / uniform_sec);
+    if (n > 100000) {
+      std::printf("n=%-8ld uniform %7.1f ns/cell  %8.2fM cells/s  "
+                  "(materialized skipped)\n",
+                  n, uniform_sec / cells * 1e9, cells / uniform_sec / 1e6);
+      continue;
     }
+    const double materialized_sec = seconds_per_run(n, /*materialized=*/true);
+    bench.add_phase("materialized" + suffix, materialized_sec);
+    bench.add_counter("materialized_ns_per_cell" + suffix,
+                      materialized_sec / cells * 1e9);
+    bench.add_counter("materialized_cells_per_sec" + suffix,
+                      cells / materialized_sec);
+    bench.add_counter("uniform_speedup" + suffix,
+                      materialized_sec / uniform_sec);
+    std::printf(
+        "n=%-8ld materialized %7.1f ns/cell  uniform %7.1f ns/cell  "
+        "%8.2fM cells/s  speedup %.2fx\n",
+        n, materialized_sec / cells * 1e9, uniform_sec / cells * 1e9,
+        cells / uniform_sec / 1e6, materialized_sec / uniform_sec);
   }
   bench.add_counter("senders_scaling_steps", static_cast<double>(kSteps));
   std::printf("\n");

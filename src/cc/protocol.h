@@ -50,10 +50,10 @@ class Protocol {
   /// Clears per-connection history so the instance can be reused.
   virtual void reset() = 0;
 
-  /// The protocol's SoA batch kernel, or nullptr when only the scalar path
-  /// exists. A non-null kernel must satisfy the bit-identity contract in
-  /// batch.h; the fluid simulator uses it to advance homogeneous cohorts in
-  /// one pass instead of n virtual calls.
+  /// The protocol's SoA batch kernel, or nullptr when only per-sender
+  /// next_window exists. A non-null kernel must satisfy the bit-identity
+  /// contract in batch.h; the fluid simulator uses it to advance homogeneous
+  /// cohorts in one pass instead of n virtual calls.
   [[nodiscard]] virtual const BatchProtocol* batch_kernel() const {
     return nullptr;
   }

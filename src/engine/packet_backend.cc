@@ -104,6 +104,21 @@ std::uint64_t filter_seed_for(const ScenarioSpec& spec) {
   return splitmix64_next(s);
 }
 
+/// The run horizon for `steps` trace samples taken every `step_ms`. The
+/// simulator samples at whole multiples of SimTime::from_millis(step_ms) up
+/// to SimTime::from_seconds(horizon), and both truncate to nanoseconds, so
+/// the plain product can land a nanosecond short of the last sample
+/// (0.03 s × 60 truncates to 1 799 999 999 ns) and lose a step. The product
+/// is nudged up to the next double only until it reaches that sample.
+double horizon_seconds(double step_ms, long steps) {
+  const SimTime last_sample(SimTime::from_millis(step_ms).ns() * steps);
+  double seconds = step_ms / 1e3 * static_cast<double>(steps);
+  while (SimTime::from_seconds(seconds) < last_sample) {
+    seconds = std::nextafter(seconds, std::numeric_limits<double>::infinity());
+  }
+  return seconds;
+}
+
 /// Mirror of the fluid tick loop's StepRecorder: every event derives from
 /// the executed slot list (churn intervals rounded exactly like the fluid
 /// backend rounds them, the shared schedule functions) or from the values
@@ -282,7 +297,7 @@ RunTrace run_topology(const ScenarioSpec& spec,
   const double step_seconds = min_route_rtt_ms / 1e3;
 
   sim::MultiHopNetwork::Config config;
-  config.duration_seconds = step_seconds * static_cast<double>(spec.steps);
+  config.duration_seconds = horizon_seconds(min_route_rtt_ms, spec.steps);
   config.mss_bytes = options.mss_bytes;
   config.sample_interval_ms = min_route_rtt_ms;
   config.tail_fraction = spec.tail_fraction;
@@ -420,7 +435,7 @@ RunTrace PacketBackend::run(const ScenarioSpec& spec) const {
   sim::DumbbellConfig dc =
       sim::dumbbell_config_from_link(spec.link, options_.mss_bytes);
   const double step_seconds = dc.rtt_ms / 1e3;
-  dc.duration_seconds = step_seconds * static_cast<double>(spec.steps);
+  dc.duration_seconds = horizon_seconds(dc.rtt_ms, spec.steps);
   dc.seed = spec.seed;
   dc.tail_fraction = spec.tail_fraction;
   dc.max_window_mss = std::min(spec.max_window_mss, options_.max_window_mss);

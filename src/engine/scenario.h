@@ -112,8 +112,8 @@ struct SenderSlot {
   double stop_step = -1.0;
   /// Senders this slot expands to (a homogeneous cohort sharing the
   /// prototype). The fluid backend keeps the cohort intact — one prototype,
-  /// O(1) allocations on the batch path; the packet backend adds `count`
-  /// flows.
+  /// O(1) allocations for batchable families; the packet backend adds
+  /// `count` flows.
   long count = 1;
   /// Topology mode only: the ordered link ids this slot's flows traverse.
   /// Must be empty when `ScenarioSpec::topology` is empty (single-link
@@ -175,9 +175,8 @@ struct ScenarioSpec {
   /// packet backend reduces its full trace post-hoc).
   fluid::TraceDetail trace_detail = fluid::TraceDetail::kFull;
   int tracked_senders = 8;
-  /// Fluid backend only: opt into the SoA cohort execution path
-  /// (bit-identical to the scalar path) and its shard count (0 = hardware).
-  bool batch = false;
+  /// Fluid backend only: the shard count for large materialized cohorts
+  /// (0 = hardware). Traces are identical at any value.
   long jobs = 1;
   /// Flight-recorder capture options (event classes, ring depth, sample
   /// stride). `record.enabled` is the master switch; the sink below must

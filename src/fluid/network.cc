@@ -4,189 +4,10 @@
 #include <limits>
 #include <utility>
 
+#include "fluid/step_hooks.h"
 #include "util/check.h"
 
 namespace axiomcc::fluid {
-
-namespace {
-
-/// Flight-recorder emission for the routed network, mirroring the
-/// single-link StepRecorder: every event derives from the flow specs, the
-/// shared schedule functions, or the per-step values the trace records, so
-/// both topology backends' recordings live on the same lanes. Flows are
-/// their own cohorts here (one member each) — the engine's topology path
-/// flattens sender slots to per-flow order on both backends, so cohort id
-/// == flow id and the recordings step-align.
-class NetStepRecorder {
- public:
-  NetStepRecorder(recorder::Recorder* sink,
-                  const std::vector<FluidNetwork::FlowSpec>& flows,
-                  const std::function<double(long)>& bw,
-                  const std::function<double(long)>& rtt, bool aggregate)
-      : sink_(sink), flows_(&flows), bw_(&bw), rtt_(&rtt),
-        aggregate_(aggregate) {
-    if (sink_ == nullptr) return;
-    sink_->set_backend("fluid");
-    sink_->set_senders(static_cast<long>(flows.size()));
-    churn_active_.assign(flows.size(), 0);
-    injected_visible_.assign(flows.size(), 0);
-  }
-
-  void on_step(long step, double total, double rtt_value,
-               double congestion_loss, std::span<const double> windows,
-               std::span<const double> observed) {
-    using recorder::EventClass;
-    using recorder::EventCode;
-    using recorder::Subject;
-    if (sink_ == nullptr) return;
-    sink_->note_step(step);
-
-    const auto active_at = [step](const FluidNetwork::FlowSpec& f) {
-      return step >= f.start_step &&
-             (f.stop_step < 0 || step < f.stop_step);
-    };
-
-    if (sink_->wants(EventClass::kChurn)) {
-      for (std::size_t fi = 0; fi < flows_->size(); ++fi) {
-        const bool active = active_at((*flows_)[fi]);
-        if (active != static_cast<bool>(churn_active_[fi])) {
-          sink_->emit({step, EventClass::kChurn,
-                       active ? EventCode::kJoin : EventCode::kLeave,
-                       Subject::kCohort, static_cast<int>(fi), 1.0, 0.0});
-          churn_active_[fi] = active ? 1 : 0;
-        }
-      }
-    }
-
-    if (sink_->wants(EventClass::kSchedule)) {
-      if (*bw_) {
-        const double scale = (*bw_)(step);
-        if (scale != last_bw_scale_) {
-          sink_->emit({step, EventClass::kSchedule, EventCode::kBandwidth,
-                       Subject::kRun, -1, scale, last_bw_scale_});
-          last_bw_scale_ = scale;
-        }
-      }
-      if (*rtt_) {
-        const double scale = (*rtt_)(step);
-        if (scale != last_rtt_scale_) {
-          sink_->emit({step, EventClass::kSchedule, EventCode::kRtt,
-                       Subject::kRun, -1, scale, last_rtt_scale_});
-          last_rtt_scale_ = scale;
-        }
-      }
-    }
-
-    if (sink_->wants(EventClass::kLoss)) {
-      const bool lossy = congestion_loss > 0.0;
-      if (lossy != loss_active_) {
-        sink_->emit({step, EventClass::kLoss,
-                     lossy ? EventCode::kOnset : EventCode::kClear,
-                     Subject::kRun, -1,
-                     lossy ? congestion_loss : last_loss_, 0.0});
-        loss_active_ = lossy;
-      }
-      if (lossy) last_loss_ = congestion_loss;
-      for (std::size_t fi = 0; fi < flows_->size(); ++fi) {
-        const bool active = active_at((*flows_)[fi]);
-        const double obs = active ? observed[fi] : 0.0;
-        // On a multi-hop route a flow's composed congestion loss can exceed
-        // the per-link maximum, so "injected visible" compares against the
-        // flow's own congestion-only composition, approximated by the
-        // recorded (max-link) rate — good enough for timeline triage.
-        const bool visible = active && obs > congestion_loss;
-        if (visible != static_cast<bool>(injected_visible_[fi])) {
-          sink_->emit({step, EventClass::kLoss,
-                       visible ? EventCode::kInjected : EventCode::kClear,
-                       Subject::kCohort, static_cast<int>(fi), obs,
-                       congestion_loss});
-          injected_visible_[fi] = visible ? 1 : 0;
-        }
-      }
-    }
-
-    if (sink_->wants(EventClass::kWindow) && sink_->sample_due(step)) {
-      sink_->emit({step, EventClass::kWindow, EventCode::kTotal, Subject::kRun,
-                   -1, total, rtt_value});
-      for (std::size_t fi = 0; fi < windows.size(); ++fi) {
-        if (windows[fi] > 0.0) {
-          sink_->emit({step, EventClass::kWindow, EventCode::kSample,
-                       aggregate_ ? Subject::kCohort : Subject::kSender,
-                       static_cast<int>(fi), windows[fi], 0.0});
-        }
-      }
-    }
-  }
-
- private:
-  recorder::Recorder* sink_;
-  const std::vector<FluidNetwork::FlowSpec>* flows_;
-  const std::function<double(long)>* bw_;
-  const std::function<double(long)>* rtt_;
-  bool aggregate_;
-  std::vector<char> churn_active_;
-  std::vector<char> injected_visible_;
-  double last_bw_scale_ = 1.0;
-  double last_rtt_scale_ = 1.0;
-  bool loss_active_ = false;
-  double last_loss_ = 0.0;
-};
-
-/// The active link set under (possibly null) network-wide bandwidth/RTT
-/// schedules: the single-link ScheduledLink, vectorized. All links share the
-/// scale pair, so the rebuild is amortized across piecewise-constant
-/// schedules exactly like the single-link path.
-class ScheduledLinks {
- public:
-  ScheduledLinks(const std::vector<FluidLink>& base,
-                 const std::function<double(long)>& bw,
-                 const std::function<double(long)>& rtt)
-      : base_(base), bw_(bw), rtt_(rtt) {}
-
-  const std::vector<FluidLink>& at(long step) {
-    if (!bw_ && !rtt_) return base_;
-    double bw_scale = 1.0;
-    double rtt_scale = 1.0;
-    if (bw_) {
-      bw_scale = bw_(step);
-      AXIOMCC_EXPECTS_MSG(bw_scale > 0.0, "bandwidth scale must be positive");
-    }
-    if (rtt_) {
-      rtt_scale = rtt_(step);
-      AXIOMCC_EXPECTS_MSG(rtt_scale > 0.0, "RTT scale must be positive");
-    }
-    if (!cached_ || bw_scale != last_bw_ || rtt_scale != last_rtt_) {
-      scaled_.clear();
-      scaled_.reserve(base_.size());
-      for (const FluidLink& link : base_) {
-        LinkParams params = link.params();
-        if (bw_) {
-          params.bandwidth = Bandwidth::from_mss_per_sec(
-              params.bandwidth.mss_per_sec() * bw_scale);
-        }
-        if (rtt_) {
-          params.propagation_delay = params.propagation_delay * rtt_scale;
-        }
-        scaled_.emplace_back(params);
-      }
-      cached_ = true;
-      last_bw_ = bw_scale;
-      last_rtt_ = rtt_scale;
-    }
-    return scaled_;
-  }
-
- private:
-  const std::vector<FluidLink>& base_;
-  const std::function<double(long)>& bw_;
-  const std::function<double(long)>& rtt_;
-  std::vector<FluidLink> scaled_;
-  double last_bw_ = 1.0;
-  double last_rtt_ = 1.0;
-  bool cached_ = false;
-};
-
-}  // namespace
 
 FluidNetwork::FluidNetwork(Options options)
     : options_(options), injector_(std::make_unique<NoLoss>()) {
@@ -306,9 +127,16 @@ Trace FluidNetwork::run() {
   std::vector<double> flow_rtt(nf);
   std::vector<double> next_windows(nf);
 
-  ScheduledLinks sched(links_, bandwidth_scale_, rtt_scale_);
-  NetStepRecorder srec(options_.record_sink, flows_, bandwidth_scale_,
-                       rtt_scale_, aggregate);
+  detail::ScheduledLink sched(links_, bandwidth_scale_, rtt_scale_);
+  // Each flow is its own count-1 cohort: the engine's topology path
+  // flattens sender slots to per-flow order on both backends, so cohort id
+  // == flow id and the two backends' recordings step-align.
+  std::vector<detail::StepRecorder::Cohort> lanes;
+  for (int f = 0; f < nf; ++f) {
+    lanes.push_back({flows_[f].start_step, flows_[f].stop_step, 1, f});
+  }
+  detail::StepRecorder srec(options_.record_sink, std::move(lanes),
+                            bandwidth_scale_, rtt_scale_, aggregate, nf);
   scope::MetricScope* scope = options_.scope_sink;
   if (scope != nullptr) {
     scope->resolve(options_.steps, 0.0, min_capacity, min_route_rtt,
@@ -329,7 +157,7 @@ Trace FluidNetwork::run() {
       }
     }
 
-    const std::vector<FluidLink>& active_links = sched.at(step);
+    const std::span<const FluidLink> active_links = sched.at(step);
 
     // Fixed-point iteration for consistent carried loads: upstream loss
     // thins downstream arrivals, and arrivals determine loss. A handful of

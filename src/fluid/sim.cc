@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "cc/batch.h"
+#include "fluid/step_hooks.h"
 #include "telemetry/telemetry.h"
 #include "util/check.h"
 #include "util/task_pool.h"
@@ -14,221 +15,32 @@ namespace axiomcc::fluid {
 
 namespace {
 
-/// The active link under (possibly null) bandwidth/RTT schedules. The scaled
-/// link is a pure function of the (bandwidth, RTT) scale pair, so it is
-/// rebuilt only when the pair changes — piecewise-constant schedules (the
-/// common gauntlet case) stop paying a rebuild per tick. Scale validation
-/// still runs every step, preserving the original error behaviour.
-class ScheduledLink {
- public:
-  ScheduledLink(const FluidLink& base, const std::function<double(long)>& bw,
-                const std::function<double(long)>& rtt)
-      : base_(base), bw_(bw), rtt_(rtt), scaled_(base) {}
+/// One sender group's execution state. A cohort stores `width` members —
+/// all `count` of them (materialized), or one representative standing in
+/// for `count` bitwise-identical members (uniform) — in slots
+/// [slot, slot + width) of the per-step arrays.
+struct Cohort {
+  const SenderSpec* spec = nullptr;
+  long begin = 0;  ///< first global sender id.
+  long count = 0;
+  long slot = 0;
+  long width = 0;
+  bool active = false;
+  /// Materialized multi-member cohorts of a batchable family advance
+  /// through the SoA kernel; all others dispatch per member.
+  const cc::BatchProtocol* kernel = nullptr;
+  int state_size = 0;
+  std::vector<double> state;           ///< kernel state, member-major.
+  std::vector<cc::Protocol*> members;  ///< per-member dispatch otherwise.
+  /// RTT aggregation since the last update, shared by all members (they
+  /// share churn and update phase).
+  double pending_rtt_sum = 0.0;
+  long pending_steps = 0;
 
-  const FluidLink& at(long step) {
-    if (!bw_ && !rtt_) return base_;
-    double bw_scale = 1.0;
-    double rtt_scale = 1.0;
-    if (bw_) {
-      bw_scale = bw_(step);
-      AXIOMCC_EXPECTS_MSG(bw_scale > 0.0, "bandwidth scale must be positive");
-    }
-    if (rtt_) {
-      rtt_scale = rtt_(step);
-      AXIOMCC_EXPECTS_MSG(rtt_scale > 0.0, "RTT scale must be positive");
-    }
-    if (!cached_ || bw_scale != last_bw_ || rtt_scale != last_rtt_) {
-      LinkParams params = base_.params();
-      if (bw_) {
-        params.bandwidth = Bandwidth::from_mss_per_sec(
-            params.bandwidth.mss_per_sec() * bw_scale);
-      }
-      if (rtt_) {
-        params.propagation_delay = params.propagation_delay * rtt_scale;
-      }
-      scaled_ = FluidLink(params);
-      cached_ = true;
-      last_bw_ = bw_scale;
-      last_rtt_ = rtt_scale;
-    }
-    return scaled_;
+  [[nodiscard]] bool active_at(long step) const {
+    return step >= spec->start_step &&
+           (spec->stop_step < 0 || step < spec->stop_step);
   }
-
- private:
-  const FluidLink& base_;
-  const std::function<double(long)>& bw_;
-  const std::function<double(long)>& rtt_;
-  FluidLink scaled_;
-  double last_bw_ = 1.0;
-  double last_rtt_ = 1.0;
-  bool cached_ = false;
-};
-
-/// Flight-recorder emission, shared by all three run paths. Everything is
-/// derived from the sender specs, the schedules, and the per-step values the
-/// trace records — never from path-specific execution state — so the three
-/// paths produce byte-identical recordings for the same scenario. All calls
-/// happen in the serial sections of the loops, keeping recordings identical
-/// at any job count. When the capture path is compiled out the stub
-/// Recorder's `wants` is a constant false and every block below folds away.
-class StepRecorder {
- public:
-  struct CohortRef {
-    const SenderSpec* spec;
-    long begin;
-    long count;
-  };
-
-  template <typename GroupVec>
-  StepRecorder(recorder::Recorder* sink, const GroupVec& groups,
-               const std::function<double(long)>& bw,
-               const std::function<double(long)>& rtt, bool aggregate,
-               long total_senders)
-      : sink_(sink), bw_(&bw), rtt_(&rtt), aggregate_(aggregate) {
-    if (sink_ == nullptr) return;
-    sink_->set_backend("fluid");
-    sink_->set_senders(total_senders);
-    long begin = 0;
-    for (const auto& group : groups) {
-      cohorts_.push_back(CohortRef{&group.spec, begin, group.count});
-      begin += group.count;
-    }
-    churn_active_.assign(cohorts_.size(), 0);
-    injected_visible_.assign(cohorts_.size(), 0);
-  }
-
-  [[nodiscard]] bool recording() const { return sink_ != nullptr; }
-
-  /// Batch-path execution decision (kernel / fallback / uniform), one
-  /// setup event per cohort. The scalar path emits none, and the aligner
-  /// masks this class by default — execution mode is metadata, not
-  /// simulated behaviour.
-  void cohort_mode(std::size_t cohort, recorder::EventCode mode) {
-    if (sink_ == nullptr || !sink_->wants(recorder::EventClass::kCohort)) {
-      return;
-    }
-    sink_->emit({0, recorder::EventClass::kCohort, mode,
-                 recorder::Subject::kCohort, static_cast<int>(cohort),
-                 static_cast<double>(cohorts_[cohort].count), 0.0});
-  }
-
-  /// Called once per step at the trace-record point, with the values the
-  /// trace sees (pre-update windows). `cohort_window`/`cohort_observed`
-  /// map (cohort index, begin) to the cohort representative's values;
-  /// `sender_window` maps a sender index to its window (full detail only).
-  template <typename CohortWindow, typename CohortObserved,
-            typename SenderWindow>
-  void on_step(long step, double total, double rtt_value,
-               double congestion_loss, CohortWindow&& cohort_window,
-               CohortObserved&& cohort_observed, SenderWindow&& sender_window,
-               long num_senders) {
-    using recorder::EventClass;
-    using recorder::EventCode;
-    using recorder::Subject;
-    if (sink_ == nullptr) return;
-    sink_->note_step(step);
-
-    const auto active_at = [step](const CohortRef& c) {
-      return step >= c.spec->start_step &&
-             (c.spec->stop_step < 0 || step < c.spec->stop_step);
-    };
-
-    if (sink_->wants(EventClass::kChurn)) {
-      for (std::size_t ci = 0; ci < cohorts_.size(); ++ci) {
-        const bool active = active_at(cohorts_[ci]);
-        if (active != static_cast<bool>(churn_active_[ci])) {
-          sink_->emit({step, EventClass::kChurn,
-                       active ? EventCode::kJoin : EventCode::kLeave,
-                       Subject::kCohort, static_cast<int>(ci),
-                       static_cast<double>(cohorts_[ci].count), 0.0});
-          churn_active_[ci] = active ? 1 : 0;
-        }
-      }
-    }
-
-    if (sink_->wants(EventClass::kSchedule)) {
-      if (*bw_) {
-        const double scale = (*bw_)(step);
-        if (scale != last_bw_scale_) {
-          sink_->emit({step, EventClass::kSchedule, EventCode::kBandwidth,
-                       Subject::kRun, -1, scale, last_bw_scale_});
-          last_bw_scale_ = scale;
-        }
-      }
-      if (*rtt_) {
-        const double scale = (*rtt_)(step);
-        if (scale != last_rtt_scale_) {
-          sink_->emit({step, EventClass::kSchedule, EventCode::kRtt,
-                       Subject::kRun, -1, scale, last_rtt_scale_});
-          last_rtt_scale_ = scale;
-        }
-      }
-    }
-
-    if (sink_->wants(EventClass::kLoss)) {
-      const bool lossy = congestion_loss > 0.0;
-      if (lossy != loss_active_) {
-        sink_->emit({step, EventClass::kLoss,
-                     lossy ? EventCode::kOnset : EventCode::kClear,
-                     Subject::kRun, -1,
-                     lossy ? congestion_loss : last_loss_, 0.0});
-        loss_active_ = lossy;
-      }
-      if (lossy) last_loss_ = congestion_loss;
-      // Injected (non-congestion) loss becoming visible to a cohort:
-      // combine_loss is strictly increasing in the injected component, so
-      // observed > congestion exactly when the injector contributed.
-      for (std::size_t ci = 0; ci < cohorts_.size(); ++ci) {
-        const bool active = active_at(cohorts_[ci]);
-        const double observed =
-            active ? cohort_observed(ci, cohorts_[ci].begin) : 0.0;
-        const bool visible = active && observed > congestion_loss;
-        if (visible != static_cast<bool>(injected_visible_[ci])) {
-          sink_->emit({step, EventClass::kLoss,
-                       visible ? EventCode::kInjected : EventCode::kClear,
-                       Subject::kCohort, static_cast<int>(ci), observed,
-                       congestion_loss});
-          injected_visible_[ci] = visible ? 1 : 0;
-        }
-      }
-    }
-
-    if (sink_->wants(EventClass::kWindow) && sink_->sample_due(step)) {
-      sink_->emit({step, EventClass::kWindow, EventCode::kTotal, Subject::kRun,
-                   -1, total, rtt_value});
-      if (aggregate_) {
-        for (std::size_t ci = 0; ci < cohorts_.size(); ++ci) {
-          if (!active_at(cohorts_[ci])) continue;
-          const double w = cohort_window(ci, cohorts_[ci].begin);
-          if (w > 0.0) {
-            sink_->emit({step, EventClass::kWindow, EventCode::kSample,
-                         Subject::kCohort, static_cast<int>(ci), w, 0.0});
-          }
-        }
-      } else {
-        for (long i = 0; i < num_senders; ++i) {
-          const double w = sender_window(i);
-          if (w > 0.0) {
-            sink_->emit({step, EventClass::kWindow, EventCode::kSample,
-                         Subject::kSender, static_cast<int>(i), w, 0.0});
-          }
-        }
-      }
-    }
-  }
-
- private:
-  recorder::Recorder* sink_;
-  const std::function<double(long)>* bw_;
-  const std::function<double(long)>* rtt_;
-  bool aggregate_;
-  std::vector<CohortRef> cohorts_;
-  std::vector<char> churn_active_;
-  std::vector<char> injected_visible_;
-  double last_bw_scale_ = 1.0;
-  double last_rtt_scale_ = 1.0;
-  bool loss_active_ = false;
-  double last_loss_ = 0.0;
 };
 
 }  // namespace
@@ -294,25 +106,15 @@ void FluidSimulation::set_step_monitor(StepMonitor monitor) {
   step_monitor_ = std::move(monitor);
 }
 
-Trace FluidSimulation::make_trace() const {
-  const int n = num_senders();
-  if (options_.trace_detail == TraceDetail::kAggregate) {
-    return Trace(n, link_.capacity_mss(), link_.min_rtt().value(),
-                 TraceDetail::kAggregate,
-                 default_tracked_senders(n, options_.tracked_senders));
-  }
-  return Trace(n, link_.capacity_mss(), link_.min_rtt().value());
-}
-
 Trace FluidSimulation::run() {
   AXIOMCC_EXPECTS_MSG(!groups_.empty(), "add at least one sender before run()");
   AXIOMCC_EXPECTS_MSG(!ran_, "FluidSimulation::run may be called only once");
   ran_ = true;
   TELEMETRY_SPAN("fluid", "sim.run");
-  // The scope observes each step from the serial section of whichever tick
-  // loop runs, in ascending (cohort, member) order — the same fold order at
-  // any path or job count. resolve() only adopts fields the caller left
-  // unset, so an engine-layer resolve (which knows the tail fraction) wins.
+  // The scope observes each step from the tick loop's serial section, in
+  // ascending (cohort, member) order — the same fold order at any layout
+  // or job count. resolve() only adopts fields the caller left unset, so
+  // an engine-layer resolve (which knows the tail fraction) wins.
   if (options_.scope_sink != nullptr) {
     options_.scope_sink->resolve(options_.steps, 0.0, link_.capacity_mss(),
                                  link_.min_rtt().value(),
@@ -320,61 +122,137 @@ Trace FluidSimulation::run() {
     options_.scope_sink->begin_run(static_cast<int>(groups_.size()),
                                    /*num_links=*/0);
   }
-  Trace trace = options_.batch ? run_batch() : run_scalar();
+  Trace trace = tick_loop();
   if (options_.scope_sink != nullptr) options_.scope_sink->finish();
   return trace;
 }
 
-Trace FluidSimulation::run_scalar() {
-  TELEMETRY_SPAN("fluid", "sim.tick_loop.scalar");
-  const long n = total_senders_;
+Trace FluidSimulation::tick_loop() {
+  TELEMETRY_SPAN("fluid", "sim.tick_loop");
+  const bool aggregate = options_.trace_detail == TraceDetail::kAggregate;
+  const bool stateless_loss = injector_->stateless();
+  // A homogeneous cohort whose members all see the same inputs every step —
+  // shared spec, shared schedules, and a per-step-uniform (stateless) loss
+  // injector — provably stays uniform: every member's window is bitwise
+  // identical forever, so one representative advances for the whole cohort
+  // and per-sender work drops to O(cohorts) per step. Full-detail traces and
+  // the step monitor need every member's window, so those materialize.
+  const bool uniform = aggregate && !step_monitor_ && stateless_loss;
 
-  // Flatten groups into the historical per-sender view: count-1 groups use
-  // their stored instance directly (exactly the pre-cohort behaviour of
-  // add_sender); larger groups clone their shared prototype per member.
-  struct FlatSender {
-    cc::Protocol* protocol;
-    const SenderSpec* spec;
-  };
   std::vector<std::unique_ptr<cc::Protocol>> owned;
-  std::vector<FlatSender> senders;
-  senders.reserve(static_cast<std::size_t>(n));
+  std::vector<Cohort> cohorts;
+  std::vector<detail::StepRecorder::Cohort> lanes;
+  cohorts.reserve(groups_.size());
+  long begin = 0;
+  long slots = 0;
+  bool any_kernel = false;
   for (const SenderGroup& group : groups_) {
-    for (long j = 0; j < group.count; ++j) {
-      if (group.count == 1) {
-        senders.push_back(FlatSender{group.spec.protocol.get(), &group.spec});
-      } else {
-        owned.push_back(group.spec.protocol->clone());
-        senders.push_back(FlatSender{owned.back().get(), &group.spec});
+    Cohort c;
+    c.spec = &group.spec;
+    c.begin = begin;
+    c.count = group.count;
+    c.slot = slots;
+    c.width = uniform ? 1 : group.count;
+    begin += c.count;
+    slots += c.width;
+    if (c.width > 1) c.kernel = group.spec.protocol->batch_kernel();
+    if (c.kernel != nullptr) {
+      any_kernel = true;
+      c.state_size = c.kernel->state_size();
+      c.state.resize(static_cast<std::size_t>(c.width * c.state_size));
+      for (long j = 0; c.state_size > 0 && j < c.width; ++j) {
+        c.kernel->init_state(std::span<double>(c.state).subspan(
+            static_cast<std::size_t>(j * c.state_size),
+            static_cast<std::size_t>(c.state_size)));
       }
+    } else if (c.count == 1) {
+      c.members.push_back(group.spec.protocol.get());
+    } else {
+      // Members start as identical clones of the prototype (protocols are
+      // deterministic in their state and observations), so a uniform
+      // representative needs just one.
+      for (long j = 0; j < c.width; ++j) {
+        owned.push_back(group.spec.protocol->clone());
+        c.members.push_back(owned.back().get());
+      }
+    }
+    lanes.push_back({group.spec.start_step, group.spec.stop_step, c.count,
+                     c.slot});
+    cohorts.push_back(std::move(c));
+  }
+
+  // Fixed-size chunking keeps shard boundaries independent of the job count
+  // (docs/parallel.md's determinism contract); every sharded loop is a pure
+  // elementwise write to a disjoint range, so results cannot depend on the
+  // schedule. One persistent pool serves every step — parallel_map's
+  // per-call pool would pay a thread spawn per tick.
+  constexpr long kChunk = 16384;
+  std::unique_ptr<TaskPool> pool;
+  if (slots >= 2 * kChunk) {
+    const long jobs = resolve_jobs(options_.jobs);
+    if (jobs > 1) pool = std::make_unique<TaskPool>(static_cast<int>(jobs));
+  }
+  const auto for_range = [&pool](long lo, long hi, const auto& body) {
+    if (pool == nullptr || hi - lo < 2 * kChunk) {
+      body(lo, hi);
+      return;
+    }
+    for (long c0 = lo; c0 < hi; c0 += kChunk) {
+      const long c1 = std::min(hi, c0 + kChunk);
+      pool->submit([&body, c0, c1] { body(c0, c1); });
+    }
+    pool->wait_idle();
+  };
+
+  const int n = num_senders();
+  Trace trace =
+      aggregate ? Trace(n, link_.capacity_mss(), link_.min_rtt().value(),
+                        TraceDetail::kAggregate,
+                        default_tracked_senders(n, options_.tracked_senders))
+                : Trace(n, link_.capacity_mss(), link_.min_rtt().value());
+  trace.reserve(static_cast<std::size_t>(options_.steps));
+
+  const double min_w = options_.min_window_mss;
+  const double max_w = options_.max_window_mss;
+  // Per-slot step state. Inactive members hold window, observed loss and
+  // pending loss at exactly 0 (zeroed at the leave transition).
+  std::vector<double> windows(static_cast<std::size_t>(slots), 0.0);
+  std::vector<double> observed(static_cast<std::size_t>(slots), 0.0);
+  std::vector<double> pending_max(static_cast<std::size_t>(slots), 0.0);
+  // Kernel staging: the RTT input broadcast and the unclamped output (a
+  // kernel may reread its window input after writing out, so it cannot
+  // update in place).
+  std::vector<double> kernel_rtt(any_kernel ? slots : 0);
+  std::vector<double> kernel_out(any_kernel ? slots : 0);
+  // The arrays never resize; plain pointers (windows, pending worst loss,
+  // the loss each member has seen this step) spare the per-member update
+  // reloading them after every virtual call, and keep the vectors from
+  // escaping into the pool's tasks.
+  double* const win = windows.data();
+  double* const pend = pending_max.data();
+  double* const seen = observed.data();
+  for (Cohort& c : cohorts) {
+    c.active = c.active_at(0);
+    if (c.active) {
+      std::fill_n(win + c.slot, c.width,
+                  std::clamp(c.spec->initial_window_mss, min_w, max_w));
     }
   }
 
-  Trace trace = make_trace();
-  trace.reserve(static_cast<std::size_t>(options_.steps));
-
-  const auto clamp_window = [&](double w) {
-    return std::clamp(w, options_.min_window_mss, options_.max_window_mss);
-  };
-
-  const auto active_at = [](const SenderSpec& spec, long step) {
-    return step >= spec.start_step &&
-           (spec.stop_step < 0 || step < spec.stop_step);
-  };
-
-  std::vector<double> windows(static_cast<std::size_t>(n));
-  for (long i = 0; i < n; ++i) {
-    windows[i] = active_at(*senders[i].spec, 0)
-                     ? clamp_window(senders[i].spec->initial_window_mss)
-                     : 0.0;
+  // Aggregate traces keep only the tracked senders' series: map each
+  // tracked id to its slot once (ids and cohort ranges both ascend).
+  std::vector<std::size_t> tracked_slots;
+  if (aggregate) {
+    std::size_t ci = 0;
+    for (const int id : trace.tracked_senders()) {
+      while (id >= cohorts[ci].begin + cohorts[ci].count) ++ci;
+      const Cohort& c = cohorts[ci];
+      tracked_slots.push_back(static_cast<std::size_t>(
+          c.slot + (c.width == c.count ? id - c.begin : 0)));
+    }
   }
-
-  std::vector<double> observed_loss(static_cast<std::size_t>(n));
-  std::vector<double> next_windows(static_cast<std::size_t>(n));
-  // Per-sender aggregation between (possibly unsynchronized) update steps.
-  std::vector<double> pending_max_loss(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> pending_rtt_sum(static_cast<std::size_t>(n), 0.0);
-  std::vector<long> pending_steps(static_cast<std::size_t>(n), 0);
+  std::vector<double> tracked_w(tracked_slots.size());
+  std::vector<double> tracked_obs(tracked_slots.size());
 
   // Tick/loss tallies accumulate in locals and flush to the registry once
   // after the loop, so the hot loop never touches shared metric state. The
@@ -385,10 +263,15 @@ Trace FluidSimulation::run_scalar() {
   long loss_event_steps = 0;
   long injected_loss_samples = 0;
 
-  ScheduledLink sched(link_, bandwidth_scale_, rtt_scale_);
-  StepRecorder srec(options_.record_sink, groups_, bandwidth_scale_,
-                    rtt_scale_,
-                    options_.trace_detail == TraceDetail::kAggregate, n);
+  detail::ScheduledLink sched({&link_, 1}, bandwidth_scale_, rtt_scale_);
+  detail::StepRecorder srec(options_.record_sink, std::move(lanes),
+                            bandwidth_scale_, rtt_scale_, aggregate, n);
+  for (std::size_t ci = 0; ci < cohorts.size(); ++ci) {
+    srec.cohort_mode(ci, uniform ? recorder::EventCode::kUniform
+                         : cohorts[ci].kernel != nullptr
+                             ? recorder::EventCode::kKernel
+                             : recorder::EventCode::kFallback);
+  }
 
   for (long step = 0; step < options_.steps; ++step) {
 #ifndef AXIOMCC_TELEMETRY_DISABLED
@@ -402,655 +285,168 @@ Trace FluidSimulation::run_scalar() {
       tick_timer.emplace(tick_hist);
     }
 #endif
-    // Churn: senders joining at this step restart from their initial
-    // window; departed senders stop contributing immediately.
-    for (long i = 0; i < n; ++i) {
-      const SenderSpec& spec = *senders[i].spec;
-      if (!active_at(spec, step)) {
-        windows[i] = 0.0;
-      } else if (step == spec.start_step && step != 0) {
-        windows[i] = clamp_window(spec.initial_window_mss);
+    // Churn: a joining cohort restarts from its initial window; a departing
+    // one stops contributing immediately. Activity is uniform within a
+    // cohort, so the O(width) fills run only at join/leave steps.
+    for (Cohort& c : cohorts) {
+      const bool active = c.active_at(step);
+      if (!active && c.active) {
+        std::fill_n(win + c.slot, c.width, 0.0);
+        std::fill_n(seen + c.slot, c.width, 0.0);
+        std::fill_n(pend + c.slot, c.width, 0.0);
+        c.pending_rtt_sum = 0.0;
+        c.pending_steps = 0;
+      } else if (active && step == c.spec->start_step && step != 0) {
+        std::fill_n(win + c.slot, c.width,
+                    std::clamp(c.spec->initial_window_mss, min_w, max_w));
+      }
+      c.active = active;
+    }
+
+    // The aggregate-window fold is a SERIAL ascending left fold, member by
+    // member: float addition is not associative, so a representative adds
+    // its window `count` times rather than multiplying. Inactive members
+    // hold +0.0, the identity for these non-negative (or NaN) partial sums,
+    // so an inactive representative adds it once instead of `count` times.
+    double total = 0.0;
+    double window_min = std::numeric_limits<double>::infinity();
+    double window_max = -std::numeric_limits<double>::infinity();
+    long active_senders = 0;
+    for (long s = 0; s < slots; ++s) {
+      const double w = win[s];
+      total += w;
+      if (uniform && w != 0.0) {
+        for (long k = 1; k < cohorts[s].count; ++k) total += w;
+      }
+      if (aggregate && w > 0.0) {
+        active_senders += uniform ? cohorts[s].count : 1;
+        if (w < window_min) window_min = w;
+        if (w > window_max) window_max = w;
       }
     }
 
-    double total = 0.0;
-    for (double w : windows) total += w;
+    const FluidLink& active_link = sched.at(step).front();
+    const double congestion_loss = active_link.loss_rate(total);
+    const double rtt_value = active_link.rtt(total).value();
 
-    const FluidLink& active = sched.at(step);
-    const double congestion_loss = active.loss_rate(total);
-    const Seconds rtt = active.rtt(total);
-
-    for (long i = 0; i < n; ++i) {
-      if (!active_at(*senders[i].spec, step)) {
-        observed_loss[i] = 0.0;
+    // Loss observation. A stateless injector yields one value per step, so
+    // it is sampled once; a stateful one must see every active sender in
+    // ascending order (such runs always materialize).
+    const double shared_injected =
+        stateless_loss ? injector_->sample(step, 0) : 0.0;
+    const double shared_observed =
+        combine_loss(congestion_loss, shared_injected);
+    for (const Cohort& c : cohorts) {
+      if (!c.active) continue;
+      if (stateless_loss) {
+        std::fill_n(seen + c.slot, c.width, shared_observed);
+        if (record_telemetry && shared_injected > 0.0) {
+          injected_loss_samples += c.count;
+        }
         continue;
       }
-      const double injected = injector_->sample(step, static_cast<int>(i));
-      observed_loss[i] = combine_loss(congestion_loss, injected);
-      if (record_telemetry && injected > 0.0) ++injected_loss_samples;
+      for (long j = 0; j < c.width; ++j) {
+        const double injected =
+            injector_->sample(step, static_cast<int>(c.begin + j));
+        seen[c.slot + j] = combine_loss(congestion_loss, injected);
+        if (record_telemetry && injected > 0.0) ++injected_loss_samples;
+      }
     }
     if (record_telemetry) {
       ++ticks;
       if (congestion_loss > 0.0) ++loss_event_steps;
     }
-    trace.add_step(windows, rtt.value(), congestion_loss, observed_loss);
-    srec.on_step(
-        step, total, rtt.value(), congestion_loss,
-        [&](std::size_t, long begin) { return windows[begin]; },
-        [&](std::size_t, long begin) { return observed_loss[begin]; },
-        [&](long i) { return windows[i]; }, n);
+
+    if (aggregate) {
+      for (std::size_t j = 0; j < tracked_slots.size(); ++j) {
+        tracked_w[j] = win[tracked_slots[j]];
+        tracked_obs[j] = seen[tracked_slots[j]];
+      }
+      trace.add_step_aggregate_tracked(total, window_min, window_max,
+                                       active_senders, rtt_value,
+                                       congestion_loss, tracked_w, tracked_obs);
+    } else {
+      trace.add_step(windows, rtt_value, congestion_loss, observed);
+    }
+    srec.on_step(step, total, rtt_value, congestion_loss, windows, observed);
     if (scope::MetricScope* scope = options_.scope_sink; scope != nullptr) {
-      scope->step_begin(step, total, rtt.value(), congestion_loss);
-      long idx = 0;
-      for (std::size_t g = 0; g < groups_.size(); ++g) {
-        for (long j = 0; j < groups_[g].count; ++j, ++idx) {
-          scope->observe_class(static_cast<int>(g), windows[idx],
-                               observed_loss[idx]);
+      // A representative observes once with its member count; the scope
+      // folds that as `count` repeated adds, matching member-by-member.
+      scope->step_begin(step, total, rtt_value, congestion_loss);
+      for (std::size_t ci = 0; ci < cohorts.size(); ++ci) {
+        const Cohort& c = cohorts[ci];
+        for (long s = c.slot; s < c.slot + c.width; ++s) {
+          scope->observe_class(static_cast<int>(ci), win[s], seen[s],
+                               uniform ? c.count : 1);
         }
       }
       scope->step_end();
     }
 
-    for (long i = 0; i < n; ++i) {
-      const SenderSpec& spec = *senders[i].spec;
-      if (!active_at(spec, step)) {
-        next_windows[i] = 0.0;
-        pending_max_loss[i] = 0.0;
-        pending_rtt_sum[i] = 0.0;
-        pending_steps[i] = 0;
-        continue;
+    // Window update. Each member aggregates its observations since its last
+    // update (worst loss, mean RTT) and consults its protocol at due steps,
+    // holding its window in between; due-ness is uniform across a cohort.
+    // Every-step updates see a mean RTT of (0 + rtt) / 1 == rtt, bitwise, so
+    // they skip the RTT bookkeeping and its division.
+    for (Cohort& c : cohorts) {
+      if (!c.active) continue;
+      const long period = c.spec->update_period;
+      const bool due = period == 1 || step % period == c.spec->update_phase;
+      double mean_rtt = rtt_value;
+      if (period != 1) {
+        c.pending_rtt_sum += rtt_value;
+        ++c.pending_steps;
+        if (due) {
+          mean_rtt = c.pending_rtt_sum / static_cast<double>(c.pending_steps);
+          c.pending_rtt_sum = 0.0;
+          c.pending_steps = 0;
+        }
       }
-
-      pending_max_loss[i] = std::max(pending_max_loss[i], observed_loss[i]);
-      pending_rtt_sum[i] += rtt.value();
-      ++pending_steps[i];
-
-      if (step % spec.update_period != spec.update_phase) {
-        next_windows[i] = windows[i];  // hold between updates
-        continue;
+      if (c.kernel == nullptr) {
+        // Per-member dispatch, serial: the lone senders of small runs pay
+        // exactly one virtual call per step and nothing else.
+        for (long i = c.slot; i < c.slot + c.width; ++i) {
+          const double worst_loss = std::max(pend[i], seen[i]);
+          if (!due) {
+            pend[i] = worst_loss;
+            continue;
+          }
+          const cc::Observation obs{win[i], worst_loss, mean_rtt};
+          win[i] = std::clamp(
+              c.members[static_cast<std::size_t>(i - c.slot)]->next_window(obs),
+              min_w, max_w);
+          pend[i] = 0.0;
+        }
+      } else {
+        for_range(c.slot, c.slot + c.width,
+                  [&c, &kernel_rtt, &kernel_out, win, pend, seen, due,
+                   mean_rtt, min_w, max_w](long lo, long hi) {
+          for (long i = lo; i < hi; ++i) pend[i] = std::max(pend[i], seen[i]);
+          if (!due) return;
+          const auto len = static_cast<std::size_t>(hi - lo);
+          std::fill(kernel_rtt.begin() + lo, kernel_rtt.begin() + hi, mean_rtt);
+          c.kernel->next_window_batch(
+              std::span<const double>(win + lo, len),
+              std::span<const double>(pend + lo, len),
+              std::span<const double>(kernel_rtt.data() + lo, len),
+              std::span<double>(c.state).subspan(
+                  static_cast<std::size_t>((lo - c.slot) * c.state_size),
+                  len * static_cast<std::size_t>(c.state_size)),
+              std::span<double>(kernel_out.data() + lo, len));
+          for (long i = lo; i < hi; ++i) {
+            win[i] = std::clamp(kernel_out[i], min_w, max_w);
+            pend[i] = 0.0;
+          }
+        });
       }
-      const cc::Observation obs{
-          windows[i], pending_max_loss[i],
-          pending_rtt_sum[i] / static_cast<double>(pending_steps[i])};
-      next_windows[i] = clamp_window(senders[i].protocol->next_window(obs));
-      pending_max_loss[i] = 0.0;
-      pending_rtt_sum[i] = 0.0;
-      pending_steps[i] = 0;
     }
-    windows.swap(next_windows);
 
     // The monitor sees the windows the senders just chose for the NEXT step,
     // before the link consumes them — a diverging protocol (NaN, blowup) is
     // caught here rather than exploding inside the link's preconditions.
     if (step_monitor_ &&
-        !step_monitor_(step, windows, rtt.value(), congestion_loss)) {
-      break;
-    }
-  }
-  if (record_telemetry) {
-    TELEMETRY_COUNT("fluid.ticks", ticks);
-    TELEMETRY_COUNT("fluid.loss_event_steps", loss_event_steps);
-    TELEMETRY_COUNT("fluid.injected_loss_samples", injected_loss_samples);
-  }
-  return trace;
-}
-
-Trace FluidSimulation::run_batch() {
-  const bool aggregate = options_.trace_detail == TraceDetail::kAggregate;
-  // A homogeneous cohort whose members all see the same inputs every step —
-  // shared spec, shared schedules, and a per-step-uniform (stateless) loss
-  // injector — provably stays uniform: every member's window is bitwise
-  // identical forever, so the whole cohort can advance through one
-  // representative sender. That collapses the per-sender work to O(cohorts)
-  // per step; only the byte-identity-mandated serial aggregate-window fold
-  // stays O(n) (a register-only add chain). The step monitor needs a real
-  // per-sender span and full-detail traces need real series, so those run
-  // the materialized path below.
-  if (aggregate && !step_monitor_ && injector_->stateless()) {
-    return run_batch_uniform();
-  }
-  TELEMETRY_SPAN("fluid", "sim.tick_loop.batch");
-  const long n = total_senders_;
-
-  // One cohort per sender group. Kernel cohorts advance through the SoA
-  // batch kernel with zero per-member protocol instances; fallback cohorts
-  // mirror the scalar path's per-member clones and virtual dispatch.
-  struct Cohort {
-    const SenderSpec* spec;
-    long begin;
-    long end;
-    bool active = false;
-    const cc::BatchProtocol* kernel = nullptr;
-    int state_size = 0;
-    std::vector<double> state;           ///< kernel cohorts, member-major.
-    std::vector<cc::Protocol*> members;  ///< fallback cohorts only.
-    long pending_steps = 0;  ///< uniform across members (shared churn/phase).
-  };
-  std::vector<std::unique_ptr<cc::Protocol>> owned;
-  std::vector<Cohort> cohorts;
-  cohorts.reserve(groups_.size());
-  long next_begin = 0;
-  for (const SenderGroup& group : groups_) {
-    Cohort c;
-    c.spec = &group.spec;
-    c.begin = next_begin;
-    c.end = next_begin + group.count;
-    next_begin = c.end;
-    c.kernel = group.spec.protocol->batch_kernel();
-    if (c.kernel != nullptr) {
-      c.state_size = c.kernel->state_size();
-      if (c.state_size > 0) {
-        c.state.resize(static_cast<std::size_t>(group.count * c.state_size));
-        for (long j = 0; j < group.count; ++j) {
-          c.kernel->init_state(std::span<double>(
-              c.state.data() + j * c.state_size,
-              static_cast<std::size_t>(c.state_size)));
-        }
-      }
-    } else {
-      c.members.reserve(static_cast<std::size_t>(group.count));
-      if (group.count == 1) {
-        c.members.push_back(group.spec.protocol.get());
-      } else {
-        for (long j = 0; j < group.count; ++j) {
-          owned.push_back(group.spec.protocol->clone());
-          c.members.push_back(owned.back().get());
-        }
-      }
-    }
-    cohorts.push_back(std::move(c));
-  }
-
-  // Fixed-size chunking keeps shard boundaries independent of the job count
-  // (docs/parallel.md's determinism contract); all sharded loops are pure
-  // elementwise writes to disjoint ranges, so results cannot depend on the
-  // schedule. One persistent pool serves every step — parallel_map's
-  // per-call pool would pay a thread spawn per tick.
-  constexpr long kChunk = 16384;
-  const long jobs = resolve_jobs(options_.jobs);
-  std::unique_ptr<TaskPool> pool;
-  if (jobs > 1 && n >= 2 * kChunk) {
-    pool = std::make_unique<TaskPool>(static_cast<int>(jobs));
-  }
-  const auto for_range = [&pool](long lo, long hi, const auto& body) {
-    if (pool == nullptr || hi - lo < 2 * kChunk) {
-      if (hi > lo) body(lo, hi);
-      return;
-    }
-    for (long c0 = lo; c0 < hi; c0 += kChunk) {
-      const long c1 = std::min(hi, c0 + kChunk);
-      pool->submit([&body, c0, c1] { body(c0, c1); });
-    }
-    pool->wait_idle();
-  };
-
-  Trace trace = make_trace();
-  trace.reserve(static_cast<std::size_t>(options_.steps));
-
-  const double min_w = options_.min_window_mss;
-  const double max_w = options_.max_window_mss;
-  const auto clamp_window = [min_w, max_w](double w) {
-    return std::clamp(w, min_w, max_w);
-  };
-
-  const auto cohort_active = [](const Cohort& c, long step) {
-    return step >= c.spec->start_step &&
-           (c.spec->stop_step < 0 || step < c.spec->stop_step);
-  };
-
-  std::vector<double> windows(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> next_windows(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> observed(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> loss_buf(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> rtt_buf(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> pending_max_loss(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> pending_rtt_sum(static_cast<std::size_t>(n), 0.0);
-
-  for (Cohort& c : cohorts) {
-    c.active = cohort_active(c, 0);
-    if (c.active) {
-      std::fill(windows.begin() + c.begin, windows.begin() + c.end,
-                clamp_window(c.spec->initial_window_mss));
-    }
-  }
-
-  const bool record_telemetry =
-      telemetry::compiled_in() && telemetry::enabled();
-  long ticks = 0;
-  long loss_event_steps = 0;
-  long injected_loss_samples = 0;
-  const bool uniform_injector = injector_->stateless();
-
-  ScheduledLink sched(link_, bandwidth_scale_, rtt_scale_);
-  StepRecorder srec(options_.record_sink, groups_, bandwidth_scale_,
-                    rtt_scale_, aggregate, n);
-  for (std::size_t ci = 0; ci < cohorts.size(); ++ci) {
-    srec.cohort_mode(ci, cohorts[ci].kernel != nullptr
-                             ? recorder::EventCode::kKernel
-                             : recorder::EventCode::kFallback);
-  }
-
-  for (long step = 0; step < options_.steps; ++step) {
-#ifndef AXIOMCC_TELEMETRY_DISABLED
-    std::optional<telemetry::ScopedHistogramTimer> tick_timer;
-    if (record_telemetry && (step & 63) == 0) {
-      static telemetry::Histogram& tick_hist =
-          telemetry::Registry::global().latency_histogram("fluid.tick_us");
-      tick_timer.emplace(tick_hist);
-    }
-#endif
-    // Churn transitions. Within a cohort activity is uniform, and a sender's
-    // [start, stop) interval is visited once, so the O(count) fills run only
-    // at join/leave steps — the scalar path's per-step churn scan collapses
-    // to O(cohorts) on quiet steps.
-    for (Cohort& c : cohorts) {
-      const bool active = cohort_active(c, step);
-      if (!active && c.active) {
-        std::fill(windows.begin() + c.begin, windows.begin() + c.end, 0.0);
-        std::fill(next_windows.begin() + c.begin, next_windows.begin() + c.end,
-                  0.0);
-        std::fill(observed.begin() + c.begin, observed.begin() + c.end, 0.0);
-        std::fill(pending_max_loss.begin() + c.begin,
-                  pending_max_loss.begin() + c.end, 0.0);
-        std::fill(pending_rtt_sum.begin() + c.begin,
-                  pending_rtt_sum.begin() + c.end, 0.0);
-        c.pending_steps = 0;
-      } else if (active && step == c.spec->start_step && step != 0) {
-        std::fill(windows.begin() + c.begin, windows.begin() + c.end,
-                  clamp_window(c.spec->initial_window_mss));
-      }
-      c.active = active;
-    }
-
-    // The aggregate-window fold stays a SERIAL ascending pass: float
-    // addition is non-associative, and this exact left fold is what the
-    // scalar path (and Trace::add_step) computes. Min/max/count are exactly
-    // associative, so folding them here too costs nothing in fidelity.
-    double total = 0.0;
-    double window_min = std::numeric_limits<double>::infinity();
-    double window_max = -std::numeric_limits<double>::infinity();
-    long active_senders = 0;
-    if (aggregate) {
-      for (long i = 0; i < n; ++i) {
-        const double w = windows[i];
-        total += w;
-        if (w > 0.0) {
-          ++active_senders;
-          if (w < window_min) window_min = w;
-          if (w > window_max) window_max = w;
-        }
-      }
-    } else {
-      for (double w : windows) total += w;
-    }
-
-    const FluidLink& active_link = sched.at(step);
-    const double congestion_loss = active_link.loss_rate(total);
-    const Seconds rtt = active_link.rtt(total);
-    const double rtt_value = rtt.value();
-
-    // Loss observation. A uniform (stateless) injector yields one value for
-    // the whole step, so active cohorts take a sharded fill; a stateful
-    // injector must see the scalar path's exact call sequence — active
-    // senders only, ascending — so it samples serially.
-    for (Cohort& c : cohorts) {
-      if (!c.active) continue;
-      if (uniform_injector) {
-        const double injected =
-            injector_->sample(step, static_cast<int>(c.begin));
-        const double value = combine_loss(congestion_loss, injected);
-        for_range(c.begin, c.end, [&observed, value](long lo, long hi) {
-          std::fill(observed.begin() + lo, observed.begin() + hi, value);
-        });
-        if (record_telemetry && injected > 0.0) {
-          injected_loss_samples += c.end - c.begin;
-        }
-      } else {
-        for (long i = c.begin; i < c.end; ++i) {
-          const double injected = injector_->sample(step, static_cast<int>(i));
-          observed[i] = combine_loss(congestion_loss, injected);
-          if (record_telemetry && injected > 0.0) ++injected_loss_samples;
-        }
-      }
-    }
-    if (record_telemetry) {
-      ++ticks;
-      if (congestion_loss > 0.0) ++loss_event_steps;
-    }
-
-    if (aggregate) {
-      trace.add_step_aggregate(total, window_min, window_max, active_senders,
-                               rtt_value, congestion_loss, windows, observed);
-    } else {
-      trace.add_step(windows, rtt_value, congestion_loss, observed);
-    }
-    srec.on_step(
-        step, total, rtt_value, congestion_loss,
-        [&](std::size_t, long begin) { return windows[begin]; },
-        [&](std::size_t, long begin) { return observed[begin]; },
-        [&](long i) { return windows[i]; }, n);
-    if (scope::MetricScope* scope = options_.scope_sink; scope != nullptr) {
-      scope->step_begin(step, total, rtt_value, congestion_loss);
-      for (std::size_t ci = 0; ci < cohorts.size(); ++ci) {
-        const Cohort& c = cohorts[ci];
-        for (long i = c.begin; i < c.end; ++i) {
-          scope->observe_class(static_cast<int>(ci), windows[i], observed[i]);
-        }
-      }
-      scope->step_end();
-    }
-
-    // Window update, cohort by cohort.
-    for (Cohort& c : cohorts) {
-      if (!c.active) continue;  // arrays already zeroed at the transition
-      const long period = c.spec->update_period;
-
-      if (c.kernel != nullptr && period == 1) {
-        // Synchronized fast path: the pending aggregates around an
-        // every-step update are max(0, loss) and (0 + rtt)/1 — computed
-        // inline, no pending arrays touched.
-        for_range(c.begin, c.end, [&](long lo, long hi) {
-          for (long i = lo; i < hi; ++i) {
-            loss_buf[i] = std::max(0.0, observed[i]);
-          }
-          for (long i = lo; i < hi; ++i) rtt_buf[i] = rtt_value;
-          const std::size_t len = static_cast<std::size_t>(hi - lo);
-          c.kernel->next_window_batch(
-              std::span<const double>(windows.data() + lo, len),
-              std::span<const double>(loss_buf.data() + lo, len),
-              std::span<const double>(rtt_buf.data() + lo, len),
-              std::span<double>(
-                  c.state.empty()
-                      ? nullptr
-                      : c.state.data() + (lo - c.begin) * c.state_size,
-                  len * static_cast<std::size_t>(c.state_size)),
-              std::span<double>(next_windows.data() + lo, len));
-          for (long i = lo; i < hi; ++i) {
-            next_windows[i] = std::clamp(next_windows[i], min_w, max_w);
-          }
-        });
-        continue;
-      }
-
-      // Unsynchronized or fallback cohorts aggregate pendings exactly like
-      // the scalar path; due-ness is uniform across the cohort.
-      for_range(c.begin, c.end, [&](long lo, long hi) {
-        for (long i = lo; i < hi; ++i) {
-          pending_max_loss[i] = std::max(pending_max_loss[i], observed[i]);
-        }
-        for (long i = lo; i < hi; ++i) pending_rtt_sum[i] += rtt_value;
-      });
-      ++c.pending_steps;
-
-      if (step % period != c.spec->update_phase) {
-        for_range(c.begin, c.end, [&](long lo, long hi) {
-          std::copy(windows.begin() + lo, windows.begin() + hi,
-                    next_windows.begin() + lo);  // hold between updates
-        });
-        continue;
-      }
-
-      const double pending_count = static_cast<double>(c.pending_steps);
-      if (c.kernel != nullptr) {
-        for_range(c.begin, c.end, [&](long lo, long hi) {
-          for (long i = lo; i < hi; ++i) {
-            rtt_buf[i] = pending_rtt_sum[i] / pending_count;
-          }
-          const std::size_t len = static_cast<std::size_t>(hi - lo);
-          c.kernel->next_window_batch(
-              std::span<const double>(windows.data() + lo, len),
-              std::span<const double>(pending_max_loss.data() + lo, len),
-              std::span<const double>(rtt_buf.data() + lo, len),
-              std::span<double>(
-                  c.state.empty()
-                      ? nullptr
-                      : c.state.data() + (lo - c.begin) * c.state_size,
-                  len * static_cast<std::size_t>(c.state_size)),
-              std::span<double>(next_windows.data() + lo, len));
-          for (long i = lo; i < hi; ++i) {
-            next_windows[i] = std::clamp(next_windows[i], min_w, max_w);
-            pending_max_loss[i] = 0.0;
-            pending_rtt_sum[i] = 0.0;
-          }
-        });
-      } else {
-        for_range(c.begin, c.end, [&](long lo, long hi) {
-          for (long i = lo; i < hi; ++i) {
-            const cc::Observation obs{windows[i], pending_max_loss[i],
-                                      pending_rtt_sum[i] / pending_count};
-            next_windows[i] = std::clamp(
-                c.members[static_cast<std::size_t>(i - c.begin)]
-                    ->next_window(obs),
-                min_w, max_w);
-            pending_max_loss[i] = 0.0;
-            pending_rtt_sum[i] = 0.0;
-          }
-        });
-      }
-      c.pending_steps = 0;
-    }
-    windows.swap(next_windows);
-
-    if (step_monitor_ &&
         !step_monitor_(step, windows, rtt_value, congestion_loss)) {
       break;
-    }
-  }
-  if (record_telemetry) {
-    TELEMETRY_COUNT("fluid.ticks", ticks);
-    TELEMETRY_COUNT("fluid.loss_event_steps", loss_event_steps);
-    TELEMETRY_COUNT("fluid.injected_loss_samples", injected_loss_samples);
-  }
-  return trace;
-}
-
-Trace FluidSimulation::run_batch_uniform() {
-  TELEMETRY_SPAN("fluid", "sim.tick_loop.uniform");
-  // Uniform-cohort engine: aggregate trace, no step monitor, stateless
-  // injector (see the dispatch in run_batch). State is one representative
-  // sender per cohort — O(cohorts + tracked) memory regardless of the
-  // population, which is what makes million-sender runs cheap.
-  struct UniformCohort {
-    const SenderSpec* spec;
-    long begin = 0;
-    long count = 0;
-    bool active = false;
-    const cc::BatchProtocol* kernel = nullptr;
-    std::vector<double> state;        ///< one member's kernel state.
-    cc::Protocol* protocol = nullptr; ///< fallback: one shared instance.
-    double w = 0.0;                   ///< every member's window, bitwise.
-    double obs = 0.0;                 ///< every member's observed loss.
-    double pending_max = 0.0;
-    double pending_rtt_sum = 0.0;
-    long pending_steps = 0;
-  };
-  std::vector<std::unique_ptr<cc::Protocol>> owned;
-  std::vector<UniformCohort> cohorts;
-  cohorts.reserve(groups_.size());
-  long next_begin = 0;
-  for (const SenderGroup& group : groups_) {
-    UniformCohort c;
-    c.spec = &group.spec;
-    c.begin = next_begin;
-    c.count = group.count;
-    next_begin += group.count;
-    c.kernel = group.spec.protocol->batch_kernel();
-    if (c.kernel != nullptr) {
-      const int state_size = c.kernel->state_size();
-      if (state_size > 0) {
-        c.state.resize(static_cast<std::size_t>(state_size));
-        c.kernel->init_state(c.state);
-      }
-    } else if (group.count == 1) {
-      c.protocol = group.spec.protocol.get();
-    } else {
-      // All members start as identical clones and receive identical inputs,
-      // so one instance stands in for the whole cohort (protocols are
-      // deterministic functions of their state and observations).
-      owned.push_back(group.spec.protocol->clone());
-      c.protocol = owned.back().get();
-    }
-    cohorts.push_back(std::move(c));
-  }
-
-  Trace trace = make_trace();
-  trace.reserve(static_cast<std::size_t>(options_.steps));
-
-  const double min_w = options_.min_window_mss;
-  const double max_w = options_.max_window_mss;
-
-  const auto cohort_active = [](const UniformCohort& c, long step) {
-    return step >= c.spec->start_step &&
-           (c.spec->stop_step < 0 || step < c.spec->stop_step);
-  };
-
-  for (UniformCohort& c : cohorts) {
-    c.active = cohort_active(c, 0);
-    if (c.active) {
-      c.w = std::clamp(c.spec->initial_window_mss, min_w, max_w);
-    }
-  }
-
-  // Map each tracked sender id to its owning cohort once (ids and cohort
-  // ranges both ascend).
-  const std::span<const int> tracked = trace.tracked_senders();
-  std::vector<std::size_t> tracked_cohort(tracked.size());
-  for (std::size_t j = 0, ci = 0; j < tracked.size(); ++j) {
-    while (tracked[j] >= cohorts[ci].begin + cohorts[ci].count) ++ci;
-    tracked_cohort[j] = ci;
-  }
-  std::vector<double> tracked_w(tracked.size());
-  std::vector<double> tracked_obs(tracked.size());
-
-  const bool record_telemetry =
-      telemetry::compiled_in() && telemetry::enabled();
-  long ticks = 0;
-  long loss_event_steps = 0;
-  long injected_loss_samples = 0;
-
-  ScheduledLink sched(link_, bandwidth_scale_, rtt_scale_);
-  StepRecorder srec(options_.record_sink, groups_, bandwidth_scale_,
-                    rtt_scale_, /*aggregate=*/true, total_senders_);
-  for (std::size_t ci = 0; ci < cohorts.size(); ++ci) {
-    srec.cohort_mode(ci, recorder::EventCode::kUniform);
-  }
-
-  for (long step = 0; step < options_.steps; ++step) {
-#ifndef AXIOMCC_TELEMETRY_DISABLED
-    std::optional<telemetry::ScopedHistogramTimer> tick_timer;
-    if (record_telemetry && (step & 63) == 0) {
-      static telemetry::Histogram& tick_hist =
-          telemetry::Registry::global().latency_histogram("fluid.tick_us");
-      tick_timer.emplace(tick_hist);
-    }
-#endif
-    for (UniformCohort& c : cohorts) {
-      const bool active = cohort_active(c, step);
-      if (!active && c.active) {
-        c.w = 0.0;
-        c.obs = 0.0;
-        c.pending_max = 0.0;
-        c.pending_rtt_sum = 0.0;
-        c.pending_steps = 0;
-      } else if (active && step == c.spec->start_step && step != 0) {
-        c.w = std::clamp(c.spec->initial_window_mss, min_w, max_w);
-      }
-      c.active = active;
-    }
-
-    // The serial ascending left fold the scalar path computes, member by
-    // member. Inactive members contribute +0.0, which is the additive
-    // identity for the non-negative (or NaN) partial sums here, so inactive
-    // cohorts are skipped without changing a bit. The repeated-add chain
-    // cannot be collapsed to a multiply — float addition is not associative
-    // — which is why this loop, and only this loop, stays O(n).
-    double total = 0.0;
-    double window_min = std::numeric_limits<double>::infinity();
-    double window_max = -std::numeric_limits<double>::infinity();
-    long active_senders = 0;
-    for (const UniformCohort& c : cohorts) {
-      if (!c.active) continue;
-      const double x = c.w;
-      for (long k = 0; k < c.count; ++k) total += x;
-      if (x > 0.0) {
-        active_senders += c.count;
-        if (x < window_min) window_min = x;
-        if (x > window_max) window_max = x;
-      }
-    }
-
-    const FluidLink& active_link = sched.at(step);
-    const double congestion_loss = active_link.loss_rate(total);
-    const double rtt_value = active_link.rtt(total).value();
-
-    for (UniformCohort& c : cohorts) {
-      if (!c.active) continue;
-      const double injected =
-          injector_->sample(step, static_cast<int>(c.begin));
-      c.obs = combine_loss(congestion_loss, injected);
-      if (record_telemetry && injected > 0.0) {
-        injected_loss_samples += c.count;
-      }
-    }
-    if (record_telemetry) {
-      ++ticks;
-      if (congestion_loss > 0.0) ++loss_event_steps;
-    }
-
-    for (std::size_t j = 0; j < tracked.size(); ++j) {
-      const UniformCohort& c = cohorts[tracked_cohort[j]];
-      tracked_w[j] = c.active ? c.w : 0.0;
-      tracked_obs[j] = c.active ? c.obs : 0.0;
-    }
-    trace.add_step_aggregate_tracked(total, window_min, window_max,
-                                     active_senders, rtt_value,
-                                     congestion_loss, tracked_w, tracked_obs);
-    srec.on_step(
-        step, total, rtt_value, congestion_loss,
-        [&](std::size_t ci, long) { return cohorts[ci].w; },
-        [&](std::size_t ci, long) { return cohorts[ci].obs; },
-        [](long) { return 0.0; }, total_senders_);
-    if (scope::MetricScope* scope = options_.scope_sink; scope != nullptr) {
-      // One observe per cohort with the member count: the scope folds it as
-      // `count` repeated serial adds of the representative's (bitwise
-      // shared) values, reproducing the materialized paths' member-by-member
-      // fold exactly.
-      scope->step_begin(step, total, rtt_value, congestion_loss);
-      for (std::size_t ci = 0; ci < cohorts.size(); ++ci) {
-        const UniformCohort& c = cohorts[ci];
-        scope->observe_class(static_cast<int>(ci), c.active ? c.w : 0.0,
-                             c.active ? c.obs : 0.0, c.count);
-      }
-      scope->step_end();
-    }
-
-    for (UniformCohort& c : cohorts) {
-      if (!c.active) continue;
-      // Identical to the scalar path's pending aggregation; for period 1
-      // this reduces to max(0, obs) and (0 + rtt)/1, bitwise.
-      c.pending_max = std::max(c.pending_max, c.obs);
-      c.pending_rtt_sum += rtt_value;
-      ++c.pending_steps;
-      if (step % c.spec->update_period != c.spec->update_phase) continue;
-      const double mean_rtt =
-          c.pending_rtt_sum / static_cast<double>(c.pending_steps);
-      double next = 0.0;
-      if (c.kernel != nullptr) {
-        const double win = c.w;
-        const double loss_in = c.pending_max;
-        const double rtt_in = mean_rtt;
-        c.kernel->next_window_batch(std::span<const double>(&win, 1),
-                                    std::span<const double>(&loss_in, 1),
-                                    std::span<const double>(&rtt_in, 1),
-                                    c.state, std::span<double>(&next, 1));
-      } else {
-        next = c.protocol->next_window(
-            cc::Observation{c.w, c.pending_max, mean_rtt});
-      }
-      c.w = std::clamp(next, min_w, max_w);
-      c.pending_max = 0.0;
-      c.pending_rtt_sum = 0.0;
-      c.pending_steps = 0;
     }
   }
   if (record_telemetry) {

@@ -5,17 +5,18 @@
 // the aggregate window; every sender observes them (plus any injected
 // non-congestion loss) and picks its next window via its Protocol.
 //
-// Two execution paths produce bit-identical traces:
-//  - the scalar path (default): one virtual Protocol::next_window call per
-//    sender per step, exactly the original tick loop;
-//  - the batch path (SimOptions::batch): senders grouped into homogeneous
-//    cohorts advance through SoA kernels (cc::BatchProtocol) in one pass per
-//    cohort, with the per-sender elementwise loops sharded across
-//    util/task_pool in fixed-size chunks. Families without a kernel fall
-//    back to per-sender virtual dispatch inside their cohort. Determinism:
-//    the aggregate-window fold and stateful loss sampling stay serial in
-//    ascending sender order, and sharded loops are pure elementwise writes
-//    over fixed ranges, so any jobs count yields the scalar path's bytes.
+// One tick loop serves every population. Each sender group is a cohort
+// stored at one of two widths: every member (materialized), or a single
+// representative when the cohort provably stays bitwise uniform — aggregate
+// trace, no step monitor, and a stateless loss injector — so a million
+// identical senders cost O(cohorts) per step plus the serial aggregate
+// fold. Materialized cohorts of batchable families advance through SoA
+// kernels (cc::BatchProtocol), sharded across util/task_pool in fixed-size
+// chunks; everything else, including every lone sender, makes one virtual
+// Protocol::next_window call per member per step. Determinism: the
+// aggregate-window fold and stateful loss sampling stay serial in ascending
+// sender order, and sharded loops are pure elementwise writes over fixed
+// ranges, so traces are byte-identical at either width and any jobs count.
 #pragma once
 
 #include <functional>
@@ -55,7 +56,10 @@ struct SenderSpec {
   long stop_step = -1;
 };
 
-/// Simulation-wide options.
+/// Simulation-wide options. (The pragma keeps the implicit special members'
+/// use of the deprecated `batch` field from warning in every includer.)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 struct SimOptions {
   long steps = 2000;             ///< number of RTT steps to simulate.
   double min_window_mss = 1.0;   ///< window floor (avoids x^-k singularities).
@@ -65,25 +69,29 @@ struct SimOptions {
   /// trace memory is independent of the population size.
   TraceDetail trace_detail = TraceDetail::kFull;
   int tracked_senders = 8;       ///< k for kAggregate (clamped to n).
-  /// Opts into the SoA cohort execution path (bit-identical to scalar).
-  bool batch = false;
-  /// Shard count for the batch path's elementwise loops: >0 explicit, 0 =
-  /// resolve_jobs (AXIOMCC_JOBS / hardware). Traces are identical at any
-  /// value; this is purely a throughput knob.
+  /// No longer read: every run takes the one cohort tick loop. Kept only
+  /// so existing callers that assign it still compile.
+  [[deprecated("the fluid simulation has a single tick loop")]] bool batch =
+      false;
+  /// Shard count for materialized cohorts' elementwise loops: >0 explicit,
+  /// 0 = resolve_jobs (AXIOMCC_JOBS / hardware). Traces are identical at
+  /// any value; this is purely a throughput knob.
   long jobs = 1;
   /// Non-owning flight-recorder sink (null = no recording). All emission
-  /// happens from the serial sections of the tick loops — churn/schedule/
+  /// happens from the serial sections of the tick loop — churn/schedule/
   /// loss transitions plus stride-sampled windows — so recordings are
-  /// byte-identical across execution paths and job counts.
+  /// byte-identical across cohort widths and job counts (modulo the kCohort
+  /// setup events naming each cohort's execution mode).
   recorder::Recorder* record_sink = nullptr;
   /// Non-owning streaming-metric scope (null = no scope). Fed from the same
   /// serial sections as the recorder — one step_begin/observe/step_end
-  /// sweep per step, with per-cohort repeated-add folds on the uniform
-  /// path — so its series is byte-identical across execution paths and job
-  /// counts. When `record_sink` is also installed, closed metric windows
-  /// are forwarded to it as kMetric events.
+  /// sweep per step, with counted repeated-add folds for uniform
+  /// representatives — so its series is byte-identical across cohort widths
+  /// and job counts. When `record_sink` is also installed, closed metric
+  /// windows are forwarded to it as kMetric events.
   scope::MetricScope* scope_sink = nullptr;
 };
+#pragma GCC diagnostic pop
 
 /// Runs the fluid model and records a Trace.
 class FluidSimulation {
@@ -96,10 +104,10 @@ class FluidSimulation {
   void add_sender(SenderSpec spec);
 
   /// Adds `count` senders sharing one spec. The cohort stores ONE prototype
-  /// regardless of count — the batch path runs kernel cohorts without any
-  /// per-sender clone, and the scalar path clones per sender lazily at run
-  /// time — so constructing a million-sender population is O(1) protocol
-  /// allocations for batchable families.
+  /// regardless of count — kernel cohorts run without any per-sender clone,
+  /// and other cohorts clone per stored member lazily at run time — so
+  /// constructing a million-sender population is O(1) protocol allocations
+  /// for batchable families.
   void add_senders(SenderSpec spec, long count);
   void add_senders(const cc::Protocol& prototype, long count,
                    double initial_window_mss);
@@ -154,10 +162,7 @@ class FluidSimulation {
     long count = 1;
   };
 
-  [[nodiscard]] Trace make_trace() const;
-  [[nodiscard]] Trace run_scalar();
-  [[nodiscard]] Trace run_batch();
-  [[nodiscard]] Trace run_batch_uniform();
+  [[nodiscard]] Trace tick_loop();
 
   FluidLink link_;
   SimOptions options_;

@@ -1,0 +1,115 @@
+// step_hooks.h — per-step hooks shared by the fluid tick loops
+// (FluidSimulation and FluidNetwork): the scheduled link set and the
+// flight-recorder emission. Internal to src/fluid. The common no-schedule /
+// no-recorder case is an inline check; the work lives in step_hooks.cc.
+#pragma once
+
+#include <cstddef>
+#include <functional>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "fluid/link.h"
+#include "recorder/recorder.h"
+
+namespace axiomcc::fluid::detail {
+
+/// The active links under (possibly null) network-wide bandwidth/RTT
+/// schedules: every link's bandwidth (delay) is scaled by the same factor.
+/// The scaled set is a pure function of the (bandwidth, RTT) scale pair, so
+/// it is rebuilt only when the pair changes — piecewise-constant schedules
+/// (the common gauntlet case) stop paying a rebuild per tick. Scale
+/// validation still runs every step, preserving the original error
+/// behaviour.
+class ScheduledLink {
+ public:
+  /// `base` (the configured links) must outlive this object.
+  ScheduledLink(std::span<const FluidLink> base,
+                const std::function<double(long)>& bw,
+                const std::function<double(long)>& rtt)
+      : base_(base), bw_(bw), rtt_(rtt) {}
+
+  std::span<const FluidLink> at(long step) {
+    return bw_ || rtt_ ? scaled(step) : base_;
+  }
+
+ private:
+  std::span<const FluidLink> scaled(long step);
+
+  std::span<const FluidLink> base_;
+  const std::function<double(long)>& bw_;
+  const std::function<double(long)>& rtt_;
+  std::vector<FluidLink> scaled_;
+  double last_bw_ = 1.0;
+  double last_rtt_ = 1.0;
+  bool cached_ = false;
+};
+
+/// Flight-recorder emission. Everything is derived from the cohort specs,
+/// the schedules, and the per-step values the trace records — never from
+/// execution state such as the storage layout or the shard count — so a
+/// scenario yields byte-identical recordings however it executes. All calls
+/// happen in the serial sections of the loops. When the capture path is
+/// compiled out the stub Recorder's `wants` is a constant false and every
+/// block below folds away.
+class StepRecorder {
+ public:
+  /// One recorder lane: `count` senders active on [start_step, stop_step)
+  /// (negative stop → forever) whose representative window and observed
+  /// loss sit at index `slot` of the per-step arrays. A routed flow is a
+  /// count-1 cohort.
+  struct Cohort {
+    long start_step;
+    long stop_step;
+    long count;
+    long slot;
+  };
+
+  StepRecorder(recorder::Recorder* sink, std::vector<Cohort> cohorts,
+               const std::function<double(long)>& bw,
+               const std::function<double(long)>& rtt, bool aggregate,
+               long total_senders);
+
+  /// Execution decision (kernel / fallback / uniform), one setup event per
+  /// cohort. The aligner masks this class by default — execution mode is
+  /// metadata, not simulated behaviour.
+  void cohort_mode(std::size_t cohort, recorder::EventCode mode) {
+    if (sink_ == nullptr || !sink_->wants(recorder::EventClass::kCohort)) {
+      return;
+    }
+    sink_->emit({0, recorder::EventClass::kCohort, mode,
+                 recorder::Subject::kCohort, static_cast<int>(cohort),
+                 static_cast<double>(cohorts_[cohort].count), 0.0});
+  }
+
+  /// Called once per step at the trace-record point, with the values the
+  /// trace sees (pre-update windows). In full detail `windows` holds every
+  /// sender's window, indexed by sender id.
+  void on_step(long step, double total, double rtt_value,
+               double congestion_loss, std::span<const double> windows,
+               std::span<const double> observed) {
+    if (sink_ != nullptr) {
+      record(step, total, rtt_value, congestion_loss, windows, observed);
+    }
+  }
+
+ private:
+  void record(long step, double total, double rtt_value,
+              double congestion_loss, std::span<const double> windows,
+              std::span<const double> observed);
+
+  recorder::Recorder* sink_;
+  const std::function<double(long)>* bw_;
+  const std::function<double(long)>* rtt_;
+  bool aggregate_;
+  std::vector<Cohort> cohorts_;
+  std::vector<char> churn_active_;
+  std::vector<char> injected_visible_;
+  double last_bw_scale_ = 1.0;
+  double last_rtt_scale_ = 1.0;
+  bool loss_active_ = false;
+  double last_loss_ = 0.0;
+};
+
+}  // namespace axiomcc::fluid::detail

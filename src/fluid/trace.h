@@ -86,8 +86,13 @@ class Trace {
 
   /// Appends one step. `windows` and `observed_loss` are per-sender (full
   /// population in either mode); aggregate mode reduces them here.
-  void add_step(std::span<const double> windows, double rtt_seconds,
-                double congestion_loss, std::span<const double> observed_loss) {
+  ///
+  /// The appends stay out of line: inlined into a large caller such as the
+  /// fluid tick loop, their per-series push_backs stop inlining and each
+  /// pays a full call, which measured ~1.5× the loop's per-sender cost.
+  [[gnu::noinline]] void add_step(std::span<const double> windows,
+                                  double rtt_seconds, double congestion_loss,
+                                  std::span<const double> observed_loss) {
     AXIOMCC_EXPECTS(windows.size() == static_cast<std::size_t>(num_senders_));
     AXIOMCC_EXPECTS(observed_loss.size() ==
                     static_cast<std::size_t>(num_senders_));
@@ -106,8 +111,7 @@ class Trace {
     }
     // One ascending pass; the serial left-fold for the total matches the
     // simulator's own aggregate-window fold bit for bit, and min/max/count
-    // are exactly associative, so a batch execution that reduces in fixed
-    // shard order reproduces these values exactly.
+    // are exactly associative.
     double total = 0.0;
     double wmin = std::numeric_limits<double>::infinity();
     double wmax = -std::numeric_limits<double>::infinity();
@@ -121,43 +125,26 @@ class Trace {
         if (w > wmax) wmax = w;
       }
     }
-    add_step_aggregate(total, wmin, wmax, active, rtt_seconds, congestion_loss,
-                       windows, observed_loss);
-  }
-
-  /// Aggregate-mode append with precomputed population statistics (the batch
-  /// simulator folds them inside its sharded loops). `window_min`/`max` are
-  /// over active (window > 0) senders and may be ±inf when none is active;
-  /// `full_windows`/`full_observed` still span the whole population — only
-  /// the tracked ids are read from them.
-  void add_step_aggregate(double total_window, double window_min,
-                          double window_max, long active_senders,
-                          double rtt_seconds, double congestion_loss,
-                          std::span<const double> full_windows,
-                          std::span<const double> full_observed) {
-    AXIOMCC_EXPECTS(detail_ == TraceDetail::kAggregate);
-    AXIOMCC_EXPECTS(full_windows.size() ==
-                    static_cast<std::size_t>(num_senders_));
-    AXIOMCC_EXPECTS(full_observed.size() ==
-                    static_cast<std::size_t>(num_senders_));
     for (std::size_t j = 0; j < tracked_.size(); ++j) {
       const auto id = static_cast<std::size_t>(tracked_[j]);
-      window_series_[j].push_back(full_windows[id]);
-      observed_loss_series_[j].push_back(full_observed[id]);
+      window_series_[j].push_back(windows[id]);
+      observed_loss_series_[j].push_back(observed_loss[id]);
     }
-    push_aggregate_stats(total_window, window_min, window_max, active_senders,
-                         rtt_seconds, congestion_loss);
+    push_aggregate_stats(total, wmin, wmax, active, rtt_seconds,
+                         congestion_loss);
   }
 
-  /// Aggregate-mode append when the caller has already gathered the tracked
-  /// senders' values (the uniform-cohort batch path never materializes
-  /// per-sender arrays). `tracked_windows`/`tracked_observed` are in
+  /// Aggregate-mode append with precomputed population statistics and the
+  /// tracked senders' values already gathered (the simulator folds the
+  /// statistics itself and need not materialize per-sender arrays).
+  /// `window_min`/`max` are over active (window > 0) senders and may be
+  /// ±inf when none is active; `tracked_windows`/`tracked_observed` are in
   /// tracked_senders() order.
-  void add_step_aggregate_tracked(double total_window, double window_min,
-                                  double window_max, long active_senders,
-                                  double rtt_seconds, double congestion_loss,
-                                  std::span<const double> tracked_windows,
-                                  std::span<const double> tracked_observed) {
+  [[gnu::noinline]] void add_step_aggregate_tracked(
+      double total_window, double window_min, double window_max,
+      long active_senders, double rtt_seconds, double congestion_loss,
+      std::span<const double> tracked_windows,
+      std::span<const double> tracked_observed) {
     AXIOMCC_EXPECTS(detail_ == TraceDetail::kAggregate);
     AXIOMCC_EXPECTS(tracked_windows.size() == tracked_.size());
     AXIOMCC_EXPECTS(tracked_observed.size() == tracked_.size());

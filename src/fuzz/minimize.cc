@@ -88,23 +88,12 @@ MinimizeResult minimize_finding(const ScenarioDesc& desc,
       }
     }
 
-    // Prefer the plainest execution mode that still reproduces: scalar
-    // execution with a full trace (a finding that needs the batch path or
+    // Prefer a full trace when it still reproduces (a finding that needs
     // aggregate retention keeps the axis, loudly).
-    if (res.desc.batch || res.desc.aggregate_trace) {
+    if (res.desc.aggregate_trace) {
       ScenarioDesc cand = res.desc;
-      cand.batch = false;
       cand.aggregate_trace = false;
-      if (try_accept(cand)) {
-        progressed = true;
-      } else {
-        for (auto member : {&ScenarioDesc::batch, &ScenarioDesc::aggregate_trace}) {
-          if (!(res.desc.*member)) continue;
-          cand = res.desc;
-          cand.*member = false;
-          if (try_accept(cand)) progressed = true;
-        }
-      }
+      if (try_accept(cand)) progressed = true;
     }
 
     // Drop the injected-loss process entirely, or failing that collapse a

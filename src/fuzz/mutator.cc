@@ -191,14 +191,10 @@ ScenarioDesc Mutator::mutate(const ScenarioDesc& base, Rng& rng) const {
         out.seed = rng();
         break;
       case 10:
-        // Flip an execution axis: aggregate trace retention or the fluid
-        // batch path. Both preserve the outcome class by contract, so this
-        // move widens code coverage, not behavior space.
-        if (rng.bernoulli(0.5)) {
-          out.aggregate_trace = !out.aggregate_trace;
-        } else {
-          out.batch = !out.batch;
-        }
+        // Flip the execution axis: aggregate trace retention preserves the
+        // outcome class by contract, so this move widens code coverage, not
+        // behavior space.
+        out.aggregate_trace = !out.aggregate_trace;
         break;
       case 11:
         // Walk the topology axis: collapse to the single link, or pick a
@@ -253,7 +249,6 @@ ScenarioDesc Mutator::splice(const ScenarioDesc& a, const ScenarioDesc& b,
   out.tail_fraction = link_src.tail_fraction;
   out.seed = (rng.bernoulli(0.5) ? x : y).seed;
   out.aggregate_trace = (rng.bernoulli(0.5) ? x : y).aggregate_trace;
-  out.batch = (rng.bernoulli(0.5) ? x : y).batch;
   out.topology_bottlenecks = (rng.bernoulli(0.5) ? x : y).topology_bottlenecks;
   out.workload = (rng.bernoulli(0.5) ? x : y).workload;
   out.senders = (rng.bernoulli(0.5) ? x : y).senders;
@@ -500,13 +495,12 @@ std::vector<ScenarioDesc> Mutator::seed_corpus() {
     d.workload.spread_steps = 16.0;
     seeds.push_back(d);
   }
-  {  // A homogeneous cohort on the batch path with an aggregate trace —
-    // seeds the execution-axis space (SoA kernels + population statistics).
+  {  // A homogeneous cohort with an aggregate trace — seeds the
+    // execution-axis space (uniform cohorts + population statistics).
     ScenarioDesc d;
     d.senders = {SenderDesc{"aimd(1,0.5)", 1.0, 0.0, -1.0, 8},
                  SenderDesc{"cubic(0.4,0.8)", 20.0, 0.0, -1.0}};
     d.aggregate_trace = true;
-    d.batch = true;
     seeds.push_back(d);
   }
 

@@ -107,12 +107,11 @@ std::uint64_t novelty_key_for(const RunOutcome& o, const ScenarioDesc& desc) {
   push(std::min<std::uint64_t>(3, static_cast<std::uint64_t>(population) - 1),
        2);
   push(static_cast<std::uint64_t>(desc.loss.kind), 3);
-  // The execution axes: a scenario that reproduces under the batch path or
-  // aggregate retention is novel relative to its scalar/full twin, so the
-  // corpus keeps both and the fuzzer keeps dragging the new machinery
-  // through the scenario space.
+  // The execution axis: a scenario that reproduces under aggregate
+  // retention is novel relative to its full-trace twin, so the corpus keeps
+  // both and the fuzzer keeps dragging that machinery through the scenario
+  // space.
   push(desc.aggregate_trace ? 1 : 0, 1);
-  push(desc.batch ? 1 : 0, 1);
   // The topology/workload axes: the same metric signature reached through a
   // parking lot or a generated flow pattern is a different corner of the
   // backend stack than its single-link static twin.

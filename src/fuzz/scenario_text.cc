@@ -164,10 +164,9 @@ std::string serialize_scenario(const ScenarioDesc& desc) {
          format_double(desc.max_window_mss) + '\n';
   out += "tail " + format_double(desc.tail_fraction) + '\n';
   out += "seed " + std::to_string(desc.seed) + '\n';
-  // Execution axes are emitted only when non-default, so every pre-axis
+  // The execution axis is emitted only when non-default, so every pre-axis
   // corpus file still round-trips byte-identically.
   if (desc.aggregate_trace) out += "trace aggregate\n";
-  if (desc.batch) out += "exec batch\n";
   if (desc.topology_bottlenecks > 0) {
     out += "topology parking-lot " + std::to_string(desc.topology_bottlenecks) +
            '\n';
@@ -334,11 +333,9 @@ ScenarioDesc parse_scenario(const std::string& text) {
     } else if (directive == "exec") {
       once("exec");
       require_argc(1);
-      if (tok[1] == "batch") {
-        desc.batch = true;
-      } else if (tok[1] == "scalar") {
-        desc.batch = false;
-      } else {
+      // The fluid backend has one tick loop; the retired execution modes
+      // still parse (as no-ops) so older corpus files replay unchanged.
+      if (tok[1] != "batch" && tok[1] != "scalar") {
         fail(line_no,
              "unknown exec mode '" + tok[1] + "' (expected scalar|batch)");
       }
@@ -590,12 +587,12 @@ CompiledScenario compile_scenario(const ScenarioDesc& desc) {
       break;
   }
 
-  // The execution axes must not change what the oracle can see: an
+  // The execution axis must not change what the oracle can see: an
   // aggregate trace tracks the whole population (fuzz scenarios are small,
   // so the estimators keep reading every sender's series and classify
-  // exactly as they would a full trace), and the batch path runs at jobs=1
-  // — already byte-identical to any job count, and keeping run_scenario
-  // pure for the fuzz loop's own fan-out.
+  // exactly as they would a full trace). The fluid backend runs at jobs=1 —
+  // already byte-identical to any job count, and keeping run_scenario pure
+  // for the fuzz loop's own fan-out.
   if (desc.aggregate_trace) {
     out.spec.trace_detail = fluid::TraceDetail::kAggregate;
     // Workload generators change the run's population; track the expanded
@@ -606,7 +603,6 @@ CompiledScenario compile_scenario(const ScenarioDesc& desc) {
     }
     out.spec.tracked_senders = static_cast<int>(std::max<long>(total, 1));
   }
-  out.spec.batch = desc.batch;
   out.spec.jobs = 1;
 
   if (!desc.bandwidth_scale.empty()) {

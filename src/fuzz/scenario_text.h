@@ -71,7 +71,7 @@ struct LossDesc {
 
 /// One sender slot, with the protocol as a cc::make_protocol spec string.
 /// `count` > 1 makes the slot a homogeneous cohort (engine::SenderSlot's
-/// cohort expansion — the fluid batch path keeps it as one cohort, the
+/// cohort expansion — the fluid backend keeps it as one cohort, the
 /// packet backend adds `count` flows).
 struct SenderDesc {
   std::string protocol = "reno";
@@ -128,13 +128,12 @@ struct ScenarioDesc {
   double max_window_mss = 1e9;
   double tail_fraction = 0.5;
   std::uint64_t seed = 42;
-  /// Execution axes: an aggregate trace (per-step population statistics
-  /// plus tracked series) and/or the fluid backend's SoA batch path. Both
-  /// are byte-identity-preserving by contract, so they change which code
-  /// runs, never the expected outcome class — the axes exist to drag the
-  /// batch/aggregate machinery through the fuzzer's scenario space.
+  /// Execution axis: an aggregate trace (per-step population statistics
+  /// plus tracked series). It is byte-identity-preserving by contract, so it
+  /// changes which code runs (the fluid backend's uniform cohorts), never
+  /// the expected outcome class — the axis exists to drag that machinery
+  /// through the fuzzer's scenario space.
   bool aggregate_trace = false;
-  bool batch = false;
   /// 0 = the classic single shared link (`link` directive only). k >= 1
   /// compiles to a k-bottleneck parking lot (`link` replicated per hop):
   /// sender slot 0 routes over every bottleneck, slot i >= 1 crosses

@@ -12,8 +12,8 @@ namespace axiomcc::recorder {
 struct AlignOptions {
   /// Classes that participate in the comparison. Cohort events describe
   /// HOW a run executed (kernel vs fallback vs uniform), not what the
-  /// simulated system did, so they are excluded by default — a scalar run
-  /// and its batch twin must still align.
+  /// simulated system did, so they are excluded by default — a run and its
+  /// twin in the other cohort layout must still align.
   unsigned classes = kAllClasses & ~class_bit(EventClass::kCohort);
   /// Relative tolerance for sampled values (window samples/totals, guard
   /// checks): |a-b| / max(1, |a|, |b|) above this diverges. Discrete

@@ -13,7 +13,7 @@ enum class EventClass : unsigned char {
   kLoss,         ///< loss-rate transitions (congestion + injected)
   kSchedule,     ///< bandwidth / RTT schedule breakpoints
   kChurn,        ///< sender-cohort arrivals and departures
-  kCohort,       ///< batch-path execution decisions (kernel/fallback/uniform)
+  kCohort,       ///< fluid cohort execution decisions (kernel/fallback/uniform)
   kGuard,        ///< guarded-runner invariant checks and trips
   kMetric,       ///< streaming axiom-scope windows (one value per axis)
 };
@@ -44,8 +44,8 @@ enum class EventCode : unsigned char {
   kLeave,  ///< cohort became inactive (a = member count)
   // kCohort
   kKernel,    ///< cohort runs the SoA batch kernel (a = member count)
-  kFallback,  ///< cohort fell back to per-sender dispatch (a = member count)
-  kUniform,   ///< cohort runs the uniform O(1)-per-step path (a = count)
+  kFallback,  ///< cohort dispatches per member (a = member count)
+  kUniform,   ///< cohort runs as one uniform representative (a = count)
   // kGuard
   kCheck,  ///< sampled invariant check passed (a = aggregate window)
   kTrip,   ///< invariant tripped (a = offending value, b = FaultKind)

@@ -7,9 +7,9 @@
 // and generated workloads raise. The scope answers them: backends feed it
 // one call per recorded step, it folds per-window accumulators in the same
 // serial ascending order as the trace (so the series is byte-identical at
-// any --jobs and across the scalar/batch/uniform fluid paths), and closes a
-// window every `window_steps` samples into one value per (subject, axis)
-// channel. With `window_steps == 0` the single full-horizon window
+// any --jobs and across the materialized/uniform fluid cohort layouts), and
+// closes a window every `window_steps` samples into one value per (subject,
+// axis) channel. With `window_steps == 0` the single full-horizon window
 // reproduces the post-hoc estimators exactly (see docs/observability.md for
 // the per-axis equivalence statement).
 //
@@ -20,7 +20,7 @@
 //            loss-avoidance, latency-avoidance.
 //
 // Memory is O(classes + links + windows) — independent of the sender count,
-// so the million-sender batch path keeps its footprint. The one exception is
+// so million-sender fluid runs keep their footprint. The one exception is
 // fast-utilization, which retains the per-step aggregate-window series (the
 // same footprint the aggregate trace already pays) because the paper's
 // coefficient samples start offsets that are only known once the horizon or

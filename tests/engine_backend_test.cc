@@ -300,6 +300,29 @@ TEST(Topology, ParkingLotRunsOnBothBackends) {
   EXPECT_GT(packet_long, 0.0);
 }
 
+TEST(Topology, BothBackendsRunExactlyTheRequestedSteps) {
+  // 60 steps of a 30 ms RTT: as a double, 0.03 s × 60 truncates to
+  // 1 799 999 999 ns, one nanosecond short of the packet simulator's last
+  // sample; the horizon must still reach it on the dumbbell and routed
+  // paths alike.
+  const cc::Aimd aimd(1.0, 0.5);
+  ScenarioSpec dumbbell;
+  dumbbell.link = fluid::make_link_mbps(10.0, 30.0, 50.0);
+  dumbbell.steps = 60;
+  dumbbell.add_sender(aimd, 2.0);
+  ScenarioSpec routed = dumbbell;
+  routed.senders.clear();
+  apply_parking_lot(routed, routed.link, /*bottlenecks=*/2, aimd,
+                    /*cross_flows_per_link=*/1);
+  for (const ScenarioSpec* spec : {&dumbbell, &routed}) {
+    for (const BackendKind kind : {BackendKind::kFluid, BackendKind::kPacket}) {
+      EXPECT_EQ(backend_for(kind).run(*spec).trace.num_steps(), 60u)
+          << (spec == &dumbbell ? "dumbbell " : "routed ")
+          << (kind == BackendKind::kFluid ? "fluid" : "packet");
+    }
+  }
+}
+
 TEST(Topology, SingleLinkSpecIgnoresTopologyMachineryByteForByte) {
   // The degenerate one-link ScenarioSpec must flow through the refactored
   // backend (validate + workload expansion + topology branch) and still

@@ -1,9 +1,13 @@
-// fluid_batch_test.cc — scalar-vs-batch equivalence for the SoA cohort path.
+// fluid_batch_test.cc — the cohort tick loop against the reference oracle.
 //
 // The contract under test (src/cc/batch.h, src/fluid/sim.h): for every
 // protocol family, at any population size, across churn, injected loss,
-// unsynchronized update periods, and any shard count, the batch execution
-// path produces a byte-identical Trace to the scalar per-sender path.
+// unsynchronized update periods, and any shard count, FluidSimulation —
+// SoA kernels, per-member fallback dispatch, uniform representatives —
+// produces a byte-identical Trace to the plain per-sender loop in
+// tests/fluid_reference.h. Aggregate configurations run both cohort
+// widths: the uniform layout FluidSimulation picks on its own, and the
+// materialized one a pass-through step monitor forces.
 #include <cstring>
 #include <memory>
 #include <string>
@@ -16,19 +20,21 @@
 #include "cc/slow_start.h"
 #include "fluid/loss_model.h"
 #include "fluid/sim.h"
+#include "fluid_reference.h"
 
 namespace axiomcc {
 namespace {
 
 using fluid::FluidSimulation;
 using fluid::LinkParams;
+using fluid::ReferenceGroup;
 using fluid::SenderSpec;
 using fluid::SimOptions;
 using fluid::Trace;
 using fluid::TraceDetail;
 
 // All 13 registry families (kernel families first, then the stateful
-// fallbacks that must take the per-sender path inside their cohorts).
+// fallbacks that dispatch per member inside their cohorts).
 const std::vector<std::string>& family_specs() {
   static const std::vector<std::string> specs{
       "aimd(1,0.5)",
@@ -58,26 +64,36 @@ struct RunConfig {
   long jobs = 1;
   TraceDetail detail = TraceDetail::kFull;
   int tracked = 4;
+  double mbps = 24.0;  ///< link bandwidth; buffer and RTT stay fixed
 };
 
 // Small link so windows hit droptail loss quickly at any population size.
-LinkParams test_link() { return fluid::make_link_mbps(24.0, 40.0, 60.0); }
+LinkParams test_link(double mbps = 24.0) {
+  return fluid::make_link_mbps(mbps, 40.0, 60.0);
+}
+
+/// Which loop runs a configuration.
+enum class Runner {
+  kReference,     ///< tests/fluid_reference.h
+  kSimulation,    ///< FluidSimulation, free to pick its cohort width
+  kMaterialized,  ///< FluidSimulation with a pass-through step monitor,
+                  ///< which stores every member
+};
 
 Trace run_config(const cc::Protocol& prototype, const RunConfig& cfg,
-                 bool batch) {
+                 Runner runner) {
   SimOptions options;
   options.steps = cfg.steps;
   options.trace_detail = cfg.detail;
   options.tracked_senders = cfg.tracked;
-  options.batch = batch;
   options.jobs = cfg.jobs;
-  FluidSimulation sim(test_link(), options);
 
+  std::vector<ReferenceGroup> groups;
   const auto cohort = [&](long count, double initial, long start, long stop) {
     if (count <= 0) return;
-    SenderSpec spec{prototype.clone(), initial, cfg.update_period,
-                    cfg.update_phase, start, stop};
-    sim.add_senders(std::move(spec), count);
+    groups.push_back({SenderSpec{prototype.clone(), initial, cfg.update_period,
+                                 cfg.update_phase, start, stop},
+                      count});
   };
   if (cfg.churn && cfg.n >= 3) {
     const long third = cfg.n / 3;
@@ -87,9 +103,24 @@ Trace run_config(const cc::Protocol& prototype, const RunConfig& cfg,
   } else {
     cohort(cfg.n, 2.0, 0, -1);
   }
+  std::unique_ptr<fluid::LossInjector> injector;
   if (cfg.injected_loss) {
-    sim.set_loss_injector(
-        std::make_unique<fluid::BernoulliLoss>(0.1, 0.05, 1234));
+    injector = std::make_unique<fluid::BernoulliLoss>(0.1, 0.05, 1234);
+  }
+
+  if (runner == Runner::kReference) {
+    return fluid::run_reference(test_link(cfg.mbps), options, groups,
+                                injector.get());
+  }
+  FluidSimulation sim(test_link(cfg.mbps), options);
+  for (ReferenceGroup& group : groups) {
+    sim.add_senders(std::move(group.spec), group.count);
+  }
+  if (injector) sim.set_loss_injector(std::move(injector));
+  if (runner == Runner::kMaterialized) {
+    sim.set_step_monitor([](long, std::span<const double>, double, double) {
+      return true;
+    });
   }
   return sim.run();
 }
@@ -131,11 +162,15 @@ void expect_trace_identical(const Trace& a, const Trace& b) {
   }
 }
 
-void expect_scalar_batch_identical(const cc::Protocol& prototype,
-                                   const RunConfig& cfg) {
-  const Trace scalar = run_config(prototype, cfg, /*batch=*/false);
-  const Trace batch = run_config(prototype, cfg, /*batch=*/true);
-  expect_trace_identical(scalar, batch);
+void expect_matches_reference(const cc::Protocol& prototype,
+                              const RunConfig& cfg) {
+  const Trace reference = run_config(prototype, cfg, Runner::kReference);
+  expect_trace_identical(reference,
+                         run_config(prototype, cfg, Runner::kSimulation));
+  if (cfg.detail == TraceDetail::kAggregate) {
+    expect_trace_identical(reference,
+                           run_config(prototype, cfg, Runner::kMaterialized));
+  }
 }
 
 class EveryFamily : public ::testing::TestWithParam<std::string> {};
@@ -158,7 +193,7 @@ TEST_P(EveryFamily, PopulationSizes) {
     RunConfig cfg;
     cfg.n = n;
     cfg.steps = n >= 1000 ? 60 : 120;
-    expect_scalar_batch_identical(*prototype, cfg);
+    expect_matches_reference(*prototype, cfg);
   }
 }
 
@@ -167,18 +202,18 @@ TEST_P(EveryFamily, ChurnAndInjectedLoss) {
   RunConfig churn;
   churn.n = 64;
   churn.churn = true;
-  expect_scalar_batch_identical(*prototype, churn);
+  expect_matches_reference(*prototype, churn);
 
   RunConfig lossy;
   lossy.n = 7;
   lossy.injected_loss = true;
-  expect_scalar_batch_identical(*prototype, lossy);
+  expect_matches_reference(*prototype, lossy);
 
   RunConfig both;
   both.n = 33;
   both.churn = true;
   both.injected_loss = true;
-  expect_scalar_batch_identical(*prototype, both);
+  expect_matches_reference(*prototype, both);
 }
 
 TEST_P(EveryFamily, UnsynchronizedUpdates) {
@@ -187,13 +222,13 @@ TEST_P(EveryFamily, UnsynchronizedUpdates) {
   cfg.n = 7;
   cfg.update_period = 3;
   cfg.update_phase = 1;
-  expect_scalar_batch_identical(*prototype, cfg);
+  expect_matches_reference(*prototype, cfg);
 
   cfg.update_period = 5;
   cfg.update_phase = 0;
   cfg.churn = true;
   cfg.n = 12;
-  expect_scalar_batch_identical(*prototype, cfg);
+  expect_matches_reference(*prototype, cfg);
 }
 
 TEST_P(EveryFamily, ShardedJobsMatchSerial) {
@@ -204,21 +239,48 @@ TEST_P(EveryFamily, ShardedJobsMatchSerial) {
   serial.jobs = 1;
   RunConfig sharded = serial;
   sharded.jobs = 4;
-  const Trace scalar = run_config(*prototype, serial, /*batch=*/false);
-  const Trace jobs1 = run_config(*prototype, serial, /*batch=*/true);
-  const Trace jobs4 = run_config(*prototype, sharded, /*batch=*/true);
-  expect_trace_identical(scalar, jobs1);
+  const Trace reference = run_config(*prototype, serial, Runner::kReference);
+  const Trace jobs1 = run_config(*prototype, serial, Runner::kSimulation);
+  const Trace jobs4 = run_config(*prototype, sharded, Runner::kSimulation);
+  expect_trace_identical(reference, jobs1);
   expect_trace_identical(jobs1, jobs4);
 }
 
 TEST_P(EveryFamily, AggregateMatchesScalarAggregate) {
+  // Aggregate detail with a stateless injector: the uniform layout, plus
+  // the forced materialized layout, each against the reference.
   const auto prototype = cc::make_protocol(GetParam());
   RunConfig cfg;
   cfg.n = 64;
   cfg.churn = true;
   cfg.detail = TraceDetail::kAggregate;
   cfg.tracked = 5;
-  expect_scalar_batch_identical(*prototype, cfg);
+  expect_matches_reference(*prototype, cfg);
+}
+
+TEST(FluidBatch, ShardedKernelCohortsMatchReference) {
+  // Large enough that materialized kernel cohorts split into several
+  // 16384-slot chunks on the pool (the family suite's n = 1000 stays on
+  // one chunk); churn puts chunk boundaries inside and across cohorts, and
+  // per-sender injected loss makes members (and kernel state) diverge.
+  const cc::SlowStartWrapper slow_start(std::make_unique<cc::Aimd>(1.0, 0.5),
+                                        48.0);
+  const auto aimd = cc::make_protocol("aimd(1,0.5)");
+  const auto highspeed = cc::make_protocol("highspeed");
+  const std::vector<const cc::Protocol*> prototypes{
+      aimd.get(), highspeed.get(), &slow_start};
+  for (const cc::Protocol* prototype : prototypes) {
+    RunConfig cfg;
+    cfg.n = 3 * 2 * 16384 + 7;  // every churn cohort spans 2+ chunks
+    cfg.steps = 40;
+    cfg.churn = true;
+    cfg.injected_loss = true;
+    cfg.detail = TraceDetail::kAggregate;
+    cfg.jobs = 4;
+    cfg.mbps = 24.0 * 2000.0;  // ~1 MSS of capacity per sender: slow
+                               // start lasts past the first steps
+    expect_matches_reference(*prototype, cfg);
+  }
 }
 
 TEST(FluidBatch, SlowStartWrapperBatches) {
@@ -230,27 +292,27 @@ TEST(FluidBatch, SlowStartWrapperBatches) {
   for (const int n : {1, 7, 64}) {
     RunConfig cfg;
     cfg.n = n;
-    expect_scalar_batch_identical(prototype, cfg);
+    expect_matches_reference(prototype, cfg);
   }
   RunConfig churned;
   churned.n = 21;
   churned.churn = true;
   churned.injected_loss = true;
-  expect_scalar_batch_identical(prototype, churned);
+  expect_matches_reference(prototype, churned);
   RunConfig unsync;
   unsync.n = 9;
   unsync.update_period = 2;
   unsync.update_phase = 1;
-  expect_scalar_batch_identical(prototype, unsync);
+  expect_matches_reference(prototype, unsync);
 }
 
 TEST(FluidBatch, SlowStartOverStatefulInnerStaysScalar) {
   const cc::SlowStartWrapper wrapped(cc::make_protocol("cubic(0.4,0.8)"), 64.0);
   EXPECT_EQ(wrapped.batch_kernel(), nullptr);
-  // ... and still runs correctly through the batch path's fallback cohorts.
+  // ... and still runs correctly through per-member fallback dispatch.
   RunConfig cfg;
   cfg.n = 7;
-  expect_scalar_batch_identical(wrapped, cfg);
+  expect_matches_reference(wrapped, cfg);
 }
 
 TEST(FluidBatch, MixedCohortsKernelAndFallback) {
@@ -258,17 +320,21 @@ TEST(FluidBatch, MixedCohortsKernelAndFallback) {
   // fallback cohorts (CUBIC) in one simulation.
   const auto aimd = cc::make_protocol("aimd(1,0.5)");
   const auto cubic = cc::make_protocol("cubic(0.4,0.8)");
-  const auto build = [&](bool batch) {
-    SimOptions options;
-    options.steps = 100;
-    options.batch = batch;
-    FluidSimulation sim(test_link(), options);
-    sim.add_senders(*aimd, 20, 2.0);
-    sim.add_senders(*cubic, 20, 2.0);
-    sim.add_senders(SenderSpec{aimd->clone(), 1.0, 1, 0, 25, 75}, 10);
-    return sim.run();
+  SimOptions options;
+  options.steps = 100;
+  const auto groups = [&] {
+    std::vector<ReferenceGroup> g;
+    g.push_back({SenderSpec{aimd->clone(), 2.0}, 20});
+    g.push_back({SenderSpec{cubic->clone(), 2.0}, 20});
+    g.push_back({SenderSpec{aimd->clone(), 1.0, 1, 0, 25, 75}, 10});
+    return g;
   };
-  expect_trace_identical(build(false), build(true));
+  FluidSimulation sim(test_link(), options);
+  for (ReferenceGroup& group : groups()) {
+    sim.add_senders(std::move(group.spec), group.count);
+  }
+  expect_trace_identical(fluid::run_reference(test_link(), options, groups()),
+                         sim.run());
 }
 
 TEST(FluidBatch, BulkAddMatchesRepeatedAdd) {
@@ -289,12 +355,12 @@ TEST(FluidBatch, AggregateStatsMatchFullTrace) {
   RunConfig full_cfg;
   full_cfg.n = 30;
   full_cfg.churn = true;
-  const Trace full = run_config(*prototype, full_cfg, /*batch=*/false);
+  const Trace full = run_config(*prototype, full_cfg, Runner::kReference);
 
   RunConfig agg_cfg = full_cfg;
   agg_cfg.detail = TraceDetail::kAggregate;
   agg_cfg.tracked = 3;
-  const Trace agg = run_config(*prototype, agg_cfg, /*batch=*/true);
+  const Trace agg = run_config(*prototype, agg_cfg, Runner::kSimulation);
 
   ASSERT_EQ(full.num_steps(), agg.num_steps());
   expect_span_identical(full.total_window(), agg.total_window(),
@@ -342,7 +408,6 @@ TEST(FluidBatch, AggregateTraceMemoryIsPopulationIndependent) {
   const auto prototype = cc::make_protocol("aimd(1,0.5)");
   SimOptions options;
   options.steps = 50;
-  options.batch = true;
   options.trace_detail = TraceDetail::kAggregate;
   options.tracked_senders = 4;
   FluidSimulation sim(test_link(), options);

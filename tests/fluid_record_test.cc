@@ -1,11 +1,12 @@
-// Flight-recorder equivalence tests for the fluid engine's three tick
-// loops. The determinism contract the batch-path trace tests pin extends
-// to recordings: the same scenario yields byte-identical JSONL at any
-// --jobs, and the scalar / batch / uniform paths differ only in the
+// Flight-recorder equivalence tests for the fluid engine's cohort tick
+// loop. The determinism contract the trace tests pin extends to
+// recordings: the same scenario yields byte-identical JSONL at any --jobs,
+// and the materialized and uniform cohort layouts differ only in the
 // kCohort execution-mode metadata the aligner masks by default.
 #include "fluid/sim.h"
 
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -26,14 +27,16 @@ using recorder::Recording;
 /// A scenario that exercises every event class: three AIMD cohorts (one
 /// joining late, one leaving early), a mid-run bandwidth drop, and a
 /// buffer small enough that congestion loss actually occurs.
-Recording record_scenario(bool batch, long jobs, TraceDetail detail,
+/// `materialized` installs a pass-through step monitor, which makes the
+/// simulation store every member even where uniform representatives would
+/// do.
+Recording record_scenario(bool materialized, long jobs, TraceDetail detail,
                           recorder::RecordOptions ropts) {
   ropts.enabled = true;
   recorder::Recorder sink(ropts);
 
   SimOptions options;
   options.steps = 96;
-  options.batch = batch;
   options.jobs = jobs;
   options.trace_detail = detail;
   options.record_sink = &sink;
@@ -52,81 +55,86 @@ Recording record_scenario(bool batch, long jobs, TraceDetail detail,
   sim.add_senders(cohort(0, 60), 8);
   sim.set_bandwidth_schedule(
       [](long step) { return step < 48 ? 1.0 : 0.5; });
+  if (materialized) {
+    sim.set_step_monitor(
+        [](long, std::span<const double>, double, double) { return true; });
+  }
 
   (void)sim.run();
   return sink.snapshot();
 }
 
-TEST(FluidRecord, BatchRecordingBytesIdenticalAcrossJobs) {
-  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
-  const Recording serial =
-      record_scenario(/*batch=*/true, /*jobs=*/1, TraceDetail::kFull, {});
-  const Recording sharded =
-      record_scenario(/*batch=*/true, /*jobs=*/4, TraceDetail::kFull, {});
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(recording_to_jsonl(serial), recording_to_jsonl(sharded));
+bool has_code(const Recording& rec, EventCode code) {
+  for (const auto& e : rec.events) {
+    if (e.code == code) return true;
+  }
+  return false;
 }
 
-TEST(FluidRecord, ScalarAndBatchRecordIdenticallyModuloCohortMetadata) {
+TEST(FluidRecord, BatchRecordingBytesIdenticalAcrossJobs) {
   if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
-  // With the execution-mode class captured, the batch path stamps kernel
-  // events the scalar path has no reason to emit...
-  const Recording scalar =
-      record_scenario(/*batch=*/false, 1, TraceDetail::kFull, {});
-  const Recording batch =
-      record_scenario(/*batch=*/true, 2, TraceDetail::kFull, {});
-  bool batch_has_kernel = false;
-  for (const auto& e : batch.events) {
-    batch_has_kernel |= e.code == EventCode::kKernel;
-    EXPECT_NE(e.code, EventCode::kFallback) << "aimd has a batch kernel";
+  for (const TraceDetail detail :
+       {TraceDetail::kFull, TraceDetail::kAggregate}) {
+    const Recording serial = record_scenario(true, /*jobs=*/1, detail, {});
+    const Recording sharded = record_scenario(true, /*jobs=*/4, detail, {});
+    ASSERT_FALSE(serial.empty());
+    EXPECT_EQ(recording_to_jsonl(serial), recording_to_jsonl(sharded));
   }
-  EXPECT_TRUE(batch_has_kernel);
-  for (const auto& e : scalar.events) {
-    EXPECT_NE(e.cls, EventClass::kCohort);
-  }
+}
+
+TEST(FluidRecord, MaterializedAndUniformRecordIdenticallyModuloCohortMetadata) {
+  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
+  // With the execution-mode class captured, each layout stamps its own
+  // setup events: kernel cohorts when materialized, uniform otherwise...
+  const Recording materialized =
+      record_scenario(true, 1, TraceDetail::kAggregate, {});
+  const Recording uniform =
+      record_scenario(false, 2, TraceDetail::kAggregate, {});
+  EXPECT_TRUE(has_code(materialized, EventCode::kKernel));
+  EXPECT_FALSE(has_code(materialized, EventCode::kFallback))
+      << "aimd has a batch kernel";
+  EXPECT_FALSE(has_code(materialized, EventCode::kUniform));
+  EXPECT_TRUE(has_code(uniform, EventCode::kUniform));
+  EXPECT_FALSE(has_code(uniform, EventCode::kKernel));
   // ...so the aligner (which masks kCohort by default) still reports them
   // as the same run...
   const recorder::AlignResult aligned =
-      recorder::align_recordings(scalar, batch);
+      recorder::align_recordings(materialized, uniform);
   EXPECT_FALSE(aligned.diverged) << aligned.reason;
   EXPECT_EQ(aligned.steps_compared, 96);
 
-  // ...and with kCohort excluded at capture time the two paths are
+  // ...and with kCohort excluded at capture time the two layouts are
   // byte-identical on the wire.
   recorder::RecordOptions masked;
   masked.classes = recorder::kAllClasses & ~class_bit(EventClass::kCohort);
-  const Recording scalar_masked =
-      record_scenario(false, 1, TraceDetail::kFull, masked);
-  const Recording batch_masked =
-      record_scenario(true, 4, TraceDetail::kFull, masked);
-  ASSERT_FALSE(scalar_masked.empty());
-  EXPECT_EQ(recording_to_jsonl(scalar_masked),
-            recording_to_jsonl(batch_masked));
+  const Recording materialized_masked =
+      record_scenario(true, 1, TraceDetail::kAggregate, masked);
+  const Recording uniform_masked =
+      record_scenario(false, 4, TraceDetail::kAggregate, masked);
+  ASSERT_FALSE(materialized_masked.empty());
+  EXPECT_EQ(recording_to_jsonl(materialized_masked),
+            recording_to_jsonl(uniform_masked));
 }
 
-TEST(FluidRecord, AggregateModeKeepsLanesBoundedAndAlignsWithScalar) {
+TEST(FluidRecord, AggregateModeKeepsLanesBoundedAcrossLayouts) {
   if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   // Aggregate trace detail drives cohort-lane window samples (memory
-  // independent of the population) on both paths; the batch run's
-  // execution-mode stamps are again the only difference.
-  const Recording scalar =
-      record_scenario(false, 1, TraceDetail::kAggregate, {});
-  const Recording batch =
-      record_scenario(true, 4, TraceDetail::kAggregate, {});
-  for (const auto& e : scalar.events) {
-    EXPECT_NE(e.subject_kind, recorder::Subject::kSender)
-        << "aggregate mode must not materialize per-sender lanes";
+  // independent of the population) in either layout; full detail samples
+  // every sender.
+  for (const bool materialized : {true, false}) {
+    for (const auto& e :
+         record_scenario(materialized, 1, TraceDetail::kAggregate, {})
+             .events) {
+      EXPECT_NE(e.subject_kind, recorder::Subject::kSender)
+          << "aggregate mode must not materialize per-sender lanes";
+    }
   }
-  const recorder::AlignResult aligned =
-      recorder::align_recordings(scalar, batch);
-  EXPECT_FALSE(aligned.diverged) << aligned.reason;
-
-  recorder::RecordOptions masked;
-  masked.classes = recorder::kAllClasses & ~class_bit(EventClass::kCohort);
-  EXPECT_EQ(recording_to_jsonl(
-                record_scenario(false, 1, TraceDetail::kAggregate, masked)),
-            recording_to_jsonl(
-                record_scenario(true, 2, TraceDetail::kAggregate, masked)));
+  bool sender_lane = false;
+  for (const auto& e :
+       record_scenario(false, 1, TraceDetail::kFull, {}).events) {
+    sender_lane |= e.subject_kind == recorder::Subject::kSender;
+  }
+  EXPECT_TRUE(sender_lane);
 }
 
 TEST(FluidRecord, ChurnScheduleAndLossTransitionsLandAtTheirSteps) {

@@ -79,24 +79,21 @@ TEST(FuzzMutator, MutantsStayInsideLimits) {
 
 TEST(FuzzMutator, MutationReachesExecutionAxesAndCohorts) {
   // The new axes must actually be reachable moves, not dead dictionary
-  // entries: a modest mutation walk visits aggregate traces, the batch
-  // path, and multi-sender cohorts.
+  // entries: a modest mutation walk visits aggregate traces and
+  // multi-sender cohorts.
   const Mutator mutator;
   Rng rng(31);
   ScenarioDesc current;
   bool saw_aggregate = false;
-  bool saw_batch = false;
   bool saw_cohort = false;
   for (int i = 0; i < 300; ++i) {
     current = mutator.mutate(current, rng);
     saw_aggregate = saw_aggregate || current.aggregate_trace;
-    saw_batch = saw_batch || current.batch;
     for (const SenderDesc& s : current.senders) {
       saw_cohort = saw_cohort || s.count > 1;
     }
   }
   EXPECT_TRUE(saw_aggregate);
-  EXPECT_TRUE(saw_batch);
   EXPECT_TRUE(saw_cohort);
 }
 

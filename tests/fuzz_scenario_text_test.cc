@@ -30,7 +30,6 @@ ScenarioDesc complex_desc() {
       SenderDesc{"aimd(1,0.5)", 2.0, 0.0, -1.0, 6},
   };
   desc.aggregate_trace = true;
-  desc.batch = true;
   desc.loss.kind = LossDesc::Kind::kGilbertElliott;
   desc.loss.p_gb = 0.01;
   desc.loss.p_bg = 0.3;
@@ -107,8 +106,8 @@ TEST(FuzzScenarioText, SingleStepScheduleHoldsFromBreakpoint) {
 
 TEST(FuzzScenarioText, ExecutionAxesEmittedOnlyWhenNonDefault) {
   // Pre-axis corpus files must keep round-tripping byte-identically, so the
-  // default (scalar execution, full trace, singleton senders) serializes
-  // without any of the new directives.
+  // default (full trace, singleton senders) serializes without any of the
+  // new directives.
   const std::string plain = serialize_scenario(ScenarioDesc{});
   EXPECT_EQ(plain.find("trace "), std::string::npos) << plain;
   EXPECT_EQ(plain.find("exec "), std::string::npos) << plain;
@@ -116,11 +115,10 @@ TEST(FuzzScenarioText, ExecutionAxesEmittedOnlyWhenNonDefault) {
 
   ScenarioDesc desc;
   desc.aggregate_trace = true;
-  desc.batch = true;
   desc.senders = {SenderDesc{"reno", 1.0, 0.0, -1.0, 4}};
   const std::string text = serialize_scenario(desc);
   EXPECT_NE(text.find("trace aggregate\n"), std::string::npos) << text;
-  EXPECT_NE(text.find("exec batch\n"), std::string::npos) << text;
+  EXPECT_EQ(text.find("exec "), std::string::npos) << text;
   EXPECT_NE(text.find("senders 4 1 0 -1 reno\n"), std::string::npos) << text;
   EXPECT_EQ(parse_scenario(text), desc);
 }
@@ -129,6 +127,11 @@ TEST(FuzzScenarioText, ExplicitDefaultAxesParseBackToDefaults) {
   const ScenarioDesc parsed = parse_scenario(
       "axiomcc-scenario v1\ntrace full\nexec scalar\nsender 1 0 -1 reno\n");
   EXPECT_EQ(parsed, ScenarioDesc{});
+  // The retired execution modes parse as no-ops, so older corpus files
+  // replay unchanged.
+  EXPECT_EQ(parse_scenario(
+                "axiomcc-scenario v1\nexec batch\nsender 1 0 -1 reno\n"),
+            ScenarioDesc{});
 }
 
 TEST(FuzzScenarioText, BadAxisValuesRejected) {
@@ -305,12 +308,11 @@ TEST(FuzzScenarioText, CompilesToRunnableSpec) {
   EXPECT_EQ(compiled.prototypes.size(), desc.senders.size());
   // The cohort slot keeps its count; the aggregate trace tracks the whole
   // (expanded) population so the estimators see every sender's series; the
-  // batch flag passes through at jobs=1.
+  // fluid backend runs at jobs=1.
   EXPECT_EQ(compiled.spec.senders.back().count, 6);
   EXPECT_EQ(compiled.spec.total_senders(), 8);
   EXPECT_EQ(compiled.spec.trace_detail, fluid::TraceDetail::kAggregate);
   EXPECT_EQ(compiled.spec.tracked_senders, 8);
-  EXPECT_TRUE(compiled.spec.batch);
   EXPECT_EQ(compiled.spec.jobs, 1);
   ASSERT_TRUE(compiled.spec.bandwidth_scale);
   EXPECT_DOUBLE_EQ(compiled.spec.bandwidth_scale(120), 0.001);

@@ -184,9 +184,11 @@ TEST(MetricScope, CountedObserveMatchesRepeatedObserveBitwise) {
 }
 
 /// Runs one fluid scenario (three AIMD cohorts, late joiner, early leaver,
-/// mid-run bandwidth drop) and returns the scope series.
-ScopeSeries fluid_series(bool batch, long jobs, fluid::TraceDetail detail,
-                         long window_steps) {
+/// mid-run bandwidth drop) and returns the scope series. `materialized`
+/// installs a pass-through step monitor, which makes the simulation store
+/// every member even where uniform representatives would do.
+ScopeSeries fluid_series(bool materialized, long jobs,
+                         fluid::TraceDetail detail, long window_steps) {
   ScopeConfig config;
   config.enabled = true;
   config.window_steps = window_steps;
@@ -194,7 +196,6 @@ ScopeSeries fluid_series(bool batch, long jobs, fluid::TraceDetail detail,
 
   fluid::SimOptions options;
   options.steps = 96;
-  options.batch = batch;
   options.jobs = jobs;
   options.trace_detail = detail;
   options.scope_sink = &scope;
@@ -212,35 +213,47 @@ ScopeSeries fluid_series(bool batch, long jobs, fluid::TraceDetail detail,
   sim.add_senders(cohort(10, -1), 8);
   sim.add_senders(cohort(0, 60), 8);
   sim.set_bandwidth_schedule([](long step) { return step < 48 ? 1.0 : 0.5; });
+  if (materialized) {
+    sim.set_step_monitor(
+        [](long, std::span<const double>, double, double) { return true; });
+  }
   (void)sim.run();
   return scope.series();
 }
 
-TEST(ScopeDeterminism, ScalarAndBatchSeriesAreByteIdentical) {
-  const auto scalar =
+TEST(ScopeDeterminism, FullAndAggregateDetailSeriesAreByteIdentical) {
+  // Trace retention does not reach the scope: a full-detail run (every
+  // member stored) and an aggregate run (uniform representatives) observe
+  // the same bits.
+  const auto full =
       fluid_series(false, 1, fluid::TraceDetail::kFull, /*window=*/16);
-  const auto batch =
-      fluid_series(true, 1, fluid::TraceDetail::kFull, /*window=*/16);
-  EXPECT_EQ(series_bits(scalar), series_bits(batch));
+  const auto aggregate =
+      fluid_series(false, 1, fluid::TraceDetail::kAggregate, /*window=*/16);
+  EXPECT_EQ(series_bits(full), series_bits(aggregate));
 }
 
 TEST(ScopeDeterminism, UniformCohortPathIsByteIdentical) {
-  // Aggregate retention + no monitor + stateless loss: the batch run takes
-  // the uniform-cohort path (one observe_class per cohort, repeated adds),
-  // the scalar run materializes every member. Same bits either way.
-  const auto scalar =
-      fluid_series(false, 1, fluid::TraceDetail::kAggregate, /*window=*/16);
+  // Aggregate retention + no monitor + stateless loss: the plain run takes
+  // uniform representatives (one counted observe_class per cohort, folded
+  // as repeated adds), the monitored run materializes every member. Same
+  // bits either way.
+  const auto materialized =
+      fluid_series(true, 1, fluid::TraceDetail::kAggregate, /*window=*/16);
   const auto uniform =
-      fluid_series(true, 4, fluid::TraceDetail::kAggregate, /*window=*/16);
-  EXPECT_EQ(series_bits(scalar), series_bits(uniform));
+      fluid_series(false, 4, fluid::TraceDetail::kAggregate, /*window=*/16);
+  EXPECT_EQ(series_bits(materialized), series_bits(uniform));
 }
 
 TEST(ScopeDeterminism, SeriesIsByteIdenticalAcrossJobCounts) {
-  const auto jobs1 =
-      fluid_series(true, 1, fluid::TraceDetail::kAggregate, /*window=*/0);
-  const auto jobs4 =
-      fluid_series(true, 4, fluid::TraceDetail::kAggregate, /*window=*/0);
-  EXPECT_EQ(series_bits(jobs1), series_bits(jobs4));
+  for (const bool materialized : {true, false}) {
+    const auto jobs1 = fluid_series(materialized, 1,
+                                    fluid::TraceDetail::kAggregate,
+                                    /*window=*/0);
+    const auto jobs4 = fluid_series(materialized, 4,
+                                    fluid::TraceDetail::kAggregate,
+                                    /*window=*/0);
+    EXPECT_EQ(series_bits(jobs1), series_bits(jobs4)) << materialized;
+  }
 }
 
 TEST(ScopeTopology, FluidNetworkFillsPerLinkAndPerFlowChannels) {

@@ -1,11 +1,11 @@
-// Chrome-trace export round-trip and snapshot identity for the batch tick
+// Chrome-trace export round-trip and snapshot identity for the fluid tick
 // loop's telemetry. Two contracts:
 //
-//  * spans recorded while the batch path fans out over the task pool
-//    survive a write_chrome_trace -> parse_chrome_trace round trip exactly
-//    (category, name, thread, timing — the inspect/triage workflow reads
-//    traces back from disk);
-//  * the deterministic counter snapshot of a batch run is byte-identical
+//  * spans recorded while a materialized kernel cohort fans out over the
+//    task pool survive a write_chrome_trace -> parse_chrome_trace round
+//    trip exactly (category, name, thread, timing — the inspect/triage
+//    workflow reads traces back from disk);
+//  * the deterministic counter snapshot of a run is byte-identical
 //    at --jobs=1 and --jobs=4 — the telemetry face of the determinism
 //    contract the trace-level tests already pin.
 //
@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <set>
 #include <sstream>
 #include <string>
@@ -38,18 +39,21 @@ class EnabledScope {
   bool was_;
 };
 
-/// Runs a materialized batch-path simulation (full-detail trace keeps the
-/// uniform fast path out) at the given fan-out width.
-fluid::Trace run_batch_sim(long jobs) {
+/// Runs a materialized kernel cohort large enough to shard (two 16384-slot
+/// chunks and more) at the given fan-out width. The pass-through step
+/// monitor keeps every member stored; the aggregate trace keeps memory
+/// small.
+fluid::Trace run_materialized_sim(long jobs) {
   fluid::SimOptions options;
   options.steps = 200;
-  options.batch = true;
   options.jobs = jobs;
-  options.trace_detail = fluid::TraceDetail::kFull;
+  options.trace_detail = fluid::TraceDetail::kAggregate;
   fluid::FluidSimulation sim(fluid::make_link_mbps(30.0, 42.0, 100.0),
                              options);
   const auto proto = cc::make_protocol("aimd(1,0.5)");
-  sim.add_senders(*proto, 256, 10.0);
+  sim.add_senders(*proto, 40000, 10.0);
+  sim.set_step_monitor(
+      [](long, std::span<const double>, double, double) { return true; });
   return sim.run();
 }
 
@@ -67,13 +71,13 @@ TEST(TelemetryBatchTrace, ChromeTraceRoundTripsBatchTickLoopSpans) {
   EnabledScope scope;
   Tracer::global().reset();
 
-  const fluid::Trace trace = run_batch_sim(4);
+  const fluid::Trace trace = run_materialized_sim(4);
   ASSERT_EQ(trace.num_steps(), 200);
 
   const std::vector<SpanEvent> recorded = Tracer::global().collect();
   const auto names = span_names(recorded);
   EXPECT_TRUE(names.contains({"fluid", "sim.run"}));
-  EXPECT_TRUE(names.contains({"fluid", "sim.tick_loop.batch"}));
+  EXPECT_TRUE(names.contains({"fluid", "sim.tick_loop"}));
 
   const std::string path =
       testing::TempDir() + "/telemetry_batch_trace_roundtrip.json";
@@ -100,11 +104,11 @@ TEST(TelemetryBatchTrace, TickLoopSpanSetIdenticalAcrossJobs) {
   EnabledScope scope;
 
   Tracer::global().reset();
-  (void)run_batch_sim(1);
+  (void)run_materialized_sim(1);
   const auto serial = span_names(Tracer::global().collect());
 
   Tracer::global().reset();
-  (void)run_batch_sim(4);
+  (void)run_materialized_sim(4);
   const auto parallel = span_names(Tracer::global().collect());
 
   // Span timing is scheduling-dependent; the set of (category, name) pairs
@@ -117,12 +121,12 @@ TEST(TelemetryBatchTrace, DeterministicSnapshotIdenticalAcrossJobs) {
   EnabledScope scope;
 
   Registry::global().reset_values();
-  (void)run_batch_sim(1);
+  (void)run_materialized_sim(1);
   const std::string serial =
       Registry::global().snapshot().deterministic_json();
 
   Registry::global().reset_values();
-  (void)run_batch_sim(4);
+  (void)run_materialized_sim(4);
   const std::string parallel =
       Registry::global().snapshot().deterministic_json();
 

@@ -14,13 +14,13 @@
 //   axiomcc-inspect --align <repro.scn>         run fluid vs packet + align
 //
 // Options: --tolerance=R (sampled-value gap, default 0.25), --context=N
-// (steps of events around the divergence), --with-cohort (compare batch
-// execution-mode events too), --classes=<list> (restrict alignment to the
-// named event classes — `--classes=metric` localizes the first divergent
-// metric window instead of the first raw-lane gap), --stride=N / --depth=N
-// (capture options for .scn runs), --scope-window=W (metric-scope window
-// in steps for .scn runs; 0 disables the scope, default 64), --events=N
-// (discrete-event lines rendered).
+// (steps of events around the divergence), --with-cohort (compare the
+// fluid cohort execution-mode events too), --classes=<list> (restrict
+// alignment to the named event classes — `--classes=metric` localizes the
+// first divergent metric window instead of the first raw-lane gap),
+// --stride=N / --depth=N (capture options for .scn runs), --scope-window=W
+// (metric-scope window in steps for .scn runs; 0 disables the scope,
+// default 64), --events=N (discrete-event lines rendered).
 //
 // Reproducer runs attach a streaming MetricScope, so timelines include the
 // per-window axiom estimates (kMetric lanes) and --align localizes the
