@@ -4,7 +4,7 @@
 // simulators and returns a RunTrace. Callers that speak ScenarioSpec
 // (core::Evaluator, the stress gauntlet, the experiment drivers) are thereby
 // backend-agnostic: `--backend=packet` swaps the paper's fluid model for the
-// packet-level dumbbell without touching the metric estimators.
+// packet-level simulator without touching the metric estimators.
 //
 // Contract (see docs/architecture.md for the full statement):
 //  - run() is const and thread-safe: one backend instance may execute many
@@ -41,8 +41,9 @@ class FluidBackend final : public SimBackend {
   [[nodiscard]] RunTrace run(const ScenarioSpec& spec) const override;
 };
 
-/// The packet-level dumbbell DES (sim::DumbbellExperiment). One fluid step
-/// maps to one RTT of wall-clock time; the trace is sampled every RTT.
+/// The packet-level DES (sim::MultiHopNetwork; a single-link spec is its
+/// one-link network). One fluid step maps to one (smallest route) RTT of
+/// wall-clock time; the trace is sampled every step.
 class PacketBackend final : public SimBackend {
  public:
   struct Options {

@@ -14,10 +14,12 @@
 //  - step monitor: invoked at each trace sample; returning false stops the
 //    event loop at that sample.
 //
-// Single-link scenarios run on sim::DumbbellExperiment; topology scenarios
-// (spec.topology non-empty) run on sim::MultiHopNetwork with the step length
-// set to the smallest route RTT, sender slots flattened to one routed flow
-// per cohort member (matching the fluid backend's flow-id order).
+// Every scenario runs on sim::MultiHopNetwork through one path: a
+// single-link spec is the one-link topology (dumbbell_topology) with every
+// flow routed over link 0, and a topology spec runs its own links. Each link
+// is converted to packet units by sim::dumbbell_config_from_link; the step
+// length is the smallest route RTT; cohort slots run as independent flows in
+// the fluid backend's flow-id order.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -251,7 +253,7 @@ class PacketStepRecorder {
   double last_loss_ = 0.0;
 };
 
-/// Flattens cohort slots to one slot per member (the topology backends run
+/// Flattens cohort slots to one slot per member (routed runs observe
 /// per-flow, so recorder cohorts and flow ids coincide).
 std::vector<SenderSlot> flatten_slots(const std::vector<SenderSlot>& slots) {
   std::vector<SenderSlot> flat;
@@ -262,160 +264,6 @@ std::vector<SenderSlot> flatten_slots(const std::vector<SenderSlot>& slots) {
     for (long j = 0; j < slot.count; ++j) flat.push_back(one);
   }
   return flat;
-}
-
-RunTrace run_topology(const ScenarioSpec& spec,
-                      const std::vector<SenderSlot>& slots,
-                      const PacketBackend::Options& options) {
-  const std::vector<SenderSlot> flat = flatten_slots(slots);
-
-  // Per-link fluid units -> packet units, the same conversion as
-  // dumbbell_config_from_link applied link by link (Θ stays one-way here:
-  // a route's RTT is twice its summed one-way delay).
-  std::vector<double> link_mbps;
-  std::vector<double> link_delay_ms;
-  std::vector<std::size_t> link_buffer;
-  for (const fluid::LinkParams& params : spec.topology.links) {
-    link_mbps.push_back(params.bandwidth.mbps(options.mss_bytes));
-    link_delay_ms.push_back(params.propagation_delay.millis());
-    link_buffer.push_back(static_cast<std::size_t>(
-        std::max<long long>(1, std::llround(params.buffer_mss))));
-  }
-
-  // One trace step = the smallest route RTT, so the fastest control loop
-  // gets one sample per round trip (slower flows update less often, exactly
-  // as they would on real hardware).
-  double min_route_rtt_ms = std::numeric_limits<double>::infinity();
-  for (const SenderSlot& slot : flat) {
-    double one_way_ms = 0.0;
-    for (int l : slot.route) {
-      one_way_ms += link_delay_ms[static_cast<std::size_t>(l)];
-    }
-    min_route_rtt_ms = std::min(min_route_rtt_ms, 2.0 * one_way_ms);
-  }
-  min_route_rtt_ms = std::max(min_route_rtt_ms, 1.0);
-  const double step_seconds = min_route_rtt_ms / 1e3;
-
-  sim::MultiHopNetwork::Config config;
-  config.duration_seconds = horizon_seconds(min_route_rtt_ms, spec.steps);
-  config.mss_bytes = options.mss_bytes;
-  config.sample_interval_ms = min_route_rtt_ms;
-  config.tail_fraction = spec.tail_fraction;
-  config.max_window_mss = std::min(spec.max_window_mss, options.max_window_mss);
-
-  sim::MultiHopNetwork net(config);
-  for (std::size_t l = 0; l < link_mbps.size(); ++l) {
-    net.add_link(link_mbps[l], link_delay_ms[l], link_buffer[l]);
-  }
-  for (const SenderSlot& slot : flat) {
-    AXIOMCC_EXPECTS(slot.prototype != nullptr);
-    const double initial =
-        std::clamp(slot.initial_window_mss, 1.0, config.max_window_mss);
-    const double start_s = slot.start_step * step_seconds;
-    const double stop_s =
-        slot.stop_step < 0.0 ? -1.0 : slot.stop_step * step_seconds;
-    net.add_flow(slot.prototype->clone(), slot.route, start_s, initial,
-                 stop_s);
-  }
-
-  if (spec.loss) {
-    net.set_forward_filter(std::make_unique<InjectedRateLoss>(
-        spec.loss(spec.seed), net.simulator(), step_seconds,
-        static_cast<int>(flat.size()), filter_seed_for(spec)));
-  }
-
-  if (spec.bandwidth_scale || spec.rtt_scale) {
-    sim::Simulator& simulator = net.simulator();
-    for (long k = 0; k < spec.steps; ++k) {
-      const auto t =
-          SimTime::from_seconds(static_cast<double>(k) * step_seconds);
-      if (spec.bandwidth_scale) {
-        const double scale = spec.bandwidth_scale(k);
-        AXIOMCC_EXPECTS_MSG(scale > 0.0, "bandwidth scale must be positive");
-        simulator.schedule_at(t, [&net, &link_mbps, scale] {
-          for (int l = 0; l < net.num_links(); ++l) {
-            net.mutable_link(l).set_rate_bps(
-                link_mbps[static_cast<std::size_t>(l)] * 1e6 * scale);
-          }
-        });
-      }
-      if (spec.rtt_scale) {
-        const double scale = spec.rtt_scale(k);
-        AXIOMCC_EXPECTS_MSG(scale > 0.0, "RTT scale must be positive");
-        // The reverse (ACK) path keeps its fixed one-way delay, so each
-        // forward link absorbs the whole change: delay' = (2·scale − 1)·Θ,
-        // floored at 2% of Θ so extreme shrink schedules cannot go
-        // non-positive (the dumbbell applies the same asymmetric scaling).
-        const double factor = std::max(2.0 * scale - 1.0, 0.02);
-        simulator.schedule_at(t, [&net, &link_delay_ms, factor] {
-          for (int l = 0; l < net.num_links(); ++l) {
-            net.mutable_link(l).set_propagation_delay(SimTime::from_millis(
-                link_delay_ms[static_cast<std::size_t>(l)] * factor));
-          }
-        });
-      }
-    }
-  }
-
-  // The scope rides the same step-monitor hook as the recorder: the monitor
-  // delivers exactly the samples the trace records. Class ids are flow ids
-  // (the slots are flattened), matching the fluid topology path; per-link
-  // channels stay a fluid-network extra — the packet monitor carries no
-  // per-link view.
-  scope::MetricScope* const scope = spec.scope_sink;
-  if (scope != nullptr) {
-    double min_capacity = std::numeric_limits<double>::infinity();
-    for (const fluid::LinkParams& params : spec.topology.links) {
-      min_capacity =
-          std::min(min_capacity, fluid::FluidLink(params).capacity_mss());
-    }
-    scope->resolve(spec.steps, spec.tail_fraction, min_capacity, step_seconds,
-                   config.max_window_mss);
-    scope->set_recorder(spec.record_sink);
-    scope->begin_run(static_cast<int>(flat.size()), /*num_links=*/0);
-  }
-
-  if (spec.record_sink != nullptr || scope != nullptr) {
-    const auto prec = spec.record_sink != nullptr
-                          ? std::make_shared<PacketStepRecorder>(spec, flat)
-                          : nullptr;
-    const StepMonitor user = spec.step_monitor;
-    net.set_step_monitor([prec, scope, user](long step,
-                                             std::span<const double> windows,
-                                             double rtt_seconds,
-                                             double congestion_loss) {
-      if (prec != nullptr) {
-        prec->on_step(step, windows, rtt_seconds, congestion_loss);
-      }
-      if (scope != nullptr) {
-        double total = 0.0;
-        for (const double w : windows) total += w;
-        scope->step_begin(step, total, rtt_seconds, congestion_loss);
-        for (std::size_t i = 0; i < windows.size(); ++i) {
-          scope->observe_class(static_cast<int>(i), windows[i],
-                               congestion_loss);
-        }
-        scope->step_end();
-      }
-      return user ? user(step, windows, rtt_seconds, congestion_loss) : true;
-    });
-  } else if (spec.step_monitor) {
-    net.set_step_monitor(spec.step_monitor);
-  }
-
-  net.run();
-  if (scope != nullptr) scope->finish();
-
-  TELEMETRY_COUNT("engine.packet_topology_runs", 1);
-  fluid::Trace trace =
-      spec.trace_detail == fluid::TraceDetail::kAggregate
-          ? fluid::Trace::aggregated(
-                net.trace(),
-                fluid::default_tracked_senders(net.trace().num_senders(),
-                                               spec.tracked_senders))
-          : net.trace();
-  return RunTrace{std::move(trace), BackendKind::kPacket, net.flow_reports(),
-                  net.max_link_utilization()};
 }
 
 }  // namespace
@@ -430,93 +278,132 @@ RunTrace PacketBackend::run(const ScenarioSpec& spec) const {
   if (slots.empty()) {
     throw ScenarioError("workload expansion produced no senders");
   }
-  if (!spec.topology.empty()) return run_topology(spec, slots, options_);
 
-  sim::DumbbellConfig dc =
-      sim::dumbbell_config_from_link(spec.link, options_.mss_bytes);
-  const double step_seconds = dc.rtt_ms / 1e3;
-  dc.duration_seconds = horizon_seconds(dc.rtt_ms, spec.steps);
-  dc.seed = spec.seed;
-  dc.tail_fraction = spec.tail_fraction;
-  dc.max_window_mss = std::min(spec.max_window_mss, options_.max_window_mss);
+  // A single-link spec is the one-link topology with every flow routed over
+  // link 0. The scope and recorder classes are its sender slots (cohorts),
+  // mirroring FluidSimulation's group order; a routed spec runs one flow per
+  // cohort member, so its classes are the flattened flows, mirroring
+  // FluidNetwork. Member j of class g is flow begin(g) + j either way.
+  const bool routed = !spec.topology.empty();
+  const TopologySpec topology =
+      routed ? spec.topology : dumbbell_topology(spec.link);
+  std::vector<SenderSlot> classes = routed ? flatten_slots(slots) : slots;
+  if (!routed) {
+    for (SenderSlot& slot : classes) slot.route = {0};
+  }
 
-  sim::DumbbellExperiment exp(dc);
+  // Fluid units -> packet units, link by link. A route's RTT is twice its
+  // summed one-way delay.
+  std::vector<sim::DumbbellConfig> links;
+  for (const fluid::LinkParams& params : topology.links) {
+    links.push_back(sim::dumbbell_config_from_link(params, options_.mss_bytes));
+  }
 
-  for (const SenderSlot& slot : slots) {
+  // One trace step = the smallest route RTT, so the fastest control loop
+  // gets one sample per round trip (slower flows update less often, exactly
+  // as they would on real hardware).
+  double step_ms = std::numeric_limits<double>::infinity();
+  for (const SenderSlot& slot : classes) {
+    double one_way_ms = 0.0;
+    for (const int l : slot.route) {
+      one_way_ms += links[static_cast<std::size_t>(l)].rtt_ms / 2.0;
+    }
+    step_ms = std::min(step_ms, 2.0 * one_way_ms);
+  }
+  const double step_seconds = step_ms / 1e3;
+
+  sim::MultiHopNetwork::Config config;
+  config.duration_seconds = horizon_seconds(step_ms, spec.steps);
+  config.mss_bytes = options_.mss_bytes;
+  config.sample_interval_ms = step_ms;
+  config.tail_fraction = spec.tail_fraction;
+  config.max_window_mss = std::min(spec.max_window_mss, options_.max_window_mss);
+
+  sim::MultiHopNetwork net(config);
+  for (const sim::DumbbellConfig& link : links) {
+    net.add_link(link.bottleneck_mbps, link.rtt_ms / 2.0, link.buffer_packets);
+  }
+  std::vector<int> flow_class;
+  for (std::size_t g = 0; g < classes.size(); ++g) {
+    const SenderSlot& slot = classes[g];
     AXIOMCC_EXPECTS(slot.prototype != nullptr);
     const double initial =
-        std::clamp(slot.initial_window_mss, 1.0, dc.max_window_mss);
+        std::clamp(slot.initial_window_mss, 1.0, config.max_window_mss);
     const double start_s = slot.start_step * step_seconds;
     const double stop_s =
         slot.stop_step < 0.0 ? -1.0 : slot.stop_step * step_seconds;
-    // Cohort slots expand to count independent flows of the same protocol.
     for (long j = 0; j < slot.count; ++j) {
-      exp.add_flow(slot.prototype->clone(), start_s, initial, stop_s);
+      net.add_flow(slot.prototype->clone(), slot.route, start_s, initial,
+                   stop_s);
+      flow_class.push_back(static_cast<int>(g));
     }
   }
 
   if (spec.loss) {
-    exp.set_forward_filter(std::make_unique<InjectedRateLoss>(
-        spec.loss(spec.seed), exp.simulator(), step_seconds,
-        static_cast<int>(total_slot_senders(slots)), filter_seed_for(spec)));
+    net.set_forward_filter(std::make_unique<InjectedRateLoss>(
+        spec.loss(spec.seed), net.simulator(), step_seconds, net.num_flows(),
+        filter_seed_for(spec)));
   }
 
   if (spec.bandwidth_scale || spec.rtt_scale) {
-    sim::Simulator& simulator = exp.simulator();
-    const double base_bps = dc.bottleneck_mbps * 1e6;
+    sim::Simulator& simulator = net.simulator();
     for (long k = 0; k < spec.steps; ++k) {
-      const auto t = SimTime::from_seconds(
-          static_cast<double>(k) * step_seconds);
+      const auto t =
+          SimTime::from_seconds(static_cast<double>(k) * step_seconds);
       if (spec.bandwidth_scale) {
         const double scale = spec.bandwidth_scale(k);
         AXIOMCC_EXPECTS_MSG(scale > 0.0, "bandwidth scale must be positive");
-        simulator.schedule_at(
-            t, [&link = exp.bottleneck_link(), base_bps, scale] {
-              link.set_rate_bps(base_bps * scale);
-            });
+        simulator.schedule_at(t, [&net, &links, scale] {
+          for (int l = 0; l < net.num_links(); ++l) {
+            net.mutable_link(l).set_rate_bps(
+                links[static_cast<std::size_t>(l)].bottleneck_mbps * 1e6 *
+                scale);
+          }
+        });
       }
       if (spec.rtt_scale) {
         const double scale = spec.rtt_scale(k);
         AXIOMCC_EXPECTS_MSG(scale > 0.0, "RTT scale must be positive");
-        // The reverse (ACK) path keeps its RTT/2 delay, so the forward path
-        // absorbs the whole change: fwd = (scale − ½)·RTT, floored at 1% of
-        // the RTT so extreme shrink schedules cannot go non-positive.
-        const double fwd = std::max(scale - 0.5, 0.01) * step_seconds;
-        simulator.schedule_at(t, [&link = exp.bottleneck_link(), fwd] {
-          link.set_propagation_delay(SimTime::from_seconds(fwd));
+        // The reverse (ACK) path keeps its fixed one-way delay Θ, so each
+        // forward link absorbs the whole change: fwd = (scale − ½)·2Θ,
+        // floored at 1% of 2Θ so extreme shrink schedules cannot go
+        // non-positive (see docs/stress.md).
+        const double factor = std::max(scale - 0.5, 0.01);
+        simulator.schedule_at(t, [&net, &links, factor] {
+          for (int l = 0; l < net.num_links(); ++l) {
+            net.mutable_link(l).set_propagation_delay(SimTime::from_seconds(
+                factor * (links[static_cast<std::size_t>(l)].rtt_ms / 1e3)));
+          }
         });
       }
     }
   }
 
-  // Scope classes are sender slots (cohorts), mirroring the fluid backend's
-  // group order: member i of slot g observes into class g, so per-class
-  // channels line up across backends. The per-flow observed loss is the
-  // bottleneck's congestion loss — every dumbbell flow shares it.
+  // The scope rides the same step-monitor hook as the recorder: the monitor
+  // delivers exactly the samples the trace records. The per-flow observed
+  // loss is the binding link's congestion loss; per-link channels stay a
+  // fluid-network extra — the packet monitor carries no per-link view.
   scope::MetricScope* const scope = spec.scope_sink;
-  std::vector<int> scope_class;
   if (scope != nullptr) {
-    const fluid::FluidLink link(spec.link);
-    scope->resolve(spec.steps, spec.tail_fraction, link.capacity_mss(),
-                   link.min_rtt().value(), dc.max_window_mss);
-    scope->set_recorder(spec.record_sink);
-    scope_class.reserve(static_cast<std::size_t>(total_slot_senders(slots)));
-    for (std::size_t g = 0; g < slots.size(); ++g) {
-      for (long j = 0; j < slots[g].count; ++j) {
-        scope_class.push_back(static_cast<int>(g));
-      }
+    double min_capacity = std::numeric_limits<double>::infinity();
+    for (const fluid::LinkParams& params : topology.links) {
+      min_capacity =
+          std::min(min_capacity, fluid::FluidLink(params).capacity_mss());
     }
-    scope->begin_run(static_cast<int>(slots.size()), /*num_links=*/0);
+    scope->resolve(spec.steps, spec.tail_fraction, min_capacity, step_seconds,
+                   config.max_window_mss);
+    scope->set_recorder(spec.record_sink);
+    scope->begin_run(static_cast<int>(classes.size()), /*num_links=*/0);
   }
 
   if (spec.record_sink != nullptr || scope != nullptr) {
     // Recording rides on the step-monitor hook: emit first, then chain the
     // caller's monitor (the guarded runner installs its checks there).
     const auto prec = spec.record_sink != nullptr
-                          ? std::make_shared<PacketStepRecorder>(spec, slots)
+                          ? std::make_shared<PacketStepRecorder>(spec, classes)
                           : nullptr;
     const StepMonitor user = spec.step_monitor;
-    exp.set_step_monitor([prec, scope, scope_class,
+    net.set_step_monitor([prec, scope, flow_class,
                           user](long step, std::span<const double> windows,
                                 double rtt_seconds, double congestion_loss) {
       if (prec != nullptr) {
@@ -527,32 +414,32 @@ RunTrace PacketBackend::run(const ScenarioSpec& spec) const {
         for (const double w : windows) total += w;
         scope->step_begin(step, total, rtt_seconds, congestion_loss);
         for (std::size_t i = 0; i < windows.size(); ++i) {
-          scope->observe_class(scope_class[i], windows[i], congestion_loss);
+          scope->observe_class(flow_class[i], windows[i], congestion_loss);
         }
         scope->step_end();
       }
       return user ? user(step, windows, rtt_seconds, congestion_loss) : true;
     });
   } else if (spec.step_monitor) {
-    exp.set_step_monitor(spec.step_monitor);
+    net.set_step_monitor(spec.step_monitor);
   }
 
-  exp.run();
+  net.run();
   if (scope != nullptr) scope->finish();
 
   TELEMETRY_COUNT("engine.packet_runs", 1);
-  // The dumbbell experiment records full per-flow series internally; an
-  // aggregate-detail request is honoured by reducing post-hoc, so both
-  // backends hand the caller the same trace shape.
+  // The network records full per-flow series internally; an aggregate-detail
+  // request is honoured by reducing post-hoc, so both backends hand the
+  // caller the same trace shape.
   fluid::Trace trace =
       spec.trace_detail == fluid::TraceDetail::kAggregate
           ? fluid::Trace::aggregated(
-                exp.trace(),
-                fluid::default_tracked_senders(exp.trace().num_senders(),
+                net.trace(),
+                fluid::default_tracked_senders(net.trace().num_senders(),
                                                spec.tracked_senders))
-          : exp.trace();
-  return RunTrace{std::move(trace), BackendKind::kPacket, exp.flow_reports(),
-                  exp.bottleneck_utilization()};
+          : net.trace();
+  return RunTrace{std::move(trace), BackendKind::kPacket, net.flow_reports(),
+                  net.max_link_utilization()};
 }
 
 }  // namespace axiomcc::engine

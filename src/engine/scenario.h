@@ -24,7 +24,7 @@
 #include "fluid/trace.h"
 #include "recorder/recorder.h"
 #include "scope/scope.h"
-#include "sim/dumbbell.h"
+#include "sim/network.h"
 #include "util/check.h"
 
 namespace axiomcc::engine {
@@ -133,7 +133,7 @@ using LossFactory =
     std::function<std::unique_ptr<fluid::LossInjector>(std::uint64_t seed)>;
 
 /// Per-step observer with the same shape as fluid::FluidSimulation's
-/// StepMonitor and sim::DumbbellExperiment's StepMonitorFn: called after each
+/// StepMonitor and sim::MultiHopNetwork's StepMonitorFn: called after each
 /// recorded step with (step, windows, rtt_seconds, congestion_loss);
 /// returning false ends the run early, keeping the steps recorded so far.
 using StepMonitor = std::function<bool(

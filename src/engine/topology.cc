@@ -1,6 +1,7 @@
 #include "engine/topology.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 
@@ -8,9 +9,32 @@
 #include "util/rng.h"
 
 namespace axiomcc::engine {
+namespace {
+
+void validate_link(const fluid::LinkParams& link, const std::string& label) {
+  const double bandwidth = link.bandwidth.mss_per_sec();
+  if (!(std::isfinite(bandwidth) && bandwidth > 0.0)) {
+    throw ScenarioError(label + " bandwidth must be finite and positive");
+  }
+  const double delay = link.propagation_delay.value();
+  if (!(std::isfinite(delay) && delay > 0.0)) {
+    throw ScenarioError(label +
+                        " propagation delay must be finite and positive");
+  }
+  if (!(std::isfinite(link.buffer_mss) && link.buffer_mss >= 0.0)) {
+    throw ScenarioError(label + " buffer must be finite and non-negative");
+  }
+}
+
+}  // namespace
 
 void validate_scenario(const ScenarioSpec& spec) {
+  validate_link(spec.link, "link");
   const int nl = spec.topology.num_links();
+  for (int l = 0; l < nl; ++l) {
+    validate_link(spec.topology.links[static_cast<std::size_t>(l)],
+                  "topology link " + std::to_string(l));
+  }
   for (std::size_t si = 0; si < spec.senders.size(); ++si) {
     const SenderSlot& slot = spec.senders[si];
     const std::string label = "sender slot " + std::to_string(si);

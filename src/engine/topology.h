@@ -5,8 +5,8 @@
 // single shared link. This header provides the standard shapes:
 //
 //   * dumbbell_topology  — the degenerate one-link network (every flow
-//     routed over link 0), useful for exercising the topology path against
-//     the single-link path;
+//     routed over link 0); the packet backend runs every single-link spec
+//     as this topology;
 //   * apply_parking_lot  — the classic k-bottleneck parking lot: one long
 //     flow over links 0..k−1 plus per-link cross traffic, the smallest
 //     topology where multi-hop beat-down appears;
@@ -16,8 +16,8 @@
 //     reproducible at any job count.
 //
 // validate_scenario is the typed guard both backends run before executing:
-// malformed routes raise ScenarioError rather than tripping a contract
-// check deep inside a simulator.
+// malformed links and routes raise ScenarioError rather than tripping a
+// contract check (or hanging) deep inside a simulator.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +27,11 @@
 
 namespace axiomcc::engine {
 
-/// Validates the topology/route/workload axes of a spec. Throws
+/// Validates the link/topology/route/workload axes of a spec. Throws
 /// ScenarioError when
+///  * `spec.link` or a topology link has a non-finite or non-positive
+///    bandwidth or propagation delay, or a non-finite or negative buffer
+///    (a zero buffer is valid);
 ///  * the topology is empty but a slot carries a route (single-link mode
 ///    has no link ids to route over);
 ///  * the topology is non-empty and a slot's route is empty, names an

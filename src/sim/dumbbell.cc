@@ -4,9 +4,30 @@
 #include <cmath>
 #include <utility>
 
+#include "sim/loss.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace axiomcc::sim {
+namespace {
+
+MultiHopNetwork::Config network_config(const DumbbellConfig& config) {
+  AXIOMCC_EXPECTS(config.bottleneck_mbps > 0.0);
+  AXIOMCC_EXPECTS(config.rtt_ms > 0.0);
+  AXIOMCC_EXPECTS(config.buffer_packets > 0);
+  AXIOMCC_EXPECTS(config.mss_bytes > 0);
+  AXIOMCC_EXPECTS(config.duration_seconds > 0.0);
+  AXIOMCC_EXPECTS(config.tail_fraction >= 0.0 && config.tail_fraction < 1.0);
+  MultiHopNetwork::Config nc;
+  nc.duration_seconds = config.duration_seconds;
+  nc.mss_bytes = config.mss_bytes;
+  nc.sample_interval_ms = config.sample_interval_ms;
+  nc.tail_fraction = config.tail_fraction;
+  nc.max_window_mss = config.max_window_mss;
+  return nc;
+}
+
+}  // namespace
 
 DumbbellConfig dumbbell_config_from_link(const fluid::LinkParams& link,
                                          int mss_bytes) {
@@ -25,17 +46,9 @@ DumbbellConfig dumbbell_config_from_link(const fluid::LinkParams& link,
 }
 
 DumbbellExperiment::DumbbellExperiment(const DumbbellConfig& config)
-    : config_(config) {
-  AXIOMCC_EXPECTS(config.bottleneck_mbps > 0.0);
-  AXIOMCC_EXPECTS(config.rtt_ms > 0.0);
-  AXIOMCC_EXPECTS(config.buffer_packets > 0);
-  AXIOMCC_EXPECTS(config.mss_bytes > 0);
-  AXIOMCC_EXPECTS(config.duration_seconds > 0.0);
-  AXIOMCC_EXPECTS(config.tail_fraction >= 0.0 && config.tail_fraction < 1.0);
-
-  forward_loss_ = std::make_unique<BernoulliPacketLoss>(
-      config.random_loss_rate, splitmix_seed());
-
+    : MultiHopNetwork(network_config(config)),
+      capacity_mss_(config.bottleneck_mbps * 1e6 * (config.rtt_ms / 1e3) /
+                    (8.0 * static_cast<double>(config.mss_bytes))) {
   std::unique_ptr<QueueDiscipline> queue;
   if (config.use_red) {
     REDQueue::Params red = config.red;
@@ -44,222 +57,23 @@ DumbbellExperiment::DumbbellExperiment(const DumbbellConfig& config)
   } else {
     queue = std::make_unique<DropTailQueue>(config.buffer_packets);
   }
+  // Symmetric delay: the forward link and the ACK path each take RTT/2.
+  add_link(config.bottleneck_mbps, config.rtt_ms / 2.0, std::move(queue));
 
-  const SimTime forward_delay = SimTime::from_millis(config.rtt_ms / 2.0);
-  bottleneck_ = std::make_unique<SimLink>(
-      simulator_, config.bottleneck_mbps * 1e6, forward_delay, std::move(queue),
-      [this](const Packet& p) {
-        if (forward_loss_->drop(p)) return;
-        AXIOMCC_EXPECTS(p.flow_id >= 0 &&
-                        p.flow_id < static_cast<int>(receivers_.size()));
-        receivers_[p.flow_id]->on_packet(p);
-      });
-}
-
-std::uint64_t DumbbellExperiment::splitmix_seed() {
-  // Derive the loss channel's stream from the experiment seed so that
-  // distinct seeds give independent loss processes.
-  std::uint64_t s = config_.seed;
-  return splitmix64_next(s);
+  if (config.random_loss_rate != 0.0) {
+    // Derive the loss channel's stream from the experiment seed so that
+    // distinct seeds give independent loss processes.
+    std::uint64_t s = config.seed;
+    set_forward_filter(std::make_unique<BernoulliPacketLoss>(
+        config.random_loss_rate, splitmix64_next(s)));
+  }
 }
 
 int DumbbellExperiment::add_flow(std::unique_ptr<cc::Protocol> protocol,
                                  double start_seconds, double initial_window,
                                  double stop_seconds) {
-  AXIOMCC_EXPECTS_MSG(!ran_, "add_flow must precede run()");
-  AXIOMCC_EXPECTS(protocol != nullptr);
-  AXIOMCC_EXPECTS(start_seconds >= 0.0);
-  AXIOMCC_EXPECTS(stop_seconds < 0.0 || stop_seconds > start_seconds);
-
-  const int flow_id = num_flows();
-
-  SenderConfig sc;
-  sc.flow_id = flow_id;
-  sc.mss_bytes = config_.mss_bytes;
-  sc.initial_window = initial_window;
-  sc.max_window = config_.max_window_mss;
-  // Before the first RTT sample, pace MIs at something of the order of the
-  // configured propagation RTT.
-  sc.initial_mi = SimTime::from_millis(config_.rtt_ms);
-
-  const SimTime reverse_delay = SimTime::from_millis(config_.rtt_ms / 2.0);
-  receivers_.push_back(
-      std::make_unique<Receiver>([this, reverse_delay](const Packet& ack) {
-        simulator_.schedule_in(reverse_delay, [this, ack] {
-          senders_[ack.flow_id]->on_ack(ack);
-        });
-      }));
-
-  senders_.push_back(std::make_unique<Sender>(
-      simulator_, sc, std::move(protocol),
-      [this](const Packet& p) { bottleneck_->send(p); }));
-  flow_start_seconds_.push_back(start_seconds);
-  flow_stop_seconds_.push_back(stop_seconds);
-  return flow_id;
-}
-
-void DumbbellExperiment::set_step_monitor(StepMonitorFn monitor) {
-  AXIOMCC_EXPECTS_MSG(!ran_, "set_step_monitor must precede run()");
-  AXIOMCC_EXPECTS(monitor != nullptr);
-  step_monitor_ = std::move(monitor);
-}
-
-void DumbbellExperiment::set_forward_filter(
-    std::unique_ptr<PacketFilter> filter) {
-  AXIOMCC_EXPECTS_MSG(!ran_, "set_forward_filter must precede run()");
-  AXIOMCC_EXPECTS(filter != nullptr);
-  forward_loss_ = std::move(filter);
-}
-
-double DumbbellExperiment::capacity_mss() const {
-  const double rate_bps = config_.bottleneck_mbps * 1e6;
-  const double rtt_s = config_.rtt_ms / 1e3;
-  return rate_bps * rtt_s / (8.0 * static_cast<double>(config_.mss_bytes));
-}
-
-void DumbbellExperiment::sample_trace() {
-  const int n = num_flows();
-  std::vector<double> windows(n);
-  std::vector<double> observed_loss(n);
-  double rtt_sum = 0.0;
-  int rtt_count = 0;
-
-  for (int i = 0; i < n; ++i) {
-    const Sender& s = *senders_[i];
-    // A flow that has not started yet (or was churned away) contributes no
-    // window — matching the fluid model's churn semantics.
-    windows[i] = s.active() ? s.cwnd() : 0.0;
-    // Advance to the most recently evaluated monitor interval.
-    const auto& records = s.history();
-    std::size_t& frontier = eval_frontier_[i];
-    while (frontier < records.size() && records[frontier].evaluated) {
-      ++frontier;
-    }
-    observed_loss[i] = frontier > 0 ? records[frontier - 1].loss_rate : 0.0;
-    if (s.srtt_seconds() > 0.0) {
-      rtt_sum += s.srtt_seconds();
-      ++rtt_count;
-    }
-  }
-
-  // Aggregate congestion loss over the sampling window from queue counters.
-  const std::size_t drops = bottleneck_->packets_dropped();
-  const std::size_t accepted = bottleneck_->packets_accepted();
-  const std::size_t d_drops = drops - drops_at_last_sample_;
-  const std::size_t d_offered =
-      (accepted - accepted_at_last_sample_) + d_drops;
-  drops_at_last_sample_ = drops;
-  accepted_at_last_sample_ = accepted;
-  const double congestion_loss =
-      d_offered > 0
-          ? static_cast<double>(d_drops) / static_cast<double>(d_offered)
-          : 0.0;
-
-  const double rtt =
-      rtt_count > 0 ? rtt_sum / static_cast<double>(rtt_count)
-                    : config_.rtt_ms / 1e3;
-  trace_->add_step(windows, rtt, congestion_loss, observed_loss);
-
-  if (step_monitor_ && !monitor_stopped_) {
-    const long step = static_cast<long>(trace_->num_steps()) - 1;
-    if (!step_monitor_(step, std::span<const double>(windows), rtt,
-                       congestion_loss)) {
-      monitor_stopped_ = true;
-      simulator_.request_stop();
-    }
-  }
-}
-
-void DumbbellExperiment::run() {
-  AXIOMCC_EXPECTS_MSG(!ran_, "run() may be called only once");
-  AXIOMCC_EXPECTS_MSG(num_flows() > 0, "add at least one flow before run()");
-  ran_ = true;
-
-  const int n = num_flows();
-  trace_ = std::make_unique<fluid::Trace>(n, capacity_mss(),
-                                          config_.rtt_ms / 1e3);
-  eval_frontier_.assign(n, 0);
-
-  for (int i = 0; i < n; ++i) {
-    senders_[i]->start(SimTime::from_seconds(flow_start_seconds_[i]));
-    if (flow_stop_seconds_[i] >= 0.0) {
-      senders_[i]->stop_at(SimTime::from_seconds(flow_stop_seconds_[i]));
-    }
-  }
-
-  const double interval_ms = config_.sample_interval_ms > 0.0
-                                 ? config_.sample_interval_ms
-                                 : config_.rtt_ms;
-  const SimTime interval = SimTime::from_millis(interval_ms);
-  const SimTime end = SimTime::from_seconds(config_.duration_seconds);
-
-  for (SimTime t = interval; t <= end; t = t + interval) {
-    simulator_.schedule_at(t, [this] { sample_trace(); });
-  }
-
-  simulator_.run_until(end);
-}
-
-const fluid::Trace& DumbbellExperiment::trace() const {
-  AXIOMCC_EXPECTS_MSG(trace_ != nullptr, "trace() requires run() first");
-  return *trace_;
-}
-
-const Sender& DumbbellExperiment::sender(int flow) const {
-  AXIOMCC_EXPECTS(flow >= 0 && flow < num_flows());
-  return *senders_[flow];
-}
-
-double DumbbellExperiment::bottleneck_utilization() const {
-  AXIOMCC_EXPECTS_MSG(ran_, "bottleneck_utilization() requires run() first");
-  const double delivered_bits =
-      static_cast<double>(bottleneck_->bytes_delivered()) * 8.0;
-  const double capacity_bits =
-      config_.bottleneck_mbps * 1e6 * config_.duration_seconds;
-  return delivered_bits / capacity_bits;
-}
-
-std::vector<FlowReport> DumbbellExperiment::flow_reports() const {
-  AXIOMCC_EXPECTS_MSG(ran_, "flow_reports() requires run() first");
-  std::vector<FlowReport> reports;
-  reports.reserve(senders_.size());
-
-  const double tail_start_s =
-      config_.duration_seconds * config_.tail_fraction;
-
-  for (const auto& sender : senders_) {
-    FlowReport r;
-    r.protocol_name = sender->protocol().name();
-
-    double window_sum = 0.0;
-    double rtt_sum = 0.0;
-    std::uint64_t sent = 0;
-    std::uint64_t acked = 0;
-    std::size_t count = 0;
-    for (const MonitorRecord& rec : sender->history()) {
-      if (!rec.evaluated) continue;
-      if (rec.start.seconds() < tail_start_s) continue;
-      window_sum += rec.window;
-      rtt_sum += rec.rtt_seconds;
-      sent += rec.sent;
-      acked += rec.acked;
-      ++count;
-    }
-    if (count > 0) {
-      r.avg_window_mss = window_sum / static_cast<double>(count);
-      r.avg_rtt_ms = rtt_sum / static_cast<double>(count) * 1e3;
-      r.loss_rate = sent > 0 ? 1.0 - static_cast<double>(acked) /
-                                         static_cast<double>(sent)
-                             : 0.0;
-      const double tail_seconds =
-          config_.duration_seconds - tail_start_s;
-      r.throughput_mbps = static_cast<double>(acked) *
-                          static_cast<double>(config_.mss_bytes) * 8.0 /
-                          tail_seconds / 1e6;
-    }
-    reports.push_back(std::move(r));
-  }
-  return reports;
+  return MultiHopNetwork::add_flow(std::move(protocol), {0}, start_seconds,
+                                   initial_window, stop_seconds);
 }
 
 }  // namespace axiomcc::sim

@@ -6,25 +6,17 @@
 // and an optional Bernoulli loss channel on the forward path for
 // non-congestion-loss experiments.
 //
-// Besides raw per-flow statistics, the experiment samples every sender's
-// window at a fixed cadence into a fluid::Trace, so the axiomatic metric
-// estimators in src/core run unchanged on packet-level data.
+// DumbbellExperiment is a one-link sim::MultiHopNetwork with every flow
+// routed over link 0; the run loop, trace sampling, step monitor and
+// per-flow reports are the network's.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <span>
-#include <string>
-#include <vector>
 
 #include "cc/protocol.h"
 #include "fluid/link.h"
-#include "fluid/trace.h"
-#include "sim/event.h"
-#include "sim/link.h"
-#include "sim/loss.h"
-#include "sim/receiver.h"
-#include "sim/sender.h"
+#include "sim/network.h"
+#include "sim/queue.h"
 
 namespace axiomcc::sim {
 
@@ -43,101 +35,40 @@ struct DumbbellConfig {
   /// Window-sampling cadence for the fluid::Trace view; 0 selects one RTT.
   double sample_interval_ms = 0.0;
   double tail_fraction = 0.5;
-  /// Hard cwnd cap passed to every sender. The fluid model tolerates
-  /// essentially unbounded windows; a packet simulation's event count scales
-  /// with the real window, so runaway protocols must be capped.
+  /// Hard cwnd cap passed to every sender (see MultiHopNetwork::Config).
   double max_window_mss = 1e7;
 };
 
 /// Converts the fluid model's link parameters into a packet-level dumbbell
 /// configuration. This is the ONE place where the MSS-denominated fluid units
 /// (B in MSS/s, Θ one-way seconds, buffer in MSS) become packet-level units
-/// (Mbps, two-way ms, whole packets) — keep any future conversion tweaks
-/// here so both simulators stay in agreement about what a "link" means.
+/// (Mbps, two-way ms, whole packets); engine::PacketBackend applies it to
+/// every link of a scenario, so both simulators agree about what a "link"
+/// means.
 [[nodiscard]] DumbbellConfig dumbbell_config_from_link(
     const fluid::LinkParams& link, int mss_bytes = 1500);
 
-/// Tail-of-run summary for one flow.
-struct FlowReport {
-  std::string protocol_name;
-  double avg_window_mss = 0.0;
-  double throughput_mbps = 0.0;
-  double loss_rate = 0.0;
-  double avg_rtt_ms = 0.0;
-};
-
-class DumbbellExperiment {
+class DumbbellExperiment : public MultiHopNetwork {
  public:
   explicit DumbbellExperiment(const DumbbellConfig& config);
 
-  DumbbellExperiment(const DumbbellExperiment&) = delete;
-  DumbbellExperiment& operator=(const DumbbellExperiment&) = delete;
-
-  /// Adds a flow; returns its id. Must be called before run(). A
-  /// non-negative `stop_seconds` removes the flow at that time (flow churn).
+  /// Adds a flow over the bottleneck; returns its id. Must be called before
+  /// run(). A non-negative `stop_seconds` removes the flow at that time
+  /// (flow churn).
   int add_flow(std::unique_ptr<cc::Protocol> protocol,
                double start_seconds = 0.0, double initial_window = 2.0,
                double stop_seconds = -1.0);
 
-  /// Same shape as fluid::FluidSimulation's StepMonitor: called after every
-  /// trace sample with (step, windows, rtt_seconds, congestion_loss);
-  /// returning false stops the simulation at that sample (the trace keeps
-  /// the steps recorded so far). Must be set before run().
-  using StepMonitorFn = std::function<bool(
-      long step, std::span<const double> windows, double rtt_seconds,
-      double congestion_loss)>;
-  void set_step_monitor(StepMonitorFn monitor);
-
-  /// Replaces the forward-path loss filter (default: Bernoulli at
-  /// `random_loss_rate`). Must be called before run().
-  void set_forward_filter(std::unique_ptr<PacketFilter> filter);
-
-  /// Runs the experiment for the configured duration. Call once.
-  void run();
-
-  /// The sampled window/loss/RTT trace (valid after run()).
-  [[nodiscard]] const fluid::Trace& trace() const;
-
-  /// Per-flow tail summaries (valid after run()).
-  [[nodiscard]] std::vector<FlowReport> flow_reports() const;
-
   /// Delivered bits over capacity·duration (valid after run()).
-  [[nodiscard]] double bottleneck_utilization() const;
+  [[nodiscard]] double bottleneck_utilization() const {
+    return max_link_utilization();
+  }
 
   /// C = B·2Θ in MSS for this configuration.
-  [[nodiscard]] double capacity_mss() const;
-
-  [[nodiscard]] int num_flows() const {
-    return static_cast<int>(senders_.size());
-  }
-  [[nodiscard]] const Sender& sender(int flow) const;
-  [[nodiscard]] Simulator& simulator() { return simulator_; }
-  [[nodiscard]] const SimLink& bottleneck() const { return *bottleneck_; }
-  /// Mutable bottleneck access for mid-run perturbation (rate or delay
-  /// schedules installed by the engine backend).
-  [[nodiscard]] SimLink& bottleneck_link() { return *bottleneck_; }
+  [[nodiscard]] double capacity_mss() const { return capacity_mss_; }
 
  private:
-  void sample_trace();
-  [[nodiscard]] std::uint64_t splitmix_seed();
-
-  DumbbellConfig config_;
-  Simulator simulator_;
-  std::unique_ptr<PacketFilter> forward_loss_;
-  std::unique_ptr<SimLink> bottleneck_;
-  std::vector<std::unique_ptr<Sender>> senders_;
-  std::vector<std::unique_ptr<Receiver>> receivers_;
-  std::vector<double> flow_start_seconds_;
-  std::vector<double> flow_stop_seconds_;
-
-  StepMonitorFn step_monitor_;
-  bool monitor_stopped_ = false;
-
-  std::unique_ptr<fluid::Trace> trace_;
-  std::vector<std::size_t> eval_frontier_;  ///< per-sender evaluated-MI cursor.
-  std::size_t drops_at_last_sample_ = 0;
-  std::size_t accepted_at_last_sample_ = 0;
-  bool ran_ = false;
+  double capacity_mss_;
 };
 
 }  // namespace axiomcc::sim

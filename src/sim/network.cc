@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "sim/queue.h"
 #include "util/check.h"
 
 namespace axiomcc::sim {
@@ -17,10 +16,11 @@ MultiHopNetwork::MultiHopNetwork(const Config& config) : config_(config) {
 }
 
 int MultiHopNetwork::add_link(double mbps, double one_way_delay_ms,
-                              std::size_t buffer_packets) {
+                              std::unique_ptr<QueueDiscipline> queue) {
   AXIOMCC_EXPECTS_MSG(!ran_, "add_link must precede run()");
   AXIOMCC_EXPECTS(mbps > 0.0);
-  AXIOMCC_EXPECTS(one_way_delay_ms >= 0.0);
+  AXIOMCC_EXPECTS(one_way_delay_ms > 0.0);
+  AXIOMCC_EXPECTS(queue != nullptr);
 
   const int link_id = static_cast<int>(links_.size());
   LinkInfo info;
@@ -28,10 +28,16 @@ int MultiHopNetwork::add_link(double mbps, double one_way_delay_ms,
   info.mbps = mbps;
   info.link = std::make_unique<SimLink>(
       simulator_, mbps * 1e6, SimTime::from_millis(one_way_delay_ms),
-      std::make_unique<DropTailQueue>(buffer_packets),
+      std::move(queue),
       [this, link_id](const Packet& p) { deliver_from_link(link_id, p); });
   links_.push_back(std::move(info));
   return link_id;
+}
+
+int MultiHopNetwork::add_link(double mbps, double one_way_delay_ms,
+                              std::size_t buffer_packets) {
+  return add_link(mbps, one_way_delay_ms,
+                  std::make_unique<DropTailQueue>(buffer_packets));
 }
 
 int MultiHopNetwork::add_flow(std::unique_ptr<cc::Protocol> protocol,
@@ -75,7 +81,8 @@ int MultiHopNetwork::add_flow(std::unique_ptr<cc::Protocol> protocol,
   sc.mss_bytes = config_.mss_bytes;
   sc.initial_window = initial_window;
   sc.max_window = config_.max_window_mss;
-  sc.initial_mi = SimTime::from_millis(std::max(flows_.back().route_rtt_ms, 1.0));
+  // Before the first RTT sample, pace MIs at the route's propagation RTT.
+  sc.initial_mi = SimTime::from_millis(flows_.back().route_rtt_ms);
 
   const int first_link = route.front();
   senders_.push_back(std::make_unique<Sender>(
@@ -105,9 +112,9 @@ void MultiHopNetwork::deliver_from_link(int link_id, const Packet& p) {
                       "packet delivered by a link not on its flow's route");
   const std::size_t next = it->second;
   if (next >= flow.route.size()) {
-    // Injected loss on final delivery, as in the dumbbell: the packet
-    // crossed every queue (consuming capacity) but never reaches the
-    // receiver, so the sender observes it as loss.
+    // Injected loss on final delivery: the packet crossed every queue
+    // (consuming capacity) but never reaches the receiver, so the sender
+    // observes it as loss.
     if (forward_filter_ && forward_filter_->drop(p)) return;
     receivers_[p.flow_id]->on_packet(p);
   } else {
@@ -145,8 +152,9 @@ void MultiHopNetwork::run() {
 
   const double interval_ms = config_.sample_interval_ms > 0.0
                                  ? config_.sample_interval_ms
-                                 : std::max(min_rtt_ms, 1.0);
+                                 : min_rtt_ms;
   const SimTime interval = SimTime::from_millis(interval_ms);
+  AXIOMCC_EXPECTS_MSG(interval.ns() > 0, "sample interval below 1 ns");
   const SimTime end = SimTime::from_seconds(config_.duration_seconds);
   for (SimTime t = interval; t <= end; t = t + interval) {
     simulator_.schedule_at(t, [this] { sample_trace(); });
@@ -226,16 +234,6 @@ SimLink& MultiHopNetwork::mutable_link(int id) {
   return *links_[id].link;
 }
 
-double MultiHopNetwork::link_mbps(int id) const {
-  AXIOMCC_EXPECTS(id >= 0 && id < num_links());
-  return links_[id].mbps;
-}
-
-double MultiHopNetwork::link_delay_ms(int id) const {
-  AXIOMCC_EXPECTS(id >= 0 && id < num_links());
-  return links_[id].one_way_delay_ms;
-}
-
 const fluid::Trace& MultiHopNetwork::trace() const {
   AXIOMCC_EXPECTS_MSG(trace_ != nullptr, "trace() requires run() first");
   return *trace_;
@@ -244,58 +242,49 @@ const fluid::Trace& MultiHopNetwork::trace() const {
 double MultiHopNetwork::flow_throughput_mbps(int flow) const {
   AXIOMCC_EXPECTS_MSG(ran_, "flow_throughput_mbps() requires run() first");
   AXIOMCC_EXPECTS(flow >= 0 && flow < num_flows());
-
-  const double tail_start =
-      config_.duration_seconds * config_.tail_fraction;
-  std::uint64_t acked = 0;
-  for (const MonitorRecord& rec : senders_[flow]->history()) {
-    if (!rec.evaluated || rec.start.seconds() < tail_start) continue;
-    acked += rec.acked;
-  }
-  const double tail_seconds = config_.duration_seconds - tail_start;
-  return static_cast<double>(acked) *
-         static_cast<double>(config_.mss_bytes) * 8.0 / tail_seconds / 1e6;
+  return tail_report(flow).throughput_mbps;
 }
 
 std::vector<FlowReport> MultiHopNetwork::flow_reports() const {
   AXIOMCC_EXPECTS_MSG(ran_, "flow_reports() requires run() first");
   std::vector<FlowReport> reports;
   reports.reserve(senders_.size());
+  for (int f = 0; f < num_flows(); ++f) reports.push_back(tail_report(f));
+  return reports;
+}
+
+FlowReport MultiHopNetwork::tail_report(int flow) const {
+  const Sender& sender = *senders_[flow];
+  FlowReport r;
+  r.protocol_name = sender.protocol().name();
 
   const double tail_start_s = config_.duration_seconds * config_.tail_fraction;
-
-  for (const auto& sender : senders_) {
-    FlowReport r;
-    r.protocol_name = sender->protocol().name();
-
-    double window_sum = 0.0;
-    double rtt_sum = 0.0;
-    std::uint64_t sent = 0;
-    std::uint64_t acked = 0;
-    std::size_t count = 0;
-    for (const MonitorRecord& rec : sender->history()) {
-      if (!rec.evaluated) continue;
-      if (rec.start.seconds() < tail_start_s) continue;
-      window_sum += rec.window;
-      rtt_sum += rec.rtt_seconds;
-      sent += rec.sent;
-      acked += rec.acked;
-      ++count;
-    }
-    if (count > 0) {
-      r.avg_window_mss = window_sum / static_cast<double>(count);
-      r.avg_rtt_ms = rtt_sum / static_cast<double>(count) * 1e3;
-      r.loss_rate = sent > 0 ? 1.0 - static_cast<double>(acked) /
-                                         static_cast<double>(sent)
-                             : 0.0;
-      const double tail_seconds = config_.duration_seconds - tail_start_s;
-      r.throughput_mbps = static_cast<double>(acked) *
-                          static_cast<double>(config_.mss_bytes) * 8.0 /
-                          tail_seconds / 1e6;
-    }
-    reports.push_back(std::move(r));
+  double window_sum = 0.0;
+  double rtt_sum = 0.0;
+  std::uint64_t sent = 0;
+  std::uint64_t acked = 0;
+  std::size_t count = 0;
+  for (const MonitorRecord& rec : sender.history()) {
+    if (!rec.evaluated) continue;
+    if (rec.start.seconds() < tail_start_s) continue;
+    window_sum += rec.window;
+    rtt_sum += rec.rtt_seconds;
+    sent += rec.sent;
+    acked += rec.acked;
+    ++count;
   }
-  return reports;
+  if (count > 0) {
+    r.avg_window_mss = window_sum / static_cast<double>(count);
+    r.avg_rtt_ms = rtt_sum / static_cast<double>(count) * 1e3;
+    r.loss_rate = sent > 0 ? 1.0 - static_cast<double>(acked) /
+                                       static_cast<double>(sent)
+                           : 0.0;
+    const double tail_seconds = config_.duration_seconds - tail_start_s;
+    r.throughput_mbps = static_cast<double>(acked) *
+                        static_cast<double>(config_.mss_bytes) * 8.0 /
+                        tail_seconds / 1e6;
+  }
+  return r;
 }
 
 double MultiHopNetwork::max_link_utilization() const {

@@ -1,36 +1,49 @@
-// network.h — multi-hop packet-level topologies (beyond the dumbbell).
+// network.h — the packet-level simulator's one substrate: flows routed over
+// shared links.
 //
-// Generalizes dumbbell.h to arbitrary per-flow routes over shared links:
-// packets are forwarded hop by hop through each link's queue; the last hop
+// Packets are forwarded hop by hop through each link's queue; the last hop
 // delivers to the flow's receiver, whose ACK returns after the route's
-// reverse propagation delay. This is the packet-level counterpart of
-// fluid/network.h (the paper's "network-wide interaction" future work) and
-// ships the same parking-lot builder.
+// reverse propagation delay. The paper's dumbbell (Section 5.1) is the
+// one-link case (sim/dumbbell.h builds it); longer routes are the
+// packet-level counterpart of fluid/network.h (the paper's "network-wide
+// interaction" future work), with the same parking-lot builder.
 //
-// The network carries the full engine-substrate hook set the dumbbell has:
-// flow churn (start/stop times), a forward-path packet filter for injected
-// loss, a step monitor that can stop the run at a trace sample, per-flow tail
-// reports, and mutable link access for mid-run rate/delay schedules —
-// engine::PacketBackend routes topology scenarios here.
+// The network carries the full engine-substrate hook set: flow churn
+// (start/stop times), a forward-path packet filter for injected loss, a step
+// monitor that can stop the run at a trace sample, per-flow tail reports, and
+// mutable link access for mid-run rate/delay schedules. Every sender's window
+// is sampled at a fixed cadence into a fluid::Trace, so the axiomatic metric
+// estimators in src/core run unchanged on packet-level data.
+// engine::PacketBackend runs every scenario here.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "cc/protocol.h"
 #include "fluid/trace.h"
-#include "sim/dumbbell.h"
 #include "sim/event.h"
 #include "sim/link.h"
 #include "sim/loss.h"
+#include "sim/queue.h"
 #include "sim/receiver.h"
 #include "sim/sender.h"
 
 namespace axiomcc::sim {
+
+/// Tail-of-run summary for one flow.
+struct FlowReport {
+  std::string protocol_name;
+  double avg_window_mss = 0.0;
+  double throughput_mbps = 0.0;
+  double loss_rate = 0.0;
+  double avg_rtt_ms = 0.0;
+};
 
 class MultiHopNetwork {
  public:
@@ -41,8 +54,9 @@ class MultiHopNetwork {
     /// route round-trip.
     double sample_interval_ms = 0.0;
     double tail_fraction = 0.5;
-    /// Hard cwnd cap passed to every sender (see DumbbellConfig: runaway
-    /// windows scale the event count, so they must be capped).
+    /// Hard cwnd cap passed to every sender. The fluid model tolerates
+    /// essentially unbounded windows; a packet simulation's event count
+    /// scales with the real window, so runaway protocols must be capped.
     double max_window_mss = 1e7;
   };
 
@@ -51,7 +65,11 @@ class MultiHopNetwork {
   MultiHopNetwork(const MultiHopNetwork&) = delete;
   MultiHopNetwork& operator=(const MultiHopNetwork&) = delete;
 
-  /// Adds a unidirectional link (droptail); returns its id.
+  /// Adds a unidirectional link with a positive one-way delay and the given
+  /// queue discipline; returns its id.
+  int add_link(double mbps, double one_way_delay_ms,
+               std::unique_ptr<QueueDiscipline> queue);
+  /// Droptail shorthand.
   int add_link(double mbps, double one_way_delay_ms,
                std::size_t buffer_packets);
 
@@ -62,18 +80,20 @@ class MultiHopNetwork {
                double start_seconds = 0.0, double initial_window = 2.0,
                double stop_seconds = -1.0);
 
-  /// Same shape as DumbbellExperiment's monitor: called after every trace
-  /// sample with (step, windows, rtt_seconds, congestion_loss); returning
-  /// false stops the simulation at that sample. Must be set before run().
+  /// Same shape as fluid::FluidSimulation's StepMonitor: called after every
+  /// trace sample with (step, windows, rtt_seconds, congestion_loss);
+  /// returning false stops the simulation at that sample (the trace keeps
+  /// the steps recorded so far). Must be set before run().
   using StepMonitorFn = std::function<bool(
       long step, std::span<const double> windows, double rtt_seconds,
       double congestion_loss)>;
   void set_step_monitor(StepMonitorFn monitor);
 
   /// Injected (non-congestion) loss applied to forward data packets on final
-  /// delivery, as in the dumbbell. Default: none. Must be set before run().
+  /// delivery. Default: none. Must be set before run().
   void set_forward_filter(std::unique_ptr<PacketFilter> filter);
 
+  /// Runs for the configured duration. Call once.
   void run();
 
   [[nodiscard]] int num_flows() const {
@@ -87,8 +107,6 @@ class MultiHopNetwork {
   /// Mutable link access for mid-run perturbation (rate or delay schedules
   /// installed by the engine backend).
   [[nodiscard]] SimLink& mutable_link(int id);
-  [[nodiscard]] double link_mbps(int id) const;
-  [[nodiscard]] double link_delay_ms(int id) const;
   [[nodiscard]] Simulator& simulator() { return simulator_; }
 
   /// Sampled per-flow window trace (valid after run()); capacity is the
@@ -100,16 +118,16 @@ class MultiHopNetwork {
   /// Tail-average goodput of a flow in Mbps (valid after run()).
   [[nodiscard]] double flow_throughput_mbps(int flow) const;
 
-  /// Per-flow tail summaries, as in DumbbellExperiment (valid after run()).
+  /// Per-flow tail summaries (valid after run()).
   [[nodiscard]] std::vector<FlowReport> flow_reports() const;
 
   /// Delivered bits over capacity·duration of the MOST utilized link — the
-  /// network-wide analogue of the dumbbell's bottleneck utilization (valid
-  /// after run()).
+  /// bottleneck utilization on a one-link network (valid after run()).
   [[nodiscard]] double max_link_utilization() const;
 
  private:
   void sample_trace();
+  [[nodiscard]] FlowReport tail_report(int flow) const;
 
   Config config_;
   Simulator simulator_;

@@ -1,13 +1,21 @@
-// Unit tests for the engine layer: ScenarioSpec parsing, the fluid backend's
-// equivalence with a hand-built fluid::FluidSimulation, and the packet
-// backend's scenario mappings (loss injection, schedules, monitor stop).
+// Unit tests for the engine layer: ScenarioSpec parsing and validation, the
+// fluid backend's equivalence with a hand-built fluid::FluidSimulation, the
+// packet backend's scenario mappings (loss injection, schedules, monitor
+// stop), and the packet single-link path's identity with its one-link
+// topology form.
 #include "engine/backend.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "cc/aimd.h"
 #include "engine/topology.h"
@@ -271,6 +279,56 @@ TEST(ScenarioValidation, BackendsRejectInvalidRoutesBeforeRunning) {
                ScenarioError);
 }
 
+TEST(ScenarioValidation, RejectsMalformedLinksOnBothBackends) {
+  // Every malformed link ends in a typed ScenarioError before any simulator
+  // state exists — on the single link and on a topology link alike. Before
+  // the check, a NaN RTT hung the packet horizon loop, a zero delay ran on
+  // packet with capacity 0, a negative buffer was clamped to 1 packet on
+  // packet but tripped a contract on fluid, and 0 Mbps was a
+  // ContractViolation on both.
+  const cc::Aimd aimd(1.0, 0.5);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* name;
+    fluid::LinkParams link;
+  };
+  const std::vector<Case> cases = {
+      {"nan rtt", fluid::make_link_mbps(10.0, nan, 50.0)},
+      {"infinite rtt", fluid::make_link_mbps(10.0, inf, 50.0)},
+      {"zero delay", fluid::make_link_mbps(10.0, 0.0, 50.0)},
+      {"negative delay", fluid::make_link_mbps(10.0, -40.0, 50.0)},
+      {"zero bandwidth", fluid::make_link_mbps(0.0, 40.0, 50.0)},
+      {"negative bandwidth", fluid::make_link_mbps(-10.0, 40.0, 50.0)},
+      {"nan bandwidth", fluid::make_link_mbps(nan, 40.0, 50.0)},
+      {"infinite bandwidth", fluid::make_link_mbps(inf, 40.0, 50.0)},
+      {"negative buffer", fluid::make_link_mbps(10.0, 40.0, -1.0)},
+      {"nan buffer", fluid::make_link_mbps(10.0, 40.0, nan)},
+      {"infinite buffer", fluid::make_link_mbps(10.0, 40.0, inf)},
+  };
+  for (const Case& c : cases) {
+    ScenarioSpec single = small_spec(50);
+    single.link = c.link;
+    single.add_sender(aimd, 1.0);
+    ScenarioSpec routed = small_spec(50);
+    routed.topology.links = {routed.link, c.link};
+    routed.add_routed_sender(aimd, {0, 1});
+    for (const ScenarioSpec* spec : {&single, &routed}) {
+      for (const BackendKind kind :
+           {BackendKind::kFluid, BackendKind::kPacket}) {
+        EXPECT_THROW((void)backend_for(kind).run(*spec), ScenarioError)
+            << c.name << (spec == &single ? " single-link " : " topology ")
+            << backend_name(kind);
+      }
+    }
+  }
+  // A zero buffer is a valid (pure-delay) link.
+  ScenarioSpec zero_buffer = small_spec(50);
+  zero_buffer.link = fluid::make_link_mbps(10.0, 40.0, 0.0);
+  zero_buffer.add_sender(aimd, 1.0);
+  EXPECT_NO_THROW(validate_scenario(zero_buffer));
+}
+
 TEST(Topology, ParkingLotRunsOnBothBackends) {
   const cc::Aimd aimd(1.0, 0.5);
   ScenarioSpec spec = small_spec(120);
@@ -304,21 +362,29 @@ TEST(Topology, BothBackendsRunExactlyTheRequestedSteps) {
   // 60 steps of a 30 ms RTT: as a double, 0.03 s × 60 truncates to
   // 1 799 999 999 ns, one nanosecond short of the packet simulator's last
   // sample; the horizon must still reach it on the dumbbell and routed
-  // paths alike.
+  // paths alike. A 0.5 ms link keeps its 0.5 ms step (no step floor).
   const cc::Aimd aimd(1.0, 0.5);
   ScenarioSpec dumbbell;
   dumbbell.link = fluid::make_link_mbps(10.0, 30.0, 50.0);
   dumbbell.steps = 60;
   dumbbell.add_sender(aimd, 2.0);
+  ScenarioSpec fast = dumbbell;
+  fast.link = fluid::make_link_mbps(10.0, 0.5, 50.0);
   ScenarioSpec routed = dumbbell;
   routed.senders.clear();
   apply_parking_lot(routed, routed.link, /*bottlenecks=*/2, aimd,
                     /*cross_flows_per_link=*/1);
-  for (const ScenarioSpec* spec : {&dumbbell, &routed}) {
+  for (const ScenarioSpec* spec : {&dumbbell, &fast, &routed}) {
     for (const BackendKind kind : {BackendKind::kFluid, BackendKind::kPacket}) {
-      EXPECT_EQ(backend_for(kind).run(*spec).trace.num_steps(), 60u)
-          << (spec == &dumbbell ? "dumbbell " : "routed ")
-          << (kind == BackendKind::kFluid ? "fluid" : "packet");
+      const RunTrace rt = backend_for(kind).run(*spec);
+      const char* name = spec == &dumbbell ? "dumbbell "
+                         : spec == &fast   ? "0.5 ms dumbbell "
+                                           : "routed ";
+      EXPECT_EQ(rt.trace.num_steps(), 60u)
+          << name << (kind == BackendKind::kFluid ? "fluid" : "packet");
+      if (spec == &fast) {
+        EXPECT_DOUBLE_EQ(rt.trace.min_rtt_seconds(), 0.0005) << name;
+      }
     }
   }
 }
@@ -363,6 +429,72 @@ TEST(Topology, SingleLinkSpecIgnoresTopologyMachineryByteForByte) {
       ASSERT_EQ(a[t], b[t]) << "sender " << i << " step " << t;
     }
   }
+}
+
+TEST(Topology, PacketSingleLinkEqualsOneLinkTopology) {
+  // A single-link spec runs on the packet backend as dumbbell_topology with
+  // every slot routed over link 0, so the two spellings must agree to the
+  // last bit — traces, per-flow reports and utilization — with churn,
+  // Gilbert–Elliott injected loss and both schedules in play.
+  const cc::Aimd aimd(1.0, 0.5);
+  ScenarioSpec single = small_spec(240);
+  single.add_sender(aimd, 1.0);
+  single.add_senders(aimd, 2, 4.0, /*start_step=*/30.0, /*stop_step=*/180.0);
+  single.loss = [](std::uint64_t seed) {
+    return std::make_unique<fluid::GilbertElliottLoss>(0.05, 0.3, 0.0, 0.2,
+                                                       seed);
+  };
+  single.seed = 5;
+  single.bandwidth_scale = [](long k) { return k < 120 ? 1.0 : 0.5; };
+  // 1.2 and 0.85 are scales where a Θ·(2s−1) ms retarget lands one
+  // nanosecond away from the (s−½)·2Θ s retarget on this 40 ms link.
+  single.rtt_scale = [](long k) {
+    return k < 60 ? 1.0 : (k < 150 ? 1.2 : 0.85);
+  };
+  ScenarioSpec routed = single;
+  routed.topology = dumbbell_topology(single.link);
+  for (SenderSlot& slot : routed.senders) slot.route = {0};
+
+  const RunTrace a = backend_for(BackendKind::kPacket).run(single);
+  const RunTrace b = backend_for(BackendKind::kPacket).run(routed);
+  const auto same_bits = [](std::span<const double> x,
+                            std::span<const double> y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size_bytes()) == 0;
+  };
+  ASSERT_EQ(a.trace.num_senders(), 3);
+  ASSERT_EQ(a.trace.num_senders(), b.trace.num_senders());
+  EXPECT_EQ(a.trace.num_steps(), 240u);
+  EXPECT_TRUE(same_bits(a.trace.total_window(), b.trace.total_window()));
+  EXPECT_TRUE(same_bits(a.trace.rtt_seconds(), b.trace.rtt_seconds()));
+  EXPECT_TRUE(
+      same_bits(a.trace.congestion_loss(), b.trace.congestion_loss()));
+  for (int i = 0; i < a.trace.num_senders(); ++i) {
+    EXPECT_TRUE(same_bits(a.trace.windows(i), b.trace.windows(i))) << i;
+    EXPECT_TRUE(same_bits(a.trace.observed_loss(i), b.trace.observed_loss(i)))
+        << i;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.trace.link_capacity_mss()),
+            std::bit_cast<std::uint64_t>(b.trace.link_capacity_mss()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.trace.min_rtt_seconds()),
+            std::bit_cast<std::uint64_t>(b.trace.min_rtt_seconds()));
+  ASSERT_EQ(a.flows.size(), 3u);
+  ASSERT_EQ(a.flows.size(), b.flows.size());
+  for (std::size_t i = 0; i < a.flows.size(); ++i) {
+    const sim::FlowReport& x = a.flows[i];
+    const sim::FlowReport& y = b.flows[i];
+    EXPECT_EQ(x.protocol_name, y.protocol_name);
+    const double xs[] = {x.avg_window_mss, x.throughput_mbps, x.loss_rate,
+                         x.avg_rtt_ms};
+    const double ys[] = {y.avg_window_mss, y.throughput_mbps, y.loss_rate,
+                         y.avg_rtt_ms};
+    EXPECT_TRUE(same_bits(xs, ys)) << "flow " << i;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.bottleneck_utilization),
+            std::bit_cast<std::uint64_t>(b.bottleneck_utilization));
+  // The injected loss and the churn really were in play.
+  EXPECT_GT(a.flows[0].loss_rate, 0.0);
+  EXPECT_EQ(a.trace.windows(1).back(), 0.0);
 }
 
 TEST(Workload, IncastExpansionIsSeededAndDeterministic) {
