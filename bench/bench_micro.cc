@@ -77,7 +77,8 @@ void BM_FluidSimulationSteps(benchmark::State& state) {
 BENCHMARK(BM_FluidSimulationSteps)->Arg(1000)->Arg(10000);
 
 void BM_EventKernelChurn(benchmark::State& state) {
-  // Schedule/execute a self-rescheduling chain: the kernel's hot loop.
+  // Schedule/execute a self-rescheduling callback chain: the kernel's
+  // control-event path (slot slab + std::function).
   const int chain = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sim::Simulator sim;
@@ -92,6 +93,36 @@ void BM_EventKernelChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * chain);
 }
 BENCHMARK(BM_EventKernelChurn)->Arg(10000);
+
+/// Re-schedules the packet it receives until the chain is spent.
+class PacketChain final : public sim::PacketHandler {
+ public:
+  PacketChain(sim::Simulator& sim, int hops) : sim_(sim), remaining_(hops) {}
+  void on_packet_event(int port, const sim::Packet& packet) override {
+    if (--remaining_ > 0) {
+      sim_.schedule_packet_in(SimTime(1000), *this, port, packet);
+    }
+  }
+
+ private:
+  sim::Simulator& sim_;
+  int remaining_;
+};
+
+void BM_PacketEventKernel(benchmark::State& state) {
+  // The same chain through typed packet events: the per-packet path link
+  // tx-done, link delivery and ACK return take.
+  const int chain = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulator sim;
+    PacketChain hop(sim, chain);
+    sim.schedule_packet_in(SimTime(1000), hop, 0, sim::Packet{});
+    sim.run();
+    benchmark::DoNotOptimize(sim.events_processed());
+  }
+  state.SetItemsProcessed(state.iterations() * chain);
+}
+BENCHMARK(BM_PacketEventKernel)->Arg(10000);
 
 void BM_PacketSimulation(benchmark::State& state) {
   const double seconds = static_cast<double>(state.range(0));

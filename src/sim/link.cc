@@ -39,18 +39,22 @@ void SimLink::begin_transmission() {
     return;
   }
   transmitting_ = true;
-  const Packet packet = *next;
-  const SimTime tx_done = serialization_time(packet.size_bytes);
+  // The last bit leaves after the serialization time (kTxDone).
+  simulator_.schedule_packet_in(serialization_time(next->size_bytes), *this,
+                                kTxDone, *next);
+}
 
-  // Last bit leaves at tx_done; the packet arrives a propagation delay later.
-  simulator_.schedule_in(tx_done, [this, packet] {
-    simulator_.schedule_in(propagation_delay_, [this, packet] {
-      ++delivered_;
-      bytes_delivered_ += static_cast<std::size_t>(packet.size_bytes);
-      deliver_(packet);
-    });
+void SimLink::on_packet_event(int port, const Packet& packet) {
+  if (port == kTxDone) {
+    // The packet arrives a propagation delay after its last bit left.
+    simulator_.schedule_packet_in(propagation_delay_, *this, kDelivery,
+                                  packet);
     begin_transmission();  // start the next packet, if any
-  });
+    return;
+  }
+  ++delivered_;
+  bytes_delivered_ += static_cast<std::size_t>(packet.size_bytes);
+  deliver_(packet);
 }
 
 }  // namespace axiomcc::sim

@@ -3,7 +3,9 @@
 //
 // Packets admitted by the queue are transmitted one at a time at `rate_bps`
 // and delivered `propagation_delay` after their last bit leaves. This is the
-// store-and-forward output-port model ns-3's point-to-point links use.
+// store-and-forward output-port model ns-3's point-to-point links use. Both
+// steps are typed packet events (sim/event.h), so a packet crossing the link
+// costs two heap entries and no per-packet allocation.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +22,7 @@ namespace axiomcc::sim {
 /// Downstream delivery callback.
 using DeliverFn = std::function<void(const Packet&)>;
 
-class SimLink {
+class SimLink final : private PacketHandler {
  public:
   SimLink(Simulator& simulator, double rate_bps, SimTime propagation_delay,
           std::unique_ptr<QueueDiscipline> queue, DeliverFn deliver);
@@ -58,7 +60,10 @@ class SimLink {
   [[nodiscard]] SimTime serialization_time(int size_bytes) const;
 
  private:
+  enum Port : int { kTxDone = 0, kDelivery = 1 };
+
   void begin_transmission();
+  void on_packet_event(int port, const Packet& packet) override;
 
   Simulator& simulator_;
   double rate_bps_;

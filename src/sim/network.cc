@@ -53,6 +53,7 @@ int MultiHopNetwork::add_flow(std::unique_ptr<cc::Protocol> protocol,
 
   FlowInfo flow;
   flow.route = route;
+  flow.next_hop.assign(links_.size(), 0);
   flow.start_seconds = start_seconds;
   flow.stop_seconds = stop_seconds;
   double one_way_ms = 0.0;
@@ -60,20 +61,19 @@ int MultiHopNetwork::add_flow(std::unique_ptr<cc::Protocol> protocol,
     const int link_id = route[hop];
     AXIOMCC_EXPECTS(link_id >= 0 &&
                     link_id < static_cast<int>(links_.size()));
-    AXIOMCC_EXPECTS_MSG(!flow.next_hop.contains(link_id),
+    AXIOMCC_EXPECTS_MSG(flow.next_hop[link_id] == 0,
                         "a route may not repeat a link");
     flow.next_hop[link_id] = hop + 1;
     one_way_ms += links_[link_id].one_way_delay_ms;
   }
   flow.route_rtt_ms = 2.0 * one_way_ms;
+  flow.reverse_delay = SimTime::from_millis(one_way_ms);
   flows_.push_back(std::move(flow));
 
-  const SimTime reverse_delay = SimTime::from_millis(one_way_ms);
   receivers_.push_back(
-      std::make_unique<Receiver>([this, reverse_delay](const Packet& ack) {
-        simulator_.schedule_in(reverse_delay, [this, ack] {
-          senders_[ack.flow_id]->on_ack(ack);
-        });
+      std::make_unique<Receiver>([this, flow_id](const Packet& ack) {
+        simulator_.schedule_packet_in(flows_[flow_id].reverse_delay, *this,
+                                      kAckReturn, ack);
       }));
 
   SenderConfig sc;
@@ -107,10 +107,11 @@ void MultiHopNetwork::set_forward_filter(std::unique_ptr<PacketFilter> filter) {
 void MultiHopNetwork::deliver_from_link(int link_id, const Packet& p) {
   AXIOMCC_EXPECTS(p.flow_id >= 0 && p.flow_id < num_flows());
   const FlowInfo& flow = flows_[p.flow_id];
-  const auto it = flow.next_hop.find(link_id);
-  AXIOMCC_EXPECTS_MSG(it != flow.next_hop.end(),
+  const auto link = static_cast<std::size_t>(link_id);
+  const std::size_t next =
+      link < flow.next_hop.size() ? flow.next_hop[link] : 0;
+  AXIOMCC_EXPECTS_MSG(next != 0,
                       "packet delivered by a link not on its flow's route");
-  const std::size_t next = it->second;
   if (next >= flow.route.size()) {
     // Injected loss on final delivery: the packet crossed every queue
     // (consuming capacity) but never reaches the receiver, so the sender
@@ -120,6 +121,10 @@ void MultiHopNetwork::deliver_from_link(int link_id, const Packet& p) {
   } else {
     links_[flow.route[next]].link->send(p);
   }
+}
+
+void MultiHopNetwork::on_packet_event(int /*port*/, const Packet& ack) {
+  senders_[ack.flow_id]->on_ack(ack);
 }
 
 void MultiHopNetwork::run() {
@@ -142,6 +147,8 @@ void MultiHopNetwork::run() {
   trace_ = std::make_unique<fluid::Trace>(num_flows(), min_capacity,
                                           min_rtt_ms / 1e3);
   eval_frontier_.assign(num_flows(), 0);
+  sample_windows_.assign(num_flows(), 0.0);
+  sample_loss_.assign(num_flows(), 0.0);
 
   for (int f = 0; f < num_flows(); ++f) {
     senders_[f]->start(SimTime::from_seconds(flows_[f].start_seconds));
@@ -156,16 +163,15 @@ void MultiHopNetwork::run() {
   const SimTime interval = SimTime::from_millis(interval_ms);
   AXIOMCC_EXPECTS_MSG(interval.ns() > 0, "sample interval below 1 ns");
   const SimTime end = SimTime::from_seconds(config_.duration_seconds);
-  for (SimTime t = interval; t <= end; t = t + interval) {
-    simulator_.schedule_at(t, [this] { sample_trace(); });
-  }
+  simulator_.schedule_every(interval, interval, end,
+                            [this] { sample_trace(); });
   simulator_.run_until(end);
 }
 
 void MultiHopNetwork::sample_trace() {
   const int n = num_flows();
-  std::vector<double> windows(n);
-  std::vector<double> observed_loss(n);
+  std::vector<double>& windows = sample_windows_;
+  std::vector<double>& observed_loss = sample_loss_;
   double rtt_sum = 0.0;
   int rtt_count = 0;
   for (int i = 0; i < n; ++i) {

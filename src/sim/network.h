@@ -22,7 +22,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cc/protocol.h"
@@ -45,7 +44,7 @@ struct FlowReport {
   double avg_rtt_ms = 0.0;
 };
 
-class MultiHopNetwork {
+class MultiHopNetwork : private PacketHandler {
  public:
   struct Config {
     double duration_seconds = 30.0;
@@ -126,6 +125,10 @@ class MultiHopNetwork {
   [[nodiscard]] double max_link_utilization() const;
 
  private:
+  /// The one packet-event port: an ACK reaching its sender.
+  static constexpr int kAckReturn = 0;
+
+  void on_packet_event(int port, const Packet& ack) override;
   void sample_trace();
   [[nodiscard]] FlowReport tail_report(int flow) const;
 
@@ -141,11 +144,14 @@ class MultiHopNetwork {
   };
   struct FlowInfo {
     std::vector<int> route;
-    /// next_hop[link_id] = index into route of the hop AFTER link_id.
-    std::unordered_map<int, std::size_t> next_hop;
+    /// next_hop[link_id] = 1 + index into route of link_id, i.e. the index
+    /// of the hop AFTER it; 0 (or past the end) = not on the route.
+    std::vector<std::size_t> next_hop;
     double start_seconds = 0.0;
     double stop_seconds = -1.0;
     double route_rtt_ms = 0.0;
+    /// ACK return delay: the route's one-way propagation.
+    SimTime reverse_delay{0};
   };
 
   void deliver_from_link(int link_id, const Packet& p);
@@ -161,6 +167,9 @@ class MultiHopNetwork {
 
   std::unique_ptr<fluid::Trace> trace_;
   std::vector<std::size_t> eval_frontier_;
+  // Rows sample_trace() reuses on every sample, sized once in run().
+  std::vector<double> sample_windows_;
+  std::vector<double> sample_loss_;
   bool ran_ = false;
 };
 
