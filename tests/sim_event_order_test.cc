@@ -4,7 +4,8 @@
 // event moves a digest. Between them the runs exercise every event source:
 // link tx-done and delivery, the ACK return, sender MI/grace/pacing timers,
 // trace samples, flow start/stop, a mid-run control event, RED's random
-// drops and injected forward loss.
+// drops, injected forward loss, and a propagation delay that shrinks while
+// packets are in flight, so later deliveries overtake earlier ones.
 //
 // Only AIMD and Robust-AIMD run here: their window updates use +, -, * and /
 // alone, so the pinned constants do not depend on the platform's libm.
@@ -114,6 +115,32 @@ TEST(PacketEventOrder, ParkingLotWithChurnAndRateChange) {
   const RunPin p = pin(net);
   EXPECT_EQ(p.trace_digest, "b1571695ea5a458d");
   EXPECT_EQ(p.events, 51544u);
+}
+
+TEST(PacketEventOrder, RttShrinkWhilePacketsInFlight) {
+  // An RTT schedule as the packet backend installs one: the forward delay
+  // drops from 20 ms to 2 ms and back every second. Packets already past
+  // the queue keep their old delay, so each shrink lets deliveries scheduled
+  // after it run before deliveries scheduled before it.
+  DumbbellConfig cfg;
+  cfg.bottleneck_mbps = 10.0;
+  cfg.rtt_ms = 40.0;
+  cfg.buffer_packets = 25;
+  cfg.duration_seconds = 10.0;
+  DumbbellExperiment exp(cfg);
+  exp.add_flow(std::make_unique<cc::Aimd>(1.0, 0.5));
+  exp.add_flow(std::make_unique<cc::Aimd>(1.0, 0.5), 0.5);
+  for (int k = 1; k < 10; ++k) {
+    const SimTime delay = SimTime::from_millis(k % 2 == 1 ? 2.0 : 20.0);
+    exp.simulator().schedule_at(SimTime::from_seconds(k), [&exp, delay] {
+      exp.mutable_link(0).set_propagation_delay(delay);
+    });
+  }
+  exp.run();
+
+  const RunPin p = pin(exp);
+  EXPECT_EQ(p.trace_digest, "801f802c7305bdaa");
+  EXPECT_EQ(p.events, 24430u);
 }
 
 }  // namespace
