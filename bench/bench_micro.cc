@@ -124,6 +124,53 @@ void BM_PacketEventKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketEventKernel)->Arg(10000);
 
+/// Keeps a fixed number of packets in flight: every event re-sends its
+/// packet with the same delay, on a delay line or as a plain heap entry.
+class InFlight final : public sim::PacketHandler {
+ public:
+  InFlight(sim::Simulator& sim, bool on_line, int events)
+      : sim_(sim),
+        line_(sim.add_line(*this, 0)),
+        on_line_(on_line),
+        remaining_(events) {}
+  void send(SimTime delay, const sim::Packet& packet) {
+    if (on_line_) {
+      sim_.schedule_on_line(line_, delay, packet);
+    } else {
+      sim_.schedule_packet_in(delay, *this, 0, packet);
+    }
+  }
+  void on_packet_event(int /*port*/, const sim::Packet& packet) override {
+    if (--remaining_ > 0) send(SimTime(kDelay), packet);
+  }
+  static constexpr std::int64_t kDelay = 1 << 20;
+
+ private:
+  sim::Simulator& sim_;
+  sim::Simulator::LineId line_;
+  bool on_line_;
+  int remaining_;
+};
+
+void BM_PacketEventKernelInFlight(benchmark::State& state) {
+  // Per-event cost with k packets in flight on one link: flat in k on a
+  // delay line (only its head is in the heap), log k as plain heap entries.
+  const int in_flight = static_cast<int>(state.range(0));
+  const bool on_line = state.range(1) != 0;
+  constexpr int kEvents = 100000;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    InFlight link(sim, on_line, kEvents);
+    for (int i = 0; i < in_flight; ++i) link.send(SimTime(i), sim::Packet{});
+    sim.run();
+    benchmark::DoNotOptimize(sim.events_processed());
+  }
+  state.SetItemsProcessed(state.iterations() * kEvents);
+}
+BENCHMARK(BM_PacketEventKernelInFlight)
+    ->ArgNames({"in_flight", "line"})
+    ->ArgsProduct({{1, 256, 1024}, {1, 0}});
+
 void BM_PacketSimulation(benchmark::State& state) {
   const double seconds = static_cast<double>(state.range(0));
   std::size_t events = 0;

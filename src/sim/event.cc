@@ -24,11 +24,88 @@ void Simulator::push(const Event& event) {
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
+// Replaces the heap top with `event`, whose key is not below the old top's,
+// and sifts it down.
+void Simulator::replace_top(const Event& event) {
+  const std::size_t n = heap_.size();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && Later{}(heap_[child], heap_[child + 1])) ++child;
+    if (!Later{}(event, heap_[child])) break;
+    heap_[hole] = heap_[child];
+    hole = child;
+  }
+  heap_[hole] = event;
+}
+
 Simulator::Event Simulator::pop() {
+  const Event event = heap_.front();
+  if (event.handler != nullptr && event.slot != kNoLine) {
+    Line& line = lines_[event.slot];
+    if (line.count > 0) {
+      // The line's next event takes the head's place under its own key.
+      const LineEvent& next = line.ring[line.front];
+      replace_top(Event{next.time, next.sequence, line.handler, line.port,
+                        event.slot, next.packet});
+      line.front = (line.front + 1) & (line.ring.size() - 1);
+      --line.count;
+      --line_queued_;
+      return event;
+    }
+    line.armed = false;
+  }
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Event event = heap_.back();
   heap_.pop_back();
   return event;
+}
+
+Simulator::LineId Simulator::add_line(PacketHandler& handler, int port) {
+  AXIOMCC_EXPECTS(lines_.size() < kNoLine);
+  Line& line = lines_.emplace_back();
+  line.handler = &handler;
+  line.port = port;
+  return static_cast<LineId>(lines_.size() - 1);
+}
+
+void Simulator::grow(Line& line) {
+  const std::size_t capacity = line.ring.size();
+  std::vector<LineEvent> ring(capacity == 0 ? 8 : 2 * capacity);
+  for (std::size_t i = 0; i < line.count; ++i) {
+    ring[i] = line.ring[(line.front + i) & (capacity - 1)];
+  }
+  line.ring = std::move(ring);
+  line.front = 0;
+}
+
+void Simulator::schedule_on_line(LineId id, SimTime delay,
+                                 const Packet& packet) {
+  AXIOMCC_EXPECTS_MSG(delay.ns() >= 0, "delay must be non-negative");
+  AXIOMCC_EXPECTS(id < lines_.size());
+  Line& line = lines_[id];
+  const SimTime t = now_ + delay;
+  const std::uint64_t sequence = next_sequence_++;
+  if (!line.armed) {
+    line.armed = true;
+    line.tail = t;
+    push(Event{t, sequence, line.handler, line.port, id, packet});
+  } else if (t >= line.tail) {
+    // Later sequence, time not below the tail: the key ascends.
+    if (line.count == line.ring.size()) grow(line);
+    line.ring[(line.front + line.count) & (line.ring.size() - 1)] =
+        LineEvent{t, sequence, packet};
+    ++line.count;
+    ++line_queued_;
+    line.tail = t;
+  } else {
+    // The delay shrank: this event overtakes queued ones, so it bypasses
+    // the line as a plain heap entry.
+    push(Event{t, sequence, line.handler, line.port, kNoLine, packet});
+  }
+}
+
+std::size_t Simulator::line_capacity(LineId id) const {
+  AXIOMCC_EXPECTS(id < lines_.size());
+  return lines_[id].ring.size();
 }
 
 std::uint32_t Simulator::acquire_slot(EventFn fn, SimTime interval,

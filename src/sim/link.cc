@@ -13,7 +13,8 @@ SimLink::SimLink(Simulator& simulator, double rate_bps,
       rate_bps_(rate_bps),
       propagation_delay_(propagation_delay),
       queue_(std::move(queue)),
-      deliver_(std::move(deliver)) {
+      deliver_(std::move(deliver)),
+      delivery_line_(simulator.add_line(*this, kDelivery)) {
   AXIOMCC_EXPECTS_MSG(rate_bps > 0.0, "link rate must be positive");
   AXIOMCC_EXPECTS(propagation_delay.ns() >= 0);
   AXIOMCC_EXPECTS(queue_ != nullptr);
@@ -47,8 +48,7 @@ void SimLink::begin_transmission() {
 void SimLink::on_packet_event(int port, const Packet& packet) {
   if (port == kTxDone) {
     // The packet arrives a propagation delay after its last bit left.
-    simulator_.schedule_packet_in(propagation_delay_, *this, kDelivery,
-                                  packet);
+    simulator_.schedule_on_line(delivery_line_, propagation_delay_, packet);
     begin_transmission();  // start the next packet, if any
     return;
   }

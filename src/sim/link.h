@@ -4,8 +4,11 @@
 // Packets admitted by the queue are transmitted one at a time at `rate_bps`
 // and delivered `propagation_delay` after their last bit leaves. This is the
 // store-and-forward output-port model ns-3's point-to-point links use. Both
-// steps are typed packet events (sim/event.h), so a packet crossing the link
-// costs two heap entries and no per-packet allocation.
+// steps are typed packet events (sim/event.h) and allocate nothing per
+// packet. The link has at most one tx-done event in the heap; its deliveries
+// ride one delay line, so however many packets are on the wire, they cost
+// one heap entry between them (a packet overtaking others after the delay
+// shrinks takes its own).
 #pragma once
 
 #include <cstddef>
@@ -70,6 +73,7 @@ class SimLink final : private PacketHandler {
   SimTime propagation_delay_;
   std::unique_ptr<QueueDiscipline> queue_;
   DeliverFn deliver_;
+  Simulator::LineId delivery_line_;
 
   bool transmitting_ = false;
   std::size_t accepted_ = 0;

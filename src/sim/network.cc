@@ -68,12 +68,13 @@ int MultiHopNetwork::add_flow(std::unique_ptr<cc::Protocol> protocol,
   }
   flow.route_rtt_ms = 2.0 * one_way_ms;
   flow.reverse_delay = SimTime::from_millis(one_way_ms);
+  flow.ack_line = simulator_.add_line(*this, kAckReturn);
   flows_.push_back(std::move(flow));
 
   receivers_.push_back(
       std::make_unique<Receiver>([this, flow_id](const Packet& ack) {
-        simulator_.schedule_packet_in(flows_[flow_id].reverse_delay, *this,
-                                      kAckReturn, ack);
+        const FlowInfo& f = flows_[flow_id];
+        simulator_.schedule_on_line(f.ack_line, f.reverse_delay, ack);
       }));
 
   SenderConfig sc;

@@ -152,6 +152,8 @@ class MultiHopNetwork : private PacketHandler {
     double route_rtt_ms = 0.0;
     /// ACK return delay: the route's one-way propagation.
     SimTime reverse_delay{0};
+    /// The flow's ACKs in flight; the delay is fixed, so they stay in order.
+    Simulator::LineId ack_line = 0;
   };
 
   void deliver_from_link(int link_id, const Packet& p);

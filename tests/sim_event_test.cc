@@ -1,5 +1,6 @@
 // Unit tests for the discrete-event kernel: ordering, FIFO ties, run_until
-// semantics, scheduling contracts, typed packet events and periodic series.
+// semantics, scheduling contracts, typed packet events, delay lines and
+// periodic series.
 #include "sim/event.h"
 
 #include <string>
@@ -187,6 +188,145 @@ TEST(Simulator, PacketEventsAndCallbacksTieFifo) {
   }
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(Simulator, LineEventsAndCallbacksTieFifo) {
+  // Events on two lines, plain packet events and callbacks scheduled for the
+  // same time run in the order they were scheduled.
+  Simulator sim;
+  std::vector<int> order;
+  struct Handler final : PacketHandler {
+    std::vector<int>* order = nullptr;
+    void on_packet_event(int /*port*/, const Packet& packet) override {
+      order->push_back(static_cast<int>(packet.seq));
+    }
+  } handler;
+  handler.order = &order;
+  const Simulator::LineId a = sim.add_line(handler, 0);
+  const Simulator::LineId b = sim.add_line(handler, 1);
+  for (int i = 0; i < 12; i += 4) {
+    sim.schedule_on_line(a, SimTime(10), packet_with_seq(i));
+    sim.schedule_in(SimTime(10), [&order, i] { order.push_back(i + 1); });
+    sim.schedule_on_line(b, SimTime(10), packet_with_seq(i + 2));
+    sim.schedule_packet_in(SimTime(10), handler, 2, packet_with_seq(i + 3));
+  }
+  sim.run();
+  EXPECT_EQ(order,
+            (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
+}
+
+TEST(Simulator, LineKeepsKeyOrderWhenTheDelayShrinks) {
+  // A line event whose key is below the line's tail (its delay shrank while
+  // earlier events were queued) must still run in (time, sequence) order —
+  // the order plain packet events would give.
+  const std::vector<std::pair<std::int64_t, std::int64_t>> sends = {
+      {10, 100}, {20, 100}, {30, 40}, {40, 80}, {50, 10}, {60, 70}};
+  auto scenario = [&](bool on_line) {
+    Simulator sim;
+    RecordingHandler handler;
+    const Simulator::LineId line = sim.add_line(handler, 0);
+    std::uint64_t seq = 0;
+    for (const auto& [at, delay] : sends) {
+      sim.schedule_at(SimTime(at), [&sim, &handler, line, on_line, delay,
+                                    packet = packet_with_seq(++seq)] {
+        if (on_line) {
+          sim.schedule_on_line(line, SimTime(delay), packet);
+        } else {
+          sim.schedule_packet_in(SimTime(delay), handler, 0, packet);
+        }
+      });
+    }
+    // Five packets in flight and the last send.
+    sim.run_until(SimTime(59));
+    EXPECT_EQ(sim.pending(), 6u);
+    sim.run();
+    EXPECT_EQ(sim.events_processed(), 12u);
+    return handler.seen;
+  };
+  const auto line_order = scenario(true);
+  // Times 60, 70, 110, 120, 120, 130; the two at 120 in scheduling order.
+  EXPECT_EQ(line_order, (std::vector<std::pair<int, std::uint64_t>>{
+                            {0, 5}, {0, 3}, {0, 1}, {0, 2}, {0, 4}, {0, 6}}));
+  EXPECT_EQ(line_order, scenario(false));
+}
+
+TEST(Simulator, RequestStopMidLineLosesNothing) {
+  Simulator sim;
+  struct Handler final : PacketHandler {
+    Simulator* sim = nullptr;
+    std::vector<std::uint64_t> seen;
+    void on_packet_event(int /*port*/, const Packet& packet) override {
+      seen.push_back(packet.seq);
+      if (packet.seq == 3) sim->request_stop();
+    }
+  } handler;
+  handler.sim = &sim;
+  const Simulator::LineId line = sim.add_line(handler, 0);
+  for (std::uint64_t i = 1; i <= 10; ++i) {
+    sim.schedule_on_line(line, SimTime(static_cast<std::int64_t>(10 * i)),
+                         packet_with_seq(i));
+  }
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(sim.now(), SimTime(30));
+  EXPECT_EQ(sim.pending(), 7u);
+  // Events scheduled while stopped join the line behind the queued ones.
+  sim.schedule_on_line(line, SimTime(100), packet_with_seq(11));
+  EXPECT_EQ(sim.run(), 8u);
+  EXPECT_EQ(handler.seen, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7, 8,
+                                                      9, 10, 11}));
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, PendingCountsEventsQueuedBehindALineHead) {
+  Simulator sim;
+  RecordingHandler handler;
+  const Simulator::LineId line = sim.add_line(handler, 0);
+  EXPECT_EQ(sim.pending(), 0u);
+  for (std::uint64_t i = 1; i <= 5; ++i) {
+    sim.schedule_on_line(line, SimTime(static_cast<std::int64_t>(i)),
+                         packet_with_seq(i));
+  }
+  sim.schedule_at(SimTime(3), [] {});
+  sim.schedule_every(SimTime(1), SimTime(1), SimTime(10), [] {});
+  // Five line events (one head, four queued), a callback, one series.
+  EXPECT_EQ(sim.pending(), 7u);
+  sim.run_until(SimTime(3));
+  // Line events 4 and 5 and the series remain.
+  EXPECT_EQ(sim.pending(), 3u);
+  sim.run();
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(handler.seen.size(), 5u);
+}
+
+TEST(Simulator, LineStorageDoesNotGrowOnRefill) {
+  // A line drained and refilled to the same depth reuses its ring buffer,
+  // whose front wanders around it; growing a wrapped ring keeps the order.
+  Simulator sim;
+  RecordingHandler handler;
+  const Simulator::LineId line = sim.add_line(handler, 0);
+  EXPECT_EQ(sim.line_capacity(line), 0u);
+  auto fill = [&](int depth) {
+    handler.seen.clear();
+    for (int i = 1; i <= depth; ++i) {
+      sim.schedule_on_line(line, SimTime(i),
+                           packet_with_seq(static_cast<std::uint64_t>(i)));
+    }
+    sim.run();
+    ASSERT_EQ(handler.seen.size(), static_cast<std::size_t>(depth));
+    for (int i = 1; i <= depth; ++i) {
+      ASSERT_EQ(handler.seen[i - 1].second, static_cast<std::uint64_t>(i));
+    }
+  };
+  fill(100);
+  const std::size_t capacity = sim.line_capacity(line);
+  // The head waits in the heap; the other 99 events need ring slots.
+  EXPECT_GE(capacity, 99u);
+  for (int cycle = 0; cycle < 1000; ++cycle) fill(1 + cycle % 37);
+  EXPECT_EQ(sim.line_capacity(line), capacity);
+  fill(3 * static_cast<int>(capacity));
+  EXPECT_GT(sim.line_capacity(line), capacity);
+  EXPECT_THROW(sim.schedule_on_line(line, SimTime(-1), Packet{}),
+               ContractViolation);
 }
 
 TEST(Simulator, ScheduleEveryKeepsUpFrontKeys) {
