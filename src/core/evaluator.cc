@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "cc/presets.h"
@@ -138,9 +137,10 @@ bool escapes_under_loss(const cc::Protocol& prototype, const EvalConfig& cfg,
   engine::ScenarioSpec spec = base_spec(cfg, robustness_steps(cfg));
   spec.link = infinite_link(cfg);
   spec.add_sender(prototype, 1.0);
-  spec.loss = [rate](std::uint64_t /*seed*/) {
-    return std::make_unique<fluid::ConstantLoss>(rate);
-  };
+  // Kind constant even at rate 0: the injector's 1-(1-L)(1-0) combination
+  // is not bitwise L, so swapping in "no loss" would move every score.
+  spec.loss.kind = fluid::LossSpec::Kind::kConstant;
+  spec.loss.rate = rate;
   const fluid::Trace trace = backend(cfg).run(spec).trace;
   const auto windows = trace.windows(0);
   if (windows.empty()) return false;

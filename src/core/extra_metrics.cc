@@ -21,8 +21,7 @@ long measure_responsiveness(const cc::Protocol& prototype,
   opt.steps = cfg.steps;
   fluid::FluidSimulation sim(cfg.link, opt);
   sim.add_sender(prototype, 1.0);
-  sim.set_bandwidth_schedule(
-      [switch_step](long step) { return step < switch_step ? 1.0 : 2.0; });
+  sim.set_bandwidth_schedule(fluid::Schedule{{{switch_step, 2.0}}});
   const fluid::Trace trace = sim.run();
 
   const double new_capacity = 2.0 * trace.link_capacity_mss();

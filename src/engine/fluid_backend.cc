@@ -51,9 +51,11 @@ RunTrace run_topology(const ScenarioSpec& spec,
       net.add_flow(std::move(fs));
     }
   }
-  if (spec.loss) net.set_loss_injector(spec.loss(spec.seed));
-  if (spec.bandwidth_scale) net.set_bandwidth_schedule(spec.bandwidth_scale);
-  if (spec.rtt_scale) net.set_rtt_schedule(spec.rtt_scale);
+  if (!spec.loss.empty()) {
+    net.set_loss_injector(spec.loss.make_injector(spec.seed));
+  }
+  net.set_bandwidth_schedule(spec.bandwidth_scale);
+  net.set_rtt_schedule(spec.rtt_scale);
   if (spec.step_monitor) net.set_step_monitor(spec.step_monitor);
 
   TELEMETRY_COUNT("engine.fluid_topology_runs", 1);
@@ -104,9 +106,11 @@ RunTrace FluidBackend::run(const ScenarioSpec& spec) const {
     // A slot is one cohort: count senders share the single cloned prototype.
     sim.add_senders(std::move(fs), slot.count);
   }
-  if (spec.loss) sim.set_loss_injector(spec.loss(spec.seed));
-  if (spec.bandwidth_scale) sim.set_bandwidth_schedule(spec.bandwidth_scale);
-  if (spec.rtt_scale) sim.set_rtt_schedule(spec.rtt_scale);
+  if (!spec.loss.empty()) {
+    sim.set_loss_injector(spec.loss.make_injector(spec.seed));
+  }
+  sim.set_bandwidth_schedule(spec.bandwidth_scale);
+  sim.set_rtt_schedule(spec.rtt_scale);
   if (spec.step_monitor) sim.set_step_monitor(spec.step_monitor);
 
   TELEMETRY_COUNT("engine.fluid_runs", 1);

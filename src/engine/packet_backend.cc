@@ -96,7 +96,8 @@ class InjectedRateLoss final : public sim::PacketFilter {
 };
 
 /// Seeds the per-packet drop stream of InjectedRateLoss. The injector itself
-/// is seeded exactly like the fluid backend seeds it (spec.loss(spec.seed));
+/// is seeded exactly like the fluid backend seeds it
+/// (spec.loss.make_injector(spec.seed));
 /// the coin flips draw from a separate stream so the two stochastic
 /// processes stay independent. The first draw is skipped: it belongs to the
 /// simulator's own internal stream.
@@ -123,7 +124,7 @@ double horizon_seconds(double step_ms, long steps) {
 
 /// Mirror of the fluid tick loop's StepRecorder: every event derives from
 /// the executed slot list (churn intervals rounded exactly like the fluid
-/// backend rounds them, the shared schedule functions) or from the values
+/// backend rounds them, the shared schedules) or from the values
 /// each trace sample records, so both backends' recordings live on the same
 /// lanes and the aligner can step-match them. Invoked from the (serial)
 /// event loop via a wrapping step monitor. Cohort-lane injected-loss detail
@@ -176,16 +177,16 @@ class PacketStepRecorder {
     }
 
     if (sink_->wants(EventClass::kSchedule)) {
-      if (bw_) {
-        const double scale = bw_(step);
+      if (!bw_.empty()) {
+        const double scale = bw_.at(step);
         if (scale != last_bw_scale_) {
           sink_->emit({step, EventClass::kSchedule, EventCode::kBandwidth,
                        Subject::kRun, -1, scale, last_bw_scale_});
           last_bw_scale_ = scale;
         }
       }
-      if (rtt_) {
-        const double scale = rtt_(step);
+      if (!rtt_.empty()) {
+        const double scale = rtt_.at(step);
         if (scale != last_rtt_scale_) {
           sink_->emit({step, EventClass::kSchedule, EventCode::kRtt,
                        Subject::kRun, -1, scale, last_rtt_scale_});
@@ -242,8 +243,8 @@ class PacketStepRecorder {
   };
 
   recorder::Recorder* sink_;
-  StepSchedule bw_;
-  StepSchedule rtt_;
+  fluid::Schedule bw_;
+  fluid::Schedule rtt_;
   bool aggregate_;
   std::vector<CohortRef> cohorts_;
   std::vector<char> churn_active_;
@@ -339,19 +340,19 @@ RunTrace PacketBackend::run(const ScenarioSpec& spec) const {
     }
   }
 
-  if (spec.loss) {
+  if (!spec.loss.empty()) {
     net.set_forward_filter(std::make_unique<InjectedRateLoss>(
-        spec.loss(spec.seed), net.simulator(), step_seconds, net.num_flows(),
-        filter_seed_for(spec)));
+        spec.loss.make_injector(spec.seed), net.simulator(), step_seconds,
+        net.num_flows(), filter_seed_for(spec)));
   }
 
-  if (spec.bandwidth_scale || spec.rtt_scale) {
+  if (!spec.bandwidth_scale.empty() || !spec.rtt_scale.empty()) {
     sim::Simulator& simulator = net.simulator();
     for (long k = 0; k < spec.steps; ++k) {
       const auto t =
           SimTime::from_seconds(static_cast<double>(k) * step_seconds);
-      if (spec.bandwidth_scale) {
-        const double scale = spec.bandwidth_scale(k);
+      if (!spec.bandwidth_scale.empty()) {
+        const double scale = spec.bandwidth_scale.at(k);
         AXIOMCC_EXPECTS_MSG(scale > 0.0, "bandwidth scale must be positive");
         simulator.schedule_at(t, [&net, &links, scale] {
           for (int l = 0; l < net.num_links(); ++l) {
@@ -361,8 +362,8 @@ RunTrace PacketBackend::run(const ScenarioSpec& spec) const {
           }
         });
       }
-      if (spec.rtt_scale) {
-        const double scale = spec.rtt_scale(k);
+      if (!spec.rtt_scale.empty()) {
+        const double scale = spec.rtt_scale.at(k);
         AXIOMCC_EXPECTS_MSG(scale > 0.0, "RTT scale must be positive");
         // The reverse (ACK) path keeps its fixed one-way delay Θ, so each
         // forward link absorbs the whole change: fwd = (scale − ½)·2Θ,

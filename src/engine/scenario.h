@@ -6,7 +6,10 @@
 // everything both need — the link, the senders, the horizon, injected loss,
 // perturbation schedules, and a seed — in the fluid model's units (steps,
 // MSS), and a SimBackend (backend.h) turns it into a run. The packet backend
-// converts steps to wall-clock time via the link RTT.
+// converts steps to wall-clock time via the link RTT. Every axis is plain
+// data (fluid::Schedule, fluid::LossSpec, WorkloadSpec) except the protocol
+// prototypes the slots point at and the run-time hooks (step monitor,
+// recorder and scope sinks).
 #pragma once
 
 #include <cstdint>
@@ -21,6 +24,7 @@
 #include "cc/protocol.h"
 #include "fluid/link.h"
 #include "fluid/loss_model.h"
+#include "fluid/schedule.h"
 #include "fluid/trace.h"
 #include "recorder/recorder.h"
 #include "scope/scope.h"
@@ -95,6 +99,8 @@ struct WorkloadSpec {
   double alpha = 1.5;
 
   [[nodiscard]] bool empty() const { return kind == WorkloadKind::kNone; }
+
+  friend bool operator==(const WorkloadSpec&, const WorkloadSpec&) = default;
 };
 
 /// One sender slot. The protocol prototype is NOT owned — it must outlive
@@ -121,16 +127,6 @@ struct SenderSlot {
   /// engine::validate_scenario enforces this with a ScenarioError.
   std::vector<int> route;
 };
-
-/// Multiplicative perturbation schedule: scale factor as a function of the
-/// step index (stress::StepSchedule has the same shape).
-using StepSchedule = std::function<double(long)>;
-
-/// Builds a loss injector from a seed. Scenarios carry a factory rather than
-/// an injector instance so that each run (and each backend) gets a fresh,
-/// independently seeded loss process.
-using LossFactory =
-    std::function<std::unique_ptr<fluid::LossInjector>(std::uint64_t seed)>;
 
 /// Per-step observer with the same shape as fluid::FluidSimulation's
 /// StepMonitor and sim::MultiHopNetwork's StepMonitorFn: called after each
@@ -159,11 +155,12 @@ struct ScenarioSpec {
   double min_window_mss = 1.0;
   double max_window_mss = 1e9;
   std::vector<SenderSlot> senders;
-  /// Non-congestion loss (null = none). Called with `seed` at run time.
-  LossFactory loss;
-  /// Link perturbation schedules (null = constant 1).
-  StepSchedule bandwidth_scale;
-  StepSchedule rtt_scale;
+  /// Non-congestion loss (kind none = no injector). Each run builds a fresh
+  /// injector from it, seeded with `seed`.
+  fluid::LossSpec loss;
+  /// Network-wide link perturbation schedules (empty = untouched link).
+  fluid::Schedule bandwidth_scale;
+  fluid::Schedule rtt_scale;
   std::uint64_t seed = 42;
   StepMonitor step_monitor;
   /// Scoring-tail fraction for the packet backend's per-flow reports (the

@@ -11,6 +11,8 @@
 namespace axiomcc::engine {
 namespace {
 
+bool positive_finite(double v) { return std::isfinite(v) && v > 0.0; }
+
 void validate_link(const fluid::LinkParams& link, const std::string& label) {
   const double bandwidth = link.bandwidth.mss_per_sec();
   if (!(std::isfinite(bandwidth) && bandwidth > 0.0)) {
@@ -67,20 +69,89 @@ void validate_scenario(const ScenarioSpec& spec) {
       seen[static_cast<std::size_t>(link_id)] = 1;
     }
   }
-  if (!spec.workload.empty()) {
-    if (spec.workload.flows < 1) {
-      throw ScenarioError("workload needs at least one generated flow");
+  validate_workload(spec.workload);
+  validate_loss(spec.loss);
+  validate_schedule(spec.bandwidth_scale, "bandwidth schedule");
+  validate_schedule(spec.rtt_scale, "RTT schedule");
+}
+
+void validate_workload(const WorkloadSpec& workload) {
+  if (workload.empty()) return;
+  if (workload.flows < 1) {
+    throw ScenarioError("workload needs at least one generated flow");
+  }
+  if (workload.kind == WorkloadKind::kIncast &&
+      !(std::isfinite(workload.spread_steps) && workload.spread_steps >= 0.0)) {
+    throw ScenarioError("incast arrival spread must be finite and >= 0");
+  }
+  if (workload.kind == WorkloadKind::kOnOffHeavyTail &&
+      !(positive_finite(workload.mean_on_steps) &&
+        positive_finite(workload.mean_off_steps) &&
+        positive_finite(workload.alpha))) {
+    throw ScenarioError(
+        "on-off workload durations and Pareto shape must be positive");
+  }
+}
+
+void validate_loss(const fluid::LossSpec& loss) {
+  const auto require = [](bool ok, const char* what, const char* range,
+                          double v) {
+    if (!ok) {
+      throw ScenarioError(std::string(what) + " must be in " + range +
+                          ", got " + std::to_string(v));
     }
-    if (spec.workload.kind == WorkloadKind::kIncast &&
-        spec.workload.spread_steps < 0.0) {
-      throw ScenarioError("incast arrival spread must be non-negative");
+  };
+  const auto rate = [&require](double v, const char* what) {
+    require(v >= 0.0 && v < 1.0, what, "[0, 1)", v);
+  };
+  const auto prob = [&require](double v, const char* what) {
+    require(v >= 0.0 && v <= 1.0, what, "[0, 1]", v);
+  };
+  using Kind = fluid::LossSpec::Kind;
+  switch (loss.kind) {
+    case Kind::kNone:
+      break;
+    case Kind::kConstant:
+      rate(loss.rate, "constant loss rate");
+      break;
+    case Kind::kBernoulli:
+      prob(loss.prob, "bernoulli episode probability");
+      rate(loss.rate, "bernoulli episode rate");
+      break;
+    case Kind::kStorm:
+      if (!(loss.start >= 0 && loss.start < loss.end)) {
+        throw ScenarioError("storm window [" + std::to_string(loss.start) +
+                            ", " + std::to_string(loss.end) +
+                            ") must satisfy 0 <= start < end");
+      }
+      [[fallthrough]];
+    case Kind::kGilbertElliott:
+      prob(loss.p_gb, "gilbert p_good_to_bad");
+      prob(loss.p_bg, "gilbert p_bad_to_good");
+      rate(loss.good_rate, "gilbert good-state rate");
+      rate(loss.bad_rate, "gilbert bad-state rate");
+      break;
+  }
+}
+
+void validate_schedule(const fluid::Schedule& schedule,
+                       const std::string& label) {
+  long prev = -1;
+  for (const fluid::Schedule::Point& p : schedule.points) {
+    if (p.at < 0) {
+      throw ScenarioError(label + " breakpoint at negative step " +
+                          std::to_string(p.at));
     }
-    if (spec.workload.kind == WorkloadKind::kOnOffHeavyTail &&
-        (spec.workload.mean_on_steps <= 0.0 ||
-         spec.workload.mean_off_steps <= 0.0 || spec.workload.alpha <= 0.0)) {
-      throw ScenarioError(
-          "on-off workload durations and Pareto shape must be positive");
+    if (p.at <= prev) {
+      throw ScenarioError(label + " breakpoints out of order at step " +
+                          std::to_string(p.at) +
+                          " (timestamps must strictly increase)");
     }
+    if (!positive_finite(p.scale)) {
+      throw ScenarioError(label + " scale must be positive and finite, got " +
+                          std::to_string(p.scale));
+    }
+    prev = p.at;
   }
 }
 

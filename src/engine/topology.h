@@ -16,19 +16,20 @@
 //     reproducible at any job count.
 //
 // validate_scenario is the typed guard both backends run before executing:
-// malformed links and routes raise ScenarioError rather than tripping a
-// contract check (or hanging) deep inside a simulator.
+// malformed links, routes, schedules and loss processes raise ScenarioError
+// rather than tripping a contract check (or hanging) deep inside a
+// simulator.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "engine/scenario.h"
 
 namespace axiomcc::engine {
 
-/// Validates the link/topology/route/workload axes of a spec. Throws
-/// ScenarioError when
+/// Validates every data axis of a spec. Throws ScenarioError when
 ///  * `spec.link` or a topology link has a non-finite or non-positive
 ///    bandwidth or propagation delay, or a non-finite or negative buffer
 ///    (a zero buffer is valid);
@@ -37,9 +38,25 @@ namespace axiomcc::engine {
 ///  * the topology is non-empty and a slot's route is empty, names an
 ///    unknown link id, or repeats a link (the packet forwarder requires
 ///    loop-free routes, so both backends reject them);
-///  * a workload is requested with a non-positive flow count or
-///    non-positive durations.
+///  * the workload, loss or either schedule fails the checks below.
+/// Both backends run it before building any simulator state.
 void validate_scenario(const ScenarioSpec& spec);
+
+/// Throws ScenarioError when a workload is requested with a non-positive
+/// flow count, a negative or non-finite incast spread, or non-positive
+/// on-off durations or Pareto shape.
+void validate_workload(const WorkloadSpec& workload);
+
+/// Throws ScenarioError when a loss rate of the active kind is outside
+/// [0, 1), a probability outside [0, 1], or a storm window breaks
+/// 0 <= start < end.
+void validate_loss(const fluid::LossSpec& loss);
+
+/// Throws ScenarioError when a breakpoint sits at a negative step, the
+/// steps do not strictly increase, or a scale is not positive and finite.
+/// `label` names the schedule in the message.
+void validate_schedule(const fluid::Schedule& schedule,
+                       const std::string& label);
 
 /// The one-link topology equivalent to `link` (route every flow over {0}).
 [[nodiscard]] TopologySpec dumbbell_topology(const fluid::LinkParams& link);

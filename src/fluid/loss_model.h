@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 
 #include "util/check.h"
@@ -125,6 +126,68 @@ class GilbertElliottLoss final : public LossInjector {
   std::uint64_t seed_;
   Rng rng_;
   bool in_bad_state_ = false;
+};
+
+/// Time-windowed Gilbert-Elliott loss (the gauntlet's loss storm): the
+/// two-state channel runs only on steps in [start, end); outside the window
+/// no loss is injected and no randomness is consumed, so storms compose
+/// deterministically.
+class LossStorm final : public LossInjector {
+ public:
+  LossStorm(long start_step, long end_step, double p_good_to_bad,
+            double p_bad_to_good, double good_rate, double bad_rate,
+            std::uint64_t seed);
+
+  double sample(long step, int sender) override;
+
+  /// Full-state copy (RNG and channel state), like the base injectors.
+  [[nodiscard]] std::unique_ptr<LossInjector> clone() const override {
+    return std::make_unique<LossStorm>(*this);
+  }
+
+ private:
+  long start_;
+  long end_;
+  double p_gb_;
+  double p_bg_;
+  double good_rate_;
+  double bad_rate_;
+  Rng rng_;
+  bool in_bad_state_ = false;
+};
+
+/// A non-congestion loss process as plain data: which injector, with which
+/// parameters. Scenarios carry a LossSpec rather than an injector so every
+/// run (and each backend) builds a fresh, independently seeded process.
+/// Only the active kind's fields are meaningful; engine::validate_loss
+/// checks their domains.
+struct LossSpec {
+  enum class Kind : int {
+    kNone = 0,
+    kConstant,        ///< rate
+    kBernoulli,       ///< prob, rate
+    kGilbertElliott,  ///< p_gb, p_bg, good_rate, bad_rate
+    kStorm,           ///< window [start, end) + the Gilbert-Elliott fields
+  };
+
+  Kind kind = Kind::kNone;
+  double rate = 0.0;  ///< kConstant rate / kBernoulli episode rate.
+  double prob = 0.0;  ///< kBernoulli episode probability.
+  double p_gb = 0.0;  ///< Gilbert-Elliott / storm good→bad transition.
+  double p_bg = 0.0;  ///< Gilbert-Elliott / storm bad→good transition.
+  double good_rate = 0.0;
+  double bad_rate = 0.0;
+  long start = 0;  ///< storm window.
+  long end = 0;
+
+  [[nodiscard]] bool empty() const { return kind == Kind::kNone; }
+
+  /// Builds the injector this spec describes, seeded with `seed` (the
+  /// deterministic kinds ignore it).
+  [[nodiscard]] std::unique_ptr<LossInjector> make_injector(
+      std::uint64_t seed) const;
+
+  friend bool operator==(const LossSpec&, const LossSpec&) = default;
 };
 
 /// Combines independent congestion and injected loss rates.

@@ -52,15 +52,13 @@ void FluidNetwork::set_loss_injector(std::unique_ptr<LossInjector> injector) {
   injector_ = std::move(injector);
 }
 
-void FluidNetwork::set_bandwidth_schedule(std::function<double(long)> scale) {
+void FluidNetwork::set_bandwidth_schedule(Schedule scale) {
   AXIOMCC_EXPECTS_MSG(!ran_, "set_bandwidth_schedule must precede run()");
-  AXIOMCC_EXPECTS(scale != nullptr);
   bandwidth_scale_ = std::move(scale);
 }
 
-void FluidNetwork::set_rtt_schedule(std::function<double(long)> scale) {
+void FluidNetwork::set_rtt_schedule(Schedule scale) {
   AXIOMCC_EXPECTS_MSG(!ran_, "set_rtt_schedule must precede run()");
-  AXIOMCC_EXPECTS(scale != nullptr);
   rtt_scale_ = std::move(scale);
 }
 

@@ -33,6 +33,7 @@
 #include "cc/protocol.h"
 #include "fluid/link.h"
 #include "fluid/loss_model.h"
+#include "fluid/schedule.h"
 #include "fluid/trace.h"
 #include "recorder/recorder.h"
 #include "scope/scope.h"
@@ -92,9 +93,9 @@ class FluidNetwork {
   /// observed loss exactly like FluidSimulation does. Default: none.
   void set_loss_injector(std::unique_ptr<LossInjector> injector);
   /// Network-wide multiplicative schedules: every link's bandwidth (or
-  /// propagation delay) is scaled by the returned factor at each step.
-  void set_bandwidth_schedule(std::function<double(long)> scale);
-  void set_rtt_schedule(std::function<double(long)> scale);
+  /// propagation delay) is scaled by the schedule's factor at each step.
+  void set_bandwidth_schedule(Schedule scale);
+  void set_rtt_schedule(Schedule scale);
   void set_step_monitor(StepMonitor monitor);
 
   [[nodiscard]] int num_links() const { return static_cast<int>(links_.size()); }
@@ -121,8 +122,8 @@ class FluidNetwork {
   std::vector<FluidLink> links_;
   std::vector<FlowSpec> flows_;
   std::unique_ptr<LossInjector> injector_;
-  std::function<double(long)> bandwidth_scale_;
-  std::function<double(long)> rtt_scale_;
+  Schedule bandwidth_scale_;
+  Schedule rtt_scale_;
   StepMonitor step_monitor_;
   std::vector<double> link_mean_utilization_;
   bool ran_ = false;

@@ -91,13 +91,11 @@ void FluidSimulation::set_loss_injector(std::unique_ptr<LossInjector> injector) 
   injector_ = std::move(injector);
 }
 
-void FluidSimulation::set_bandwidth_schedule(std::function<double(long)> scale) {
-  AXIOMCC_EXPECTS(scale != nullptr);
+void FluidSimulation::set_bandwidth_schedule(Schedule scale) {
   bandwidth_scale_ = std::move(scale);
 }
 
-void FluidSimulation::set_rtt_schedule(std::function<double(long)> scale) {
-  AXIOMCC_EXPECTS(scale != nullptr);
+void FluidSimulation::set_rtt_schedule(Schedule scale) {
   rtt_scale_ = std::move(scale);
 }
 

@@ -27,6 +27,7 @@
 #include "cc/protocol.h"
 #include "fluid/link.h"
 #include "fluid/loss_model.h"
+#include "fluid/schedule.h"
 #include "fluid/trace.h"
 #include "recorder/recorder.h"
 #include "scope/scope.h"
@@ -117,16 +118,17 @@ class FluidSimulation {
   void set_loss_injector(std::unique_ptr<LossInjector> injector);
 
   /// Installs a time-varying bandwidth schedule: the link's bandwidth at
-  /// step t is scale(t) × the configured bandwidth (buffer unchanged).
+  /// step t is scale.at(t) × the configured bandwidth (buffer unchanged).
   /// Models capacity changes (handover, cross-traffic departure) for the
-  /// responsiveness metric; default is the constant schedule scale ≡ 1.
-  void set_bandwidth_schedule(std::function<double(long)> scale);
+  /// responsiveness metric; default is the empty schedule (link untouched).
+  /// A non-positive scale is a contract violation when its step runs.
+  void set_bandwidth_schedule(Schedule scale);
 
   /// Installs a time-varying propagation-delay schedule: the link's one-way
-  /// delay at step t is scale(t) × the configured delay. Models RTT
+  /// delay at step t is scale.at(t) × the configured delay. Models RTT
   /// inflation (path changes, bufferbloat upstream). Note that scaling Θ
   /// also scales the capacity C = B·2Θ, as it does physically.
-  void set_rtt_schedule(std::function<double(long)> scale);
+  void set_rtt_schedule(Schedule scale);
 
   /// Per-step observer, called at the end of each step (after the step is
   /// recorded) with that step's index, the per-sender windows the protocols
@@ -169,8 +171,8 @@ class FluidSimulation {
   std::vector<SenderGroup> groups_;
   long total_senders_ = 0;
   std::unique_ptr<LossInjector> injector_;
-  std::function<double(long)> bandwidth_scale_;
-  std::function<double(long)> rtt_scale_;
+  Schedule bandwidth_scale_;
+  Schedule rtt_scale_;
   StepMonitor step_monitor_;
   bool ran_ = false;
 };

@@ -7,23 +7,23 @@ namespace axiomcc::fluid::detail {
 std::span<const FluidLink> ScheduledLink::scaled(long step) {
   double bw_scale = 1.0;
   double rtt_scale = 1.0;
-  if (bw_) {
-    bw_scale = bw_(step);
+  if (!bw_.empty()) {
+    bw_scale = bw_.at(step);
     AXIOMCC_EXPECTS_MSG(bw_scale > 0.0, "bandwidth scale must be positive");
   }
-  if (rtt_) {
-    rtt_scale = rtt_(step);
+  if (!rtt_.empty()) {
+    rtt_scale = rtt_.at(step);
     AXIOMCC_EXPECTS_MSG(rtt_scale > 0.0, "RTT scale must be positive");
   }
   if (!cached_ || bw_scale != last_bw_ || rtt_scale != last_rtt_) {
     scaled_.clear();
     for (const FluidLink& link : base_) {
       LinkParams params = link.params();
-      if (bw_) {
+      if (!bw_.empty()) {
         params.bandwidth = Bandwidth::from_mss_per_sec(
             params.bandwidth.mss_per_sec() * bw_scale);
       }
-      if (rtt_) {
+      if (!rtt_.empty()) {
         params.propagation_delay = params.propagation_delay * rtt_scale;
       }
       scaled_.emplace_back(params);
@@ -37,8 +37,7 @@ std::span<const FluidLink> ScheduledLink::scaled(long step) {
 
 StepRecorder::StepRecorder(recorder::Recorder* sink,
                            std::vector<Cohort> cohorts,
-                           const std::function<double(long)>& bw,
-                           const std::function<double(long)>& rtt,
+                           const Schedule& bw, const Schedule& rtt,
                            bool aggregate, long total_senders)
     : sink_(sink), bw_(&bw), rtt_(&rtt), aggregate_(aggregate) {
   if (sink_ == nullptr) return;
@@ -76,16 +75,16 @@ void StepRecorder::record(long step, double total, double rtt_value,
   }
 
   if (sink_->wants(EventClass::kSchedule)) {
-    if (*bw_) {
-      const double scale = (*bw_)(step);
+    if (!bw_->empty()) {
+      const double scale = bw_->at(step);
       if (scale != last_bw_scale_) {
         sink_->emit({step, EventClass::kSchedule, EventCode::kBandwidth,
                      Subject::kRun, -1, scale, last_bw_scale_});
         last_bw_scale_ = scale;
       }
     }
-    if (*rtt_) {
-      const double scale = (*rtt_)(step);
+    if (!rtt_->empty()) {
+      const double scale = rtt_->at(step);
       if (scale != last_rtt_scale_) {
         sink_->emit({step, EventClass::kSchedule, EventCode::kRtt,
                      Subject::kRun, -1, scale, last_rtt_scale_});

@@ -5,17 +5,17 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "fluid/link.h"
+#include "fluid/schedule.h"
 #include "recorder/recorder.h"
 
 namespace axiomcc::fluid::detail {
 
-/// The active links under (possibly null) network-wide bandwidth/RTT
+/// The active links under (possibly empty) network-wide bandwidth/RTT
 /// schedules: every link's bandwidth (delay) is scaled by the same factor.
 /// The scaled set is a pure function of the (bandwidth, RTT) scale pair, so
 /// it is rebuilt only when the pair changes — piecewise-constant schedules
@@ -25,21 +25,20 @@ namespace axiomcc::fluid::detail {
 class ScheduledLink {
  public:
   /// `base` (the configured links) must outlive this object.
-  ScheduledLink(std::span<const FluidLink> base,
-                const std::function<double(long)>& bw,
-                const std::function<double(long)>& rtt)
+  ScheduledLink(std::span<const FluidLink> base, const Schedule& bw,
+                const Schedule& rtt)
       : base_(base), bw_(bw), rtt_(rtt) {}
 
   std::span<const FluidLink> at(long step) {
-    return bw_ || rtt_ ? scaled(step) : base_;
+    return bw_.empty() && rtt_.empty() ? base_ : scaled(step);
   }
 
  private:
   std::span<const FluidLink> scaled(long step);
 
   std::span<const FluidLink> base_;
-  const std::function<double(long)>& bw_;
-  const std::function<double(long)>& rtt_;
+  const Schedule& bw_;
+  const Schedule& rtt_;
   std::vector<FluidLink> scaled_;
   double last_bw_ = 1.0;
   double last_rtt_ = 1.0;
@@ -67,8 +66,7 @@ class StepRecorder {
   };
 
   StepRecorder(recorder::Recorder* sink, std::vector<Cohort> cohorts,
-               const std::function<double(long)>& bw,
-               const std::function<double(long)>& rtt, bool aggregate,
+               const Schedule& bw, const Schedule& rtt, bool aggregate,
                long total_senders);
 
   /// Execution decision (kernel / fallback / uniform), one setup event per
@@ -100,8 +98,8 @@ class StepRecorder {
               std::span<const double> observed);
 
   recorder::Recorder* sink_;
-  const std::function<double(long)>* bw_;
-  const std::function<double(long)>* rtt_;
+  const Schedule* bw_;
+  const Schedule* rtt_;
   bool aggregate_;
   std::vector<Cohort> cohorts_;
   std::vector<char> churn_active_;

@@ -98,15 +98,15 @@ MinimizeResult minimize_finding(const ScenarioDesc& desc,
 
     // Drop the injected-loss process entirely, or failing that collapse a
     // structured process to constant loss at its worst rate.
-    if (res.desc.loss.kind != LossDesc::Kind::kNone) {
+    if (!res.desc.loss.empty()) {
       ScenarioDesc cand = res.desc;
-      cand.loss = LossDesc{};
+      cand.loss = fluid::LossSpec{};
       if (try_accept(cand)) {
         progressed = true;
-      } else if (res.desc.loss.kind != LossDesc::Kind::kConstant) {
+      } else if (res.desc.loss.kind != fluid::LossSpec::Kind::kConstant) {
         cand = res.desc;
-        LossDesc constant;
-        constant.kind = LossDesc::Kind::kConstant;
+        fluid::LossSpec constant;
+        constant.kind = fluid::LossSpec::Kind::kConstant;
         constant.rate = std::clamp(
             std::max(res.desc.loss.rate, res.desc.loss.bad_rate), 0.0, 0.99);
         cand.loss = constant;
@@ -147,7 +147,7 @@ MinimizeResult minimize_finding(const ScenarioDesc& desc,
       }
       for (auto member :
            {&ScenarioDesc::bandwidth_scale, &ScenarioDesc::rtt_scale}) {
-        for (SchedulePoint& point : (cand.*member).points) {
+        for (fluid::Schedule::Point& point : (cand.*member).points) {
           point.scale = round_sig(point.scale, 2);
         }
       }

@@ -10,6 +10,9 @@ namespace axiomcc::fuzz {
 
 namespace {
 
+using LossKind = fluid::LossSpec::Kind;
+using Point = fluid::Schedule::Point;
+
 /// Picks a uniformly random element.
 template <typename T>
 const T& pick(const std::vector<T>& values, Rng& rng) {
@@ -26,13 +29,13 @@ long random_step(const ScenarioDesc& desc, Rng& rng) {
       rng.uniform_index(static_cast<std::uint64_t>(desc.steps)));
 }
 
-void mutate_schedule(ScheduleDesc& schedule, const ScenarioDesc& desc,
+void mutate_schedule(fluid::Schedule& schedule, const ScenarioDesc& desc,
                      Rng& rng) {
   const std::uint64_t op = rng.uniform_index(schedule.points.empty() ? 2 : 5);
   switch (op) {
     case 0:  // add a breakpoint with a dictionary scale
-      schedule.points.push_back(SchedulePoint{
-          random_step(desc, rng), pick(Mutator::scale_dictionary(), rng)});
+      schedule.points.push_back(Point{random_step(desc, rng),
+                                      pick(Mutator::scale_dictionary(), rng)});
       break;
     case 1: {  // install a canonical gauntlet shape
       const std::uint64_t shape = rng.uniform_index(3);
@@ -40,18 +43,18 @@ void mutate_schedule(ScheduleDesc& schedule, const ScenarioDesc& desc,
       const long span = std::max<long>(desc.steps / 8, 10);
       schedule.points.clear();
       if (shape == 0) {  // outage: drop to a residual, then restore
-        schedule.points = {SchedulePoint{start, 1e-3},
-                           SchedulePoint{start + span, 1.0}};
+        schedule.points = {Point{start, 1e-3}, Point{start + span, 1.0}};
       } else if (shape == 1) {  // flap: square wave
         double level = 1.0;
         for (long at = start, i = 0; i < 6; ++i, at += span / 2 + 1) {
           level = level == 1.0 ? 0.05 : 1.0;
-          schedule.points.push_back(SchedulePoint{at, level});
+          schedule.points.push_back(Point{at, level});
         }
       } else {  // sawtooth ramp
         for (long i = 0; i < 6; ++i) {
-          schedule.points.push_back(SchedulePoint{
-              start + i * (span / 3 + 1), 0.25 + 0.15 * static_cast<double>(i)});
+          schedule.points.push_back(
+              Point{start + i * (span / 3 + 1),
+                    0.25 + 0.15 * static_cast<double>(i)});
         }
       }
       break;
@@ -62,27 +65,25 @@ void mutate_schedule(ScheduleDesc& schedule, const ScenarioDesc& desc,
                                 rng.uniform_index(schedule.points.size())));
       break;
     case 3: {  // perturb a breakpoint's scale
-      SchedulePoint& p =
-          schedule.points[rng.uniform_index(schedule.points.size())];
+      Point& p = schedule.points[rng.uniform_index(schedule.points.size())];
       p.scale = rng.bernoulli(0.5) ? perturb(p.scale, rng)
                                    : pick(Mutator::scale_dictionary(), rng);
       break;
     }
     case 4: {  // move a breakpoint in time
-      SchedulePoint& p =
-          schedule.points[rng.uniform_index(schedule.points.size())];
+      Point& p = schedule.points[rng.uniform_index(schedule.points.size())];
       p.at = random_step(desc, rng);
       break;
     }
   }
 }
 
-void mutate_loss(LossDesc& loss, const ScenarioDesc& desc, Rng& rng) {
-  if (loss.kind == LossDesc::Kind::kNone || rng.bernoulli(0.4)) {
+void mutate_loss(fluid::LossSpec& loss, const ScenarioDesc& desc, Rng& rng) {
+  if (loss.kind == LossKind::kNone || rng.bernoulli(0.4)) {
     // Switch to a fresh model with dictionary parameters.
     const std::uint64_t kind = 1 + rng.uniform_index(4);
-    loss = LossDesc{};
-    loss.kind = static_cast<LossDesc::Kind>(kind);
+    loss = fluid::LossSpec{};
+    loss.kind = static_cast<LossKind>(kind);
     loss.rate = pick(Mutator::loss_rate_dictionary(), rng);
     loss.prob = rng.uniform(0.05, 0.5);
     loss.p_gb = rng.uniform(0.05, 0.4);
@@ -209,12 +210,12 @@ ScenarioDesc Mutator::mutate(const ScenarioDesc& base, Rng& rng) const {
         // Walk the workload axis: none, incast fan-in, or heavy-tailed
         // on-off trains; parameters perturbed when the kind survives.
         if (rng.bernoulli(0.3)) {
-          out.workload = WorkloadDesc{};
+          out.workload = engine::WorkloadSpec{};
         } else {
           if (out.workload.empty() || rng.bernoulli(0.4)) {
             out.workload.kind = rng.bernoulli(0.5)
-                                    ? WorkloadDesc::Kind::kIncast
-                                    : WorkloadDesc::Kind::kOnOff;
+                                    ? engine::WorkloadKind::kIncast
+                                    : engine::WorkloadKind::kOnOffHeavyTail;
           }
           out.workload.flows = 1 + static_cast<long>(rng.uniform_index(
                                        static_cast<std::uint64_t>(
@@ -256,16 +257,16 @@ ScenarioDesc Mutator::splice(const ScenarioDesc& a, const ScenarioDesc& b,
 
   // Schedules splice at a cut step: one parent's breakpoints before the
   // cut, the other's after.
-  const auto splice_schedule = [&rng, &out](const ScheduleDesc& from_a,
-                                            const ScheduleDesc& from_b) {
+  const auto splice_schedule = [&rng, &out](const fluid::Schedule& from_a,
+                                            const fluid::Schedule& from_b) {
     if (rng.bernoulli(0.5)) return rng.bernoulli(0.5) ? from_a : from_b;
     const long cut = static_cast<long>(rng.uniform_index(
         static_cast<std::uint64_t>(std::max<long>(out.steps, 1))));
-    ScheduleDesc spliced;
-    for (const SchedulePoint& p : from_a.points) {
+    fluid::Schedule spliced;
+    for (const Point& p : from_a.points) {
       if (p.at < cut) spliced.points.push_back(p);
     }
-    for (const SchedulePoint& p : from_b.points) {
+    for (const Point& p : from_b.points) {
       if (p.at >= cut) spliced.points.push_back(p);
     }
     return spliced;
@@ -324,16 +325,16 @@ void Mutator::sanitize(ScenarioDesc& desc) const {
   {
     long population = 0;
     for (const SenderDesc& s : desc.senders) population += s.count;
-    WorkloadDesc workload;
+    engine::WorkloadSpec workload;
     workload.kind = desc.workload.kind;
-    if (workload.kind != WorkloadDesc::Kind::kNone) {
+    if (workload.kind != engine::WorkloadKind::kNone) {
       const long flow_cap =
           std::max<long>(1, limits_.max_total_senders /
                                 std::max<long>(population, 1));
       workload.flows = std::clamp<long>(
           desc.workload.flows, 1,
           std::min(limits_.max_workload_flows, flow_cap));
-      if (workload.kind == WorkloadDesc::Kind::kIncast) {
+      if (workload.kind == engine::WorkloadKind::kIncast) {
         workload.spread_steps =
             std::clamp(desc.workload.spread_steps, 0.0, max_step);
       } else {
@@ -352,23 +353,24 @@ void Mutator::sanitize(ScenarioDesc& desc) const {
   // Canonicalize the loss descriptor: clamp the active fields and zero the
   // inactive ones, so two descs that serialize identically compare equal
   // (the text format only carries the active kind's parameters).
-  LossDesc loss;
+  fluid::LossSpec loss;
   loss.kind = desc.loss.kind;
   switch (loss.kind) {
-    case LossDesc::Kind::kNone:
+    case LossKind::kNone:
       break;
-    case LossDesc::Kind::kConstant:
+    case LossKind::kConstant:
       loss.rate = std::clamp(desc.loss.rate, 0.0, limits_.max_loss_rate);
       break;
-    case LossDesc::Kind::kBernoulli:
+    case LossKind::kBernoulli:
       loss.prob = std::clamp(desc.loss.prob, 0.0, 1.0);
       loss.rate = std::clamp(desc.loss.rate, 0.0, limits_.max_loss_rate);
       break;
-    case LossDesc::Kind::kStorm:
-      loss.start = std::clamp<long>(desc.loss.start, 0, desc.steps);
-      loss.end = std::clamp<long>(desc.loss.end, loss.start, desc.steps);
+    case LossKind::kStorm:
+      // A storm window is non-empty: 0 <= start < end <= steps.
+      loss.start = std::clamp<long>(desc.loss.start, 0, desc.steps - 1);
+      loss.end = std::clamp<long>(desc.loss.end, loss.start + 1, desc.steps);
       [[fallthrough]];
-    case LossDesc::Kind::kGilbertElliott:
+    case LossKind::kGilbertElliott:
       loss.p_gb = std::clamp(desc.loss.p_gb, 0.0, 1.0);
       loss.p_bg = std::clamp(desc.loss.p_bg, 0.0, 1.0);
       loss.good_rate =
@@ -379,21 +381,19 @@ void Mutator::sanitize(ScenarioDesc& desc) const {
   }
   desc.loss = loss;
 
-  for (ScheduleDesc* schedule : {&desc.bandwidth_scale, &desc.rtt_scale}) {
-    std::vector<SchedulePoint>& points = schedule->points;
-    for (SchedulePoint& p : points) {
+  for (fluid::Schedule* schedule : {&desc.bandwidth_scale, &desc.rtt_scale}) {
+    std::vector<Point>& points = schedule->points;
+    for (Point& p : points) {
       p.at = std::clamp<long>(p.at, 0, desc.steps - 1);
       p.scale = std::clamp(p.scale, limits_.min_scale, limits_.max_scale);
     }
     std::sort(points.begin(), points.end(),
-              [](const SchedulePoint& a, const SchedulePoint& b) {
-                return a.at < b.at;
-              });
+              [](const Point& a, const Point& b) { return a.at < b.at; });
     // Strictly increasing timestamps: keep the last point written at each
     // step (later mutations win).
-    std::vector<SchedulePoint> unique;
+    std::vector<Point> unique;
     unique.reserve(points.size());
-    for (const SchedulePoint& p : points) {
+    for (const Point& p : points) {
       if (!unique.empty() && unique.back().at == p.at) {
         unique.back() = p;
       } else {
@@ -420,8 +420,7 @@ std::vector<ScenarioDesc> Mutator::seed_corpus() {
     ScenarioDesc d;
     d.senders = {SenderDesc{"aimd(1,0.5)", 1.0, 0.0, -1.0},
                  SenderDesc{"aimd(1,0.5)", 30.0, 0.0, -1.0}};
-    d.bandwidth_scale.points = {SchedulePoint{150, 1e-3},
-                                SchedulePoint{200, 1.0}};
+    d.bandwidth_scale.points = {Point{150, 1e-3}, Point{200, 1.0}};
     seeds.push_back(d);
   }
   {  // Link flap (square wave).
@@ -430,7 +429,7 @@ std::vector<ScenarioDesc> Mutator::seed_corpus() {
                  SenderDesc{"reno", 20.0, 0.0, -1.0}};
     for (long i = 0; i < 8; ++i) {
       d.bandwidth_scale.points.push_back(
-          SchedulePoint{100 + i * 25, i % 2 == 0 ? 0.05 : 1.0});
+          Point{100 + i * 25, i % 2 == 0 ? 0.05 : 1.0});
     }
     seeds.push_back(d);
   }
@@ -438,7 +437,7 @@ std::vector<ScenarioDesc> Mutator::seed_corpus() {
     ScenarioDesc d;
     d.senders = {SenderDesc{"mimd(1.01,0.875)", 1.0, 0.0, -1.0},
                  SenderDesc{"aimd(1,0.5)", 20.0, 0.0, -1.0}};
-    d.loss.kind = LossDesc::Kind::kStorm;
+    d.loss.kind = LossKind::kStorm;
     d.loss.start = 120;
     d.loss.end = 240;
     d.loss.p_gb = 0.2;
@@ -451,7 +450,7 @@ std::vector<ScenarioDesc> Mutator::seed_corpus() {
     ScenarioDesc d;
     d.senders = {SenderDesc{"vegas(2,4)", 1.0, 0.0, -1.0},
                  SenderDesc{"reno", 10.0, 0.0, -1.0}};
-    d.rtt_scale.points = {SchedulePoint{200, 3.0}};
+    d.rtt_scale.points = {Point{200, 3.0}};
     seeds.push_back(d);
   }
   {  // Flow churn: staggered joins and leaves over a standing flow.
@@ -465,7 +464,7 @@ std::vector<ScenarioDesc> Mutator::seed_corpus() {
   {  // Constant random loss (the Metric VI shape) on a lone sender.
     ScenarioDesc d;
     d.senders = {SenderDesc{"robust_aimd(1,0.8,0.01)", 1.0, 0.0, -1.0}};
-    d.loss.kind = LossDesc::Kind::kConstant;
+    d.loss.kind = LossKind::kConstant;
     d.loss.rate = 0.05;
     seeds.push_back(d);
   }
@@ -473,7 +472,7 @@ std::vector<ScenarioDesc> Mutator::seed_corpus() {
     ScenarioDesc d;
     d.senders = {SenderDesc{"bbr", 1.0, 0.0, -1.0},
                  SenderDesc{"pcc", 10.0, 0.0, -1.0}};
-    d.loss.kind = LossDesc::Kind::kBernoulli;
+    d.loss.kind = LossKind::kBernoulli;
     d.loss.prob = 0.1;
     d.loss.rate = 0.3;
     seeds.push_back(d);
@@ -490,7 +489,7 @@ std::vector<ScenarioDesc> Mutator::seed_corpus() {
   {  // Incast fan-in: one slot fanned out into near-simultaneous arrivals.
     ScenarioDesc d;
     d.senders = {SenderDesc{"cubic(0.4,0.8)", 1.0, 40.0, -1.0}};
-    d.workload.kind = WorkloadDesc::Kind::kIncast;
+    d.workload.kind = engine::WorkloadKind::kIncast;
     d.workload.flows = 4;
     d.workload.spread_steps = 16.0;
     seeds.push_back(d);

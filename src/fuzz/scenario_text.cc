@@ -10,9 +10,8 @@
 #include <utility>
 
 #include "cc/registry.h"
+#include "engine/topology.h"
 #include "engine/workload.h"
-#include "fluid/loss_model.h"
-#include "stress/perturbation.h"
 
 namespace axiomcc::fuzz {
 
@@ -25,13 +24,15 @@ constexpr const char* kHeader = "axiomcc-scenario v1";
                               why);
 }
 
-[[nodiscard]] const char* loss_kind_name(LossDesc::Kind kind) {
+using LossKind = fluid::LossSpec::Kind;
+
+[[nodiscard]] const char* loss_kind_name(LossKind kind) {
   switch (kind) {
-    case LossDesc::Kind::kNone: return "none";
-    case LossDesc::Kind::kConstant: return "constant";
-    case LossDesc::Kind::kBernoulli: return "bernoulli";
-    case LossDesc::Kind::kGilbertElliott: return "gilbert";
-    case LossDesc::Kind::kStorm: return "storm";
+    case LossKind::kNone: return "none";
+    case LossKind::kConstant: return "constant";
+    case LossKind::kBernoulli: return "bernoulli";
+    case LossKind::kGilbertElliott: return "gilbert";
+    case LossKind::kStorm: return "storm";
   }
   return "none";
 }
@@ -84,23 +85,9 @@ constexpr const char* kHeader = "axiomcc-scenario v1";
   return static_cast<std::uint64_t>(value);
 }
 
-void require_rate(double v, const char* what) {
-  if (v < 0.0 || v >= 1.0) {
-    throw std::invalid_argument(std::string(what) + " must be in [0, 1), got " +
-                                format_double(v));
-  }
-}
-
-void require_prob(double v, const char* what) {
-  if (v < 0.0 || v > 1.0) {
-    throw std::invalid_argument(std::string(what) + " must be in [0, 1], got " +
-                                format_double(v));
-  }
-}
-
 void append_schedule(std::string& out, const char* directive,
-                     const ScheduleDesc& schedule) {
-  for (const SchedulePoint& p : schedule.points) {
+                     const fluid::Schedule& schedule) {
+  for (const fluid::Schedule::Point& p : schedule.points) {
     out += directive;
     out += ' ';
     out += std::to_string(p.at);
@@ -110,38 +97,7 @@ void append_schedule(std::string& out, const char* directive,
   }
 }
 
-void validate_schedule(const ScheduleDesc& schedule, const char* what) {
-  long prev = -1;
-  for (const SchedulePoint& p : schedule.points) {
-    if (p.at < 0) {
-      throw std::invalid_argument(std::string(what) +
-                                  " breakpoint at negative step " +
-                                  std::to_string(p.at));
-    }
-    if (p.at <= prev) {
-      throw std::invalid_argument(
-          std::string(what) + " breakpoints out of order at step " +
-          std::to_string(p.at) + " (timestamps must strictly increase)");
-    }
-    if (!(p.scale > 0.0) || !std::isfinite(p.scale)) {
-      throw std::invalid_argument(std::string(what) +
-                                  " scale must be positive and finite, got " +
-                                  format_double(p.scale));
-    }
-    prev = p.at;
-  }
-}
-
 }  // namespace
-
-double ScheduleDesc::eval(long step) const {
-  double scale = 1.0;
-  for (const SchedulePoint& p : points) {
-    if (p.at > step) break;
-    scale = p.scale;
-  }
-  return scale;
-}
 
 std::string format_double(double v) {
   char buf[40];
@@ -172,13 +128,13 @@ std::string serialize_scenario(const ScenarioDesc& desc) {
            '\n';
   }
   switch (desc.workload.kind) {
-    case WorkloadDesc::Kind::kNone:
+    case engine::WorkloadKind::kNone:
       break;
-    case WorkloadDesc::Kind::kIncast:
+    case engine::WorkloadKind::kIncast:
       out += "workload incast " + std::to_string(desc.workload.flows) + ' ' +
              format_double(desc.workload.spread_steps) + '\n';
       break;
-    case WorkloadDesc::Kind::kOnOff:
+    case engine::WorkloadKind::kOnOffHeavyTail:
       out += "workload onoff " + std::to_string(desc.workload.flows) + ' ' +
              format_double(desc.workload.mean_on_steps) + ' ' +
              format_double(desc.workload.mean_off_steps) + ' ' +
@@ -198,22 +154,22 @@ std::string serialize_scenario(const ScenarioDesc& desc) {
   out += "loss ";
   out += loss_kind_name(desc.loss.kind);
   switch (desc.loss.kind) {
-    case LossDesc::Kind::kNone:
+    case LossKind::kNone:
       break;
-    case LossDesc::Kind::kConstant:
+    case LossKind::kConstant:
       out += ' ' + format_double(desc.loss.rate);
       break;
-    case LossDesc::Kind::kBernoulli:
+    case LossKind::kBernoulli:
       out += ' ' + format_double(desc.loss.prob) + ' ' +
              format_double(desc.loss.rate);
       break;
-    case LossDesc::Kind::kGilbertElliott:
+    case LossKind::kGilbertElliott:
       out += ' ' + format_double(desc.loss.p_gb) + ' ' +
              format_double(desc.loss.p_bg) + ' ' +
              format_double(desc.loss.good_rate) + ' ' +
              format_double(desc.loss.bad_rate);
       break;
-    case LossDesc::Kind::kStorm:
+    case LossKind::kStorm:
       out += ' ' + std::to_string(desc.loss.start) + ' ' +
              std::to_string(desc.loss.end) + ' ' +
              format_double(desc.loss.p_gb) + ' ' +
@@ -353,12 +309,12 @@ ScenarioDesc parse_scenario(const std::string& text) {
       if (tok.size() < 2) fail(line_no, "'workload' expects a kind");
       if (tok[1] == "incast") {
         require_argc(3);
-        desc.workload.kind = WorkloadDesc::Kind::kIncast;
+        desc.workload.kind = engine::WorkloadKind::kIncast;
         desc.workload.flows = parse_long(tok[2], line_no);
         desc.workload.spread_steps = parse_num(tok[3], line_no);
       } else if (tok[1] == "onoff") {
         require_argc(5);
-        desc.workload.kind = WorkloadDesc::Kind::kOnOff;
+        desc.workload.kind = engine::WorkloadKind::kOnOffHeavyTail;
         desc.workload.flows = parse_long(tok[2], line_no);
         desc.workload.mean_on_steps = parse_num(tok[3], line_no);
         desc.workload.mean_off_steps = parse_num(tok[4], line_no);
@@ -373,26 +329,26 @@ ScenarioDesc parse_scenario(const std::string& text) {
       const std::string& kind = tok[1];
       if (kind == "none") {
         require_argc(1);
-        desc.loss.kind = LossDesc::Kind::kNone;
+        desc.loss.kind = LossKind::kNone;
       } else if (kind == "constant") {
         require_argc(2);
-        desc.loss.kind = LossDesc::Kind::kConstant;
+        desc.loss.kind = LossKind::kConstant;
         desc.loss.rate = parse_num(tok[2], line_no);
       } else if (kind == "bernoulli") {
         require_argc(3);
-        desc.loss.kind = LossDesc::Kind::kBernoulli;
+        desc.loss.kind = LossKind::kBernoulli;
         desc.loss.prob = parse_num(tok[2], line_no);
         desc.loss.rate = parse_num(tok[3], line_no);
       } else if (kind == "gilbert") {
         require_argc(5);
-        desc.loss.kind = LossDesc::Kind::kGilbertElliott;
+        desc.loss.kind = LossKind::kGilbertElliott;
         desc.loss.p_gb = parse_num(tok[2], line_no);
         desc.loss.p_bg = parse_num(tok[3], line_no);
         desc.loss.good_rate = parse_num(tok[4], line_no);
         desc.loss.bad_rate = parse_num(tok[5], line_no);
       } else if (kind == "storm") {
         require_argc(7);
-        desc.loss.kind = LossDesc::Kind::kStorm;
+        desc.loss.kind = LossKind::kStorm;
         desc.loss.start = parse_long(tok[2], line_no);
         desc.loss.end = parse_long(tok[3], line_no);
         desc.loss.p_gb = parse_num(tok[4], line_no);
@@ -405,17 +361,10 @@ ScenarioDesc parse_scenario(const std::string& text) {
       }
     } else if (directive == "bw" || directive == "rtt") {
       require_argc(2);
-      ScheduleDesc& schedule =
+      fluid::Schedule& schedule =
           directive == "bw" ? desc.bandwidth_scale : desc.rtt_scale;
-      SchedulePoint p;
-      p.at = parse_long(tok[1], line_no);
-      p.scale = parse_num(tok[2], line_no);
-      if (!schedule.points.empty() && p.at <= schedule.points.back().at) {
-        fail(line_no, "'" + directive + "' breakpoints out of order at step " +
-                          std::to_string(p.at) +
-                          " (timestamps must strictly increase)");
-      }
-      schedule.points.push_back(p);
+      schedule.points.push_back(
+          {parse_long(tok[1], line_no), parse_num(tok[2], line_no)});
     } else if (directive == "expect") {
       once("expect");
       if (tok.size() < 2 || tok.size() > 3) {
@@ -465,29 +414,12 @@ void validate_scenario(const ScenarioDesc& desc) {
         "topology bottleneck count must be in [0, 16], got " +
         std::to_string(desc.topology_bottlenecks));
   }
-  if (desc.workload.kind != WorkloadDesc::Kind::kNone) {
-    if (desc.workload.flows < 1 || desc.workload.flows > 256) {
-      throw std::invalid_argument(
-          "workload flow count must be in [1, 256], got " +
-          std::to_string(desc.workload.flows));
-    }
-    if (desc.workload.kind == WorkloadDesc::Kind::kIncast &&
-        (desc.workload.spread_steps < 0.0 ||
-         !std::isfinite(desc.workload.spread_steps))) {
-      throw std::invalid_argument("incast arrival spread must be >= 0, got " +
-                                  format_double(desc.workload.spread_steps));
-    }
-    if (desc.workload.kind == WorkloadDesc::Kind::kOnOff &&
-        (!(desc.workload.mean_on_steps > 0.0) ||
-         !(desc.workload.mean_off_steps > 0.0) ||
-         !(desc.workload.alpha > 0.0) ||
-         !std::isfinite(desc.workload.mean_on_steps) ||
-         !std::isfinite(desc.workload.mean_off_steps) ||
-         !std::isfinite(desc.workload.alpha))) {
-      throw std::invalid_argument(
-          "on-off workload durations and Pareto shape must be positive");
-    }
+  if (!desc.workload.empty() && desc.workload.flows > 256) {
+    throw std::invalid_argument(
+        "workload flow count must be at most 256, got " +
+        std::to_string(desc.workload.flows));
   }
+  engine::validate_workload(desc.workload);
   for (const SenderDesc& s : desc.senders) {
     if (s.initial_window_mss < 0.0 || !std::isfinite(s.initial_window_mss)) {
       throw std::invalid_argument("sender initial window must be >= 0");
@@ -503,30 +435,9 @@ void validate_scenario(const ScenarioDesc& desc) {
                                   std::to_string(s.count));
     }
   }
-  switch (desc.loss.kind) {
-    case LossDesc::Kind::kNone:
-      break;
-    case LossDesc::Kind::kConstant:
-      require_rate(desc.loss.rate, "constant loss rate");
-      break;
-    case LossDesc::Kind::kBernoulli:
-      require_prob(desc.loss.prob, "bernoulli episode probability");
-      require_rate(desc.loss.rate, "bernoulli episode rate");
-      break;
-    case LossDesc::Kind::kStorm:
-      if (desc.loss.end < desc.loss.start) {
-        throw std::invalid_argument("storm window end before start");
-      }
-      [[fallthrough]];
-    case LossDesc::Kind::kGilbertElliott:
-      require_prob(desc.loss.p_gb, "gilbert p_good_to_bad");
-      require_prob(desc.loss.p_bg, "gilbert p_bad_to_good");
-      require_rate(desc.loss.good_rate, "gilbert good-state rate");
-      require_rate(desc.loss.bad_rate, "gilbert bad-state rate");
-      break;
-  }
-  validate_schedule(desc.bandwidth_scale, "bw");
-  validate_schedule(desc.rtt_scale, "rtt");
+  engine::validate_loss(desc.loss);
+  engine::validate_schedule(desc.bandwidth_scale, "bw");
+  engine::validate_schedule(desc.rtt_scale, "rtt");
 }
 
 CompiledScenario compile_scenario(const ScenarioDesc& desc) {
@@ -570,22 +481,7 @@ CompiledScenario compile_scenario(const ScenarioDesc& desc) {
         s.stop_step, s.count, std::move(route)});
   }
 
-  switch (desc.workload.kind) {
-    case WorkloadDesc::Kind::kNone:
-      break;
-    case WorkloadDesc::Kind::kIncast:
-      out.spec.workload.kind = engine::WorkloadKind::kIncast;
-      out.spec.workload.flows = desc.workload.flows;
-      out.spec.workload.spread_steps = desc.workload.spread_steps;
-      break;
-    case WorkloadDesc::Kind::kOnOff:
-      out.spec.workload.kind = engine::WorkloadKind::kOnOffHeavyTail;
-      out.spec.workload.flows = desc.workload.flows;
-      out.spec.workload.mean_on_steps = desc.workload.mean_on_steps;
-      out.spec.workload.mean_off_steps = desc.workload.mean_off_steps;
-      out.spec.workload.alpha = desc.workload.alpha;
-      break;
-  }
+  out.spec.workload = desc.workload;
 
   // The execution axis must not change what the oracle can see: an
   // aggregate trace tracks the whole population (fuzz scenarios are small,
@@ -605,44 +501,9 @@ CompiledScenario compile_scenario(const ScenarioDesc& desc) {
   }
   out.spec.jobs = 1;
 
-  if (!desc.bandwidth_scale.empty()) {
-    out.spec.bandwidth_scale = [schedule = desc.bandwidth_scale](long step) {
-      return schedule.eval(step);
-    };
-  }
-  if (!desc.rtt_scale.empty()) {
-    out.spec.rtt_scale = [schedule = desc.rtt_scale](long step) {
-      return schedule.eval(step);
-    };
-  }
-
-  if (desc.loss.kind != LossDesc::Kind::kNone) {
-    out.spec.loss = [loss = desc.loss](std::uint64_t seed)
-        -> std::unique_ptr<fluid::LossInjector> {
-      switch (loss.kind) {
-        case LossDesc::Kind::kConstant:
-          return std::make_unique<fluid::ConstantLoss>(loss.rate);
-        case LossDesc::Kind::kBernoulli:
-          return std::make_unique<fluid::BernoulliLoss>(loss.prob, loss.rate,
-                                                        seed);
-        case LossDesc::Kind::kGilbertElliott:
-          return std::make_unique<fluid::GilbertElliottLoss>(
-              loss.p_gb, loss.p_bg, loss.good_rate, loss.bad_rate, seed);
-        case LossDesc::Kind::kStorm: {
-          stress::StormParams params;
-          params.p_good_to_bad = loss.p_gb;
-          params.p_bad_to_good = loss.p_bg;
-          params.good_rate = loss.good_rate;
-          params.bad_rate = loss.bad_rate;
-          return std::make_unique<stress::LossStorm>(loss.start, loss.end,
-                                                     params, seed);
-        }
-        case LossDesc::Kind::kNone:
-          break;
-      }
-      return std::make_unique<fluid::NoLoss>();
-    };
-  }
+  out.spec.bandwidth_scale = desc.bandwidth_scale;
+  out.spec.rtt_scale = desc.rtt_scale;
+  out.spec.loss = desc.loss;
 
   return out;
 }

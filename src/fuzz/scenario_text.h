@@ -1,12 +1,12 @@
-// scenario_text.h — the fuzzer's data-level scenario and its text format.
+// scenario_text.h — the fuzzer's scenario and its text format.
 //
-// engine::ScenarioSpec carries std::functions (schedules, loss factories),
-// which cannot be mutated structurally or written to disk. ScenarioDesc is
-// the pure-data mirror the fuzzer operates on: every axis is a value
-// (piecewise-constant schedules, a tagged loss descriptor, protocol spec
-// strings), so a scenario can be serialized to a deterministic one-per-file
-// text format, parsed back exactly, mutated field-by-field, and compiled
-// down to a ScenarioSpec for either backend. The contract the corpus relies
+// ScenarioDesc is what the fuzzer mutates and writes to disk. Schedules,
+// loss and workload are the engine's own data types (fluid::Schedule,
+// fluid::LossSpec, engine::WorkloadSpec); what the desc adds over an
+// engine::ScenarioSpec is protocols as spec strings, the parking-lot depth
+// as one scalar, and the triage expectation. A scenario serializes to a
+// deterministic one-per-file text format, parses back exactly, and
+// compiles to a ScenarioSpec for either backend. The contract the corpus relies
 // on: serialize(parse(text)) == text for any text serialize produced
 // (byte-identical round-trip — doubles are printed in shortest exact form).
 #pragma once
@@ -21,54 +21,6 @@
 
 namespace axiomcc::fuzz {
 
-/// One breakpoint of a piecewise-constant schedule: `scale` applies from
-/// step `at` (inclusive) until the next breakpoint. Steps before the first
-/// breakpoint scale by 1.
-struct SchedulePoint {
-  long at = 0;
-  double scale = 1.0;
-
-  friend bool operator==(const SchedulePoint&, const SchedulePoint&) = default;
-};
-
-/// A piecewise-constant step schedule. Breakpoints are kept sorted with
-/// strictly increasing `at`; the parser rejects out-of-order or duplicate
-/// timestamps. Empty means "no schedule" (identity).
-struct ScheduleDesc {
-  std::vector<SchedulePoint> points;
-
-  [[nodiscard]] bool empty() const { return points.empty(); }
-
-  /// The scale at `step` (1 before the first breakpoint).
-  [[nodiscard]] double eval(long step) const;
-
-  friend bool operator==(const ScheduleDesc&, const ScheduleDesc&) = default;
-};
-
-/// Tagged non-congestion loss descriptor (mirrors fluid/loss_model.h plus
-/// the gauntlet's windowed storm).
-struct LossDesc {
-  enum class Kind : int {
-    kNone = 0,
-    kConstant,        ///< rate
-    kBernoulli,       ///< prob, rate
-    kGilbertElliott,  ///< p_good_to_bad, p_bad_to_good, good_rate, bad_rate
-    kStorm,  ///< window [start, end) + the four Gilbert-Elliott parameters
-  };
-
-  Kind kind = Kind::kNone;
-  double rate = 0.0;       ///< kConstant / kBernoulli episode rate.
-  double prob = 0.0;       ///< kBernoulli episode probability.
-  double p_gb = 0.0;       ///< Gilbert-Elliott / storm transition.
-  double p_bg = 0.0;
-  double good_rate = 0.0;
-  double bad_rate = 0.0;
-  long start = 0;          ///< storm window.
-  long end = 0;
-
-  friend bool operator==(const LossDesc&, const LossDesc&) = default;
-};
-
 /// One sender slot, with the protocol as a cc::make_protocol spec string.
 /// `count` > 1 makes the slot a homogeneous cohort (engine::SenderSlot's
 /// cohort expansion — the fluid backend keeps it as one cohort, the
@@ -81,28 +33,6 @@ struct SenderDesc {
   long count = 1;
 
   friend bool operator==(const SenderDesc&, const SenderDesc&) = default;
-};
-
-/// Workload-generator axis (mirrors engine::WorkloadSpec). Non-none kinds
-/// expand every sender slot into generated flows seeded from the scenario
-/// seed before the run (see engine::expand_workload).
-struct WorkloadDesc {
-  enum class Kind : int {
-    kNone = 0,
-    kIncast,  ///< flows copies per slot, arrivals spread over spread_steps.
-    kOnOff,   ///< flows on-off trains per slot: bounded-Pareto on, exp off.
-  };
-
-  Kind kind = Kind::kNone;
-  long flows = 8;
-  double spread_steps = 32.0;   ///< incast arrival spread.
-  double mean_on_steps = 60.0;  ///< on-off mean burst length.
-  double mean_off_steps = 60.0;
-  double alpha = 1.5;  ///< Pareto shape for on-period lengths.
-
-  [[nodiscard]] bool empty() const { return kind == Kind::kNone; }
-
-  friend bool operator==(const WorkloadDesc&, const WorkloadDesc&) = default;
 };
 
 /// A finding classification carried by triaged corpus entries: replaying
@@ -140,11 +70,11 @@ struct ScenarioDesc {
   /// bottleneck (i-1) mod k. Routes are derived, not stored, so the text
   /// format stays one scalar axis the mutator can walk.
   int topology_bottlenecks = 0;
-  WorkloadDesc workload;
+  engine::WorkloadSpec workload;
   std::vector<SenderDesc> senders{SenderDesc{}};
-  LossDesc loss;
-  ScheduleDesc bandwidth_scale;
-  ScheduleDesc rtt_scale;
+  fluid::LossSpec loss;
+  fluid::Schedule bandwidth_scale;
+  fluid::Schedule rtt_scale;
   ExpectDesc expect;
 
   friend bool operator==(const ScenarioDesc&, const ScenarioDesc&) = default;
@@ -159,14 +89,16 @@ struct ScenarioDesc {
 [[nodiscard]] std::string serialize_scenario(const ScenarioDesc& desc);
 
 /// Parses a scenario file. Throws std::invalid_argument on a missing or
-/// wrong header, an unknown directive, a malformed or non-finite number,
-/// out-of-order or duplicate schedule timestamps, a scenario with no
-/// senders, or domain violations (non-positive link parameters or steps,
-/// loss rates outside [0, 1), tail fraction outside (0, 1]).
+/// wrong header, an unknown directive, a malformed or non-finite number, a
+/// scenario with no senders, or any domain violation validate_scenario
+/// reports.
 [[nodiscard]] ScenarioDesc parse_scenario(const std::string& text);
 
 /// Validates the domain constraints parse_scenario enforces (mutators call
-/// this on freshly generated descs). Throws std::invalid_argument.
+/// this on freshly generated descs): the link, steps, window and tail
+/// ranges, the fuzz caps (at most 16 bottlenecks, 256 workload flows per
+/// slot), and the engine's own schedule, loss and workload checks
+/// (engine::ScenarioError). Throws std::invalid_argument.
 void validate_scenario(const ScenarioDesc& desc);
 
 /// A ScenarioSpec plus the protocol prototypes it points into. Movable, not
@@ -177,9 +109,9 @@ struct CompiledScenario {
 };
 
 /// Compiles `desc` into a runnable spec: builds each sender's protocol via
-/// cc::make_protocol, turns the schedule descs into StepSchedules and the
-/// loss desc into a LossFactory. Throws std::invalid_argument on an invalid
-/// protocol spec or domain violation (validate_scenario is applied first).
+/// cc::make_protocol, derives the parking-lot routes, and copies the data
+/// axes across. Throws std::invalid_argument on an invalid protocol spec or
+/// domain violation (validate_scenario is applied first).
 [[nodiscard]] CompiledScenario compile_scenario(const ScenarioDesc& desc);
 
 }  // namespace axiomcc::fuzz

@@ -7,102 +7,69 @@
 
 namespace axiomcc::stress {
 
-StepSchedule constant_schedule(double scale) {
-  AXIOMCC_EXPECTS(scale > 0.0);
-  return [scale](long) { return scale; };
+namespace {
+
+/// Breakpoints of `scale` over steps [0, steps): one at step 0 and one at
+/// every step whose value differs from the step before. Each value is the
+/// shape's own expression evaluated at that step, so the schedule matches
+/// the formula bit for bit on the whole horizon.
+template <typename Shape>
+fluid::Schedule sample_schedule(long steps, Shape scale) {
+  AXIOMCC_EXPECTS(steps > 0);
+  fluid::Schedule out;
+  for (long step = 0; step < steps; ++step) {
+    const double value = scale(step);
+    if (out.points.empty() || value != out.points.back().scale) {
+      out.points.push_back({step, value});
+    }
+  }
+  return out;
 }
 
-StepSchedule outage_schedule(long start, long duration, double residual) {
+}  // namespace
+
+fluid::Schedule outage_schedule(long start, long duration, double residual) {
   AXIOMCC_EXPECTS(start >= 0);
   AXIOMCC_EXPECTS(duration > 0);
   AXIOMCC_EXPECTS(residual > 0.0 && residual <= 1.0);
-  const long end = start + duration;
-  return [start, end, residual](long step) {
-    return (step >= start && step < end) ? residual : 1.0;
-  };
+  return fluid::Schedule{{{start, residual}, {start + duration, 1.0}}};
 }
 
-StepSchedule square_wave_schedule(long period, double high, double low,
-                                  long phase) {
+fluid::Schedule square_wave_schedule(long steps, long period, double high,
+                                     double low, long phase) {
   AXIOMCC_EXPECTS(period >= 2);
   AXIOMCC_EXPECTS(high > 0.0 && low > 0.0);
   AXIOMCC_EXPECTS(phase >= 0);
-  return [period, high, low, phase](long step) {
+  return sample_schedule(steps, [period, high, low, phase](long step) {
     const long pos = (step + phase) % period;
     return pos < period / 2 ? high : low;
-  };
+  });
 }
 
-StepSchedule sawtooth_schedule(long period, double low, double high) {
+fluid::Schedule sawtooth_schedule(long steps, long period, double low,
+                                  double high) {
   AXIOMCC_EXPECTS(period >= 2);
   AXIOMCC_EXPECTS(low > 0.0 && high >= low);
-  return [period, low, high](long step) {
+  return sample_schedule(steps, [period, low, high](long step) {
     const long pos = step % period;
     return low + (high - low) * static_cast<double>(pos) /
                      static_cast<double>(period - 1);
-  };
+  });
 }
 
-StepSchedule step_change_schedule(long at, double before, double after) {
+fluid::Schedule step_change_schedule(long at, double before, double after) {
   AXIOMCC_EXPECTS(at >= 0);
   AXIOMCC_EXPECTS(before > 0.0 && after > 0.0);
-  return [at, before, after](long step) { return step < at ? before : after; };
-}
-
-StepSchedule compose_schedules(StepSchedule a, StepSchedule b) {
-  AXIOMCC_EXPECTS(a != nullptr && b != nullptr);
-  return [a = std::move(a), b = std::move(b)](long step) {
-    return a(step) * b(step);
-  };
-}
-
-LossStorm::LossStorm(long start_step, long end_step, const StormParams& params,
-                     std::uint64_t seed)
-    : start_(start_step), end_(end_step), params_(params), rng_(seed) {
-  AXIOMCC_EXPECTS(start_step >= 0);
-  AXIOMCC_EXPECTS(end_step > start_step);
-  AXIOMCC_EXPECTS(params.p_good_to_bad >= 0.0 && params.p_good_to_bad <= 1.0);
-  AXIOMCC_EXPECTS(params.p_bad_to_good >= 0.0 && params.p_bad_to_good <= 1.0);
-  AXIOMCC_EXPECTS(params.good_rate >= 0.0 && params.good_rate < 1.0);
-  AXIOMCC_EXPECTS(params.bad_rate >= 0.0 && params.bad_rate < 1.0);
-}
-
-double LossStorm::sample(long step, int /*sender*/) {
-  if (step < start_ || step >= end_) return 0.0;
-  if (in_bad_state_) {
-    if (rng_.bernoulli(params_.p_bad_to_good)) in_bad_state_ = false;
-  } else {
-    if (rng_.bernoulli(params_.p_good_to_bad)) {
-      in_bad_state_ = true;
-      // Burst count is a function of (seed, steps) only — deterministic.
-      TELEMETRY_COUNT("stress.storm_bursts", 1);
-    }
-  }
-  return in_bad_state_ ? params_.bad_rate : params_.good_rate;
-}
-
-void apply_scenario(const Scenario& s, fluid::FluidSimulation& sim,
-                    const cc::Protocol& churn_prototype, std::uint64_t seed) {
-  TELEMETRY_COUNT("stress.scenarios_applied", 1);
-  if (s.bandwidth_scale) sim.set_bandwidth_schedule(s.bandwidth_scale);
-  if (s.rtt_scale) sim.set_rtt_schedule(s.rtt_scale);
-  if (s.loss_factory) sim.set_loss_injector(s.loss_factory(seed));
-  for (const ChurnSlot& slot : s.churn.slots) {
-    fluid::SenderSpec spec;
-    spec.protocol = churn_prototype.clone();
-    spec.initial_window_mss = slot.initial_window_mss;
-    spec.start_step = slot.start_step;
-    spec.stop_step = slot.stop_step;
-    sim.add_sender(std::move(spec));
-  }
+  if (at == 0) return fluid::Schedule{{{0, after}}};
+  return fluid::Schedule{{{0, before}, {at, after}}};
 }
 
 void apply_scenario(const Scenario& s, engine::ScenarioSpec& spec,
                     const cc::Protocol& churn_prototype, std::uint64_t seed) {
   TELEMETRY_COUNT("stress.scenarios_applied", 1);
-  if (s.bandwidth_scale) spec.bandwidth_scale = s.bandwidth_scale;
-  if (s.rtt_scale) spec.rtt_scale = s.rtt_scale;
-  if (s.loss_factory) spec.loss = s.loss_factory;
+  if (!s.bandwidth_scale.empty()) spec.bandwidth_scale = s.bandwidth_scale;
+  if (!s.rtt_scale.empty()) spec.rtt_scale = s.rtt_scale;
+  if (!s.loss.empty()) spec.loss = s.loss;
   spec.seed = seed;
   for (const ChurnSlot& slot : s.churn.slots) {
     if (spec.topology.empty()) {
@@ -149,7 +116,7 @@ std::vector<Scenario> standard_gauntlet(long steps) {
     s.name = "flap";
     s.perturb_start = 0;
     s.perturb_end = -1;
-    s.bandwidth_scale = square_wave_schedule(16, 1.0, 0.05);
+    s.bandwidth_scale = square_wave_schedule(steps, 16, 1.0, 0.05);
     out.push_back(std::move(s));
   }
   {
@@ -158,7 +125,7 @@ std::vector<Scenario> standard_gauntlet(long steps) {
     s.name = "oscillation";
     s.perturb_start = 0;
     s.perturb_end = -1;
-    s.bandwidth_scale = square_wave_schedule(steps / 5, 1.0, 0.4);
+    s.bandwidth_scale = square_wave_schedule(steps, steps / 5, 1.0, 0.4);
     out.push_back(std::move(s));
   }
   {
@@ -167,7 +134,7 @@ std::vector<Scenario> standard_gauntlet(long steps) {
     s.name = "sawtooth";
     s.perturb_start = 0;
     s.perturb_end = -1;
-    s.bandwidth_scale = sawtooth_schedule(steps / 6, 0.3, 1.0);
+    s.bandwidth_scale = sawtooth_schedule(steps, steps / 6, 0.3, 1.0);
     out.push_back(std::move(s));
   }
   {
@@ -176,11 +143,13 @@ std::vector<Scenario> standard_gauntlet(long steps) {
     s.name = "loss_storm";
     s.perturb_start = steps / 3;
     s.perturb_end = 2 * steps / 3;
-    const long start = s.perturb_start;
-    const long end = s.perturb_end;
-    s.loss_factory = [start, end](std::uint64_t seed) {
-      return std::make_unique<LossStorm>(start, end, StormParams{}, seed);
-    };
+    s.loss.kind = fluid::LossSpec::Kind::kStorm;
+    s.loss.start = s.perturb_start;
+    s.loss.end = s.perturb_end;
+    s.loss.p_gb = 0.2;
+    s.loss.p_bg = 0.3;
+    s.loss.good_rate = 0.0;
+    s.loss.bad_rate = 0.3;
     out.push_back(std::move(s));
   }
   {
@@ -203,38 +172,6 @@ std::vector<Scenario> standard_gauntlet(long steps) {
     out.push_back(std::move(s));
   }
   return out;
-}
-
-WindowedPacketFilter::WindowedPacketFilter(
-    const sim::Simulator& sim, SimTime start, SimTime end,
-    std::unique_ptr<sim::PacketFilter> inner)
-    : sim_(sim), start_(start), end_(end), inner_(std::move(inner)) {
-  AXIOMCC_EXPECTS(inner_ != nullptr);
-  AXIOMCC_EXPECTS(end > start);
-}
-
-bool WindowedPacketFilter::drop(const sim::Packet& p) {
-  const SimTime now = sim_.now();
-  if (now < start_ || now >= end_) return false;
-  if (inner_->drop(p)) {
-    count_drop();
-    return true;
-  }
-  return false;
-}
-
-void schedule_link_rate(sim::Simulator& simulator, sim::SimLink& link,
-                        StepSchedule scale, SimTime interval, long steps) {
-  AXIOMCC_EXPECTS(scale != nullptr);
-  AXIOMCC_EXPECTS(interval.ns() > 0);
-  AXIOMCC_EXPECTS(steps > 0);
-  const double base_rate = link.rate_bps();
-  for (long k = 0; k < steps; ++k) {
-    const SimTime at(interval.ns() * k);
-    simulator.schedule_at(at, [&link, scale, base_rate, k] {
-      link.set_rate_bps(base_rate * scale(k));
-    });
-  }
 }
 
 }  // namespace axiomcc::stress

@@ -3,91 +3,48 @@
 // The paper's Metric VI is the only axiom that stresses a protocol under
 // adverse conditions; real paths fault in far richer ways — outages, link
 // flaps, capacity oscillation, loss storms, RTT inflation, flow churn. This
-// module packages those faults as reusable perturbation schedules that
-// compose onto the hooks the simulators already expose: fluid-side
-// FluidSimulation::set_bandwidth_schedule / set_rtt_schedule /
-// set_loss_injector and per-sender start/stop steps; packet-side
-// sim::PacketFilter wrappers and SimLink rate retargeting. Every stochastic
-// element takes an explicit seed, so a scenario is a pure function of
-// (parameters, seed) and gauntlet scorecards are reproducible bit-for-bit.
+// module packages those faults as plain data: bandwidth and RTT
+// perturbations are fluid::Schedule breakpoints, loss is a fluid::LossSpec,
+// and churn is a list of join/leave slots. apply_scenario copies them onto
+// an engine::ScenarioSpec, so both backends run the same perturbation.
+// Every stochastic element is seeded from the run seed, so a scenario is a
+// pure function of (parameters, seed) and gauntlet scorecards are
+// reproducible bit-for-bit.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cc/protocol.h"
 #include "engine/scenario.h"
 #include "fluid/loss_model.h"
-#include "fluid/sim.h"
-#include "sim/event.h"
-#include "sim/link.h"
-#include "sim/loss.h"
-#include "util/rng.h"
+#include "fluid/schedule.h"
 
 namespace axiomcc::stress {
 
-/// A per-step multiplicative scale factor (applied to bandwidth or RTT).
-using StepSchedule = std::function<double(long)>;
-
-/// The identity schedule: scale ≡ `scale`.
-[[nodiscard]] StepSchedule constant_schedule(double scale = 1.0);
-
 /// Link outage: scale drops to `residual` (≈0; must stay positive for the
 /// fluid model) on steps [start, start+duration), then restores to 1.
-[[nodiscard]] StepSchedule outage_schedule(long start, long duration,
-                                           double residual = 1e-3);
+[[nodiscard]] fluid::Schedule outage_schedule(long start, long duration,
+                                              double residual = 1e-3);
 
-/// Square-wave oscillation: `high` for the first half of each period,
-/// `low` for the second half. With a small `low` this is a link flap.
-[[nodiscard]] StepSchedule square_wave_schedule(long period, double high,
-                                                double low, long phase = 0);
+/// Square-wave oscillation over steps [0, steps): `high` for the first half
+/// of each period, `low` for the second half. With a small `low` this is a
+/// link flap.
+[[nodiscard]] fluid::Schedule square_wave_schedule(long steps, long period,
+                                                   double high, double low,
+                                                   long phase = 0);
 
-/// Sawtooth oscillation: ramps linearly from `low` to `high` over each
-/// period, then snaps back (repeated capacity build-up and collapse).
-[[nodiscard]] StepSchedule sawtooth_schedule(long period, double low,
-                                             double high);
+/// Sawtooth oscillation over steps [0, steps): ramps linearly from `low` to
+/// `high` over each period, then snaps back (repeated capacity build-up and
+/// collapse). One breakpoint per step.
+[[nodiscard]] fluid::Schedule sawtooth_schedule(long steps, long period,
+                                                double low, double high);
 
 /// Step change: `before` on steps < at, `after` from step `at` onwards
 /// (e.g. a persistent RTT inflation after a path change).
-[[nodiscard]] StepSchedule step_change_schedule(long at, double before,
-                                                double after);
-
-/// Pointwise product of two schedules (compose an outage onto a sawtooth…).
-[[nodiscard]] StepSchedule compose_schedules(StepSchedule a, StepSchedule b);
-
-/// Gilbert-Elliott channel parameters for a loss-storm episode.
-struct StormParams {
-  double p_good_to_bad = 0.2;
-  double p_bad_to_good = 0.3;
-  double good_rate = 0.0;
-  double bad_rate = 0.3;
-};
-
-/// Time-windowed Gilbert-Elliott loss: the two-state channel runs only on
-/// steps in [start, end); outside the window no loss is injected and no
-/// randomness is consumed, so storms compose deterministically.
-class LossStorm final : public fluid::LossInjector {
- public:
-  LossStorm(long start_step, long end_step, const StormParams& params,
-            std::uint64_t seed);
-
-  double sample(long step, int sender) override;
-
-  /// Full-state copy (RNG and channel state), like the base injectors.
-  [[nodiscard]] std::unique_ptr<fluid::LossInjector> clone() const override {
-    return std::make_unique<LossStorm>(*this);
-  }
-
- private:
-  long start_;
-  long end_;
-  StormParams params_;
-  Rng rng_;
-  bool in_bad_state_ = false;
-};
+[[nodiscard]] fluid::Schedule step_change_schedule(long at, double before,
+                                                   double after);
 
 /// One churned flow: joins at `start_step`, leaves at `stop_step`
 /// (negative → stays until the end of the run).
@@ -104,32 +61,24 @@ struct SenderChurnSchedule {
   [[nodiscard]] bool empty() const { return slots.empty(); }
 };
 
-/// A named, self-describing bundle of perturbations. Unset members perturb
-/// nothing, so scenarios stay composable: a Scenario is just "which hooks to
-/// install". `perturb_start`/`perturb_end` mark the main disturbance window
+/// A named, self-describing bundle of perturbations. Empty members perturb
+/// nothing, so scenarios stay composable: a Scenario is just "which axes to
+/// set". `perturb_start`/`perturb_end` mark the main disturbance window
 /// for scoring (recovery time is measured from `perturb_end`); -1 means the
 /// perturbation spans the whole run (or there is none).
 struct Scenario {
   std::string name;
-  StepSchedule bandwidth_scale;  ///< nullable.
-  StepSchedule rtt_scale;        ///< nullable.
-  /// Builds the scenario's loss injector from a run seed; nullable.
-  std::function<std::unique_ptr<fluid::LossInjector>(std::uint64_t)>
-      loss_factory;
+  fluid::Schedule bandwidth_scale;
+  fluid::Schedule rtt_scale;
+  fluid::LossSpec loss;       ///< seeded from the run seed.
   SenderChurnSchedule churn;  ///< empty → no churned flows.
   long perturb_start = -1;
   long perturb_end = -1;
 };
 
-/// Installs every perturbation of `s` onto a configured simulation: the
-/// schedules, the loss injector (seeded from `seed`), and one extra sender
-/// per churn slot, cloned from `churn_prototype`.
-void apply_scenario(const Scenario& s, fluid::FluidSimulation& sim,
-                    const cc::Protocol& churn_prototype, std::uint64_t seed);
-
-/// Backend-neutral variant: installs the perturbations onto a ScenarioSpec
-/// (schedules, loss factory, the run seed, one churn sender slot per churn
-/// slot). `churn_prototype` is referenced, not cloned — it must outlive the
+/// Installs the perturbations onto a ScenarioSpec: the non-empty schedules
+/// and loss, the run seed, and one churn sender slot per churn slot.
+/// `churn_prototype` is referenced, not cloned — it must outlive the
 /// backend run, like every other slot prototype.
 void apply_scenario(const Scenario& s, engine::ScenarioSpec& spec,
                     const cc::Protocol& churn_prototype, std::uint64_t seed);
@@ -138,31 +87,5 @@ void apply_scenario(const Scenario& s, engine::ScenarioSpec& spec,
 /// baseline, deep outage, link flap, square-wave oscillation, sawtooth,
 /// loss storm, RTT inflation step, and flow churn.
 [[nodiscard]] std::vector<Scenario> standard_gauntlet(long steps);
-
-// --- Packet-level counterparts -------------------------------------------
-
-/// Applies `inner` only while the simulator clock is in [start, end);
-/// outside the window every packet passes. Drops are counted on this
-/// filter as well as the inner one.
-class WindowedPacketFilter final : public sim::PacketFilter {
- public:
-  WindowedPacketFilter(const sim::Simulator& sim, SimTime start, SimTime end,
-                       std::unique_ptr<sim::PacketFilter> inner);
-
-  bool drop(const sim::Packet& p) override;
-
- private:
-  const sim::Simulator& sim_;
-  SimTime start_;
-  SimTime end_;
-  std::unique_ptr<sim::PacketFilter> inner_;
-};
-
-/// Schedules `link.set_rate_bps(base_rate × scale(k))` at time k·interval
-/// for k = 0..steps-1: the packet-level counterpart of the fluid bandwidth
-/// schedules (drive both with the same StepSchedule for matched scenarios).
-/// `link` must outlive the simulation run.
-void schedule_link_rate(sim::Simulator& simulator, sim::SimLink& link,
-                        StepSchedule scale, SimTime interval, long steps);
 
 }  // namespace axiomcc::stress

@@ -31,7 +31,7 @@ TEST(BandwidthSchedule, ScalesLossThreshold) {
   opt.steps = 40;
   fluid::FluidSimulation sim(link, opt);
   sim.add_sender(cc::Aimd(1.0, 0.999999), 150.0);  // near-frozen window
-  sim.set_bandwidth_schedule([](long step) { return step < 20 ? 1.0 : 2.0; });
+  sim.set_bandwidth_schedule(fluid::Schedule{{{20, 2.0}}});
   const fluid::Trace trace = sim.run();
 
   EXPECT_GT(trace.congestion_loss()[5], 0.0);    // 150 > 115
@@ -42,7 +42,7 @@ TEST(BandwidthSchedule, RejectsNonPositiveScale) {
   fluid::FluidSimulation sim(fluid::make_link_mbps(30.0, 42.0, 10.0),
                              fluid::SimOptions{10, 1.0, 1e9});
   sim.add_sender(cc::Aimd(1.0, 0.5), 1.0);
-  sim.set_bandwidth_schedule([](long) { return 0.0; });
+  sim.set_bandwidth_schedule(fluid::Schedule{{{0, 0.0}}});
   EXPECT_THROW((void)sim.run(), ContractViolation);
 }
 

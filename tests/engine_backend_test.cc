@@ -84,9 +84,9 @@ TEST(FluidBackend, HonorsLossFactoryAndSeed) {
   const cc::Aimd aimd(1.0, 0.5);
   ScenarioSpec spec = small_spec();
   spec.add_sender(aimd, 1.0);
-  spec.loss = [](std::uint64_t seed) {
-    return std::make_unique<fluid::BernoulliLoss>(0.2, 0.05, seed);
-  };
+  spec.loss = {.kind = fluid::LossSpec::Kind::kBernoulli,
+               .rate = 0.05,
+               .prob = 0.2};
   spec.seed = 7;
   const fluid::Trace a = backend_for(BackendKind::kFluid).run(spec).trace;
   const fluid::Trace b = backend_for(BackendKind::kFluid).run(spec).trace;
@@ -150,9 +150,7 @@ TEST(PacketBackend, InjectedLossDropsPackets) {
   ScenarioSpec clean = small_spec(150);
   clean.add_sender(aimd, 2.0);
   ScenarioSpec lossy = clean;
-  lossy.loss = [](std::uint64_t) {
-    return std::make_unique<fluid::ConstantLoss>(0.05);
-  };
+  lossy.loss = {.kind = fluid::LossSpec::Kind::kConstant, .rate = 0.05};
 
   const RunTrace base = backend_for(BackendKind::kPacket).run(clean);
   const RunTrace hit = backend_for(BackendKind::kPacket).run(lossy);
@@ -179,7 +177,7 @@ TEST(PacketBackend, BandwidthScheduleThrottlesThroughput) {
   const RunTrace base = backend_for(BackendKind::kPacket).run(spec);
 
   ScenarioSpec throttled = spec;
-  throttled.bandwidth_scale = [](long) { return 0.25; };
+  throttled.bandwidth_scale = fluid::Schedule{{{0, 0.25}}};
   const RunTrace slow = backend_for(BackendKind::kPacket).run(throttled);
 
   // Utilization is measured against the NOMINAL capacity, so quartering the
@@ -195,7 +193,7 @@ TEST(PacketBackend, RttScheduleSlowsWindowGrowth) {
   const RunTrace base = backend_for(BackendKind::kPacket).run(spec);
 
   ScenarioSpec stretched = spec;
-  stretched.rtt_scale = [](long) { return 3.0; };
+  stretched.rtt_scale = fluid::Schedule{{{0, 3.0}}};
   const RunTrace slow = backend_for(BackendKind::kPacket).run(stretched);
 
   // Tripling the RTT means ~3x fewer window updates in the same wall-clock
@@ -329,6 +327,84 @@ TEST(ScenarioValidation, RejectsMalformedLinksOnBothBackends) {
   EXPECT_NO_THROW(validate_scenario(zero_buffer));
 }
 
+TEST(ScenarioValidation, RejectsMalformedSchedulesAndLossOnBothBackends) {
+  // Malformed schedules and loss processes end in a typed ScenarioError
+  // before any step runs (the monitor never fires), on both backends and
+  // in both modes, rather than a ContractViolation inside a simulator.
+  const cc::Aimd aimd(1.0, 0.5);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  using Kind = fluid::LossSpec::Kind;
+  struct Case {
+    const char* name;
+    fluid::Schedule bandwidth;
+    fluid::Schedule rtt;
+    fluid::LossSpec loss;
+  };
+  const std::vector<Case> cases = {
+      {"zero bandwidth scale", {{{10, 0.0}}}, {}, {}},
+      {"negative rtt scale", {}, {{{10, -2.0}}}, {}},
+      {"nan bandwidth scale", {{{0, nan}}}, {}, {}},
+      {"infinite rtt scale", {}, {{{5, inf}}}, {}},
+      {"negative breakpoint", {{{-1, 0.5}}}, {}, {}},
+      {"duplicate breakpoint", {{{10, 0.5}, {10, 2.0}}}, {}, {}},
+      {"decreasing breakpoints", {}, {{{20, 2.0}, {10, 1.0}}}, {}},
+      {"constant rate 1", {}, {}, {.kind = Kind::kConstant, .rate = 1.0}},
+      {"negative constant rate",
+       {},
+       {},
+       {.kind = Kind::kConstant, .rate = -0.1}},
+      {"bernoulli prob > 1",
+       {},
+       {},
+       {.kind = Kind::kBernoulli, .rate = 0.1, .prob = 1.5}},
+      {"nan bernoulli rate",
+       {},
+       {},
+       {.kind = Kind::kBernoulli, .rate = nan, .prob = 0.5}},
+      {"gilbert bad rate 1",
+       {},
+       {},
+       {.kind = Kind::kGilbertElliott, .p_gb = 0.1, .p_bg = 0.3,
+        .bad_rate = 1.0}},
+      {"empty storm window",
+       {},
+       {},
+       {.kind = Kind::kStorm, .p_gb = 0.2, .p_bg = 0.3, .bad_rate = 0.3,
+        .start = 10, .end = 10}},
+      {"negative storm start",
+       {},
+       {},
+       {.kind = Kind::kStorm, .p_gb = 0.2, .p_bg = 0.3, .bad_rate = 0.3,
+        .start = -5, .end = 50}},
+  };
+  for (const Case& c : cases) {
+    ScenarioSpec single = small_spec(50);
+    single.add_sender(aimd, 1.0);
+    ScenarioSpec routed = small_spec(50);
+    routed.topology.links = {routed.link, routed.link};
+    routed.add_routed_sender(aimd, {0, 1});
+    for (ScenarioSpec* spec : {&single, &routed}) {
+      spec->bandwidth_scale = c.bandwidth;
+      spec->rtt_scale = c.rtt;
+      spec->loss = c.loss;
+      long steps_seen = 0;
+      spec->step_monitor = [&steps_seen](long, std::span<const double>,
+                                         double, double) {
+        ++steps_seen;
+        return true;
+      };
+      for (const BackendKind kind :
+           {BackendKind::kFluid, BackendKind::kPacket}) {
+        EXPECT_THROW((void)backend_for(kind).run(*spec), ScenarioError)
+            << c.name << (spec == &single ? " single-link " : " topology ")
+            << backend_name(kind);
+      }
+      EXPECT_EQ(steps_seen, 0) << c.name;
+    }
+  }
+}
+
 TEST(Topology, ParkingLotRunsOnBothBackends) {
   const cc::Aimd aimd(1.0, 0.5);
   ScenarioSpec spec = small_spec(120);
@@ -399,9 +475,9 @@ TEST(Topology, SingleLinkSpecIgnoresTopologyMachineryByteForByte) {
   ScenarioSpec spec = small_spec(150);
   spec.add_sender(aimd, 1.0);
   spec.add_sender(aimd, 4.0, /*start_step=*/30.0, /*stop_step=*/120.0);
-  spec.loss = [](std::uint64_t seed) {
-    return std::make_unique<fluid::BernoulliLoss>(0.1, 0.03, seed);
-  };
+  spec.loss = {.kind = fluid::LossSpec::Kind::kBernoulli,
+               .rate = 0.03,
+               .prob = 0.1};
   spec.seed = 11;
   const RunTrace rt = backend_for(BackendKind::kFluid).run(spec);
 
@@ -440,17 +516,16 @@ TEST(Topology, PacketSingleLinkEqualsOneLinkTopology) {
   ScenarioSpec single = small_spec(240);
   single.add_sender(aimd, 1.0);
   single.add_senders(aimd, 2, 4.0, /*start_step=*/30.0, /*stop_step=*/180.0);
-  single.loss = [](std::uint64_t seed) {
-    return std::make_unique<fluid::GilbertElliottLoss>(0.05, 0.3, 0.0, 0.2,
-                                                       seed);
-  };
+  single.loss = {.kind = fluid::LossSpec::Kind::kGilbertElliott,
+                 .p_gb = 0.05,
+                 .p_bg = 0.3,
+                 .good_rate = 0.0,
+                 .bad_rate = 0.2};
   single.seed = 5;
-  single.bandwidth_scale = [](long k) { return k < 120 ? 1.0 : 0.5; };
+  single.bandwidth_scale = fluid::Schedule{{{120, 0.5}}};
   // 1.2 and 0.85 are scales where a Θ·(2s−1) ms retarget lands one
   // nanosecond away from the (s−½)·2Θ s retarget on this 40 ms link.
-  single.rtt_scale = [](long k) {
-    return k < 60 ? 1.0 : (k < 150 ? 1.2 : 0.85);
-  };
+  single.rtt_scale = fluid::Schedule{{{60, 1.2}, {150, 0.85}}};
   ScenarioSpec routed = single;
   routed.topology = dumbbell_topology(single.link);
   for (SenderSlot& slot : routed.senders) slot.route = {0};

@@ -159,10 +159,12 @@ TEST(Gauntlet, IdenticalSeedsReproduceIdenticalScorecards) {
   // Include a stochastic scenario so determinism is non-trivial.
   stress::Scenario storm;
   storm.name = "loss_storm";
-  storm.loss_factory = [](std::uint64_t seed) {
-    return std::make_unique<stress::LossStorm>(100, 200, stress::StormParams{},
-                                               seed);
-  };
+  storm.loss = {.kind = fluid::LossSpec::Kind::kStorm,
+                .p_gb = 0.2,
+                .p_bg = 0.3,
+                .bad_rate = 0.3,
+                .start = 100,
+                .end = 200};
   cfg.scenarios.push_back(storm);
 
   const auto render = [&] {

@@ -185,18 +185,18 @@ TEST(FluidNetwork, InjectedLossComposesAndIsSeedDeterministic) {
 }
 
 TEST(FluidNetwork, BandwidthScheduleShrinksTheAchievableWindow) {
-  const auto tail_total = [](std::function<double(long)> scale) {
+  const auto tail_total = [](Schedule scale) {
     NetworkOptions opt;
     opt.steps = 800;
     FluidNetwork net(opt);
     const int l = net.add_link(small_link());
     net.add_flow(std::make_unique<cc::Aimd>(1.0, 0.5), {l}, 1.0);
-    if (scale) net.set_bandwidth_schedule(std::move(scale));
+    net.set_bandwidth_schedule(std::move(scale));
     const Trace trace = net.run();
     return mean_of(tail_view(trace.total_window(), 0.5));
   };
-  const double base = tail_total(nullptr);
-  const double halved = tail_total([](long) { return 0.5; });
+  const double base = tail_total({});
+  const double halved = tail_total(Schedule{{{0, 0.5}}});
   EXPECT_LT(halved, base * 0.75);
   EXPECT_GT(halved, 0.0);
 }
@@ -204,18 +204,17 @@ TEST(FluidNetwork, BandwidthScheduleShrinksTheAchievableWindow) {
 TEST(FluidNetwork, RttScheduleGrowsPipeCapacity) {
   // Scaling Θ up scales C = B·2Θ up with it, so the steady-state window
   // under a doubled-RTT schedule sits well above the unscaled run's.
-  const auto tail_total = [](std::function<double(long)> scale) {
+  const auto tail_total = [](Schedule scale) {
     NetworkOptions opt;
     opt.steps = 800;
     FluidNetwork net(opt);
     const int l = net.add_link(small_link());
     net.add_flow(std::make_unique<cc::Aimd>(1.0, 0.5), {l}, 1.0);
-    if (scale) net.set_rtt_schedule(std::move(scale));
+    net.set_rtt_schedule(std::move(scale));
     const Trace trace = net.run();
     return mean_of(tail_view(trace.total_window(), 0.5));
   };
-  EXPECT_GT(tail_total([](long) { return 2.0; }),
-            tail_total(nullptr) * 1.3);
+  EXPECT_GT(tail_total(Schedule{{{0, 2.0}}}), tail_total({}) * 1.3);
 }
 
 TEST(FluidNetwork, StepMonitorStopsEarlyAndUtilizationCoversRunSteps) {

@@ -53,8 +53,7 @@ Recording record_scenario(bool materialized, long jobs, TraceDetail detail,
   sim.add_senders(cohort(0, -1), 16);
   sim.add_senders(cohort(10, -1), 8);
   sim.add_senders(cohort(0, 60), 8);
-  sim.set_bandwidth_schedule(
-      [](long step) { return step < 48 ? 1.0 : 0.5; });
+  sim.set_bandwidth_schedule(Schedule{{{48, 0.5}}});
   if (materialized) {
     sim.set_step_monitor(
         [](long, std::span<const double>, double, double) { return true; });

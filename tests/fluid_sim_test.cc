@@ -168,7 +168,7 @@ TEST(FluidSimulation, RttScheduleScalesRttAndCapacity) {
   opt.steps = 400;
   FluidSimulation sim(paper_link(), opt);
   sim.add_sender(cc::Aimd(1.0, 0.5), 1.0);
-  sim.set_rtt_schedule([](long step) { return step < 200 ? 1.0 : 3.0; });
+  sim.set_rtt_schedule(Schedule{{{200, 3.0}}});
   const Trace trace = sim.run();
 
   // Base RTT triples once the schedule kicks in (queueing aside, compare the

@@ -108,9 +108,9 @@ TEST(FuzzMutator, MutationReachesTopologyAndWorkloadAxes) {
     current = mutator.mutate(current, rng);
     saw_topology = saw_topology || current.topology_bottlenecks > 0;
     saw_incast =
-        saw_incast || current.workload.kind == WorkloadDesc::Kind::kIncast;
-    saw_onoff =
-        saw_onoff || current.workload.kind == WorkloadDesc::Kind::kOnOff;
+        saw_incast || current.workload.kind == engine::WorkloadKind::kIncast;
+    saw_onoff = saw_onoff ||
+                current.workload.kind == engine::WorkloadKind::kOnOffHeavyTail;
     EXPECT_LE(current.topology_bottlenecks, mutator.limits().max_bottlenecks);
     if (!current.workload.empty()) {
       EXPECT_LE(current.workload.flows, mutator.limits().max_workload_flows);
@@ -126,18 +126,19 @@ TEST(FuzzMutator, SanitizeCanonicalizesWorkload) {
   ScenarioDesc desc;
   // Inactive-kind fields must reset to defaults so two descs serializing
   // identically compare equal (the text format only carries active params).
-  desc.workload.kind = WorkloadDesc::Kind::kIncast;
+  desc.workload.kind = engine::WorkloadKind::kIncast;
   desc.workload.flows = 999;
   desc.workload.mean_on_steps = 7.0;  // onoff-only field, not serialized
   mutator.sanitize(desc);
-  EXPECT_EQ(desc.workload.kind, WorkloadDesc::Kind::kIncast);
+  EXPECT_EQ(desc.workload.kind, engine::WorkloadKind::kIncast);
   EXPECT_LE(desc.workload.flows, mutator.limits().max_workload_flows);
-  EXPECT_DOUBLE_EQ(desc.workload.mean_on_steps, WorkloadDesc{}.mean_on_steps);
+  EXPECT_DOUBLE_EQ(desc.workload.mean_on_steps,
+                   engine::WorkloadSpec{}.mean_on_steps);
   // And a none-kind workload collapses fully to the default.
-  desc.workload = WorkloadDesc{};
+  desc.workload = engine::WorkloadSpec{};
   desc.workload.flows = 3;
   mutator.sanitize(desc);
-  EXPECT_EQ(desc.workload, WorkloadDesc{});
+  EXPECT_EQ(desc.workload, engine::WorkloadSpec{});
 }
 
 TEST(FuzzMutator, SanitizeTrimsCohortBudgetKeepingOnePerSlot) {
@@ -194,6 +195,28 @@ TEST(FuzzMutator, SanitizeClearsExpectAndSortsSchedules) {
   EXPECT_EQ(desc.bandwidth_scale.points[1].at, 200);
   // Of the duplicate at=200 entries, the later one wins.
   EXPECT_DOUBLE_EQ(desc.bandwidth_scale.points[1].scale, 3.0);
+}
+
+TEST(FuzzMutator, SanitizeKeepsStormWindowNonEmpty) {
+  // The storm injector requires a non-empty window, so sanitize must keep
+  // 0 <= start < end <= steps for any input window.
+  const Mutator mutator;
+  for (const long steps : {1L, 2L, 400L}) {
+    for (const long start : {-50L, 0L, 10L, 399L, 400L, 5000L}) {
+      for (const long end : {-60L, 0L, 10L, 11L, 400L, 9000L}) {
+        ScenarioDesc desc;
+        desc.steps = steps;
+        desc.loss.kind = fluid::LossSpec::Kind::kStorm;
+        desc.loss.start = start;
+        desc.loss.end = end;
+        mutator.sanitize(desc);
+        EXPECT_LE(0, desc.loss.start) << start << " " << end;
+        EXPECT_LT(desc.loss.start, desc.loss.end) << start << " " << end;
+        EXPECT_LE(desc.loss.end, desc.steps) << start << " " << end;
+        EXPECT_NO_THROW(validate_scenario(desc)) << start << " " << end;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -24,7 +24,7 @@ TEST(FuzzRunner, BaselineScenarioRunsClean) {
 
 TEST(FuzzRunner, RunIsDeterministic) {
   ScenarioDesc desc;
-  desc.loss.kind = LossDesc::Kind::kBernoulli;
+  desc.loss.kind = fluid::LossSpec::Kind::kBernoulli;
   desc.loss.prob = 0.1;
   desc.loss.rate = 0.2;
   const RunOutcome a = run_scenario(desc);
@@ -82,7 +82,7 @@ TEST(FuzzRunner, MismatchedKindOrDetailDoesNotMatch) {
 TEST(FuzzRunner, NoveltyKeySeparatesDistinctBehaviors) {
   const RunOutcome clean = run_scenario(ScenarioDesc{});
   ScenarioDesc lossy;
-  lossy.loss.kind = LossDesc::Kind::kConstant;
+  lossy.loss.kind = fluid::LossSpec::Kind::kConstant;
   lossy.loss.rate = 0.3;
   const RunOutcome perturbed = run_scenario(lossy);
   EXPECT_NE(clean.novelty_key, perturbed.novelty_key);

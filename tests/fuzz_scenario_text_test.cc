@@ -30,7 +30,7 @@ ScenarioDesc complex_desc() {
       SenderDesc{"aimd(1,0.5)", 2.0, 0.0, -1.0, 6},
   };
   desc.aggregate_trace = true;
-  desc.loss.kind = LossDesc::Kind::kGilbertElliott;
+  desc.loss.kind = fluid::LossSpec::Kind::kGilbertElliott;
   desc.loss.p_gb = 0.01;
   desc.loss.p_bg = 0.3;
   desc.loss.good_rate = 0.0;
@@ -58,10 +58,9 @@ TEST(FuzzScenarioText, ComplexRoundTripsByteIdentical) {
 }
 
 TEST(FuzzScenarioText, AllLossKindsRoundTrip) {
-  for (const LossDesc::Kind kind :
-       {LossDesc::Kind::kNone, LossDesc::Kind::kConstant,
-        LossDesc::Kind::kBernoulli, LossDesc::Kind::kGilbertElliott,
-        LossDesc::Kind::kStorm}) {
+  using Kind = fluid::LossSpec::Kind;
+  for (const Kind kind : {Kind::kNone, Kind::kConstant, Kind::kBernoulli,
+                          Kind::kGilbertElliott, Kind::kStorm}) {
     ScenarioDesc desc;
     desc.loss.kind = kind;
     desc.loss.rate = 0.05;
@@ -89,19 +88,19 @@ TEST(FuzzScenarioText, FormatDoubleIsShortestExact) {
 }
 
 TEST(FuzzScenarioText, EmptyScheduleIsIdentity) {
-  const ScheduleDesc schedule;
+  const fluid::Schedule schedule;
   EXPECT_TRUE(schedule.empty());
-  EXPECT_DOUBLE_EQ(schedule.eval(0), 1.0);
-  EXPECT_DOUBLE_EQ(schedule.eval(1000), 1.0);
+  EXPECT_DOUBLE_EQ(schedule.at(0), 1.0);
+  EXPECT_DOUBLE_EQ(schedule.at(1000), 1.0);
 }
 
 TEST(FuzzScenarioText, SingleStepScheduleHoldsFromBreakpoint) {
-  ScheduleDesc schedule;
+  fluid::Schedule schedule;
   schedule.points = {{100, 0.5}};
-  EXPECT_DOUBLE_EQ(schedule.eval(0), 1.0);
-  EXPECT_DOUBLE_EQ(schedule.eval(99), 1.0);
-  EXPECT_DOUBLE_EQ(schedule.eval(100), 0.5);
-  EXPECT_DOUBLE_EQ(schedule.eval(5000), 0.5);
+  EXPECT_DOUBLE_EQ(schedule.at(0), 1.0);
+  EXPECT_DOUBLE_EQ(schedule.at(99), 1.0);
+  EXPECT_DOUBLE_EQ(schedule.at(100), 0.5);
+  EXPECT_DOUBLE_EQ(schedule.at(5000), 0.5);
 }
 
 TEST(FuzzScenarioText, ExecutionAxesEmittedOnlyWhenNonDefault) {
@@ -155,7 +154,7 @@ TEST(FuzzScenarioText, TopologyAndWorkloadAxesRoundTripByteIdentical) {
 
   ScenarioDesc desc;
   desc.topology_bottlenecks = 3;
-  desc.workload.kind = WorkloadDesc::Kind::kIncast;
+  desc.workload.kind = engine::WorkloadKind::kIncast;
   desc.workload.flows = 4;
   desc.workload.spread_steps = 16.0;
   desc.senders = {SenderDesc{"reno", 1.0, 0.0, -1.0},
@@ -168,7 +167,7 @@ TEST(FuzzScenarioText, TopologyAndWorkloadAxesRoundTripByteIdentical) {
   EXPECT_EQ(serialize_scenario(parsed), text);
 
   ScenarioDesc onoff;
-  onoff.workload.kind = WorkloadDesc::Kind::kOnOff;
+  onoff.workload.kind = engine::WorkloadKind::kOnOffHeavyTail;
   onoff.workload.flows = 2;
   onoff.workload.mean_on_steps = 40.0;
   onoff.workload.mean_off_steps = 25.0;
@@ -223,7 +222,7 @@ TEST(FuzzScenarioText, ParkingLotCompilesDerivedRoutes) {
 
 TEST(FuzzScenarioText, WorkloadCompilesToEngineSpec) {
   ScenarioDesc desc;
-  desc.workload.kind = WorkloadDesc::Kind::kIncast;
+  desc.workload.kind = engine::WorkloadKind::kIncast;
   desc.workload.flows = 4;
   desc.workload.spread_steps = 16.0;
   desc.aggregate_trace = true;
@@ -292,12 +291,20 @@ TEST(FuzzScenarioText, DomainViolationsRejected) {
   desc.tail_fraction = 0.0;
   EXPECT_THROW(validate_scenario(desc), std::invalid_argument);
   desc = ScenarioDesc{};
-  desc.loss.kind = LossDesc::Kind::kConstant;
+  desc.loss.kind = fluid::LossSpec::Kind::kConstant;
   desc.loss.rate = 1.0;
   EXPECT_THROW(validate_scenario(desc), std::invalid_argument);
   desc = ScenarioDesc{};
   desc.bandwidth_scale.points = {{10, -2.0}};
   EXPECT_THROW(validate_scenario(desc), std::invalid_argument);
+  // Storm windows must satisfy 0 <= start < end: an empty or negative
+  // window is a typed parse error, not a fault inside the run.
+  const std::string base = "axiomcc-scenario v1\nsender 1 0 -1 reno\n";
+  EXPECT_THROW(parse_scenario(base + "loss storm 10 10 0.2 0.3 0 0.3\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_scenario(base + "loss storm -5 50 0.2 0.3 0 0.3\n"),
+               std::invalid_argument);
+  EXPECT_NO_THROW(parse_scenario(base + "loss storm 10 50 0.2 0.3 0 0.3\n"));
 }
 
 TEST(FuzzScenarioText, CompilesToRunnableSpec) {
@@ -314,12 +321,12 @@ TEST(FuzzScenarioText, CompilesToRunnableSpec) {
   EXPECT_EQ(compiled.spec.trace_detail, fluid::TraceDetail::kAggregate);
   EXPECT_EQ(compiled.spec.tracked_senders, 8);
   EXPECT_EQ(compiled.spec.jobs, 1);
-  ASSERT_TRUE(compiled.spec.bandwidth_scale);
-  EXPECT_DOUBLE_EQ(compiled.spec.bandwidth_scale(120), 0.001);
-  EXPECT_DOUBLE_EQ(compiled.spec.bandwidth_scale(0), 1.0);
-  ASSERT_TRUE(compiled.spec.rtt_scale);
-  EXPECT_DOUBLE_EQ(compiled.spec.rtt_scale(60), 3.0);
-  ASSERT_TRUE(compiled.spec.loss);
+  EXPECT_EQ(compiled.spec.bandwidth_scale, desc.bandwidth_scale);
+  EXPECT_DOUBLE_EQ(compiled.spec.bandwidth_scale.at(120), 0.001);
+  EXPECT_DOUBLE_EQ(compiled.spec.bandwidth_scale.at(0), 1.0);
+  EXPECT_EQ(compiled.spec.rtt_scale, desc.rtt_scale);
+  EXPECT_DOUBLE_EQ(compiled.spec.rtt_scale.at(60), 3.0);
+  EXPECT_EQ(compiled.spec.loss, desc.loss);
 }
 
 TEST(FuzzScenarioText, CompileRejectsBadProtocolSpec) {

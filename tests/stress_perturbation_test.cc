@@ -1,70 +1,107 @@
 // Tests for the stress scenario library: schedule shapes, loss storms,
-// churn application, the standard gauntlet, and the packet-side wrappers.
+// churn application, and the standard gauntlet.
 #include "stress/perturbation.h"
 
-#include <memory>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cc/aimd.h"
-#include "fluid/sim.h"
-#include "sim/event.h"
-#include "sim/queue.h"
+#include "engine/backend.h"
 #include "util/check.h"
 
 namespace axiomcc::stress {
 namespace {
 
+/// True when `schedule` is bitwise equal to `formula` on every step of the
+/// horizon [0, steps).
+template <typename Formula>
+bool matches_on_horizon(const fluid::Schedule& schedule, long steps,
+                        Formula formula) {
+  for (long step = 0; step < steps; ++step) {
+    const double got = schedule.at(step);
+    const double want = formula(step);
+    if (std::memcmp(&got, &want, sizeof got) != 0) return false;
+  }
+  return true;
+}
+
+constexpr long kHorizon = 600;
+
 TEST(Schedules, OutageDropsAndRestores) {
-  const StepSchedule s = outage_schedule(10, 5, 1e-3);
-  EXPECT_DOUBLE_EQ(s(9), 1.0);
-  EXPECT_DOUBLE_EQ(s(10), 1e-3);
-  EXPECT_DOUBLE_EQ(s(14), 1e-3);
-  EXPECT_DOUBLE_EQ(s(15), 1.0);
+  const fluid::Schedule s = outage_schedule(10, 5, 1e-3);
+  EXPECT_DOUBLE_EQ(s.at(9), 1.0);  // before the first breakpoint
+  EXPECT_DOUBLE_EQ(s.at(10), 1e-3);  // on a breakpoint
+  EXPECT_DOUBLE_EQ(s.at(14), 1e-3);
+  EXPECT_DOUBLE_EQ(s.at(15), 1.0);
+  EXPECT_DOUBLE_EQ(s.at(100000), 1.0);  // past the last one
+
+  const long start = 240;
+  const long end = start + 60;
+  EXPECT_TRUE(matches_on_horizon(
+      outage_schedule(start, end - start, 1e-3), kHorizon,
+      [](long step) { return (step >= start && step < end) ? 1e-3 : 1.0; }));
 }
 
 TEST(Schedules, SquareWaveAlternates) {
-  const StepSchedule s = square_wave_schedule(10, 1.0, 0.25);
-  EXPECT_DOUBLE_EQ(s(0), 1.0);
-  EXPECT_DOUBLE_EQ(s(4), 1.0);
-  EXPECT_DOUBLE_EQ(s(5), 0.25);
-  EXPECT_DOUBLE_EQ(s(9), 0.25);
-  EXPECT_DOUBLE_EQ(s(10), 1.0);  // next period
+  const fluid::Schedule s = square_wave_schedule(20, 10, 1.0, 0.25);
+  EXPECT_DOUBLE_EQ(s.at(0), 1.0);
+  EXPECT_DOUBLE_EQ(s.at(4), 1.0);
+  EXPECT_DOUBLE_EQ(s.at(5), 0.25);
+  EXPECT_DOUBLE_EQ(s.at(9), 0.25);
+  EXPECT_DOUBLE_EQ(s.at(10), 1.0);  // next period
+
+  const long period = 120;
+  const long phase = 37;
+  EXPECT_TRUE(matches_on_horizon(
+      square_wave_schedule(kHorizon, period, 1.0, 0.4, phase), kHorizon,
+      [](long step) {
+        const long pos = (step + phase) % period;
+        return pos < period / 2 ? 1.0 : 0.4;
+      }));
 }
 
 TEST(Schedules, SawtoothRampsAndSnapsBack) {
-  const StepSchedule s = sawtooth_schedule(5, 0.2, 1.0);
-  EXPECT_DOUBLE_EQ(s(0), 0.2);
-  EXPECT_DOUBLE_EQ(s(4), 1.0);   // top of the ramp
-  EXPECT_DOUBLE_EQ(s(5), 0.2);   // snapped back
-  EXPECT_LT(s(1), s(2));
+  const fluid::Schedule s = sawtooth_schedule(10, 5, 0.2, 1.0);
+  EXPECT_DOUBLE_EQ(s.at(0), 0.2);
+  EXPECT_DOUBLE_EQ(s.at(4), 1.0);   // top of the ramp
+  EXPECT_DOUBLE_EQ(s.at(5), 0.2);   // snapped back
+  EXPECT_LT(s.at(1), s.at(2));
+
+  const long period = kHorizon / 6;
+  EXPECT_TRUE(matches_on_horizon(
+      sawtooth_schedule(kHorizon, period, 0.3, 1.0), kHorizon, [](long step) {
+        const long pos = step % period;
+        return 0.3 + (1.0 - 0.3) * static_cast<double>(pos) /
+                         static_cast<double>(period - 1);
+      }));
 }
 
 TEST(Schedules, StepChangeIsPersistent) {
-  const StepSchedule s = step_change_schedule(100, 1.0, 3.0);
-  EXPECT_DOUBLE_EQ(s(99), 1.0);
-  EXPECT_DOUBLE_EQ(s(100), 3.0);
-  EXPECT_DOUBLE_EQ(s(100000), 3.0);
-}
+  const fluid::Schedule s = step_change_schedule(100, 1.0, 3.0);
+  EXPECT_DOUBLE_EQ(s.at(99), 1.0);
+  EXPECT_DOUBLE_EQ(s.at(100), 3.0);
+  EXPECT_DOUBLE_EQ(s.at(100000), 3.0);
 
-TEST(Schedules, ComposeMultipliesPointwise) {
-  const StepSchedule s = compose_schedules(constant_schedule(0.5),
-                                           outage_schedule(3, 2, 0.1));
-  EXPECT_DOUBLE_EQ(s(0), 0.5);
-  EXPECT_DOUBLE_EQ(s(3), 0.05);
+  for (const long at : {0L, 300L}) {
+    EXPECT_TRUE(matches_on_horizon(step_change_schedule(at, 0.5, 3.0),
+                                   kHorizon, [at](long step) {
+                                     return step < at ? 0.5 : 3.0;
+                                   }))
+        << at;
+  }
 }
 
 TEST(Schedules, ValidateParameters) {
-  EXPECT_THROW(constant_schedule(0.0), ContractViolation);
   EXPECT_THROW(outage_schedule(-1, 5, 0.1), ContractViolation);
   EXPECT_THROW(outage_schedule(0, 0, 0.1), ContractViolation);
-  EXPECT_THROW(square_wave_schedule(1, 1.0, 0.5), ContractViolation);
-  EXPECT_THROW(sawtooth_schedule(5, 0.5, 0.2), ContractViolation);
+  EXPECT_THROW(square_wave_schedule(100, 1, 1.0, 0.5), ContractViolation);
+  EXPECT_THROW(sawtooth_schedule(100, 5, 0.5, 0.2), ContractViolation);
 }
 
 TEST(LossStorm, InjectsOnlyInsideItsWindow) {
-  LossStorm storm(50, 100, StormParams{0.9, 0.05, 0.0, 0.4}, 3);
+  fluid::LossStorm storm(50, 100, 0.9, 0.05, 0.0, 0.4, 3);
   for (long t = 0; t < 50; ++t) EXPECT_DOUBLE_EQ(storm.sample(t, 0), 0.0);
   double inside = 0.0;
   for (long t = 50; t < 100; ++t) inside += storm.sample(t, 0);
@@ -74,7 +111,7 @@ TEST(LossStorm, InjectsOnlyInsideItsWindow) {
 
 TEST(LossStorm, IsDeterministicPerSeed) {
   const auto run = [](std::uint64_t seed) {
-    LossStorm storm(0, 400, StormParams{}, seed);
+    fluid::LossStorm storm(0, 400, 0.2, 0.3, 0.0, 0.3, seed);
     std::vector<double> out;
     for (long t = 0; t < 400; ++t) out.push_back(storm.sample(t, 0));
     return out;
@@ -84,7 +121,7 @@ TEST(LossStorm, IsDeterministicPerSeed) {
 }
 
 TEST(LossStorm, CloneCopiesFullState) {
-  LossStorm storm(0, 10000, StormParams{0.5, 0.1, 0.0, 0.4}, 11);
+  fluid::LossStorm storm(0, 10000, 0.5, 0.1, 0.0, 0.4, 11);
   for (long t = 0; t < 200; ++t) (void)storm.sample(t, 0);
   const auto clone = storm.clone();
   for (long t = 200; t < 600; ++t) {
@@ -98,15 +135,17 @@ TEST(ApplyScenario, ChurnAddsJoiningAndLeavingSenders) {
   s.churn.slots.push_back(ChurnSlot{100, 200, 1.0});
   s.churn.slots.push_back(ChurnSlot{150, -1, 1.0});
 
-  fluid::SimOptions opt;
-  opt.steps = 300;
-  fluid::FluidSimulation sim(fluid::make_link_mbps(30.0, 42.0, 100.0), opt);
+  engine::ScenarioSpec spec;
+  spec.link = fluid::make_link_mbps(30.0, 42.0, 100.0);
+  spec.steps = 300;
   const cc::Aimd proto(1.0, 0.5);
-  sim.add_sender(proto, 1.0);
-  apply_scenario(s, sim, proto, 1);
-  ASSERT_EQ(sim.num_senders(), 3);
+  spec.add_sender(proto, 1.0);
+  apply_scenario(s, spec, proto, 1);
+  ASSERT_EQ(spec.total_senders(), 3);
+  EXPECT_EQ(spec.seed, 1u);
 
-  const fluid::Trace trace = sim.run();
+  const fluid::Trace trace =
+      engine::backend_for(engine::BackendKind::kFluid).run(spec).trace;
   // Sender 1 joins at 100 and leaves at 200.
   EXPECT_DOUBLE_EQ(trace.windows(1)[99], 0.0);
   EXPECT_GT(trace.windows(1)[100], 0.0);
@@ -131,9 +170,9 @@ TEST(StandardGauntlet, HasTheDocumentedScenarioMix) {
   bool has_churn = false;
   for (const Scenario& s : scenarios) {
     EXPECT_FALSE(s.name.empty());
-    if (s.bandwidth_scale) has_bandwidth = true;
-    if (s.rtt_scale) has_rtt = true;
-    if (s.loss_factory) has_loss = true;
+    if (!s.bandwidth_scale.empty()) has_bandwidth = true;
+    if (!s.rtt_scale.empty()) has_rtt = true;
+    if (!s.loss.empty()) has_loss = true;
     if (!s.churn.empty()) has_churn = true;
   }
   EXPECT_TRUE(has_bandwidth);
@@ -147,65 +186,6 @@ TEST(StandardGauntlet, HasTheDocumentedScenarioMix) {
       EXPECT_NE(scenarios[i].name, scenarios[j].name);
     }
   }
-}
-
-// --- packet-side wrappers -----------------------------------------------
-
-/// Always drops; counts how often it was consulted.
-class AlwaysDrop final : public sim::PacketFilter {
- public:
-  bool drop(const sim::Packet&) override {
-    ++consulted;
-    count_drop();
-    return true;
-  }
-  int consulted = 0;
-};
-
-TEST(WindowedPacketFilter, AppliesInnerOnlyInsideWindow) {
-  sim::Simulator simulator;
-  auto inner = std::make_unique<AlwaysDrop>();
-  AlwaysDrop* inner_raw = inner.get();
-  WindowedPacketFilter filter(simulator, SimTime::from_seconds(1.0),
-                              SimTime::from_seconds(2.0), std::move(inner));
-
-  std::vector<bool> outcomes;
-  for (const double at : {0.5, 1.5, 2.5}) {
-    simulator.schedule_at(SimTime::from_seconds(at), [&] {
-      outcomes.push_back(filter.drop(sim::Packet{}));
-    });
-  }
-  simulator.run();
-
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_FALSE(outcomes[0]);  // before the window: passes
-  EXPECT_TRUE(outcomes[1]);   // inside: inner drops
-  EXPECT_FALSE(outcomes[2]);  // after: passes
-  EXPECT_EQ(inner_raw->consulted, 1);
-  EXPECT_EQ(filter.dropped(), 1u);
-}
-
-TEST(ScheduleLinkRate, RetargetsTheLinkOverTime) {
-  sim::Simulator simulator;
-  sim::SimLink link(simulator, 10e6, SimTime::from_millis(1),
-                    std::make_unique<sim::DropTailQueue>(10),
-                    [](const sim::Packet&) {});
-
-  schedule_link_rate(simulator, link, square_wave_schedule(2, 1.0, 0.1),
-                     SimTime::from_millis(10), 4);
-
-  std::vector<double> observed;
-  for (const double at : {5.0, 15.0, 25.0, 35.0}) {
-    simulator.schedule_at(SimTime::from_millis(at),
-                          [&] { observed.push_back(link.rate_bps()); });
-  }
-  simulator.run();
-
-  ASSERT_EQ(observed.size(), 4u);
-  EXPECT_DOUBLE_EQ(observed[0], 10e6);  // k=0: high
-  EXPECT_DOUBLE_EQ(observed[1], 1e6);   // k=1: low
-  EXPECT_DOUBLE_EQ(observed[2], 10e6);  // k=2: high again
-  EXPECT_DOUBLE_EQ(observed[3], 1e6);
 }
 
 }  // namespace
