@@ -9,6 +9,7 @@
 #include "fluid/step_hooks.h"
 #include "telemetry/telemetry.h"
 #include "util/check.h"
+#include "util/repeated_add.h"
 #include "util/task_pool.h"
 
 namespace axiomcc::fluid {
@@ -303,9 +304,9 @@ Trace FluidSimulation::tick_loop() {
 
     // The aggregate-window fold is a SERIAL ascending left fold, member by
     // member: float addition is not associative, so a representative adds
-    // its window `count` times rather than multiplying. Inactive members
-    // hold +0.0, the identity for these non-negative (or NaN) partial sums,
-    // so an inactive representative adds it once instead of `count` times.
+    // its window `count` times rather than multiplying — repeated_add
+    // returns the bits of those adds in O(binades crossed). The lone add
+    // stays in line: it is all a materialized slot does.
     double total = 0.0;
     double window_min = std::numeric_limits<double>::infinity();
     double window_max = -std::numeric_limits<double>::infinity();
@@ -313,9 +314,7 @@ Trace FluidSimulation::tick_loop() {
     for (long s = 0; s < slots; ++s) {
       const double w = win[s];
       total += w;
-      if (uniform && w != 0.0) {
-        for (long k = 1; k < cohorts[s].count; ++k) total += w;
-      }
+      if (uniform) total = repeated_add(total, w, cohorts[s].count - 1);
       if (aggregate && w > 0.0) {
         active_senders += uniform ? cohorts[s].count : 1;
         if (w < window_min) window_min = w;

@@ -9,14 +9,16 @@
 // stored at one of two widths: every member (materialized), or a single
 // representative when the cohort provably stays bitwise uniform — aggregate
 // trace, no step monitor, and a stateless loss injector — so a million
-// identical senders cost O(cohorts) per step plus the serial aggregate
-// fold. Materialized cohorts of batchable families advance through SoA
-// kernels (cc::BatchProtocol), sharded across util/task_pool in fixed-size
-// chunks; everything else, including every lone sender, makes one virtual
-// Protocol::next_window call per member per step. Determinism: the
-// aggregate-window fold and stateful loss sampling stay serial in ascending
-// sender order, and sharded loops are pure elementwise writes over fixed
-// ranges, so traces are byte-identical at either width and any jobs count.
+// identical senders cost O(cohorts) per step: a representative folds its
+// `count` windows into the serial aggregate with util/repeated_add, the
+// exact closed form of that many adds. Materialized cohorts of batchable
+// families advance through SoA kernels (cc::BatchProtocol), sharded across
+// util/task_pool in fixed-size chunks; everything else, including every
+// lone sender, makes one virtual Protocol::next_window call per member per
+// step. Determinism: the aggregate-window fold and stateful loss sampling
+// stay serial in ascending sender order, and sharded loops are pure
+// elementwise writes over fixed ranges, so traces are byte-identical at
+// either width and any jobs count.
 #pragma once
 
 #include <functional>

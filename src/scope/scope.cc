@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "util/check.h"
+#include "util/repeated_add.h"
 
 namespace axiomcc::scope {
 
@@ -162,13 +163,12 @@ void MetricScope::observe_class(int class_id, double window_mss,
     a.max = std::max(a.max, window_mss);
   }
   a.loss_max = std::max(a.loss_max, observed_loss);
-  // Repeated serial adds, NOT count·x: the uniform-cohort path calls this
+  // `count` serial adds, NOT count·x: the uniform-cohort path calls this
   // once per cohort and must fold bitwise like the materialized path's one
-  // call per member.
-  for (long k = 0; k < count; ++k) {
-    a.sum += window_mss;
-    a.sum_sq += window_mss * window_mss;
-  }
+  // call per member. The two accumulators are independent, so each folds
+  // on its own in closed form.
+  a.sum = repeated_add(a.sum, window_mss, count);
+  a.sum_sq = repeated_add(a.sum_sq, window_mss * window_mss, count);
   a.samples += count;
 }
 

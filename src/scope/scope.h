@@ -137,9 +137,10 @@ struct ScopeSeries {
 ///     scope.step_end();
 ///   scope.finish();
 ///
-/// `observe_class` folds with repeated serial adds when `count > 1`, so the
-/// uniform-cohort fluid path (one call per cohort) is bitwise identical to
-/// the materialized path (one call per member with identical windows).
+/// `observe_class` folds `count` serial adds (util/repeated_add, in
+/// O(binades) rather than O(count)), so the uniform-cohort fluid path (one
+/// call per cohort) is bitwise identical to the materialized path (one call
+/// per member with identical windows).
 class MetricScope {
  public:
   explicit MetricScope(ScopeConfig config);

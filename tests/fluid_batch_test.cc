@@ -283,6 +283,44 @@ TEST(FluidBatch, ShardedKernelCohortsMatchReference) {
   }
 }
 
+TEST(FluidBatch, UniformFoldMatchesReferenceAtScale) {
+  // Population scale: each uniform representative folds ~10^5 identical
+  // windows into the aggregate per step, so the closed-form repeated add
+  // jumps across whole binades. Three families (a kernel family, cubic,
+  // bin) with distinct initial windows, one cohort joining late and one
+  // leaving early; both cohort widths against the reference.
+  SimOptions options;
+  options.steps = 40;
+  options.trace_detail = TraceDetail::kAggregate;
+  options.tracked_senders = 6;
+  options.jobs = 2;
+  const LinkParams link = test_link(24.0 * 6000.0);
+  const auto aimd = cc::make_protocol("aimd(1,0.5)");
+  const auto cubic = cc::make_protocol("cubic(0.4,0.8)");
+  const auto bin = cc::make_protocol("bin(1,1,1,0.5)");
+  const auto groups = [&] {
+    std::vector<ReferenceGroup> g;
+    g.push_back({SenderSpec{aimd->clone(), 2.0, 1, 0, 0, -1}, 90001});
+    g.push_back({SenderSpec{cubic->clone(), 5.0, 1, 0, 12, -1}, 60000});
+    g.push_back({SenderSpec{bin->clone(), 1.5, 1, 0, 0, 25}, 49999});
+    return g;
+  };
+  const Trace reference = fluid::run_reference(link, options, groups());
+  for (const bool materialized : {false, true}) {
+    FluidSimulation sim(link, options);
+    for (ReferenceGroup& group : groups()) {
+      sim.add_senders(std::move(group.spec), group.count);
+    }
+    if (materialized) {
+      sim.set_step_monitor([](long, std::span<const double>, double, double) {
+        return true;
+      });
+    }
+    SCOPED_TRACE(materialized ? "materialized" : "uniform");
+    expect_trace_identical(reference, sim.run());
+  }
+}
+
 TEST(FluidBatch, SlowStartWrapperBatches) {
   // SlowStart+AIMD is not reachable through the registry; it is the one
   // stateful kernel (one double per sender), so cover it directly.

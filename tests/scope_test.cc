@@ -160,7 +160,7 @@ TEST(MetricScope, WarmupExcludesTheTransientPrefix) {
 }
 
 TEST(MetricScope, CountedObserveMatchesRepeatedObserveBitwise) {
-  const auto run = [](bool counted) {
+  const auto run = [](long count, bool counted) {
     ScopeConfig config;
     config.enabled = true;
     config.warmup_steps = 0;
@@ -169,18 +169,20 @@ TEST(MetricScope, CountedObserveMatchesRepeatedObserveBitwise) {
     scope.begin_run(1, 0);
     for (long step = 0; step < 8; ++step) {
       const double w = 0.1 + 0.3 * static_cast<double>(step);
-      scope.step_begin(step, 7.0 * w, 0.05, 0.0);
+      scope.step_begin(step, static_cast<double>(count) * w, 0.05, 0.0);
       if (counted) {
-        scope.observe_class(0, w, 0.0, /*count=*/7);
+        scope.observe_class(0, w, 0.0, count);
       } else {
-        for (int k = 0; k < 7; ++k) scope.observe_class(0, w, 0.0);
+        for (long k = 0; k < count; ++k) scope.observe_class(0, w, 0.0);
       }
       scope.step_end();
     }
     scope.finish();
     return series_bits(scope.series());
   };
-  EXPECT_EQ(run(true), run(false));
+  for (const long count : {7L, 100000L}) {
+    EXPECT_EQ(run(count, true), run(count, false)) << "count=" << count;
+  }
 }
 
 /// Runs one fluid scenario (three AIMD cohorts, late joiner, early leaver,
