@@ -7,6 +7,7 @@
 #include "cc/presets.h"
 #include "engine/backend.h"
 #include "fluid/loss_model.h"
+#include "scope/scope.h"
 #include "util/check.h"
 
 namespace axiomcc::core {
@@ -108,24 +109,14 @@ double measure_fast_utilization_score(const cc::Protocol& prototype,
   spec.link = infinite_link(cfg);
   spec.add_sender(prototype, 1.0);
   const fluid::Trace trace = backend(cfg).run(spec).trace;
-
+  const auto windows = trace.windows(0);
+  const long warmup = cfg.fast_utilization_warmup;
+  AXIOMCC_EXPECTS(warmup >= 0);
+  AXIOMCC_EXPECTS(windows.size() > static_cast<std::size_t>(warmup) + 1);
   // Protocols with multiplicative growth (PCC's STARTING phase doubles every
-  // step) hit the window cap within the run; past that point the series is
-  // flat and would mask the growth that happened. Truncate at saturation.
-  auto windows = trace.windows(0);
-  const double cap = 0.99 * spec.max_window_mss;
-  std::size_t truncated = windows.size();
-  for (std::size_t t = 0; t < windows.size(); ++t) {
-    if (windows[t] >= cap) {
-      truncated = t;
-      break;
-    }
-  }
-  const std::size_t min_samples =
-      static_cast<std::size_t>(cfg.fast_utilization_warmup) + 16;
-  truncated = std::max(truncated, std::min(min_samples, windows.size()));
-  return fast_utilization_coefficient(windows.first(truncated),
-                                      cfg.fast_utilization_warmup);
+  // step) hit the window cap within the run, so the coefficient truncates
+  // the series at saturation.
+  return scope::fast_utilization(windows, warmup, spec.max_window_mss);
 }
 
 namespace {

@@ -1,10 +1,9 @@
 #include "core/metrics.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <vector>
 
+#include "scope/scope.h"
 #include "util/check.h"
 #include "util/stats.h"
 
@@ -24,8 +23,7 @@ namespace {
 double measure_efficiency(const fluid::Trace& trace,
                           const EstimatorConfig& cfg) {
   const auto tail = tail_of(trace.total_window(), cfg);
-  const double worst = min_of(tail) / trace.link_capacity_mss();
-  return std::min(worst, 1.0);
+  return scope::efficiency(min_of(tail), trace.link_capacity_mss());
 }
 
 double measure_loss_avoidance(const fluid::Trace& trace,
@@ -41,42 +39,49 @@ double measure_mean_loss(const fluid::Trace& trace,
 }
 
 double measure_fairness(const fluid::Trace& trace, const EstimatorConfig& cfg) {
-  const int n = trace.num_senders();
-  if (n == 1) return 1.0;
-
-  std::vector<double> means(n);
-  for (int i = 0; i < n; ++i) {
-    means[i] = mean_of(tail_of(trace.windows(i), cfg));
+  std::vector<double> means;
+  for (int i = 0; i < trace.num_senders(); ++i) {
+    means.push_back(mean_of(tail_of(trace.windows(i), cfg)));
   }
-  const double max_mean = max_of(means);
-  const double min_mean = min_of(means);
-  if (max_mean <= 0.0) return 1.0;  // all idle: trivially fair
-  return min_mean / max_mean;
+  return scope::fairness(means);
 }
 
 double measure_convergence(const fluid::Trace& trace,
                            const EstimatorConfig& cfg) {
-  double alpha = 1.0;
-  std::vector<double> deviations;
-  for (int i = 0; i < trace.num_senders(); ++i) {
-    const auto tail = tail_of(trace.windows(i), cfg);
-    const double star = mean_of(tail);
-    if (star <= 0.0) continue;
-    for (double x : tail) {
-      const double ratio = x / star;
-      // x in [αx*, (2−α)x*]  ⇔  α <= min(ratio, 2 − ratio).
-      const double sample_alpha = std::min(ratio, 2.0 - ratio);
-      if (cfg.outlier_fraction > 0.0) {
-        deviations.push_back(sample_alpha);
-      } else {
-        alpha = std::min(alpha, sample_alpha);
+  if (cfg.outlier_fraction > 0.0) {
+    // A percentile of the per-sample deviations: no fixed-size statistic
+    // holds it, so this path keeps every sample.
+    std::vector<double> deviations;
+    for (int i = 0; i < trace.num_senders(); ++i) {
+      const auto tail = tail_of(trace.windows(i), cfg);
+      const double star = mean_of(tail);
+      if (star <= 0.0) continue;
+      for (double x : tail) {
+        const double ratio = x / star;
+        // x in [αx*, (2−α)x*]  ⇔  α <= min(ratio, 2 − ratio).
+        deviations.push_back(std::min(ratio, 2.0 - ratio));
       }
     }
+    if (deviations.empty()) return 1.0;
+    return std::clamp(
+        percentile(std::move(deviations), cfg.outlier_fraction * 100.0), 0.0,
+        1.0);
   }
-  if (cfg.outlier_fraction > 0.0 && !deviations.empty()) {
-    alpha = percentile(std::move(deviations), cfg.outlier_fraction * 100.0);
+  double alpha = 1.0;
+  for (int i = 0; i < trace.num_senders(); ++i) {
+    const auto tail = tail_of(trace.windows(i), cfg);
+    double sum = 0.0;
+    double lo = tail.front();
+    double hi = tail.front();
+    for (const double x : tail) {
+      sum += x;
+      lo = std::min(lo, x);
+      hi = std::max(hi, x);
+    }
+    alpha = std::min(alpha, scope::convergence_band(
+                                sum, lo, hi, static_cast<long>(tail.size())));
   }
-  return std::clamp(alpha, 0.0, 1.0);
+  return alpha;
 }
 
 double measure_latency_avoidance(const fluid::Trace& trace,
@@ -84,7 +89,7 @@ double measure_latency_avoidance(const fluid::Trace& trace,
   const auto tail = tail_of(trace.rtt_seconds(), cfg);
   const double base = trace.min_rtt_seconds();
   AXIOMCC_EXPECTS(base > 0.0);
-  return std::max(0.0, max_of(tail) / base - 1.0);
+  return scope::latency_avoidance(max_of(tail), base);
 }
 
 double measure_friendliness(const fluid::Trace& trace,
@@ -92,44 +97,21 @@ double measure_friendliness(const fluid::Trace& trace,
                             std::span<const int> q_senders,
                             const EstimatorConfig& cfg) {
   AXIOMCC_EXPECTS(!p_senders.empty() && !q_senders.empty());
-
-  double worst_p_mean = 0.0;  // the P sender with the LARGEST window
-  for (int i : p_senders) {
-    worst_p_mean = std::max(worst_p_mean, mean_of(tail_of(trace.windows(i), cfg)));
+  std::vector<double> means;  // P first, then Q
+  means.reserve(p_senders.size() + q_senders.size());
+  for (const auto senders : {p_senders, q_senders}) {
+    for (const int i : senders) {
+      means.push_back(mean_of(tail_of(trace.windows(i), cfg)));
+    }
   }
-  double worst_q_mean = std::numeric_limits<double>::infinity();
-  for (int j : q_senders) {
-    worst_q_mean = std::min(worst_q_mean, mean_of(tail_of(trace.windows(j), cfg)));
-  }
-  if (worst_p_mean <= 0.0) return 1.0;  // P got nothing: maximally friendly
-  return worst_q_mean / worst_p_mean;
+  return scope::friendliness(means, p_senders.size());
 }
 
 double fast_utilization_coefficient(std::span<const double> windows,
                                     long warmup_steps) {
   AXIOMCC_EXPECTS(warmup_steps >= 0);
   AXIOMCC_EXPECTS(windows.size() > static_cast<std::size_t>(warmup_steps) + 1);
-
-  // The definition quantifies over all t1 and all Δt ≥ T. We sample a few
-  // start offsets after the warmup and take the worst (smallest) coefficient
-  // over full suffixes, which is the binding case for convex growth.
-  const std::size_t n = windows.size();
-  double alpha = std::numeric_limits<double>::infinity();
-  const std::size_t starts[] = {static_cast<std::size_t>(warmup_steps),
-                                static_cast<std::size_t>(warmup_steps) +
-                                    (n - warmup_steps) / 4,
-                                static_cast<std::size_t>(warmup_steps) +
-                                    (n - warmup_steps) / 2};
-  for (std::size_t t1 : starts) {
-    if (t1 + 1 >= n) continue;
-    const double x1 = windows[t1];
-    double accumulated = 0.0;
-    for (std::size_t t = t1; t < n; ++t) accumulated += windows[t] - x1;
-    const double dt = static_cast<double>(n - 1 - t1);
-    if (dt <= 0.0) continue;
-    alpha = std::min(alpha, 2.0 * accumulated / (dt * dt));
-  }
-  return std::max(alpha, 0.0);
+  return scope::fast_utilization(windows, warmup_steps, 0.0);
 }
 
 double tail_goodput(const fluid::Trace& trace, int sender,

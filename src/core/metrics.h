@@ -2,7 +2,10 @@
 //
 // Each axiom is an ∃T-from-T-onwards statement; the estimators approximate
 // "from T onwards" by scoring only the tail of a finite trace (the transient
-// prefix fraction is configurable). Scores follow the paper's orientation:
+// prefix fraction is configurable). Each estimator makes one pass over the
+// tail and hands its statistics to the metric's formula in scope/scope.h,
+// the same formula the streaming scope applies to its windows. Scores follow
+// the paper's orientation:
 //
 //   Metric I    efficiency            higher is better (∈ [0, 1])
 //   Metric II   fast-utilization      higher is better (MSS/RTT²·2)
@@ -71,8 +74,8 @@ struct EstimatorConfig {
 
 /// Metric II helper: the fast-utilization coefficient of a loss-free window
 /// series, i.e. the largest α with Σ(x(t)−x(t₁)) ≥ αΔt²/2 for the sampled
-/// start offsets. The evaluator runs the protocol on an effectively infinite
-/// link and calls this on the resulting (loss-free) series.
+/// start offsets (scope::fast_utilization without saturation truncation).
+/// Requires more than `warmup_steps + 1` samples.
 [[nodiscard]] double fast_utilization_coefficient(std::span<const double> windows,
                                                   long warmup_steps);
 

@@ -37,9 +37,27 @@ void validate_scenario(const ScenarioSpec& spec) {
     validate_link(spec.topology.links[static_cast<std::size_t>(l)],
                   "topology link " + std::to_string(l));
   }
+  if (!(spec.tail_fraction >= 0.0 && spec.tail_fraction < 1.0)) {
+    throw ScenarioError("tail fraction must be in [0, 1), got " +
+                        std::to_string(spec.tail_fraction));
+  }
   for (std::size_t si = 0; si < spec.senders.size(); ++si) {
     const SenderSlot& slot = spec.senders[si];
     const std::string label = "sender slot " + std::to_string(si);
+    // A slot that runs as written must stay active for at least one whole
+    // step once its window is rounded. Workload templates are exempt: the
+    // generators drop or lengthen windows that would be shorter.
+    if (spec.workload.empty() &&
+        !(std::isfinite(slot.start_step) && slot.start_step >= 0.0 &&
+          std::isfinite(slot.stop_step) &&
+          (slot.stop_step < 0.0 ||
+           std::lround(slot.stop_step) > std::lround(slot.start_step)))) {
+      throw ScenarioError(label + " activity window [" +
+                          std::to_string(slot.start_step) + ", " +
+                          std::to_string(slot.stop_step) +
+                          ") must be finite, start at or after step 0 and "
+                          "last at least one step");
+    }
     if (spec.topology.empty()) {
       if (!slot.route.empty()) {
         throw ScenarioError(label +

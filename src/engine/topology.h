@@ -38,6 +38,10 @@ namespace axiomcc::engine {
 ///  * the topology is non-empty and a slot's route is empty, names an
 ///    unknown link id, or repeats a link (the packet forwarder requires
 ///    loop-free routes, so both backends reject them);
+///  * `spec.tail_fraction` lies outside [0, 1);
+///  * the workload is empty and a slot's activity window is non-finite,
+///    starts before step 0 or, with `stop_step >= 0`, rounds to less than
+///    one step (lround(stop) <= lround(start));
 ///  * the workload, loss or either schedule fails the checks below.
 /// Both backends run it before building any simulator state.
 void validate_scenario(const ScenarioSpec& spec);

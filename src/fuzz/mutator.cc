@@ -116,7 +116,7 @@ void mutate_sender(SenderDesc& sender, const ScenarioDesc& desc, Rng& rng) {
       sender.start_step = static_cast<double>(random_step(desc, rng));
       break;
     case 3:
-      // A finite stop, sometimes immediately after the start (the nasty
+      // A finite stop, sometimes one step after the start (the nasty
       // join-then-leave edge), sometimes forever.
       if (rng.bernoulli(0.3)) {
         sender.stop_step = -1.0;
@@ -124,7 +124,8 @@ void mutate_sender(SenderDesc& sender, const ScenarioDesc& desc, Rng& rng) {
         sender.stop_step =
             sender.start_step +
             (rng.bernoulli(0.2) ? 1.0
-                                : static_cast<double>(random_step(desc, rng)));
+                                : static_cast<double>(std::max<long>(
+                                      1, random_step(desc, rng))));
       }
       break;
     case 4:
@@ -286,7 +287,7 @@ void Mutator::sanitize(ScenarioDesc& desc) const {
   desc.steps = std::clamp(desc.steps, limits_.min_steps, limits_.max_steps);
   desc.min_window_mss = std::clamp(desc.min_window_mss, 0.0, 10.0);
   desc.max_window_mss = std::clamp(desc.max_window_mss, 100.0, 1e9);
-  desc.tail_fraction = std::clamp(desc.tail_fraction, 0.1, 1.0);
+  desc.tail_fraction = std::clamp(desc.tail_fraction, 0.1, 0.9);
   desc.expect = ExpectDesc{};  // mutants are untriaged by definition
   desc.topology_bottlenecks =
       std::clamp(desc.topology_bottlenecks, 0, limits_.max_bottlenecks);
@@ -311,7 +312,10 @@ void Mutator::sanitize(ScenarioDesc& desc) const {
         std::clamp(s.initial_window_mss, 1.0, limits_.max_initial_window_mss);
     s.start_step = std::clamp(s.start_step, 0.0, max_step);
     if (s.stop_step >= 0.0) {
-      s.stop_step = std::clamp(s.stop_step, s.start_step, max_step);
+      // At least one whole step: engine::validate_scenario rejects shorter
+      // windows.
+      s.stop_step =
+          std::max(std::min(s.stop_step, max_step), s.start_step + 1.0);
     } else {
       s.stop_step = -1.0;
     }

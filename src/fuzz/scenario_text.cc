@@ -402,8 +402,8 @@ void validate_scenario(const ScenarioDesc& desc) {
       desc.max_window_mss < desc.min_window_mss) {
     throw std::invalid_argument("window bounds must satisfy 0 <= min <= max");
   }
-  if (!(desc.tail_fraction > 0.0) || desc.tail_fraction > 1.0) {
-    throw std::invalid_argument("tail fraction must be in (0, 1], got " +
+  if (!(desc.tail_fraction > 0.0 && desc.tail_fraction < 1.0)) {
+    throw std::invalid_argument("tail fraction must be in (0, 1), got " +
                                 format_double(desc.tail_fraction));
   }
   if (desc.senders.empty()) {

@@ -1,11 +1,11 @@
 #include "scope/scope.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "util/check.h"
 #include "util/repeated_add.h"
+#include "util/stats.h"
 
 namespace axiomcc::scope {
 
@@ -14,6 +14,63 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
+
+double efficiency(double total_min, double capacity) {
+  return capacity > 0.0 ? std::min(total_min / capacity, 1.0) : 1.0;
+}
+
+double fast_utilization(std::span<const double> series, long warmup,
+                        double max_window) {
+  if (warmup < 0) return 0.0;
+  const auto w = static_cast<std::size_t>(warmup);
+  std::size_t n = series.size();
+  if (max_window > 0.0) {
+    const double cap = 0.99 * max_window;
+    const auto saturated = std::find_if(series.begin(), series.end(),
+                                        [cap](double x) { return x >= cap; });
+    n = std::max(static_cast<std::size_t>(saturated - series.begin()),
+                 std::min(w + 16, n));
+  }
+  if (n <= w + 1) return 0.0;
+  double alpha = kInf;
+  for (const std::size_t t1 : {w, w + (n - w) / 4, w + (n - w) / 2}) {
+    if (t1 + 1 >= n) continue;
+    const double x1 = series[t1];
+    double accumulated = 0.0;
+    for (std::size_t t = t1; t < n; ++t) accumulated += series[t] - x1;
+    const double dt = static_cast<double>(n - 1 - t1);
+    alpha = std::min(alpha, 2.0 * accumulated / (dt * dt));
+  }
+  return std::max(alpha, 0.0);
+}
+
+double fairness(std::span<const double> means) {
+  if (means.size() < 2) return 1.0;
+  const auto [lo, hi] = std::minmax_element(means.begin(), means.end());
+  return *hi > 0.0 ? *lo / *hi : 1.0;
+}
+
+double convergence_band(double sum, double min, double max, long samples) {
+  if (samples <= 0) return 1.0;
+  const double star = sum / static_cast<double>(samples);
+  if (star <= 0.0) return 1.0;
+  return std::clamp(std::min(min / star, 2.0 - max / star), 0.0, 1.0);
+}
+
+double friendliness(std::span<const double> means, std::size_t p) {
+  if (p == 0 || p >= means.size()) return 1.0;
+  double worst_p = 0.0;  // the P sender with the LARGEST window
+  for (std::size_t i = 0; i < p; ++i) worst_p = std::max(worst_p, means[i]);
+  double worst_q = kInf;
+  for (std::size_t j = p; j < means.size(); ++j) {
+    worst_q = std::min(worst_q, means[j]);
+  }
+  return worst_p > 0.0 ? worst_q / worst_p : 1.0;
+}
+
+double latency_avoidance(double rtt_max, double min_rtt) {
+  return min_rtt > 0.0 ? std::max(0.0, rtt_max / min_rtt - 1.0) : 0.0;
+}
 
 const char* axis_name(Axis axis) {
   switch (axis) {
@@ -111,7 +168,6 @@ void MetricScope::begin_run(int num_classes, int num_links) {
 
   total_min_ = 0.0;
   loss_max_ = 0.0;
-  loss_sum_ = 0.0;
   rtt_max_ = 0.0;
   run_samples_ = 0;
   window_start_step_ = 0;
@@ -141,7 +197,6 @@ void MetricScope::step_begin(long step, double total_window,
     total_min_ = std::min(total_min_, total_window);
   }
   loss_max_ = std::max(loss_max_, congestion_loss);
-  loss_sum_ += congestion_loss;
   rtt_max_ = std::max(rtt_max_, rtt_seconds);
   ++run_samples_;
 }
@@ -165,10 +220,8 @@ void MetricScope::observe_class(int class_id, double window_mss,
   a.loss_max = std::max(a.loss_max, observed_loss);
   // `count` serial adds, NOT count·x: the uniform-cohort path calls this
   // once per cohort and must fold bitwise like the materialized path's one
-  // call per member. The two accumulators are independent, so each folds
-  // on its own in closed form.
+  // call per member.
   a.sum = repeated_add(a.sum, window_mss, count);
-  a.sum_sq = repeated_add(a.sum_sq, window_mss * window_mss, count);
   a.samples += count;
 }
 
@@ -185,7 +238,6 @@ void MetricScope::observe_link(int link_id, double utilization,
     a.util_min = std::min(a.util_min, utilization);
   }
   a.loss_max = std::max(a.loss_max, loss_rate);
-  a.loss_sum += loss_rate;
   a.rtt_ratio_max = std::max(a.rtt_ratio_max, rtt_ratio);
   ++a.samples;
 }
@@ -217,45 +269,6 @@ void MetricScope::finish() {
 double MetricScope::run_estimate(Axis axis) const {
   return series_.last(SubjectKind::kRun, -1, axis,
                       std::numeric_limits<double>::quiet_NaN());
-}
-
-double MetricScope::fast_utilization_value() const {
-  // Mirror of core::measure_fast_utilization_score +
-  // core::fast_utilization_coefficient, applied to the aggregate-window
-  // series accumulated so far: truncate at window-cap saturation, then take
-  // the worst coefficient over the three sampled start offsets.
-  std::size_t n = totals_.size();
-  const long warmup = config_.warmup_steps;
-  if (config_.max_window_mss > 0.0) {
-    const double cap = 0.99 * config_.max_window_mss;
-    std::size_t truncated = n;
-    for (std::size_t t = 0; t < n; ++t) {
-      if (totals_[t] >= cap) {
-        truncated = t;
-        break;
-      }
-    }
-    const std::size_t min_samples = static_cast<std::size_t>(warmup) + 16;
-    truncated = std::max(truncated, std::min(min_samples, n));
-    n = truncated;
-  }
-  if (warmup < 0 || n <= static_cast<std::size_t>(warmup) + 1) return 0.0;
-  double alpha = kInf;
-  const std::size_t starts[] = {static_cast<std::size_t>(warmup),
-                                static_cast<std::size_t>(warmup) +
-                                    (n - warmup) / 4,
-                                static_cast<std::size_t>(warmup) +
-                                    (n - warmup) / 2};
-  for (std::size_t t1 : starts) {
-    if (t1 + 1 >= n) continue;
-    const double x1 = totals_[t1];
-    double accumulated = 0.0;
-    for (std::size_t t = t1; t < n; ++t) accumulated += totals_[t] - x1;
-    const double dt = static_cast<double>(n - 1 - t1);
-    if (dt <= 0.0) continue;
-    alpha = std::min(alpha, 2.0 * accumulated / (dt * dt));
-  }
-  return std::max(alpha, 0.0);
 }
 
 void MetricScope::emit(SubjectKind kind, int subject, Axis axis,
@@ -302,55 +315,27 @@ void MetricScope::close_window() {
     emit(kind, subject, axis, w);
   };
 
-  // Per-class means, in class order; the mean shares the post-hoc fold: a
-  // serial ascending sum divided once.
+  // Per-class means and convergence bands, in class order; the mean shares
+  // the post-hoc fold: a serial ascending sum divided once.
   const std::size_t k = classes_.size();
   std::vector<double> means(k, 0.0);
+  std::vector<double> bands(k, 1.0);
   for (std::size_t c = 0; c < k; ++c) {
-    if (classes_[c].samples > 0) {
-      means[c] = classes_[c].sum / static_cast<double>(classes_[c].samples);
-    }
+    const ClassAccum& a = classes_[c];
+    if (a.samples == 0) continue;
+    means[c] = a.sum / static_cast<double>(a.samples);
+    bands[c] = convergence_band(a.sum, a.min, a.max, a.samples);
   }
 
-  // Metric I — efficiency: min tail aggregate over capacity, capped at 1.
-  const double efficiency =
-      config_.capacity_mss > 0.0
-          ? std::min(total_min_ / config_.capacity_mss, 1.0)
-          : 1.0;
-  push(SubjectKind::kRun, -1, Axis::kEfficiency, efficiency);
-
-  // Metric II — fast utilization (see fast_utilization_value).
+  push(SubjectKind::kRun, -1, Axis::kEfficiency,
+       efficiency(total_min_, config_.capacity_mss));
   push(SubjectKind::kRun, -1, Axis::kFastUtilization,
-       fast_utilization_value());
-
-  // Metric III — loss avoidance: the worst congestion-loss rate seen.
+       fast_utilization(totals_, config_.warmup_steps,
+                        config_.max_window_mss));
   push(SubjectKind::kRun, -1, Axis::kLossAvoidance, loss_max_);
-
-  // Metric IV — fairness: min/max ratio of per-class per-member means.
-  double fairness = 1.0;
-  if (k > 1) {
-    double min_mean = kInf;
-    double max_mean = -kInf;
-    for (std::size_t c = 0; c < k; ++c) {
-      min_mean = std::min(min_mean, means[c]);
-      max_mean = std::max(max_mean, means[c]);
-    }
-    if (max_mean > 0.0) fairness = min_mean / max_mean;
-  }
-  push(SubjectKind::kRun, -1, Axis::kFairness, fairness);
-
-  // Metric V — convergence: the worst per-class deviation band. The min
-  // over samples of min(x/x*, 2−x/x*) equals min(min/x*, 2−max/x*) because
-  // x* (the mean) always lies within [min, max].
-  double convergence = 1.0;
-  for (std::size_t c = 0; c < k; ++c) {
-    if (classes_[c].samples == 0) continue;
-    const double star = means[c];
-    if (star <= 0.0) continue;
-    convergence = std::min(convergence, classes_[c].min / star);
-    convergence = std::min(convergence, 2.0 - classes_[c].max / star);
-  }
-  convergence = std::clamp(convergence, 0.0, 1.0);
+  push(SubjectKind::kRun, -1, Axis::kFairness, fairness(means));
+  double convergence = 1.0;  // the worst class band
+  for (const double band : bands) convergence = std::min(convergence, band);
   push(SubjectKind::kRun, -1, Axis::kConvergence, convergence);
 
   // Metric VI — robustness proxy: of the samples that carried loss, the
@@ -366,65 +351,36 @@ void MetricScope::close_window() {
                 static_cast<double>(lossy_samples_);
   push(SubjectKind::kRun, -1, Axis::kRobustness, robustness);
 
-  // Metric VII — friendliness: worst Q-class mean over worst P-class mean.
-  double friendliness = 1.0;
-  const std::size_t p = config_.p_classes > 0
-                            ? static_cast<std::size_t>(config_.p_classes)
-                            : 0;
-  if (p > 0 && p < k) {
-    double worst_p = 0.0;
-    for (std::size_t c = 0; c < p; ++c) worst_p = std::max(worst_p, means[c]);
-    double worst_q = kInf;
-    for (std::size_t c = p; c < k; ++c) worst_q = std::min(worst_q, means[c]);
-    if (worst_p > 0.0) friendliness = worst_q / worst_p;
-  }
-  push(SubjectKind::kRun, -1, Axis::kTcpFriendliness, friendliness);
-
-  // Metric VIII — latency avoidance: worst RTT inflation over the baseline.
-  const double latency =
-      config_.min_rtt_seconds > 0.0
-          ? std::max(0.0, rtt_max_ / config_.min_rtt_seconds - 1.0)
-          : 0.0;
-  push(SubjectKind::kRun, -1, Axis::kLatencyAvoidance, latency);
+  push(SubjectKind::kRun, -1, Axis::kTcpFriendliness,
+       friendliness(means, static_cast<std::size_t>(
+                               std::max(config_.p_classes, 0))));
+  push(SubjectKind::kRun, -1, Axis::kLatencyAvoidance,
+       latency_avoidance(rtt_max_, config_.min_rtt_seconds));
 
   // Jain index over the per-class means (diagnostic; no recorder event).
-  {
-    double sum = 0.0;
-    double sum_sq = 0.0;
-    for (std::size_t c = 0; c < k; ++c) {
-      sum += means[c];
-      sum_sq += means[c] * means[c];
-    }
-    w.value = (k == 0 || sum_sq <= 0.0)
-                  ? 1.0
-                  : (sum * sum) / (static_cast<double>(k) * sum_sq);
-    series_.jain.push_back(w);
-  }
+  w.value = jain_index(means);
+  series_.jain.push_back(w);
 
   // Per-class channels.
   for (std::size_t c = 0; c < k; ++c) {
-    const ClassAccum& a = classes_[c];
-    if (a.samples == 0) continue;
+    if (classes_[c].samples == 0) continue;
     push(SubjectKind::kClass, static_cast<int>(c), Axis::kLossAvoidance,
-         a.loss_max);
-    double band = 1.0;
-    if (means[c] > 0.0) {
-      band = std::clamp(
-          std::min(a.min / means[c], 2.0 - a.max / means[c]), 0.0, 1.0);
-    }
-    push(SubjectKind::kClass, static_cast<int>(c), Axis::kConvergence, band);
+         classes_[c].loss_max);
+    push(SubjectKind::kClass, static_cast<int>(c), Axis::kConvergence,
+         bands[c]);
   }
 
-  // Per-link channels.
+  // Per-link channels: utilization and RTT are already ratios to the
+  // link's capacity and base RTT.
   for (std::size_t l = 0; l < links_.size(); ++l) {
     const LinkAccum& a = links_[l];
     if (a.samples == 0) continue;
     push(SubjectKind::kLink, static_cast<int>(l), Axis::kEfficiency,
-         std::min(a.util_min, 1.0));
+         efficiency(a.util_min, 1.0));
     push(SubjectKind::kLink, static_cast<int>(l), Axis::kLossAvoidance,
          a.loss_max);
     push(SubjectKind::kLink, static_cast<int>(l), Axis::kLatencyAvoidance,
-         std::max(0.0, a.rtt_ratio_max - 1.0));
+         latency_avoidance(a.rtt_ratio_max, 1.0));
   }
 
   // Reset the window accumulators (the robustness counters and the
@@ -433,7 +389,6 @@ void MetricScope::close_window() {
   for (LinkAccum& a : links_) a = LinkAccum{};
   total_min_ = 0.0;
   loss_max_ = 0.0;
-  loss_sum_ = 0.0;
   rtt_max_ = 0.0;
   run_samples_ = 0;
 }

@@ -26,11 +26,17 @@
 // coefficient samples start offsets that are only known once the horizon or
 // the saturation point is reached.
 //
-// The scope does not depend on src/core: it re-states the estimator math on
-// its own accumulators, and core stays the post-hoc oracle the equivalence
-// tests compare against.
+// Each metric's formula lives here once, as a pure function of the window
+// statistics it needs (efficiency … latency_avoidance below). The scope
+// calls them on its streaming accumulators; core's post-hoc estimators
+// (core/metrics.h) call the same functions on one pass over a finished
+// trace's tail. The equivalence tests therefore check that the two ways of
+// accumulating agree; the hand-computed answers in core_metrics_test stay the
+// independent oracle for the formulas themselves.
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "recorder/recorder.h"
@@ -57,6 +63,45 @@ inline constexpr int kNumAxes = 8;
 /// The flight-recorder event code carrying one axis (event.h appends the
 /// eight metric codes after the guard codes, in Axis order).
 [[nodiscard]] recorder::EventCode axis_event_code(Axis axis);
+
+// The estimator formulas, one per metric. Each takes the statistics of one
+// window (or one tail) and returns the paper-oriented score.
+
+/// Metric I: the worst aggregate window over capacity, capped at 1; 1 when
+/// `capacity <= 0`.
+[[nodiscard]] double efficiency(double total_min, double capacity);
+
+/// Metric II: the fast-utilization coefficient of a loss-free window series,
+/// the largest α with Σ(x(t)−x(t₁)) ≥ αΔt²/2 over three start offsets t₁
+/// after `warmup` (full suffixes, the binding case for convex growth); 0
+/// when the series has no sample past warmup + 1. `max_window > 0` first
+/// truncates the series at its first sample >= 0.99·max_window, keeping at
+/// least warmup + 16 samples: past saturation the series is flat and would
+/// mask the growth before it. `max_window <= 0` means no truncation.
+[[nodiscard]] double fast_utilization(std::span<const double> series,
+                                      long warmup, double max_window);
+
+/// Metric IV: the smallest mean window over the largest; 1 for fewer than
+/// two means or when no mean is positive.
+[[nodiscard]] double fairness(std::span<const double> means);
+
+/// Metric V for one sender or class: the largest α in [0, 1] with every
+/// sample in [αx*, (2−α)x*], where x* = sum/samples, from the samples' sum,
+/// min and max; 1 when there are no samples or x* <= 0. Rounded division
+/// and subtraction are monotone, so this equals the per-sample minimum of
+/// min(x/x*, 2 − x/x*) bit for bit.
+[[nodiscard]] double convergence_band(double sum, double min, double max,
+                                      long samples);
+
+/// Metric VII: the smallest Q mean over the largest P mean, where
+/// `means[0, p)` are the P senders and the rest are Q; 1 when either side
+/// is empty or no P mean is positive.
+[[nodiscard]] double friendliness(std::span<const double> means,
+                                  std::size_t p);
+
+/// Metric VIII: the RTT inflation max(0, rtt_max/min_rtt − 1); 0 when
+/// `min_rtt <= 0`.
+[[nodiscard]] double latency_avoidance(double rtt_max, double min_rtt);
 
 /// Who a scope channel describes.
 enum class SubjectKind : int {
@@ -90,9 +135,8 @@ struct ScopeConfig {
   /// Latency baseline: the zero-load RTT in seconds. <= 0 makes
   /// latency-avoidance report 0.
   double min_rtt_seconds = 0.0;
-  /// Fast-utilization saturation cap (the run's max window). > 0 truncates
-  /// the coefficient series at the first sample >= 0.99·cap, exactly like
-  /// core::measure_fast_utilization_score.
+  /// Fast-utilization saturation cap (the run's max window), passed to
+  /// fast_utilization() as core::measure_fast_utilization_score passes it.
   double max_window_mss = 0.0;
 };
 
@@ -176,7 +220,6 @@ class MetricScope {
  private:
   struct ClassAccum {
     double sum = 0.0;
-    double sum_sq = 0.0;
     double min = 0.0;
     double max = 0.0;
     double loss_max = 0.0;
@@ -185,14 +228,12 @@ class MetricScope {
   struct LinkAccum {
     double util_min = 0.0;
     double loss_max = 0.0;
-    double loss_sum = 0.0;
     double rtt_ratio_max = 0.0;
     long samples = 0;
   };
 
   void close_window();
   void emit(SubjectKind kind, int subject, Axis axis, const WindowSample& w);
-  [[nodiscard]] double fast_utilization_value() const;
 
   ScopeConfig config_;
   recorder::Recorder* recorder_ = nullptr;
@@ -204,7 +245,6 @@ class MetricScope {
   // Run-level window accumulators.
   double total_min_ = 0.0;
   double loss_max_ = 0.0;
-  double loss_sum_ = 0.0;
   double rtt_max_ = 0.0;
   long run_samples_ = 0;
   long window_start_step_ = 0;

@@ -405,6 +405,68 @@ TEST(ScenarioValidation, RejectsMalformedSchedulesAndLossOnBothBackends) {
   }
 }
 
+TEST(ScenarioValidation, RejectsSubStepSenderWindowsOnBothBackends) {
+  // A slot whose activity window rounds to less than one step used to fault
+  // inside the run: [20, 20) and [30, 20) on both backends, [20.2, 20.4) on
+  // fluid alone (lround collapses it to [20, 20)). Each now ends in a
+  // ScenarioError before any step, as do a non-finite stop, which lround
+  // cannot represent, and a negative start (add_sender refuses one by
+  // contract, so that slot is built by hand); [20.4, 20.6) rounds to
+  // [20, 21) and runs.
+  const cc::Aimd aimd(1.0, 0.5);
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Window {
+    double start;
+    double stop;
+  };
+  for (const Window w : {Window{20.0, 20.0}, Window{30.0, 20.0},
+                         Window{20.2, 20.4}, Window{10.0, inf},
+                         Window{-5.0, -1.0}}) {
+    ScenarioSpec spec = small_spec(60);
+    spec.senders.push_back(SenderSlot{&aimd, 10.0, w.start, w.stop, 1, {}});
+    long steps_seen = 0;
+    spec.step_monitor = [&steps_seen](long, std::span<const double>, double,
+                                      double) {
+      ++steps_seen;
+      return true;
+    };
+    for (const BackendKind kind : {BackendKind::kFluid, BackendKind::kPacket}) {
+      EXPECT_THROW((void)backend_for(kind).run(spec), ScenarioError)
+          << "[" << w.start << ", " << w.stop << ") " << backend_name(kind);
+    }
+    EXPECT_EQ(steps_seen, 0);
+  }
+  ScenarioSpec ok = small_spec(60);
+  ok.add_sender(aimd, 10.0, 20.4, 20.6);
+  for (const BackendKind kind : {BackendKind::kFluid, BackendKind::kPacket}) {
+    EXPECT_EQ(backend_for(kind).run(ok).trace.num_steps(), 60u)
+        << backend_name(kind);
+  }
+  // Workload templates are expanded first; the generators own the windows.
+  ScenarioSpec templated = small_spec(60);
+  templated.workload.kind = WorkloadKind::kIncast;
+  templated.workload.flows = 2;
+  templated.add_sender(aimd, 10.0, 20.0, 20.0);
+  EXPECT_NO_THROW(validate_scenario(templated));
+}
+
+TEST(ScenarioValidation, RejectsTailFractionOutsideUnitInterval) {
+  const cc::Aimd aimd(1.0, 0.5);
+  for (const double tail : {1.0, -0.1, 1.5}) {
+    ScenarioSpec spec = small_spec(60);
+    spec.tail_fraction = tail;
+    spec.add_sender(aimd, 1.0);
+    for (const BackendKind kind : {BackendKind::kFluid, BackendKind::kPacket}) {
+      EXPECT_THROW((void)backend_for(kind).run(spec), ScenarioError)
+          << tail << " " << backend_name(kind);
+    }
+  }
+  ScenarioSpec zero = small_spec(60);
+  zero.tail_fraction = 0.0;
+  zero.add_sender(aimd, 1.0);
+  EXPECT_NO_THROW(validate_scenario(zero));
+}
+
 TEST(Topology, ParkingLotRunsOnBothBackends) {
   const cc::Aimd aimd(1.0, 0.5);
   ScenarioSpec spec = small_spec(120);

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "cc/registry.h"
+#include "engine/topology.h"
 #include "fuzz/scenario_text.h"
 #include "util/rng.h"
 
@@ -215,6 +218,59 @@ TEST(FuzzMutator, SanitizeKeepsStormWindowNonEmpty) {
         EXPECT_LE(desc.loss.end, desc.steps) << start << " " << end;
         EXPECT_NO_THROW(validate_scenario(desc)) << start << " " << end;
       }
+    }
+  }
+}
+
+/// True when a sender runs at least one whole step once its window is
+/// rounded the way the backends round it (or runs forever).
+bool window_at_least_one_step(const SenderDesc& s) {
+  return s.stop_step < 0.0 ||
+         std::lround(s.stop_step) > std::lround(s.start_step);
+}
+
+TEST(FuzzMutator, SanitizeKeepsSenderWindowsAtLeastOneStep) {
+  // engine::validate_scenario rejects a window that rounds to less than one
+  // step, so sanitize must emit only -1 or windows at least one step long,
+  // including at the horizon.
+  const Mutator mutator;
+  for (const long steps : {16L, 60L}) {
+    for (const double start : {0.0, 20.0, 20.2, 20.5, 59.6, 60.0, 500.0}) {
+      for (const double stop : {-1.0, 0.0, 20.0, 20.4, 20.6, 30.0, 90.0}) {
+        ScenarioDesc desc;
+        desc.steps = steps;
+        desc.senders = {SenderDesc{"reno", 1.0, start, stop}};
+        mutator.sanitize(desc);
+        const SenderDesc& s = desc.senders.front();
+        EXPECT_TRUE(window_at_least_one_step(s))
+            << start << " " << stop << " -> " << s.start_step << " "
+            << s.stop_step;
+        EXPECT_NO_THROW(engine::validate_scenario(compile_scenario(desc).spec))
+            << start << " " << stop;
+      }
+    }
+  }
+}
+
+TEST(FuzzMutator, SeededMutantsPassEngineValidation) {
+  // Ten seeded chains of 1000 mutations each: no mutant carries a tail
+  // fraction of 1 or a sender window shorter than one step, and every
+  // compiled spec passes the engine's validator.
+  const Mutator mutator;
+  const std::vector<ScenarioDesc> seeds = Mutator::seed_corpus();
+  for (std::uint64_t chain = 0; chain < 10; ++chain) {
+    Rng rng(1000 + chain);
+    ScenarioDesc current = seeds[chain % seeds.size()];
+    for (int i = 0; i < 1000; ++i) {
+      current = mutator.mutate(current, rng);
+      ASSERT_LT(current.tail_fraction, 1.0) << serialize_scenario(current);
+      for (const SenderDesc& s : current.senders) {
+        ASSERT_TRUE(window_at_least_one_step(s))
+            << serialize_scenario(current);
+      }
+      ASSERT_NO_THROW(
+          engine::validate_scenario(compile_scenario(current).spec))
+          << serialize_scenario(current);
     }
   }
 }

@@ -283,6 +283,16 @@ TEST(FuzzScenarioText, ScenarioWithoutSendersRejected) {
                std::invalid_argument);
 }
 
+TEST(FuzzScenarioText, TailOfOneRejected) {
+  // A tail fraction of 1 leaves no tail to score: every estimator and the
+  // packet backend's per-flow reports need at least one sample.
+  const std::string text =
+      "axiomcc-scenario v1\nsteps 60\ntail 1\nsender 1 0 -1 reno\n";
+  EXPECT_THROW(parse_scenario(text), std::invalid_argument);
+  EXPECT_NO_THROW(parse_scenario(
+      "axiomcc-scenario v1\nsteps 60\ntail 0.99\nsender 1 0 -1 reno\n"));
+}
+
 TEST(FuzzScenarioText, DomainViolationsRejected) {
   ScenarioDesc desc;
   desc.bandwidth_mbps = -1.0;

@@ -96,8 +96,8 @@ TEST(RecorderInspect, FaultReproducerDumpsRenderablePostMortem) {
   ASSERT_EQ(pm.sides.size(), 2u);
   EXPECT_EQ(pm.sides[0].label, "fluid");
   EXPECT_EQ(pm.sides[1].label, "packet");
-  EXPECT_EQ(pm.sides[0].fault_kind, "contract_violation");
-  EXPECT_EQ(pm.sides[1].fault_kind, "contract_violation");
+  EXPECT_EQ(pm.sides[0].fault_kind, "exception");
+  EXPECT_EQ(pm.sides[1].fault_kind, "exception");
   // The dump embeds the byte-exact reproducer, so the post-mortem alone is
   // enough to re-run the scenario.
   const ScenarioDesc original = load_scenario_file(
@@ -105,8 +105,7 @@ TEST(RecorderInspect, FaultReproducerDumpsRenderablePostMortem) {
   EXPECT_EQ(parse_scenario(pm.scenario_text), original);
 
   const std::string rendered = analysis::render_postmortem(pm, {});
-  EXPECT_NE(rendered.find("contract_violation"), std::string::npos)
-      << rendered;
+  EXPECT_NE(rendered.find("exception"), std::string::npos) << rendered;
   EXPECT_NE(rendered.find("fluid"), std::string::npos);
   std::remove(rs.outcome.postmortem_path.c_str());
 }

@@ -1,9 +1,11 @@
 // Streaming-vs-post-hoc equivalence: a full-horizon scope window
 // (window_steps == 0) attached to a live run must reproduce the src/core
-// tail estimators computed on the finished trace. On the fluid backend the
-// scope is fed exactly the values the trace records, in the same serial
-// ascending order, so the match is bit-exact (EXPECT_DOUBLE_EQ). On the
-// packet backend the trace content is identical too, but the scope's
+// tail estimators computed on the finished trace. Both sides call the same
+// formulas (scope/scope.h), so what this checks is the accumulation: the
+// scope's streaming min/max/sum against core's one pass over the tail. On
+// the fluid backend the scope is fed exactly the values the trace records,
+// in the same serial ascending order, so the match is bit-exact (EXPECT_EQ).
+// On the packet backend the trace content is identical too, but the scope's
 // normalization constants (capacity, base RTT) are resolved from the link
 // parameters rather than read back from the trace, so the capacity-scaled
 // axes compare within a tight relative tolerance instead.
@@ -92,23 +94,23 @@ TEST(ScopeEquivalence, FluidFullHorizonMatchesPostHocExactly) {
 
     core::EstimatorConfig cfg;
     cfg.tail_fraction = 0.5;
-    EXPECT_DOUBLE_EQ(r.estimate(scope::Axis::kEfficiency),
-                     core::measure_efficiency(r.trace, cfg));
-    EXPECT_DOUBLE_EQ(r.estimate(scope::Axis::kLossAvoidance),
-                     core::measure_loss_avoidance(r.trace, cfg));
-    EXPECT_DOUBLE_EQ(r.estimate(scope::Axis::kFairness),
-                     core::measure_fairness(r.trace, cfg));
-    EXPECT_DOUBLE_EQ(r.estimate(scope::Axis::kConvergence),
-                     core::measure_convergence(r.trace, cfg));
-    EXPECT_DOUBLE_EQ(r.estimate(scope::Axis::kLatencyAvoidance),
-                     core::measure_latency_avoidance(r.trace, cfg));
+    EXPECT_EQ(r.estimate(scope::Axis::kEfficiency),
+              core::measure_efficiency(r.trace, cfg));
+    EXPECT_EQ(r.estimate(scope::Axis::kLossAvoidance),
+              core::measure_loss_avoidance(r.trace, cfg));
+    EXPECT_EQ(r.estimate(scope::Axis::kFairness),
+              core::measure_fairness(r.trace, cfg));
+    EXPECT_EQ(r.estimate(scope::Axis::kConvergence),
+              core::measure_convergence(r.trace, cfg));
+    EXPECT_EQ(r.estimate(scope::Axis::kLatencyAvoidance),
+              core::measure_latency_avoidance(r.trace, cfg));
     // The fluid run never nears the 1e9-MSS cap, so the scope's saturation
     // truncation is inert and the coefficient matches core's exactly.
-    EXPECT_DOUBLE_EQ(
+    EXPECT_EQ(
         r.estimate(scope::Axis::kFastUtilization),
         core::fast_utilization_coefficient(r.trace.total_window(), r.warmup));
     // No P/Q split configured: the friendliness channel reports 1.
-    EXPECT_DOUBLE_EQ(r.estimate(scope::Axis::kTcpFriendliness), 1.0);
+    EXPECT_EQ(r.estimate(scope::Axis::kTcpFriendliness), 1.0);
     const double robustness = r.estimate(scope::Axis::kRobustness);
     EXPECT_GE(robustness, 0.0);
     EXPECT_LE(robustness, 1.0);
@@ -160,9 +162,8 @@ TEST(ScopeEquivalence, FriendlinessSplitMatchesPostHocMixedRun) {
         run_equiv(family, engine::BackendKind::kFluid, 1200, "reno");
     core::EstimatorConfig cfg;
     cfg.tail_fraction = 0.5;
-    EXPECT_DOUBLE_EQ(
-        r.estimate(scope::Axis::kTcpFriendliness),
-        core::measure_friendliness(r.trace, kP, kQ, cfg));
+    EXPECT_EQ(r.estimate(scope::Axis::kTcpFriendliness),
+              core::measure_friendliness(r.trace, kP, kQ, cfg));
   }
 }
 
