@@ -12,7 +12,12 @@
 //    two-way delay matches scale·RTT (the reverse path is fixed, so the
 //    scaling is applied asymmetrically — see docs/stress.md);
 //  - step monitor: invoked at each trace sample; returning false stops the
-//    event loop at that sample.
+//    event loop at that sample;
+//  - flight recorder: the run is narrated through fluid::StepRecorder, the
+//    same narrator the fluid tick loops use, fed from the step monitor with
+//    one lane per scope/recorder class. The packet monitor sees only the
+//    binding link's congestion loss, not per-flow injected loss, so the
+//    per-cohort kInjected lane stays fluid-only.
 //
 // Every scenario runs on sim::MultiHopNetwork through one path: a
 // single-link spec is the one-link topology (dumbbell_topology) with every
@@ -31,6 +36,7 @@
 #include "engine/backend.h"
 #include "engine/topology.h"
 #include "engine/workload.h"
+#include "fluid/step_hooks.h"
 #include "recorder/recorder.h"
 #include "sim/dumbbell.h"
 #include "sim/loss.h"
@@ -121,138 +127,6 @@ double horizon_seconds(double step_ms, long steps) {
   }
   return seconds;
 }
-
-/// Mirror of the fluid tick loop's StepRecorder: every event derives from
-/// the executed slot list (churn intervals rounded exactly like the fluid
-/// backend rounds them, the shared schedules) or from the values
-/// each trace sample records, so both backends' recordings live on the same
-/// lanes and the aligner can step-match them. Invoked from the (serial)
-/// event loop via a wrapping step monitor. Cohort-lane injected-loss detail
-/// is not observable per-sample here and stays a fluid-only extra.
-class PacketStepRecorder {
- public:
-  PacketStepRecorder(const ScenarioSpec& spec,
-                     const std::vector<SenderSlot>& slots)
-      : sink_(spec.record_sink),
-        bw_(spec.bandwidth_scale),
-        rtt_(spec.rtt_scale),
-        aggregate_(spec.trace_detail == fluid::TraceDetail::kAggregate) {
-    sink_->set_backend("packet");
-    sink_->set_senders(total_slot_senders(slots));
-    long begin = 0;
-    for (const SenderSlot& slot : slots) {
-      CohortRef c;
-      c.begin = begin;
-      c.count = slot.count;
-      c.start = std::lround(slot.start_step);
-      c.stop = slot.stop_step < 0.0 ? -1 : std::lround(slot.stop_step);
-      cohorts_.push_back(c);
-      begin += slot.count;
-    }
-    churn_active_.assign(cohorts_.size(), 0);
-  }
-
-  void on_step(long step, std::span<const double> windows, double rtt_seconds,
-               double congestion_loss) {
-    using recorder::EventClass;
-    using recorder::EventCode;
-    using recorder::Subject;
-    sink_->note_step(step);
-
-    const auto active_at = [step](const CohortRef& c) {
-      return step >= c.start && (c.stop < 0 || step < c.stop);
-    };
-
-    if (sink_->wants(EventClass::kChurn)) {
-      for (std::size_t ci = 0; ci < cohorts_.size(); ++ci) {
-        const bool active = active_at(cohorts_[ci]);
-        if (active != static_cast<bool>(churn_active_[ci])) {
-          sink_->emit({step, EventClass::kChurn,
-                       active ? EventCode::kJoin : EventCode::kLeave,
-                       Subject::kCohort, static_cast<int>(ci),
-                       static_cast<double>(cohorts_[ci].count), 0.0});
-          churn_active_[ci] = active ? 1 : 0;
-        }
-      }
-    }
-
-    if (sink_->wants(EventClass::kSchedule)) {
-      if (!bw_.empty()) {
-        const double scale = bw_.at(step);
-        if (scale != last_bw_scale_) {
-          sink_->emit({step, EventClass::kSchedule, EventCode::kBandwidth,
-                       Subject::kRun, -1, scale, last_bw_scale_});
-          last_bw_scale_ = scale;
-        }
-      }
-      if (!rtt_.empty()) {
-        const double scale = rtt_.at(step);
-        if (scale != last_rtt_scale_) {
-          sink_->emit({step, EventClass::kSchedule, EventCode::kRtt,
-                       Subject::kRun, -1, scale, last_rtt_scale_});
-          last_rtt_scale_ = scale;
-        }
-      }
-    }
-
-    if (sink_->wants(EventClass::kLoss)) {
-      const bool lossy = congestion_loss > 0.0;
-      if (lossy != loss_active_) {
-        sink_->emit({step, EventClass::kLoss,
-                     lossy ? EventCode::kOnset : EventCode::kClear,
-                     Subject::kRun, -1,
-                     lossy ? congestion_loss : last_loss_, 0.0});
-        loss_active_ = lossy;
-      }
-      if (lossy) last_loss_ = congestion_loss;
-    }
-
-    if (sink_->wants(EventClass::kWindow) && sink_->sample_due(step)) {
-      double total = 0.0;
-      for (const double w : windows) total += w;
-      sink_->emit({step, EventClass::kWindow, EventCode::kTotal, Subject::kRun,
-                   -1, total, rtt_seconds});
-      if (aggregate_) {
-        for (std::size_t ci = 0; ci < cohorts_.size(); ++ci) {
-          if (!active_at(cohorts_[ci])) continue;
-          const double w =
-              windows[static_cast<std::size_t>(cohorts_[ci].begin)];
-          if (w > 0.0) {
-            sink_->emit({step, EventClass::kWindow, EventCode::kSample,
-                         Subject::kCohort, static_cast<int>(ci), w, 0.0});
-          }
-        }
-      } else {
-        for (std::size_t i = 0; i < windows.size(); ++i) {
-          if (windows[i] > 0.0) {
-            sink_->emit({step, EventClass::kWindow, EventCode::kSample,
-                         Subject::kSender, static_cast<int>(i), windows[i],
-                         0.0});
-          }
-        }
-      }
-    }
-  }
-
- private:
-  struct CohortRef {
-    long begin = 0;
-    long count = 0;
-    long start = 0;
-    long stop = -1;
-  };
-
-  recorder::Recorder* sink_;
-  fluid::Schedule bw_;
-  fluid::Schedule rtt_;
-  bool aggregate_;
-  std::vector<CohortRef> cohorts_;
-  std::vector<char> churn_active_;
-  double last_bw_scale_ = 1.0;
-  double last_rtt_scale_ = 1.0;
-  bool loss_active_ = false;
-  double last_loss_ = 0.0;
-};
 
 /// Flattens cohort slots to one slot per member (routed runs observe
 /// per-flow, so recorder cohorts and flow ids coincide).
@@ -399,20 +273,30 @@ RunTrace PacketBackend::run(const ScenarioSpec& spec) const {
 
   if (spec.record_sink != nullptr || scope != nullptr) {
     // Recording rides on the step-monitor hook: emit first, then chain the
-    // caller's monitor (the guarded runner installs its checks there).
-    const auto prec = spec.record_sink != nullptr
-                          ? std::make_shared<PacketStepRecorder>(spec, classes)
-                          : nullptr;
+    // caller's monitor (the guarded runner installs its checks there). One
+    // recorder lane per class; churn intervals round exactly like the fluid
+    // backend rounds them.
+    std::vector<fluid::StepRecorder::Cohort> lanes;
+    long begin = 0;
+    for (const SenderSlot& slot : classes) {
+      lanes.push_back({std::lround(slot.start_step),
+                       slot.stop_step < 0.0 ? -1 : std::lround(slot.stop_step),
+                       slot.count, begin});
+      begin += slot.count;
+    }
+    fluid::StepRecorder srec(
+        spec.record_sink, "packet", std::move(lanes), spec.bandwidth_scale,
+        spec.rtt_scale, spec.trace_detail == fluid::TraceDetail::kAggregate,
+        total_slot_senders(classes));
     const StepMonitor user = spec.step_monitor;
-    net.set_step_monitor([prec, scope, flow_class,
-                          user](long step, std::span<const double> windows,
-                                double rtt_seconds, double congestion_loss) {
-      if (prec != nullptr) {
-        prec->on_step(step, windows, rtt_seconds, congestion_loss);
-      }
+    net.set_step_monitor([srec = std::move(srec), scope, flow_class, user](
+                             long step, std::span<const double> windows,
+                             double rtt_seconds,
+                             double congestion_loss) mutable {
+      double total = 0.0;
+      for (const double w : windows) total += w;
+      srec.on_step(step, total, rtt_seconds, congestion_loss, windows, {});
       if (scope != nullptr) {
-        double total = 0.0;
-        for (const double w : windows) total += w;
         scope->step_begin(step, total, rtt_seconds, congestion_loss);
         for (std::size_t i = 0; i < windows.size(); ++i) {
           scope->observe_class(flow_class[i], windows[i], congestion_loss);

@@ -6,10 +6,12 @@
 #include <memory>
 #include <ostream>
 #include <span>
+#include <vector>
 
 #include "cc/registry.h"
 #include "core/metrics.h"
 #include "engine/topology.h"
+#include "scope/scope.h"
 #include "telemetry/telemetry.h"
 #include "util/check.h"
 #include "util/task_pool.h"
@@ -52,20 +54,14 @@ double tail_utilization(const fluid::Trace& trace, double tail_fraction) {
   return sum / static_cast<double>(total.size() - start);
 }
 
-/// min/max ratio of tail-mean windows over senders still active in the tail.
+/// Metric IV over the tail-mean windows of senders still active in the tail.
 double tail_fairness(const fluid::Trace& trace, double tail_fraction) {
-  double lo = kInf;
-  double hi = 0.0;
-  int active = 0;
+  std::vector<double> means;
   for (int i = 0; i < trace.num_senders(); ++i) {
     const double mean = tail_mean(trace.windows(i), tail_fraction);
-    if (mean <= kActiveWindowFloor) continue;
-    ++active;
-    lo = std::min(lo, mean);
-    hi = std::max(hi, mean);
+    if (mean > kActiveWindowFloor) means.push_back(mean);
   }
-  if (active <= 1) return 1.0;
-  return hi > 0.0 ? lo / hi : 0.0;
+  return scope::fairness(means);
 }
 
 /// Steps past `recover_from` until the aggregate window regains

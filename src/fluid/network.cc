@@ -129,12 +129,12 @@ Trace FluidNetwork::run() {
   // Each flow is its own count-1 cohort: the engine's topology path
   // flattens sender slots to per-flow order on both backends, so cohort id
   // == flow id and the two backends' recordings step-align.
-  std::vector<detail::StepRecorder::Cohort> lanes;
+  std::vector<StepRecorder::Cohort> lanes;
   for (int f = 0; f < nf; ++f) {
     lanes.push_back({flows_[f].start_step, flows_[f].stop_step, 1, f});
   }
-  detail::StepRecorder srec(options_.record_sink, std::move(lanes),
-                            bandwidth_scale_, rtt_scale_, aggregate, nf);
+  StepRecorder srec(options_.record_sink, "fluid", std::move(lanes),
+                    bandwidth_scale_, rtt_scale_, aggregate, nf);
   scope::MetricScope* scope = options_.scope_sink;
   if (scope != nullptr) {
     scope->resolve(options_.steps, 0.0, min_capacity, min_route_rtt,

@@ -140,7 +140,7 @@ Trace FluidSimulation::tick_loop() {
 
   std::vector<std::unique_ptr<cc::Protocol>> owned;
   std::vector<Cohort> cohorts;
-  std::vector<detail::StepRecorder::Cohort> lanes;
+  std::vector<StepRecorder::Cohort> lanes;
   cohorts.reserve(groups_.size());
   long begin = 0;
   long slots = 0;
@@ -263,8 +263,8 @@ Trace FluidSimulation::tick_loop() {
   long injected_loss_samples = 0;
 
   detail::ScheduledLink sched({&link_, 1}, bandwidth_scale_, rtt_scale_);
-  detail::StepRecorder srec(options_.record_sink, std::move(lanes),
-                            bandwidth_scale_, rtt_scale_, aggregate, n);
+  StepRecorder srec(options_.record_sink, "fluid", std::move(lanes),
+                    bandwidth_scale_, rtt_scale_, aggregate, n);
   for (std::size_t ci = 0; ci < cohorts.size(); ++ci) {
     srec.cohort_mode(ci, uniform ? recorder::EventCode::kUniform
                          : cohorts[ci].kernel != nullptr

@@ -2,9 +2,9 @@
 
 #include "util/check.h"
 
-namespace axiomcc::fluid::detail {
+namespace axiomcc::fluid {
 
-std::span<const FluidLink> ScheduledLink::scaled(long step) {
+std::span<const FluidLink> detail::ScheduledLink::scaled(long step) {
   double bw_scale = 1.0;
   double rtt_scale = 1.0;
   if (!bw_.empty()) {
@@ -35,13 +35,13 @@ std::span<const FluidLink> ScheduledLink::scaled(long step) {
   return scaled_;
 }
 
-StepRecorder::StepRecorder(recorder::Recorder* sink,
-                           std::vector<Cohort> cohorts,
-                           const Schedule& bw, const Schedule& rtt,
-                           bool aggregate, long total_senders)
+StepRecorder::StepRecorder(recorder::Recorder* sink, const char* backend,
+                           std::vector<Cohort> cohorts, const Schedule& bw,
+                           const Schedule& rtt, bool aggregate,
+                           long total_senders)
     : sink_(sink), bw_(&bw), rtt_(&rtt), aggregate_(aggregate) {
   if (sink_ == nullptr) return;
-  sink_->set_backend("fluid");
+  sink_->set_backend(backend);
   sink_->set_senders(total_senders);
   cohorts_ = std::move(cohorts);
   churn_active_.assign(cohorts_.size(), 0);
@@ -107,8 +107,10 @@ void StepRecorder::record(long step, double total, double rtt_value,
     // combine_loss is strictly increasing in the injected component, so
     // observed > congestion exactly when the injector contributed. On a
     // multi-hop route a flow's composed congestion loss can exceed the
-    // recorded (max-link) rate — good enough for timeline triage.
-    for (std::size_t ci = 0; ci < cohorts_.size(); ++ci) {
+    // recorded (max-link) rate — good enough for timeline triage. No
+    // `observed` (the packet monitor) means no per-cohort injected lane.
+    for (std::size_t ci = 0; !observed.empty() && ci < cohorts_.size();
+         ++ci) {
       const bool active = active_at(cohorts_[ci]);
       const double obs =
           active ? observed[static_cast<std::size_t>(cohorts_[ci].slot)]
@@ -148,4 +150,4 @@ void StepRecorder::record(long step, double total, double rtt_value,
   }
 }
 
-}  // namespace axiomcc::fluid::detail
+}  // namespace axiomcc::fluid

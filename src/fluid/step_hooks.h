@@ -1,7 +1,12 @@
-// step_hooks.h — per-step hooks shared by the fluid tick loops
-// (FluidSimulation and FluidNetwork): the scheduled link set and the
-// flight-recorder emission. Internal to src/fluid. The common no-schedule /
-// no-recorder case is an inline check; the work lives in step_hooks.cc.
+// step_hooks.h — per-step hooks of the simulation loops.
+//  - fluid::StepRecorder narrates a run into the flight recorder. Every
+//    backend uses it: both fluid tick loops (FluidSimulation, FluidNetwork)
+//    and the packet backend's step monitor, so each recorder event is
+//    written in one place and the backends' recordings step-align.
+//  - fluid::detail::ScheduledLink is the fluid loops' scheduled link set
+//    (internal to src/fluid).
+// The common no-schedule / no-recorder case is an inline check; the work
+// lives in step_hooks.cc.
 #pragma once
 
 #include <cstddef>
@@ -13,7 +18,8 @@
 #include "fluid/schedule.h"
 #include "recorder/recorder.h"
 
-namespace axiomcc::fluid::detail {
+namespace axiomcc::fluid {
+namespace detail {
 
 /// The active links under (possibly empty) network-wide bandwidth/RTT
 /// schedules: every link's bandwidth (delay) is scaled by the same factor.
@@ -45,13 +51,15 @@ class ScheduledLink {
   bool cached_ = false;
 };
 
+}  // namespace detail
+
 /// Flight-recorder emission. Everything is derived from the cohort specs,
 /// the schedules, and the per-step values the trace records — never from
 /// execution state such as the storage layout or the shard count — so a
-/// scenario yields byte-identical recordings however it executes. All calls
-/// happen in the serial sections of the loops. When the capture path is
-/// compiled out the stub Recorder's `wants` is a constant false and every
-/// block below folds away.
+/// scenario yields byte-identical recordings however it executes, and on
+/// whichever backend. All calls happen in the serial sections of the loops.
+/// When the capture path is compiled out the stub Recorder's `wants` is a
+/// constant false and every block below folds away.
 class StepRecorder {
  public:
   /// One recorder lane: `count` senders active on [start_step, stop_step)
@@ -65,9 +73,11 @@ class StepRecorder {
     long slot;
   };
 
-  StepRecorder(recorder::Recorder* sink, std::vector<Cohort> cohorts,
-               const Schedule& bw, const Schedule& rtt, bool aggregate,
-               long total_senders);
+  /// `backend` names the run in the recording header ("fluid",
+  /// "packet"). `bw` and `rtt` must outlive this object.
+  StepRecorder(recorder::Recorder* sink, const char* backend,
+               std::vector<Cohort> cohorts, const Schedule& bw,
+               const Schedule& rtt, bool aggregate, long total_senders);
 
   /// Execution decision (kernel / fallback / uniform), one setup event per
   /// cohort. The aligner masks this class by default — execution mode is
@@ -83,7 +93,9 @@ class StepRecorder {
 
   /// Called once per step at the trace-record point, with the values the
   /// trace sees (pre-update windows). In full detail `windows` holds every
-  /// sender's window, indexed by sender id.
+  /// sender's window, indexed by sender id. `observed` holds each slot's
+  /// observed loss; an empty span (a backend that cannot see per-flow
+  /// injected loss) skips the per-cohort kInjected lane.
   void on_step(long step, double total, double rtt_value,
                double congestion_loss, std::span<const double> windows,
                std::span<const double> observed) {
@@ -110,4 +122,4 @@ class StepRecorder {
   double last_loss_ = 0.0;
 };
 
-}  // namespace axiomcc::fluid::detail
+}  // namespace axiomcc::fluid

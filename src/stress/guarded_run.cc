@@ -158,42 +158,6 @@ void check_guard_config(const GuardConfig& config) {
 
 }  // namespace
 
-GuardedResult run_guarded(fluid::FluidSimulation& sim,
-                          const GuardConfig& config) {
-  check_guard_config(config);
-
-  FaultReport fault;
-  sim.set_step_monitor(make_guard_monitor(fault, config,
-                                          sim.link().capacity_mss(),
-                                          sim.options().record_sink));
-
-  const int n = sim.num_senders() > 0 ? sim.num_senders() : 1;
-  recorder::Recorder* const sink = sim.options().record_sink;
-  TELEMETRY_SPAN("stress", "guarded_run");
-  TELEMETRY_COUNT("stress.guard_runs", 1);
-  try {
-    fluid::Trace trace = sim.run();
-    TELEMETRY_COUNT("stress.guard_steps", fault.steps_observed);
-    std::string pm = maybe_dump_postmortem(sink, config, fault);
-    return GuardedResult{std::move(trace), std::move(fault), std::move(pm)};
-  } catch (const ContractViolation& e) {
-    fault.kind = FaultKind::kContractViolation;
-    fault.detail = e.what();
-  } catch (const std::exception& e) {
-    fault.kind = FaultKind::kException;
-    fault.detail = e.what();
-  }
-  TELEMETRY_COUNT("stress.guard_exceptions", 1);
-  TELEMETRY_COUNT("stress.guard_steps", fault.steps_observed);
-  // The in-progress trace died with the exception; return an empty stand-in
-  // so downstream scoring sees zero steps rather than garbage.
-  std::string pm = maybe_dump_postmortem(sink, config, fault);
-  return GuardedResult{
-      fluid::Trace(n, sim.link().capacity_mss(),
-                   sim.link().min_rtt().value()),
-      std::move(fault), std::move(pm)};
-}
-
 GuardedResult run_guarded(const engine::SimBackend& backend,
                           engine::ScenarioSpec spec,
                           const GuardConfig& config) {

@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "engine/backend.h"
-#include "fluid/sim.h"
 #include "fluid/trace.h"
 #include "recorder/recorder.h"
 #include "util/check.h"
@@ -78,26 +77,20 @@ struct GuardedResult {
   std::string postmortem_path;
 };
 
-/// Runs `sim` (fully configured: senders, injectors, schedules) under the
-/// guard. On a clean run, `fault.ok()` and the full trace; on divergence or
-/// an exception, the trace up to the fault step and a populated report.
-/// Installs the simulation's step monitor — callers must not set their own.
-[[nodiscard]] GuardedResult run_guarded(fluid::FluidSimulation& sim,
-                                        const GuardConfig& config = {});
-
-/// Backend-generic guarded run: executes `spec` on `backend` (fluid or
-/// packet) with the guard installed as the spec's step monitor — the spec
-/// must not carry its own. Taken by value because the runner owns the
-/// monitor it installs. Fault semantics match the fluid overload; on an
-/// escaping exception the trace is an empty stand-in with the spec's sender
-/// count and link geometry.
+/// Runs `spec` on `backend` (fluid or packet) under the guard, installed as
+/// the spec's step monitor — the spec must not carry its own. Taken by value
+/// because the runner owns the monitor it installs. On a clean run,
+/// `fault.ok()` and the full trace; on divergence, the trace up to the fault
+/// step and a populated report; on an escaping exception, a populated report
+/// and an empty stand-in trace with the spec's sender count and link
+/// geometry.
 [[nodiscard]] GuardedResult run_guarded(const engine::SimBackend& backend,
                                         engine::ScenarioSpec spec,
                                         const GuardConfig& config = {});
 
 /// Invokes `fn` and converts an escaping exception into a FaultReport
 /// (kContractViolation or kException); returns kNone when `fn` returns
-/// normally. For guarding code that is not a FluidSimulation — e.g. one
+/// normally. For guarding code that is not a backend run — e.g. one
 /// cell of a metric sweep.
 template <typename Fn>
 [[nodiscard]] FaultReport guard_invoke(Fn&& fn) {

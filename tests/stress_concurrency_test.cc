@@ -6,14 +6,15 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cc/aimd.h"
 #include "cc/protocol.h"
+#include "engine/backend.h"
 #include "fluid/link.h"
-#include "fluid/sim.h"
 #include "stress/guarded_run.h"
 #include "util/task_pool.h"
 
@@ -22,6 +23,18 @@ namespace {
 
 fluid::LinkParams paper_link() {
   return fluid::make_link_mbps(30.0, 42.0, 100.0);
+}
+
+/// A guarded fluid run of one `proto` sender on the paper link. The spec
+/// holds a pointer to `proto`, which outlives the call.
+FaultReport run_fluid(const cc::Protocol& proto, long steps) {
+  engine::ScenarioSpec spec;
+  spec.link = paper_link();
+  spec.steps = steps;
+  spec.add_sender(proto, 1.0);
+  return run_guarded(engine::backend_for(engine::BackendKind::kFluid),
+                     std::move(spec))
+      .fault;
 }
 
 /// Multiplies its window by 10 every step, ignoring loss — trips the
@@ -69,13 +82,9 @@ TEST(GuardedConcurrency, ConcurrentThrowingCellsKeepTheirOwnDetails) {
   const auto reports = parallel_map(
       kCells,
       [](std::size_t i) {
-        fluid::SimOptions opt;
-        opt.steps = 400;
-        fluid::FluidSimulation sim(paper_link(), opt);
         const ThrowingProtocol proto(static_cast<long>(5 + i),
                                      "task-" + std::to_string(i));
-        sim.add_sender(proto, 1.0);
-        return run_guarded(sim).fault;
+        return run_fluid(proto, 400);
       },
       4);
 
@@ -92,15 +101,8 @@ TEST(GuardedConcurrency, MixedCleanAndDivergingCellsStayIsolated) {
   const auto reports = parallel_map(
       kCells,
       [](std::size_t i) {
-        fluid::SimOptions opt;
-        opt.steps = 300;
-        fluid::FluidSimulation sim(paper_link(), opt);
-        if (i % 2 == 0) {
-          sim.add_sender(cc::Aimd(1.0, 0.5), 1.0);
-        } else {
-          sim.add_sender(BlowupProtocol(), 1.0);
-        }
-        return run_guarded(sim).fault;
+        if (i % 2 == 0) return run_fluid(cc::Aimd(1.0, 0.5), 300);
+        return run_fluid(BlowupProtocol(), 300);
       },
       4);
 
@@ -118,13 +120,9 @@ TEST(GuardedConcurrency, MixedCleanAndDivergingCellsStayIsolated) {
 TEST(GuardedConcurrency, ParallelFaultsMatchSerialFaults) {
   constexpr std::size_t kCells = 12;
   const auto run_cell = [](std::size_t i) {
-    fluid::SimOptions opt;
-    opt.steps = 300;
-    fluid::FluidSimulation sim(paper_link(), opt);
     const ThrowingProtocol proto(static_cast<long>(3 * (i + 1)),
                                  "cell-" + std::to_string(i));
-    sim.add_sender(proto, 1.0);
-    return run_guarded(sim).fault;
+    return run_fluid(proto, 300);
   };
   const auto serial = parallel_map(kCells, run_cell, 1);
   const auto parallel = parallel_map(kCells, run_cell, 4);

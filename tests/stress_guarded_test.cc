@@ -11,8 +11,8 @@
 
 #include "cc/aimd.h"
 #include "cc/protocol.h"
+#include "engine/backend.h"
 #include "fluid/link.h"
-#include "fluid/sim.h"
 #include "util/check.h"
 
 namespace axiomcc::stress {
@@ -83,27 +83,33 @@ class ThrowingProtocol final : public cc::Protocol {
   long calls_ = 0;
 };
 
-fluid::FluidSimulation make_sim(const cc::Protocol& proto, long steps) {
-  fluid::SimOptions opt;
-  opt.steps = steps;
-  fluid::FluidSimulation sim(paper_link(), opt);
-  sim.add_sender(proto, 1.0);
-  return sim;
+/// One sender of `proto` on the paper link. The spec keeps a pointer to
+/// `proto`, which must outlive the run.
+engine::ScenarioSpec make_spec(const cc::Protocol& proto, long steps) {
+  engine::ScenarioSpec spec;
+  spec.link = paper_link();
+  spec.steps = steps;
+  spec.add_sender(proto, 1.0);
+  return spec;
+}
+
+GuardedResult run_fluid(const cc::Protocol& proto, long steps,
+                        const GuardConfig& config = {}) {
+  return run_guarded(engine::backend_for(engine::BackendKind::kFluid),
+                     make_spec(proto, steps), config);
 }
 
 TEST(GuardedRun, CleanRunPassesThrough) {
-  auto sim = make_sim(cc::Aimd(1.0, 0.5), 500);
-  const GuardedResult result = run_guarded(sim);
+  const cc::Aimd aimd(1.0, 0.5);
+  const GuardedResult result = run_fluid(aimd, 500);
   EXPECT_TRUE(result.fault.ok());
   EXPECT_EQ(result.fault.kind, FaultKind::kNone);
   EXPECT_EQ(result.trace.num_steps(), 500u);
 }
 
 TEST(GuardedRun, CatchesNaNWindows) {
-  auto sim =
-      make_sim(PoisonProtocol(50, std::numeric_limits<double>::quiet_NaN()),
-               500);
-  const GuardedResult result = run_guarded(sim);
+  const PoisonProtocol poison(50, std::numeric_limits<double>::quiet_NaN());
+  const GuardedResult result = run_fluid(poison, 500);
   EXPECT_EQ(result.fault.kind, FaultKind::kNonFiniteWindow);
   EXPECT_EQ(result.fault.sender, 0);
   EXPECT_GT(result.fault.step, 49);
@@ -113,9 +119,8 @@ TEST(GuardedRun, CatchesNaNWindows) {
 }
 
 TEST(GuardedRun, CatchesInfiniteWindows) {
-  auto sim = make_sim(
-      PoisonProtocol(50, std::numeric_limits<double>::infinity()), 500);
-  const GuardedResult result = run_guarded(sim);
+  const PoisonProtocol poison(50, std::numeric_limits<double>::infinity());
+  const GuardedResult result = run_fluid(poison, 500);
   // +inf is clamped to the simulator's max window, which still trips the
   // (smaller) guard bound as a blowup.
   EXPECT_TRUE(result.fault.kind == FaultKind::kNonFiniteWindow ||
@@ -124,8 +129,8 @@ TEST(GuardedRun, CatchesInfiniteWindows) {
 }
 
 TEST(GuardedRun, CatchesWindowBlowup) {
-  auto sim = make_sim(BlowupProtocol(), 500);
-  const GuardedResult result = run_guarded(sim);
+  const BlowupProtocol blowup;
+  const GuardedResult result = run_fluid(blowup, 500);
   EXPECT_EQ(result.fault.kind, FaultKind::kAggregateBlowup);
   EXPECT_LT(result.trace.num_steps(), 50u);  // 10^k growth trips fast
   EXPECT_FALSE(result.fault.detail.empty());
@@ -134,24 +139,24 @@ TEST(GuardedRun, CatchesWindowBlowup) {
 TEST(GuardedRun, CatchesQueueGrowth) {
   GuardConfig config;
   config.max_queue_mss = 10.0;  // the paper link buffers up to 100 MSS
-  auto sim = make_sim(cc::Aimd(1.0, 0.5), 500);
-  const GuardedResult result = run_guarded(sim, config);
+  const cc::Aimd aimd(1.0, 0.5);
+  const GuardedResult result = run_fluid(aimd, 500, config);
   EXPECT_EQ(result.fault.kind, FaultKind::kQueueGrowth);
 }
 
 TEST(GuardedRun, StepBudgetWatchdogTrips) {
   GuardConfig config;
   config.step_budget = 50;
-  auto sim = make_sim(cc::Aimd(1.0, 0.5), 5000);
-  const GuardedResult result = run_guarded(sim, config);
+  const cc::Aimd aimd(1.0, 0.5);
+  const GuardedResult result = run_fluid(aimd, 5000, config);
   EXPECT_EQ(result.fault.kind, FaultKind::kStepBudget);
   EXPECT_EQ(result.fault.step, 50);
   EXPECT_EQ(result.trace.num_steps(), 51u);
 }
 
 TEST(GuardedRun, ConvertsProtocolExceptionsToFaultReports) {
-  auto sim = make_sim(ThrowingProtocol(30), 500);
-  const GuardedResult result = run_guarded(sim);
+  const ThrowingProtocol throwing(30);
+  const GuardedResult result = run_fluid(throwing, 500);
   EXPECT_EQ(result.fault.kind, FaultKind::kException);
   EXPECT_NE(result.fault.detail.find("protocol state corrupted"),
             std::string::npos);
@@ -160,10 +165,10 @@ TEST(GuardedRun, ConvertsProtocolExceptionsToFaultReports) {
 }
 
 TEST(GuardedRun, ValidatesItsConfig) {
-  auto sim = make_sim(cc::Aimd(1.0, 0.5), 100);
+  const cc::Aimd aimd(1.0, 0.5);
   GuardConfig config;
   config.max_window_mss = 0.0;
-  EXPECT_THROW((void)run_guarded(sim, config), ContractViolation);
+  EXPECT_THROW((void)run_fluid(aimd, 100, config), ContractViolation);
 }
 
 TEST(GuardInvoke, MapsOutcomes) {
