@@ -7,13 +7,18 @@
 //    workflow reads traces back from disk);
 //  * the deterministic counter snapshot of a run is byte-identical
 //    at --jobs=1 and --jobs=4 — the telemetry face of the determinism
-//    contract the trace-level tests already pin.
+//    contract the trace-level tests already pin;
+//  * a lone constant-loss probe (the robustness search's run) counts
+//    every tick and injected-loss sample and times 1 tick in 64, and its
+//    trace is byte-identical with telemetry on and off.
 //
 // The name contains "telemetry" so the TSan CI preset picks it up: the
 // jobs=4 runs exercise the tracer's per-thread rings under real fan-out.
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <set>
 #include <sstream>
@@ -24,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include "cc/registry.h"
+#include "fluid/loss_model.h"
 #include "fluid/sim.h"
 #include "telemetry/telemetry.h"
 
@@ -132,6 +138,52 @@ TEST(TelemetryBatchTrace, DeterministicSnapshotIdenticalAcrossJobs) {
 
   EXPECT_EQ(serial, parallel);
   EXPECT_NE(serial.find("fluid.ticks"), std::string::npos) << serial;
+}
+
+/// A lone sender on core::evaluate_protocol's fluid infinite link under
+/// ConstantLoss(0.01): one robustness probe.
+fluid::Trace run_probe(long steps) {
+  fluid::SimOptions options;
+  options.steps = steps;
+  fluid::LinkParams link = fluid::make_link_mbps(30.0, 42.0, 1e15);
+  link.bandwidth = Bandwidth::from_mss_per_sec(1e15);
+  fluid::FluidSimulation sim(link, options);
+  sim.add_sender(*cc::make_protocol("aimd(1,0.5)"), 1.0);
+  sim.set_loss_injector(std::make_unique<fluid::ConstantLoss>(0.01));
+  return sim.run();
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(TelemetryBatchTrace, LoneProbeCountsEveryTickAndKeepsItsTrace) {
+  if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
+  constexpr long kSteps = 2500;
+  const fluid::Trace quiet = run_probe(kSteps);
+
+  const fluid::Trace traced = [] {
+    EnabledScope scope;
+    Registry::global().reset_values();
+    return run_probe(kSteps);
+  }();
+  Registry& registry = Registry::global();
+  EXPECT_EQ(registry.counter("fluid.ticks", Stability::kDeterministic).value(),
+            kSteps);
+  EXPECT_EQ(registry
+                .counter("fluid.injected_loss_samples",
+                         Stability::kDeterministic)
+                .value(),
+            kSteps);
+  EXPECT_EQ(registry.latency_histogram("fluid.tick_us").data().count,
+            static_cast<std::uint64_t>((kSteps + 63) / 64));
+
+  EXPECT_TRUE(same_bits(quiet.windows(0), traced.windows(0)));
+  EXPECT_TRUE(same_bits(quiet.observed_loss(0), traced.observed_loss(0)));
+  EXPECT_TRUE(same_bits(quiet.total_window(), traced.total_window()));
+  EXPECT_TRUE(same_bits(quiet.rtt_seconds(), traced.rtt_seconds()));
+  EXPECT_TRUE(same_bits(quiet.congestion_loss(), traced.congestion_loss()));
 }
 
 }  // namespace
