@@ -1,7 +1,5 @@
 #include "fluid/link.h"
 
-#include <algorithm>
-
 namespace axiomcc::fluid {
 
 FluidLink::FluidLink(const LinkParams& params)
@@ -21,24 +19,6 @@ FluidLink::FluidLink(const LinkParams& params)
         min_rtt() + Seconds(params.buffer_mss / params.bandwidth.mss_per_sec());
   }
   AXIOMCC_ENSURES(timeout_rtt_ >= min_rtt());
-}
-
-Seconds FluidLink::rtt(double total_window_mss) const {
-  AXIOMCC_EXPECTS(total_window_mss >= 0.0);
-  if (total_window_mss >= loss_threshold_mss()) {
-    return timeout_rtt_;  // Δ: timeout-triggered cap on the RTT under loss.
-  }
-  const double queueing_delay =
-      (total_window_mss - capacity_mss_) / params_.bandwidth.mss_per_sec();
-  const double base = min_rtt().value();
-  return Seconds(std::max(base, base + queueing_delay));
-}
-
-double FluidLink::loss_rate(double total_window_mss) const {
-  AXIOMCC_EXPECTS(total_window_mss >= 0.0);
-  const double threshold = loss_threshold_mss();
-  if (total_window_mss <= threshold) return 0.0;
-  return 1.0 - threshold / total_window_mss;
 }
 
 LinkParams make_link_mbps(double mbps, double rtt_ms, double buffer_mss) {

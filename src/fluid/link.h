@@ -11,6 +11,8 @@
 //          = 0                          otherwise
 #pragma once
 
+#include <algorithm>
+
 #include "util/check.h"
 #include "util/units.h"
 
@@ -49,10 +51,27 @@ class FluidLink {
   }
 
   /// Eq. 1: the RTT when the aggregate window is `total_window_mss`.
-  [[nodiscard]] Seconds rtt(double total_window_mss) const;
+  /// Inline, like loss_rate: the fluid loops call both once per step.
+  [[nodiscard]] Seconds rtt(double total_window_mss) const {
+    AXIOMCC_EXPECTS(total_window_mss >= 0.0);
+    if (total_window_mss >= loss_threshold_mss()) {
+      return timeout_rtt_;  // Δ: timeout-triggered cap on the RTT under loss.
+    }
+    // No queue: max(2Θ, 2Θ + q) is 2Θ for q <= 0, so skip the division.
+    if (total_window_mss <= capacity_mss_) return min_rtt();
+    const double queueing_delay =
+        (total_window_mss - capacity_mss_) / params_.bandwidth.mss_per_sec();
+    const double base = min_rtt().value();
+    return Seconds(std::max(base, base + queueing_delay));
+  }
 
   /// The droptail loss rate when the aggregate window is `total_window_mss`.
-  [[nodiscard]] double loss_rate(double total_window_mss) const;
+  [[nodiscard]] double loss_rate(double total_window_mss) const {
+    AXIOMCC_EXPECTS(total_window_mss >= 0.0);
+    const double threshold = loss_threshold_mss();
+    if (total_window_mss <= threshold) return 0.0;
+    return 1.0 - threshold / total_window_mss;
+  }
 
   [[nodiscard]] const LinkParams& params() const { return params_; }
 

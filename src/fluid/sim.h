@@ -5,7 +5,14 @@
 // the aggregate window; every sender observes them (plus any injected
 // non-congestion loss) and picks its next window via its Protocol.
 //
-// One tick loop serves every population. Each sender group is a cohort
+// Two step loops; run() picks one from the run's shape before the first
+// step. The scalar loop runs the core evaluator's small scenarios — every
+// group one sender, active from step 0 and updating every step, stateless
+// injected loss, no step monitor, scope or recorder — with nothing per
+// cohort: per step one fold, the link's loss and RTT, one injector sample,
+// the trace append, and one virtual Protocol::next_window call per sender.
+//
+// The cohort loop runs everything else. Each sender group is a cohort
 // stored at one of two widths: every member (materialized), or a single
 // representative when the cohort provably stays bitwise uniform — aggregate
 // trace, no step monitor, and a stateless loss injector — so a million
@@ -13,12 +20,14 @@
 // `count` windows into the serial aggregate with util/repeated_add, the
 // exact closed form of that many adds. Materialized cohorts of batchable
 // families advance through SoA kernels (cc::BatchProtocol), sharded across
-// util/task_pool in fixed-size chunks; everything else, including every
-// lone sender, makes one virtual Protocol::next_window call per member per
-// step. Determinism: the aggregate-window fold and stateful loss sampling
-// stay serial in ascending sender order, and sharded loops are pure
-// elementwise writes over fixed ranges, so traces are byte-identical at
-// either width and any jobs count.
+// util/task_pool in fixed-size chunks; everything else makes one virtual
+// Protocol::next_window call per member per step.
+//
+// Both loops share one helper per formula (fold, link, combine_loss,
+// member update). Determinism: the aggregate-window fold and stateful loss
+// sampling stay serial in ascending sender order, and sharded loops are
+// pure elementwise writes over fixed ranges, so traces are byte-identical
+// in either loop, at either width and any jobs count.
 #pragma once
 
 #include <functional>
@@ -72,10 +81,10 @@ struct SimOptions {
   /// trace memory is independent of the population size.
   TraceDetail trace_detail = TraceDetail::kFull;
   int tracked_senders = 8;       ///< k for kAggregate (clamped to n).
-  /// No longer read: every run takes the one cohort tick loop. Kept only
-  /// so existing callers that assign it still compile.
-  [[deprecated("the fluid simulation has a single tick loop")]] bool batch =
-      false;
+  /// No longer read: run() picks its step loop from the run's shape. Kept
+  /// only so existing callers that assign it still compile.
+  [[deprecated("the fluid simulation picks its step loop itself")]] bool
+      batch = false;
   /// Shard count for materialized cohorts' elementwise loops: >0 explicit,
   /// 0 = resolve_jobs (AXIOMCC_JOBS / hardware). Traces are identical at
   /// any value; this is purely a throughput knob.
@@ -166,6 +175,8 @@ class FluidSimulation {
     long count = 1;
   };
 
+  [[nodiscard]] Trace new_trace() const;
+  [[nodiscard]] Trace scalar_loop();
   [[nodiscard]] Trace tick_loop();
 
   FluidLink link_;

@@ -1,7 +1,7 @@
 // step_hooks.h — per-step hooks of the simulation loops.
 //  - fluid::StepRecorder narrates a run into the flight recorder. Every
-//    backend uses it: both fluid tick loops (FluidSimulation, FluidNetwork)
-//    and the packet backend's step monitor, so each recorder event is
+//    backend uses it: the fluid cohort loops (FluidSimulation's tick loop,
+//    FluidNetwork) and the packet backend's step monitor, so each event is
 //    written in one place and the backends' recordings step-align.
 //  - fluid::detail::ScheduledLink is the fluid loops' scheduled link set
 //    (internal to src/fluid).

@@ -289,8 +289,9 @@ ScenarioDesc parse_scenario(const std::string& text) {
     } else if (directive == "exec") {
       once("exec");
       require_argc(1);
-      // The fluid backend has one tick loop; the retired execution modes
-      // still parse (as no-ops) so older corpus files replay unchanged.
+      // The fluid backend picks its step loop from the run's shape; the
+      // retired execution modes still parse (as no-ops) so older corpus
+      // files replay unchanged.
       if (tok[1] != "batch" && tok[1] != "scalar") {
         fail(line_no,
              "unknown exec mode '" + tok[1] + "' (expected scalar|batch)");

@@ -1,6 +1,12 @@
 // Unit tests for the fluid bottleneck link (Eq. 1 RTT and droptail loss).
 #include "fluid/link.h"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "util/check.h"
@@ -37,6 +43,38 @@ TEST(FluidLink, RttCapsAtTimeoutWhenBufferOverflows) {
   // Default Δ = 2Θ + τ/B = 42 ms + 40 ms.
   EXPECT_NEAR(link.rtt(205.0).value(), 0.082, 1e-12);
   EXPECT_NEAR(link.rtt(100000.0).value(), 0.082, 1e-12);
+}
+
+TEST(FluidLink, ExactBitsAroundCapacityAndThreshold) {
+  const FluidLink link(paper_link());
+  const double c = link.capacity_mss();
+  const double base = link.min_rtt().value();
+  const double b = link.params().bandwidth.mss_per_sec();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  // No queue at or below C: exactly 2Θ, and no loss.
+  for (const double x : {0.0, std::nextafter(c, 0.0), c}) {
+    EXPECT_EQ(bits(link.rtt(x).value()), bits(base)) << x;
+    EXPECT_EQ(bits(link.loss_rate(x)), bits(0.0)) << x;
+  }
+  // One ulp of queue: Eq. 1's queueing term.
+  const double above = std::nextafter(c, inf);
+  EXPECT_EQ(bits(link.rtt(above).value()),
+            bits(std::max(base, base + (above - c) / b)));
+  EXPECT_EQ(bits(link.loss_rate(above)), bits(0.0));
+  // A full buffer: the default timeout Δ = 2Θ + τ/B, still no loss.
+  const double full = link.loss_threshold_mss();
+  EXPECT_EQ(full, c + link.buffer_mss());
+  EXPECT_EQ(bits(link.rtt(full).value()), bits(base + link.buffer_mss() / b));
+  EXPECT_EQ(bits(link.loss_rate(full)), bits(0.0));
+}
+
+TEST(FluidLink, NegativeOrNanTotalViolatesContract) {
+  const FluidLink link(paper_link());
+  for (const double bad : {-1e-300, std::nan("")}) {
+    EXPECT_THROW((void)link.rtt(bad), ContractViolation) << bad;
+    EXPECT_THROW((void)link.loss_rate(bad), ContractViolation) << bad;
+  }
 }
 
 TEST(FluidLink, CustomTimeoutRespected) {
