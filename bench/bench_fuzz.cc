@@ -1,7 +1,7 @@
 // bench_fuzz — the coverage-guided scenario fuzzer.
 //
 // Hunts for fluid-vs-packet divergence and guarded-runner invariant
-// violations by mutating ScenarioDescs (see src/fuzz/) and running every
+// violations by mutating scenarios (see src/fuzz/) and running every
 // mutant on both backends. Retention is novelty-driven: a mutant joins the
 // corpus when it lands in a new bucket of the paper's metric space or a new
 // outcome class. Findings are greedily minimized and can be written out as
@@ -68,15 +68,16 @@ std::string outcome_detail(const fuzz::RunOutcome& outcome) {
 int replay_corpus(const std::vector<std::string>& files,
                   const fuzz::RunnerConfig& runner, long jobs,
                   TextTable::Format format) {
-  std::vector<fuzz::ScenarioDesc> descs;
-  descs.reserve(files.size());
-  for (const std::string& file : files) {
-    descs.push_back(fuzz::load_scenario_file(file));
+  std::vector<engine::ScenarioSpec> specs;
+  std::vector<fuzz::ExpectDesc> expects(files.size());
+  specs.reserve(files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    specs.push_back(fuzz::load_scenario_file(files[i], &expects[i]));
   }
   const std::vector<fuzz::RunOutcome> outcomes = parallel_map(
-      descs,
-      [&](const fuzz::ScenarioDesc& desc) {
-        return fuzz::run_scenario(desc, runner);
+      specs,
+      [&](const engine::ScenarioSpec& spec) {
+        return fuzz::run_scenario(spec, runner);
       },
       jobs);
 
@@ -84,7 +85,7 @@ int replay_corpus(const std::vector<std::string>& files,
   table.set_header({"File", "Expect", "Got", "Detail", "Status"});
   int mismatches = 0;
   for (std::size_t i = 0; i < files.size(); ++i) {
-    const fuzz::ExpectDesc& expect = descs[i].expect;
+    const fuzz::ExpectDesc& expect = expects[i];
     const bool ok = fuzz::matches_expect(outcomes[i], expect);
     if (!ok) ++mismatches;
     const std::string want =
@@ -158,7 +159,7 @@ int main(int argc, char** argv) {
       return mismatches == 0 ? 0 : 1;
     }
 
-    std::vector<fuzz::ScenarioDesc> seeds = fuzz::Mutator::seed_corpus();
+    std::vector<engine::ScenarioSpec> seeds = fuzz::Mutator::seed_corpus();
     for (const std::string& file : corpus_files) {
       seeds.push_back(fuzz::load_scenario_file(file));
     }
@@ -195,12 +196,12 @@ int main(int argc, char** argv) {
     table.set_header({"Finding", "Outcome", "Detail", "Steps", "Senders",
                       "Shrink"});
     for (const fuzz::Finding& finding : result.findings) {
-      const fuzz::ScenarioDesc& desc = finding.minimized.desc;
-      table.add_row({fuzz::corpus_file_name(desc),
+      const engine::ScenarioSpec& spec = finding.minimized.spec;
+      table.add_row({fuzz::corpus_file_name(spec),
                      fuzz::outcome_kind_name(finding.minimized.outcome.kind),
                      outcome_detail(finding.minimized.outcome),
-                     std::to_string(desc.steps),
-                     std::to_string(desc.senders.size()),
+                     std::to_string(spec.steps),
+                     std::to_string(spec.senders.size()),
                      std::to_string(finding.minimized.accepted) + "/" +
                          std::to_string(finding.minimized.attempts)});
     }
@@ -208,11 +209,10 @@ int main(int argc, char** argv) {
 
     if (const auto save_dir = args.get("save")) {
       for (const fuzz::Finding& finding : result.findings) {
-        fuzz::ScenarioDesc desc = finding.minimized.desc;
-        desc.expect = finding.expect;
+        const engine::ScenarioSpec& spec = finding.minimized.spec;
         const std::string path =
-            *save_dir + "/" + fuzz::corpus_file_name(desc);
-        fuzz::save_scenario_file(path, desc);
+            *save_dir + "/" + fuzz::corpus_file_name(spec, finding.expect);
+        fuzz::save_scenario_file(path, spec, finding.expect);
         std::printf("saved %s\n", path.c_str());
       }
     }

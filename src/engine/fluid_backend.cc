@@ -70,10 +70,7 @@ RunTrace FluidBackend::run(const ScenarioSpec& spec) const {
   TELEMETRY_SPAN("engine", "fluid.run");
 
   validate_scenario(spec);
-  const std::vector<SenderSlot> slots = expand_workload(spec);
-  if (slots.empty()) {
-    throw ScenarioError("workload expansion produced no senders");
-  }
+  const RunSlots run = make_run_slots(spec);
   // Resolve the scope's warmup from the scenario's tail fraction (the fluid
   // layer does not know it) and chain the recorder so closed windows emit as
   // kMetric events. Link-derived fields are filled by the fluid layer.
@@ -81,7 +78,7 @@ RunTrace FluidBackend::run(const ScenarioSpec& spec) const {
     spec.scope_sink->resolve(spec.steps, spec.tail_fraction, 0.0, 0.0, 0.0);
     spec.scope_sink->set_recorder(spec.record_sink);
   }
-  if (!spec.topology.empty()) return run_topology(spec, slots);
+  if (!spec.topology.empty()) return run_topology(spec, run.slots);
 
   fluid::SimOptions options;
   options.steps = spec.steps;
@@ -94,7 +91,7 @@ RunTrace FluidBackend::run(const ScenarioSpec& spec) const {
   options.scope_sink = spec.scope_sink;
 
   fluid::FluidSimulation sim(spec.link, options);
-  for (const SenderSlot& slot : slots) {
+  for (const SenderSlot& slot : run.slots) {
     AXIOMCC_EXPECTS(slot.prototype != nullptr);
     fluid::SenderSpec fs;
     fs.protocol = slot.prototype->clone();

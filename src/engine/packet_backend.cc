@@ -149,10 +149,8 @@ RunTrace PacketBackend::run(const ScenarioSpec& spec) const {
   TELEMETRY_SPAN("engine", "packet.run");
 
   validate_scenario(spec);
-  const std::vector<SenderSlot> slots = expand_workload(spec);
-  if (slots.empty()) {
-    throw ScenarioError("workload expansion produced no senders");
-  }
+  const RunSlots run = make_run_slots(spec);
+  const std::vector<SenderSlot>& slots = run.slots;
 
   // A single-link spec is the one-link topology with every flow routed over
   // link 0. The scope and recorder classes are its sender slots (cohorts),

@@ -8,8 +8,10 @@
 // MSS), and a SimBackend (backend.h) turns it into a run. The packet backend
 // converts steps to wall-clock time via the link RTT. Every axis is plain
 // data (fluid::Schedule, fluid::LossSpec, WorkloadSpec) except the protocol
-// prototypes the slots point at and the run-time hooks (step monitor,
-// recorder and scope sinks).
+// prototypes the slots may point at and the run-time hooks (step monitor,
+// recorder and scope sinks). A slot can name its protocol as a spec string
+// instead, which makes the whole spec plain data: that is the form the
+// `.scn` text format (src/fuzz/scenario_text.h) reads and writes.
 #pragma once
 
 #include <cstdint>
@@ -103,9 +105,13 @@ struct WorkloadSpec {
   friend bool operator==(const WorkloadSpec&, const WorkloadSpec&) = default;
 };
 
-/// One sender slot. The protocol prototype is NOT owned — it must outlive
-/// the backend run, which clones it (so one prototype can seed many slots,
-/// exactly like fluid::FluidSimulation::add_sender).
+/// One sender slot. The protocol comes from exactly one of two places
+/// (engine::validate_scenario enforces this):
+///  * `prototype` — NOT owned; it must outlive the backend run, which clones
+///    it (so one prototype can seed many slots, exactly like
+///    fluid::FluidSimulation::add_sender);
+///  * `protocol` — a cc::make_protocol spec string; each run builds one
+///    prototype per such slot and owns it for the run.
 ///
 /// `start_step`/`stop_step` are fractional steps: the fluid backend rounds
 /// them to whole steps, the packet backend multiplies by the RTT to get a
@@ -126,6 +132,9 @@ struct SenderSlot {
   /// mode), non-empty — with every id in range and no repeats — otherwise;
   /// engine::validate_scenario enforces this with a ScenarioError.
   std::vector<int> route;
+  /// The protocol as a cc::make_protocol spec (e.g. "aimd(1,0.5)"), used
+  /// when `prototype` is null.
+  std::string protocol;
 };
 
 /// Per-step observer with the same shape as fluid::FluidSimulation's
@@ -202,7 +211,7 @@ struct ScenarioSpec {
     AXIOMCC_EXPECTS(start_step >= 0.0);
     senders.push_back(
         SenderSlot{&prototype, initial_window_mss, start_step, stop_step, 1,
-                   {}});
+                   {}, {}});
   }
 
   /// Convenience: appends a homogeneous cohort of `count` senders.
@@ -213,7 +222,7 @@ struct ScenarioSpec {
     AXIOMCC_EXPECTS(initial_window_mss >= 0.0);
     AXIOMCC_EXPECTS(start_step >= 0.0);
     senders.push_back(SenderSlot{&prototype, initial_window_mss, start_step,
-                                 stop_step, count, {}});
+                                 stop_step, count, {}, {}});
   }
 
   /// Convenience: appends a sender slot routed over `route` (topology mode).
@@ -223,7 +232,7 @@ struct ScenarioSpec {
     AXIOMCC_EXPECTS(initial_window_mss >= 0.0);
     AXIOMCC_EXPECTS(start_step >= 0.0);
     senders.push_back(SenderSlot{&prototype, initial_window_mss, start_step,
-                                 stop_step, 1, std::move(route)});
+                                 stop_step, 1, std::move(route), {}});
   }
 
   /// Total senders across all slots (slots expand by their cohort count).

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <string>
 
+#include "cc/registry.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -12,6 +14,8 @@ namespace axiomcc::engine {
 namespace {
 
 bool positive_finite(double v) { return std::isfinite(v) && v > 0.0; }
+
+}  // namespace
 
 void validate_link(const fluid::LinkParams& link, const std::string& label) {
   const double bandwidth = link.bandwidth.mss_per_sec();
@@ -28,8 +32,6 @@ void validate_link(const fluid::LinkParams& link, const std::string& label) {
   }
 }
 
-}  // namespace
-
 void validate_scenario(const ScenarioSpec& spec) {
   validate_link(spec.link, "link");
   const int nl = spec.topology.num_links();
@@ -44,6 +46,19 @@ void validate_scenario(const ScenarioSpec& spec) {
   for (std::size_t si = 0; si < spec.senders.size(); ++si) {
     const SenderSlot& slot = spec.senders[si];
     const std::string label = "sender slot " + std::to_string(si);
+    if ((slot.prototype == nullptr) == slot.protocol.empty()) {
+      throw ScenarioError(label +
+                          " must name its protocol by exactly one of a "
+                          "prototype and a protocol spec");
+    }
+    if (slot.prototype == nullptr) {
+      try {
+        (void)cc::make_protocol(slot.protocol);
+      } catch (const std::exception& e) {
+        throw ScenarioError(label + " protocol '" + slot.protocol +
+                            "': " + e.what());
+      }
+    }
     // A slot that runs as written must stay active for at least one whole
     // step once its window is rounded. Workload templates are exempt: the
     // generators drop or lengthen windows that would be shorter.

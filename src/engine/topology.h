@@ -30,9 +30,9 @@
 namespace axiomcc::engine {
 
 /// Validates every data axis of a spec. Throws ScenarioError when
-///  * `spec.link` or a topology link has a non-finite or non-positive
-///    bandwidth or propagation delay, or a non-finite or negative buffer
-///    (a zero buffer is valid);
+///  * `spec.link` or a topology link fails validate_link;
+///  * a slot sets both or neither of `prototype` and `protocol`, or its
+///    `protocol` spec does not build (unknown name, bad arguments);
 ///  * the topology is empty but a slot carries a route (single-link mode
 ///    has no link ids to route over);
 ///  * the topology is non-empty and a slot's route is empty, names an
@@ -45,6 +45,11 @@ namespace axiomcc::engine {
 ///  * the workload, loss or either schedule fails the checks below.
 /// Both backends run it before building any simulator state.
 void validate_scenario(const ScenarioSpec& spec);
+
+/// Throws ScenarioError when a link has a non-finite or non-positive
+/// bandwidth or propagation delay, or a non-finite or negative buffer (a
+/// zero buffer is valid). `label` names the link in the message.
+void validate_link(const fluid::LinkParams& link, const std::string& label);
 
 /// Throws ScenarioError when a workload is requested with a non-positive
 /// flow count, a negative or non-finite incast spread, or non-positive

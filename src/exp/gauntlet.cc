@@ -6,12 +6,14 @@
 #include <memory>
 #include <ostream>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cc/registry.h"
 #include "core/metrics.h"
 #include "engine/topology.h"
 #include "scope/scope.h"
+#include "stress/perturbation.h"
 #include "telemetry/telemetry.h"
 #include "util/check.h"
 #include "util/task_pool.h"
@@ -136,7 +138,7 @@ Baseline run_baseline(const cc::Protocol& proto, const GauntletConfig& cfg) {
 }
 
 GauntletCell run_cell(const cc::Protocol& proto,
-                      const stress::Scenario& scenario, std::uint64_t seed,
+                      const GauntletOverlay& scenario, std::uint64_t seed,
                       const Baseline& baseline, const GauntletConfig& cfg) {
   TELEMETRY_SPAN_DYN("exp.gauntlet", proto.name() + "/" + scenario.name +
                                          "/s" + std::to_string(seed));
@@ -146,8 +148,7 @@ GauntletCell run_cell(const cc::Protocol& proto,
   cell.scenario = scenario.name;
   cell.seed = seed;
 
-  engine::ScenarioSpec spec = make_cell_spec(proto, cfg);
-  stress::apply_scenario(scenario, spec, proto, seed);
+  engine::ScenarioSpec spec = gauntlet_cell_spec(proto, scenario, seed, cfg);
 
   spec.record = cfg.record;
   const auto rec = engine::make_recorder(spec);
@@ -184,6 +185,79 @@ GauntletCell run_cell(const cc::Protocol& proto,
 }
 
 }  // namespace
+
+std::vector<GauntletOverlay> gauntlet_library(long steps) {
+  AXIOMCC_EXPECTS(steps >= 100);
+  std::vector<GauntletOverlay> out;
+  // Appends an overlay disturbing steps [start, end) (-1: none / to the end).
+  const auto add = [&out](const char* name, long start = -1,
+                          long end = -1) -> GauntletOverlay& {
+    GauntletOverlay& o = out.emplace_back();
+    o.name = name;
+    o.perturb_start = start;
+    o.perturb_end = end;
+    return o;
+  };
+  const auto churn_slot = [](long start, long stop) {
+    engine::SenderSlot slot;
+    slot.start_step = static_cast<double>(start);
+    slot.stop_step = static_cast<double>(stop);
+    return slot;
+  };
+
+  add("baseline");
+  // One deep outage in the middle third: bandwidth → ~0 for steps/10.
+  const long outage = steps * 2 / 5;
+  add("outage", outage, outage + steps / 10).bandwidth_scale =
+      stress::outage_schedule(outage, steps / 10, 1e-3);
+  // Fast flapping: full rate / 5% of rate every 8 steps.
+  add("flap", 0).bandwidth_scale =
+      stress::square_wave_schedule(steps, 16, 1.0, 0.05);
+  // Slow square-wave capacity oscillation between 100% and 40%.
+  add("oscillation", 0).bandwidth_scale =
+      stress::square_wave_schedule(steps, steps / 5, 1.0, 0.4);
+  // Sawtooth capacity: ramps 30% → 100%, collapses, repeats.
+  add("sawtooth", 0).bandwidth_scale =
+      stress::sawtooth_schedule(steps, steps / 6, 0.3, 1.0);
+  {
+    // A Gilbert-Elliott loss storm over the middle third of the run.
+    fluid::LossSpec& storm = add("loss_storm", steps / 3, 2 * steps / 3).loss;
+    storm.kind = fluid::LossSpec::Kind::kStorm;
+    storm.start = steps / 3;
+    storm.end = 2 * steps / 3;
+    storm.p_gb = 0.2;
+    storm.p_bg = 0.3;
+    storm.good_rate = 0.0;
+    storm.bad_rate = 0.3;
+  }
+  // Persistent 3× RTT inflation from mid-run (path change).
+  add("rtt_step", steps / 2).rtt_scale =
+      stress::step_change_schedule(steps / 2, 1.0, 3.0);
+  // Flow churn: two extra flows join in the middle third; one leaves.
+  add("churn", steps / 3, 2 * steps / 3).churn = {
+      churn_slot(steps / 3, 2 * steps / 3), churn_slot(steps / 2, -1)};
+  return out;
+}
+
+engine::ScenarioSpec gauntlet_cell_spec(const cc::Protocol& proto,
+                                        const GauntletOverlay& overlay,
+                                        std::uint64_t seed,
+                                        const GauntletConfig& cfg) {
+  engine::ScenarioSpec spec = make_cell_spec(proto, cfg);
+  spec.bandwidth_scale = overlay.bandwidth_scale;
+  spec.rtt_scale = overlay.rtt_scale;
+  spec.loss = overlay.loss;
+  spec.seed = seed;
+  for (engine::SenderSlot slot : overlay.churn) {
+    slot.prototype = &proto;
+    // Topology mode: churned flows join on the first slot's route (the long
+    // path in the parking-lot builder), so the perturbation stresses every
+    // bottleneck the resident flows cross.
+    if (!spec.topology.empty()) slot.route = spec.senders.front().route;
+    spec.senders.push_back(std::move(slot));
+  }
+  return spec;
+}
 
 std::vector<std::string> default_gauntlet_specs() {
   // Canonical parameter choices for families whose spec requires arguments;
@@ -264,11 +338,11 @@ GauntletResult run_gauntlet_prototypes(
   AXIOMCC_EXPECTS(cfg.tail_fraction > 0.0 && cfg.tail_fraction < 1.0);
   for (const cc::Protocol* p : prototypes) AXIOMCC_EXPECTS(p != nullptr);
 
-  // Materialize the default scenario library when the caller supplied none.
-  const std::vector<stress::Scenario> owned =
-      cfg.scenarios.empty() ? stress::standard_gauntlet(cfg.steps)
-                            : std::vector<stress::Scenario>{};
-  const std::vector<stress::Scenario>& active =
+  // Materialize the default overlay library when the caller supplied none.
+  const std::vector<GauntletOverlay> owned =
+      cfg.scenarios.empty() ? gauntlet_library(cfg.steps)
+                            : std::vector<GauntletOverlay>{};
+  const std::vector<GauntletOverlay>& active =
       cfg.scenarios.empty() ? owned : cfg.scenarios;
 
   // cc::Protocol instances are stateful and must not be shared across
@@ -306,7 +380,7 @@ GauntletResult run_gauntlet_prototypes(
       [&](std::size_t i) {
         const std::size_t p = i / cells_per_proto;
         const std::size_t within = i % cells_per_proto;
-        const stress::Scenario& scenario = active[within / num_seeds];
+        const GauntletOverlay& scenario = active[within / num_seeds];
         const std::uint64_t seed = cfg.seeds[within % num_seeds];
         return run_cell(*cell_clones[i], scenario, seed, contexts[p].baseline,
                         cfg);

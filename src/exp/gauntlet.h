@@ -1,11 +1,12 @@
 // gauntlet.h — the protocol robustness gauntlet.
 //
-// Runs every protocol through the adversarial scenario library
-// (stress/perturbation.h) across several seeds, each cell under the guarded
-// runner (stress/guarded_run.h), and scores how the protocol degrades and
-// recovers: throughput retention relative to an unperturbed baseline,
-// recovery time after an outage, fairness among the flows active at the end,
-// and the residual loss rate. A scorecard aggregates the matrix per protocol
+// Runs every protocol through a library of adversarial overlays (outages,
+// flaps, oscillation, loss storms, RTT steps, churn; the schedule shapes
+// come from stress/perturbation.h) across several seeds, each cell under the
+// guarded runner (stress/guarded_run.h), and scores how the protocol
+// degrades and recovers: throughput retention relative to an unperturbed
+// baseline, recovery time after an outage, fairness among the flows active
+// at the end, and the residual loss rate. A scorecard aggregates the matrix per protocol
 // — alongside the eight axiom metrics — in the same Markdown/CSV style as
 // the Table 1 pipeline. A diverging (protocol, scenario) cell produces a
 // FaultReport row instead of killing the sweep.
@@ -19,11 +20,37 @@
 #include "cc/protocol.h"
 #include "core/evaluator.h"
 #include "core/metric_point.h"
+#include "engine/scenario.h"
 #include "fluid/link.h"
+#include "fluid/loss_model.h"
+#include "fluid/schedule.h"
 #include "stress/guarded_run.h"
-#include "stress/perturbation.h"
 
 namespace axiomcc::exp {
+
+/// One named perturbation laid over a gauntlet cell's base scenario. Empty
+/// members perturb nothing. `perturb_start`/`perturb_end` mark the main
+/// disturbance window for scoring (recovery time is measured from
+/// `perturb_end`); -1 means the perturbation spans the whole run (or there
+/// is none).
+struct GauntletOverlay {
+  std::string name;
+  fluid::Schedule bandwidth_scale;
+  fluid::Schedule rtt_scale;
+  fluid::LossSpec loss;  ///< seeded from the cell seed.
+  /// Flows joining and leaving mid-run, on top of the base senders. The
+  /// cell fills in each slot's prototype (the cell's protocol) and, in
+  /// topology mode, its route (the first base slot's, the long path of the
+  /// parking lot).
+  std::vector<engine::SenderSlot> churn;
+  long perturb_start = -1;
+  long perturb_end = -1;
+};
+
+/// The standard overlay library for a run of `steps` steps: baseline, deep
+/// outage, link flap, square-wave oscillation, sawtooth, loss storm, RTT
+/// inflation step, and flow churn.
+[[nodiscard]] std::vector<GauntletOverlay> gauntlet_library(long steps);
 
 struct GauntletConfig {
   fluid::LinkParams link = fluid::make_link_mbps(30.0, 42.0, 100.0);
@@ -40,8 +67,8 @@ struct GauntletConfig {
   std::vector<std::uint64_t> seeds{1, 2, 3};
   double tail_fraction = 0.5;
   stress::GuardConfig guard;
-  /// The scenario matrix; empty selects stress::standard_gauntlet(steps).
-  std::vector<stress::Scenario> scenarios;
+  /// The scenario matrix; empty selects gauntlet_library(steps).
+  std::vector<GauntletOverlay> scenarios;
   /// When true the scorecard also carries each protocol's eight axiom
   /// metrics, evaluated once on the unperturbed link with `axiom_cfg`.
   bool include_axiom_metrics = true;
@@ -109,6 +136,14 @@ struct GauntletResult {
     return failed;
   }
 };
+
+/// The scenario one gauntlet cell runs: `cfg`'s base scenario over clones
+/// of `proto` (evenly spread initial windows, or the parking lot when
+/// `cfg.topology_bottlenecks` > 0) with `overlay` laid on and the run seeded
+/// with `seed`. The spec points at `proto`, which must outlive its runs.
+[[nodiscard]] engine::ScenarioSpec gauntlet_cell_spec(
+    const cc::Protocol& proto, const GauntletOverlay& overlay,
+    std::uint64_t seed, const GauntletConfig& cfg);
 
 /// Canonical spec strings covering every registered protocol family (preset
 /// aliases like "reno" are covered by their canonical family entries).

@@ -39,7 +39,8 @@ void flag_non_finite_scores(SweepRow& row) {
 
 /// One sweep cell, evaluated on `proto` (exclusively owned by this call).
 SweepRow run_cell(const cc::Protocol& proto, const LinkShape& shape,
-                  std::size_t grid_index, const core::EvalConfig& base) {
+                  [[maybe_unused]] std::size_t grid_index,
+                  const core::EvalConfig& base) {
   TELEMETRY_SPAN_DYN("exp.sweep", proto.name() + "/cell" +
                                       std::to_string(grid_index));
   TELEMETRY_COUNT("exp.sweep.cells", 1);

@@ -32,7 +32,8 @@ std::uint64_t finding_key(const RunOutcome& outcome) {
 
 }  // namespace
 
-FuzzResult run_fuzz(const FuzzConfig& config, std::vector<ScenarioDesc> seeds) {
+FuzzResult run_fuzz(const FuzzConfig& config,
+                    std::vector<engine::ScenarioSpec> seeds) {
   const Mutator mutator(config.limits);
   if (seeds.empty()) seeds = Mutator::seed_corpus();
 
@@ -40,12 +41,13 @@ FuzzResult run_fuzz(const FuzzConfig& config, std::vector<ScenarioDesc> seeds) {
   Rng rng(config.seed);
   std::unordered_set<std::uint64_t> seen_novelty;
   std::unordered_set<std::uint64_t> finding_keys;
-  std::vector<std::pair<ScenarioDesc, RunOutcome>> raw_findings;
+  std::vector<std::pair<engine::ScenarioSpec, RunOutcome>> raw_findings;
 
-  const auto ingest = [&](const ScenarioDesc& desc, const RunOutcome& outcome) {
+  const auto ingest = [&](const engine::ScenarioSpec& spec,
+                          const RunOutcome& outcome) {
     ++result.stats.executed;
     if (seen_novelty.insert(outcome.novelty_key).second) {
-      result.corpus.push_back(CorpusEntry{desc, outcome});
+      result.corpus.push_back(CorpusEntry{spec, outcome});
       ++result.stats.retained;
       TELEMETRY_COUNT("fuzz.retained", 1);
     }
@@ -53,16 +55,16 @@ FuzzResult run_fuzz(const FuzzConfig& config, std::vector<ScenarioDesc> seeds) {
       ++result.stats.raw_findings;
       if (static_cast<long>(finding_keys.size()) < config.max_findings &&
           finding_keys.insert(finding_key(outcome)).second) {
-        raw_findings.emplace_back(desc, outcome);
+        raw_findings.emplace_back(spec, outcome);
       }
     }
   };
 
-  const auto run_batch = [&](const std::vector<ScenarioDesc>& batch) {
+  const auto run_batch = [&](const std::vector<engine::ScenarioSpec>& batch) {
     const std::vector<RunOutcome> outcomes = parallel_map(
         batch,
-        [&](const ScenarioDesc& desc) {
-          return run_scenario(desc, config.runner);
+        [&](const engine::ScenarioSpec& spec) {
+          return run_scenario(spec, config.runner);
         },
         config.jobs);
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -78,15 +80,15 @@ FuzzResult run_fuzz(const FuzzConfig& config, std::vector<ScenarioDesc> seeds) {
   long mutants_run = 0;
   while (mutants_run < config.runs) {
     const long n = std::min(batch_size, config.runs - mutants_run);
-    std::vector<ScenarioDesc> generation;
+    std::vector<engine::ScenarioSpec> generation;
     generation.reserve(static_cast<std::size_t>(n));
     for (long i = 0; i < n; ++i) {
       const std::size_t corpus_size = result.corpus.size();
-      const ScenarioDesc& parent =
-          result.corpus[rng.uniform_index(corpus_size)].desc;
+      const engine::ScenarioSpec& parent =
+          result.corpus[rng.uniform_index(corpus_size)].spec;
       if (corpus_size > 1 && rng.bernoulli(config.splice_probability)) {
-        const ScenarioDesc& other =
-            result.corpus[rng.uniform_index(corpus_size)].desc;
+        const engine::ScenarioSpec& other =
+            result.corpus[rng.uniform_index(corpus_size)].spec;
         generation.push_back(
             mutator.mutate(mutator.splice(parent, other, rng), rng));
       } else {
@@ -97,15 +99,15 @@ FuzzResult run_fuzz(const FuzzConfig& config, std::vector<ScenarioDesc> seeds) {
     mutants_run += n;
   }
 
-  for (auto& [desc, outcome] : raw_findings) {
+  for (auto& [spec, outcome] : raw_findings) {
     Finding finding;
-    finding.original = desc;
+    finding.original = spec;
     finding.expect = expect_for(outcome);
     if (config.minimize) {
-      finding.minimized = minimize_finding(desc, finding.expect, config.runner,
+      finding.minimized = minimize_finding(spec, finding.expect, config.runner,
                                            config.minimize_options);
     } else {
-      finding.minimized.desc = desc;
+      finding.minimized.spec = spec;
       finding.minimized.outcome = outcome;
     }
     result.stats.minimize_attempts += finding.minimized.attempts;
@@ -124,11 +126,12 @@ std::uint64_t fnv1a64(const std::string& text) {
   return hash;
 }
 
-std::string corpus_file_name(const ScenarioDesc& desc) {
+std::string corpus_file_name(const engine::ScenarioSpec& spec,
+                             const ExpectDesc& expect) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "scn-%016llx.scn",
                 static_cast<unsigned long long>(
-                    fnv1a64(serialize_scenario(desc))));
+                    fnv1a64(serialize_scenario(spec, expect))));
   return buffer;
 }
 
@@ -144,18 +147,21 @@ std::vector<std::string> list_corpus_files(const std::string& dir) {
   return files;
 }
 
-ScenarioDesc load_scenario_file(const std::string& path) {
+engine::ScenarioSpec load_scenario_file(const std::string& path,
+                                        ExpectDesc* expect) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot read scenario file: " + path);
   std::ostringstream text;
   text << in.rdbuf();
-  return parse_scenario(text.str());
+  return parse_scenario(text.str(), expect);
 }
 
-void save_scenario_file(const std::string& path, const ScenarioDesc& desc) {
+void save_scenario_file(const std::string& path,
+                        const engine::ScenarioSpec& spec,
+                        const ExpectDesc& expect) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot write scenario file: " + path);
-  out << serialize_scenario(desc);
+  out << serialize_scenario(spec, expect);
   if (!out) throw std::runtime_error("cannot write scenario file: " + path);
 }
 

@@ -28,15 +28,15 @@ namespace axiomcc::fuzz {
 
 /// A retained scenario plus the outcome that made it novel.
 struct CorpusEntry {
-  ScenarioDesc desc;
+  engine::ScenarioSpec spec;
   RunOutcome outcome;
 };
 
 /// A non-clean outcome the loop surfaced, minimized to a small reproducer.
 struct Finding {
-  ScenarioDesc original;     ///< the mutant that first tripped the oracle.
-  MinimizeResult minimized;  ///< shrunk reproducer + its outcome.
-  ExpectDesc expect;         ///< the outcome class both of them reproduce.
+  engine::ScenarioSpec original;  ///< the mutant that first tripped it.
+  MinimizeResult minimized;       ///< shrunk reproducer + its outcome.
+  ExpectDesc expect;  ///< the outcome class both of them reproduce.
 };
 
 struct FuzzConfig {
@@ -70,27 +70,33 @@ struct FuzzResult {
 
 /// Runs the fuzz loop. `seeds` is the starting corpus; empty means
 /// Mutator::seed_corpus(). Deterministic in (config, seeds) at any jobs.
-[[nodiscard]] FuzzResult run_fuzz(const FuzzConfig& config,
-                                  std::vector<ScenarioDesc> seeds = {});
+[[nodiscard]] FuzzResult run_fuzz(
+    const FuzzConfig& config, std::vector<engine::ScenarioSpec> seeds = {});
 
 /// FNV-1a 64-bit hash of `text` — stable content-addressed corpus names.
 [[nodiscard]] std::uint64_t fnv1a64(const std::string& text);
 
-/// Canonical file name for `desc`: "scn-<16 hex digits>.scn", hashing the
-/// serialized text (expect line included, so triage changes the name).
-[[nodiscard]] std::string corpus_file_name(const ScenarioDesc& desc);
+/// Canonical file name for `spec` triaged as `expect`: "scn-<16 hex
+/// digits>.scn", hashing the serialized text (expect line included, so
+/// triage changes the name).
+[[nodiscard]] std::string corpus_file_name(const engine::ScenarioSpec& spec,
+                                           const ExpectDesc& expect = {});
 
 /// The `.scn` files directly under `dir`, sorted by file name; an empty or
 /// missing directory yields an empty list.
 [[nodiscard]] std::vector<std::string> list_corpus_files(
     const std::string& dir);
 
-/// Reads and parses one scenario file. Throws std::invalid_argument on
-/// parse failure and std::runtime_error if the file cannot be read.
-[[nodiscard]] ScenarioDesc load_scenario_file(const std::string& path);
+/// Reads and parses one scenario file, storing its `expect` line in
+/// `*expect` when non-null. Throws std::invalid_argument on parse failure
+/// and std::runtime_error if the file cannot be read.
+[[nodiscard]] engine::ScenarioSpec load_scenario_file(
+    const std::string& path, ExpectDesc* expect = nullptr);
 
-/// Serializes `desc` to `path` (parent directories must exist). Throws
-/// std::runtime_error if the file cannot be written.
-void save_scenario_file(const std::string& path, const ScenarioDesc& desc);
+/// Serializes `spec` (with `expect`) to `path` (parent directories must
+/// exist). Throws std::runtime_error if the file cannot be written.
+void save_scenario_file(const std::string& path,
+                        const engine::ScenarioSpec& spec,
+                        const ExpectDesc& expect = {});
 
 }  // namespace axiomcc::fuzz

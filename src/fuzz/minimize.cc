@@ -23,24 +23,24 @@ double round_sig(double v, int digits) {
 
 }  // namespace
 
-MinimizeResult minimize_finding(const ScenarioDesc& desc,
+MinimizeResult minimize_finding(const engine::ScenarioSpec& spec,
                                 const ExpectDesc& target,
                                 const RunnerConfig& runner_config,
                                 const MinimizeOptions& options) {
+  using engine::ScenarioSpec;
   MinimizeResult res;
-  res.desc = desc;
-  res.desc.expect = ExpectDesc{};
-  res.outcome = run_scenario(res.desc, runner_config);
+  res.spec = spec;
+  res.outcome = run_scenario(res.spec, runner_config);
   res.attempts = 1;
   TELEMETRY_COUNT("fuzz.minimize_runs", 1);
 
   /// Runs `cand`; adopts it as the new smallest reproducer iff it still
   /// matches the target outcome class.
-  const auto try_accept = [&](const ScenarioDesc& cand) -> bool {
+  const auto try_accept = [&](const ScenarioSpec& cand) -> bool {
     if (res.attempts >= options.max_attempts) return false;
-    if (cand == res.desc) return false;
+    if (serialize_scenario(cand) == serialize_scenario(res.spec)) return false;
     try {
-      validate_scenario(cand);
+      check_readable(cand);
     } catch (const std::invalid_argument&) {
       return false;
     }
@@ -48,7 +48,7 @@ MinimizeResult minimize_finding(const ScenarioDesc& desc,
     TELEMETRY_COUNT("fuzz.minimize_runs", 1);
     const RunOutcome outcome = run_scenario(cand, runner_config);
     if (!matches_expect(outcome, target)) return false;
-    res.desc = cand;
+    res.spec = cand;
     res.outcome = outcome;
     ++res.accepted;
     return true;
@@ -59,8 +59,8 @@ MinimizeResult minimize_finding(const ScenarioDesc& desc,
     progressed = false;
 
     // Halve the horizon while the finding survives.
-    while (res.desc.steps / 2 >= options.min_steps) {
-      ScenarioDesc cand = res.desc;
+    while (res.spec.steps / 2 >= options.min_steps) {
+      ScenarioSpec cand = res.spec;
       cand.steps /= 2;
       if (!try_accept(cand)) break;
       progressed = true;
@@ -68,8 +68,8 @@ MinimizeResult minimize_finding(const ScenarioDesc& desc,
 
     // Drop senders one at a time (always keeping one).
     for (std::size_t i = 0;
-         res.desc.senders.size() > 1 && i < res.desc.senders.size();) {
-      ScenarioDesc cand = res.desc;
+         res.spec.senders.size() > 1 && i < res.spec.senders.size();) {
+      ScenarioSpec cand = res.spec;
       cand.senders.erase(cand.senders.begin() + static_cast<long>(i));
       if (try_accept(cand)) {
         progressed = true;
@@ -79,9 +79,9 @@ MinimizeResult minimize_finding(const ScenarioDesc& desc,
     }
 
     // Shrink cohorts: halve counts toward single senders.
-    for (std::size_t i = 0; i < res.desc.senders.size(); ++i) {
-      while (res.desc.senders[i].count > 1) {
-        ScenarioDesc cand = res.desc;
+    for (std::size_t i = 0; i < res.spec.senders.size(); ++i) {
+      while (res.spec.senders[i].count > 1) {
+        ScenarioSpec cand = res.spec;
         cand.senders[i].count /= 2;
         if (!try_accept(cand)) break;
         progressed = true;
@@ -90,25 +90,25 @@ MinimizeResult minimize_finding(const ScenarioDesc& desc,
 
     // Prefer a full trace when it still reproduces (a finding that needs
     // aggregate retention keeps the axis, loudly).
-    if (res.desc.aggregate_trace) {
-      ScenarioDesc cand = res.desc;
-      cand.aggregate_trace = false;
+    if (res.spec.trace_detail == fluid::TraceDetail::kAggregate) {
+      ScenarioSpec cand = res.spec;
+      cand.trace_detail = fluid::TraceDetail::kFull;
       if (try_accept(cand)) progressed = true;
     }
 
     // Drop the injected-loss process entirely, or failing that collapse a
     // structured process to constant loss at its worst rate.
-    if (!res.desc.loss.empty()) {
-      ScenarioDesc cand = res.desc;
+    if (!res.spec.loss.empty()) {
+      ScenarioSpec cand = res.spec;
       cand.loss = fluid::LossSpec{};
       if (try_accept(cand)) {
         progressed = true;
-      } else if (res.desc.loss.kind != fluid::LossSpec::Kind::kConstant) {
-        cand = res.desc;
+      } else if (res.spec.loss.kind != fluid::LossSpec::Kind::kConstant) {
+        cand = res.spec;
         fluid::LossSpec constant;
         constant.kind = fluid::LossSpec::Kind::kConstant;
         constant.rate = std::clamp(
-            std::max(res.desc.loss.rate, res.desc.loss.bad_rate), 0.0, 0.99);
+            std::max(res.spec.loss.rate, res.spec.loss.bad_rate), 0.0, 0.99);
         cand.loss = constant;
         if (try_accept(cand)) progressed = true;
       }
@@ -116,9 +116,9 @@ MinimizeResult minimize_finding(const ScenarioDesc& desc,
 
     // Drop schedule breakpoints one at a time (an empty schedule is the
     // identity, so this subsumes dropping the whole schedule).
-    for (auto member : {&ScenarioDesc::bandwidth_scale, &ScenarioDesc::rtt_scale}) {
-      for (std::size_t i = 0; i < (res.desc.*member).points.size();) {
-        ScenarioDesc cand = res.desc;
+    for (auto member : {&ScenarioSpec::bandwidth_scale, &ScenarioSpec::rtt_scale}) {
+      for (std::size_t i = 0; i < (res.spec.*member).points.size();) {
+        ScenarioSpec cand = res.spec;
         auto& points = (cand.*member).points;
         points.erase(points.begin() + static_cast<long>(i));
         if (try_accept(cand)) {
@@ -133,11 +133,17 @@ MinimizeResult minimize_finding(const ScenarioDesc& desc,
     // step offsets, so the checked-in reproducer reads like a hand-written
     // scenario.
     {
-      ScenarioDesc cand = res.desc;
-      cand.bandwidth_mbps = round_sig(cand.bandwidth_mbps, 2);
-      cand.rtt_ms = round_sig(cand.rtt_ms, 2);
-      cand.buffer_mss = round_sig(cand.buffer_mss, 2);
-      for (SenderDesc& sender : cand.senders) {
+      ScenarioSpec cand = res.spec;
+      const auto round_link = [](fluid::LinkParams& link) {
+        link.bandwidth = Bandwidth::from_mss_per_sec(
+            round_sig(link.bandwidth.mss_per_sec(), 2));
+        link.propagation_delay =
+            Seconds(round_sig(link.propagation_delay.value(), 2));
+        link.buffer_mss = round_sig(link.buffer_mss, 2);
+      };
+      round_link(cand.link);
+      for (fluid::LinkParams& link : cand.topology.links) round_link(link);
+      for (engine::SenderSlot& sender : cand.senders) {
         sender.initial_window_mss =
             std::max(1.0, std::round(sender.initial_window_mss));
         sender.start_step = std::max(0.0, std::round(sender.start_step));
@@ -146,7 +152,7 @@ MinimizeResult minimize_finding(const ScenarioDesc& desc,
         }
       }
       for (auto member :
-           {&ScenarioDesc::bandwidth_scale, &ScenarioDesc::rtt_scale}) {
+           {&ScenarioSpec::bandwidth_scale, &ScenarioSpec::rtt_scale}) {
         for (fluid::Schedule::Point& point : (cand.*member).points) {
           point.scale = round_sig(point.scale, 2);
         }
@@ -156,8 +162,8 @@ MinimizeResult minimize_finding(const ScenarioDesc& desc,
 
     // Canonicalize the seed last: many findings are seed-independent, and a
     // canonical seed dedups reproducers that differ only in RNG state.
-    if (res.desc.seed != 1) {
-      ScenarioDesc cand = res.desc;
+    if (res.spec.seed != 1) {
+      ScenarioSpec cand = res.spec;
       cand.seed = 1;
       if (try_accept(cand)) progressed = true;
     }

@@ -16,10 +16,10 @@
 namespace axiomcc::fuzz {
 
 struct MinimizeResult {
-  ScenarioDesc desc;      ///< the smallest reproducer found.
-  RunOutcome outcome;     ///< its outcome (matches the original's class).
-  long attempts = 0;      ///< candidate re-executions spent.
-  long accepted = 0;      ///< edits that kept reproducing.
+  engine::ScenarioSpec spec;  ///< the smallest reproducer found.
+  RunOutcome outcome;         ///< its outcome (matches the original's class).
+  long attempts = 0;          ///< candidate re-executions spent.
+  long accepted = 0;          ///< edits that kept reproducing.
 };
 
 struct MinimizeOptions {
@@ -27,11 +27,12 @@ struct MinimizeOptions {
   long min_steps = 40;      ///< horizon floor for the halving pass.
 };
 
-/// Shrinks `desc`, whose outcome class is `target` (as classified by
+/// Shrinks `spec`, whose outcome class is `target` (as classified by
 /// expect_for on the original run). Runs candidates with `runner_config`;
-/// deterministic — no randomness is involved.
+/// deterministic — no randomness is involved. Every candidate stays
+/// readable from text (check_readable), so the result saves as a `.scn`.
 [[nodiscard]] MinimizeResult minimize_finding(
-    const ScenarioDesc& desc, const ExpectDesc& target,
+    const engine::ScenarioSpec& spec, const ExpectDesc& target,
     const RunnerConfig& runner_config = {},
     const MinimizeOptions& options = {});
 

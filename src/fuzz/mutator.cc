@@ -4,6 +4,8 @@
 #include <cmath>
 #include <utility>
 
+#include "engine/workload.h"
+#include "fuzz/scenario_text.h"
 #include "telemetry/telemetry.h"
 
 namespace axiomcc::fuzz {
@@ -12,6 +14,8 @@ namespace {
 
 using LossKind = fluid::LossSpec::Kind;
 using Point = fluid::Schedule::Point;
+using engine::ScenarioSpec;
+using engine::SenderSlot;
 
 /// Picks a uniformly random element.
 template <typename T>
@@ -24,23 +28,23 @@ const T& pick(const std::vector<T>& values, Rng& rng) {
 double perturb(double v, Rng& rng) { return v * rng.uniform(0.5, 2.0); }
 
 /// A random breakpoint step within the run.
-long random_step(const ScenarioDesc& desc, Rng& rng) {
+long random_step(const ScenarioSpec& spec, Rng& rng) {
   return static_cast<long>(
-      rng.uniform_index(static_cast<std::uint64_t>(desc.steps)));
+      rng.uniform_index(static_cast<std::uint64_t>(spec.steps)));
 }
 
-void mutate_schedule(fluid::Schedule& schedule, const ScenarioDesc& desc,
+void mutate_schedule(fluid::Schedule& schedule, const ScenarioSpec& spec,
                      Rng& rng) {
   const std::uint64_t op = rng.uniform_index(schedule.points.empty() ? 2 : 5);
   switch (op) {
     case 0:  // add a breakpoint with a dictionary scale
-      schedule.points.push_back(Point{random_step(desc, rng),
+      schedule.points.push_back(Point{random_step(spec, rng),
                                       pick(Mutator::scale_dictionary(), rng)});
       break;
     case 1: {  // install a canonical gauntlet shape
       const std::uint64_t shape = rng.uniform_index(3);
-      const long start = random_step(desc, rng);
-      const long span = std::max<long>(desc.steps / 8, 10);
+      const long start = random_step(spec, rng);
+      const long span = std::max<long>(spec.steps / 8, 10);
       schedule.points.clear();
       if (shape == 0) {  // outage: drop to a residual, then restore
         schedule.points = {Point{start, 1e-3}, Point{start + span, 1.0}};
@@ -72,13 +76,13 @@ void mutate_schedule(fluid::Schedule& schedule, const ScenarioDesc& desc,
     }
     case 4: {  // move a breakpoint in time
       Point& p = schedule.points[rng.uniform_index(schedule.points.size())];
-      p.at = random_step(desc, rng);
+      p.at = random_step(spec, rng);
       break;
     }
   }
 }
 
-void mutate_loss(fluid::LossSpec& loss, const ScenarioDesc& desc, Rng& rng) {
+void mutate_loss(fluid::LossSpec& loss, const ScenarioSpec& spec, Rng& rng) {
   if (loss.kind == LossKind::kNone || rng.bernoulli(0.4)) {
     // Switch to a fresh model with dictionary parameters.
     const std::uint64_t kind = 1 + rng.uniform_index(4);
@@ -90,8 +94,8 @@ void mutate_loss(fluid::LossSpec& loss, const ScenarioDesc& desc, Rng& rng) {
     loss.p_bg = rng.uniform(0.05, 0.4);
     loss.good_rate = rng.bernoulli(0.5) ? 0.0 : 0.01;
     loss.bad_rate = pick(Mutator::loss_rate_dictionary(), rng);
-    loss.start = random_step(desc, rng);
-    loss.end = loss.start + std::max<long>(desc.steps / 6, 10);
+    loss.start = random_step(spec, rng);
+    loss.end = loss.start + std::max<long>(spec.steps / 6, 10);
     return;
   }
   // Perturb the existing model's magnitudes.
@@ -102,7 +106,7 @@ void mutate_loss(fluid::LossSpec& loss, const ScenarioDesc& desc, Rng& rng) {
   loss.bad_rate = perturb(loss.bad_rate, rng);
 }
 
-void mutate_sender(SenderDesc& sender, const ScenarioDesc& desc, Rng& rng) {
+void mutate_sender(SenderSlot& sender, const ScenarioSpec& spec, Rng& rng) {
   switch (rng.uniform_index(5)) {
     case 0:
       sender.protocol = pick(Mutator::protocol_dictionary(), rng);
@@ -113,7 +117,7 @@ void mutate_sender(SenderDesc& sender, const ScenarioDesc& desc, Rng& rng) {
                              : rng.uniform(1.0, 120.0);
       break;
     case 2:
-      sender.start_step = static_cast<double>(random_step(desc, rng));
+      sender.start_step = static_cast<double>(random_step(spec, rng));
       break;
     case 3:
       // A finite stop, sometimes one step after the start (the nasty
@@ -125,7 +129,7 @@ void mutate_sender(SenderDesc& sender, const ScenarioDesc& desc, Rng& rng) {
             sender.start_step +
             (rng.bernoulli(0.2) ? 1.0
                                 : static_cast<double>(std::max<long>(
-                                      1, random_step(desc, rng))));
+                                      1, random_step(spec, rng))));
       }
       break;
     case 4:
@@ -139,37 +143,44 @@ void mutate_sender(SenderDesc& sender, const ScenarioDesc& desc, Rng& rng) {
 
 }  // namespace
 
-ScenarioDesc Mutator::mutate(const ScenarioDesc& base, Rng& rng) const {
-  ScenarioDesc out = base;
+ScenarioSpec Mutator::mutate(const ScenarioSpec& base, Rng& rng) const {
+  ScenarioSpec out = base;
+  fluid::LinkParams& link = out.link;
   const std::uint64_t edits = 1 + rng.uniform_index(3);
   for (std::uint64_t edit = 0; edit < edits; ++edit) {
     TELEMETRY_COUNT("fuzz.mutations", 1);
     switch (rng.uniform_index(13)) {
       case 0:
-        out.bandwidth_mbps = rng.bernoulli(0.3)
-                                 ? rng.uniform(limits_.min_mbps, limits_.max_mbps)
-                                 : perturb(out.bandwidth_mbps, rng);
+        link.bandwidth = Bandwidth::from_mss_per_sec(
+            rng.bernoulli(0.3)
+                ? rng.uniform(limits_.min_bandwidth_mss_per_sec,
+                              limits_.max_bandwidth_mss_per_sec)
+                : perturb(link.bandwidth.mss_per_sec(), rng));
         break;
       case 1:
-        out.rtt_ms = rng.bernoulli(0.3)
-                         ? rng.uniform(limits_.min_rtt_ms, limits_.max_rtt_ms)
-                         : perturb(out.rtt_ms, rng);
+        link.propagation_delay = Seconds(
+            rng.bernoulli(0.3)
+                ? rng.uniform(limits_.min_delay_s, limits_.max_delay_s)
+                : perturb(link.propagation_delay.value(), rng));
         break;
       case 2:
         // Buffers: perturbed, or the nasty extremes (none / one packet).
-        out.buffer_mss = rng.bernoulli(0.3)
-                             ? (rng.bernoulli(0.5) ? 0.0 : 1.0)
-                             : perturb(out.buffer_mss, rng);
+        link.buffer_mss = rng.bernoulli(0.3)
+                              ? (rng.bernoulli(0.5) ? 0.0 : 1.0)
+                              : perturb(link.buffer_mss, rng);
         break;
       case 3:
         out.steps = static_cast<long>(
             static_cast<double>(out.steps) * rng.uniform(0.6, 1.6));
         break;
-      case 4:  // add a sender
-        out.senders.push_back(SenderDesc{
-            pick(protocol_dictionary(), rng), rng.uniform(1.0, 60.0),
-            static_cast<double>(random_step(out, rng)), -1.0});
+      case 4: {  // add a sender
+        std::string protocol = pick(protocol_dictionary(), rng);
+        const double initial = rng.uniform(1.0, 60.0);
+        out.senders.push_back(
+            sender_slot(std::move(protocol), initial,
+                        static_cast<double>(random_step(out, rng))));
         break;
+      }
       case 5:  // remove a sender
         if (out.senders.size() > 1) {
           out.senders.erase(out.senders.begin() +
@@ -196,17 +207,21 @@ ScenarioDesc Mutator::mutate(const ScenarioDesc& base, Rng& rng) const {
         // Flip the execution axis: aggregate trace retention preserves the
         // outcome class by contract, so this move widens code coverage, not
         // behavior space.
-        out.aggregate_trace = !out.aggregate_trace;
+        out.trace_detail = out.trace_detail == fluid::TraceDetail::kAggregate
+                               ? fluid::TraceDetail::kFull
+                               : fluid::TraceDetail::kAggregate;
         break;
-      case 11:
+      case 11: {
         // Walk the topology axis: collapse to the single link, or pick a
-        // parking-lot depth (routes derive from slot order at compile time).
-        out.topology_bottlenecks =
+        // parking-lot depth (sanitize lays the routes out by slot order).
+        const int depth =
             rng.bernoulli(0.3)
                 ? 0
                 : 1 + static_cast<int>(rng.uniform_index(
                           static_cast<std::uint64_t>(limits_.max_bottlenecks)));
+        out.topology.links.assign(static_cast<std::size_t>(depth), link);
         break;
+      }
       case 12:
         // Walk the workload axis: none, incast fan-in, or heavy-tailed
         // on-off trains; parameters perturbed when the kind survives.
@@ -235,23 +250,21 @@ ScenarioDesc Mutator::mutate(const ScenarioDesc& base, Rng& rng) const {
   return out;
 }
 
-ScenarioDesc Mutator::splice(const ScenarioDesc& a, const ScenarioDesc& b,
+ScenarioSpec Mutator::splice(const ScenarioSpec& a, const ScenarioSpec& b,
                              Rng& rng) const {
   TELEMETRY_COUNT("fuzz.splices", 1);
-  const ScenarioDesc& x = a;
-  const ScenarioDesc& y = b;
-  ScenarioDesc out;
-  const ScenarioDesc& link_src = rng.bernoulli(0.5) ? x : y;
-  out.bandwidth_mbps = link_src.bandwidth_mbps;
-  out.rtt_ms = link_src.rtt_ms;
-  out.buffer_mss = link_src.buffer_mss;
+  const ScenarioSpec& x = a;
+  const ScenarioSpec& y = b;
+  ScenarioSpec out = default_scenario();
+  const ScenarioSpec& link_src = rng.bernoulli(0.5) ? x : y;
+  out.link = link_src.link;
   out.steps = (rng.bernoulli(0.5) ? x : y).steps;
   out.min_window_mss = link_src.min_window_mss;
   out.max_window_mss = link_src.max_window_mss;
   out.tail_fraction = link_src.tail_fraction;
   out.seed = (rng.bernoulli(0.5) ? x : y).seed;
-  out.aggregate_trace = (rng.bernoulli(0.5) ? x : y).aggregate_trace;
-  out.topology_bottlenecks = (rng.bernoulli(0.5) ? x : y).topology_bottlenecks;
+  out.trace_detail = (rng.bernoulli(0.5) ? x : y).trace_detail;
+  out.topology = (rng.bernoulli(0.5) ? x : y).topology;
   out.workload = (rng.bernoulli(0.5) ? x : y).workload;
   out.senders = (rng.bernoulli(0.5) ? x : y).senders;
   out.loss = (rng.bernoulli(0.5) ? x : y).loss;
@@ -279,31 +292,38 @@ ScenarioDesc Mutator::splice(const ScenarioDesc& a, const ScenarioDesc& b,
   return out;
 }
 
-void Mutator::sanitize(ScenarioDesc& desc) const {
-  desc.bandwidth_mbps =
-      std::clamp(desc.bandwidth_mbps, limits_.min_mbps, limits_.max_mbps);
-  desc.rtt_ms = std::clamp(desc.rtt_ms, limits_.min_rtt_ms, limits_.max_rtt_ms);
-  desc.buffer_mss = std::clamp(desc.buffer_mss, 0.0, limits_.max_buffer_mss);
-  desc.steps = std::clamp(desc.steps, limits_.min_steps, limits_.max_steps);
-  desc.min_window_mss = std::clamp(desc.min_window_mss, 0.0, 10.0);
-  desc.max_window_mss = std::clamp(desc.max_window_mss, 100.0, 1e9);
-  desc.tail_fraction = std::clamp(desc.tail_fraction, 0.1, 0.9);
-  desc.expect = ExpectDesc{};  // mutants are untriaged by definition
-  desc.topology_bottlenecks =
-      std::clamp(desc.topology_bottlenecks, 0, limits_.max_bottlenecks);
+void Mutator::sanitize(ScenarioSpec& spec) const {
+  fluid::LinkParams& link = spec.link;
+  link.bandwidth = Bandwidth::from_mss_per_sec(
+      std::clamp(link.bandwidth.mss_per_sec(),
+                 limits_.min_bandwidth_mss_per_sec,
+                 limits_.max_bandwidth_mss_per_sec));
+  link.propagation_delay = Seconds(std::clamp(
+      link.propagation_delay.value(), limits_.min_delay_s,
+      limits_.max_delay_s));
+  link.buffer_mss = std::clamp(link.buffer_mss, 0.0, limits_.max_buffer_mss);
+  spec.steps = std::clamp(spec.steps, limits_.min_steps, limits_.max_steps);
+  spec.min_window_mss = std::clamp(spec.min_window_mss, 0.0, 10.0);
+  spec.max_window_mss = std::clamp(spec.max_window_mss, 100.0, 1e9);
+  spec.tail_fraction = std::clamp(spec.tail_fraction, 0.1, 0.9);
+  // The topology axis is a parking lot over copies of `link`, so link
+  // mutations reach every hop.
+  const int depth =
+      std::clamp(spec.topology.num_links(), 0, limits_.max_bottlenecks);
+  spec.topology.links.assign(static_cast<std::size_t>(depth), link);
 
-  if (desc.senders.empty()) desc.senders.push_back(SenderDesc{});
-  if (desc.senders.size() > limits_.max_senders) {
-    desc.senders.resize(limits_.max_senders);
+  if (spec.senders.empty()) spec.senders.push_back(sender_slot("reno"));
+  if (spec.senders.size() > limits_.max_senders) {
+    spec.senders.resize(limits_.max_senders);
   }
-  const double max_step = static_cast<double>(desc.steps);
+  const double max_step = static_cast<double>(spec.steps);
   // Cohort clamp: each slot into [1, max_cohort_count], and the expanded
   // population into max_total_senders — later slots give way first, but
   // every slot keeps at least one sender.
   long budget = std::max<long>(limits_.max_total_senders,
-                               static_cast<long>(desc.senders.size()));
-  long slots_left = static_cast<long>(desc.senders.size());
-  for (SenderDesc& s : desc.senders) {
+                               static_cast<long>(spec.senders.size()));
+  long slots_left = static_cast<long>(spec.senders.size());
+  for (SenderSlot& s : spec.senders) {
     --slots_left;
     s.count = std::clamp<long>(s.count, 1, limits_.max_cohort_count);
     s.count = std::min(s.count, std::max<long>(1, budget - slots_left));
@@ -319,76 +339,78 @@ void Mutator::sanitize(ScenarioDesc& desc) const {
     } else {
       s.stop_step = -1.0;
     }
+    s.route.clear();
   }
+  if (depth > 0) route_parking_lot(spec);
 
   // Canonicalize the workload descriptor like the loss one below: only the
-  // active kind's parameters survive, so two descs that serialize
-  // identically compare equal. Generated flows multiply the slot
+  // active kind's parameters survive, so two specs that serialize
+  // identically hold identical workloads. Generated flows multiply the slot
   // population, so the per-slot flow count is additionally capped to keep
   // the expanded population inside max_total_senders.
   {
-    long population = 0;
-    for (const SenderDesc& s : desc.senders) population += s.count;
+    const long population = spec.total_senders();
     engine::WorkloadSpec workload;
-    workload.kind = desc.workload.kind;
+    workload.kind = spec.workload.kind;
     if (workload.kind != engine::WorkloadKind::kNone) {
       const long flow_cap =
           std::max<long>(1, limits_.max_total_senders /
                                 std::max<long>(population, 1));
       workload.flows = std::clamp<long>(
-          desc.workload.flows, 1,
+          spec.workload.flows, 1,
           std::min(limits_.max_workload_flows, flow_cap));
       if (workload.kind == engine::WorkloadKind::kIncast) {
         workload.spread_steps =
-            std::clamp(desc.workload.spread_steps, 0.0, max_step);
+            std::clamp(spec.workload.spread_steps, 0.0, max_step);
       } else {
         // Bound the on/off means away from zero so a run spawns at most a
         // handful of trains per flow (engine caps generated slots anyway).
         workload.mean_on_steps =
-            std::clamp(desc.workload.mean_on_steps, 10.0, max_step);
+            std::clamp(spec.workload.mean_on_steps, 10.0, max_step);
         workload.mean_off_steps =
-            std::clamp(desc.workload.mean_off_steps, 10.0, max_step);
-        workload.alpha = std::clamp(desc.workload.alpha, 1.05, 3.0);
+            std::clamp(spec.workload.mean_off_steps, 10.0, max_step);
+        workload.alpha = std::clamp(spec.workload.alpha, 1.05, 3.0);
       }
     }
-    desc.workload = workload;
+    spec.workload = workload;
   }
 
   // Canonicalize the loss descriptor: clamp the active fields and zero the
-  // inactive ones, so two descs that serialize identically compare equal
-  // (the text format only carries the active kind's parameters).
+  // inactive ones, so two specs that serialize identically hold identical
+  // loss processes (the text format only carries the active kind's
+  // parameters).
   fluid::LossSpec loss;
-  loss.kind = desc.loss.kind;
+  loss.kind = spec.loss.kind;
   switch (loss.kind) {
     case LossKind::kNone:
       break;
     case LossKind::kConstant:
-      loss.rate = std::clamp(desc.loss.rate, 0.0, limits_.max_loss_rate);
+      loss.rate = std::clamp(spec.loss.rate, 0.0, limits_.max_loss_rate);
       break;
     case LossKind::kBernoulli:
-      loss.prob = std::clamp(desc.loss.prob, 0.0, 1.0);
-      loss.rate = std::clamp(desc.loss.rate, 0.0, limits_.max_loss_rate);
+      loss.prob = std::clamp(spec.loss.prob, 0.0, 1.0);
+      loss.rate = std::clamp(spec.loss.rate, 0.0, limits_.max_loss_rate);
       break;
     case LossKind::kStorm:
       // A storm window is non-empty: 0 <= start < end <= steps.
-      loss.start = std::clamp<long>(desc.loss.start, 0, desc.steps - 1);
-      loss.end = std::clamp<long>(desc.loss.end, loss.start + 1, desc.steps);
+      loss.start = std::clamp<long>(spec.loss.start, 0, spec.steps - 1);
+      loss.end = std::clamp<long>(spec.loss.end, loss.start + 1, spec.steps);
       [[fallthrough]];
     case LossKind::kGilbertElliott:
-      loss.p_gb = std::clamp(desc.loss.p_gb, 0.0, 1.0);
-      loss.p_bg = std::clamp(desc.loss.p_bg, 0.0, 1.0);
+      loss.p_gb = std::clamp(spec.loss.p_gb, 0.0, 1.0);
+      loss.p_bg = std::clamp(spec.loss.p_bg, 0.0, 1.0);
       loss.good_rate =
-          std::clamp(desc.loss.good_rate, 0.0, limits_.max_loss_rate);
+          std::clamp(spec.loss.good_rate, 0.0, limits_.max_loss_rate);
       loss.bad_rate =
-          std::clamp(desc.loss.bad_rate, 0.0, limits_.max_loss_rate);
+          std::clamp(spec.loss.bad_rate, 0.0, limits_.max_loss_rate);
       break;
   }
-  desc.loss = loss;
+  spec.loss = loss;
 
-  for (fluid::Schedule* schedule : {&desc.bandwidth_scale, &desc.rtt_scale}) {
+  for (fluid::Schedule* schedule : {&spec.bandwidth_scale, &spec.rtt_scale}) {
     std::vector<Point>& points = schedule->points;
     for (Point& p : points) {
-      p.at = std::clamp<long>(p.at, 0, desc.steps - 1);
+      p.at = std::clamp<long>(p.at, 0, spec.steps - 1);
       p.scale = std::clamp(p.scale, limits_.min_scale, limits_.max_scale);
     }
     std::sort(points.begin(), points.end(),
@@ -409,38 +431,39 @@ void Mutator::sanitize(ScenarioDesc& desc) const {
       points.resize(limits_.max_schedule_points);
     }
   }
+
+  // A workload whose draws land no arrival inside the horizon (an on-off
+  // slot starting near the end, an incast spread past a slot's stop) would
+  // leave the run without senders; the slots then run as written.
+  if (!spec.workload.empty() && engine::expand_workload(spec).empty()) {
+    spec.workload = engine::WorkloadSpec{};
+  }
 }
 
-std::vector<ScenarioDesc> Mutator::seed_corpus() {
-  std::vector<ScenarioDesc> seeds;
+std::vector<ScenarioSpec> Mutator::seed_corpus() {
+  std::vector<ScenarioSpec> seeds;
+  const auto seed = [&seeds](std::vector<SenderSlot> senders) -> ScenarioSpec& {
+    seeds.push_back(default_scenario());
+    seeds.back().senders = std::move(senders);
+    return seeds.back();
+  };
 
-  {  // Plain homogeneous baseline.
-    ScenarioDesc d;
-    d.senders = {SenderDesc{"reno", 1.0, 0.0, -1.0},
-                 SenderDesc{"reno", 40.0, 0.0, -1.0}};
-    seeds.push_back(d);
-  }
-  {  // Deep mid-run outage.
-    ScenarioDesc d;
-    d.senders = {SenderDesc{"aimd(1,0.5)", 1.0, 0.0, -1.0},
-                 SenderDesc{"aimd(1,0.5)", 30.0, 0.0, -1.0}};
-    d.bandwidth_scale.points = {Point{150, 1e-3}, Point{200, 1.0}};
-    seeds.push_back(d);
-  }
+  // Plain homogeneous baseline.
+  seed({sender_slot("reno", 1.0), sender_slot("reno", 40.0)});
+  // Deep mid-run outage.
+  seed({sender_slot("aimd(1,0.5)", 1.0), sender_slot("aimd(1,0.5)", 30.0)})
+      .bandwidth_scale.points = {Point{150, 1e-3}, Point{200, 1.0}};
   {  // Link flap (square wave).
-    ScenarioDesc d;
-    d.senders = {SenderDesc{"cubic(0.4,0.8)", 1.0, 0.0, -1.0},
-                 SenderDesc{"reno", 20.0, 0.0, -1.0}};
+    ScenarioSpec& d =
+        seed({sender_slot("cubic(0.4,0.8)", 1.0), sender_slot("reno", 20.0)});
     for (long i = 0; i < 8; ++i) {
       d.bandwidth_scale.points.push_back(
           Point{100 + i * 25, i % 2 == 0 ? 0.05 : 1.0});
     }
-    seeds.push_back(d);
   }
   {  // Loss storm over a protocol mix.
-    ScenarioDesc d;
-    d.senders = {SenderDesc{"mimd(1.01,0.875)", 1.0, 0.0, -1.0},
-                 SenderDesc{"aimd(1,0.5)", 20.0, 0.0, -1.0}};
+    ScenarioSpec& d = seed(
+        {sender_slot("mimd(1.01,0.875)", 1.0), sender_slot("aimd(1,0.5)", 20.0)});
     d.loss.kind = LossKind::kStorm;
     d.loss.start = 120;
     d.loss.end = 240;
@@ -448,67 +471,44 @@ std::vector<ScenarioDesc> Mutator::seed_corpus() {
     d.loss.p_bg = 0.3;
     d.loss.good_rate = 0.0;
     d.loss.bad_rate = 0.3;
-    seeds.push_back(d);
   }
-  {  // Persistent RTT inflation step.
-    ScenarioDesc d;
-    d.senders = {SenderDesc{"vegas(2,4)", 1.0, 0.0, -1.0},
-                 SenderDesc{"reno", 10.0, 0.0, -1.0}};
-    d.rtt_scale.points = {Point{200, 3.0}};
-    seeds.push_back(d);
-  }
-  {  // Flow churn: staggered joins and leaves over a standing flow.
-    ScenarioDesc d;
-    d.senders = {SenderDesc{"reno", 1.0, 0.0, -1.0},
-                 SenderDesc{"cubic(0.4,0.8)", 1.0, 80.0, 280.0},
-                 SenderDesc{"aimd(1,0.5)", 1.0, 160.0, 360.0},
-                 SenderDesc{"mimd(1.01,0.875)", 1.0, 240.0, -1.0}};
-    seeds.push_back(d);
-  }
+  // Persistent RTT inflation step.
+  seed({sender_slot("vegas(2,4)", 1.0), sender_slot("reno", 10.0)})
+      .rtt_scale.points = {Point{200, 3.0}};
+  // Flow churn: staggered joins and leaves over a standing flow.
+  seed({sender_slot("reno", 1.0),
+        sender_slot("cubic(0.4,0.8)", 1.0, 80.0, 280.0),
+        sender_slot("aimd(1,0.5)", 1.0, 160.0, 360.0),
+        sender_slot("mimd(1.01,0.875)", 1.0, 240.0)});
   {  // Constant random loss (the Metric VI shape) on a lone sender.
-    ScenarioDesc d;
-    d.senders = {SenderDesc{"robust_aimd(1,0.8,0.01)", 1.0, 0.0, -1.0}};
+    ScenarioSpec& d = seed({sender_slot("robust_aimd(1,0.8,0.01)", 1.0)});
     d.loss.kind = LossKind::kConstant;
     d.loss.rate = 0.05;
-    seeds.push_back(d);
   }
   {  // Bursty wireless-style loss under a BBR-like/PCC mix.
-    ScenarioDesc d;
-    d.senders = {SenderDesc{"bbr", 1.0, 0.0, -1.0},
-                 SenderDesc{"pcc", 10.0, 0.0, -1.0}};
+    ScenarioSpec& d = seed({sender_slot("bbr", 1.0), sender_slot("pcc", 10.0)});
     d.loss.kind = LossKind::kBernoulli;
     d.loss.prob = 0.1;
     d.loss.rate = 0.3;
-    seeds.push_back(d);
   }
-  {  // Two-bottleneck parking lot: slot 0 is the long flow over both hops,
-    // the cross flows each pin one bottleneck.
-    ScenarioDesc d;
-    d.senders = {SenderDesc{"reno", 1.0, 0.0, -1.0},
-                 SenderDesc{"reno", 1.0, 0.0, -1.0},
-                 SenderDesc{"reno", 1.0, 0.0, -1.0}};
-    d.topology_bottlenecks = 2;
-    seeds.push_back(d);
-  }
+  // Two-bottleneck parking lot: slot 0 is the long flow over both hops, the
+  // cross flows each pin one bottleneck (sanitize derives the routes).
+  seed({sender_slot("reno"), sender_slot("reno"), sender_slot("reno")})
+      .topology.links.resize(2);
   {  // Incast fan-in: one slot fanned out into near-simultaneous arrivals.
-    ScenarioDesc d;
-    d.senders = {SenderDesc{"cubic(0.4,0.8)", 1.0, 40.0, -1.0}};
+    ScenarioSpec& d = seed({sender_slot("cubic(0.4,0.8)", 1.0, 40.0)});
     d.workload.kind = engine::WorkloadKind::kIncast;
     d.workload.flows = 4;
     d.workload.spread_steps = 16.0;
-    seeds.push_back(d);
   }
-  {  // A homogeneous cohort with an aggregate trace — seeds the
-    // execution-axis space (uniform cohorts + population statistics).
-    ScenarioDesc d;
-    d.senders = {SenderDesc{"aimd(1,0.5)", 1.0, 0.0, -1.0, 8},
-                 SenderDesc{"cubic(0.4,0.8)", 20.0, 0.0, -1.0}};
-    d.aggregate_trace = true;
-    seeds.push_back(d);
-  }
+  // A homogeneous cohort with an aggregate trace — seeds the execution-axis
+  // space (uniform cohorts + population statistics).
+  seed({sender_slot("aimd(1,0.5)", 1.0, 0.0, -1.0, 8),
+        sender_slot("cubic(0.4,0.8)", 20.0)})
+      .trace_detail = fluid::TraceDetail::kAggregate;
 
   Mutator mutator;
-  for (ScenarioDesc& d : seeds) mutator.sanitize(d);
+  for (ScenarioSpec& d : seeds) mutator.sanitize(d);
   return seeds;
 }
 

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <string>
+#include <utility>
 
 #include "core/metrics.h"
 #include "engine/backend.h"
+#include "engine/workload.h"
 #include "fuzz/fuzzer.h"
 #include "recorder/postmortem.h"
 #include "telemetry/telemetry.h"
@@ -78,7 +81,8 @@ std::uint64_t log_bucket(double v, double floor) {
       9, 1 + static_cast<std::uint64_t>(std::max(0.0, decades)));
 }
 
-std::uint64_t novelty_key_for(const RunOutcome& o, const ScenarioDesc& desc) {
+std::uint64_t novelty_key_for(const RunOutcome& o,
+                              const engine::ScenarioSpec& spec) {
   std::uint64_t key = 0;
   const auto push = [&key](std::uint64_t value, unsigned bits) {
     key = (key << bits) | value;
@@ -102,23 +106,22 @@ std::uint64_t novelty_key_for(const RunOutcome& o, const ScenarioDesc& desc) {
   push(std::min<std::uint64_t>(
            15, static_cast<std::uint64_t>(std::max(0.0, o.divergence) * 4.0)),
        4);
-  long population = 0;
-  for (const SenderDesc& s : desc.senders) population += s.count;
-  push(std::min<std::uint64_t>(3, static_cast<std::uint64_t>(population) - 1),
+  push(std::min<std::uint64_t>(
+           3, static_cast<std::uint64_t>(spec.total_senders()) - 1),
        2);
-  push(static_cast<std::uint64_t>(desc.loss.kind), 3);
+  push(static_cast<std::uint64_t>(spec.loss.kind), 3);
   // The execution axis: a scenario that reproduces under aggregate
   // retention is novel relative to its full-trace twin, so the corpus keeps
   // both and the fuzzer keeps dragging that machinery through the scenario
   // space.
-  push(desc.aggregate_trace ? 1 : 0, 1);
+  push(spec.trace_detail == fluid::TraceDetail::kAggregate ? 1 : 0, 1);
   // The topology/workload axes: the same metric signature reached through a
   // parking lot or a generated flow pattern is a different corner of the
   // backend stack than its single-link static twin.
   push(std::min<std::uint64_t>(
-           3, static_cast<std::uint64_t>(desc.topology_bottlenecks)),
+           3, static_cast<std::uint64_t>(spec.topology.num_links())),
        2);
-  push(static_cast<std::uint64_t>(desc.workload.kind), 2);
+  push(static_cast<std::uint64_t>(spec.workload.kind), 2);
   return key;
 }
 
@@ -135,11 +138,29 @@ const char* outcome_kind_name(OutcomeKind kind) {
   return "clean";
 }
 
-RunOutcome run_scenario(const ScenarioDesc& desc, const RunnerConfig& config) {
-  return run_scenario_recorded(desc, config).outcome;
+engine::ScenarioSpec oracle_spec(engine::ScenarioSpec spec) {
+  spec.jobs = 1;
+  if (spec.trace_detail != fluid::TraceDetail::kAggregate) return spec;
+  // Workload generators change the run's population; track the expanded
+  // count. A workload the engine rejects faults before any trace exists.
+  long total = 0;
+  try {
+    for (const engine::SenderSlot& slot : engine::expand_workload(spec)) {
+      total += slot.count;
+    }
+  } catch (const std::exception&) {
+    total = spec.total_senders();
+  }
+  spec.tracked_senders = static_cast<int>(std::max<long>(total, 1));
+  return spec;
 }
 
-RecordedScenario run_scenario_recorded(const ScenarioDesc& desc,
+RunOutcome run_scenario(const engine::ScenarioSpec& spec,
+                        const RunnerConfig& config) {
+  return run_scenario_recorded(spec, config).outcome;
+}
+
+RecordedScenario run_scenario_recorded(const engine::ScenarioSpec& spec,
                                        const RunnerConfig& config) {
   TELEMETRY_COUNT("fuzz.runs", 1);
 
@@ -154,39 +175,32 @@ RecordedScenario run_scenario_recorded(const ScenarioDesc& desc,
   recorder::RecordOptions ropts = config.record;
   ropts.enabled = want_record;
 
-  {
-    CompiledScenario fluid = compile_scenario(desc);
-    fluid.spec.record = ropts;
-    const auto rec = engine::make_recorder(fluid.spec);
-    fluid.spec.record_sink = rec.get();
-    fluid.spec.scope = config.scope;
-    const auto sc = engine::make_scope(fluid.spec);
-    fluid.spec.scope_sink = sc.get();
-    const stress::GuardedResult result = stress::run_guarded(
-        engine::backend_for(engine::BackendKind::kFluid), fluid.spec,
-        config.guard);
-    out.fluid_fault = result.fault;
-    out.fluid = reduce_trace(result, desc.tail_fraction, out.fluid_fault);
-    if (rec) rs.fluid = rec->snapshot();
-  }
-  {
-    CompiledScenario packet = compile_scenario(desc);
-    packet.spec.max_window_mss =
-        std::min(packet.spec.max_window_mss, config.packet_max_window_mss);
-    packet.spec.record = ropts;
-    const auto rec = engine::make_recorder(packet.spec);
-    packet.spec.record_sink = rec.get();
-    packet.spec.scope = config.scope;
-    const auto sc = engine::make_scope(packet.spec);
-    packet.spec.scope_sink = sc.get();
-    const engine::PacketBackend backend(engine::PacketBackend::Options{
-        1500, config.packet_max_window_mss});
+  // One guarded run per backend, each with its own recorder and scope.
+  const auto run_side = [&](const engine::SimBackend& backend,
+                            engine::ScenarioSpec side,
+                            stress::FaultReport& fault, TraceMetrics& metrics,
+                            recorder::Recording& recording) {
+    side.record = ropts;
+    const auto rec = engine::make_recorder(side);
+    side.record_sink = rec.get();
+    side.scope = config.scope;
+    const auto sc = engine::make_scope(side);
+    side.scope_sink = sc.get();
     const stress::GuardedResult result =
-        stress::run_guarded(backend, packet.spec, config.guard);
-    out.packet_fault = result.fault;
-    out.packet = reduce_trace(result, desc.tail_fraction, out.packet_fault);
-    if (rec) rs.packet = rec->snapshot();
-  }
+        stress::run_guarded(backend, std::move(side), config.guard);
+    fault = result.fault;
+    metrics = reduce_trace(result, spec.tail_fraction, fault);
+    if (rec) recording = rec->snapshot();
+  };
+  const engine::ScenarioSpec oracle = oracle_spec(spec);
+  run_side(engine::backend_for(engine::BackendKind::kFluid), oracle,
+           out.fluid_fault, out.fluid, rs.fluid);
+  engine::ScenarioSpec packet = oracle;
+  packet.max_window_mss =
+      std::min(packet.max_window_mss, config.packet_max_window_mss);
+  run_side(engine::PacketBackend(engine::PacketBackend::Options{
+               1500, config.packet_max_window_mss}),
+           std::move(packet), out.packet_fault, out.packet, rs.packet);
 
   const bool fluid_ok = out.fluid_fault.ok();
   const bool packet_ok = out.packet_fault.ok();
@@ -201,14 +215,14 @@ RecordedScenario run_scenario_recorded(const ScenarioDesc& desc,
     out.kind = fluid_ok ? OutcomeKind::kPacketFault : OutcomeKind::kFluidFault;
   }
 
-  out.novelty_key = novelty_key_for(out, desc);
+  out.novelty_key = novelty_key_for(out, spec);
   if (out.is_finding()) TELEMETRY_COUNT("fuzz.findings", 1);
 
   if (out.is_finding() && want_record && !config.postmortem_dir.empty()) {
     recorder::PostMortem pm;
     pm.kind = outcome_kind_name(out.kind);
     pm.divergence = out.divergence;
-    pm.scenario_text = serialize_scenario(desc);
+    pm.scenario_text = serialize_scenario(spec);
     const auto side = [](std::string label, const stress::FaultReport& fault,
                          recorder::Recording recording) {
       recorder::PostMortemSide s;
@@ -226,7 +240,7 @@ RecordedScenario run_scenario_recorded(const ScenarioDesc& desc,
     pm.sides.push_back(side("packet", out.packet_fault, rs.packet));
     // Name the dump after the corpus entry it reproduces from, so a CI
     // triage can pair postmortem-scn-<hash>.jsonl with scn-<hash>.scn.
-    std::string name = corpus_file_name(desc);
+    std::string name = corpus_file_name(spec);
     pm.title = name;
     if (name.size() > 4) name.resize(name.size() - 4);  // drop ".scn"
     const stress::FaultReport write_fault = stress::guard_invoke([&] {

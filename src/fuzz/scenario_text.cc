@@ -1,6 +1,5 @@
 #include "fuzz/scenario_text.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -8,20 +7,25 @@
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
-#include "cc/registry.h"
 #include "engine/topology.h"
-#include "engine/workload.h"
+#include "util/check.h"
 
 namespace axiomcc::fuzz {
 
 namespace {
 
-constexpr const char* kHeader = "axiomcc-scenario v1";
+constexpr const char* kHeaderV1 = "axiomcc-scenario v1";
+constexpr const char* kHeaderV2 = "axiomcc-scenario v2";
 
 [[noreturn]] void fail(std::size_t line, const std::string& why) {
   throw std::invalid_argument("scenario line " + std::to_string(line) + ": " +
                               why);
+}
+
+[[noreturn]] void reject(const std::string& why) {
+  throw std::invalid_argument(why);
 }
 
 using LossKind = fluid::LossSpec::Kind;
@@ -85,6 +89,31 @@ using LossKind = fluid::LossSpec::Kind;
   return static_cast<std::uint64_t>(value);
 }
 
+/// A link in the engine's units: bandwidth (MSS/s), one-way delay (s),
+/// buffer (MSS). The timeout RTT is not part of the format: it keeps its
+/// natural default.
+[[nodiscard]] std::string link_fields(const fluid::LinkParams& link) {
+  AXIOMCC_EXPECTS_MSG(link.timeout_rtt.value() <= 0.0,
+                      "a custom timeout RTT has no text form");
+  return format_double(link.bandwidth.mss_per_sec()) + ' ' +
+         format_double(link.propagation_delay.value()) + ' ' +
+         format_double(link.buffer_mss);
+}
+
+/// Reads the link_fields of a `link` or `topology-link` line.
+[[nodiscard]] fluid::LinkParams parse_link(const std::vector<std::string>& tok,
+                                           std::size_t line) {
+  if (tok.size() != 4) {
+    fail(line, "'" + tok[0] +
+                   "' expects <MSS/s> <one-way delay s> <buffer MSS>");
+  }
+  fluid::LinkParams link;
+  link.bandwidth = Bandwidth::from_mss_per_sec(parse_num(tok[1], line));
+  link.propagation_delay = Seconds(parse_num(tok[2], line));
+  link.buffer_mss = parse_num(tok[3], line);
+  return link;
+}
+
 void append_schedule(std::string& out, const char* directive,
                      const fluid::Schedule& schedule) {
   for (const fluid::Schedule::Point& p : schedule.points) {
@@ -99,6 +128,39 @@ void append_schedule(std::string& out, const char* directive,
 
 }  // namespace
 
+engine::ScenarioSpec default_scenario() {
+  engine::ScenarioSpec spec;
+  spec.steps = 400;
+  spec.senders = {sender_slot("reno")};
+  return spec;
+}
+
+engine::SenderSlot sender_slot(std::string protocol, double initial_window_mss,
+                               double start_step, double stop_step,
+                               long count) {
+  engine::SenderSlot slot;
+  slot.protocol = std::move(protocol);
+  slot.initial_window_mss = initial_window_mss;
+  slot.start_step = start_step;
+  slot.stop_step = stop_step;
+  slot.count = count;
+  return slot;
+}
+
+void route_parking_lot(engine::ScenarioSpec& spec) {
+  const int k = spec.topology.num_links();
+  AXIOMCC_EXPECTS(k >= 1);
+  for (std::size_t i = 0; i < spec.senders.size(); ++i) {
+    std::vector<int>& route = spec.senders[i].route;
+    if (i == 0) {
+      route.resize(static_cast<std::size_t>(k));
+      for (int l = 0; l < k; ++l) route[static_cast<std::size_t>(l)] = l;
+    } else {
+      route = {static_cast<int>((i - 1) % static_cast<std::size_t>(k))};
+    }
+  }
+}
+
 std::string format_double(double v) {
   char buf[40];
   for (int precision = 1; precision <= 17; ++precision) {
@@ -108,40 +170,40 @@ std::string format_double(double v) {
   return buf;  // unreachable: %.17g always round-trips a finite double
 }
 
-std::string serialize_scenario(const ScenarioDesc& desc) {
+std::string serialize_scenario(const engine::ScenarioSpec& spec,
+                               const ExpectDesc& expect) {
   std::string out;
-  out += kHeader;
+  out += kHeaderV2;
   out += '\n';
-  out += "link " + format_double(desc.bandwidth_mbps) + ' ' +
-         format_double(desc.rtt_ms) + ' ' + format_double(desc.buffer_mss) +
-         '\n';
-  out += "steps " + std::to_string(desc.steps) + '\n';
-  out += "window " + format_double(desc.min_window_mss) + ' ' +
-         format_double(desc.max_window_mss) + '\n';
-  out += "tail " + format_double(desc.tail_fraction) + '\n';
-  out += "seed " + std::to_string(desc.seed) + '\n';
-  // The execution axis is emitted only when non-default, so every pre-axis
-  // corpus file still round-trips byte-identically.
-  if (desc.aggregate_trace) out += "trace aggregate\n";
-  if (desc.topology_bottlenecks > 0) {
-    out += "topology parking-lot " + std::to_string(desc.topology_bottlenecks) +
-           '\n';
+  out += "link " + link_fields(spec.link) + '\n';
+  out += "steps " + std::to_string(spec.steps) + '\n';
+  out += "window " + format_double(spec.min_window_mss) + ' ' +
+         format_double(spec.max_window_mss) + '\n';
+  out += "tail " + format_double(spec.tail_fraction) + '\n';
+  out += "seed " + std::to_string(spec.seed) + '\n';
+  if (spec.trace_detail == fluid::TraceDetail::kAggregate) {
+    out += "trace aggregate\n";
   }
-  switch (desc.workload.kind) {
+  for (const fluid::LinkParams& link : spec.topology.links) {
+    out += "topology-link " + link_fields(link) + '\n';
+  }
+  switch (spec.workload.kind) {
     case engine::WorkloadKind::kNone:
       break;
     case engine::WorkloadKind::kIncast:
-      out += "workload incast " + std::to_string(desc.workload.flows) + ' ' +
-             format_double(desc.workload.spread_steps) + '\n';
+      out += "workload incast " + std::to_string(spec.workload.flows) + ' ' +
+             format_double(spec.workload.spread_steps) + '\n';
       break;
     case engine::WorkloadKind::kOnOffHeavyTail:
-      out += "workload onoff " + std::to_string(desc.workload.flows) + ' ' +
-             format_double(desc.workload.mean_on_steps) + ' ' +
-             format_double(desc.workload.mean_off_steps) + ' ' +
-             format_double(desc.workload.alpha) + '\n';
+      out += "workload onoff " + std::to_string(spec.workload.flows) + ' ' +
+             format_double(spec.workload.mean_on_steps) + ' ' +
+             format_double(spec.workload.mean_off_steps) + ' ' +
+             format_double(spec.workload.alpha) + '\n';
       break;
   }
-  for (const SenderDesc& s : desc.senders) {
+  for (const engine::SenderSlot& s : spec.senders) {
+    AXIOMCC_EXPECTS_MSG(!s.protocol.empty(),
+                        "only slots that name a protocol spec serialize");
     if (s.count > 1) {
       out += "senders " + std::to_string(s.count) + ' ';
     } else {
@@ -150,67 +212,73 @@ std::string serialize_scenario(const ScenarioDesc& desc) {
     out += format_double(s.initial_window_mss) + ' ' +
            format_double(s.start_step) + ' ' + format_double(s.stop_step) +
            ' ' + s.protocol + '\n';
+    if (!s.route.empty()) {
+      out += "route";
+      for (const int link : s.route) out += ' ' + std::to_string(link);
+      out += '\n';
+    }
   }
+  const fluid::LossSpec& loss = spec.loss;
   out += "loss ";
-  out += loss_kind_name(desc.loss.kind);
-  switch (desc.loss.kind) {
+  out += loss_kind_name(loss.kind);
+  switch (loss.kind) {
     case LossKind::kNone:
       break;
     case LossKind::kConstant:
-      out += ' ' + format_double(desc.loss.rate);
+      out += ' ' + format_double(loss.rate);
       break;
     case LossKind::kBernoulli:
-      out += ' ' + format_double(desc.loss.prob) + ' ' +
-             format_double(desc.loss.rate);
+      out += ' ' + format_double(loss.prob) + ' ' + format_double(loss.rate);
       break;
     case LossKind::kGilbertElliott:
-      out += ' ' + format_double(desc.loss.p_gb) + ' ' +
-             format_double(desc.loss.p_bg) + ' ' +
-             format_double(desc.loss.good_rate) + ' ' +
-             format_double(desc.loss.bad_rate);
+      out += ' ' + format_double(loss.p_gb) + ' ' + format_double(loss.p_bg) +
+             ' ' + format_double(loss.good_rate) + ' ' +
+             format_double(loss.bad_rate);
       break;
     case LossKind::kStorm:
-      out += ' ' + std::to_string(desc.loss.start) + ' ' +
-             std::to_string(desc.loss.end) + ' ' +
-             format_double(desc.loss.p_gb) + ' ' +
-             format_double(desc.loss.p_bg) + ' ' +
-             format_double(desc.loss.good_rate) + ' ' +
-             format_double(desc.loss.bad_rate);
+      out += ' ' + std::to_string(loss.start) + ' ' +
+             std::to_string(loss.end) + ' ' + format_double(loss.p_gb) + ' ' +
+             format_double(loss.p_bg) + ' ' + format_double(loss.good_rate) +
+             ' ' + format_double(loss.bad_rate);
       break;
   }
   out += '\n';
-  append_schedule(out, "bw", desc.bandwidth_scale);
-  append_schedule(out, "rtt", desc.rtt_scale);
-  if (!desc.expect.empty()) {
-    out += "expect " + desc.expect.outcome;
-    if (!desc.expect.detail.empty()) out += ' ' + desc.expect.detail;
+  append_schedule(out, "bw", spec.bandwidth_scale);
+  append_schedule(out, "rtt", spec.rtt_scale);
+  if (!expect.empty()) {
+    out += "expect " + expect.outcome;
+    if (!expect.detail.empty()) out += ' ' + expect.detail;
     out += '\n';
   }
   return out;
 }
 
-ScenarioDesc parse_scenario(const std::string& text) {
+engine::ScenarioSpec parse_scenario(const std::string& text,
+                                    ExpectDesc* expect) {
   std::istringstream in(text);
   std::string line;
   std::size_t line_no = 0;
 
   // The header must be the first non-comment, non-blank line (checked-in
   // corpus entries carry a triage comment block above it).
-  bool have_header = false;
+  int version = 0;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
-    have_header = line == kHeader;
+    if (line == kHeaderV1) version = 1;
+    if (line == kHeaderV2) version = 2;
     break;
   }
-  if (!have_header) {
+  if (version == 0) {
     throw std::invalid_argument(
         "scenario missing header (expected first content line '" +
-        std::string(kHeader) + "')");
+        std::string(kHeaderV2) + "' or '" + kHeaderV1 + "')");
   }
 
-  ScenarioDesc desc;
-  desc.senders.clear();
+  engine::ScenarioSpec spec = default_scenario();
+  spec.senders.clear();
+  ExpectDesc parsed_expect;
+  long parking_lot = 0;  // v1 `topology parking-lot k`
   std::map<std::string, bool> seen;
   const auto once = [&seen, &line_no](const std::string& directive) {
     if (seen[directive]) fail(line_no, "duplicate '" + directive + "' line");
@@ -229,30 +297,41 @@ ScenarioDesc parse_scenario(const std::string& text) {
                           " value(s), got " + std::to_string(tok.size() - 1));
       }
     };
+    const auto require_version = [&](int wanted) {
+      if (version != wanted) {
+        fail(line_no, "'" + directive + "' is a v" + std::to_string(wanted) +
+                          " directive");
+      }
+    };
 
     if (directive == "link") {
       once("link");
-      require_argc(3);
-      desc.bandwidth_mbps = parse_num(tok[1], line_no);
-      desc.rtt_ms = parse_num(tok[2], line_no);
-      desc.buffer_mss = parse_num(tok[3], line_no);
+      if (version == 1) {
+        // v1: bandwidth in Mbps, round-trip propagation delay in ms.
+        require_argc(3);
+        spec.link = fluid::make_link_mbps(parse_num(tok[1], line_no),
+                                          parse_num(tok[2], line_no),
+                                          parse_num(tok[3], line_no));
+      } else {
+        spec.link = parse_link(tok, line_no);
+      }
     } else if (directive == "steps") {
       once("steps");
       require_argc(1);
-      desc.steps = parse_long(tok[1], line_no);
+      spec.steps = parse_long(tok[1], line_no);
     } else if (directive == "window") {
       once("window");
       require_argc(2);
-      desc.min_window_mss = parse_num(tok[1], line_no);
-      desc.max_window_mss = parse_num(tok[2], line_no);
+      spec.min_window_mss = parse_num(tok[1], line_no);
+      spec.max_window_mss = parse_num(tok[2], line_no);
     } else if (directive == "tail") {
       once("tail");
       require_argc(1);
-      desc.tail_fraction = parse_num(tok[1], line_no);
+      spec.tail_fraction = parse_num(tok[1], line_no);
     } else if (directive == "seed") {
       once("seed");
       require_argc(1);
-      desc.seed = parse_u64(tok[1], line_no);
+      spec.seed = parse_u64(tok[1], line_no);
     } else if (directive == "sender" || directive == "senders") {
       // The protocol spec is the rest of the line (specs contain commas and
       // parens, never spaces the serializer cares about). "senders" carries
@@ -265,28 +344,38 @@ ScenarioDesc parse_scenario(const std::string& text) {
                              : "'sender' expects <init_w> <start> <stop> "
                                "<protocol>");
       }
-      SenderDesc s;
-      if (cohort) s.count = parse_long(tok[1], line_no);
-      s.initial_window_mss = parse_num(tok[base], line_no);
-      s.start_step = parse_num(tok[base + 1], line_no);
-      s.stop_step = parse_num(tok[base + 2], line_no);
-      s.protocol = tok[base + 3];
+      std::string protocol = tok[base + 3];
       for (std::size_t i = base + 4; i < tok.size(); ++i) {
-        s.protocol += " " + tok[i];
+        protocol += " " + tok[i];
       }
-      desc.senders.push_back(std::move(s));
+      spec.senders.push_back(sender_slot(
+          std::move(protocol), parse_num(tok[base], line_no),
+          parse_num(tok[base + 1], line_no), parse_num(tok[base + 2], line_no),
+          cohort ? parse_long(tok[1], line_no) : 1));
+    } else if (directive == "route") {
+      require_version(2);
+      if (spec.senders.empty()) {
+        fail(line_no, "'route' must follow a sender line");
+      }
+      std::vector<int>& route = spec.senders.back().route;
+      if (!route.empty()) fail(line_no, "second 'route' for one sender");
+      if (tok.size() < 2) fail(line_no, "'route' expects link ids");
+      for (std::size_t i = 1; i < tok.size(); ++i) {
+        route.push_back(static_cast<int>(parse_long(tok[i], line_no)));
+      }
     } else if (directive == "trace") {
       once("trace");
       require_argc(1);
       if (tok[1] == "aggregate") {
-        desc.aggregate_trace = true;
+        spec.trace_detail = fluid::TraceDetail::kAggregate;
       } else if (tok[1] == "full") {
-        desc.aggregate_trace = false;
+        spec.trace_detail = fluid::TraceDetail::kFull;
       } else {
         fail(line_no,
              "unknown trace detail '" + tok[1] + "' (expected full|aggregate)");
       }
     } else if (directive == "exec") {
+      require_version(1);
       once("exec");
       require_argc(1);
       // The fluid backend picks its step loop from the run's shape; the
@@ -297,29 +386,35 @@ ScenarioDesc parse_scenario(const std::string& text) {
              "unknown exec mode '" + tok[1] + "' (expected scalar|batch)");
       }
     } else if (directive == "topology") {
+      require_version(1);
       once("topology");
       require_argc(2);
       if (tok[1] != "parking-lot") {
         fail(line_no,
              "unknown topology kind '" + tok[1] + "' (expected parking-lot)");
       }
-      desc.topology_bottlenecks =
-          static_cast<int>(parse_long(tok[2], line_no));
+      parking_lot = parse_long(tok[2], line_no);
+      if (parking_lot < 0 || parking_lot > 16) {
+        fail(line_no, "parking-lot depth must be in [0, 16]");
+      }
+    } else if (directive == "topology-link") {
+      require_version(2);
+      spec.topology.links.push_back(parse_link(tok, line_no));
     } else if (directive == "workload") {
       once("workload");
       if (tok.size() < 2) fail(line_no, "'workload' expects a kind");
       if (tok[1] == "incast") {
         require_argc(3);
-        desc.workload.kind = engine::WorkloadKind::kIncast;
-        desc.workload.flows = parse_long(tok[2], line_no);
-        desc.workload.spread_steps = parse_num(tok[3], line_no);
+        spec.workload.kind = engine::WorkloadKind::kIncast;
+        spec.workload.flows = parse_long(tok[2], line_no);
+        spec.workload.spread_steps = parse_num(tok[3], line_no);
       } else if (tok[1] == "onoff") {
         require_argc(5);
-        desc.workload.kind = engine::WorkloadKind::kOnOffHeavyTail;
-        desc.workload.flows = parse_long(tok[2], line_no);
-        desc.workload.mean_on_steps = parse_num(tok[3], line_no);
-        desc.workload.mean_off_steps = parse_num(tok[4], line_no);
-        desc.workload.alpha = parse_num(tok[5], line_no);
+        spec.workload.kind = engine::WorkloadKind::kOnOffHeavyTail;
+        spec.workload.flows = parse_long(tok[2], line_no);
+        spec.workload.mean_on_steps = parse_num(tok[3], line_no);
+        spec.workload.mean_off_steps = parse_num(tok[4], line_no);
+        spec.workload.alpha = parse_num(tok[5], line_no);
       } else {
         fail(line_no,
              "unknown workload kind '" + tok[1] + "' (expected incast|onoff)");
@@ -328,34 +423,35 @@ ScenarioDesc parse_scenario(const std::string& text) {
       once("loss");
       if (tok.size() < 2) fail(line_no, "'loss' expects a kind");
       const std::string& kind = tok[1];
+      fluid::LossSpec& loss = spec.loss;
       if (kind == "none") {
         require_argc(1);
-        desc.loss.kind = LossKind::kNone;
+        loss.kind = LossKind::kNone;
       } else if (kind == "constant") {
         require_argc(2);
-        desc.loss.kind = LossKind::kConstant;
-        desc.loss.rate = parse_num(tok[2], line_no);
+        loss.kind = LossKind::kConstant;
+        loss.rate = parse_num(tok[2], line_no);
       } else if (kind == "bernoulli") {
         require_argc(3);
-        desc.loss.kind = LossKind::kBernoulli;
-        desc.loss.prob = parse_num(tok[2], line_no);
-        desc.loss.rate = parse_num(tok[3], line_no);
+        loss.kind = LossKind::kBernoulli;
+        loss.prob = parse_num(tok[2], line_no);
+        loss.rate = parse_num(tok[3], line_no);
       } else if (kind == "gilbert") {
         require_argc(5);
-        desc.loss.kind = LossKind::kGilbertElliott;
-        desc.loss.p_gb = parse_num(tok[2], line_no);
-        desc.loss.p_bg = parse_num(tok[3], line_no);
-        desc.loss.good_rate = parse_num(tok[4], line_no);
-        desc.loss.bad_rate = parse_num(tok[5], line_no);
+        loss.kind = LossKind::kGilbertElliott;
+        loss.p_gb = parse_num(tok[2], line_no);
+        loss.p_bg = parse_num(tok[3], line_no);
+        loss.good_rate = parse_num(tok[4], line_no);
+        loss.bad_rate = parse_num(tok[5], line_no);
       } else if (kind == "storm") {
         require_argc(7);
-        desc.loss.kind = LossKind::kStorm;
-        desc.loss.start = parse_long(tok[2], line_no);
-        desc.loss.end = parse_long(tok[3], line_no);
-        desc.loss.p_gb = parse_num(tok[4], line_no);
-        desc.loss.p_bg = parse_num(tok[5], line_no);
-        desc.loss.good_rate = parse_num(tok[6], line_no);
-        desc.loss.bad_rate = parse_num(tok[7], line_no);
+        loss.kind = LossKind::kStorm;
+        loss.start = parse_long(tok[2], line_no);
+        loss.end = parse_long(tok[3], line_no);
+        loss.p_gb = parse_num(tok[4], line_no);
+        loss.p_bg = parse_num(tok[5], line_no);
+        loss.good_rate = parse_num(tok[6], line_no);
+        loss.bad_rate = parse_num(tok[7], line_no);
       } else {
         fail(line_no, "unknown loss kind '" + kind +
                           "' (expected none|constant|bernoulli|gilbert|storm)");
@@ -363,7 +459,7 @@ ScenarioDesc parse_scenario(const std::string& text) {
     } else if (directive == "bw" || directive == "rtt") {
       require_argc(2);
       fluid::Schedule& schedule =
-          directive == "bw" ? desc.bandwidth_scale : desc.rtt_scale;
+          directive == "bw" ? spec.bandwidth_scale : spec.rtt_scale;
       schedule.points.push_back(
           {parse_long(tok[1], line_no), parse_num(tok[2], line_no)});
     } else if (directive == "expect") {
@@ -371,142 +467,70 @@ ScenarioDesc parse_scenario(const std::string& text) {
       if (tok.size() < 2 || tok.size() > 3) {
         fail(line_no, "'expect' expects <outcome> [<detail>]");
       }
-      desc.expect.outcome = tok[1];
-      desc.expect.detail = tok.size() == 3 ? tok[2] : "";
+      parsed_expect.outcome = tok[1];
+      parsed_expect.detail = tok.size() == 3 ? tok[2] : "";
     } else {
       fail(line_no, "unknown directive '" + directive + "'");
     }
   }
 
-  validate_scenario(desc);
-  return desc;
+  // v1 parking lots lower to k copies of the link with derived routes.
+  if (parking_lot > 0) {
+    spec.topology.links.assign(static_cast<std::size_t>(parking_lot),
+                               spec.link);
+    route_parking_lot(spec);
+  }
+  check_readable(spec);
+  if (expect != nullptr) *expect = std::move(parsed_expect);
+  return spec;
 }
 
-void validate_scenario(const ScenarioDesc& desc) {
-  if (!(desc.bandwidth_mbps > 0.0) || !std::isfinite(desc.bandwidth_mbps)) {
-    throw std::invalid_argument("link bandwidth must be positive, got " +
-                                format_double(desc.bandwidth_mbps));
+void check_readable(const engine::ScenarioSpec& spec) {
+  if (spec.steps <= 0) {
+    reject("steps must be positive, got " + std::to_string(spec.steps));
   }
-  if (!(desc.rtt_ms > 0.0) || !std::isfinite(desc.rtt_ms)) {
-    throw std::invalid_argument("link RTT must be positive, got " +
-                                format_double(desc.rtt_ms));
+  if (!(spec.min_window_mss >= 0.0 &&
+        spec.max_window_mss >= spec.min_window_mss)) {
+    reject("window bounds must satisfy 0 <= min <= max");
   }
-  if (desc.buffer_mss < 0.0 || !std::isfinite(desc.buffer_mss)) {
-    throw std::invalid_argument("link buffer must be >= 0, got " +
-                                format_double(desc.buffer_mss));
+  if (!(spec.tail_fraction > 0.0 && spec.tail_fraction < 1.0)) {
+    reject("tail fraction must be in (0, 1), got " +
+           format_double(spec.tail_fraction));
   }
-  if (desc.steps <= 0) {
-    throw std::invalid_argument("steps must be positive, got " +
-                                std::to_string(desc.steps));
+  if (spec.senders.empty()) reject("scenario needs at least one sender");
+  // Caps on what one text file can ask a run to build.
+  if (spec.topology.num_links() > 16) {
+    reject("topology may have at most 16 links, got " +
+           std::to_string(spec.topology.num_links()));
   }
-  if (desc.min_window_mss < 0.0 ||
-      desc.max_window_mss < desc.min_window_mss) {
-    throw std::invalid_argument("window bounds must satisfy 0 <= min <= max");
+  if (!spec.workload.empty() && spec.workload.flows > 256) {
+    reject("workload flow count must be at most 256, got " +
+           std::to_string(spec.workload.flows));
   }
-  if (!(desc.tail_fraction > 0.0 && desc.tail_fraction < 1.0)) {
-    throw std::invalid_argument("tail fraction must be in (0, 1), got " +
-                                format_double(desc.tail_fraction));
-  }
-  if (desc.senders.empty()) {
-    throw std::invalid_argument("scenario needs at least one sender");
-  }
-  if (desc.topology_bottlenecks < 0 || desc.topology_bottlenecks > 16) {
-    throw std::invalid_argument(
-        "topology bottleneck count must be in [0, 16], got " +
-        std::to_string(desc.topology_bottlenecks));
-  }
-  if (!desc.workload.empty() && desc.workload.flows > 256) {
-    throw std::invalid_argument(
-        "workload flow count must be at most 256, got " +
-        std::to_string(desc.workload.flows));
-  }
-  engine::validate_workload(desc.workload);
-  for (const SenderDesc& s : desc.senders) {
-    if (s.initial_window_mss < 0.0 || !std::isfinite(s.initial_window_mss)) {
-      throw std::invalid_argument("sender initial window must be >= 0");
-    }
-    if (s.start_step < 0.0 || !std::isfinite(s.start_step)) {
-      throw std::invalid_argument("sender start step must be >= 0");
-    }
-    if (s.protocol.empty()) {
-      throw std::invalid_argument("sender protocol spec is empty");
+  for (const engine::SenderSlot& s : spec.senders) {
+    if (s.protocol.empty() || s.prototype != nullptr) {
+      reject("every sender must name its protocol by spec string");
     }
     if (s.count < 1) {
-      throw std::invalid_argument("sender cohort count must be >= 1, got " +
-                                  std::to_string(s.count));
+      reject("sender cohort count must be >= 1, got " +
+             std::to_string(s.count));
+    }
+    if (!(s.initial_window_mss >= 0.0 && std::isfinite(s.initial_window_mss))) {
+      reject("sender initial window must be >= 0");
+    }
+    if (!(s.start_step >= 0.0 && std::isfinite(s.start_step))) {
+      reject("sender start step must be >= 0");
     }
   }
-  engine::validate_loss(desc.loss);
-  engine::validate_schedule(desc.bandwidth_scale, "bw");
-  engine::validate_schedule(desc.rtt_scale, "rtt");
-}
-
-CompiledScenario compile_scenario(const ScenarioDesc& desc) {
-  validate_scenario(desc);
-
-  CompiledScenario out;
-  out.spec.link = fluid::make_link_mbps(desc.bandwidth_mbps, desc.rtt_ms,
-                                        desc.buffer_mss);
-  out.spec.steps = desc.steps;
-  out.spec.min_window_mss = desc.min_window_mss;
-  out.spec.max_window_mss = desc.max_window_mss;
-  out.spec.tail_fraction = desc.tail_fraction;
-  out.spec.seed = desc.seed;
-
-  const int bottlenecks = desc.topology_bottlenecks;
-  if (bottlenecks > 0) {
-    out.spec.topology.links.assign(static_cast<std::size_t>(bottlenecks),
-                                   out.spec.link);
+  engine::validate_link(spec.link, "link");
+  for (std::size_t l = 0; l < spec.topology.links.size(); ++l) {
+    engine::validate_link(spec.topology.links[l],
+                          "topology link " + std::to_string(l));
   }
-
-  out.prototypes.reserve(desc.senders.size());
-  for (std::size_t i = 0; i < desc.senders.size(); ++i) {
-    const SenderDesc& s = desc.senders[i];
-    out.prototypes.push_back(cc::make_protocol(s.protocol));
-    // Parking-lot routes are derived from the slot index: the first slot is
-    // the long flow over every bottleneck, later slots cross one each.
-    std::vector<int> route;
-    if (bottlenecks > 0) {
-      if (i == 0) {
-        route.resize(static_cast<std::size_t>(bottlenecks));
-        for (int l = 0; l < bottlenecks; ++l) {
-          route[static_cast<std::size_t>(l)] = l;
-        }
-      } else {
-        route = {static_cast<int>((i - 1) % static_cast<std::size_t>(
-                                                bottlenecks))};
-      }
-    }
-    out.spec.senders.push_back(engine::SenderSlot{
-        out.prototypes.back().get(), s.initial_window_mss, s.start_step,
-        s.stop_step, s.count, std::move(route)});
-  }
-
-  out.spec.workload = desc.workload;
-
-  // The execution axis must not change what the oracle can see: an
-  // aggregate trace tracks the whole population (fuzz scenarios are small,
-  // so the estimators keep reading every sender's series and classify
-  // exactly as they would a full trace). The fluid backend runs at jobs=1 —
-  // already byte-identical to any job count, and keeping run_scenario pure
-  // for the fuzz loop's own fan-out.
-  if (desc.aggregate_trace) {
-    out.spec.trace_detail = fluid::TraceDetail::kAggregate;
-    // Workload generators change the run's population; track the expanded
-    // count so the oracle still reads every sender's series.
-    long total = 0;
-    for (const engine::SenderSlot& slot : engine::expand_workload(out.spec)) {
-      total += slot.count;
-    }
-    out.spec.tracked_senders = static_cast<int>(std::max<long>(total, 1));
-  }
-  out.spec.jobs = 1;
-
-  out.spec.bandwidth_scale = desc.bandwidth_scale;
-  out.spec.rtt_scale = desc.rtt_scale;
-  out.spec.loss = desc.loss;
-
-  return out;
+  engine::validate_workload(spec.workload);
+  engine::validate_loss(spec.loss);
+  engine::validate_schedule(spec.bandwidth_scale, "bw");
+  engine::validate_schedule(spec.rtt_scale, "rtt");
 }
 
 }  // namespace axiomcc::fuzz

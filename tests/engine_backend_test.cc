@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -238,6 +239,54 @@ TEST(ScenarioValidation, RejectsRouteWithoutTopology) {
   }
 }
 
+TEST(ScenarioValidation, RequiresExactlyOneProtocolSourcePerSlot) {
+  const cc::Aimd aimd(1.0, 0.5);
+  ScenarioSpec spec = small_spec();
+  spec.add_sender(aimd, 1.0);
+  spec.senders[0].protocol = "aimd(1,0.5)";  // both
+  for (const auto kind : {BackendKind::kFluid, BackendKind::kPacket}) {
+    EXPECT_THROW(validate_scenario(spec), ScenarioError);
+    EXPECT_THROW((void)backend_for(kind).run(spec), ScenarioError);
+  }
+  spec.senders[0].prototype = nullptr;
+  spec.senders[0].protocol.clear();  // neither
+  EXPECT_THROW(validate_scenario(spec), ScenarioError);
+  spec.senders[0].protocol = "aimd(1,2)";  // does not build
+  EXPECT_THROW(validate_scenario(spec), ScenarioError);
+  spec.senders[0].protocol = "no-such-protocol";
+  EXPECT_THROW(validate_scenario(spec), ScenarioError);
+}
+
+TEST(ScenarioValidation, ProtocolSpecSlotsRunLikePrototypeSlots) {
+  // A slot that names its protocol by spec runs bit-identically to one
+  // pointing at a prototype, workload expansion included, on both backends.
+  const cc::Aimd aimd(1.0, 0.5);
+  ScenarioSpec by_prototype = small_spec(120);
+  by_prototype.add_senders(aimd, 3, 1.0);
+  by_prototype.add_sender(aimd, 5.0, 10.0, 90.0);
+  by_prototype.workload.kind = WorkloadKind::kIncast;
+  by_prototype.workload.flows = 2;
+  ScenarioSpec by_spec = by_prototype;
+  for (SenderSlot& slot : by_spec.senders) {
+    slot.prototype = nullptr;
+    slot.protocol = "aimd(1,0.5)";
+  }
+  EXPECT_EQ(make_run_slots(by_spec).protocols.size(), 2u);
+  EXPECT_TRUE(make_run_slots(by_prototype).protocols.empty());
+  for (const auto kind : {BackendKind::kFluid, BackendKind::kPacket}) {
+    const fluid::Trace a = backend_for(kind).run(by_prototype).trace;
+    const fluid::Trace b = backend_for(kind).run(by_spec).trace;
+    ASSERT_EQ(a.num_senders(), b.num_senders());
+    ASSERT_EQ(a.num_steps(), b.num_steps());
+    for (int i = 0; i < a.num_senders(); ++i) {
+      const auto wa = a.windows(i);
+      const auto wb = b.windows(i);
+      ASSERT_TRUE(std::equal(wa.begin(), wa.end(), wb.begin()))
+          << backend_name(kind) << " sender " << i;
+    }
+  }
+}
+
 TEST(ScenarioValidation, RejectsEmptyRouteInTopologyMode) {
   const cc::Aimd aimd(1.0, 0.5);
   ScenarioSpec spec = small_spec();
@@ -423,7 +472,7 @@ TEST(ScenarioValidation, RejectsSubStepSenderWindowsOnBothBackends) {
                          Window{20.2, 20.4}, Window{10.0, inf},
                          Window{-5.0, -1.0}}) {
     ScenarioSpec spec = small_spec(60);
-    spec.senders.push_back(SenderSlot{&aimd, 10.0, w.start, w.stop, 1, {}});
+    spec.senders.push_back(SenderSlot{&aimd, 10.0, w.start, w.stop, 1, {}, {}});
     long steps_seen = 0;
     spec.step_monitor = [&steps_seen](long, std::span<const double>, double,
                                       double) {

@@ -8,12 +8,15 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cc/aimd.h"
 #include "cc/registry.h"
+#include "engine/backend.h"
+#include "engine/topology.h"
 #include "stress/guarded_run.h"
 #include "stress/perturbation.h"
 
@@ -48,10 +51,10 @@ GauntletConfig small_config() {
   cfg.seeds = {1, 2};
   cfg.include_axiom_metrics = false;
 
-  stress::Scenario baseline;
+  GauntletOverlay baseline;
   baseline.name = "baseline";
 
-  stress::Scenario outage;
+  GauntletOverlay outage;
   outage.name = "outage";
   outage.bandwidth_scale = stress::outage_schedule(120, 30);
   outage.perturb_start = 120;
@@ -157,7 +160,7 @@ TEST(Gauntlet, IdenticalSeedsReproduceIdenticalScorecards) {
   const cc::Aimd aimd(1.0, 0.5);
   GauntletConfig cfg = small_config();
   // Include a stochastic scenario so determinism is non-trivial.
-  stress::Scenario storm;
+  GauntletOverlay storm;
   storm.name = "loss_storm";
   storm.loss = {.kind = fluid::LossSpec::Kind::kStorm,
                 .p_gb = 0.2,
@@ -261,8 +264,90 @@ TEST(Gauntlet, EmptyScenarioListSelectsTheStandardGauntlet) {
   const GauntletResult result =
       run_gauntlet_prototypes(std::vector<const cc::Protocol*>{&aimd}, cfg);
   const std::size_t expected =
-      stress::standard_gauntlet(cfg.steps).size();
+      gauntlet_library(cfg.steps).size();
   EXPECT_EQ(result.cells.size(), expected);
+}
+
+TEST(ApplyScenario, ChurnAddsJoiningAndLeavingSenders) {
+  GauntletOverlay overlay;
+  overlay.name = "churn";
+  for (const auto& [start, stop] : {std::pair{100.0, 200.0}, {150.0, -1.0}}) {
+    engine::SenderSlot slot;
+    slot.start_step = start;
+    slot.stop_step = stop;
+    overlay.churn.push_back(slot);
+  }
+
+  GauntletConfig cfg;
+  cfg.link = fluid::make_link_mbps(30.0, 42.0, 100.0);
+  cfg.steps = 300;
+  cfg.num_senders = 1;
+  const cc::Aimd proto(1.0, 0.5);
+  const engine::ScenarioSpec spec = gauntlet_cell_spec(proto, overlay, 1, cfg);
+  ASSERT_EQ(spec.total_senders(), 3);
+  EXPECT_EQ(spec.seed, 1u);
+  for (const engine::SenderSlot& slot : spec.senders) {
+    EXPECT_EQ(slot.prototype, &proto);
+  }
+
+  const fluid::Trace trace =
+      engine::backend_for(engine::BackendKind::kFluid).run(spec).trace;
+  // Sender 1 joins at 100 and leaves at 200.
+  EXPECT_DOUBLE_EQ(trace.windows(1)[99], 0.0);
+  EXPECT_GT(trace.windows(1)[100], 0.0);
+  EXPECT_GT(trace.windows(1)[199], 0.0);
+  EXPECT_DOUBLE_EQ(trace.windows(1)[200], 0.0);
+  EXPECT_DOUBLE_EQ(trace.windows(1)[299], 0.0);
+  // Sender 2 joins at 150 and stays.
+  EXPECT_DOUBLE_EQ(trace.windows(2)[149], 0.0);
+  EXPECT_GT(trace.windows(2)[299], 0.0);
+  // The base sender runs throughout.
+  EXPECT_GT(trace.windows(0)[0], 0.0);
+  EXPECT_GT(trace.windows(0)[299], 0.0);
+}
+
+TEST(ApplyScenario, ChurnJoinsTheLongRouteOfAParkingLot) {
+  GauntletConfig cfg;
+  cfg.steps = 300;
+  cfg.topology_bottlenecks = 3;
+  const cc::Aimd proto(1.0, 0.5);
+  const GauntletOverlay churn = gauntlet_library(cfg.steps).back();
+  ASSERT_EQ(churn.name, "churn");
+  const engine::ScenarioSpec spec = gauntlet_cell_spec(proto, churn, 7, cfg);
+  ASSERT_EQ(spec.senders.size(), 1 + 3 + churn.churn.size());
+  for (std::size_t i = spec.senders.size() - churn.churn.size();
+       i < spec.senders.size(); ++i) {
+    EXPECT_EQ(spec.senders[i].route, (std::vector<int>{0, 1, 2}));
+  }
+  EXPECT_NO_THROW(engine::validate_scenario(spec));
+}
+
+TEST(StandardGauntlet, HasTheDocumentedScenarioMix) {
+  const auto scenarios = gauntlet_library(900);
+  ASSERT_GE(scenarios.size(), 6u);  // ≥5 distinct + baseline
+
+  bool has_bandwidth = false;
+  bool has_rtt = false;
+  bool has_loss = false;
+  bool has_churn = false;
+  for (const GauntletOverlay& s : scenarios) {
+    EXPECT_FALSE(s.name.empty());
+    if (!s.bandwidth_scale.empty()) has_bandwidth = true;
+    if (!s.rtt_scale.empty()) has_rtt = true;
+    if (!s.loss.empty()) has_loss = true;
+    if (!s.churn.empty()) has_churn = true;
+  }
+  EXPECT_TRUE(has_bandwidth);
+  EXPECT_TRUE(has_rtt);
+  EXPECT_TRUE(has_loss);
+  EXPECT_TRUE(has_churn);
+
+  // Names are unique (scorecards key on them).
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    for (std::size_t j = i + 1; j < scenarios.size(); ++j) {
+      EXPECT_NE(scenarios[i].name, scenarios[j].name);
+    }
+  }
 }
 
 }  // namespace

@@ -44,7 +44,8 @@ TEST(FuzzFuzzer, FixedSeedReproduces) {
   EXPECT_EQ(novelty_keys(a), novelty_keys(b));
   ASSERT_EQ(a.findings.size(), b.findings.size());
   for (std::size_t i = 0; i < a.findings.size(); ++i) {
-    EXPECT_EQ(a.findings[i].original, b.findings[i].original);
+    EXPECT_EQ(serialize_scenario(a.findings[i].original),
+              serialize_scenario(b.findings[i].original));
     EXPECT_EQ(a.findings[i].expect.outcome, b.findings[i].expect.outcome);
   }
 }
@@ -60,7 +61,8 @@ TEST(FuzzFuzzer, JobCountDoesNotChangeResults) {
   EXPECT_EQ(novelty_keys(serial), novelty_keys(parallel));
   ASSERT_EQ(serial.findings.size(), parallel.findings.size());
   for (std::size_t i = 0; i < serial.findings.size(); ++i) {
-    EXPECT_EQ(serial.findings[i].original, parallel.findings[i].original);
+    EXPECT_EQ(serialize_scenario(serial.findings[i].original),
+              serialize_scenario(parallel.findings[i].original));
   }
 }
 
@@ -80,11 +82,13 @@ TEST(FuzzFuzzer, Fnv1a64MatchesReference) {
 }
 
 TEST(FuzzFuzzer, CorpusFileNameIsContentAddressed) {
-  const ScenarioDesc a;
-  ScenarioDesc b;
+  const engine::ScenarioSpec a = default_scenario();
+  engine::ScenarioSpec b = default_scenario();
   b.steps = 123;
-  EXPECT_EQ(corpus_file_name(a), corpus_file_name(ScenarioDesc{}));
+  EXPECT_EQ(corpus_file_name(a), corpus_file_name(default_scenario()));
   EXPECT_NE(corpus_file_name(a), corpus_file_name(b));
+  // Triage is part of the name.
+  EXPECT_NE(corpus_file_name(a), corpus_file_name(a, {"divergence", ""}));
   EXPECT_TRUE(corpus_file_name(a).starts_with("scn-"));
   EXPECT_TRUE(corpus_file_name(a).ends_with(".scn"));
 }
@@ -95,14 +99,14 @@ TEST(FuzzFuzzer, SaveLoadListRoundTrip) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
-  ScenarioDesc desc;
-  desc.steps = 99;
-  desc.expect = ExpectDesc{"divergence", ""};
-  const std::string path = (dir / corpus_file_name(desc)).string();
-  save_scenario_file(path, desc);
+  engine::ScenarioSpec spec = default_scenario();
+  spec.steps = 99;
+  const ExpectDesc expect{"divergence", ""};
+  const std::string path = (dir / corpus_file_name(spec, expect)).string();
+  save_scenario_file(path, spec, expect);
 
-  ScenarioDesc other;
-  other.rtt_ms = 10.0;
+  engine::ScenarioSpec other = default_scenario();
+  other.link.propagation_delay = Seconds(0.005);
   save_scenario_file((dir / corpus_file_name(other)).string(), other);
   // Non-.scn files are ignored.
   save_scenario_file((dir / "notes.txt").string(), other);
@@ -110,7 +114,10 @@ TEST(FuzzFuzzer, SaveLoadListRoundTrip) {
   const std::vector<std::string> files = list_corpus_files(dir.string());
   ASSERT_EQ(files.size(), 2u);
   EXPECT_TRUE(std::is_sorted(files.begin(), files.end()));
-  EXPECT_EQ(load_scenario_file(path), desc);
+  ExpectDesc loaded_expect;
+  EXPECT_EQ(serialize_scenario(load_scenario_file(path, &loaded_expect)),
+            serialize_scenario(spec));
+  EXPECT_EQ(loaded_expect, expect);
 
   std::filesystem::remove_all(dir);
 }

@@ -1,5 +1,6 @@
 // Tests for the scenario mutator: determinism, dictionary validity, and the
-// guarantee that every sanitized mutant validates and compiles.
+// guarantee that every sanitized mutant is readable, passes the engine's
+// validation and expands to at least one sender.
 #include "fuzz/mutator.h"
 
 #include <gtest/gtest.h>
@@ -8,18 +9,26 @@
 
 #include "cc/registry.h"
 #include "engine/topology.h"
+#include "engine/workload.h"
 #include "fuzz/scenario_text.h"
 #include "util/rng.h"
 
 namespace axiomcc::fuzz {
 namespace {
 
+using engine::ScenarioSpec;
+using engine::SenderSlot;
+
+/// Mutants and seeds carry no prototypes, so text equality is scenario
+/// equality.
+std::string text(const ScenarioSpec& spec) { return serialize_scenario(spec); }
+
 TEST(FuzzMutator, SeedCorpusValidatesAndCompiles) {
-  const std::vector<ScenarioDesc> seeds = Mutator::seed_corpus();
+  const std::vector<ScenarioSpec> seeds = Mutator::seed_corpus();
   ASSERT_GT(seeds.size(), 3u);
-  for (const ScenarioDesc& seed : seeds) {
-    EXPECT_NO_THROW(validate_scenario(seed));
-    EXPECT_NO_THROW((void)compile_scenario(seed));
+  for (const ScenarioSpec& seed : seeds) {
+    EXPECT_NO_THROW(check_readable(seed));
+    EXPECT_NO_THROW(engine::validate_scenario(seed));
   }
 }
 
@@ -31,24 +40,24 @@ TEST(FuzzMutator, ProtocolDictionaryAllConstructible) {
 
 TEST(FuzzMutator, MutationIsDeterministic) {
   const Mutator mutator;
-  const ScenarioDesc base;
+  const ScenarioSpec base = default_scenario();
   Rng rng_a(99);
   Rng rng_b(99);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(mutator.mutate(base, rng_a), mutator.mutate(base, rng_b));
+    EXPECT_EQ(text(mutator.mutate(base, rng_a)),
+              text(mutator.mutate(base, rng_b)));
   }
 }
 
 TEST(FuzzMutator, MutantsAlwaysValidateAndCompile) {
   const Mutator mutator;
   Rng rng(7);
-  ScenarioDesc current;
+  ScenarioSpec current = default_scenario();
   // Walk a deep mutation chain so edits compound into weird corners.
   for (int i = 0; i < 300; ++i) {
     current = mutator.mutate(current, rng);
-    ASSERT_NO_THROW(validate_scenario(current)) << serialize_scenario(current);
-    ASSERT_NO_THROW((void)compile_scenario(current))
-        << serialize_scenario(current);
+    ASSERT_NO_THROW(check_readable(current)) << text(current);
+    ASSERT_NO_THROW(engine::validate_scenario(current)) << text(current);
   }
 }
 
@@ -60,18 +69,22 @@ TEST(FuzzMutator, MutantsStayInsideLimits) {
   limits.max_total_senders = 6;
   const Mutator mutator(limits);
   Rng rng(11);
-  ScenarioDesc current;
+  ScenarioSpec current = default_scenario();
   for (int i = 0; i < 200; ++i) {
     current = mutator.mutate(current, rng);
     EXPECT_GE(current.steps, limits.min_steps);
     EXPECT_LE(current.steps, limits.max_steps);
     EXPECT_LE(current.senders.size(), limits.max_senders);
-    EXPECT_GE(current.bandwidth_mbps, limits.min_mbps);
-    EXPECT_LE(current.bandwidth_mbps, limits.max_mbps);
+    EXPECT_GE(current.link.bandwidth.mss_per_sec(),
+              limits.min_bandwidth_mss_per_sec);
+    EXPECT_LE(current.link.bandwidth.mss_per_sec(),
+              limits.max_bandwidth_mss_per_sec);
+    EXPECT_GE(current.link.propagation_delay.value(), limits.min_delay_s);
+    EXPECT_LE(current.link.propagation_delay.value(), limits.max_delay_s);
     EXPECT_LE(current.bandwidth_scale.points.size(),
               limits.max_schedule_points);
     long population = 0;
-    for (const SenderDesc& s : current.senders) {
+    for (const SenderSlot& s : current.senders) {
       EXPECT_GE(s.count, 1);
       EXPECT_LE(s.count, limits.max_cohort_count);
       population += s.count;
@@ -86,13 +99,14 @@ TEST(FuzzMutator, MutationReachesExecutionAxesAndCohorts) {
   // multi-sender cohorts.
   const Mutator mutator;
   Rng rng(31);
-  ScenarioDesc current;
+  ScenarioSpec current = default_scenario();
   bool saw_aggregate = false;
   bool saw_cohort = false;
   for (int i = 0; i < 300; ++i) {
     current = mutator.mutate(current, rng);
-    saw_aggregate = saw_aggregate || current.aggregate_trace;
-    for (const SenderDesc& s : current.senders) {
+    saw_aggregate = saw_aggregate ||
+                    current.trace_detail == fluid::TraceDetail::kAggregate;
+    for (const SenderSlot& s : current.senders) {
       saw_cohort = saw_cohort || s.count > 1;
     }
   }
@@ -103,18 +117,32 @@ TEST(FuzzMutator, MutationReachesExecutionAxesAndCohorts) {
 TEST(FuzzMutator, MutationReachesTopologyAndWorkloadAxes) {
   const Mutator mutator;
   Rng rng(47);
-  ScenarioDesc current;
+  ScenarioSpec current = default_scenario();
   bool saw_topology = false;
   bool saw_incast = false;
   bool saw_onoff = false;
   for (int i = 0; i < 400; ++i) {
     current = mutator.mutate(current, rng);
-    saw_topology = saw_topology || current.topology_bottlenecks > 0;
+    saw_topology = saw_topology || !current.topology.empty();
     saw_incast =
         saw_incast || current.workload.kind == engine::WorkloadKind::kIncast;
     saw_onoff = saw_onoff ||
                 current.workload.kind == engine::WorkloadKind::kOnOffHeavyTail;
-    EXPECT_LE(current.topology_bottlenecks, mutator.limits().max_bottlenecks);
+    EXPECT_LE(current.topology.num_links(), mutator.limits().max_bottlenecks);
+    // A parking lot over copies of `link`, routed by slot order.
+    for (const fluid::LinkParams& link : current.topology.links) {
+      EXPECT_EQ(link.bandwidth, current.link.bandwidth);
+      EXPECT_EQ(link.propagation_delay, current.link.propagation_delay);
+      EXPECT_EQ(link.buffer_mss, current.link.buffer_mss);
+    }
+    for (std::size_t j = 0; j < current.senders.size(); ++j) {
+      EXPECT_EQ(current.senders[j].route.empty(), current.topology.empty());
+      if (j > 0 && !current.topology.empty()) {
+        EXPECT_EQ(current.senders[j].route,
+                  (std::vector<int>{static_cast<int>(
+                      (j - 1) % current.topology.links.size())}));
+      }
+    }
     if (!current.workload.empty()) {
       EXPECT_LE(current.workload.flows, mutator.limits().max_workload_flows);
     }
@@ -126,22 +154,23 @@ TEST(FuzzMutator, MutationReachesTopologyAndWorkloadAxes) {
 
 TEST(FuzzMutator, SanitizeCanonicalizesWorkload) {
   const Mutator mutator;
-  ScenarioDesc desc;
-  // Inactive-kind fields must reset to defaults so two descs serializing
-  // identically compare equal (the text format only carries active params).
-  desc.workload.kind = engine::WorkloadKind::kIncast;
-  desc.workload.flows = 999;
-  desc.workload.mean_on_steps = 7.0;  // onoff-only field, not serialized
-  mutator.sanitize(desc);
-  EXPECT_EQ(desc.workload.kind, engine::WorkloadKind::kIncast);
-  EXPECT_LE(desc.workload.flows, mutator.limits().max_workload_flows);
-  EXPECT_DOUBLE_EQ(desc.workload.mean_on_steps,
+  ScenarioSpec spec = default_scenario();
+  // Inactive-kind fields must reset to defaults so two specs serializing
+  // identically hold equal workloads (the text format only carries active
+  // params).
+  spec.workload.kind = engine::WorkloadKind::kIncast;
+  spec.workload.flows = 999;
+  spec.workload.mean_on_steps = 7.0;  // onoff-only field, not serialized
+  mutator.sanitize(spec);
+  EXPECT_EQ(spec.workload.kind, engine::WorkloadKind::kIncast);
+  EXPECT_LE(spec.workload.flows, mutator.limits().max_workload_flows);
+  EXPECT_DOUBLE_EQ(spec.workload.mean_on_steps,
                    engine::WorkloadSpec{}.mean_on_steps);
   // And a none-kind workload collapses fully to the default.
-  desc.workload = engine::WorkloadSpec{};
-  desc.workload.flows = 3;
-  mutator.sanitize(desc);
-  EXPECT_EQ(desc.workload, engine::WorkloadSpec{});
+  spec.workload = engine::WorkloadSpec{};
+  spec.workload.flows = 3;
+  mutator.sanitize(spec);
+  EXPECT_EQ(spec.workload, engine::WorkloadSpec{});
 }
 
 TEST(FuzzMutator, SanitizeTrimsCohortBudgetKeepingOnePerSlot) {
@@ -149,55 +178,59 @@ TEST(FuzzMutator, SanitizeTrimsCohortBudgetKeepingOnePerSlot) {
   limits.max_cohort_count = 8;
   limits.max_total_senders = 10;
   const Mutator mutator(limits);
-  ScenarioDesc desc;
-  desc.senders = {SenderDesc{"reno", 1.0, 0.0, -1.0, 50},
-                  SenderDesc{"reno", 1.0, 0.0, -1.0, 50},
-                  SenderDesc{"reno", 1.0, 0.0, -1.0, 50}};
-  mutator.sanitize(desc);
+  ScenarioSpec spec = default_scenario();
+  spec.senders = {sender_slot("reno", 1.0, 0.0, -1.0, 50),
+                  sender_slot("reno", 1.0, 0.0, -1.0, 50),
+                  sender_slot("reno", 1.0, 0.0, -1.0, 50)};
+  mutator.sanitize(spec);
   // First slot takes the cohort cap, later slots absorb the budget squeeze,
   // and every slot keeps at least one sender.
-  EXPECT_EQ(desc.senders[0].count, 8);
-  EXPECT_EQ(desc.senders[1].count, 1);
-  EXPECT_EQ(desc.senders[2].count, 1);
+  EXPECT_EQ(spec.senders[0].count, 8);
+  EXPECT_EQ(spec.senders[1].count, 1);
+  EXPECT_EQ(spec.senders[2].count, 1);
 }
 
 TEST(FuzzMutator, MutantsRoundTripThroughText) {
   const Mutator mutator;
   Rng rng(23);
-  ScenarioDesc current;
+  ScenarioSpec current = default_scenario();
   for (int i = 0; i < 100; ++i) {
     current = mutator.mutate(current, rng);
-    const std::string text = serialize_scenario(current);
-    EXPECT_EQ(parse_scenario(text), current) << text;
+    const std::string written = text(current);
+    EXPECT_EQ(text(parse_scenario(written)), written);
   }
 }
 
 TEST(FuzzMutator, SpliceIsDeterministicAndValid) {
   const Mutator mutator;
-  const std::vector<ScenarioDesc> seeds = Mutator::seed_corpus();
+  const std::vector<ScenarioSpec> seeds = Mutator::seed_corpus();
   Rng rng_a(5);
   Rng rng_b(5);
   for (std::size_t i = 0; i + 1 < seeds.size(); ++i) {
-    const ScenarioDesc child_a = mutator.splice(seeds[i], seeds[i + 1], rng_a);
-    const ScenarioDesc child_b = mutator.splice(seeds[i], seeds[i + 1], rng_b);
-    EXPECT_EQ(child_a, child_b);
-    EXPECT_NO_THROW(validate_scenario(child_a));
-    EXPECT_NO_THROW((void)compile_scenario(child_a));
+    const ScenarioSpec child_a = mutator.splice(seeds[i], seeds[i + 1], rng_a);
+    const ScenarioSpec child_b = mutator.splice(seeds[i], seeds[i + 1], rng_b);
+    EXPECT_EQ(text(child_a), text(child_b));
+    EXPECT_NO_THROW(check_readable(child_a));
+    EXPECT_NO_THROW(engine::validate_scenario(child_a));
   }
 }
 
 TEST(FuzzMutator, SanitizeClearsExpectAndSortsSchedules) {
   const Mutator mutator;
-  ScenarioDesc desc;
-  desc.expect = ExpectDesc{"divergence", ""};
-  desc.bandwidth_scale.points = {{200, 0.5}, {100, 2.0}, {200, 3.0}};
-  mutator.sanitize(desc);
-  EXPECT_TRUE(desc.expect.empty());
-  ASSERT_EQ(desc.bandwidth_scale.points.size(), 2u);
-  EXPECT_EQ(desc.bandwidth_scale.points[0].at, 100);
-  EXPECT_EQ(desc.bandwidth_scale.points[1].at, 200);
+  // Triage lives beside the spec, never in it: a mutant of a triaged
+  // corpus entry is untriaged by construction.
+  ExpectDesc expect;
+  ScenarioSpec spec = parse_scenario(
+      serialize_scenario(default_scenario(), {"divergence", ""}), &expect);
+  ASSERT_FALSE(expect.empty());
+  spec.bandwidth_scale.points = {{200, 0.5}, {100, 2.0}, {200, 3.0}};
+  mutator.sanitize(spec);
+  EXPECT_EQ(text(spec).find("expect"), std::string::npos);
+  ASSERT_EQ(spec.bandwidth_scale.points.size(), 2u);
+  EXPECT_EQ(spec.bandwidth_scale.points[0].at, 100);
+  EXPECT_EQ(spec.bandwidth_scale.points[1].at, 200);
   // Of the duplicate at=200 entries, the later one wins.
-  EXPECT_DOUBLE_EQ(desc.bandwidth_scale.points[1].scale, 3.0);
+  EXPECT_DOUBLE_EQ(spec.bandwidth_scale.points[1].scale, 3.0);
 }
 
 TEST(FuzzMutator, SanitizeKeepsStormWindowNonEmpty) {
@@ -207,16 +240,16 @@ TEST(FuzzMutator, SanitizeKeepsStormWindowNonEmpty) {
   for (const long steps : {1L, 2L, 400L}) {
     for (const long start : {-50L, 0L, 10L, 399L, 400L, 5000L}) {
       for (const long end : {-60L, 0L, 10L, 11L, 400L, 9000L}) {
-        ScenarioDesc desc;
-        desc.steps = steps;
-        desc.loss.kind = fluid::LossSpec::Kind::kStorm;
-        desc.loss.start = start;
-        desc.loss.end = end;
-        mutator.sanitize(desc);
-        EXPECT_LE(0, desc.loss.start) << start << " " << end;
-        EXPECT_LT(desc.loss.start, desc.loss.end) << start << " " << end;
-        EXPECT_LE(desc.loss.end, desc.steps) << start << " " << end;
-        EXPECT_NO_THROW(validate_scenario(desc)) << start << " " << end;
+        ScenarioSpec spec = default_scenario();
+        spec.steps = steps;
+        spec.loss.kind = fluid::LossSpec::Kind::kStorm;
+        spec.loss.start = start;
+        spec.loss.end = end;
+        mutator.sanitize(spec);
+        EXPECT_LE(0, spec.loss.start) << start << " " << end;
+        EXPECT_LT(spec.loss.start, spec.loss.end) << start << " " << end;
+        EXPECT_LE(spec.loss.end, spec.steps) << start << " " << end;
+        EXPECT_NO_THROW(check_readable(spec)) << start << " " << end;
       }
     }
   }
@@ -224,7 +257,7 @@ TEST(FuzzMutator, SanitizeKeepsStormWindowNonEmpty) {
 
 /// True when a sender runs at least one whole step once its window is
 /// rounded the way the backends round it (or runs forever).
-bool window_at_least_one_step(const SenderDesc& s) {
+bool window_at_least_one_step(const SenderSlot& s) {
   return s.stop_step < 0.0 ||
          std::lround(s.stop_step) > std::lround(s.start_step);
 }
@@ -237,15 +270,15 @@ TEST(FuzzMutator, SanitizeKeepsSenderWindowsAtLeastOneStep) {
   for (const long steps : {16L, 60L}) {
     for (const double start : {0.0, 20.0, 20.2, 20.5, 59.6, 60.0, 500.0}) {
       for (const double stop : {-1.0, 0.0, 20.0, 20.4, 20.6, 30.0, 90.0}) {
-        ScenarioDesc desc;
-        desc.steps = steps;
-        desc.senders = {SenderDesc{"reno", 1.0, start, stop}};
-        mutator.sanitize(desc);
-        const SenderDesc& s = desc.senders.front();
+        ScenarioSpec spec = default_scenario();
+        spec.steps = steps;
+        spec.senders = {sender_slot("reno", 1.0, start, stop)};
+        mutator.sanitize(spec);
+        const SenderSlot& s = spec.senders.front();
         EXPECT_TRUE(window_at_least_one_step(s))
             << start << " " << stop << " -> " << s.start_step << " "
             << s.stop_step;
-        EXPECT_NO_THROW(engine::validate_scenario(compile_scenario(desc).spec))
+        EXPECT_NO_THROW(engine::validate_scenario(spec))
             << start << " " << stop;
       }
     }
@@ -255,24 +288,58 @@ TEST(FuzzMutator, SanitizeKeepsSenderWindowsAtLeastOneStep) {
 TEST(FuzzMutator, SeededMutantsPassEngineValidation) {
   // Ten seeded chains of 1000 mutations each: no mutant carries a tail
   // fraction of 1 or a sender window shorter than one step, and every
-  // compiled spec passes the engine's validator.
+  // mutant passes the engine's validator.
   const Mutator mutator;
-  const std::vector<ScenarioDesc> seeds = Mutator::seed_corpus();
+  const std::vector<ScenarioSpec> seeds = Mutator::seed_corpus();
   for (std::uint64_t chain = 0; chain < 10; ++chain) {
     Rng rng(1000 + chain);
-    ScenarioDesc current = seeds[chain % seeds.size()];
+    ScenarioSpec current = seeds[chain % seeds.size()];
     for (int i = 0; i < 1000; ++i) {
       current = mutator.mutate(current, rng);
-      ASSERT_LT(current.tail_fraction, 1.0) << serialize_scenario(current);
-      for (const SenderDesc& s : current.senders) {
-        ASSERT_TRUE(window_at_least_one_step(s))
-            << serialize_scenario(current);
+      ASSERT_LT(current.tail_fraction, 1.0) << text(current);
+      for (const SenderSlot& s : current.senders) {
+        ASSERT_TRUE(window_at_least_one_step(s)) << text(current);
       }
-      ASSERT_NO_THROW(
-          engine::validate_scenario(compile_scenario(current).spec))
-          << serialize_scenario(current);
+      ASSERT_NO_THROW(engine::validate_scenario(current)) << text(current);
     }
   }
+}
+
+TEST(FuzzMutator, SeededMutantsRunOnEitherBackend) {
+  // 2000 fixed-seed mutants of the seed corpus (mutations and splices, as
+  // the fuzz loop draws them): each passes the engine's validation and its
+  // workload expands to at least one sender, so the oracle never spends a
+  // finding on a scenario the backends reject before the first step.
+  const Mutator mutator;
+  const std::vector<ScenarioSpec> seeds = Mutator::seed_corpus();
+  Rng rng(20260808);
+  for (int i = 0; i < 2000; ++i) {
+    const ScenarioSpec& parent = seeds[rng.uniform_index(seeds.size())];
+    const ScenarioSpec mutant =
+        rng.bernoulli(0.25)
+            ? mutator.mutate(
+                  mutator.splice(parent,
+                                 seeds[rng.uniform_index(seeds.size())], rng),
+                  rng)
+            : mutator.mutate(parent, rng);
+    ASSERT_NO_THROW(engine::validate_scenario(mutant)) << text(mutant);
+    ASSERT_FALSE(engine::expand_workload(mutant).empty()) << text(mutant);
+  }
+}
+
+TEST(FuzzMutator, SanitizeDropsAWorkloadThatExpandsToNothing) {
+  // An on-off slot that starts on the last step has no room for an
+  // on-period: the expansion would be empty, so the slot runs as written.
+  const Mutator mutator;
+  ScenarioSpec spec = default_scenario();
+  spec.steps = 100;
+  spec.senders = {sender_slot("reno", 1.0, 100.0)};
+  spec.workload.kind = engine::WorkloadKind::kOnOffHeavyTail;
+  spec.workload.flows = 2;
+  mutator.sanitize(spec);
+  EXPECT_TRUE(spec.workload.empty());
+  EXPECT_NO_THROW(engine::validate_scenario(spec));
+  EXPECT_FALSE(engine::expand_workload(spec).empty());
 }
 
 }  // namespace

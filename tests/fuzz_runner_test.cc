@@ -9,9 +9,19 @@
 namespace axiomcc::fuzz {
 namespace {
 
+/// A lone AIMD flow through a deep outage at step 150 of 200, a known
+/// divergence driver (see tests/corpus).
+engine::ScenarioSpec outage_spec() {
+  engine::ScenarioSpec spec = default_scenario();
+  spec.steps = 200;
+  spec.senders = {sender_slot("aimd(1,0.5)", 30.0, 0.0, -1.0)};
+  spec.bandwidth_scale.points = {{150, 0.001}};
+  return spec;
+}
+
 TEST(FuzzRunner, BaselineScenarioRunsClean) {
-  const ScenarioDesc desc;  // 30 Mbps / 42 ms / one Reno sender.
-  const RunOutcome outcome = run_scenario(desc);
+  // 30 Mbps / 42 ms / one Reno sender.
+  const RunOutcome outcome = run_scenario(default_scenario());
   EXPECT_EQ(outcome.kind, OutcomeKind::kClean);
   EXPECT_TRUE(outcome.fluid_fault.ok());
   EXPECT_TRUE(outcome.packet_fault.ok());
@@ -23,12 +33,12 @@ TEST(FuzzRunner, BaselineScenarioRunsClean) {
 }
 
 TEST(FuzzRunner, RunIsDeterministic) {
-  ScenarioDesc desc;
-  desc.loss.kind = fluid::LossSpec::Kind::kBernoulli;
-  desc.loss.prob = 0.1;
-  desc.loss.rate = 0.2;
-  const RunOutcome a = run_scenario(desc);
-  const RunOutcome b = run_scenario(desc);
+  engine::ScenarioSpec spec = default_scenario();
+  spec.loss.kind = fluid::LossSpec::Kind::kBernoulli;
+  spec.loss.prob = 0.1;
+  spec.loss.rate = 0.2;
+  const RunOutcome a = run_scenario(spec);
+  const RunOutcome b = run_scenario(spec);
   EXPECT_EQ(a.kind, b.kind);
   EXPECT_EQ(a.novelty_key, b.novelty_key);
   EXPECT_DOUBLE_EQ(a.divergence, b.divergence);
@@ -38,27 +48,20 @@ TEST(FuzzRunner, RunIsDeterministic) {
 
 TEST(FuzzRunner, DivergenceThresholdControlsClassification) {
   // A deep mid-run outage is a known divergence driver (see tests/corpus).
-  ScenarioDesc desc;
-  desc.steps = 200;
-  desc.senders = {SenderDesc{"aimd(1,0.5)", 30.0, 0.0, -1.0}};
-  desc.bandwidth_scale.points = {{150, 0.001}};
+  const engine::ScenarioSpec spec = outage_spec();
   RunnerConfig strict;
   strict.divergence_threshold = 0.35;
-  const RunOutcome tight = run_scenario(desc, strict);
+  const RunOutcome tight = run_scenario(spec, strict);
   ASSERT_EQ(tight.kind, OutcomeKind::kDivergence);
   RunnerConfig loose;
   loose.divergence_threshold = 10.0;  // nothing diverges this far.
-  const RunOutcome lax = run_scenario(desc, loose);
+  const RunOutcome lax = run_scenario(spec, loose);
   EXPECT_EQ(lax.kind, OutcomeKind::kClean);
   EXPECT_DOUBLE_EQ(lax.divergence, tight.divergence);
 }
 
 TEST(FuzzRunner, ExpectForRoundTripsThroughMatches) {
-  ScenarioDesc desc;
-  desc.steps = 200;
-  desc.senders = {SenderDesc{"aimd(1,0.5)", 30.0, 0.0, -1.0}};
-  desc.bandwidth_scale.points = {{150, 0.001}};
-  const RunOutcome outcome = run_scenario(desc);
+  const RunOutcome outcome = run_scenario(outage_spec());
   ASSERT_TRUE(outcome.is_finding());
   const ExpectDesc expect = expect_for(outcome);
   EXPECT_FALSE(expect.empty());
@@ -66,12 +69,12 @@ TEST(FuzzRunner, ExpectForRoundTripsThroughMatches) {
 }
 
 TEST(FuzzRunner, EmptyExpectNeverMatches) {
-  const RunOutcome outcome = run_scenario(ScenarioDesc{});
+  const RunOutcome outcome = run_scenario(default_scenario());
   EXPECT_FALSE(matches_expect(outcome, ExpectDesc{}));
 }
 
 TEST(FuzzRunner, MismatchedKindOrDetailDoesNotMatch) {
-  const RunOutcome outcome = run_scenario(ScenarioDesc{});
+  const RunOutcome outcome = run_scenario(default_scenario());
   ASSERT_EQ(outcome.kind, OutcomeKind::kClean);
   EXPECT_TRUE(matches_expect(outcome, ExpectDesc{"clean", ""}));
   EXPECT_FALSE(matches_expect(outcome, ExpectDesc{"divergence", ""}));
@@ -80,12 +83,24 @@ TEST(FuzzRunner, MismatchedKindOrDetailDoesNotMatch) {
 }
 
 TEST(FuzzRunner, NoveltyKeySeparatesDistinctBehaviors) {
-  const RunOutcome clean = run_scenario(ScenarioDesc{});
-  ScenarioDesc lossy;
+  const RunOutcome clean = run_scenario(default_scenario());
+  engine::ScenarioSpec lossy = default_scenario();
   lossy.loss.kind = fluid::LossSpec::Kind::kConstant;
   lossy.loss.rate = 0.3;
   const RunOutcome perturbed = run_scenario(lossy);
   EXPECT_NE(clean.novelty_key, perturbed.novelty_key);
+}
+
+TEST(FuzzRunner, EngineRejectionIsABothSidedExceptionFault) {
+  // A spec the engine rejects before the first step (here a window shorter
+  // than one step) is classified, not thrown: both guarded runs report the
+  // typed rejection as an exception.
+  engine::ScenarioSpec spec = default_scenario();
+  spec.senders = {sender_slot("reno", 1.0, 20.0, 20.0)};
+  const RunOutcome outcome = run_scenario(spec);
+  EXPECT_EQ(outcome.kind, OutcomeKind::kBothFault);
+  EXPECT_EQ(outcome.fluid_fault.kind, stress::FaultKind::kException);
+  EXPECT_EQ(outcome.packet_fault.kind, stress::FaultKind::kException);
 }
 
 }  // namespace

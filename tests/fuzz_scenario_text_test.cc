@@ -1,6 +1,6 @@
-// Tests for the fuzz scenario text format: byte-identical round-trips,
-// schedule edge cases, parser rejection paths, and compilation down to a
-// runnable ScenarioSpec.
+// Tests for the `.scn` text format: byte-identical round-trips, schedule
+// edge cases, parser rejection paths, v1 lowering, and the runnable
+// engine::ScenarioSpec a file reads into.
 #include "fuzz/scenario_text.h"
 
 #include <gtest/gtest.h>
@@ -9,70 +9,98 @@
 #include <string>
 #include <vector>
 
+#include "engine/backend.h"
 #include "engine/topology.h"
+#include "engine/workload.h"
+#include "fuzz/runner.h"
 
 namespace axiomcc::fuzz {
 namespace {
 
-ScenarioDesc complex_desc() {
-  ScenarioDesc desc;
-  desc.bandwidth_mbps = 72.5;
-  desc.rtt_ms = 66.0;
-  desc.buffer_mss = 48.0;
-  desc.steps = 240;
-  desc.min_window_mss = 2.0;
-  desc.max_window_mss = 5000.0;
-  desc.tail_fraction = 0.25;
-  desc.seed = 1234567;
-  desc.senders = {
-      SenderDesc{"cubic(0.4,0.8)", 10.0, 0.0, -1.0},
-      SenderDesc{"aimd(1, 0.5)", 1.0, 40.0, 200.0},
-      SenderDesc{"aimd(1,0.5)", 2.0, 0.0, -1.0, 6},
+using engine::ScenarioSpec;
+
+ScenarioSpec complex_spec() {
+  ScenarioSpec spec = default_scenario();
+  spec.link = fluid::make_link_mbps(72.5, 66.0, 48.0);
+  spec.steps = 240;
+  spec.min_window_mss = 2.0;
+  spec.max_window_mss = 5000.0;
+  spec.tail_fraction = 0.25;
+  spec.seed = 1234567;
+  spec.senders = {
+      sender_slot("cubic(0.4,0.8)", 10.0, 0.0, -1.0),
+      sender_slot("aimd(1, 0.5)", 1.0, 40.0, 200.0),
+      sender_slot("aimd(1,0.5)", 2.0, 0.0, -1.0, 6),
   };
-  desc.aggregate_trace = true;
-  desc.loss.kind = fluid::LossSpec::Kind::kGilbertElliott;
-  desc.loss.p_gb = 0.01;
-  desc.loss.p_bg = 0.3;
-  desc.loss.good_rate = 0.0;
-  desc.loss.bad_rate = 0.1;
-  desc.bandwidth_scale.points = {{100, 0.001}, {150, 1.0}};
-  desc.rtt_scale.points = {{60, 3.0}};
-  desc.expect = ExpectDesc{"divergence", ""};
-  return desc;
+  spec.trace_detail = fluid::TraceDetail::kAggregate;
+  spec.loss.kind = fluid::LossSpec::Kind::kGilbertElliott;
+  spec.loss.p_gb = 0.01;
+  spec.loss.p_bg = 0.3;
+  spec.loss.good_rate = 0.0;
+  spec.loss.bad_rate = 0.1;
+  spec.bandwidth_scale.points = {{100, 0.001}, {150, 1.0}};
+  spec.rtt_scale.points = {{60, 3.0}};
+  return spec;
+}
+
+/// Two specs carry the same scenario when they serialize to the same text:
+/// the format holds every data field, doubles in shortest exact form.
+void expect_same(const ScenarioSpec& a, const ScenarioSpec& b) {
+  EXPECT_EQ(serialize_scenario(a), serialize_scenario(b));
 }
 
 TEST(FuzzScenarioText, DefaultRoundTripsByteIdentical) {
-  const ScenarioDesc desc;
-  const std::string text = serialize_scenario(desc);
-  const ScenarioDesc parsed = parse_scenario(text);
-  EXPECT_EQ(parsed, desc);
+  const ScenarioSpec spec = default_scenario();
+  const std::string text = serialize_scenario(spec);
+  const ScenarioSpec parsed = parse_scenario(text);
+  EXPECT_EQ(parsed.link.bandwidth, spec.link.bandwidth);
+  EXPECT_EQ(parsed.link.propagation_delay, spec.link.propagation_delay);
+  EXPECT_EQ(parsed.steps, 400);
+  ASSERT_EQ(parsed.senders.size(), 1u);
+  EXPECT_EQ(parsed.senders[0].protocol, "reno");
   EXPECT_EQ(serialize_scenario(parsed), text);
 }
 
 TEST(FuzzScenarioText, ComplexRoundTripsByteIdentical) {
-  const ScenarioDesc desc = complex_desc();
-  const std::string text = serialize_scenario(desc);
-  const ScenarioDesc parsed = parse_scenario(text);
-  EXPECT_EQ(parsed, desc);
-  EXPECT_EQ(serialize_scenario(parsed), text);
+  const ScenarioSpec spec = complex_spec();
+  const ExpectDesc expect{"divergence", ""};
+  const std::string text = serialize_scenario(spec, expect);
+  ExpectDesc parsed_expect;
+  const ScenarioSpec parsed = parse_scenario(text, &parsed_expect);
+  expect_same(parsed, spec);
+  EXPECT_EQ(parsed_expect, expect);
+  EXPECT_EQ(serialize_scenario(parsed, parsed_expect), text);
+}
+
+TEST(FuzzScenarioText, V2WritesTheLinkInEngineUnits) {
+  // 30 Mbps of 1500-byte MSS is 2500 MSS/s; a 42 ms RTT is a 21 ms one-way
+  // delay. Numbers print in their shortest exact "%g" form (2.5e+03).
+  const ScenarioSpec spec = default_scenario();
+  const std::string text = serialize_scenario(spec);
+  EXPECT_NE(text.find("\nlink 2.5e+03 0.021 1e+02\n"), std::string::npos)
+      << text;
+  const ScenarioSpec parsed = parse_scenario(text);
+  EXPECT_EQ(parsed.link.bandwidth, spec.link.bandwidth);
+  EXPECT_EQ(parsed.link.propagation_delay, spec.link.propagation_delay);
+  EXPECT_EQ(parsed.link.buffer_mss, spec.link.buffer_mss);
 }
 
 TEST(FuzzScenarioText, AllLossKindsRoundTrip) {
   using Kind = fluid::LossSpec::Kind;
   for (const Kind kind : {Kind::kNone, Kind::kConstant, Kind::kBernoulli,
                           Kind::kGilbertElliott, Kind::kStorm}) {
-    ScenarioDesc desc;
-    desc.loss.kind = kind;
-    desc.loss.rate = 0.05;
-    desc.loss.prob = 0.2;
-    desc.loss.p_gb = 0.01;
-    desc.loss.p_bg = 0.25;
-    desc.loss.good_rate = 0.001;
-    desc.loss.bad_rate = 0.3;
-    desc.loss.start = 100;
-    desc.loss.end = 180;
-    const std::string text = serialize_scenario(desc);
-    const ScenarioDesc parsed = parse_scenario(text);
+    ScenarioSpec spec = default_scenario();
+    spec.loss.kind = kind;
+    spec.loss.rate = 0.05;
+    spec.loss.prob = 0.2;
+    spec.loss.p_gb = 0.01;
+    spec.loss.p_bg = 0.25;
+    spec.loss.good_rate = 0.001;
+    spec.loss.bad_rate = 0.3;
+    spec.loss.start = 100;
+    spec.loss.end = 180;
+    const std::string text = serialize_scenario(spec);
+    const ScenarioSpec parsed = parse_scenario(text);
     EXPECT_EQ(parsed.loss.kind, kind);
     EXPECT_EQ(serialize_scenario(parsed), text) << text;
   }
@@ -107,30 +135,34 @@ TEST(FuzzScenarioText, ExecutionAxesEmittedOnlyWhenNonDefault) {
   // Pre-axis corpus files must keep round-tripping byte-identically, so the
   // default (full trace, singleton senders) serializes without any of the
   // new directives.
-  const std::string plain = serialize_scenario(ScenarioDesc{});
+  const std::string plain = serialize_scenario(default_scenario());
   EXPECT_EQ(plain.find("trace "), std::string::npos) << plain;
   EXPECT_EQ(plain.find("exec "), std::string::npos) << plain;
   EXPECT_EQ(plain.find("senders "), std::string::npos) << plain;
 
-  ScenarioDesc desc;
-  desc.aggregate_trace = true;
-  desc.senders = {SenderDesc{"reno", 1.0, 0.0, -1.0, 4}};
-  const std::string text = serialize_scenario(desc);
+  ScenarioSpec spec = default_scenario();
+  spec.trace_detail = fluid::TraceDetail::kAggregate;
+  spec.senders = {sender_slot("reno", 1.0, 0.0, -1.0, 4)};
+  const std::string text = serialize_scenario(spec);
   EXPECT_NE(text.find("trace aggregate\n"), std::string::npos) << text;
   EXPECT_EQ(text.find("exec "), std::string::npos) << text;
   EXPECT_NE(text.find("senders 4 1 0 -1 reno\n"), std::string::npos) << text;
-  EXPECT_EQ(parse_scenario(text), desc);
+  expect_same(parse_scenario(text), spec);
 }
 
 TEST(FuzzScenarioText, ExplicitDefaultAxesParseBackToDefaults) {
-  const ScenarioDesc parsed = parse_scenario(
+  const ScenarioSpec parsed = parse_scenario(
       "axiomcc-scenario v1\ntrace full\nexec scalar\nsender 1 0 -1 reno\n");
-  EXPECT_EQ(parsed, ScenarioDesc{});
+  expect_same(parsed, default_scenario());
   // The retired execution modes parse as no-ops, so older corpus files
   // replay unchanged.
-  EXPECT_EQ(parse_scenario(
-                "axiomcc-scenario v1\nexec batch\nsender 1 0 -1 reno\n"),
-            ScenarioDesc{});
+  expect_same(parse_scenario(
+                  "axiomcc-scenario v1\nexec batch\nsender 1 0 -1 reno\n"),
+              default_scenario());
+  // They belong to v1 only.
+  EXPECT_THROW(parse_scenario(
+                   "axiomcc-scenario v2\nexec batch\nsender 1 0 -1 reno\n"),
+               std::invalid_argument);
 }
 
 TEST(FuzzScenarioText, BadAxisValuesRejected) {
@@ -148,25 +180,38 @@ TEST(FuzzScenarioText, BadAxisValuesRejected) {
 TEST(FuzzScenarioText, TopologyAndWorkloadAxesRoundTripByteIdentical) {
   // Default: no topology/workload directives, so pre-axis corpus files keep
   // round-tripping byte-identically.
-  const std::string plain = serialize_scenario(ScenarioDesc{});
-  EXPECT_EQ(plain.find("topology "), std::string::npos) << plain;
+  const std::string plain = serialize_scenario(default_scenario());
+  EXPECT_EQ(plain.find("topology"), std::string::npos) << plain;
+  EXPECT_EQ(plain.find("route"), std::string::npos) << plain;
   EXPECT_EQ(plain.find("workload "), std::string::npos) << plain;
 
-  ScenarioDesc desc;
-  desc.topology_bottlenecks = 3;
-  desc.workload.kind = engine::WorkloadKind::kIncast;
-  desc.workload.flows = 4;
-  desc.workload.spread_steps = 16.0;
-  desc.senders = {SenderDesc{"reno", 1.0, 0.0, -1.0},
-                  SenderDesc{"reno", 1.0, 0.0, -1.0}};
-  const std::string text = serialize_scenario(desc);
-  EXPECT_NE(text.find("topology parking-lot 3\n"), std::string::npos) << text;
+  // v2 spells the topology out: one line per link, one route line after
+  // each routed sender.
+  ScenarioSpec spec = default_scenario();
+  spec.topology.links.assign(3, spec.link);
+  spec.workload.kind = engine::WorkloadKind::kIncast;
+  spec.workload.flows = 4;
+  spec.workload.spread_steps = 16.0;
+  spec.senders = {sender_slot("reno"), sender_slot("reno")};
+  route_parking_lot(spec);
+  const std::string text = serialize_scenario(spec);
+  EXPECT_NE(text.find("topology-link 2.5e+03 0.021 1e+02\n"
+                      "topology-link 2.5e+03 0.021 1e+02\n"
+                      "topology-link 2.5e+03 0.021 1e+02\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("sender 1 0 -1 reno\nroute 0 1 2\n"
+                      "sender 1 0 -1 reno\nroute 0\n"),
+            std::string::npos)
+      << text;
   EXPECT_NE(text.find("workload incast 4 16\n"), std::string::npos) << text;
-  const ScenarioDesc parsed = parse_scenario(text);
-  EXPECT_EQ(parsed, desc);
+  const ScenarioSpec parsed = parse_scenario(text);
+  ASSERT_EQ(parsed.topology.num_links(), 3);
+  EXPECT_EQ(parsed.senders[0].route, (std::vector<int>{0, 1, 2}));
+  expect_same(parsed, spec);
   EXPECT_EQ(serialize_scenario(parsed), text);
 
-  ScenarioDesc onoff;
+  ScenarioSpec onoff = default_scenario();
   onoff.workload.kind = engine::WorkloadKind::kOnOffHeavyTail;
   onoff.workload.flows = 2;
   onoff.workload.mean_on_steps = 40.0;
@@ -178,7 +223,7 @@ TEST(FuzzScenarioText, TopologyAndWorkloadAxesRoundTripByteIdentical) {
   EXPECT_NE(onoff_text.find("workload onoff 2 4e+01 25 1.5\n"),
             std::string::npos)
       << onoff_text;
-  EXPECT_EQ(parse_scenario(onoff_text), onoff);
+  expect_same(parse_scenario(onoff_text), onoff);
   EXPECT_EQ(serialize_scenario(parse_scenario(onoff_text)), onoff_text);
 }
 
@@ -201,43 +246,46 @@ TEST(FuzzScenarioText, BadTopologyAndWorkloadRejected) {
 }
 
 TEST(FuzzScenarioText, ParkingLotCompilesDerivedRoutes) {
-  ScenarioDesc desc;
-  desc.topology_bottlenecks = 2;
-  desc.senders = {SenderDesc{"reno", 1.0, 0.0, -1.0},
-                  SenderDesc{"reno", 1.0, 0.0, -1.0},
-                  SenderDesc{"reno", 1.0, 0.0, -1.0},
-                  SenderDesc{"reno", 1.0, 0.0, -1.0}};
-  const CompiledScenario compiled = compile_scenario(desc);
-  ASSERT_EQ(compiled.spec.topology.num_links(), 2);
-  ASSERT_EQ(compiled.spec.senders.size(), 4u);
+  // A v1 parking lot lowers to k copies of the link with derived routes.
+  const ScenarioSpec spec = parse_scenario(
+      "axiomcc-scenario v1\nlink 30 42 100\ntopology parking-lot 2\n"
+      "sender 1 0 -1 reno\nsender 1 0 -1 reno\n"
+      "sender 1 0 -1 reno\nsender 1 0 -1 reno\n");
+  ASSERT_EQ(spec.topology.num_links(), 2);
+  ASSERT_EQ(spec.senders.size(), 4u);
+  for (const fluid::LinkParams& link : spec.topology.links) {
+    EXPECT_EQ(link.bandwidth, spec.link.bandwidth);
+    EXPECT_EQ(link.propagation_delay, spec.link.propagation_delay);
+    EXPECT_EQ(link.buffer_mss, spec.link.buffer_mss);
+  }
   // Slot 0 is the long flow over every bottleneck; slot i >= 1 crosses
   // bottleneck (i-1) mod k.
-  EXPECT_EQ(compiled.spec.senders[0].route, (std::vector<int>{0, 1}));
-  EXPECT_EQ(compiled.spec.senders[1].route, (std::vector<int>{0}));
-  EXPECT_EQ(compiled.spec.senders[2].route, (std::vector<int>{1}));
-  EXPECT_EQ(compiled.spec.senders[3].route, (std::vector<int>{0}));
-  // The compiled spec passes the engine's route validation.
-  EXPECT_NO_THROW(engine::validate_scenario(compiled.spec));
+  EXPECT_EQ(spec.senders[0].route, (std::vector<int>{0, 1}));
+  EXPECT_EQ(spec.senders[1].route, (std::vector<int>{0}));
+  EXPECT_EQ(spec.senders[2].route, (std::vector<int>{1}));
+  EXPECT_EQ(spec.senders[3].route, (std::vector<int>{0}));
+  // The lowered spec passes the engine's route validation.
+  EXPECT_NO_THROW(engine::validate_scenario(spec));
 }
 
 TEST(FuzzScenarioText, WorkloadCompilesToEngineSpec) {
-  ScenarioDesc desc;
-  desc.workload.kind = engine::WorkloadKind::kIncast;
-  desc.workload.flows = 4;
-  desc.workload.spread_steps = 16.0;
-  desc.aggregate_trace = true;
-  const CompiledScenario compiled = compile_scenario(desc);
-  EXPECT_EQ(compiled.spec.workload.kind, engine::WorkloadKind::kIncast);
-  EXPECT_EQ(compiled.spec.workload.flows, 4);
-  // The aggregate trace tracks the EXPANDED population (4 incast arrivals
-  // from the one template slot), not the template count.
-  EXPECT_EQ(compiled.spec.tracked_senders, 4);
+  ScenarioSpec spec = default_scenario();
+  spec.workload.kind = engine::WorkloadKind::kIncast;
+  spec.workload.flows = 4;
+  spec.workload.spread_steps = 16.0;
+  spec.trace_detail = fluid::TraceDetail::kAggregate;
+  const ScenarioSpec parsed = parse_scenario(serialize_scenario(spec));
+  EXPECT_EQ(parsed.workload.kind, engine::WorkloadKind::kIncast);
+  EXPECT_EQ(parsed.workload.flows, 4);
+  // The oracle's aggregate trace tracks the EXPANDED population (4 incast
+  // arrivals from the one template slot), not the template count.
+  EXPECT_EQ(oracle_spec(parsed).tracked_senders, 4);
 }
 
 TEST(FuzzScenarioText, LeadingCommentsBeforeHeaderAccepted) {
   const std::string text =
-      "# triage note\n\n# another\n" + serialize_scenario(ScenarioDesc{});
-  EXPECT_EQ(parse_scenario(text), ScenarioDesc{});
+      "# triage note\n\n# another\n" + serialize_scenario(default_scenario());
+  expect_same(parse_scenario(text), default_scenario());
 }
 
 TEST(FuzzScenarioText, MissingHeaderRejected) {
@@ -294,19 +342,24 @@ TEST(FuzzScenarioText, TailOfOneRejected) {
 }
 
 TEST(FuzzScenarioText, DomainViolationsRejected) {
-  ScenarioDesc desc;
-  desc.bandwidth_mbps = -1.0;
-  EXPECT_THROW(validate_scenario(desc), std::invalid_argument);
-  desc = ScenarioDesc{};
-  desc.tail_fraction = 0.0;
-  EXPECT_THROW(validate_scenario(desc), std::invalid_argument);
-  desc = ScenarioDesc{};
-  desc.loss.kind = fluid::LossSpec::Kind::kConstant;
-  desc.loss.rate = 1.0;
-  EXPECT_THROW(validate_scenario(desc), std::invalid_argument);
-  desc = ScenarioDesc{};
-  desc.bandwidth_scale.points = {{10, -2.0}};
-  EXPECT_THROW(validate_scenario(desc), std::invalid_argument);
+  ScenarioSpec spec = default_scenario();
+  spec.link.bandwidth = Bandwidth::from_mss_per_sec(-1.0);
+  EXPECT_THROW(check_readable(spec), std::invalid_argument);
+  spec = default_scenario();
+  spec.tail_fraction = 0.0;
+  EXPECT_THROW(check_readable(spec), std::invalid_argument);
+  spec = default_scenario();
+  spec.loss.kind = fluid::LossSpec::Kind::kConstant;
+  spec.loss.rate = 1.0;
+  EXPECT_THROW(check_readable(spec), std::invalid_argument);
+  spec = default_scenario();
+  spec.bandwidth_scale.points = {{10, -2.0}};
+  EXPECT_THROW(check_readable(spec), std::invalid_argument);
+  // More than 16 topology links is over the reader's cap.
+  spec = default_scenario();
+  spec.topology.links.assign(17, spec.link);
+  route_parking_lot(spec);
+  EXPECT_THROW(check_readable(spec), std::invalid_argument);
   // Storm windows must satisfy 0 <= start < end: an empty or negative
   // window is a typed parse error, not a fault inside the run.
   const std::string base = "axiomcc-scenario v1\nsender 1 0 -1 reno\n";
@@ -318,31 +371,73 @@ TEST(FuzzScenarioText, DomainViolationsRejected) {
 }
 
 TEST(FuzzScenarioText, CompilesToRunnableSpec) {
-  ScenarioDesc desc = complex_desc();
-  const CompiledScenario compiled = compile_scenario(desc);
-  EXPECT_EQ(compiled.spec.steps, desc.steps);
-  EXPECT_EQ(compiled.spec.senders.size(), desc.senders.size());
-  EXPECT_EQ(compiled.prototypes.size(), desc.senders.size());
+  const ScenarioSpec spec = complex_spec();
+  const ScenarioSpec parsed = parse_scenario(serialize_scenario(spec));
+  const ScenarioSpec oracle = oracle_spec(parsed);
+  EXPECT_EQ(oracle.steps, spec.steps);
+  EXPECT_EQ(oracle.senders.size(), spec.senders.size());
+  // The backends build one prototype per slot that names a spec.
+  EXPECT_EQ(engine::make_run_slots(oracle).protocols.size(),
+            spec.senders.size());
   // The cohort slot keeps its count; the aggregate trace tracks the whole
   // (expanded) population so the estimators see every sender's series; the
   // fluid backend runs at jobs=1.
-  EXPECT_EQ(compiled.spec.senders.back().count, 6);
-  EXPECT_EQ(compiled.spec.total_senders(), 8);
-  EXPECT_EQ(compiled.spec.trace_detail, fluid::TraceDetail::kAggregate);
-  EXPECT_EQ(compiled.spec.tracked_senders, 8);
-  EXPECT_EQ(compiled.spec.jobs, 1);
-  EXPECT_EQ(compiled.spec.bandwidth_scale, desc.bandwidth_scale);
-  EXPECT_DOUBLE_EQ(compiled.spec.bandwidth_scale.at(120), 0.001);
-  EXPECT_DOUBLE_EQ(compiled.spec.bandwidth_scale.at(0), 1.0);
-  EXPECT_EQ(compiled.spec.rtt_scale, desc.rtt_scale);
-  EXPECT_DOUBLE_EQ(compiled.spec.rtt_scale.at(60), 3.0);
-  EXPECT_EQ(compiled.spec.loss, desc.loss);
+  EXPECT_EQ(oracle.senders.back().count, 6);
+  EXPECT_EQ(oracle.total_senders(), 8);
+  EXPECT_EQ(oracle.trace_detail, fluid::TraceDetail::kAggregate);
+  EXPECT_EQ(oracle.tracked_senders, 8);
+  EXPECT_EQ(oracle.jobs, 1);
+  EXPECT_EQ(oracle.bandwidth_scale, spec.bandwidth_scale);
+  EXPECT_DOUBLE_EQ(oracle.bandwidth_scale.at(120), 0.001);
+  EXPECT_DOUBLE_EQ(oracle.bandwidth_scale.at(0), 1.0);
+  EXPECT_EQ(oracle.rtt_scale, spec.rtt_scale);
+  EXPECT_DOUBLE_EQ(oracle.rtt_scale.at(60), 3.0);
+  EXPECT_EQ(oracle.loss, spec.loss);
+  // And the spec runs on its own: no prototype outlives it.
+  const ScenarioSpec copy = oracle;
+  EXPECT_EQ(engine::backend_for(engine::BackendKind::kFluid)
+                .run(copy)
+                .trace.num_senders(),
+            8);
 }
 
 TEST(FuzzScenarioText, CompileRejectsBadProtocolSpec) {
-  ScenarioDesc desc;
-  desc.senders = {SenderDesc{"no-such-protocol", 1.0, 0.0, -1.0}};
-  EXPECT_THROW((void)compile_scenario(desc), std::invalid_argument);
+  ScenarioSpec spec = default_scenario();
+  spec.senders = {sender_slot("no-such-protocol", 1.0, 0.0, -1.0)};
+  EXPECT_THROW(engine::validate_scenario(spec), engine::ScenarioError);
+  EXPECT_THROW(
+      (void)engine::backend_for(engine::BackendKind::kFluid).run(spec),
+      engine::ScenarioError);
+}
+
+TEST(FuzzScenarioText, RouteToMissingLinkRejected) {
+  const std::string text =
+      "axiomcc-scenario v2\n"
+      "link 2500 0.021 100\n"
+      "topology-link 2500 0.021 100\n"
+      "topology-link 2500 0.021 100\n"
+      "sender 1 0 -1 reno\n"
+      "route 0 2\n";
+  // The reader leaves routes to the engine, which rejects them on every
+  // path into a run.
+  const ScenarioSpec spec = parse_scenario(text);
+  EXPECT_THROW(engine::validate_scenario(spec), engine::ScenarioError);
+  for (const auto kind :
+       {engine::BackendKind::kFluid, engine::BackendKind::kPacket}) {
+    EXPECT_THROW((void)engine::backend_for(kind).run(spec),
+                 engine::ScenarioError);
+  }
+  // A route needs a sender before it, one per sender, and is v2 only.
+  EXPECT_THROW(parse_scenario("axiomcc-scenario v2\nroute 0\n"
+                              "sender 1 0 -1 reno\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_scenario("axiomcc-scenario v2\ntopology-link 2500 "
+                              "0.021 100\nsender 1 0 -1 reno\nroute 0\n"
+                              "route 0\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_scenario("axiomcc-scenario v1\nsender 1 0 -1 reno\n"
+                              "route 0\n"),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -23,10 +23,10 @@ namespace {
 using recorder::EventClass;
 
 RecordedScenario replay(const char* name, RunnerConfig config = {}) {
-  const ScenarioDesc desc =
+  const engine::ScenarioSpec spec =
       load_scenario_file(std::string(AXIOMCC_CORPUS_DIR) + "/" + name);
   config.record.enabled = true;
-  return run_scenario_recorded(desc, config);
+  return run_scenario_recorded(spec, config);
 }
 
 TEST(RecorderInspect, ZeroBufferReproducerLocalizesToLossOnset) {
@@ -100,9 +100,10 @@ TEST(RecorderInspect, FaultReproducerDumpsRenderablePostMortem) {
   EXPECT_EQ(pm.sides[1].fault_kind, "exception");
   // The dump embeds the byte-exact reproducer, so the post-mortem alone is
   // enough to re-run the scenario.
-  const ScenarioDesc original = load_scenario_file(
+  const engine::ScenarioSpec original = load_scenario_file(
       std::string(AXIOMCC_CORPUS_DIR) + "/fault-late-joiner-contract.scn");
-  EXPECT_EQ(parse_scenario(pm.scenario_text), original);
+  EXPECT_EQ(serialize_scenario(parse_scenario(pm.scenario_text)),
+            serialize_scenario(original));
 
   const std::string rendered = analysis::render_postmortem(pm, {});
   EXPECT_NE(rendered.find("exception"), std::string::npos) << rendered;

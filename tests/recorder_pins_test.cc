@@ -41,13 +41,13 @@ std::string events_jsonl(const recorder::Recording& recording) {
   return jsonl.substr(jsonl.find('\n') + 1);
 }
 
-void expect_pins(const ScenarioDesc& desc, const char* fluid_pin,
+void expect_pins(const engine::ScenarioSpec& spec, const char* fluid_pin,
                  const char* packet_pin) {
   RunnerConfig config;
   config.record.enabled = true;
   config.scope.enabled = true;
   config.scope.window_steps = 32;
-  const RecordedScenario rs = run_scenario_recorded(desc, config);
+  const RecordedScenario rs = run_scenario_recorded(spec, config);
   EXPECT_EQ(rs.fluid.backend, "fluid");
   EXPECT_EQ(rs.packet.backend, "packet");
   EXPECT_FALSE(rs.fluid.empty());

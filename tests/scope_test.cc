@@ -476,7 +476,7 @@ TEST(ScopeAlign, BeatDownReproducerDivergesInTheMetricView) {
   if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   const std::string path =
       std::string(AXIOMCC_CORPUS_DIR) + "/divergence-parking-lot-beatdown.scn";
-  const fuzz::ScenarioDesc desc =
+  const engine::ScenarioSpec spec =
       fuzz::parse_scenario(recorder::read_text_file(path));
 
   fuzz::RunnerConfig config;
@@ -484,7 +484,7 @@ TEST(ScopeAlign, BeatDownReproducerDivergesInTheMetricView) {
   config.record.ring_depth = 4096;
   config.scope.enabled = true;
   config.scope.window_steps = 32;
-  const fuzz::RecordedScenario rs = fuzz::run_scenario_recorded(desc, config);
+  const fuzz::RecordedScenario rs = fuzz::run_scenario_recorded(spec, config);
   EXPECT_EQ(rs.outcome.kind, fuzz::OutcomeKind::kDivergence);
 
   const auto has_metric = [](const recorder::Recording& r) {

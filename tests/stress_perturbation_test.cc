@@ -1,5 +1,5 @@
-// Tests for the stress scenario library: schedule shapes, loss storms,
-// churn application, and the standard gauntlet.
+// Tests for the stress perturbation shapes: schedule builders and loss
+// storms. The gauntlet's overlay library is tested with the gauntlet.
 #include "stress/perturbation.h"
 
 #include <cstring>
@@ -7,8 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cc/aimd.h"
-#include "engine/backend.h"
+#include "fluid/loss_model.h"
 #include "util/check.h"
 
 namespace axiomcc::stress {
@@ -126,65 +125,6 @@ TEST(LossStorm, CloneCopiesFullState) {
   const auto clone = storm.clone();
   for (long t = 200; t < 600; ++t) {
     ASSERT_DOUBLE_EQ(clone->sample(t, 0), storm.sample(t, 0));
-  }
-}
-
-TEST(ApplyScenario, ChurnAddsJoiningAndLeavingSenders) {
-  Scenario s;
-  s.name = "churn";
-  s.churn.slots.push_back(ChurnSlot{100, 200, 1.0});
-  s.churn.slots.push_back(ChurnSlot{150, -1, 1.0});
-
-  engine::ScenarioSpec spec;
-  spec.link = fluid::make_link_mbps(30.0, 42.0, 100.0);
-  spec.steps = 300;
-  const cc::Aimd proto(1.0, 0.5);
-  spec.add_sender(proto, 1.0);
-  apply_scenario(s, spec, proto, 1);
-  ASSERT_EQ(spec.total_senders(), 3);
-  EXPECT_EQ(spec.seed, 1u);
-
-  const fluid::Trace trace =
-      engine::backend_for(engine::BackendKind::kFluid).run(spec).trace;
-  // Sender 1 joins at 100 and leaves at 200.
-  EXPECT_DOUBLE_EQ(trace.windows(1)[99], 0.0);
-  EXPECT_GT(trace.windows(1)[100], 0.0);
-  EXPECT_GT(trace.windows(1)[199], 0.0);
-  EXPECT_DOUBLE_EQ(trace.windows(1)[200], 0.0);
-  EXPECT_DOUBLE_EQ(trace.windows(1)[299], 0.0);
-  // Sender 2 joins at 150 and stays.
-  EXPECT_DOUBLE_EQ(trace.windows(2)[149], 0.0);
-  EXPECT_GT(trace.windows(2)[299], 0.0);
-  // The base sender runs throughout.
-  EXPECT_GT(trace.windows(0)[0], 0.0);
-  EXPECT_GT(trace.windows(0)[299], 0.0);
-}
-
-TEST(StandardGauntlet, HasTheDocumentedScenarioMix) {
-  const auto scenarios = standard_gauntlet(900);
-  ASSERT_GE(scenarios.size(), 6u);  // ≥5 distinct + baseline
-
-  bool has_bandwidth = false;
-  bool has_rtt = false;
-  bool has_loss = false;
-  bool has_churn = false;
-  for (const Scenario& s : scenarios) {
-    EXPECT_FALSE(s.name.empty());
-    if (!s.bandwidth_scale.empty()) has_bandwidth = true;
-    if (!s.rtt_scale.empty()) has_rtt = true;
-    if (!s.loss.empty()) has_loss = true;
-    if (!s.churn.empty()) has_churn = true;
-  }
-  EXPECT_TRUE(has_bandwidth);
-  EXPECT_TRUE(has_rtt);
-  EXPECT_TRUE(has_loss);
-  EXPECT_TRUE(has_churn);
-
-  // Names are unique (scorecards key on them).
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    for (std::size_t j = i + 1; j < scenarios.size(); ++j) {
-      EXPECT_NE(scenarios[i].name, scenarios[j].name);
-    }
   }
 }
 

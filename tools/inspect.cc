@@ -111,9 +111,8 @@ analysis::TimelineOptions timeline_options(const ArgParser& args) {
 /// outcome line the fuzz oracle would classify it as.
 fuzz::RecordedScenario run_reproducer(const std::string& text,
                                       const ArgParser& args) {
-  const fuzz::ScenarioDesc desc = fuzz::parse_scenario(text);
-  fuzz::RecordedScenario rs =
-      fuzz::run_scenario_recorded(desc, runner_config(args));
+  fuzz::RecordedScenario rs = fuzz::run_scenario_recorded(
+      fuzz::parse_scenario(text), runner_config(args));
   // Stamp provenance so a saved capture of this run can later be aligned
   // against one from another checkout.
   const std::string sha = ledger::current_provenance().git_sha;
