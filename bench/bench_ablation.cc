@@ -7,21 +7,19 @@
 //   4. Robust-AIMD's eps sweep (robustness vs. friendliness trade).
 //
 // Usage: bench_ablation [--duration=20] [--steps=3000]
-//                       [--backend=fluid|packet] [--jobs=N]
+//                       [--backend=fluid|packet] [--jobs=N] [--telemetry]
+//                       [--out=dir]
 //
 // --jobs=N fans each ablation's independent cells out over N workers
 // (default: AXIOMCC_JOBS env, else hardware concurrency; 1 = serial).
-// Per-ablation timing lands in BENCH_ablation.json.
-// --backend selects the simulator for ablations 3 and 4 (default:
-// AXIOMCC_BACKEND env, else fluid); ablations 1 and 2 are packet-level by
-// construction.
+// Per-ablation timing lands in the run's ledger record (bench/harness.h).
+// --backend selects the simulator for ablations 3 and 4 (default fluid);
+// ablations 1 and 2 are packet-level by construction.
 #include <array>
 #include <cstdio>
-#include <exception>
 #include <vector>
 
-#include "analysis/telemetry_report.h"
-#include "ledger/ledger.h"
+#include "bench/harness.h"
 #include "cc/presets.h"
 #include "cc/robust_aimd.h"
 #include "core/evaluator.h"
@@ -159,43 +157,38 @@ void ablate_robust_eps(long steps, engine::BackendKind backend, long jobs) {
               table.render().c_str());
 }
 
+int run_bench(bench::Harness& h) {
+  const ArgParser& args = h.args();
+  const double duration = args.get_double("duration", 20.0);
+  const long steps = args.get_int("steps", 3000);
+  const engine::BackendKind backend = h.backend();
+  const long jobs = h.jobs();
+
+  std::printf("=== ablation benches (DESIGN.md section 5; %ld jobs) ===\n\n",
+              jobs);
+  BenchReport& bench = h.report();
+  WallTimer timer;
+  ablate_synchronization(duration, jobs);
+  bench.add_phase("synchronization", timer.seconds());
+  timer.reset();
+  ablate_queue_discipline(duration, jobs);
+  bench.add_phase("queue_discipline", timer.seconds());
+  timer.reset();
+  ablate_tail_fraction(steps, backend);
+  bench.add_phase("tail_fraction", timer.seconds());
+  timer.reset();
+  ablate_robust_eps(steps, backend, jobs);
+  bench.add_phase("robust_eps", timer.seconds());
+  bench.add_counter("cells", 16.0);  // 4 + 2 + 5 + 5 ablation cells
+  bench.add_counter("cells_per_sec", 16.0 / bench.total_seconds());
+  h.finish(engine::backend_name(backend));
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const ArgParser args(argc, argv);
-    analysis::BenchTelemetry telemetry(args, "ablation");
-    const double duration = args.get_double("duration", 20.0);
-    const long steps = args.get_int("steps", 3000);
-    const engine::BackendKind backend =
-        engine::parse_backend(args.get_backend());
-    const long jobs = args.get_jobs();
-
-    std::printf("=== ablation benches (DESIGN.md section 5; %ld jobs) ===\n\n",
-                jobs);
-    BenchReport bench("ablation");
-    bench.set_jobs(jobs);
-    WallTimer timer;
-    ablate_synchronization(duration, jobs);
-    bench.add_phase("synchronization", timer.seconds());
-    timer.reset();
-    ablate_queue_discipline(duration, jobs);
-    bench.add_phase("queue_discipline", timer.seconds());
-    timer.reset();
-    ablate_tail_fraction(steps, backend);
-    bench.add_phase("tail_fraction", timer.seconds());
-    timer.reset();
-    ablate_robust_eps(steps, backend, jobs);
-    bench.add_phase("robust_eps", timer.seconds());
-    bench.add_counter("cells", 16.0);  // 4 + 2 + 5 + 5 ablation cells
-    bench.add_counter("cells_per_sec", 16.0 / bench.total_seconds());
-    telemetry.finish(bench);
-    std::printf("Bench artifact: %s\n",
-                bench.write(args.artifacts_dir()).c_str());
-    ledger::maybe_append(args, bench, args.get_backend());
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  return bench::run(argc, argv, "ablation",
+                    {"duration", "steps", "backend", "jobs"},
+                    run_bench);
 }

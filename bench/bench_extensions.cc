@@ -9,23 +9,21 @@
 //      8-metric space next to the loss-based families.
 //
 // Usage: bench_extensions [--steps=3000] [--duration=20]
-//                         [--backend=fluid|packet] [--jobs=N]
+//                         [--backend=fluid|packet] [--jobs=N] [--telemetry]
+//                         [--out=dir]
 //
 // --jobs=N fans each extension's independent cells out over N workers
 // (default: AXIOMCC_JOBS env, else hardware concurrency; 1 = serial).
-// Per-extension timing lands in BENCH_extensions.json.
-// --backend selects the simulator for extensions 1 and 3 (default:
-// AXIOMCC_BACKEND env, else fluid); extension 2 runs both substrates by
-// construction.
+// Per-extension timing lands in the run's ledger record (bench/harness.h).
+// --backend selects the simulator for extensions 1 and 3 (default fluid);
+// extension 2 runs both substrates by construction.
 #include <array>
 #include <cstdio>
-#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "analysis/telemetry_report.h"
-#include "ledger/ledger.h"
+#include "bench/harness.h"
 #include "cc/bbr_like.h"
 #include "cc/presets.h"
 #include "cc/registry.h"
@@ -181,40 +179,35 @@ void bbr_in_the_metric_space(long steps, engine::BackendKind backend,
               "Robust-AIMD)\n");
 }
 
+int run_bench(bench::Harness& h) {
+  const ArgParser& args = h.args();
+  const long steps = args.get_int("steps", 3000);
+  const engine::BackendKind backend = h.backend();
+  const double duration = args.get_double("duration", 20.0);
+  const long jobs = h.jobs();
+
+  std::printf("=== future-work extensions, measured (%ld jobs) ===\n\n",
+              jobs);
+  BenchReport& bench = h.report();
+  WallTimer timer;
+  extra_axioms(steps, backend, jobs);
+  bench.add_phase("extra_axioms", timer.seconds());
+  timer.reset();
+  parking_lots(steps, duration, jobs);
+  bench.add_phase("parking_lots", timer.seconds());
+  timer.reset();
+  bbr_in_the_metric_space(steps, backend, jobs);
+  bench.add_phase("bbr_metric_space", timer.seconds());
+  bench.add_counter("cells", 18.0);  // 8 + 4 + 3 + 3 extension cells
+  bench.add_counter("cells_per_sec", 18.0 / bench.total_seconds());
+  h.finish(engine::backend_name(backend));
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const ArgParser args(argc, argv);
-    analysis::BenchTelemetry telemetry(args, "extensions");
-    const long steps = args.get_int("steps", 3000);
-    const engine::BackendKind backend =
-        engine::parse_backend(args.get_backend());
-    const double duration = args.get_double("duration", 20.0);
-    const long jobs = args.get_jobs();
-
-    std::printf("=== future-work extensions, measured (%ld jobs) ===\n\n",
-                jobs);
-    BenchReport bench("extensions");
-    bench.set_jobs(jobs);
-    WallTimer timer;
-    extra_axioms(steps, backend, jobs);
-    bench.add_phase("extra_axioms", timer.seconds());
-    timer.reset();
-    parking_lots(steps, duration, jobs);
-    bench.add_phase("parking_lots", timer.seconds());
-    timer.reset();
-    bbr_in_the_metric_space(steps, backend, jobs);
-    bench.add_phase("bbr_metric_space", timer.seconds());
-    bench.add_counter("cells", 18.0);  // 8 + 4 + 3 + 3 extension cells
-    bench.add_counter("cells_per_sec", 18.0 / bench.total_seconds());
-    telemetry.finish(bench);
-    std::printf("Bench artifact: %s\n",
-                bench.write(args.artifacts_dir()).c_str());
-    ledger::maybe_append(args, bench, args.get_backend());
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  return bench::run(argc, argv, "extensions",
+                    {"steps", "duration", "backend", "jobs"},
+                    run_bench);
 }

@@ -10,6 +10,8 @@
 // Usage: bench_fuzz [--runs=2000] [--seed=1] [--jobs=N] [--batch=32]
 //                   [--corpus=DIR] [--save=DIR] [--no-minimize]
 //                   [--divergence-threshold=0.35] [--replay] [--markdown]
+//                   [--record[=dir[,classes=list]]] [--telemetry]
+//                   [--out=dir]
 //
 // --corpus=DIR   seeds the run with DIR's *.scn files (on top of the
 //                built-in seed corpus); with --replay, replays them instead.
@@ -21,17 +23,14 @@
 //
 // A fixed --seed reproduces the identical corpus and findings at any --jobs
 // (generation and ingestion are serial; execution is a pure fan-out).
-// Timing lands in BENCH_fuzz.json; execs/sec, corpus size, and finding
-// counts are ledger counters the sentinel tracks across runs.
+// Timing, execs/sec, corpus size and finding counts land in the run's
+// ledger record (bench/harness.h), where the sentinel tracks them.
 #include <cstdio>
-#include <exception>
 #include <string>
 #include <vector>
 
-#include "analysis/telemetry_report.h"
+#include "bench/harness.h"
 #include "fuzz/fuzzer.h"
-#include "ledger/ledger.h"
-#include "recorder/event.h"
 #include "util/bench_json.h"
 #include "util/cli.h"
 #include "util/stats.h"
@@ -101,133 +100,124 @@ int replay_corpus(const std::vector<std::string>& files,
   return mismatches;
 }
 
+int run_bench(bench::Harness& h) {
+  const ArgParser& args = h.args();
+
+  fuzz::FuzzConfig cfg;
+  cfg.runs = args.get_int("runs", 2000);
+  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  cfg.jobs = h.jobs();
+  cfg.batch = args.get_int("batch", 32);
+  cfg.minimize = !args.has("no-minimize");
+  cfg.runner.divergence_threshold =
+      args.get_double("divergence-threshold", 0.35);
+  // --record[=dir[,classes=list]]: flight-record every oracle run and
+  // auto-dump a post-mortem (reproducer + both backends' recorded tails)
+  // for each finding next to the other artifacts. A classes list narrows
+  // capture to the named event lanes.
+  if (const auto record = h.record()) {
+    cfg.runner.record.enabled = true;
+    cfg.runner.record.classes = record->classes;
+    cfg.runner.postmortem_dir = record->dir;
+  }
+
+  const auto format = args.has("markdown") ? TextTable::Format::kMarkdown
+                                           : TextTable::Format::kAscii;
+
+  std::vector<std::string> corpus_files;
+  if (const auto dir = args.get("corpus")) {
+    corpus_files = fuzz::list_corpus_files(*dir);
+  }
+
+  if (args.has("replay")) {
+    std::printf("=== Corpus replay (%zu entries, %ld jobs) ===\n",
+                corpus_files.size(), cfg.jobs);
+    WallTimer timer;
+    const int mismatches =
+        replay_corpus(corpus_files, cfg.runner, cfg.jobs, format);
+    const double run_seconds = timer.seconds();
+
+    BenchReport& bench = h.report();
+    bench.add_phase("replay", run_seconds);
+    bench.add_counter("replayed", static_cast<double>(corpus_files.size()));
+    bench.add_counter("replay_mismatches", static_cast<double>(mismatches));
+    h.finish("dual");
+    std::printf("%d of %zu entries mismatched\n", mismatches,
+                corpus_files.size());
+    return mismatches == 0 ? 0 : 1;
+  }
+
+  std::vector<engine::ScenarioSpec> seeds = fuzz::Mutator::seed_corpus();
+  for (const std::string& file : corpus_files) {
+    seeds.push_back(fuzz::load_scenario_file(file));
+  }
+
+  std::printf(
+      "=== Scenario fuzz (%ld runs, seed %llu, batch %ld, %zu seed "
+      "scenarios, %ld jobs) ===\n",
+      cfg.runs, static_cast<unsigned long long>(cfg.seed), cfg.batch,
+      seeds.size(), cfg.jobs);
+
+  WallTimer timer;
+  const fuzz::FuzzResult result = fuzz::run_fuzz(cfg, std::move(seeds));
+  const double run_seconds = timer.seconds();
+  const double total_execs = static_cast<double>(
+      result.stats.executed + result.stats.minimize_attempts);
+
+  BenchReport& bench = h.report();
+  bench.add_phase("fuzz", run_seconds);
+  bench.add_counter("runs", static_cast<double>(result.stats.executed));
+  bench.add_counter("execs_per_sec", total_execs / run_seconds);
+  bench.add_counter("corpus_size",
+                    static_cast<double>(result.stats.retained));
+  bench.add_counter("raw_findings",
+                    static_cast<double>(result.stats.raw_findings));
+  bench.add_counter("findings", static_cast<double>(result.stats.findings));
+  bench.add_counter("minimize_attempts",
+                    static_cast<double>(result.stats.minimize_attempts));
+  h.finish("dual");
+
+  TextTable table;
+  table.set_header({"Finding", "Outcome", "Detail", "Steps", "Senders",
+                    "Shrink"});
+  for (const fuzz::Finding& finding : result.findings) {
+    const engine::ScenarioSpec& spec = finding.minimized.spec;
+    table.add_row({fuzz::corpus_file_name(spec),
+                   fuzz::outcome_kind_name(finding.minimized.outcome.kind),
+                   outcome_detail(finding.minimized.outcome),
+                   std::to_string(spec.steps),
+                   std::to_string(spec.senders.size()),
+                   std::to_string(finding.minimized.accepted) + "/" +
+                       std::to_string(finding.minimized.attempts)});
+  }
+  std::printf("%s\n", table.render(format).c_str());
+
+  if (const auto save_dir = args.get("save")) {
+    for (const fuzz::Finding& finding : result.findings) {
+      const engine::ScenarioSpec& spec = finding.minimized.spec;
+      const std::string path =
+          *save_dir + "/" + fuzz::corpus_file_name(spec, finding.expect);
+      fuzz::save_scenario_file(path, spec, finding.expect);
+      std::printf("saved %s\n", path.c_str());
+    }
+  }
+
+  std::printf(
+      "%ld execs (%ld fuzz + %ld minimize), %.0f execs/sec, corpus %ld, "
+      "%ld findings (%ld raw)\n",
+      static_cast<long>(total_execs), result.stats.executed,
+      result.stats.minimize_attempts, total_execs / run_seconds,
+      result.stats.retained, result.stats.findings,
+      result.stats.raw_findings);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const ArgParser args(argc, argv);
-    analysis::BenchTelemetry telemetry(args, "fuzz");
-
-    fuzz::FuzzConfig cfg;
-    cfg.runs = args.get_int("runs", 2000);
-    cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    cfg.jobs = args.get_jobs();
-    cfg.batch = args.get_int("batch", 32);
-    cfg.minimize = !args.has("no-minimize");
-    cfg.runner.divergence_threshold =
-        args.get_double("divergence-threshold", 0.35);
-    // --record[=dir[,classes=list]]: flight-record every oracle run and
-    // auto-dump a post-mortem (reproducer + both backends' recorded tails)
-    // for each finding next to the other artifacts. A classes list narrows
-    // capture to the named event lanes.
-    if (const auto record = args.record_spec()) {
-      cfg.runner.record.enabled = true;
-      cfg.runner.postmortem_dir = record->dir;
-      if (!record->classes.empty()) {
-        cfg.runner.record.classes =
-            recorder::parse_class_mask(record->classes.c_str());
-      }
-    }
-
-    const auto format = args.has("markdown") ? TextTable::Format::kMarkdown
-                                             : TextTable::Format::kAscii;
-
-    std::vector<std::string> corpus_files;
-    if (const auto dir = args.get("corpus")) {
-      corpus_files = fuzz::list_corpus_files(*dir);
-    }
-
-    if (args.has("replay")) {
-      std::printf("=== Corpus replay (%zu entries, %ld jobs) ===\n",
-                  corpus_files.size(), cfg.jobs);
-      WallTimer timer;
-      const int mismatches =
-          replay_corpus(corpus_files, cfg.runner, cfg.jobs, format);
-      const double run_seconds = timer.seconds();
-
-      BenchReport bench("fuzz");
-      bench.set_jobs(cfg.jobs);
-      bench.add_phase("replay", run_seconds);
-      bench.add_counter("replayed", static_cast<double>(corpus_files.size()));
-      bench.add_counter("replay_mismatches", static_cast<double>(mismatches));
-      telemetry.finish(bench);
-      const std::string artifact = bench.write(args.artifacts_dir());
-      ledger::maybe_append(args, bench, "dual");
-      std::printf("%d of %zu entries mismatched\n", mismatches,
-                  corpus_files.size());
-      std::printf("Bench artifact: %s\n", artifact.c_str());
-      return mismatches == 0 ? 0 : 1;
-    }
-
-    std::vector<engine::ScenarioSpec> seeds = fuzz::Mutator::seed_corpus();
-    for (const std::string& file : corpus_files) {
-      seeds.push_back(fuzz::load_scenario_file(file));
-    }
-
-    std::printf(
-        "=== Scenario fuzz (%ld runs, seed %llu, batch %ld, %zu seed "
-        "scenarios, %ld jobs) ===\n",
-        cfg.runs, static_cast<unsigned long long>(cfg.seed), cfg.batch,
-        seeds.size(), cfg.jobs);
-
-    WallTimer timer;
-    const fuzz::FuzzResult result = fuzz::run_fuzz(cfg, std::move(seeds));
-    const double run_seconds = timer.seconds();
-    const double total_execs = static_cast<double>(
-        result.stats.executed + result.stats.minimize_attempts);
-
-    BenchReport bench("fuzz");
-    bench.set_jobs(cfg.jobs);
-    bench.add_phase("fuzz", run_seconds);
-    bench.add_counter("runs", static_cast<double>(result.stats.executed));
-    bench.add_counter("execs_per_sec", total_execs / run_seconds);
-    bench.add_counter("corpus_size",
-                      static_cast<double>(result.stats.retained));
-    bench.add_counter("raw_findings",
-                      static_cast<double>(result.stats.raw_findings));
-    bench.add_counter("findings", static_cast<double>(result.stats.findings));
-    bench.add_counter("minimize_attempts",
-                      static_cast<double>(result.stats.minimize_attempts));
-    telemetry.finish(bench);
-    const std::string artifact = bench.write(args.artifacts_dir());
-    ledger::maybe_append(args, bench, "dual");
-
-    TextTable table;
-    table.set_header({"Finding", "Outcome", "Detail", "Steps", "Senders",
-                      "Shrink"});
-    for (const fuzz::Finding& finding : result.findings) {
-      const engine::ScenarioSpec& spec = finding.minimized.spec;
-      table.add_row({fuzz::corpus_file_name(spec),
-                     fuzz::outcome_kind_name(finding.minimized.outcome.kind),
-                     outcome_detail(finding.minimized.outcome),
-                     std::to_string(spec.steps),
-                     std::to_string(spec.senders.size()),
-                     std::to_string(finding.minimized.accepted) + "/" +
-                         std::to_string(finding.minimized.attempts)});
-    }
-    std::printf("%s\n", table.render(format).c_str());
-
-    if (const auto save_dir = args.get("save")) {
-      for (const fuzz::Finding& finding : result.findings) {
-        const engine::ScenarioSpec& spec = finding.minimized.spec;
-        const std::string path =
-            *save_dir + "/" + fuzz::corpus_file_name(spec, finding.expect);
-        fuzz::save_scenario_file(path, spec, finding.expect);
-        std::printf("saved %s\n", path.c_str());
-      }
-    }
-
-    std::printf(
-        "%ld execs (%ld fuzz + %ld minimize), %.0f execs/sec, corpus %ld, "
-        "%ld findings (%ld raw)\n",
-        static_cast<long>(total_execs), result.stats.executed,
-        result.stats.minimize_attempts, total_execs / run_seconds,
-        result.stats.retained, result.stats.findings,
-        result.stats.raw_findings);
-    std::printf("Bench artifact: %s\n", artifact.c_str());
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  return bench::run(argc, argv, "fuzz",
+                    {"runs", "seed", "jobs", "batch", "corpus", "save",
+                     "no-minimize", "divergence-threshold", "replay", "record",
+                     "markdown"},
+                    run_bench);
 }

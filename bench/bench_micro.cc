@@ -3,34 +3,39 @@
 // estimators. These are performance benches for the library itself (not a
 // paper experiment).
 //
+// Usage: bench_micro [--skip-pool] [--skip-overhead]
+//                    [--senders-scaling[=maxN]] [--backend=fluid|packet]
+//                    [--record[=dir[,classes=mask]]] [--telemetry]
+//                    [--out=dir] [--benchmark_*...]
+//
 // Before the google-benchmark suite runs, a task-pool throughput bench
 // measures parallel_map over fluid-simulation cells at jobs = 1, 2, 4, and
 // hardware concurrency, and a telemetry-overhead bench times the same
 // workload with probes runtime-disabled vs runtime-enabled. Both land in
-// BENCH_micro.json. Pass --benchmark_filter=... etc. through to
-// google-benchmark as usual; --skip-pool / --skip-overhead skip the
-// respective pre-suite bench, --senders-scaling[=maxN] adds the
+// the `micro` ledger record, which states hardware_jobs() as its job count
+// (there is no --jobs). --benchmark_* flags pass through to
+// google-benchmark; --skip-pool / --skip-overhead skip the respective
+// pre-suite bench, --senders-scaling[=maxN] adds the
 // materialized-vs-uniform population-scaling bench from n=1 (default maxN
-// 100000; =1000000 adds the million-sender uniform-only point),
-// --telemetry[=path] and
-// --backend=fluid|packet (AXIOMCC_BACKEND env; drives the EvalConfig-based
-// benches) work as in the other benches. --record[=dir,classes=mask]
-// flight-records one representative parking-lot run per backend into dir
-// as micro-<backend>.jsonl (lane filtering via the classes mask,
-// provenance-stamped with the git SHA, streaming metric windows included
-// as kMetric events) before the suite runs.
+// 100000; =1000000 adds the million-sender uniform-only point) as its own
+// `senders_scaling` record. --telemetry and --out work as in the other
+// benches (bench/harness.h); --backend drives the EvalConfig-based benches.
+// --record[=dir[,classes=mask]] flight-records one representative
+// parking-lot run per backend into dir as micro-<backend>.jsonl (lane
+// filtering via the classes mask, provenance-stamped with the git SHA,
+// streaming metric windows included as kMetric events) before the suite
+// runs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "analysis/telemetry_report.h"
-#include "ledger/ledger.h"
+#include "bench/harness.h"
 #include "ledger/provenance.h"
 #include "cc/aimd.h"
 #include "cc/presets.h"
@@ -308,8 +313,8 @@ BENCHMARK(BM_ParallelMapSweepCells)
 
 /// Task-pool throughput at a fixed cell count, reported as cells/sec per
 /// job count plus the speedup over the serial path. Runs once before the
-/// google-benchmark suite and lands in BENCH_micro.json so the artifact
-/// carries the machine's measured scaling curve.
+/// google-benchmark suite and lands in the `micro` ledger record, so the
+/// record carries the machine's measured scaling curve.
 void run_pool_throughput_bench(BenchReport& bench) {
   constexpr std::size_t kCells = 48;
   const long hw = hardware_jobs();
@@ -347,7 +352,7 @@ void run_pool_throughput_bench(BenchReport& bench) {
 /// (n = 1, 2, 8) guard the per-cell cost the evaluator's 1–2-sender runs
 /// pay; they repeat until each point covers ~1M cells. Runs once before the
 /// google-benchmark suite when --senders-scaling[=maxN] is given and lands
-/// in BENCH_senders_scaling.json / its own ledger group. n above 100k (the
+/// in its own `senders_scaling` ledger record. n above 100k (the
 /// million-sender point, =1000000) runs the uniform layout only.
 void run_senders_scaling_bench(BenchReport& bench, long max_n) {
   constexpr long kSteps = 1000;
@@ -460,17 +465,15 @@ void run_telemetry_overhead_bench(BenchReport& bench) {
   bench.add_counter("telemetry_overhead_pct", overhead_pct);
 }
 
-/// --record[=dir,classes=mask]: flight-records one representative
+/// --record[=dir[,classes=mask]]: flight-records one representative
 /// 3-bottleneck parking-lot run per backend, with the streaming metric
 /// scope attached so kMetric windows land in the capture. Recordings are
 /// provenance-stamped so axiomcc-inspect --align can compare captures from
 /// two checkouts.
-void run_recorded_probe(const ArgParser::RecordSpec& spec) {
+void run_recorded_probe(const bench::RecordRequest& request) {
   recorder::RecordOptions ropts;
   ropts.enabled = true;
-  if (!spec.classes.empty()) {
-    ropts.classes = recorder::parse_class_mask(spec.classes.c_str());
-  }
+  ropts.classes = request.classes;
   for (const engine::BackendKind backend :
        {engine::BackendKind::kFluid, engine::BackendKind::kPacket}) {
     const cc::Aimd aimd(1.0, 0.5);
@@ -489,7 +492,7 @@ void run_recorded_probe(const ArgParser::RecordSpec& spec) {
     if (rec == nullptr) continue;  // recorder compiled out
     recorder::Recording snap = rec->snapshot();
     snap.git_sha = ledger::current_provenance().git_sha;
-    const std::string path = spec.dir + "/micro-" +
+    const std::string path = request.dir + "/micro-" +
                              engine::backend_name(backend) + ".jsonl";
     recorder::write_text_file(path, recorder::recording_to_jsonl(snap));
     std::printf("Recording: %s (%zu events)\n", path.c_str(),
@@ -498,69 +501,58 @@ void run_recorded_probe(const ArgParser::RecordSpec& spec) {
   std::printf("\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const ArgParser args(argc, argv);
-  analysis::BenchTelemetry telemetry(args, "micro");
-
-  // Strip our own flags before handing argv to google-benchmark (it rejects
-  // flags it does not know).
-  g_backend = engine::parse_backend(args.get_backend());
-
-  bool skip_pool = false;
-  bool skip_overhead = false;
+int run_bench(bench::Harness& h, int argc, char** argv) {
+  const ArgParser& args = h.args();
+  g_backend = h.backend();
+  // --senders-scaling alone runs up to 100000 senders.
   long senders_scaling_max = 0;  // 0 = bench not requested
-  std::vector<char*> filtered;
-  for (int i = 0; i < argc; ++i) {
-    if (i > 0 && std::strcmp(argv[i], "--skip-pool") == 0) {
-      skip_pool = true;
-      continue;
+  if (args.has("senders-scaling")) {
+    senders_scaling_max = args.get_or("senders-scaling", "").empty()
+                              ? 100000
+                              : args.get_int("senders-scaling", 0);
+    if (senders_scaling_max < 1) {
+      throw std::invalid_argument(
+          "--senders-scaling needs a positive sender count, got " +
+          std::to_string(senders_scaling_max));
     }
-    if (i > 0 && std::strncmp(argv[i], "--senders-scaling", 17) == 0) {
-      senders_scaling_max = 100000;
-      if (argv[i][17] == '=') {
-        senders_scaling_max = std::strtol(argv[i] + 18, nullptr, 10);
-      }
-      continue;
-    }
-    if (i > 0 && std::strcmp(argv[i], "--skip-overhead") == 0) {
-      skip_overhead = true;
-      continue;
-    }
-    if (i > 0 && std::strncmp(argv[i], "--telemetry", 11) == 0) continue;
-    if (i > 0 && std::strncmp(argv[i], "--backend", 9) == 0) continue;
-    if (i > 0 && std::strncmp(argv[i], "--ledger", 8) == 0) continue;
-    if (i > 0 && std::strncmp(argv[i], "--out", 5) == 0) continue;
-    if (i > 0 && std::strncmp(argv[i], "--jobs", 6) == 0) continue;
-    if (i > 0 && std::strncmp(argv[i], "--record", 8) == 0) continue;
-    filtered.push_back(argv[i]);
   }
+  const auto record = h.record();
 
-  BenchReport bench("micro");
-  bench.set_jobs(hardware_jobs());
-  if (const auto record = args.record_spec()) run_recorded_probe(*record);
-  if (!skip_pool) run_pool_throughput_bench(bench);
+  BenchReport& bench = h.report();
+  if (record) run_recorded_probe(*record);
+  if (!args.has("skip-pool")) run_pool_throughput_bench(bench);
   if (senders_scaling_max > 0) {
     // Its own ledger group: the scaling runs' workload (and therefore any
     // deterministic telemetry it would carry) varies with maxN, so mixing it
     // into the `micro` group would trip the sentinel's exact-counter gate.
-    BenchReport scaling("senders_scaling");
-    scaling.set_jobs(hardware_jobs());
-    run_senders_scaling_bench(scaling, senders_scaling_max);
-    std::printf("Bench artifact: %s\n\n",
-                scaling.write(args.artifacts_dir()).c_str());
-    ledger::maybe_append(args, scaling, args.get_backend());
+    run_senders_scaling_bench(h.report("senders_scaling"),
+                              senders_scaling_max);
   }
-  if (!skip_overhead) run_telemetry_overhead_bench(bench);
-  telemetry.finish(bench);
-  std::printf("Bench artifact: %s\n\n",
-              bench.write(args.artifacts_dir()).c_str());
-  ledger::maybe_append(args, bench, args.get_backend());
+  if (!args.has("skip-overhead")) run_telemetry_overhead_bench(bench);
+  h.finish(engine::backend_name(g_backend));
 
-  int filtered_argc = static_cast<int>(filtered.size());
-  benchmark::Initialize(&filtered_argc, filtered.data());
+  // The harness has checked every other flag, so what google-benchmark
+  // gets is argv[0] and the --benchmark_* flags.
+  std::vector<char*> benchmark_argv{argv[0]};
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]).starts_with("--benchmark_")) {
+      benchmark_argv.push_back(argv[i]);
+    }
+  }
+  int benchmark_argc = static_cast<int>(benchmark_argv.size());
+  benchmark::Initialize(&benchmark_argc, benchmark_argv.data());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run(argc, argv, "micro",
+                    {"backend", "record", "skip-pool", "skip-overhead",
+                     "senders-scaling", "benchmark_*"},
+                    [&](bench::Harness& h) {
+                      return run_bench(h, argc, argv);
+                    });
 }

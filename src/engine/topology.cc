@@ -262,25 +262,36 @@ FatTreeTopology make_fat_tree(int leaves, int spines,
   return tree;
 }
 
+namespace {
+
+/// The FluidLink over `params` after the typed check both backends run, so
+/// sizing a scenario they would reject throws their ScenarioError rather
+/// than FluidLink's contract violation.
+fluid::FluidLink checked_link(const fluid::LinkParams& params) {
+  validate_link(params, "link");
+  return fluid::FluidLink(params);
+}
+
+}  // namespace
+
 double scenario_capacity_mss(const ScenarioSpec& spec) {
   if (spec.topology.empty()) {
-    return fluid::FluidLink(spec.link).capacity_mss();
+    return checked_link(spec.link).capacity_mss();
   }
   double min_capacity = std::numeric_limits<double>::infinity();
   for (const fluid::LinkParams& params : spec.topology.links) {
-    min_capacity =
-        std::min(min_capacity, fluid::FluidLink(params).capacity_mss());
+    min_capacity = std::min(min_capacity, checked_link(params).capacity_mss());
   }
   return min_capacity;
 }
 
 double scenario_min_rtt_seconds(const ScenarioSpec& spec) {
   if (spec.topology.empty()) {
-    return fluid::FluidLink(spec.link).min_rtt().value();
+    return checked_link(spec.link).min_rtt().value();
   }
   double min_rtt = std::numeric_limits<double>::infinity();
   for (const fluid::LinkParams& params : spec.topology.links) {
-    min_rtt = std::min(min_rtt, fluid::FluidLink(params).min_rtt().value());
+    min_rtt = std::min(min_rtt, checked_link(params).min_rtt().value());
   }
   return min_rtt;
 }

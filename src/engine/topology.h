@@ -108,7 +108,8 @@ struct FatTreeTopology {
 /// Scoring capacity of a spec's network in MSS: the single link's C = B·2Θ,
 /// or the minimum per-link capacity of the topology (the binding
 /// bottleneck, matching the routed substrates' trace conventions). The
-/// guarded runner sizes its blowup/queue invariants with this.
+/// guarded runner sizes its blowup/queue invariants with this. Both sizing
+/// functions throw ScenarioError on a link validate_link rejects.
 [[nodiscard]] double scenario_capacity_mss(const ScenarioSpec& spec);
 
 /// Smallest per-link min-RTT of the spec's network in seconds (the single

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
 #include "ledger/provenance.h"
-#include "telemetry/metrics.h"
 #include "util/json.h"
 #include "util/task_pool.h"
 
@@ -65,7 +63,12 @@ std::string to_jsonl(const LedgerRecord& record) {
     out += ":";
     out += std::to_string(record.deterministic_counters[i].second);
   }
-  out += "}}";
+  out += "}";
+  if (!record.telemetry.empty()) {
+    out += ",\"telemetry\":";
+    out += record.telemetry;
+  }
+  out += "}";
   return out;
 }
 
@@ -138,6 +141,10 @@ std::optional<LedgerRecord> parse_record(std::string_view line) {
       }
     }
   }
+  if (const JsonValue* telemetry = doc.find("telemetry");
+      telemetry != nullptr && telemetry->is_object()) {
+    append_json_value(record.telemetry, *telemetry);
+  }
   return record;
 }
 
@@ -170,77 +177,6 @@ void append_record(const std::string& path, const LedgerRecord& record) {
   if (!out.good()) throw std::runtime_error("short append to ledger " + path);
 }
 
-std::optional<LedgerRecord> record_from_artifact(std::string_view json) {
-  JsonValue doc;
-  try {
-    doc = parse_json(json);
-  } catch (const std::runtime_error&) {
-    return std::nullopt;
-  }
-  const JsonValue* bench = doc.find("bench");
-  if (bench == nullptr || bench->kind != JsonValue::Kind::kString ||
-      bench->string.empty()) {
-    return std::nullopt;
-  }
-
-  LedgerRecord record;
-  record.bench = bench->string;
-  record.git_sha = "unknown";
-  record.build_flavor = "unknown";
-  if (const JsonValue* v = doc.find("schema_version");
-      v != nullptr && v->kind == JsonValue::Kind::kNumber) {
-    record.schema_version = static_cast<int>(v->number);
-  }
-  if (const JsonValue* v = doc.find("timestamp_utc");
-      v != nullptr && v->kind == JsonValue::Kind::kString) {
-    record.timestamp_utc = v->string;
-  }
-  if (const JsonValue* v = doc.find("jobs");
-      v != nullptr && v->kind == JsonValue::Kind::kNumber) {
-    record.jobs = static_cast<long>(v->number);
-  }
-  if (const JsonValue* v = doc.find("hardware_jobs");
-      v != nullptr && v->kind == JsonValue::Kind::kNumber) {
-    record.hardware_jobs = static_cast<long>(v->number);
-  }
-  if (const JsonValue* v = doc.find("total_seconds");
-      v != nullptr && v->kind == JsonValue::Kind::kNumber) {
-    record.total_seconds = v->number;
-  }
-  if (const JsonValue* phases = doc.find("phases");
-      phases != nullptr && phases->is_array()) {
-    for (const JsonValue& phase : phases->array) {
-      const JsonValue* name = phase.find("name");
-      const JsonValue* seconds = phase.find("seconds");
-      if (name != nullptr && name->kind == JsonValue::Kind::kString &&
-          seconds != nullptr && seconds->kind == JsonValue::Kind::kNumber) {
-        record.phases.emplace_back(name->string, seconds->number);
-      }
-    }
-  }
-  if (const JsonValue* counters = doc.find("counters");
-      counters != nullptr && counters->is_object()) {
-    for (const auto& [name, value] : counters->object) {
-      if (value.kind == JsonValue::Kind::kNumber) {
-        record.counters.emplace_back(name, value.number);
-      }
-    }
-  }
-  if (const JsonValue* telemetry = doc.find("telemetry");
-      telemetry != nullptr && telemetry->is_object()) {
-    if (const JsonValue* det = telemetry->find("counters");
-        det != nullptr && det->is_object()) {
-      for (const auto& [name, value] : det->object) {
-        if (value.kind == JsonValue::Kind::kNumber) {
-          record.deterministic_counters.emplace_back(
-              name, static_cast<std::int64_t>(value.number));
-        }
-      }
-    }
-  }
-  return record;
-}
-
 LedgerRecord record_from_bench(const BenchReport& bench,
                                const std::string& backend) {
   LedgerRecord record;
@@ -258,35 +194,7 @@ LedgerRecord record_from_bench(const BenchReport& bench,
   std::stable_sort(
       record.counters.begin(), record.counters.end(),
       [](const auto& a, const auto& b) { return a.first < b.first; });
-  // Deterministic counters are only meaningful when the run recorded
-  // telemetry (otherwise every probe was skipped and they all read 0);
-  // the embedded snapshot is the signal that it did.
-  if (!bench.telemetry_json().empty()) {
-    const telemetry::RegistrySnapshot snapshot =
-        telemetry::Registry::global().snapshot();
-    for (const telemetry::CounterSnapshot& c : snapshot.counters) {
-      if (c.stability == telemetry::Stability::kDeterministic) {
-        record.deterministic_counters.emplace_back(c.name, c.value);
-      }
-    }
-  }
   return record;
-}
-
-std::optional<std::string> maybe_append(const ArgParser& args,
-                                        const BenchReport& bench,
-                                        const std::string& backend) {
-  const auto path = args.ledger_path();
-  if (!path) return std::nullopt;
-  try {
-    append_record(*path, record_from_bench(bench, backend));
-  } catch (const std::runtime_error& e) {
-    std::fprintf(stderr, "[ledger] %s\n", e.what());
-    return std::nullopt;
-  }
-  std::fprintf(stderr, "[ledger] appended %s -> %s\n", bench.name().c_str(),
-               path->c_str());
-  return path;
 }
 
 }  // namespace axiomcc::ledger

@@ -1,11 +1,12 @@
 // ledger.h — the append-only, provenance-stamped run ledger.
 //
-// Every bench run can append exactly one JSONL record to a ledger file
-// (default artifacts/ledger.jsonl, via --ledger / AXIOMCC_LEDGER). A record
-// is the full BENCH_<name>.json payload (phases, counters, wall-clock)
-// plus provenance (git SHA, build flavor, backend, jobs, hardware jobs, an
-// ISO-8601 UTC timestamp) plus the telemetry registry's deterministic
-// counters. The ledger is what turns one-shot artifacts into a trajectory:
+// Every bench run appends exactly one JSONL record per report to
+// <out>/ledger.jsonl (bench/harness.h; default artifacts/ledger.jsonl). A
+// record holds the report (phases, counters, wall-clock) plus provenance
+// (git SHA, build flavor, backend, jobs, hardware jobs, an ISO-8601 UTC
+// timestamp) and, when the run recorded telemetry, the registry's
+// deterministic counters and full snapshot. The record is the benches' only
+// artifact, and the ledger is what turns one-shot runs into a trajectory:
 // the regression sentinel (sentinel.h) and the axiomcc-benchdiff CLI read
 // it back to diff runs and flag drift.
 //
@@ -23,12 +24,11 @@
 #include <vector>
 
 #include "util/bench_json.h"
-#include "util/cli.h"
 
 namespace axiomcc::ledger {
 
 /// Version of the ledger line layout. Matches kBenchSchemaVersion so a
-/// record and the artifact it was derived from stay in lockstep.
+/// record and the BenchReport it is built from stay in lockstep.
 inline constexpr int kLedgerSchemaVersion = kBenchSchemaVersion;
 
 /// One bench run, as persisted on a ledger line.
@@ -50,6 +50,10 @@ struct LedgerRecord {
   /// the run recorded telemetry; byte-identical for the same workload at
   /// any --jobs level — the sentinel's strictest signal.
   std::vector<std::pair<std::string, std::int64_t>> deterministic_counters;
+  /// The telemetry registry snapshot (telemetry::RegistrySnapshot::to_json,
+  /// one compact JSON object) when the run recorded telemetry; empty
+  /// otherwise, and then left off the line.
+  std::string telemetry;
 };
 
 /// Renders `record` as one newline-free JSON line (the trailing '\n' is the
@@ -78,30 +82,10 @@ struct LedgerFile {
 void append_record(const std::string& path, const LedgerRecord& record);
 
 /// Builds a record from a finished BenchReport: copies name/timestamp/
-/// jobs/phases/counters/total, stamps provenance (git SHA + build flavor),
-/// and — when the report carries a telemetry snapshot, i.e. the run
-/// actually recorded — the registry's deterministic counters.
+/// jobs/phases/counters/total and stamps provenance (git SHA + build
+/// flavor). The telemetry fields stay empty; the bench harness fills them
+/// when the run recorded telemetry.
 [[nodiscard]] LedgerRecord record_from_bench(const BenchReport& bench,
                                              const std::string& backend);
-
-/// Parses a BENCH_<name>.json artifact (util/bench_json's format) into a
-/// record, so axiomcc-benchdiff can compare raw artifacts as well as
-/// ledger lines. Provenance fields that an artifact does not carry
-/// (git_sha, build_flavor, backend) come back "unknown"/"". The embedded
-/// telemetry snapshot's top-level "counters" object — the deterministic
-/// counters — populates deterministic_counters. nullopt when `json` is not
-/// a parseable artifact.
-[[nodiscard]] std::optional<LedgerRecord> record_from_artifact(
-    std::string_view json);
-
-/// The standard bench epilogue: when `args` requests a ledger
-/// (--ledger[=path] / AXIOMCC_LEDGER), builds a record from `bench` and
-/// appends it, reporting the path on stderr (stdout stays pure for --csv
-/// and byte-diff consumers). Returns the path appended to, or nullopt when
-/// no ledger was requested. IO failures warn on stderr rather than throw:
-/// a full disk must not turn a finished bench run into a failure.
-std::optional<std::string> maybe_append(const ArgParser& args,
-                                        const BenchReport& bench,
-                                        const std::string& backend);
 
 }  // namespace axiomcc::ledger

@@ -167,11 +167,12 @@ GuardedResult run_guarded(const engine::SimBackend& backend,
 
   FaultReport fault;
   // Topology-aware capacity: the binding (minimum) link capacity, the same
-  // convention the routed substrates use for their traces.
-  const double capacity_mss = engine::scenario_capacity_mss(spec);
-  const double min_rtt_s = engine::scenario_min_rtt_seconds(spec);
-  spec.step_monitor =
-      make_guard_monitor(fault, config, capacity_mss, spec.record_sink);
+  // convention the routed substrates use for their traces. Sizing builds
+  // the links, so it runs inside the try below: a link the backend would
+  // reject faults here exactly as it would in the backend. The fallback
+  // trace keeps 0 for what could not be sized.
+  double capacity_mss = 0.0;
+  double min_rtt_s = 0.0;
 
   // The exception-fallback trace must match the sender population the
   // backend would have produced (workloads expand the slot list).
@@ -191,6 +192,10 @@ GuardedResult run_guarded(const engine::SimBackend& backend,
   TELEMETRY_SPAN("stress", "guarded_run");
   TELEMETRY_COUNT("stress.guard_runs", 1);
   try {
+    capacity_mss = engine::scenario_capacity_mss(spec);
+    min_rtt_s = engine::scenario_min_rtt_seconds(spec);
+    spec.step_monitor =
+        make_guard_monitor(fault, config, capacity_mss, spec.record_sink);
     engine::RunTrace rt = backend.run(spec);
     TELEMETRY_COUNT("stress.guard_steps", fault.steps_observed);
     std::string pm = maybe_dump_postmortem(spec.record_sink, config, fault);

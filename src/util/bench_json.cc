@@ -41,10 +41,6 @@ void BenchReport::add_counter(const std::string& counter, double value) {
   counters_.emplace_back(counter, value);
 }
 
-void BenchReport::set_telemetry(std::string snapshot_json) {
-  telemetry_json_ = std::move(snapshot_json);
-}
-
 double BenchReport::total_seconds() const {
   double total = 0.0;
   for (const auto& [_, seconds] : phases_) total += seconds;
@@ -87,10 +83,6 @@ std::string BenchReport::to_json() const {
     append_json_number(out, sorted[i].second);
   }
   out += sorted.empty() ? "}" : "\n  }";
-  if (!telemetry_json_.empty()) {
-    out += ",\n  \"telemetry\": ";
-    out += telemetry_json_;
-  }
   out += "\n}\n";
   return out;
 }

@@ -1,10 +1,10 @@
-// bench_json.h — machine-readable bench artifacts (BENCH_<name>.json).
+// bench_json.h — a bench run's report: phases, counters, job count.
 //
-// Every bench binary records its wall-clock per-phase breakdown, the job
-// count it ran with, and workload counters (cells, cells/sec), then writes a
-// BENCH_<name>.json artifact next to its stdout report. The artifacts make
-// the performance trajectory measurable PR-over-PR: diff two checkouts' JSON
-// instead of eyeballing terminal output.
+// A BenchReport records a run's wall-clock per-phase breakdown, the job
+// count it ran with and its workload counters (cells, cells/sec). The bench
+// binaries turn each report into one run-ledger record (ledger/ledger.h);
+// perfbench also writes it as a BENCH_perfbench_<workload>.json artifact
+// with write().
 #pragma once
 
 #include <string>
@@ -13,8 +13,8 @@
 
 namespace axiomcc {
 
-/// Version of the BENCH_*.json artifact layout (and, transitively, of the
-/// ledger record that embeds it). Bump when a field is renamed, removed, or
+/// Version of the report layout (the BENCH_*.json artifact and the ledger
+/// record built from a report). Bump when a field is renamed, removed, or
 /// changes meaning — additive fields do not require a bump.
 inline constexpr int kBenchSchemaVersion = 2;
 
@@ -43,11 +43,6 @@ class BenchReport {
   /// Counters render sorted by key so artifacts diff cleanly run-to-run.
   void add_counter(const std::string& counter, double value);
 
-  /// Embeds a telemetry registry snapshot (a pre-rendered JSON object, as
-  /// produced by telemetry::RegistrySnapshot::to_json) as the artifact's
-  /// "telemetry" member. Empty string (the default) omits the member.
-  void set_telemetry(std::string snapshot_json);
-
   /// Overrides the construction-time timestamp (tests pin it for
   /// deterministic artifacts). Must look like an ISO-8601 stamp.
   void set_timestamp_utc(std::string timestamp);
@@ -62,9 +57,6 @@ class BenchReport {
   [[nodiscard]] const std::vector<std::pair<std::string, double>>& counters()
       const {
     return counters_;
-  }
-  [[nodiscard]] const std::string& telemetry_json() const {
-    return telemetry_json_;
   }
 
   /// Total across recorded phases.
@@ -83,7 +75,6 @@ class BenchReport {
   long jobs_ = 0;
   std::vector<std::pair<std::string, double>> phases_;
   std::vector<std::pair<std::string, double>> counters_;
-  std::string telemetry_json_;
 };
 
 }  // namespace axiomcc

@@ -1,6 +1,5 @@
 #include "util/cli.h"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "util/task_pool.h"
@@ -75,86 +74,5 @@ bool ArgParser::has(const std::string& key) const {
 }
 
 long ArgParser::get_jobs() const { return resolve_jobs(get_int("jobs", 0)); }
-
-std::string ArgParser::get_backend() const {
-  std::string value = "fluid";
-  if (const auto flag = get("backend")) {
-    value = *flag;
-  } else if (const char* env = std::getenv("AXIOMCC_BACKEND")) {
-    if (*env != '\0') value = env;
-  }
-  if (value != "fluid" && value != "packet") {
-    throw std::invalid_argument("unknown backend '" + value +
-                                "' (expected fluid|packet)");
-  }
-  return value;
-}
-
-std::string ArgParser::artifacts_dir() const {
-  if (const auto flag = get("out")) {
-    if (!flag->empty()) return *flag;
-  }
-  if (const char* env = std::getenv("AXIOMCC_ARTIFACTS")) {
-    if (*env != '\0') return env;
-  }
-  return "artifacts";
-}
-
-std::optional<std::string> ArgParser::ledger_path() const {
-  std::optional<std::string> value = get("ledger");
-  if (!value) {
-    const char* env = std::getenv("AXIOMCC_LEDGER");
-    if (env == nullptr) return std::nullopt;
-    value = std::string(env);
-    if (value->empty() || *value == "0") return std::nullopt;
-  }
-  if (value->empty() || *value == "1") return artifacts_dir() + "/ledger.jsonl";
-  return value;
-}
-
-std::optional<ArgParser::RecordSpec> ArgParser::record_spec() const {
-  std::optional<std::string> value = get("record");
-  if (!value) {
-    const char* env = std::getenv("AXIOMCC_RECORD");
-    if (env == nullptr) return std::nullopt;
-    value = std::string(env);
-    if (value->empty() || *value == "0") return std::nullopt;
-  }
-  RecordSpec spec;
-  // Everything after a ",classes=" suffix is the class list (the list may
-  // itself be comma-separated, so this split looks for the marker, not the
-  // first comma).
-  static constexpr const char* kClassesMarker = ",classes=";
-  const auto marker = value->find(kClassesMarker);
-  if (marker != std::string::npos) {
-    spec.classes = value->substr(marker + std::string(kClassesMarker).size());
-    if (spec.classes.empty()) {
-      throw std::invalid_argument(
-          "empty class list for --record (expected e.g. "
-          "--record=dir,classes=window+loss)");
-    }
-    value = value->substr(0, marker);
-  }
-  spec.dir = (value->empty() || *value == "1") ? artifacts_dir() : *value;
-  return spec;
-}
-
-std::optional<std::string> ArgParser::record_dir() const {
-  const auto spec = record_spec();
-  if (!spec) return std::nullopt;
-  return spec->dir;
-}
-
-std::optional<std::string> ArgParser::telemetry_dir() const {
-  if (const auto flag = get("telemetry")) {
-    return flag->empty() ? std::string(".") : *flag;
-  }
-  const char* env = std::getenv("AXIOMCC_TELEMETRY");
-  if (env == nullptr) return std::nullopt;
-  const std::string value(env);
-  if (value.empty() || value == "0") return std::nullopt;
-  if (value == "1") return std::string(".");
-  return value;
-}
 
 }  // namespace axiomcc

@@ -103,5 +103,17 @@ TEST(FuzzRunner, EngineRejectionIsABothSidedExceptionFault) {
   EXPECT_EQ(outcome.packet_fault.kind, stress::FaultKind::kException);
 }
 
+TEST(FuzzRunner, NonPositiveLinkBandwidthIsABothSidedFaultNotAThrow) {
+  // Sizing the guard from a link the engine rejects used to throw out of
+  // run_guarded before its try; it must fault like any other rejection.
+  engine::ScenarioSpec spec = default_scenario();
+  spec.link.bandwidth = Bandwidth::from_mss_per_sec(-1.0);
+  RunOutcome outcome;
+  ASSERT_NO_THROW(outcome = run_scenario(spec));
+  EXPECT_EQ(outcome.kind, OutcomeKind::kBothFault);
+  EXPECT_EQ(outcome.fluid_fault.kind, stress::FaultKind::kException);
+  EXPECT_EQ(outcome.packet_fault.kind, stress::FaultKind::kException);
+}
+
 }  // namespace
 }  // namespace axiomcc::fuzz

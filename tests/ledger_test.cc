@@ -1,5 +1,5 @@
 // Tests for the run ledger: JSONL round trips, tolerant reads of malformed
-// and truncated lines, provenance stamping, and artifact parse-back.
+// and truncated lines, and provenance stamping.
 #include "ledger/ledger.h"
 
 #include <cmath>
@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "ledger/provenance.h"
-#include "telemetry/metrics.h"
 #include "util/check.h"
 
 namespace axiomcc::ledger {
@@ -63,6 +62,21 @@ TEST(LedgerRecord, JsonlRoundTripsEveryField) {
   ASSERT_EQ(parsed->deterministic_counters.size(), 2u);
   EXPECT_EQ(parsed->deterministic_counters[0].first, "fluid.ticks");
   EXPECT_EQ(parsed->deterministic_counters[0].second, 184200);
+}
+
+TEST(LedgerRecord, TelemetrySnapshotEmbedsVerbatim) {
+  LedgerRecord record = sample_record();
+  EXPECT_EQ(to_jsonl(record).find("\"telemetry\""), std::string::npos);
+
+  record.telemetry =
+      "{\"counters\":{\"fluid.ticks\":12},\"histograms\":{\"h\":"
+      "{\"count\":2,\"sum\":0.75,\"big\":9007199254740991}}}";
+  const std::string line = to_jsonl(record);
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+  const auto parsed = parse_record(line);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->telemetry, record.telemetry);
+  EXPECT_EQ(to_jsonl(*parsed), line);
 }
 
 TEST(LedgerRecord, ParseRejectsMalformedAndIncompleteLines) {
@@ -145,52 +159,9 @@ TEST(RecordFromBench, CopiesReportAndStampsProvenance) {
   // Counters are sorted by key in the record.
   ASSERT_EQ(record.counters.size(), 2u);
   EXPECT_EQ(record.counters[0].first, "alpha");
-  // No telemetry snapshot on the report -> no deterministic counters.
+  // The harness, not the report, carries telemetry into a record.
   EXPECT_TRUE(record.deterministic_counters.empty());
-}
-
-TEST(RecordFromBench, DeterministicCountersGatedOnTelemetrySnapshot) {
-  telemetry::Registry::global()
-      .counter("test.ledger.det", telemetry::Stability::kDeterministic)
-      .add(7);
-  BenchReport bench("gated");
-  const LedgerRecord without = record_from_bench(bench, "fluid");
-  EXPECT_TRUE(without.deterministic_counters.empty());
-
-  bench.set_telemetry("{\"counters\": {}}");
-  const LedgerRecord with = record_from_bench(bench, "fluid");
-  bool found = false;
-  for (const auto& [name, value] : with.deterministic_counters) {
-    if (name == "test.ledger.det") {
-      found = true;
-      EXPECT_GE(value, 7);
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(RecordFromArtifact, ParsesBenchJsonIncludingTelemetryBlock) {
-  BenchReport bench("artifact");
-  bench.set_jobs(2);
-  bench.add_phase("only", 0.125);
-  bench.add_counter("cells", 48.0);
-  bench.set_telemetry(
-      "{\"counters\": {\"fluid.ticks\": 1200, \"pool.tasks\": 48}}");
-
-  const auto record = record_from_artifact(bench.to_json());
-  ASSERT_TRUE(record.has_value());
-  EXPECT_EQ(record->schema_version, kBenchSchemaVersion);
-  EXPECT_EQ(record->bench, "artifact");
-  EXPECT_EQ(record->git_sha, "unknown");
-  EXPECT_EQ(record->jobs, 2);
-  ASSERT_EQ(record->phases.size(), 1u);
-  EXPECT_DOUBLE_EQ(record->phases[0].second, 0.125);
-  ASSERT_EQ(record->counters.size(), 1u);
-  ASSERT_EQ(record->deterministic_counters.size(), 2u);
-  EXPECT_EQ(record->deterministic_counters[0].second, 1200);
-
-  EXPECT_FALSE(record_from_artifact("{broken").has_value());
-  EXPECT_FALSE(record_from_artifact("{\"no_bench\": 1}").has_value());
+  EXPECT_TRUE(record.telemetry.empty());
 }
 
 TEST(Provenance, EnvironmentOverrideWinsAndIsValidated) {
@@ -206,8 +177,8 @@ TEST(Provenance, EnvironmentOverrideWinsAndIsValidated) {
 }
 
 TEST(BenchReportStamp, CarriesSchemaVersionAndParseableTimestamp) {
-  const std::string json = BenchReport("stamp").to_json();
-  const auto record = record_from_artifact(json);
+  const auto record =
+      parse_record(to_jsonl(record_from_bench(BenchReport("stamp"), "")));
   ASSERT_TRUE(record.has_value());
   EXPECT_EQ(record->schema_version, kBenchSchemaVersion);
   // ISO-8601 UTC: YYYY-MM-DDTHH:MM:SSZ.

@@ -89,18 +89,6 @@ TEST(BenchReport, NonFiniteCounterBecomesNull) {
   EXPECT_TRUE(doc.find("counters")->find("bad")->is_null());
 }
 
-TEST(BenchReport, TelemetryBlockEmbedsVerbatim) {
-  BenchReport bench("telemetry");
-  EXPECT_EQ(parse_json(bench.to_json()).find("telemetry"), nullptr);
-
-  bench.set_telemetry("{\"counters\": {\"fluid.ticks\": 12}}");
-  const JsonValue doc = parse_json(bench.to_json());
-  const JsonValue* telemetry = doc.find("telemetry");
-  ASSERT_NE(telemetry, nullptr);
-  ASSERT_TRUE(telemetry->is_object());
-  EXPECT_EQ(telemetry->find("counters")->find("fluid.ticks")->number, 12.0);
-}
-
 TEST(BenchReport, SelfDescribesWithSchemaVersionAndTimestamp) {
   const JsonValue doc = parse_json(BenchReport("stamped").to_json());
   const JsonValue* version = doc.find("schema_version");

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <stdexcept>
 
 namespace axiomcc {
@@ -100,172 +99,11 @@ TEST(ArgParser, ValueContainingEquals) {
   EXPECT_EQ(args.get_or("spec", ""), "aimd(a=1,b=0.5)");
 }
 
-TEST(ArgParser, BackendDefaultsToFluid) {
-  unsetenv("AXIOMCC_BACKEND");
-  EXPECT_EQ(parse({}).get_backend(), "fluid");
-}
-
-TEST(ArgParser, BackendFlagWinsOverEnv) {
-  ASSERT_EQ(setenv("AXIOMCC_BACKEND", "fluid", 1), 0);
-  EXPECT_EQ(parse({"--backend=packet"}).get_backend(), "packet");
-  unsetenv("AXIOMCC_BACKEND");
-}
-
-TEST(ArgParser, BackendEnvFallback) {
-  ASSERT_EQ(setenv("AXIOMCC_BACKEND", "packet", 1), 0);
-  EXPECT_EQ(parse({}).get_backend(), "packet");
-  // Empty env value means unset.
-  ASSERT_EQ(setenv("AXIOMCC_BACKEND", "", 1), 0);
-  EXPECT_EQ(parse({}).get_backend(), "fluid");
-  unsetenv("AXIOMCC_BACKEND");
-}
-
-TEST(ArgParser, ArtifactsDirFlagEnvAndDefault) {
-  unsetenv("AXIOMCC_ARTIFACTS");
-  EXPECT_EQ(parse({}).artifacts_dir(), "artifacts");
-  EXPECT_EQ(parse({"--out=bench_out"}).artifacts_dir(), "bench_out");
-  ASSERT_EQ(setenv("AXIOMCC_ARTIFACTS", "/tmp/art", 1), 0);
-  EXPECT_EQ(parse({}).artifacts_dir(), "/tmp/art");
-  // The flag still wins over the environment.
-  EXPECT_EQ(parse({"--out=flag_dir"}).artifacts_dir(), "flag_dir");
-  unsetenv("AXIOMCC_ARTIFACTS");
-}
-
-TEST(ArgParser, LedgerOffByDefault) {
-  unsetenv("AXIOMCC_LEDGER");
-  unsetenv("AXIOMCC_ARTIFACTS");
-  EXPECT_FALSE(parse({}).ledger_path().has_value());
-}
-
-TEST(ArgParser, LedgerFlagVariants) {
-  unsetenv("AXIOMCC_LEDGER");
-  unsetenv("AXIOMCC_ARTIFACTS");
-  // Bare flag -> default path under the artifacts dir.
-  EXPECT_EQ(parse({"--ledger"}).ledger_path().value_or(""),
-            "artifacts/ledger.jsonl");
-  // Explicit path.
-  EXPECT_EQ(parse({"--ledger=/tmp/run.jsonl"}).ledger_path().value_or(""),
-            "/tmp/run.jsonl");
-  // Bare flag follows --out.
-  EXPECT_EQ(parse({"--ledger", "--out=o"}).ledger_path().value_or(""),
-            "o/ledger.jsonl");
-}
-
-TEST(ArgParser, LedgerEnvVariants) {
-  unsetenv("AXIOMCC_ARTIFACTS");
-  ASSERT_EQ(setenv("AXIOMCC_LEDGER", "1", 1), 0);
-  EXPECT_EQ(parse({}).ledger_path().value_or(""), "artifacts/ledger.jsonl");
-  ASSERT_EQ(setenv("AXIOMCC_LEDGER", "/tmp/env.jsonl", 1), 0);
-  EXPECT_EQ(parse({}).ledger_path().value_or(""), "/tmp/env.jsonl");
-  ASSERT_EQ(setenv("AXIOMCC_LEDGER", "0", 1), 0);
-  EXPECT_FALSE(parse({}).ledger_path().has_value());
-  ASSERT_EQ(setenv("AXIOMCC_LEDGER", "", 1), 0);
-  EXPECT_FALSE(parse({}).ledger_path().has_value());
-  // The flag wins over the environment.
-  ASSERT_EQ(setenv("AXIOMCC_LEDGER", "/tmp/env.jsonl", 1), 0);
-  EXPECT_EQ(parse({"--ledger=/tmp/flag.jsonl"}).ledger_path().value_or(""),
-            "/tmp/flag.jsonl");
-  unsetenv("AXIOMCC_LEDGER");
-}
-
-TEST(ArgParser, RecordOffByDefault) {
-  unsetenv("AXIOMCC_RECORD");
-  unsetenv("AXIOMCC_ARTIFACTS");
-  EXPECT_FALSE(parse({}).record_dir().has_value());
-}
-
-TEST(ArgParser, RecordFlagVariants) {
-  unsetenv("AXIOMCC_RECORD");
-  unsetenv("AXIOMCC_ARTIFACTS");
-  // Bare flag -> recordings land in the artifacts dir.
-  EXPECT_EQ(parse({"--record"}).record_dir().value_or(""), "artifacts");
-  // Explicit directory.
-  EXPECT_EQ(parse({"--record=/tmp/rec"}).record_dir().value_or(""),
-            "/tmp/rec");
-  // Bare flag follows --out.
-  EXPECT_EQ(parse({"--record", "--out=o"}).record_dir().value_or(""), "o");
-}
-
-TEST(ArgParser, RecordEnvVariants) {
-  unsetenv("AXIOMCC_ARTIFACTS");
-  ASSERT_EQ(setenv("AXIOMCC_RECORD", "1", 1), 0);
-  EXPECT_EQ(parse({}).record_dir().value_or(""), "artifacts");
-  ASSERT_EQ(setenv("AXIOMCC_RECORD", "/tmp/envrec", 1), 0);
-  EXPECT_EQ(parse({}).record_dir().value_or(""), "/tmp/envrec");
-  ASSERT_EQ(setenv("AXIOMCC_RECORD", "0", 1), 0);
-  EXPECT_FALSE(parse({}).record_dir().has_value());
-  ASSERT_EQ(setenv("AXIOMCC_RECORD", "", 1), 0);
-  EXPECT_FALSE(parse({}).record_dir().has_value());
-  // The flag wins over the environment.
-  ASSERT_EQ(setenv("AXIOMCC_RECORD", "/tmp/envrec", 1), 0);
-  EXPECT_EQ(parse({"--record=/tmp/flagrec"}).record_dir().value_or(""),
-            "/tmp/flagrec");
-  unsetenv("AXIOMCC_RECORD");
-}
-
-TEST(ArgParser, RecordClassesSuffixSplitsOffLaneList) {
-  unsetenv("AXIOMCC_RECORD");
-  unsetenv("AXIOMCC_ARTIFACTS");
-  // Directory + classes list.
-  const auto spec =
-      parse({"--record=/tmp/rec,classes=window+loss"}).record_spec();
-  ASSERT_TRUE(spec.has_value());
-  EXPECT_EQ(spec->dir, "/tmp/rec");
-  EXPECT_EQ(spec->classes, "window+loss");
-  // The list may itself be comma-separated: everything after ",classes="
-  // belongs to the list, not the directory.
-  const auto commas =
-      parse({"--record=/tmp/rec,classes=window,loss,churn"}).record_spec();
-  ASSERT_TRUE(commas.has_value());
-  EXPECT_EQ(commas->dir, "/tmp/rec");
-  EXPECT_EQ(commas->classes, "window,loss,churn");
-  // record_dir() keeps ignoring the suffix.
-  EXPECT_EQ(
-      parse({"--record=/tmp/rec,classes=guard"}).record_dir().value_or(""),
-      "/tmp/rec");
-}
-
-TEST(ArgParser, RecordClassesWithoutDirUsesArtifactsDir) {
-  unsetenv("AXIOMCC_RECORD");
-  unsetenv("AXIOMCC_ARTIFACTS");
-  const auto spec = parse({"--record=,classes=loss", "--out=o"}).record_spec();
-  ASSERT_TRUE(spec.has_value());
-  EXPECT_EQ(spec->dir, "o");
-  EXPECT_EQ(spec->classes, "loss");
-  // No classes suffix -> empty list means "record everything".
-  const auto plain = parse({"--record=/tmp/rec"}).record_spec();
-  ASSERT_TRUE(plain.has_value());
-  EXPECT_TRUE(plain->classes.empty());
-}
-
-TEST(ArgParser, RecordClassesViaEnvAndEmptyListRejected) {
-  unsetenv("AXIOMCC_ARTIFACTS");
-  ASSERT_EQ(setenv("AXIOMCC_RECORD", "/tmp/envrec,classes=churn", 1), 0);
-  const auto spec = parse({}).record_spec();
-  ASSERT_TRUE(spec.has_value());
-  EXPECT_EQ(spec->dir, "/tmp/envrec");
-  EXPECT_EQ(spec->classes, "churn");
-  unsetenv("AXIOMCC_RECORD");
-  // A dangling ",classes=" is a usage error, not "all classes".
-  EXPECT_THROW((void)parse({"--record=/tmp/rec,classes="}).record_spec(),
-               std::invalid_argument);
-}
-
-TEST(ArgParser, UnknownBackendThrows) {
-  unsetenv("AXIOMCC_BACKEND");
-  try {
-    (void)parse({"--backend=ns3"}).get_backend();
-    FAIL() << "--backend=ns3 should throw";
-  } catch (const std::invalid_argument& e) {
-    // The message must list the accepted values.
-    EXPECT_NE(std::string(e.what()).find("fluid|packet"), std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("ns3"), std::string::npos)
-        << e.what();
-  }
-  ASSERT_EQ(setenv("AXIOMCC_BACKEND", "quantum", 1), 0);
-  EXPECT_THROW((void)parse({}).get_backend(), std::invalid_argument);
-  unsetenv("AXIOMCC_BACKEND");
+TEST(ArgParser, FlagsListsEveryKeyWithItsValue) {
+  const auto args = parse({"--steps=4", "--csv", "pos"});
+  ASSERT_EQ(args.flags().size(), 2u);
+  EXPECT_EQ(args.flags().at("steps"), "4");
+  EXPECT_EQ(args.flags().at("csv"), "");
 }
 
 }  // namespace

@@ -1,41 +1,38 @@
 // axiomcc-benchdiff — the regression sentinel's CLI.
 //
-// Compares bench runs recorded by the run ledger (--ledger on any bench
-// binary) or raw BENCH_<name>.json artifacts, and reports per-metric deltas
-// with noise-aware verdicts: deterministic telemetry counters must be
-// byte-identical, workload counters must match exactly, and wall-clock
+// Compares bench runs recorded in the run ledger (every bench binary
+// appends one record per run to <out>/ledger.jsonl) and reports per-metric
+// deltas with noise-aware verdicts: deterministic telemetry counters must
+// be byte-identical, workload counters must match exactly, and wall-clock
 // timings are judged against a rolling median ± MAD band (window mode) or a
-// relative threshold (two-record mode). Timings are skipped when the runs
+// relative threshold (two-ledger mode). Timings are skipped when the runs
 // are not wall-clock comparable (different --jobs or build flavor), which
 // is what keeps a same-SHA rerun at a different job count green.
 //
 // Usage:
-//   axiomcc-benchdiff [--ledger[=path]] [--bench=NAME] [--window=8]
-//                     [--threshold=0.20] [--mad-k=3] [--no-spark]
-//   axiomcc-benchdiff --report [--ledger[=path]] [--bench=NAME] [--window=12]
+//   axiomcc-benchdiff [--ledger=path] [--bench=NAME] [--window=8]
+//                     [--threshold=0.20] [--mad-k=3] [--floor=0.01]
+//                     [--no-spark]
+//   axiomcc-benchdiff --report [--ledger=path] [--bench=NAME] [--window=12]
 //   axiomcc-benchdiff [options] BASELINE CURRENT
 //
 // Ledger mode (no positionals): loads the ledger (default
-// <artifacts>/ledger.jsonl; --out / AXIOMCC_ARTIFACTS move <artifacts>),
-// groups records by (bench, backend), and diffs each group's newest record
-// against the window of prior runs. --bench restricts to one bench.
+// artifacts/ledger.jsonl), groups records by (bench, backend), and diffs
+// each group's newest record against the window of prior runs. --bench
+// restricts to one bench.
 //
 // Report mode (--report): instead of diffing, renders markdown trend
 // tables across the whole ledger — one table per (bench, backend) group,
 // newest value vs the rolling median plus a sparkline — ready to paste
 // into a PR description. Always exits 0 (informational).
 //
-// Two-file mode: BASELINE and CURRENT are each either a BENCH_<name>.json
-// artifact or a JSONL ledger (its last record — --bench filtered — is
-// used).
+// Two-ledger mode: BASELINE and CURRENT are JSONL ledgers; the last record
+// of each (--bench filtered) is compared.
 //
 // Exit codes: 0 clean, 1 any regression or deterministic mismatch,
 // 2 usage/IO error.
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,52 +46,25 @@
 #include "ledger/report.h"
 #include "ledger/sentinel.h"
 #include "util/cli.h"
-#include "util/json.h"
 
 using namespace axiomcc;
 
 namespace {
 
-/// Records loaded from one input file, any format.
+/// The records of the ledger at `path`, --bench filtered.
 std::vector<ledger::LedgerRecord> load_records(const std::string& path,
                                                const std::string& bench) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-
-  std::vector<ledger::LedgerRecord> records;
-  // The whole file parsing as one JSON document means a single record: a
-  // BENCH_<name>.json artifact when "phases" is an array (the artifact
-  // layout), a one-line ledger when it is an object. Otherwise treat the
-  // file as multi-line JSONL.
-  std::optional<ledger::LedgerRecord> single;
-  try {
-    const JsonValue doc = parse_json(content);
-    const JsonValue* phases = doc.find("phases");
-    single = (phases != nullptr && phases->is_array())
-                 ? ledger::record_from_artifact(content)
-                 : ledger::parse_record(content);
-  } catch (const std::runtime_error&) {
-    single = std::nullopt;
-  }
-  if (single) {
-    records.push_back(std::move(*single));
-  } else {
-    const ledger::LedgerFile file = ledger::read_ledger(path);
-    if (file.skipped_lines > 0) {
-      std::fprintf(stderr, "[benchdiff] %s: skipped %zu unparseable line(s)\n",
-                   path.c_str(), file.skipped_lines);
-    }
-    records = file.records;
+  ledger::LedgerFile file = ledger::read_ledger(path);
+  if (file.skipped_lines > 0) {
+    std::fprintf(stderr, "[benchdiff] %s: skipped %zu unparseable line(s)\n",
+                 path.c_str(), file.skipped_lines);
   }
   if (!bench.empty()) {
-    std::erase_if(records, [&bench](const ledger::LedgerRecord& r) {
+    std::erase_if(file.records, [&bench](const ledger::LedgerRecord& r) {
       return r.bench != bench;
     });
   }
-  return records;
+  return std::move(file.records);
 }
 
 int run(int argc, char** argv) {
@@ -113,36 +83,32 @@ int run(int argc, char** argv) {
                            };
 
   const auto& positional = args.positional();
+  const std::string ledger_path = args.get_or("ledger", "").empty()
+                                      ? "artifacts/ledger.jsonl"
+                                      : *args.get("ledger");
   bool regression = false;
   bool compared_anything = false;
 
   if (args.has("report")) {
     if (!positional.empty()) {
       std::fprintf(stderr,
-                   "usage: axiomcc-benchdiff --report [--ledger[=path]] "
+                   "usage: axiomcc-benchdiff --report [--ledger=path] "
                    "[--bench=NAME] [--window=12]\n");
       return 2;
-    }
-    const std::string path =
-        args.ledger_path().value_or(args.artifacts_dir() + "/ledger.jsonl");
-    const ledger::LedgerFile file = ledger::read_ledger(path);
-    if (file.skipped_lines > 0) {
-      std::fprintf(stderr, "[benchdiff] %s: skipped %zu unparseable line(s)\n",
-                   path.c_str(), file.skipped_lines);
     }
     ledger::ReportOptions report_options;
     report_options.bench_filter = bench_filter;
     report_options.max_history = static_cast<std::size_t>(
         std::max(1L, args.get_int("window", 12)));
-    std::fputs(
-        ledger::render_ledger_report(file.records, report_options, spark)
-            .c_str(),
-        stdout);
+    std::fputs(ledger::render_ledger_report(load_records(ledger_path, ""),
+                                            report_options, spark)
+                   .c_str(),
+               stdout);
     return 0;
   }
 
   if (positional.size() == 2) {
-    // Two-file mode: last (filtered) record of each input.
+    // Two-ledger mode: last (filtered) record of each input.
     const auto baseline = load_records(positional[0], bench_filter);
     const auto current = load_records(positional[1], bench_filter);
     if (baseline.empty() || current.empty()) {
@@ -163,25 +129,16 @@ int run(int argc, char** argv) {
   }
 
   // Ledger mode.
-  const std::string path =
-      args.ledger_path().value_or(args.artifacts_dir() + "/ledger.jsonl");
-  const ledger::LedgerFile file = ledger::read_ledger(path);
-  if (file.skipped_lines > 0) {
-    std::fprintf(stderr, "[benchdiff] %s: skipped %zu unparseable line(s)\n",
-                 path.c_str(), file.skipped_lines);
-  }
-
   std::map<std::pair<std::string, std::string>,
            std::vector<ledger::LedgerRecord>>
       groups;
-  for (const ledger::LedgerRecord& record : file.records) {
-    if (!bench_filter.empty() && record.bench != bench_filter) continue;
-    groups[{record.bench, record.backend}].push_back(record);
+  for (ledger::LedgerRecord& record : load_records(ledger_path, bench_filter)) {
+    groups[{record.bench, record.backend}].push_back(std::move(record));
   }
   if (groups.empty()) {
     std::fprintf(stderr, "error: no records%s%s in %s\n",
                  bench_filter.empty() ? "" : " for bench ",
-                 bench_filter.c_str(), path.c_str());
+                 bench_filter.c_str(), ledger_path.c_str());
     return 2;
   }
 
