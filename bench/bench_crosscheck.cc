@@ -51,28 +51,6 @@ using namespace axiomcc;
 
 namespace {
 
-/// Splits "aimd(1,0.5),cubic(0.4,0.8)" on the commas BETWEEN specs only
-/// (same rule as bench_gauntlet).
-std::vector<std::string> split_specs(const std::string& csv) {
-  std::vector<std::string> out;
-  std::string token;
-  int depth = 0;
-  for (const char c : csv) {
-    if (c == '(') ++depth;
-    if (c == ')' && depth > 0) --depth;
-    if (c == ',' && depth == 0) {
-      if (!token.empty()) out.push_back(token);
-      token.clear();
-      continue;
-    }
-    token.push_back(c);
-  }
-  if (!token.empty()) out.push_back(token);
-  return out;
-}
-
-std::string fmt(double v) { return TextTable::num(v, 3); }
-
 int run_bench(bench::Harness& h) {
   const ArgParser& args = h.args();
 
@@ -82,9 +60,7 @@ int run_bench(bench::Harness& h) {
                                         args.get_double("buffer", 100.0));
   cfg.base.num_senders = static_cast<int>(args.get_int("senders", 2));
   cfg.base.steps = args.get_int("steps", 4000);
-  if (const auto protocols = args.get("protocols")) {
-    cfg.protocol_specs = split_specs(*protocols);
-  }
+  cfg.protocol_specs = args.get_list("protocols", "");
   cfg.jobs = h.jobs();
 
   if (!args.has("csv")) {
@@ -201,11 +177,14 @@ int run_bench(bench::Harness& h) {
     for (const auto* side : {"fluid", "packet"}) {
       const core::MetricReport& r =
           side == std::string("fluid") ? e.fluid : e.packet;
-      scores.add_row({e.protocol, side, fmt(r.efficiency),
-                      fmt(r.loss_avoidance), fmt(r.fairness),
-                      fmt(r.convergence), fmt(r.tcp_friendliness),
-                      fmt(r.fast_utilization), fmt(r.robustness),
-                      fmt(r.latency_avoidance)});
+      scores.add_row({e.protocol, side, TextTable::num(r.efficiency, 3),
+                      TextTable::num(r.loss_avoidance, 3),
+                      TextTable::num(r.fairness, 3),
+                      TextTable::num(r.convergence, 3),
+                      TextTable::num(r.tcp_friendliness, 3),
+                      TextTable::num(r.fast_utilization, 3),
+                      TextTable::num(r.robustness, 3),
+                      TextTable::num(r.latency_avoidance, 3)});
     }
   }
   std::printf("%s\n", scores.render(format).c_str());
@@ -228,8 +207,9 @@ int run_bench(bench::Harness& h) {
                      "FairShare", "BeatDown"});
     for (const auto& e : topo_result.entries) {
       topo.add_row({e.protocol, std::to_string(e.bottlenecks),
-                    fmt(e.fluid_long_share), fmt(e.packet_long_share),
-                    fmt(e.fair_share),
+                    TextTable::num(e.fluid_long_share, 3),
+                    TextTable::num(e.packet_long_share, 3),
+                    TextTable::num(e.fair_share, 3),
                     e.beat_down_agrees ? "agree" : "DISAGREE"});
     }
     std::printf("%s\n", topo.render(format).c_str());

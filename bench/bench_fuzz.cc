@@ -41,15 +41,11 @@ using namespace axiomcc;
 
 namespace {
 
-std::string fmt(double v, int precision = 3) {
-  return TextTable::num(v, precision);
-}
-
 /// Short human-readable description of an outcome for the findings table.
 std::string outcome_detail(const fuzz::RunOutcome& outcome) {
   switch (outcome.kind) {
     case fuzz::OutcomeKind::kDivergence:
-      return "gap " + fmt(outcome.divergence, 2);
+      return "gap " + TextTable::num(outcome.divergence, 2);
     case fuzz::OutcomeKind::kFluidFault:
     case fuzz::OutcomeKind::kBothFault:
       return stress::fault_kind_name(outcome.fluid_fault.kind);

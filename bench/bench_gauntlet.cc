@@ -40,30 +40,6 @@ using namespace axiomcc;
 
 namespace {
 
-/// Splits "aimd(1,0.5),vegas(2,4)" on the commas BETWEEN specs only:
-/// commas inside a parenthesized argument list belong to the spec.
-std::vector<std::string> split_specs(const std::string& csv) {
-  std::vector<std::string> out;
-  std::string token;
-  int depth = 0;
-  for (const char c : csv) {
-    if (c == '(') ++depth;
-    if (c == ')' && depth > 0) --depth;
-    if (c == ',' && depth == 0) {
-      if (!token.empty()) out.push_back(token);
-      token.clear();
-      continue;
-    }
-    token.push_back(c);
-  }
-  if (!token.empty()) out.push_back(token);
-  return out;
-}
-
-std::string fmt(double v, int precision = 3) {
-  return TextTable::num(v, precision);
-}
-
 int run_bench(bench::Harness& h) {
   const ArgParser& args = h.args();
 
@@ -98,7 +74,7 @@ int run_bench(bench::Harness& h) {
   cfg.axiom_cfg.robustness_steps = 1200;
 
   const std::vector<std::string> specs =
-      args.get("protocols") ? split_specs(*args.get("protocols"))
+      args.has("protocols") ? args.get_list("protocols", "")
                             : exp::default_gauntlet_specs();
 
   if (!args.has("csv")) {
@@ -151,9 +127,11 @@ int run_bench(bench::Harness& h) {
       table.add_row({cell.protocol, cell.scenario,
                      std::to_string(cell.seed),
                      stress::fault_kind_name(cell.fault.kind),
-                     fmt(cell.utilization), fmt(cell.throughput_retention),
-                     fmt(cell.recovery_steps, 0), fmt(cell.fairness),
-                     fmt(cell.loss_rate)});
+                     TextTable::num(cell.utilization, 3),
+                     TextTable::num(cell.throughput_retention, 3),
+                     TextTable::num(cell.recovery_steps, 0),
+                     TextTable::num(cell.fairness, 3),
+                     TextTable::num(cell.loss_rate, 3)});
     }
     std::printf("%s\n", table.render(format).c_str());
     return 0;
@@ -166,17 +144,20 @@ int run_bench(bench::Harness& h) {
   for (const auto& s : result.scorecard) {
     table.add_row(
         {s.protocol, std::to_string(s.cells), std::to_string(s.failed_cells),
-         fmt(s.mean_utilization), fmt(s.mean_retention),
-         fmt(s.worst_retention), fmt(s.mean_recovery_steps, 0),
-         std::to_string(s.unrecovered_cells), fmt(s.worst_fairness),
+         TextTable::num(s.mean_utilization, 3),
+         TextTable::num(s.mean_retention, 3),
+         TextTable::num(s.worst_retention, 3),
+         TextTable::num(s.mean_recovery_steps, 0),
+         std::to_string(s.unrecovered_cells),
+         TextTable::num(s.worst_fairness, 3),
          cfg.include_axiom_metrics && s.axiom_fault.ok()
-             ? fmt(s.axioms.robustness)
+             ? TextTable::num(s.axioms.robustness, 3)
              : "-",
          cfg.include_axiom_metrics && s.axiom_fault.ok()
-             ? fmt(s.axioms.efficiency)
+             ? TextTable::num(s.axioms.efficiency, 3)
              : "-",
          cfg.include_axiom_metrics && s.axiom_fault.ok()
-             ? fmt(s.axioms.tcp_friendliness)
+             ? TextTable::num(s.axioms.tcp_friendliness, 3)
              : "-"});
   }
   std::printf("%s\n", table.render(format).c_str());

@@ -11,7 +11,6 @@
 // --min-fairness --min-convergence --min-robustness --min-friendliness
 // --max-latency, plus --mbps/--rtt-ms/--buffer/--steps for the scenario.
 #include <cstdio>
-#include <exception>
 
 #include "core/feasibility.h"
 #include "util/cli.h"
@@ -20,8 +19,12 @@
 using namespace axiomcc;
 
 int main(int argc, char** argv) {
-  try {
-    const ArgParser args(argc, argv);
+  return run_cli([&] {
+    const ArgParser args(argc, argv,
+                         {"min-efficiency", "min-fast", "max-loss",
+                          "min-fairness", "min-convergence", "min-robustness",
+                          "min-friendliness", "max-latency", "mbps", "rtt-ms",
+                          "buffer", "steps"});
 
     core::FeasibilityQuery query;
     const auto bind = [&](const char* flag, std::optional<double>& field) {
@@ -72,8 +75,5 @@ int main(int argc, char** argv) {
     }
     std::printf("%s", table.render().c_str());
     return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  });
 }

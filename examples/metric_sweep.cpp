@@ -7,10 +7,8 @@
 //                     [--bandwidths=20,30,60,100] [--rtts=42]
 //                     [--buffers=10,100] [--steps=3000] [--out=sweep.csv]
 #include <cstdio>
-#include <exception>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,52 +17,26 @@
 
 using namespace axiomcc;
 
-namespace {
-
-std::vector<std::string> split_specs(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  int depth = 0;
-  for (std::size_t i = 0; i <= csv.size(); ++i) {
-    if (i == csv.size() || (csv[i] == ',' && depth == 0)) {
-      if (i > start) out.push_back(csv.substr(start, i - start));
-      start = i + 1;
-    } else if (csv[i] == '(') {
-      ++depth;
-    } else if (csv[i] == ')') {
-      --depth;
-    }
-  }
-  return out;
-}
-
-std::vector<double> split_numbers(const std::string& csv) {
-  std::vector<double> out;
-  std::stringstream ss(csv);
-  std::string token;
-  while (std::getline(ss, token, ',')) {
-    if (!token.empty()) out.push_back(std::stod(token));
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  try {
-    const ArgParser args(argc, argv);
+  return run_cli([&] {
+    const ArgParser args(argc, argv,
+                         {"protocols", "bandwidths", "rtts", "buffers", "steps",
+                          "out"});
 
-    const auto specs =
-        split_specs(args.get_or("protocols", "reno,cubic-linux,scalable,"
-                                             "robust_aimd(1,0.8,0.01),bbr"));
+    const auto specs = args.get_list(
+        "protocols", "reno,cubic-linux,scalable,robust_aimd(1,0.8,0.01),bbr");
+    // A numeric list flag replaces its axis of the default grid.
     exp::LinkGrid grid;
-    if (args.has("bandwidths")) {
-      grid.bandwidths_mbps = split_numbers(args.get_or("bandwidths", ""));
-    }
-    if (args.has("rtts")) grid.rtts_ms = split_numbers(args.get_or("rtts", ""));
-    if (args.has("buffers")) {
-      grid.buffers_mss = split_numbers(args.get_or("buffers", ""));
-    }
+    const auto axis = [&args](const char* flag, std::vector<double>& values) {
+      if (!args.has(flag)) return;
+      values.clear();
+      for (const std::string& item : args.get_list(flag, "")) {
+        values.push_back(std::stod(item));
+      }
+    };
+    axis("bandwidths", grid.bandwidths_mbps);
+    axis("rtts", grid.rtts_ms);
+    axis("buffers", grid.buffers_mss);
 
     core::EvalConfig base;
     base.steps = args.get_int("steps", 3000);
@@ -86,8 +58,5 @@ int main(int argc, char** argv) {
       exp::write_sweep_csv(rows, std::cout);
     }
     return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  });
 }

@@ -6,8 +6,6 @@
 //                         [--rtt-ms=42] [--buffer=50] [--duration=20]
 //                         [--watch=0] [--loss=0] [--csv] [--dump=trace.csv]
 #include <cstdio>
-#include <exception>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,30 +17,11 @@
 
 using namespace axiomcc;
 
-namespace {
-
-std::vector<std::string> split_specs(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  int depth = 0;
-  for (std::size_t i = 0; i <= csv.size(); ++i) {
-    if (i == csv.size() || (csv[i] == ',' && depth == 0)) {
-      if (i > start) out.push_back(csv.substr(start, i - start));
-      start = i + 1;
-    } else if (csv[i] == '(') {
-      ++depth;
-    } else if (csv[i] == ')') {
-      --depth;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  try {
-    const ArgParser args(argc, argv);
+  return run_cli([&] {
+    const ArgParser args(argc, argv,
+                         {"protocol", "mbps", "rtt-ms", "buffer", "duration",
+                          "loss", "watch", "csv", "dump"});
 
     sim::DumbbellConfig cfg;
     cfg.bottleneck_mbps = args.get_double("mbps", 20.0);
@@ -52,7 +31,7 @@ int main(int argc, char** argv) {
     cfg.random_loss_rate = args.get_double("loss", 0.0);
 
     sim::DumbbellExperiment exp(cfg);
-    const auto specs = split_specs(args.get_or("protocol", "reno,reno"));
+    const auto specs = args.get_list("protocol", "reno,reno");
     for (const auto& spec : specs) {
       exp.add_flow(cc::make_protocol(spec));
     }
@@ -103,8 +82,5 @@ int main(int argc, char** argv) {
       std::printf("sampled window trace written to %s\n", dump->c_str());
     }
     return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  });
 }

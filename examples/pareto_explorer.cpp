@@ -6,7 +6,6 @@
 // Usage: pareto_explorer [--family=aimd|robust_aimd] [--mbps=30] [--rtt-ms=42]
 //                        [--buffer=100] [--steps=3000] [--markdown]
 #include <cstdio>
-#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,8 +55,10 @@ std::vector<Candidate> sweep_robust_aimd(const core::EvalConfig& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const ArgParser args(argc, argv);
+  return run_cli([&] {
+    const ArgParser args(argc, argv,
+                         {"family", "mbps", "rtt-ms", "buffer", "steps",
+                          "markdown"});
     core::EvalConfig cfg;
     cfg.link = fluid::make_link_mbps(args.get_double("mbps", 30.0),
                                      args.get_double("rtt-ms", 42.0),
@@ -112,8 +113,5 @@ int main(int argc, char** argv) {
     std::printf("The frontier is where protocol DESIGN should live "
                 "(paper, Section 5.2).\n");
     return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  });
 }

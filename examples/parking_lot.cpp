@@ -9,7 +9,6 @@
 // Usage: parking_lot [--protocol=robust_aimd(1,0.5,0.01)] [--max-hops=4]
 //                    [--mbps=20] [--steps=3000] [--duration=20]
 #include <cstdio>
-#include <exception>
 
 #include "cc/registry.h"
 #include "fluid/network.h"
@@ -21,8 +20,9 @@
 using namespace axiomcc;
 
 int main(int argc, char** argv) {
-  try {
-    const ArgParser args(argc, argv);
+  return run_cli([&] {
+    const ArgParser args(argc, argv,
+                         {"protocol", "max-hops", "mbps", "steps", "duration"});
     const std::string spec = args.get_or("protocol", "robust_aimd(1,0.5,0.01)");
     const int max_hops = static_cast<int>(args.get_int("max-hops", 4));
     const double mbps = args.get_double("mbps", 20.0);
@@ -75,8 +75,5 @@ int main(int argc, char** argv) {
         "--protocol=reno\nvs --protocol=\"robust_aimd(1,0.5,0.01)\" on the "
         "fluid side).\n");
     return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  });
 }

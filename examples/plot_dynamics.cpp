@@ -6,7 +6,6 @@
 //                      [--rtt-ms=42] [--buffer=100] [--steps=600]
 //                      [--initial=1,60]
 #include <cstdio>
-#include <exception>
 #include <string>
 #include <vector>
 
@@ -18,32 +17,13 @@
 
 using namespace axiomcc;
 
-namespace {
-
-std::vector<std::string> split_specs(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  int depth = 0;
-  for (std::size_t i = 0; i <= csv.size(); ++i) {
-    if (i == csv.size() || (csv[i] == ',' && depth == 0)) {
-      if (i > start) out.push_back(csv.substr(start, i - start));
-      start = i + 1;
-    } else if (csv[i] == '(') {
-      ++depth;
-    } else if (csv[i] == ')') {
-      --depth;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  try {
-    const ArgParser args(argc, argv);
-    const auto specs = split_specs(args.get_or("protocols", "reno,reno"));
-    const auto initials = split_specs(args.get_or("initial", "1,60"));
+  return run_cli([&] {
+    const ArgParser args(argc, argv,
+                         {"protocols", "initial", "mbps", "rtt-ms", "buffer",
+                          "steps"});
+    const auto specs = args.get_list("protocols", "reno,reno");
+    const auto initials = args.get_list("initial", "1,60");
 
     fluid::SimOptions opt;
     opt.steps = args.get_int("steps", 600);
@@ -81,8 +61,5 @@ int main(int argc, char** argv) {
     std::printf("\n(AIMD theory: trough/peak = b, period = (1-b)·peak/a "
                 "steps — docs/THEORY.md)\n");
     return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  });
 }

@@ -7,7 +7,6 @@
 //                          [--mbps=30] [--rtt-ms=42] [--buffer=100]
 //                          [--senders=2] [--steps=4000] [--markdown]
 #include <cstdio>
-#include <exception>
 #include <string>
 #include <vector>
 
@@ -19,35 +18,15 @@
 
 using namespace axiomcc;
 
-namespace {
-
-// Comma-split that respects parentheses, so "aimd(1,0.5),reno" works.
-std::vector<std::string> split_specs(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  int depth = 0;
-  for (std::size_t i = 0; i <= csv.size(); ++i) {
-    if (i == csv.size() || (csv[i] == ',' && depth == 0)) {
-      if (i > start) out.push_back(csv.substr(start, i - start));
-      start = i + 1;
-    } else if (csv[i] == '(') {
-      ++depth;
-    } else if (csv[i] == ')') {
-      --depth;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  try {
-    const ArgParser args(argc, argv);
-    const auto specs = split_specs(args.get_or(
+  return run_cli([&] {
+    const ArgParser args(argc, argv,
+                         {"protocols", "mbps", "rtt-ms", "buffer", "senders",
+                          "steps", "markdown"});
+    const auto specs = args.get_list(
         "protocols",
         "reno,cubic-linux,scalable,bin(1,1,1,0),robust_aimd(1,0.8,0.01),pcc,"
-        "vegas(2,4)"));
+        "vegas(2,4)");
 
     core::EvalConfig cfg;
     cfg.link = fluid::make_link_mbps(args.get_double("mbps", 30.0),
@@ -103,8 +82,5 @@ int main(int argc, char** argv) {
     std::printf("dominated: %zu of %zu\n", names.size() - frontier.size(),
                 names.size());
     return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  });
 }

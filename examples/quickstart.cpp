@@ -7,7 +7,6 @@
 // Usage: quickstart [--protocol=aimd(1,0.5)] [--mbps=30] [--rtt-ms=42]
 //                   [--buffer=100] [--senders=2] [--steps=4000]
 #include <cstdio>
-#include <exception>
 
 #include "cc/registry.h"
 #include "core/evaluator.h"
@@ -18,8 +17,10 @@
 using namespace axiomcc;
 
 int main(int argc, char** argv) {
-  try {
-    const ArgParser args(argc, argv);
+  return run_cli([&] {
+    const ArgParser args(argc, argv,
+                         {"protocol", "mbps", "rtt-ms", "buffer", "senders",
+                          "steps"});
     const std::string spec = args.get_or("protocol", "aimd(1,0.5)");
     const auto protocol = cc::make_protocol(spec);
 
@@ -57,8 +58,5 @@ int main(int argc, char** argv) {
         measured.efficiency * 100.0, measured.loss_avoidance * 100.0,
         measured.fairness * 100.0, measured.robustness * 100.0);
     return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  });
 }

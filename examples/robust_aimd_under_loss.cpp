@@ -6,7 +6,6 @@
 // Usage: robust_aimd_under_loss [--loss=0.008] [--mbps=20] [--rtt-ms=42]
 //                               [--duration=30] [--steps=2000]
 #include <cstdio>
-#include <exception>
 #include <memory>
 #include <vector>
 
@@ -21,8 +20,9 @@
 using namespace axiomcc;
 
 int main(int argc, char** argv) {
-  try {
-    const ArgParser args(argc, argv);
+  return run_cli([&] {
+    const ArgParser args(argc, argv,
+                         {"loss", "mbps", "rtt-ms", "steps", "duration"});
     const double loss = args.get_double("loss", 0.008);
     const double mbps = args.get_double("mbps", 20.0);
     const double rtt_ms = args.get_double("rtt-ms", 42.0);
@@ -90,8 +90,5 @@ int main(int argc, char** argv) {
         "below its\n~5%% utility knee, so both keep the pipe full (paper "
         "Sections 3 and 5.2).\n");
     return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  });
 }

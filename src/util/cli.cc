@@ -1,24 +1,38 @@
 #include "util/cli.h"
 
-#include <stdexcept>
+#include <algorithm>
+#include <cstdio>
+#include <exception>
+#include <utility>
 
 #include "util/task_pool.h"
 
 namespace axiomcc {
 
-ArgParser::ArgParser(int argc, const char* const* argv) {
+ArgParser::ArgParser(int argc, const char* const* argv,
+                     std::vector<std::string> flags, Positionals positionals)
+    : reads_(std::move(flags)) {
+  const std::string_view path = argc > 0 ? argv[0] : "";
+  const std::string program(path.substr(path.rfind('/') + 1));
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      const auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        values_[arg.substr(2)] = "";
-      } else {
-        values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+    if (arg.rfind("--", 0) != 0) {
+      if (positionals == Positionals::kRejected) {
+        throw UsageError("unexpected argument '" + arg +
+                         "' (flags are --key=value)");
       }
-    } else {
       positional_.push_back(arg);
+      continue;
     }
+    const auto eq = arg.find('=');
+    const std::string key = arg.substr(2, eq - 2);  // npos - 2: to the end
+    if (!reads(key)) {
+      std::string accepted;
+      for (const std::string& f : reads_) accepted += " --" + f;
+      throw UsageError("unknown flag --" + key + " (" + program + " reads" +
+                       accepted + ")");
+    }
+    values_[key] = eq == std::string::npos ? "" : arg.substr(eq + 1);
   }
 }
 
@@ -69,10 +83,48 @@ long ArgParser::get_int(const std::string& key, long fallback) const {
                               "=4)");
 }
 
+std::vector<std::string> ArgParser::get_list(
+    const std::string& key, const std::string& fallback) const {
+  std::vector<std::string> out;
+  std::string item;
+  int depth = 0;
+  for (const char c : get_or(key, fallback)) {
+    if (c == '(') ++depth;
+    if (c == ')' && depth > 0) --depth;
+    if (c == ',' && depth == 0) {
+      if (!item.empty()) out.push_back(std::move(item));
+      item.clear();
+      continue;
+    }
+    item.push_back(c);
+  }
+  if (!item.empty()) out.push_back(std::move(item));
+  return out;
+}
+
 bool ArgParser::has(const std::string& key) const {
   return values_.contains(key);
 }
 
+bool ArgParser::reads(std::string_view flag) const {
+  return std::any_of(reads_.begin(), reads_.end(), [flag](std::string_view f) {
+    return f == flag ||
+           (f.ends_with('*') && flag.starts_with(f.substr(0, f.size() - 1)));
+  });
+}
+
 long ArgParser::get_jobs() const { return resolve_jobs(get_int("jobs", 0)); }
+
+int run_cli(const std::function<int()>& body) {
+  try {
+    return body();
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+}
 
 }  // namespace axiomcc

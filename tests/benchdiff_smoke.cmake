@@ -3,7 +3,7 @@
 #         -P benchdiff_smoke.cmake
 # It writes three one-record ledgers and checks the exit codes: identical
 # records compare clean (0), a changed deterministic counter is a
-# regression (1).
+# regression (1), and a misspelt flag is a usage error (2).
 foreach(var BENCHDIFF WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "pass -D${var}=...")
@@ -36,3 +36,14 @@ endfunction()
 
 expect_exit(0 same.jsonl)
 expect_exit(1 changed.jsonl)
+
+# A misspelt flag is a usage error (exit 2) that names the flag.
+execute_process(
+  COMMAND "${BENCHDIFF}" --windw=3 "${WORK_DIR}/baseline.jsonl"
+          "${WORK_DIR}/same.jsonl"
+  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+string(FIND "${err}" "unknown flag --windw " at)
+if(NOT code EQUAL 2 OR at EQUAL -1)
+  message(FATAL_ERROR "benchdiff --windw=3: exit ${code}, expected 2 naming "
+                      "the flag\n${out}${err}")
+endif()

@@ -1,0 +1,45 @@
+# Smoke test of one binary's command-line contract. Run as
+#   cmake -DPROGRAM=<path> "-DGOOD_ARGS=--steps=200;--mbps=20"
+#         -DBAD_FLAG=--stpes=200 [-DBAD_EXIT=2] [-DERROR_PREFIX=error:]
+#         -P cli_smoke.cmake
+# With GOOD_ARGS it first runs PROGRAM with them and expects exit 0. It
+# then runs PROGRAM with the misspelt BAD_FLAG alone and expects exit
+# BAD_EXIT (default 2) and "<ERROR_PREFIX> unknown flag --<name>" on
+# stderr.
+foreach(var PROGRAM BAD_FLAG)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "pass -D${var}=...")
+  endif()
+endforeach()
+if(NOT DEFINED BAD_EXIT)
+  set(BAD_EXIT 2)
+endif()
+if(NOT DEFINED ERROR_PREFIX)
+  set(ERROR_PREFIX "error:")
+endif()
+
+if(DEFINED GOOD_ARGS)
+  execute_process(COMMAND "${PROGRAM}" ${GOOD_ARGS}
+                  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "${PROGRAM} ${GOOD_ARGS}: exit ${code}, expected 0\n"
+                        "${out}${err}")
+  endif()
+endif()
+
+string(REGEX REPLACE "=.*" "" flag "${BAD_FLAG}")
+execute_process(COMMAND "${PROGRAM}" "${BAD_FLAG}"
+                RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL BAD_EXIT)
+  message(FATAL_ERROR "${PROGRAM} ${BAD_FLAG}: exit ${code}, expected "
+                      "${BAD_EXIT}\n${out}${err}")
+endif()
+string(FIND "${err}" "${ERROR_PREFIX} unknown flag ${flag} " at)
+if(at EQUAL -1)
+  message(FATAL_ERROR "${PROGRAM} ${BAD_FLAG}: stderr does not say "
+                      "'${ERROR_PREFIX} unknown flag ${flag}'\n${err}")
+endif()
+if(NOT out STREQUAL "")
+  message(FATAL_ERROR "${PROGRAM} ${BAD_FLAG} printed to stdout before "
+                      "rejecting the flag:\n${out}")
+endif()

@@ -4,14 +4,39 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace axiomcc {
 namespace {
 
+/// An ArgParser over `args` that reads every flag ("*") and takes
+/// positional arguments.
 ArgParser parse(std::initializer_list<const char*> args) {
   std::vector<const char*> argv{"prog"};
   argv.insert(argv.end(), args.begin(), args.end());
-  return ArgParser(static_cast<int>(argv.size()), argv.data());
+  return ArgParser(static_cast<int>(argv.size()), argv.data(), {"*"},
+                   ArgParser::Positionals::kAccepted);
+}
+
+/// An ArgParser over `args` that reads only `flags`.
+ArgParser strict(std::initializer_list<const char*> args,
+                 std::vector<std::string> flags) {
+  std::vector<const char*> argv{"build/examples/prog"};
+  argv.insert(argv.end(), args.begin(), args.end());
+  return ArgParser(static_cast<int>(argv.size()), argv.data(),
+                   std::move(flags));
+}
+
+/// The UsageError message `args` raises under `flags` ("" if none).
+std::string usage_error(std::initializer_list<const char*> args,
+                        std::vector<std::string> flags) {
+  try {
+    (void)strict(args, std::move(flags));
+  } catch (const UsageError& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(ArgParser, KeyValuePairs) {
@@ -99,11 +124,76 @@ TEST(ArgParser, ValueContainingEquals) {
   EXPECT_EQ(args.get_or("spec", ""), "aimd(a=1,b=0.5)");
 }
 
-TEST(ArgParser, FlagsListsEveryKeyWithItsValue) {
-  const auto args = parse({"--steps=4", "--csv", "pos"});
-  ASSERT_EQ(args.flags().size(), 2u);
-  EXPECT_EQ(args.flags().at("steps"), "4");
-  EXPECT_EQ(args.flags().at("csv"), "");
+TEST(ArgParser, StrictAcceptsTheFlagsItReads) {
+  const auto args = strict({"--steps=4", "--csv"}, {"steps", "csv", "mbps"});
+  EXPECT_EQ(args.get_int("steps", 0), 4);
+  EXPECT_TRUE(args.has("csv"));
+  EXPECT_FALSE(args.has("mbps"));
+  EXPECT_TRUE(args.reads("mbps"));
+  EXPECT_FALSE(args.reads("protocol"));
+}
+
+TEST(ArgParser, StrictRejectsAnUnknownFlagNamingItAndTheProgram) {
+  EXPECT_EQ(usage_error({"--steps=4", "--protcol=aimd(2,0.5)"},
+                        {"protocol", "steps"}),
+            "unknown flag --protcol (prog reads --protocol --steps)");
+  // A bare switch is a flag like any other.
+  EXPECT_NE(usage_error({"--verbose"}, {"steps"}).find("--verbose "),
+            std::string::npos);
+  // No flag list reads nothing; a UsageError is an invalid_argument.
+  EXPECT_THROW((void)strict({"--steps=1"}, {}), std::invalid_argument);
+}
+
+TEST(ArgParser, StrictRejectsPositionalsUnlessAccepted) {
+  EXPECT_EQ(usage_error({"--steps", "4"}, {"steps"}),
+            "unexpected argument '4' (flags are --key=value)");
+  const char* argv[] = {"prog", "a.jsonl", "b.jsonl"};
+  const ArgParser args(3, argv, {}, ArgParser::Positionals::kAccepted);
+  EXPECT_EQ(args.positional().size(), 2u);
+}
+
+TEST(ArgParser, StarSuffixReadsAPrefix) {
+  EXPECT_EQ(usage_error({"--benchmark_filter=BM_x"}, {"benchmark_*"}), "");
+  EXPECT_NE(usage_error({"--benchmarks"}, {"benchmark_*"}), "");
+}
+
+TEST(ArgParser, GetListSplitsOnlyOutsideParentheses) {
+  const auto args = parse({"--protocols=aimd(1,0.5),vegas(2,4)"});
+  EXPECT_EQ(args.get_list("protocols", ""),
+            (std::vector<std::string>{"aimd(1,0.5)", "vegas(2,4)"}));
+  EXPECT_EQ(args.get_list("absent", "reno,bin(1,1,0.5,0.5)"),
+            (std::vector<std::string>{"reno", "bin(1,1,0.5,0.5)"}));
+  EXPECT_EQ(parse({"--p=f(g(1,2),3),h"}).get_list("p", ""),
+            (std::vector<std::string>{"f(g(1,2),3)", "h"}));
+}
+
+TEST(ArgParser, GetListDropsEmptyItems) {
+  EXPECT_EQ(parse({"--p=,reno,,cubic,"}).get_list("p", ""),
+            (std::vector<std::string>{"reno", "cubic"}));
+  EXPECT_TRUE(parse({"--p="}).get_list("p", "reno").empty());
+  EXPECT_TRUE(parse({}).get_list("p", "").empty());
+}
+
+TEST(ArgParser, GetListStrayCloseParenKeepsDepthAtZero) {
+  // A stray ')' does not take the depth negative, so the commas after it
+  // still split.
+  EXPECT_EQ(parse({"--p=a),b,c"}).get_list("p", ""),
+            (std::vector<std::string>{"a)", "b", "c"}));
+  // An unclosed '(' keeps the rest of the list in one item.
+  EXPECT_EQ(parse({"--p=a(1,b,c"}).get_list("p", ""),
+            (std::vector<std::string>{"a(1,b,c"}));
+}
+
+TEST(RunCli, ExitCodesAndTheErrorLine) {
+  EXPECT_EQ(run_cli([] { return 0; }), 0);
+  EXPECT_EQ(run_cli([] { return 3; }), 3);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_cli([]() -> int { throw UsageError("unknown flag --x"); }), 2);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "error: unknown flag --x\n");
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_cli([]() -> int { throw std::runtime_error("boom"); }), 1);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "error: boom\n");
 }
 
 }  // namespace

@@ -68,7 +68,10 @@ std::vector<ledger::LedgerRecord> load_records(const std::string& path,
 }
 
 int run(int argc, char** argv) {
-  const ArgParser args(argc, argv);
+  const ArgParser args(argc, argv,
+                       {"ledger", "bench", "window", "threshold", "mad-k",
+                        "floor", "no-spark", "report"},
+                       ArgParser::Positionals::kAccepted);
   ledger::SentinelOptions options;
   options.timing_threshold = args.get_double("threshold", 0.20);
   options.mad_k = args.get_double("mad-k", 3.0);

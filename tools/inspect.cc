@@ -29,7 +29,8 @@
 // report is annotated with both, so captures from two checkouts of the
 // repo can be diffed directly.
 //
-// Exit codes: 0 rendered / aligned, 2 aligned-and-diverged, 1 error.
+// Exit codes: 0 rendered / aligned, 2 aligned-and-diverged, 1 error (an
+// unknown flag among them).
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -241,7 +242,11 @@ int run(const ArgParser& args) {
 
 int main(int argc, char** argv) {
   try {
-    return run(ArgParser(argc, argv));
+    return run(ArgParser(argc, argv,
+                         {"align", "tolerance", "context", "with-cohort",
+                          "classes", "stride", "depth", "scope-window",
+                          "events"},
+                         ArgParser::Positionals::kAccepted));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "axiomcc-inspect: %s\n", e.what());
     return 1;
