@@ -1,8 +1,5 @@
 #include "exp/crosscheck.h"
 
-#include <algorithm>
-#include <cmath>
-#include <numeric>
 #include <ostream>
 #include <vector>
 
@@ -10,6 +7,7 @@
 #include "engine/backend.h"
 #include "engine/scenario.h"
 #include "engine/topology.h"
+#include "exp/emulab.h"
 #include "ledger/provenance.h"
 #include "recorder/io.h"
 #include "telemetry/telemetry.h"
@@ -17,38 +15,6 @@
 #include "util/task_pool.h"
 
 namespace axiomcc::exp {
-
-namespace {
-
-/// Differences below this are ties — same floors the emulab grid uses: loss
-/// rates live near zero, so a relative margin would turn noise into a
-/// "strict" ordering there.
-double tie_threshold(core::Metric m) {
-  return m == core::Metric::kLossAvoidance ? 0.005 : 0.05;
-}
-
-/// Higher-is-better view of one backend's score.
-double oriented(const core::MetricReport& r, core::Metric m) {
-  const double v = r.get(m);
-  return core::lower_is_better(m) ? -v : v;
-}
-
-std::string order_string(const std::vector<CrosscheckEntry>& entries,
-                         const std::vector<double>& scores) {
-  std::vector<std::size_t> idx(scores.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    return scores[a] < scores[b];
-  });
-  std::string out;
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    if (i > 0) out += " < ";
-    out += entries[idx[i]].protocol;
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<std::string> default_crosscheck_specs() {
   return {"aimd(1,0.5)",     "mimd(1.01,0.875)", "bin(1,1,1,0)",
@@ -110,48 +76,27 @@ CrosscheckResult run_crosscheck(const CrosscheckConfig& cfg) {
 std::vector<MetricAgreement> check_crosscheck_agreement(
     const std::vector<CrosscheckEntry>& entries) {
   AXIOMCC_EXPECTS(!entries.empty());
-  // Same pairwise-margin logic the emulab grid uses against real traces:
-  // fluid-side separations beyond a tie threshold are hierarchy claims; the
-  // packet side agrees unless it inverts the pair beyond slack.
-  constexpr double kFluidMargin = 0.05;
-  constexpr double kPacketSlack = 0.02;
+  std::vector<std::string> names;
+  for (const CrosscheckEntry& e : entries) names.push_back(e.protocol);
 
-  const std::size_t n = entries.size();
   std::vector<MetricAgreement> agreements;
   for (core::Metric m : crosscheck_metrics()) {
-    std::vector<double> fl(n);
-    std::vector<double> pk(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      fl[i] = oriented(entries[i].fluid, m);
-      pk[i] = oriented(entries[i].packet, m);
+    const auto index = static_cast<std::size_t>(m);
+    std::vector<double> fl;
+    std::vector<double> pk;
+    for (const CrosscheckEntry& e : entries) {
+      fl.push_back(e.fluid.oriented()[index]);
+      pk.push_back(e.packet.oriented()[index]);
     }
-
-    MetricAgreement a;
-    a.metric = m;
-    a.fluid_order = order_string(entries, fl);
-    a.packet_order = order_string(entries, pk);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (i == j) continue;
-        const double scale =
-            std::max({std::fabs(fl[i]), std::fabs(fl[j]), 1e-9});
-        const double threshold =
-            std::max(kFluidMargin * scale, tie_threshold(m));
-        if (fl[i] - fl[j] <= threshold) continue;  // tie: no claim made
-        ++a.pairs;
-        // Packet-side congestion noise (queueing granularity, slow start)
-        // is larger than the fluid model's: an inversion only counts once
-        // it exceeds a FULL tie threshold, not the half the emulab grid
-        // uses against its much longer averaging windows.
-        const double pscale =
-            std::max({std::fabs(pk[i]), std::fabs(pk[j]), 1e-9});
-        const double slack =
-            std::max(kPacketSlack * pscale, tie_threshold(m));
-        if (pk[i] - pk[j] >= -slack) ++a.agreeing_pairs;
-      }
-    }
-    a.matches = a.agreeing_pairs == a.pairs;
-    agreements.push_back(std::move(a));
+    // The emulab grid's judge with fluid as the reference. Packet-side
+    // congestion noise (queueing granularity, slow start) is larger than
+    // the fluid model's, so an inversion counts only beyond a FULL tie
+    // threshold, not the half the emulab grid allows its long averages.
+    const HierarchyJudgement j = judge_hierarchy(m, names, fl, pk, 1.0);
+    agreements.push_back(MetricAgreement{m, j.reference_order,
+                                         j.candidate_order, j.pairs,
+                                         j.agreeing_pairs,
+                                         j.agreeing_pairs == j.pairs});
   }
   return agreements;
 }

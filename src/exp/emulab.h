@@ -68,4 +68,24 @@ struct HierarchyVerdict {
 [[nodiscard]] std::vector<HierarchyVerdict> check_hierarchies(
     const EmulabCell& cell);
 
+/// One metric's pairwise hierarchy comparison. Scores are higher-is-better
+/// (MetricReport::oriented), one per protocol in `names` order. A pair
+/// (i, j) is a claim when `reference` puts i above j by more than
+/// max(5 % relative, the metric's tie threshold); `candidate` agrees unless
+/// it inverts the pair by more than max(2 % relative, `tie_floor` × the
+/// tie threshold). The emulab grid uses half the threshold as its floor,
+/// the crosscheck the full threshold (packet noise exceeds the emulab
+/// grid's long averaging windows).
+struct HierarchyJudgement {
+  std::string reference_order;  ///< worst to best, e.g. "Scalable < Reno"
+  std::string candidate_order;
+  int pairs = 0;
+  int agreeing_pairs = 0;
+};
+
+[[nodiscard]] HierarchyJudgement judge_hierarchy(
+    core::Metric m, const std::vector<std::string>& names,
+    const std::vector<double>& reference, const std::vector<double>& candidate,
+    double tie_floor);
+
 }  // namespace axiomcc::exp
