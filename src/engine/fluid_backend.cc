@@ -86,7 +86,6 @@ RunTrace FluidBackend::run(const ScenarioSpec& spec) const {
   options.max_window_mss = spec.max_window_mss;
   options.trace_detail = spec.trace_detail;
   options.tracked_senders = spec.tracked_senders;
-  options.jobs = spec.jobs;
   options.record_sink = spec.record_sink;
   options.scope_sink = spec.scope_sink;
 

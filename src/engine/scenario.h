@@ -181,9 +181,6 @@ struct ScenarioSpec {
   /// packet backend reduces its full trace post-hoc).
   fluid::TraceDetail trace_detail = fluid::TraceDetail::kFull;
   int tracked_senders = 8;
-  /// Fluid backend only: the shard count for large materialized cohorts
-  /// (0 = hardware). Traces are identical at any value.
-  long jobs = 1;
   /// Flight-recorder capture options (event classes, ring depth, sample
   /// stride). `record.enabled` is the master switch; the sink below must
   /// also be installed for a backend to emit anything.

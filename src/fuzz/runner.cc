@@ -139,7 +139,6 @@ const char* outcome_kind_name(OutcomeKind kind) {
 }
 
 engine::ScenarioSpec oracle_spec(engine::ScenarioSpec spec) {
-  spec.jobs = 1;
   if (spec.trace_detail != fluid::TraceDetail::kAggregate) return spec;
   // Workload generators change the run's population; track the expanded
   // count. A workload the engine rejects faults before any trace exists.

@@ -102,9 +102,7 @@ struct RunnerConfig {
 
 /// `spec` as the oracle runs it on each backend: an aggregate trace tracks
 /// the whole expanded population, so the estimators read every sender's
-/// series and classify exactly as they would a full trace, and the fluid
-/// backend runs at jobs = 1 (byte-identical to any job count, and it keeps
-/// run_scenario pure for the fuzz loop's own fan-out).
+/// series and classify exactly as they would a full trace.
 [[nodiscard]] engine::ScenarioSpec oracle_spec(engine::ScenarioSpec spec);
 
 /// Runs `spec` on both backends and classifies the outcome. A spec the

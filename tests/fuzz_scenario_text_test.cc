@@ -380,13 +380,11 @@ TEST(FuzzScenarioText, CompilesToRunnableSpec) {
   EXPECT_EQ(engine::make_run_slots(oracle).protocols.size(),
             spec.senders.size());
   // The cohort slot keeps its count; the aggregate trace tracks the whole
-  // (expanded) population so the estimators see every sender's series; the
-  // fluid backend runs at jobs=1.
+  // (expanded) population so the estimators see every sender's series.
   EXPECT_EQ(oracle.senders.back().count, 6);
   EXPECT_EQ(oracle.total_senders(), 8);
   EXPECT_EQ(oracle.trace_detail, fluid::TraceDetail::kAggregate);
   EXPECT_EQ(oracle.tracked_senders, 8);
-  EXPECT_EQ(oracle.jobs, 1);
   EXPECT_EQ(oracle.bandwidth_scale, spec.bandwidth_scale);
   EXPECT_DOUBLE_EQ(oracle.bandwidth_scale.at(120), 0.001);
   EXPECT_DOUBLE_EQ(oracle.bandwidth_scale.at(0), 1.0);
