@@ -58,9 +58,12 @@ int run_bench(bench::Harness& h) {
   double product = 1.0;
   std::size_t above_1_5 = 0;
   for (const auto& cell : cells) {
-    table.add_row({"(" + std::to_string(cell.n) + "," +
-                       std::to_string(static_cast<int>(cell.bandwidth_mbps)) +
-                       ")",
+    // Appended rather than built as `"(" + ...`: GCC 12 warns (-Wrestrict,
+    // a false positive) on a literal prepended to a temporary string.
+    std::string label = "(";
+    label += std::to_string(cell.n) + "," +
+             std::to_string(static_cast<int>(cell.bandwidth_mbps)) + ")";
+    table.add_row({label,
                    TextTable::num(cell.robust_aimd_friendliness, 4),
                    TextTable::num(cell.pcc_friendliness, 4),
                    TextTable::num(cell.improvement(), 2) + "x"});

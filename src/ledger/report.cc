@@ -200,7 +200,9 @@ std::string render_ledger_report(
              fmt_value(median) + " | " + fmt_delta(compared.back(), median) +
              " |";
       if (trend) {
-        out += " " + (compared.size() > 1 ? spark(compared) : "") + " |";
+        out += ' ';
+        if (compared.size() > 1) out += spark(compared);
+        out += " |";
       }
       out += "\n";
     }

@@ -51,7 +51,10 @@ std::string describe_key(const DiscreteKey& key) {
   const auto& [cls, code, kind, subject] = key;
   std::string out = std::string(event_class_name(cls)) + "/" +
                     event_code_name(code) + " on " + subject_name(kind);
-  if (kind != Subject::kRun) out += " " + std::to_string(subject);
+  if (kind != Subject::kRun) {
+    out += ' ';
+    out += std::to_string(subject);
+  }
   return out;
 }
 

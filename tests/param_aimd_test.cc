@@ -66,11 +66,11 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, AimdGrid,
     ::testing::Combine(::testing::Values(0.5, 1.0, 2.0),
                        ::testing::Values(0.3, 0.5, 0.7, 0.875)),
-    [](const auto& info) {
-      const double a = std::get<0>(info.param);
-      const double b = std::get<1>(info.param);
-      std::string name = "a" + std::to_string(static_cast<int>(a * 10)) +
-                         "_b" + std::to_string(static_cast<int>(b * 1000));
+    [](const auto& p) {
+      std::string name = "a";
+      name += std::to_string(static_cast<int>(std::get<0>(p.param) * 10));
+      name += "_b";
+      name += std::to_string(static_cast<int>(std::get<1>(p.param) * 1000));
       return name;
     });
 
@@ -117,9 +117,9 @@ INSTANTIATE_TEST_SUITE_P(
     Links, LinkGrid,
     ::testing::Combine(::testing::Values(20.0, 30.0, 60.0, 100.0),
                        ::testing::Values(10.0, 100.0)),
-    [](const auto& info) {
-      return "bw" + std::to_string(static_cast<int>(std::get<0>(info.param))) +
-             "_buf" + std::to_string(static_cast<int>(std::get<1>(info.param)));
+    [](const auto& p) {
+      return "bw" + std::to_string(static_cast<int>(std::get<0>(p.param))) +
+             "_buf" + std::to_string(static_cast<int>(std::get<1>(p.param)));
     });
 
 }  // namespace

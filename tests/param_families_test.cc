@@ -60,12 +60,14 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1.0, 2.0),
                        ::testing::Values(0.0, 0.5, 1.0),
                        ::testing::Values(0.0, 0.5, 1.0)),
-    [](const auto& info) {
-      return "a" + std::to_string(static_cast<int>(std::get<0>(info.param))) +
-             "_k" +
-             std::to_string(static_cast<int>(std::get<1>(info.param) * 10)) +
-             "_l" +
-             std::to_string(static_cast<int>(std::get<2>(info.param) * 10));
+    [](const auto& p) {
+      std::string name = "a";
+      name += std::to_string(static_cast<int>(std::get<0>(p.param)));
+      name += "_k";
+      name += std::to_string(static_cast<int>(std::get<1>(p.param) * 10));
+      name += "_l";
+      name += std::to_string(static_cast<int>(std::get<2>(p.param) * 10));
+      return name;
     });
 
 // --- MIMD -------------------------------------------------------------------
@@ -111,13 +113,14 @@ TEST_P(MimdGrid, LossStaysWithinModelDerivedBound) {
 INSTANTIATE_TEST_SUITE_P(Grid, MimdGrid,
                          ::testing::Combine(::testing::Values(1.01, 1.05),
                                             ::testing::Values(0.7, 0.875)),
-                         [](const auto& info) {
-                           return "a" +
-                                  std::to_string(static_cast<int>(
-                                      std::get<0>(info.param) * 100)) +
-                                  "_b" +
-                                  std::to_string(static_cast<int>(
-                                      std::get<1>(info.param) * 1000));
+                         [](const auto& p) {
+                           std::string name = "a";
+                           name += std::to_string(
+                               static_cast<int>(std::get<0>(p.param) * 100));
+                           name += "_b";
+                           name += std::to_string(
+                               static_cast<int>(std::get<1>(p.param) * 1000));
+                           return name;
                          });
 
 // --- CUBIC -------------------------------------------------------------------
@@ -152,13 +155,14 @@ TEST_P(CubicGrid, LossStaysModest) {
 INSTANTIATE_TEST_SUITE_P(Grid, CubicGrid,
                          ::testing::Combine(::testing::Values(0.2, 0.4, 1.0),
                                             ::testing::Values(0.7, 0.8)),
-                         [](const auto& info) {
-                           return "c" +
-                                  std::to_string(static_cast<int>(
-                                      std::get<0>(info.param) * 10)) +
-                                  "_b" +
-                                  std::to_string(static_cast<int>(
-                                      std::get<1>(info.param) * 10));
+                         [](const auto& p) {
+                           std::string name = "c";
+                           name += std::to_string(
+                               static_cast<int>(std::get<0>(p.param) * 10));
+                           name += "_b";
+                           name += std::to_string(
+                               static_cast<int>(std::get<1>(p.param) * 10));
+                           return name;
                          });
 
 }  // namespace

@@ -126,8 +126,8 @@ TEST_P(EveryProtocol, SurvivesExtremeObservations) {
 
 INSTANTIATE_TEST_SUITE_P(Zoo, EveryProtocol,
                          ::testing::ValuesIn(kAllProtocols),
-                         [](const auto& info) {
-                           std::string name = info.param;
+                         [](const auto& p) {
+                           std::string name = p.param;
                            for (char& c : name) {
                              if (!std::isalnum(static_cast<unsigned char>(c))) {
                                c = '_';

@@ -68,11 +68,12 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, RobustGrid,
     ::testing::Combine(::testing::Values(0.5, 0.8),
                        ::testing::Values(0.005, 0.01, 0.05)),
-    [](const auto& info) {
-      return "b" +
-             std::to_string(static_cast<int>(std::get<0>(info.param) * 10)) +
-             "_eps" +
-             std::to_string(static_cast<int>(std::get<1>(info.param) * 1000));
+    [](const auto& p) {
+      std::string name = "b";
+      name += std::to_string(static_cast<int>(std::get<0>(p.param) * 10));
+      name += "_eps";
+      name += std::to_string(static_cast<int>(std::get<1>(p.param) * 1000));
+      return name;
     });
 
 TEST(RobustAimdProperties, FriendlinessDecreasesAsToleranceGrows) {
