@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -421,11 +420,8 @@ void run_senders_scaling_bench(BenchReport& bench, long max_n) {
 }
 
 /// Times the sweep-cell workload with telemetry probes runtime-disabled vs
-/// runtime-enabled (best-of-N to shave scheduler noise). In an
-/// AXIOMCC_TELEMETRY=OFF build both paths are the identical no-op code, so
-/// the reported overhead is ~0% — that is the number the <3% compiled-out
-/// budget refers to. In the default (compiled-in) build the delta is the
-/// true runtime cost of the probes in the fluid tick loop.
+/// runtime-enabled (best-of-N to shave scheduler noise). The delta is the
+/// runtime cost of the probes in the fluid tick loop.
 void run_telemetry_overhead_bench(BenchReport& bench) {
   constexpr int kReps = 5;
   constexpr std::size_t kCells = 64;
@@ -454,12 +450,9 @@ void run_telemetry_overhead_bench(BenchReport& bench) {
   const double overhead_pct = (on_seconds / off_seconds - 1.0) * 100.0;
   std::printf("--- telemetry overhead: %zu sweep cells, best of %d ---\n",
               kCells, kReps);
-  std::printf("probes %s; disabled %.4fs, enabled %.4fs, overhead %+.2f%%\n\n",
-              telemetry::compiled_in() ? "compiled in" : "compiled out",
+  std::printf("disabled %.4fs, enabled %.4fs, overhead %+.2f%%\n\n",
               off_seconds, on_seconds, overhead_pct);
 
-  bench.add_counter("telemetry_compiled_in",
-                    telemetry::compiled_in() ? 1.0 : 0.0);
   bench.add_counter("telemetry_disabled_sec", off_seconds);
   bench.add_counter("telemetry_enabled_sec", on_seconds);
   bench.add_counter("telemetry_overhead_pct", overhead_pct);
@@ -489,7 +482,6 @@ void run_recorded_probe(const bench::RecordRequest& request) {
     const auto sc = engine::make_scope(scenario);
     scenario.scope_sink = sc.get();
     benchmark::DoNotOptimize(engine::backend_for(backend).run(scenario));
-    if (rec == nullptr) continue;  // recorder compiled out
     recorder::Recording snap = rec->snapshot();
     snap.git_sha = ledger::current_provenance().git_sha;
     const std::string path = request.dir + "/micro-" +
@@ -507,14 +499,10 @@ int run_bench(bench::Harness& h, int argc, char** argv) {
   // --senders-scaling alone runs up to 100000 senders.
   long senders_scaling_max = 0;  // 0 = bench not requested
   if (args.has("senders-scaling")) {
-    senders_scaling_max = args.get_or("senders-scaling", "").empty()
-                              ? 100000
-                              : args.get_int("senders-scaling", 0);
-    if (senders_scaling_max < 1) {
-      throw std::invalid_argument(
-          "--senders-scaling needs a positive sender count, got " +
-          std::to_string(senders_scaling_max));
-    }
+    senders_scaling_max =
+        args.get_or("senders-scaling", "").empty()
+            ? 100000
+            : args.get_int("senders-scaling", 0, Sign::kPositive);
   }
   const auto record = h.record();
 

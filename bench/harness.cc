@@ -59,12 +59,6 @@ Harness::Harness(int argc, const char* const* argv, std::string name,
   if (out_dir_.empty()) out_dir_ = "artifacts";
 
   if (!args_.has("telemetry")) return;
-  if (!telemetry::compiled_in()) {
-    std::fprintf(stderr,
-                 "[telemetry] requested but compiled out "
-                 "(AXIOMCC_TELEMETRY=OFF build) — ignoring\n");
-    return;
-  }
   telemetry_ = true;
   telemetry::Registry::global().reset_values();
   telemetry::Tracer::global().reset();

@@ -40,10 +40,11 @@ int main(int argc, char** argv) {
     bind("max-latency", query.max_latency);
 
     core::EvalConfig cfg;
-    cfg.link = fluid::make_link_mbps(args.get_double("mbps", 30.0),
-                                     args.get_double("rtt-ms", 42.0),
-                                     args.get_double("buffer", 100.0));
-    cfg.steps = args.get_int("steps", 3000);
+    cfg.link = fluid::make_link_mbps(
+        args.get_double("mbps", 30.0, Sign::kPositive),
+        args.get_double("rtt-ms", 42.0, Sign::kPositive),
+        args.get_double("buffer", 100.0, Sign::kNonNegative));
+    cfg.steps = args.get_int("steps", 3000, Sign::kPositive);
 
     std::printf("query: %s\n", query.describe().c_str());
     std::printf("searching %zu candidate protocol instances...\n\n",

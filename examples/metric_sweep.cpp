@@ -27,19 +27,20 @@ int main(int argc, char** argv) {
         "protocols", "reno,cubic-linux,scalable,robust_aimd(1,0.8,0.01),bbr");
     // A numeric list flag replaces its axis of the default grid.
     exp::LinkGrid grid;
-    const auto axis = [&args](const char* flag, std::vector<double>& values) {
+    const auto axis = [&args](const char* flag, Sign sign,
+                              std::vector<double>& values) {
       if (!args.has(flag)) return;
-      values.clear();
-      for (const std::string& item : args.get_list(flag, "")) {
-        values.push_back(std::stod(item));
+      values = args.get_doubles(flag, "", sign);
+      if (values.empty()) {
+        throw UsageError(std::string("--") + flag + " lists no value");
       }
     };
-    axis("bandwidths", grid.bandwidths_mbps);
-    axis("rtts", grid.rtts_ms);
-    axis("buffers", grid.buffers_mss);
+    axis("bandwidths", Sign::kPositive, grid.bandwidths_mbps);
+    axis("rtts", Sign::kPositive, grid.rtts_ms);
+    axis("buffers", Sign::kNonNegative, grid.buffers_mss);
 
     core::EvalConfig base;
-    base.steps = args.get_int("steps", 3000);
+    base.steps = args.get_int("steps", 3000, Sign::kPositive);
 
     std::fprintf(stderr, "sweeping %zu protocols over %zu link shapes...\n",
                  specs.size(), grid.size());

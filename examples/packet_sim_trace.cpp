@@ -24,20 +24,30 @@ int main(int argc, char** argv) {
                           "loss", "watch", "csv", "dump"});
 
     sim::DumbbellConfig cfg;
-    cfg.bottleneck_mbps = args.get_double("mbps", 20.0);
-    cfg.rtt_ms = args.get_double("rtt-ms", 42.0);
-    cfg.buffer_packets = static_cast<std::size_t>(args.get_int("buffer", 50));
-    cfg.duration_seconds = args.get_double("duration", 20.0);
-    cfg.random_loss_rate = args.get_double("loss", 0.0);
+    cfg.bottleneck_mbps = args.get_double("mbps", 20.0, Sign::kPositive);
+    cfg.rtt_ms = args.get_double("rtt-ms", 42.0, Sign::kPositive);
+    cfg.buffer_packets = static_cast<std::size_t>(
+        args.get_int("buffer", 50, Sign::kNonNegative));
+    cfg.duration_seconds =
+        args.get_double("duration", 20.0, Sign::kPositive);
+    cfg.random_loss_rate = args.get_double("loss", 0.0, Sign::kNonNegative);
+    if (cfg.random_loss_rate >= 1.0) {
+      throw UsageError("--loss must be below 1");
+    }
+    const auto specs = args.get_list("protocol", "reno,reno");
+    const long watch = args.get_int("watch", 0, Sign::kNonNegative);
+    if (watch >= static_cast<long>(specs.size())) {
+      throw UsageError("--watch=" + std::to_string(watch) +
+                       " names no flow (there are " +
+                       std::to_string(specs.size()) + ")");
+    }
 
     sim::DumbbellExperiment exp(cfg);
-    const auto specs = args.get_list("protocol", "reno,reno");
     for (const auto& spec : specs) {
       exp.add_flow(cc::make_protocol(spec));
     }
     exp.run();
 
-    const int watch = static_cast<int>(args.get_int("watch", 0));
     std::printf("=== %zu flows over %.0f Mbps / %.0f ms / %zu-pkt buffer "
                 "(capacity %.1f MSS) ===\n\n",
                 specs.size(), cfg.bottleneck_mbps, cfg.rtt_ms,
@@ -54,7 +64,7 @@ int main(int argc, char** argv) {
                      TextTable::num(rec.rtt_seconds * 1e3, 1),
                      std::to_string(rec.sent), std::to_string(rec.acked)});
     }
-    std::printf("--- flow %d (%s) monitor intervals ---\n%s\n", watch,
+    std::printf("--- flow %ld (%s) monitor intervals ---\n%s\n", watch,
                 exp.sender(watch).protocol().name().c_str(),
                 trace
                     .render(args.has("csv") ? TextTable::Format::kCsv

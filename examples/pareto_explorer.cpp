@@ -60,10 +60,11 @@ int main(int argc, char** argv) {
                          {"family", "mbps", "rtt-ms", "buffer", "steps",
                           "markdown"});
     core::EvalConfig cfg;
-    cfg.link = fluid::make_link_mbps(args.get_double("mbps", 30.0),
-                                     args.get_double("rtt-ms", 42.0),
-                                     args.get_double("buffer", 100.0));
-    cfg.steps = args.get_int("steps", 3000);
+    cfg.link = fluid::make_link_mbps(
+        args.get_double("mbps", 30.0, Sign::kPositive),
+        args.get_double("rtt-ms", 42.0, Sign::kPositive),
+        args.get_double("buffer", 100.0, Sign::kNonNegative));
+    cfg.steps = args.get_int("steps", 3000, Sign::kPositive);
 
     const std::string family = args.get_or("family", "aimd");
     std::printf("=== Pareto exploration of the %s family ===\n", family.c_str());

@@ -24,8 +24,12 @@ int main(int argc, char** argv) {
     const ArgParser args(argc, argv,
                          {"protocol", "max-hops", "mbps", "steps", "duration"});
     const std::string spec = args.get_or("protocol", "robust_aimd(1,0.5,0.01)");
-    const int max_hops = static_cast<int>(args.get_int("max-hops", 4));
-    const double mbps = args.get_double("mbps", 20.0);
+    const int max_hops =
+        static_cast<int>(args.get_int("max-hops", 4, Sign::kPositive));
+    const double mbps = args.get_double("mbps", 20.0, Sign::kPositive);
+    const long steps = args.get_int("steps", 3000, Sign::kPositive);
+    const double duration =
+        args.get_double("duration", 20.0, Sign::kPositive);
     const auto prototype = cc::make_protocol(spec);
 
     std::printf("=== parking lot: %s over 1..%d bottlenecks ===\n\n",
@@ -37,7 +41,7 @@ int main(int argc, char** argv) {
     for (int k = 1; k <= max_hops; ++k) {
       // Fluid network.
       fluid::NetworkOptions opt;
-      opt.steps = args.get_int("steps", 3000);
+      opt.steps = steps;
       fluid::ParkingLot fluid_lot = fluid::make_parking_lot(
           fluid::make_link_mbps(mbps, 40.0, 20.0), k, *prototype, opt);
       const fluid::Trace trace = fluid_lot.network.run();
@@ -52,7 +56,7 @@ int main(int argc, char** argv) {
 
       // Packet-level network.
       sim::MultiHopNetwork::Config cfg;
-      cfg.duration_seconds = args.get_double("duration", 20.0);
+      cfg.duration_seconds = duration;
       sim::PacketParkingLot packet_lot = sim::make_packet_parking_lot(
           mbps, 10.0, 25, k, *prototype, cfg);
       packet_lot.network->run();

@@ -23,19 +23,20 @@ int main(int argc, char** argv) {
                          {"protocols", "initial", "mbps", "rtt-ms", "buffer",
                           "steps"});
     const auto specs = args.get_list("protocols", "reno,reno");
-    const auto initials = args.get_list("initial", "1,60");
+    const auto initials =
+        args.get_doubles("initial", "1,60", Sign::kNonNegative);
 
     fluid::SimOptions opt;
-    opt.steps = args.get_int("steps", 600);
+    opt.steps = args.get_int("steps", 600, Sign::kPositive);
     fluid::FluidSimulation sim(
-        fluid::make_link_mbps(args.get_double("mbps", 30.0),
-                              args.get_double("rtt-ms", 42.0),
-                              args.get_double("buffer", 100.0)),
+        fluid::make_link_mbps(
+            args.get_double("mbps", 30.0, Sign::kPositive),
+            args.get_double("rtt-ms", 42.0, Sign::kPositive),
+            args.get_double("buffer", 100.0, Sign::kNonNegative)),
         opt);
 
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      const double initial =
-          i < initials.size() ? std::stod(initials[i]) : 1.0;
+      const double initial = i < initials.size() ? initials[i] : 1.0;
       sim.add_sender(*cc::make_protocol(specs[i]), initial);
     }
     const fluid::Trace trace = sim.run();

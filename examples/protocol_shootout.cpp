@@ -28,17 +28,19 @@ int main(int argc, char** argv) {
         "reno,cubic-linux,scalable,bin(1,1,1,0),robust_aimd(1,0.8,0.01),pcc,"
         "vegas(2,4)");
 
+    const double mbps = args.get_double("mbps", 30.0, Sign::kPositive);
+    const double rtt_ms = args.get_double("rtt-ms", 42.0, Sign::kPositive);
+    const double buffer = args.get_double("buffer", 100.0, Sign::kNonNegative);
+
     core::EvalConfig cfg;
-    cfg.link = fluid::make_link_mbps(args.get_double("mbps", 30.0),
-                                     args.get_double("rtt-ms", 42.0),
-                                     args.get_double("buffer", 100.0));
-    cfg.num_senders = static_cast<int>(args.get_int("senders", 2));
-    cfg.steps = args.get_int("steps", 4000);
+    cfg.link = fluid::make_link_mbps(mbps, rtt_ms, buffer);
+    cfg.num_senders =
+        static_cast<int>(args.get_int("senders", 2, Sign::kPositive));
+    cfg.steps = args.get_int("steps", 4000, Sign::kPositive);
 
     std::printf("=== protocol shootout: %zu protocols, %.0f Mbps / %.0f ms / "
                 "%.0f MSS ===\n\n",
-                specs.size(), args.get_double("mbps", 30.0),
-                args.get_double("rtt-ms", 42.0), args.get_double("buffer", 100.0));
+                specs.size(), mbps, rtt_ms, buffer);
 
     std::vector<std::string> names;
     std::vector<core::MetricReport> reports;

@@ -23,18 +23,19 @@ int main(int argc, char** argv) {
                           "steps"});
     const std::string spec = args.get_or("protocol", "aimd(1,0.5)");
     const auto protocol = cc::make_protocol(spec);
+    const double mbps = args.get_double("mbps", 30.0, Sign::kPositive);
+    const double rtt_ms = args.get_double("rtt-ms", 42.0, Sign::kPositive);
+    const double buffer = args.get_double("buffer", 100.0, Sign::kNonNegative);
 
     core::EvalConfig cfg;
-    cfg.link = fluid::make_link_mbps(args.get_double("mbps", 30.0),
-                                     args.get_double("rtt-ms", 42.0),
-                                     args.get_double("buffer", 100.0));
-    cfg.num_senders = static_cast<int>(args.get_int("senders", 2));
-    cfg.steps = args.get_int("steps", 4000);
+    cfg.link = fluid::make_link_mbps(mbps, rtt_ms, buffer);
+    cfg.num_senders =
+        static_cast<int>(args.get_int("senders", 2, Sign::kPositive));
+    cfg.steps = args.get_int("steps", 4000, Sign::kPositive);
 
     std::printf("Evaluating %s on a %.0f Mbps / %.0f ms RTT / %.0f MSS "
                 "buffer link with %d senders...\n\n",
-                protocol->name().c_str(), args.get_double("mbps", 30.0),
-                args.get_double("rtt-ms", 42.0), args.get_double("buffer", 100.0),
+                protocol->name().c_str(), mbps, rtt_ms, buffer,
                 cfg.num_senders);
 
     const core::MetricReport measured = core::evaluate_protocol(*protocol, cfg);

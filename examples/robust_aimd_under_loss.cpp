@@ -23,9 +23,13 @@ int main(int argc, char** argv) {
   return run_cli([&] {
     const ArgParser args(argc, argv,
                          {"loss", "mbps", "rtt-ms", "steps", "duration"});
-    const double loss = args.get_double("loss", 0.008);
-    const double mbps = args.get_double("mbps", 20.0);
-    const double rtt_ms = args.get_double("rtt-ms", 42.0);
+    const double loss = args.get_double("loss", 0.008, Sign::kNonNegative);
+    if (loss >= 1.0) throw UsageError("--loss must be below 1");
+    const double mbps = args.get_double("mbps", 20.0, Sign::kPositive);
+    const double rtt_ms = args.get_double("rtt-ms", 42.0, Sign::kPositive);
+    const long steps = args.get_int("steps", 2000, Sign::kPositive);
+    const double duration =
+        args.get_double("duration", 30.0, Sign::kPositive);
 
     std::printf("=== non-congestion loss demo: %.2f%% random loss on a "
                 "%.0f Mbps path ===\n\n",
@@ -50,7 +54,7 @@ int main(int argc, char** argv) {
       link.bandwidth = Bandwidth::from_mss_per_sec(1e15);
       link.buffer_mss = 1e15;
       fluid::SimOptions opt;
-      opt.steps = args.get_int("steps", 2000);
+      opt.steps = steps;
       fluid::FluidSimulation sim(link, opt);
       sim.add_sender(*proto, 2.0);
       sim.set_loss_injector(std::make_unique<fluid::ConstantLoss>(loss));
@@ -72,7 +76,7 @@ int main(int argc, char** argv) {
       cfg.bottleneck_mbps = mbps;
       cfg.rtt_ms = rtt_ms;
       cfg.buffer_packets = 100;
-      cfg.duration_seconds = args.get_double("duration", 30.0);
+      cfg.duration_seconds = duration;
       cfg.random_loss_rate = loss;
       sim::DumbbellExperiment exp(cfg);
       exp.add_flow(proto->clone());

@@ -240,12 +240,11 @@ struct ScenarioSpec {
   }
 };
 
-/// Builds the recorder a spec asks for, or null when recording is off (or
-/// the capture path is compiled out). The caller owns the recorder and
-/// attaches it: `auto rec = make_recorder(spec); spec.record_sink = rec.get();`
+/// Builds the recorder a spec asks for, or null when recording is off.
+/// The caller owns the recorder and attaches it: `auto rec = make_recorder(spec); spec.record_sink = rec.get();`
 [[nodiscard]] inline std::unique_ptr<recorder::Recorder> make_recorder(
     const ScenarioSpec& spec) {
-  if (!spec.record.enabled || !recorder::compiled_in()) return nullptr;
+  if (!spec.record.enabled) return nullptr;
   recorder::RecordOptions options = spec.record;
   return std::make_unique<recorder::Recorder>(options);
 }

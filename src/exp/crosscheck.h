@@ -113,8 +113,7 @@ struct TopologyCheckConfig {
   /// Flight-recorder capture for every cell (lane filtering via
   /// `record.classes`). When `record.enabled` and `record_dir` is non-empty
   /// each cell writes `crosscheck-<protocol>-<backend>.jsonl` into the
-  /// directory, provenance-stamped with the current git SHA. No-op when the
-  /// recorder is compiled out.
+  /// directory, provenance-stamped with the current git SHA.
   recorder::RecordOptions record;
   std::string record_dir;
   /// Streaming-scope capture: when `scope.enabled` every cell runs with a

@@ -86,7 +86,7 @@ void update_member(cc::Protocol& protocol, double& window, double& pending,
 /// the hot loop never touches shared metric state. They count simulation
 /// content, so they are deterministic at any --jobs.
 struct LoopTelemetry {
-  bool on = telemetry::compiled_in() && telemetry::enabled();
+  bool on = telemetry::enabled();
   long ticks = 0;
   long loss_event_steps = 0;
   long injected_loss_samples = 0;

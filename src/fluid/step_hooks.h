@@ -58,8 +58,6 @@ class ScheduledLink {
 /// execution state such as the storage layout or the shard count — so a
 /// scenario yields byte-identical recordings however it executes, and on
 /// whichever backend. All calls happen in the serial sections of the loops.
-/// When the capture path is compiled out the stub Recorder's `wants` is a
-/// constant false and every block below folds away.
 class StepRecorder {
  public:
   /// One recorder lane: `count` senders active on [start_step, stop_step)

@@ -169,8 +169,7 @@ RecordedScenario run_scenario_recorded(const engine::ScenarioSpec& spec,
   // A post-mortem needs a timeline to dump, so a non-empty dump directory
   // implies capture even when the caller left `record.enabled` off.
   const bool want_record =
-      recorder::compiled_in() &&
-      (config.record.enabled || !config.postmortem_dir.empty());
+      config.record.enabled || !config.postmortem_dir.empty();
   recorder::RecordOptions ropts = config.record;
   ropts.enabled = want_record;
 

@@ -68,7 +68,7 @@ struct RunOutcome {
   /// mean "nothing new here" to the corpus.
   std::uint64_t novelty_key = 0;
   /// Where the finding's post-mortem JSONL landed; "" when none was dumped
-  /// (clean run, no `postmortem_dir`, or the recorder is compiled out).
+  /// (clean run or no `postmortem_dir`).
   std::string postmortem_path;
 
   [[nodiscard]] bool is_finding() const { return kind != OutcomeKind::kClean; }
@@ -115,7 +115,7 @@ struct RunnerConfig {
                                       const RunnerConfig& config = {});
 
 /// A dual-backend run plus both captured timelines (empty when capture was
-/// off or the recorder is compiled out). `axiomcc-inspect --align` uses
+/// off). `axiomcc-inspect --align` uses
 /// this to re-execute a reproducer and step-align the two backends.
 struct RecordedScenario {
   RunOutcome outcome;

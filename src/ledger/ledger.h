@@ -37,7 +37,7 @@ struct LedgerRecord {
   std::string timestamp_utc;  ///< ISO-8601 UTC ("2026-08-06T12:34:56Z")
   std::string bench;          ///< bench name ("table1", "micro", ...)
   std::string git_sha;        ///< full SHA, or "unknown" outside a checkout
-  std::string build_flavor;   ///< e.g. "Release", "Release+asan+notelem"
+  std::string build_flavor;   ///< e.g. "Release", "RelWithDebInfo+asan"
   std::string backend;        ///< "fluid", "packet", "both", or ""
   long jobs = 0;
   long hardware_jobs = 0;

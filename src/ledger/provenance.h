@@ -18,9 +18,9 @@ struct Provenance {
   std::string git_sha = "unknown";
 
   /// Build flavor string composed at compile time from the CMake
-  /// configuration: the build type plus any "+asan" / "+tsan" / "+notelem"
-  /// suffixes (e.g. "Release", "Debug+asan"). "unknown" when the build
-  /// system did not define AXIOMCC_BUILD_FLAVOR.
+  /// configuration: the build type plus any "+asan" / "+tsan" suffix (e.g.
+  /// "Release", "Debug+asan"). "unknown" when the build system did not
+  /// define AXIOMCC_BUILD_FLAVOR.
   std::string build_flavor = "unknown";
 };
 

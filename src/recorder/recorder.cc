@@ -1,5 +1,3 @@
-#ifndef AXIOMCC_RECORDER_DISABLED
-
 #include "recorder/recorder.h"
 
 #include <algorithm>
@@ -62,5 +60,3 @@ Recording Recorder::snapshot() const {
 }
 
 }  // namespace axiomcc::recorder
-
-#endif  // AXIOMCC_RECORDER_DISABLED

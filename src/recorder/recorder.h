@@ -28,8 +28,8 @@ struct RecordOptions {
 };
 
 /// An immutable captured timeline, decoupled from the capture machinery so
-/// the JSONL reader, the aligner, and `axiomcc-inspect` work even in
-/// builds where the recorder is compiled out.
+/// the JSONL reader, the aligner, and `axiomcc-inspect` work on files
+/// without a Recorder.
 struct Recording {
   int version = 2;
   std::string backend;  ///< "fluid" | "packet" | "" (unknown)
@@ -47,17 +47,6 @@ struct Recording {
 
   [[nodiscard]] bool empty() const { return events.empty(); }
 };
-
-/// True when the capture path is compiled in (AXIOMCC_RECORDER=ON).
-[[nodiscard]] constexpr bool compiled_in() {
-#ifdef AXIOMCC_RECORDER_DISABLED
-  return false;
-#else
-  return true;
-#endif
-}
-
-#ifndef AXIOMCC_RECORDER_DISABLED
 
 /// Bounded deterministic event sink. One lane (fixed-depth ring) per
 /// (subject kind, subject id); a global emission sequence preserves the
@@ -117,27 +106,6 @@ class Recorder {
   std::array<std::vector<std::uint32_t>, kNumSubjects> lane_slots_;
   std::array<std::uint32_t, kNumSubjects> neg_lane_slots_{};
 };
-
-#else  // AXIOMCC_RECORDER_DISABLED
-
-/// No-op stand-in: every member is inline and trivially dead-code
-/// eliminated, so `if (rec && rec->wants(...))` at the emission sites
-/// vanishes entirely from the hot loops.
-class Recorder {
- public:
-  explicit Recorder(RecordOptions) {}
-
-  [[nodiscard]] bool wants(EventClass) const { return false; }
-  [[nodiscard]] long stride() const { return 1; }
-  [[nodiscard]] bool sample_due(long) const { return false; }
-  void emit(const Event&) {}
-  void set_backend(std::string) {}
-  void set_senders(long) {}
-  void note_step(long) {}
-  [[nodiscard]] Recording snapshot() const { return {}; }
-};
-
-#endif  // AXIOMCC_RECORDER_DISABLED
 
 }  // namespace axiomcc::recorder
 

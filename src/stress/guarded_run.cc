@@ -125,8 +125,7 @@ engine::StepMonitor make_guard_monitor(FaultReport& fault,
 std::string maybe_dump_postmortem(recorder::Recorder* sink,
                                   const GuardConfig& config,
                                   const FaultReport& fault) {
-  if (fault.ok() || config.postmortem_dir.empty() || sink == nullptr ||
-      !recorder::compiled_in()) {
+  if (fault.ok() || config.postmortem_dir.empty() || sink == nullptr) {
     return {};
   }
   recorder::PostMortem pm;

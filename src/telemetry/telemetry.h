@@ -1,16 +1,10 @@
 // telemetry.h — the instrumentation surface.
 //
 // Hot paths use the TELEMETRY_* macros below, never the registry directly.
-// Two gates stack:
-//
-//   * Compile time: building with -DAXIOMCC_TELEMETRY_DISABLED (CMake option
-//     AXIOMCC_TELEMETRY=OFF) expands every macro to ((void)0) — zero code,
-//     zero data, behavior byte-comparable to an uninstrumented build. Probe
-//     arguments must therefore be side-effect free: they are NOT evaluated
-//     in that configuration.
-//   * Run time: telemetry is off unless set_enabled(true) (benches flip it
-//     on under --telemetry). A disabled probe costs one relaxed atomic load
-//     and a predicted branch.
+// Telemetry is off unless set_enabled(true) (benches flip it on under
+// --telemetry). A disabled probe costs one relaxed atomic load and a
+// predicted branch; its arguments are evaluated only when enabled, so they
+// must be side-effect free.
 //
 // Metric handles resolve once into a function-local static on the first
 // enabled hit, so the registry mutex is off the steady-state path entirely.
@@ -39,17 +33,6 @@ inline void set_enabled(bool on) {
   detail::enabled_flag().store(on, std::memory_order_relaxed);
 }
 
-/// Whether this binary was built with telemetry probes compiled in.
-[[nodiscard]] constexpr bool compiled_in() {
-#ifdef AXIOMCC_TELEMETRY_DISABLED
-  return false;
-#else
-  return true;
-#endif
-}
-
-#ifndef AXIOMCC_TELEMETRY_DISABLED
-
 /// RAII helper backing TELEMETRY_SCOPED_TIMER_US: records the enclosing
 /// scope's wall time, in microseconds, into `histogram`.
 class ScopedHistogramTimer {
@@ -70,14 +53,10 @@ class ScopedHistogramTimer {
   std::int64_t start_us_;
 };
 
-#endif  // !AXIOMCC_TELEMETRY_DISABLED
-
 }  // namespace axiomcc::telemetry
 
 #define AXIOMCC_TELEMETRY_CONCAT_INNER(a, b) a##b
 #define AXIOMCC_TELEMETRY_CONCAT(a, b) AXIOMCC_TELEMETRY_CONCAT_INNER(a, b)
-
-#ifndef AXIOMCC_TELEMETRY_DISABLED
 
 /// Adds `delta` to the deterministic counter `name` (a string literal).
 /// Deterministic counters must land on identical values at any --jobs level.
@@ -160,15 +139,3 @@ class ScopedHistogramTimer {
     AXIOMCC_TELEMETRY_CONCAT(axiomcc_telemetry_span_, __LINE__)       \
         .emplace((category), std::string(label_expr));                \
   }
-
-#else  // AXIOMCC_TELEMETRY_DISABLED
-
-#define TELEMETRY_COUNT(name, delta) ((void)0)
-#define TELEMETRY_COUNT_SCHED(name, delta) ((void)0)
-#define TELEMETRY_GAUGE_ADD(name, delta) ((void)0)
-#define TELEMETRY_HISTOGRAM_RECORD(name, bounds, value) ((void)0)
-#define TELEMETRY_SCOPED_TIMER_US(name) ((void)0)
-#define TELEMETRY_SPAN(category, name) ((void)0)
-#define TELEMETRY_SPAN_DYN(category, label_expr) ((void)0)
-
-#endif  // AXIOMCC_TELEMETRY_DISABLED

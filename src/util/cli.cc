@@ -1,8 +1,10 @@
 #include "util/cli.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <exception>
+#include <type_traits>
 #include <utility>
 
 #include "util/task_pool.h"
@@ -47,40 +49,72 @@ std::string ArgParser::get_or(const std::string& key,
   return get(key).value_or(fallback);
 }
 
-double ArgParser::get_double(const std::string& key, double fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  // stod itself throws bare "stod" messages on empty/garbage/overflow input;
-  // translate everything into one message naming the flag and its value.
+namespace {
+
+/// `text`, the value of --key, parsed whole as a T (long or double). Any
+/// failure is a UsageError naming the flag, its value and what it takes.
+template <typename T>
+T parse_number(const std::string& key, const std::string& text, Sign sign) {
+  constexpr bool kInteger = std::is_integral_v<T>;
+  const std::string noun = kInteger ? "integer" : "real number";
+  std::string expected = kInteger ? "an integer" : "a real number";
+  if (sign == Sign::kNonNegative) expected = "a non-negative " + noun;
+  if (sign == Sign::kPositive) expected = "a positive " + noun;
+
+  std::size_t pos = std::string::npos;
+  T parsed{};
+  // stod/stol throw bare "stod"/"stol" messages on empty, garbage or
+  // overflowing input; every failure is reported against the flag instead.
   try {
-    std::size_t pos = 0;
-    const double parsed = std::stod(*v, &pos);
-    if (pos == v->size()) return parsed;
+    if constexpr (kInteger) {
+      parsed = std::stol(text, &pos);
+    } else {
+      parsed = std::stod(text, &pos);
+    }
   } catch (const std::out_of_range&) {
-    throw std::invalid_argument("value out of range for --" + key + ": '" +
-                                *v + "' (expected a real number)");
+    throw UsageError("value out of range for --" + key + ": '" + text +
+                     "' (expected " + expected + ")");
   } catch (const std::invalid_argument&) {
   }
-  throw std::invalid_argument("malformed number for --" + key + ": '" + *v +
-                              "' (expected a real number, e.g. --" + key +
-                              "=2.5)");
+  if (pos != text.size()) {
+    throw UsageError(std::string("malformed ") +
+                     (kInteger ? "integer" : "number") + " for --" + key +
+                     ": '" + text + "' (expected " + expected + ", e.g. --" +
+                     key + "=" + (kInteger ? "4" : "2.5") + ")");
+  }
+  const auto value = static_cast<double>(parsed);
+  const bool fits = sign == Sign::kAny ||
+                    (std::isfinite(value) &&
+                     (sign == Sign::kPositive ? value > 0.0 : value >= 0.0));
+  if (!fits) {
+    throw UsageError("invalid value for --" + key + ": '" + text +
+                     "' (expected " + expected + ")");
+  }
+  return parsed;
 }
 
-long ArgParser::get_int(const std::string& key, long fallback) const {
+}  // namespace
+
+double ArgParser::get_double(const std::string& key, double fallback,
+                             Sign sign) const {
   const auto v = get(key);
-  if (!v) return fallback;
-  try {
-    std::size_t pos = 0;
-    const long parsed = std::stol(*v, &pos);
-    if (pos == v->size()) return parsed;
-  } catch (const std::out_of_range&) {
-    throw std::invalid_argument("value out of range for --" + key + ": '" +
-                                *v + "' (expected an integer)");
-  } catch (const std::invalid_argument&) {
+  return v ? parse_number<double>(key, *v, sign) : fallback;
+}
+
+long ArgParser::get_int(const std::string& key, long fallback,
+                        Sign sign) const {
+  const auto v = get(key);
+  return v ? parse_number<long>(key, *v, sign) : fallback;
+}
+
+std::vector<double> ArgParser::get_doubles(const std::string& key,
+                                           const std::string& fallback,
+                                           Sign sign) const {
+  std::vector<double> out;
+  for (const std::string& item : get_list(key, fallback)) {
+    out.push_back(parse_number<double>(key, item, sign));
   }
-  throw std::invalid_argument("malformed integer for --" + key + ": '" + *v +
-                              "' (expected an integer, e.g. --" + key +
-                              "=4)");
+  return out;
 }
 
 std::vector<std::string> ArgParser::get_list(

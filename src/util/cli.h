@@ -18,6 +18,10 @@ class UsageError : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
+/// The values a numeric flag takes; kNonNegative and kPositive also
+/// exclude infinities and NaN.
+enum class Sign { kAny, kNonNegative, kPositive };
+
 /// Parses `--key=value` / `--flag` style arguments against the flags the
 /// binary reads. A flag it does not read, or a positional argument where
 /// it takes none, is a UsageError naming it, thrown before any work runs.
@@ -38,12 +42,22 @@ class ArgParser {
   [[nodiscard]] std::string get_or(const std::string& key,
                                    const std::string& fallback) const;
 
-  /// Returns the value parsed as double, or `fallback` when absent.
-  /// Throws std::invalid_argument on a malformed number.
-  [[nodiscard]] double get_double(const std::string& key, double fallback) const;
+  /// Returns the value parsed as double, or `fallback` when absent. A
+  /// malformed number, or one outside `sign`, is a UsageError naming the
+  /// flag and its value.
+  [[nodiscard]] double get_double(const std::string& key, double fallback,
+                                  Sign sign = Sign::kAny) const;
 
-  /// Returns the value parsed as a non-negative integer, or `fallback`.
-  [[nodiscard]] long get_int(const std::string& key, long fallback) const;
+  /// Returns the value parsed as an integer, or `fallback` when absent. A
+  /// malformed integer, or one outside `sign`, is a UsageError naming the
+  /// flag and its value.
+  [[nodiscard]] long get_int(const std::string& key, long fallback,
+                             Sign sign = Sign::kAny) const;
+
+  /// get_list, each item parsed as get_double parses a value.
+  [[nodiscard]] std::vector<double> get_doubles(const std::string& key,
+                                                const std::string& fallback,
+                                                Sign sign = Sign::kAny) const;
 
   /// The comma list in --key (`fallback` when absent), split only at
   /// commas outside parentheses, so "aimd(1,0.5),vegas(2,4)" is two items.

@@ -3,6 +3,7 @@
 #include "bench/harness.h"
 
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -100,7 +101,6 @@ TEST(BenchHarness, WritesNoBenchArtifact) {
 }
 
 TEST(BenchHarness, TelemetryRecordCarriesDeterministicCountersAndSnapshot) {
-  if (!telemetry::compiled_in()) GTEST_SKIP() << "probes compiled out";
   const std::string dir = fresh_dir("telemetry");
   const std::string out = "--out=" + dir;
   {
@@ -145,7 +145,7 @@ TEST(BenchHarness, DeterministicCountersGatedOnTelemetry) {
     (void)h.report();
     h.finish("fluid");
   }
-  if (telemetry::compiled_in()) {
+  {
     Harness h = make({out.c_str(), "--telemetry"});
     det_counter().add(7);
     (void)h.report();
@@ -155,7 +155,6 @@ TEST(BenchHarness, DeterministicCountersGatedOnTelemetry) {
   ASSERT_FALSE(records.empty());
   EXPECT_TRUE(records[0].deterministic_counters.empty());
   EXPECT_TRUE(records[0].telemetry.empty());
-  if (!telemetry::compiled_in()) return;
   ASSERT_EQ(records.size(), 2u);
   bool found = false;
   for (const auto& [name, value] : records[1].deterministic_counters) {
@@ -198,13 +197,19 @@ TEST(BenchHarness, RunExitsTwoBeforeTheBodyOnAnUnknownFlag) {
   EXPECT_EQ(code, 2);
   EXPECT_FALSE(ran);
 
-  // Any other error escaping the body exits 1.
+  // A malformed value is a usage error too...
   argv = {"bench_probe", "--steps=abc"};
   EXPECT_EQ(run(static_cast<int>(argv.size()), argv.data(), "probe",
                 {"steps"},
                 [](Harness& h) {
                   return static_cast<int>(h.args().get_int("steps", 1));
                 }),
+            2);
+  // ...and any other error escaping the body exits 1.
+  argv = {"bench_probe", "--steps=3"};
+  EXPECT_EQ(run(static_cast<int>(argv.size()), argv.data(), "probe",
+                {"steps"},
+                [](Harness&) -> int { throw std::runtime_error("boom"); }),
             1);
 }
 

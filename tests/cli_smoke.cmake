@@ -1,11 +1,12 @@
 # Smoke test of one binary's command-line contract. Run as
 #   cmake -DPROGRAM=<path> "-DGOOD_ARGS=--steps=200;--mbps=20"
 #         -DBAD_FLAG=--stpes=200 [-DBAD_EXIT=2] [-DERROR_PREFIX=error:]
-#         -P cli_smoke.cmake
+#         ["-DBAD_VALUES=--steps=-5;--mbps=abc"] -P cli_smoke.cmake
 # With GOOD_ARGS it first runs PROGRAM with them and expects exit 0. It
 # then runs PROGRAM with the misspelt BAD_FLAG alone and expects exit
 # BAD_EXIT (default 2) and "<ERROR_PREFIX> unknown flag --<name>" on
-# stderr.
+# stderr. Last, PROGRAM runs once with each BAD_VALUES flag alone and must
+# exit 2 with "error: " and the flag's name on stderr.
 foreach(var PROGRAM BAD_FLAG)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "pass -D${var}=...")
@@ -43,3 +44,25 @@ if(NOT out STREQUAL "")
   message(FATAL_ERROR "${PROGRAM} ${BAD_FLAG} printed to stdout before "
                       "rejecting the flag:\n${out}")
 endif()
+
+# Each bad value is a usage error, reported against its flag before any
+# output.
+foreach(arg IN LISTS BAD_VALUES)
+  string(REGEX REPLACE "=.*" "" flag "${arg}")
+  execute_process(COMMAND "${PROGRAM}" "${arg}"
+                  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 2)
+    message(FATAL_ERROR "${PROGRAM} ${arg}: exit ${code}, expected 2\n"
+                        "${out}${err}")
+  endif()
+  string(FIND "${err}" "error: " at_error)
+  string(FIND "${err}" "${flag}" at_flag)
+  if(at_error EQUAL -1 OR at_flag EQUAL -1)
+    message(FATAL_ERROR "${PROGRAM} ${arg}: stderr does not name ${flag} "
+                        "in an 'error: ' line\n${err}")
+  endif()
+  if(NOT out STREQUAL "")
+    message(FATAL_ERROR "${PROGRAM} ${arg} printed to stdout before "
+                        "rejecting the value:\n${out}")
+  endif()
+endforeach()

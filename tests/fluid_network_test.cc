@@ -257,7 +257,6 @@ TEST(FluidNetwork, AggregateTraceKeepsStatsAndTrackedSeries) {
 }
 
 TEST(FluidNetwork, RecorderCapturesNetworkRuns) {
-  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   recorder::RecordOptions ropts;
   ropts.enabled = true;
   recorder::Recorder sink(ropts);

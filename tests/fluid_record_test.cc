@@ -71,7 +71,6 @@ bool has_code(const Recording& rec, EventCode code) {
 }
 
 TEST(FluidRecord, BatchRecordingBytesIdenticalAcrossJobs) {
-  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   for (const TraceDetail detail :
        {TraceDetail::kFull, TraceDetail::kAggregate}) {
     const Recording serial = record_scenario(true, /*jobs=*/1, detail, {});
@@ -82,7 +81,6 @@ TEST(FluidRecord, BatchRecordingBytesIdenticalAcrossJobs) {
 }
 
 TEST(FluidRecord, MaterializedAndUniformRecordIdenticallyModuloCohortMetadata) {
-  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   // With the execution-mode class captured, each layout stamps its own
   // setup events: kernel cohorts when materialized, uniform otherwise...
   const Recording materialized =
@@ -116,7 +114,6 @@ TEST(FluidRecord, MaterializedAndUniformRecordIdenticallyModuloCohortMetadata) {
 }
 
 TEST(FluidRecord, AggregateModeKeepsLanesBoundedAcrossLayouts) {
-  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   // Aggregate trace detail drives cohort-lane window samples (memory
   // independent of the population) in either layout; full detail samples
   // every sender.
@@ -137,7 +134,6 @@ TEST(FluidRecord, AggregateModeKeepsLanesBoundedAcrossLayouts) {
 }
 
 TEST(FluidRecord, ChurnScheduleAndLossTransitionsLandAtTheirSteps) {
-  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   const Recording rec =
       record_scenario(false, 1, TraceDetail::kFull, {});
   EXPECT_EQ(rec.backend, "fluid");
@@ -171,16 +167,6 @@ TEST(FluidRecord, ChurnScheduleAndLossTransitionsLandAtTheirSteps) {
   EXPECT_TRUE(bw_at_48);
   EXPECT_TRUE(loss_onset) << "30-MSS buffer under 32 AIMD senders must drop";
   EXPECT_TRUE(total_sampled);
-}
-
-TEST(FluidRecord, DisabledBuildSnapshotsNothing) {
-  if (recorder::compiled_in()) {
-    GTEST_SKIP() << "covers the AXIOMCC_RECORDER=OFF stub";
-  }
-  const Recording rec =
-      record_scenario(false, 1, TraceDetail::kFull, {});
-  EXPECT_TRUE(rec.empty());
-  EXPECT_EQ(rec.backend, "");
 }
 
 }  // namespace

@@ -30,7 +30,6 @@ RecordedScenario replay(const char* name, RunnerConfig config = {}) {
 }
 
 TEST(RecorderInspect, ZeroBufferReproducerLocalizesToLossOnset) {
-  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   const RecordedScenario rs = replay("divergence-zero-buffer.scn");
   EXPECT_EQ(rs.outcome.kind, OutcomeKind::kDivergence);
   EXPECT_EQ(rs.fluid.backend, "fluid");
@@ -57,7 +56,6 @@ TEST(RecorderInspect, ZeroBufferReproducerLocalizesToLossOnset) {
 }
 
 TEST(RecorderInspect, OutageReproducerDivergesWithContext) {
-  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   const RecordedScenario rs = replay("divergence-outage-aimd.scn");
   EXPECT_EQ(rs.outcome.kind, OutcomeKind::kDivergence);
   const recorder::AlignResult res =
@@ -70,7 +68,6 @@ TEST(RecorderInspect, OutageReproducerDivergesWithContext) {
 }
 
 TEST(RecorderInspect, ReplayIsDeterministic) {
-  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   const RecordedScenario first = replay("divergence-zero-buffer.scn");
   const RecordedScenario second = replay("divergence-zero-buffer.scn");
   EXPECT_EQ(recorder::recording_to_jsonl(first.fluid),
@@ -80,7 +77,6 @@ TEST(RecorderInspect, ReplayIsDeterministic) {
 }
 
 TEST(RecorderInspect, FaultReproducerDumpsRenderablePostMortem) {
-  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   RunnerConfig config;
   config.postmortem_dir = testing::TempDir();
   const RecordedScenario rs = replay("fault-late-joiner-contract.scn", config);
@@ -112,7 +108,6 @@ TEST(RecorderInspect, FaultReproducerDumpsRenderablePostMortem) {
 }
 
 TEST(RecorderInspect, CleanRunsDumpNoPostMortem) {
-  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   // Recording on, postmortem_dir unset: nothing may land on disk even for
   // findings, and the path stays empty.
   const RecordedScenario rs = replay("divergence-zero-buffer.scn");

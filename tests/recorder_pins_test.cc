@@ -64,7 +64,6 @@ void expect_corpus_pins(const char* name, const char* fluid_pin,
 }
 
 TEST(RecorderPins, CorpusFixtures) {
-  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   expect_corpus_pins("batch-cohort-aggregate.scn", "97f3040ae1d521c1",
                      "4bdee2e9334dbf21");
   expect_corpus_pins("divergence-outage-aimd.scn", "e796981a80f4430d",
@@ -80,7 +79,6 @@ TEST(RecorderPins, CorpusFixtures) {
 // One link: a 3-sender cohort, a CUBIC that joins at 30 and leaves at 150, a
 // Reno that joins at 60, Bernoulli injected loss and both schedules.
 TEST(RecorderPins, SingleLinkChurnLossSchedules) {
-  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   expect_pins(parse_scenario("axiomcc-scenario v1\n"
                              "link 30 42 100\n"
                              "steps 200\n"
@@ -101,7 +99,6 @@ TEST(RecorderPins, SingleLinkChurnLossSchedules) {
 // Three bottlenecks in a parking lot with an aggregate trace: a cohort on the
 // long route, churning cross traffic, a loss storm and an RTT breakpoint.
 TEST(RecorderPins, ParkingLotAggregateStorm) {
-  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   expect_pins(parse_scenario("axiomcc-scenario v1\n"
                              "link 30 42 100\n"
                              "steps 240\n"

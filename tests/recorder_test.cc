@@ -36,10 +36,9 @@ Recording make_recording(long steps, std::vector<Event> events) {
 }
 
 // ---------------------------------------------------------------------------
-// Capture machinery (compiled out under AXIOMCC_RECORDER=OFF).
+// Capture machinery.
 
 TEST(Recorder, RingKeepsNewestAndCountsDropped) {
-  if (!compiled_in()) GTEST_SKIP() << "recorder compiled out";
   RecordOptions options;
   options.enabled = true;
   options.ring_depth = 4;
@@ -60,7 +59,6 @@ TEST(Recorder, RingKeepsNewestAndCountsDropped) {
 }
 
 TEST(Recorder, LanesEvictIndependentlyAndMergeInEmissionOrder) {
-  if (!compiled_in()) GTEST_SKIP() << "recorder compiled out";
   RecordOptions options;
   options.enabled = true;
   options.ring_depth = 2;
@@ -86,7 +84,6 @@ TEST(Recorder, LanesEvictIndependentlyAndMergeInEmissionOrder) {
 }
 
 TEST(Recorder, WantsRespectsEnabledFlagAndClassMask) {
-  if (!compiled_in()) GTEST_SKIP() << "recorder compiled out";
   RecordOptions loss_only;
   loss_only.enabled = true;
   loss_only.classes = class_bit(EventClass::kLoss);
@@ -102,7 +99,6 @@ TEST(Recorder, WantsRespectsEnabledFlagAndClassMask) {
 }
 
 TEST(Recorder, SampleStrideGatesSampledSteps) {
-  if (!compiled_in()) GTEST_SKIP() << "recorder compiled out";
   RecordOptions options;
   options.enabled = true;
   options.sample_stride = 16;

@@ -330,7 +330,6 @@ TEST(ScopeTopology, PacketBackendFillsRunAndFlowChannels) {
 }
 
 TEST(ScopeRecorder, ClosedWindowsEmitMetricEventsPerLane) {
-  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   recorder::RecordOptions ropts;
   ropts.enabled = true;
   recorder::Recorder sink(ropts);
@@ -473,7 +472,6 @@ TEST(ScopeAlign, BeatDownReproducerDivergesInTheMetricView) {
   // The corpus beat-down scenario is a known fluid-vs-packet divergence;
   // with the scope attached, restricting the aligner to the kMetric lane
   // pinpoints the first metric window the two backends disagree on.
-  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   const std::string path =
       std::string(AXIOMCC_CORPUS_DIR) + "/divergence-parking-lot-beatdown.scn";
   const engine::ScenarioSpec spec =

@@ -73,7 +73,6 @@ std::set<std::pair<std::string, std::string>> span_names(
 }
 
 TEST(TelemetryBatchTrace, ChromeTraceRoundTripsBatchTickLoopSpans) {
-  if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   EnabledScope scope;
   Tracer::global().reset();
 
@@ -106,7 +105,6 @@ TEST(TelemetryBatchTrace, ChromeTraceRoundTripsBatchTickLoopSpans) {
 }
 
 TEST(TelemetryBatchTrace, TickLoopSpanSetIdenticalAcrossJobs) {
-  if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   EnabledScope scope;
 
   Tracer::global().reset();
@@ -123,7 +121,6 @@ TEST(TelemetryBatchTrace, TickLoopSpanSetIdenticalAcrossJobs) {
 }
 
 TEST(TelemetryBatchTrace, DeterministicSnapshotIdenticalAcrossJobs) {
-  if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   EnabledScope scope;
 
   Registry::global().reset_values();
@@ -159,7 +156,6 @@ bool same_bits(std::span<const double> a, std::span<const double> b) {
 }
 
 TEST(TelemetryBatchTrace, LoneProbeCountsEveryTickAndKeepsItsTrace) {
-  if (!compiled_in()) GTEST_SKIP() << "telemetry compiled out";
   constexpr long kSteps = 2500;
   const fluid::Trace quiet = run_probe(kSteps);
 

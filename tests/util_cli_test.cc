@@ -63,9 +63,59 @@ TEST(ArgParser, NumericParsing) {
 }
 
 TEST(ArgParser, MalformedNumbersThrow) {
+  // A bad value exits 2 through run_cli, like an unknown flag.
   const auto args = parse({"--rate=fast", "--count=7x"});
-  EXPECT_THROW((void)args.get_double("rate", 0.0), std::invalid_argument);
-  EXPECT_THROW((void)args.get_int("count", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("rate", 0.0), UsageError);
+  EXPECT_THROW((void)args.get_int("count", 0), UsageError);
+}
+
+TEST(ArgParser, GetIntAcceptsAnySignUnlessAsked) {
+  const auto args = parse({"--offset=-3", "--steps=-5", "--hops=0"});
+  EXPECT_EQ(args.get_int("offset", 0), -3);
+  EXPECT_EQ(args.get_int("hops", 1, Sign::kNonNegative), 0);
+  EXPECT_EQ(args.get_int("absent", -1, Sign::kPositive), -1);
+  EXPECT_THROW((void)args.get_int("hops", 1, Sign::kPositive), UsageError);
+  try {
+    (void)args.get_int("steps", 1, Sign::kNonNegative);
+    FAIL() << "--steps=-5 is not non-negative";
+  } catch (const UsageError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "invalid value for --steps: '-5' (expected a non-negative "
+              "integer)");
+  }
+}
+
+TEST(ArgParser, SignedDoublesRejectZeroNegativesAndNonFinite) {
+  const auto args = parse({"--a=0", "--b=-0.5", "--c=inf", "--d=nan"});
+  EXPECT_EQ(args.get_double("a", 1.0, Sign::kNonNegative), 0.0);
+  EXPECT_THROW((void)args.get_double("a", 1.0, Sign::kPositive), UsageError);
+  EXPECT_THROW((void)args.get_double("b", 1.0, Sign::kNonNegative),
+               UsageError);
+  EXPECT_THROW((void)args.get_double("c", 1.0, Sign::kPositive), UsageError);
+  EXPECT_THROW((void)args.get_double("d", 1.0, Sign::kNonNegative),
+               UsageError);
+  EXPECT_EQ(args.get_double("b", 1.0), -0.5);
+}
+
+TEST(ArgParser, GetDoublesParsesEveryItemStrictly) {
+  EXPECT_EQ(parse({"--bw=20,30.5,1e2"}).get_doubles("bw", ""),
+            (std::vector<double>{20.0, 30.5, 100.0}));
+  EXPECT_EQ(parse({}).get_doubles("bw", "1,60"),
+            (std::vector<double>{1.0, 60.0}));
+  // Each item parses whole, and a failure names the flag: "20x" is not
+  // read as its prefix 20.
+  try {
+    (void)parse({"--bandwidths=20x"}).get_doubles("bandwidths", "");
+    FAIL() << "20x is not a number";
+  } catch (const UsageError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "malformed number for --bandwidths: '20x' (expected a real "
+              "number, e.g. --bandwidths=2.5)");
+  }
+  EXPECT_THROW((void)parse({"--bw=abc"}).get_doubles("bw", ""), UsageError);
+  EXPECT_THROW(
+      (void)parse({"--bw=20,0"}).get_doubles("bw", "", Sign::kPositive),
+      UsageError);
 }
 
 TEST(ArgParser, MalformedNumberMessagesNameFlagAndValue) {

@@ -181,12 +181,6 @@ int run(const ArgParser& args) {
                      "pass two recording files to align artifacts\n");
         return 1;
       }
-      if (!recorder::compiled_in()) {
-        std::fprintf(stderr,
-                     "recorder compiled out (AXIOMCC_RECORDER=OFF); "
-                     "re-run against recording files instead\n");
-        return 1;
-      }
       const fuzz::RecordedScenario rs = run_reproducer(text, args);
       return align_and_render(rs.fluid, rs.packet, "fluid", "packet", args);
     }
@@ -199,12 +193,6 @@ int run(const ArgParser& args) {
     const std::string text = recorder::read_text_file(path);
     switch (sniff(text, path)) {
       case FileKind::kScenario: {
-        if (!recorder::compiled_in()) {
-          std::fprintf(stderr,
-                       "recorder compiled out (AXIOMCC_RECORDER=OFF); "
-                       "cannot record a reproducer run\n");
-          return 1;
-        }
         const fuzz::RecordedScenario rs = run_reproducer(text, args);
         std::fputs(
             analysis::render_timeline(rs.fluid, timeline_options(args))
