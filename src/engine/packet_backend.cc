@@ -30,6 +30,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -119,7 +120,14 @@ std::uint64_t filter_seed_for(const ScenarioSpec& spec) {
 /// the plain product can land a nanosecond short of the last sample
 /// (0.03 s × 60 truncates to 1 799 999 999 ns) and lose a step. The product
 /// is nudged up to the next double only until it reaches that sample.
+/// Throws ScenarioError when the horizon in nanoseconds does not fit
+/// SimTime, with half its range to spare for that nudge.
 double horizon_seconds(double step_ms, long steps) {
+  if (!(step_ms * 1e6 * static_cast<double>(steps) < 0x1p62)) {
+    throw ScenarioError(std::to_string(steps) + " steps of " +
+                        std::to_string(step_ms) +
+                        " ms overflow the packet simulator's clock");
+  }
   const SimTime last_sample(SimTime::from_millis(step_ms).ns() * steps);
   double seconds = step_ms / 1e3 * static_cast<double>(steps);
   while (SimTime::from_seconds(seconds) < last_sample) {

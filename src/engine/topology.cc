@@ -32,7 +32,14 @@ void validate_link(const fluid::LinkParams& link, const std::string& label) {
   }
 }
 
+void validate_horizon(long steps) {
+  if (steps <= 0) {
+    throw ScenarioError("steps must be positive, got " + std::to_string(steps));
+  }
+}
+
 void validate_scenario(const ScenarioSpec& spec) {
+  validate_horizon(spec.steps);
   validate_link(spec.link, "link");
   const int nl = spec.topology.num_links();
   for (int l = 0; l < nl; ++l) {

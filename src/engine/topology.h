@@ -30,6 +30,7 @@
 namespace axiomcc::engine {
 
 /// Validates every data axis of a spec. Throws ScenarioError when
+///  * `spec.steps` fails validate_horizon;
 ///  * `spec.link` or a topology link fails validate_link;
 ///  * a slot sets both or neither of `prototype` and `protocol`, or its
 ///    `protocol` spec does not build (unknown name, bad arguments);
@@ -45,6 +46,9 @@ namespace axiomcc::engine {
 ///  * the workload, loss or either schedule fails the checks below.
 /// Both backends run it before building any simulator state.
 void validate_scenario(const ScenarioSpec& spec);
+
+/// Throws ScenarioError when `steps`, a run's horizon, is not positive.
+void validate_horizon(long steps);
 
 /// Throws ScenarioError when a link has a non-finite or non-positive
 /// bandwidth or propagation delay, or a non-finite or negative buffer (a

@@ -486,9 +486,7 @@ engine::ScenarioSpec parse_scenario(const std::string& text,
 }
 
 void check_readable(const engine::ScenarioSpec& spec) {
-  if (spec.steps <= 0) {
-    reject("steps must be positive, got " + std::to_string(spec.steps));
-  }
+  engine::validate_horizon(spec.steps);
   if (!(spec.min_window_mss >= 0.0 &&
         spec.max_window_mss >= spec.min_window_mss)) {
     reject("window bounds must satisfy 0 <= min <= max");

@@ -71,12 +71,12 @@ void route_parking_lot(engine::ScenarioSpec& spec);
 [[nodiscard]] engine::ScenarioSpec parse_scenario(const std::string& text,
                                                   ExpectDesc* expect = nullptr);
 
-/// The reader's checks: a positive horizon, 0 <= min window <= max window,
-/// a tail fraction in (0, 1), at least one sender, every slot naming a
-/// protocol spec with a cohort count >= 1, a finite initial window >= 0 and
-/// a finite start >= 0, at most 16 topology links and 256 workload flows
-/// per slot, and the engine's own link, workload, loss and schedule
-/// checks. Throws std::invalid_argument.
+/// The reader's checks: 0 <= min window <= max window, a tail fraction in
+/// (0, 1), at least one sender, every slot naming a protocol spec with a
+/// cohort count >= 1, a finite initial window >= 0 and a finite start >= 0,
+/// at most 16 topology links and 256 workload flows per slot, and the
+/// engine's own horizon, link, workload, loss and schedule checks. Throws
+/// std::invalid_argument.
 void check_readable(const engine::ScenarioSpec& spec);
 
 }  // namespace axiomcc::fuzz

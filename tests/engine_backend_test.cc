@@ -516,6 +516,30 @@ TEST(ScenarioValidation, RejectsTailFractionOutsideUnitInterval) {
   EXPECT_NO_THROW(validate_scenario(zero));
 }
 
+TEST(ScenarioValidation, RejectsNonPositiveHorizonsOnBothBackends) {
+  const cc::Aimd aimd(1.0, 0.5);
+  for (const long steps : {0L, -5L, std::numeric_limits<long>::min()}) {
+    ScenarioSpec spec = small_spec(steps);
+    spec.add_sender(aimd, 1.0);
+    EXPECT_THROW(validate_horizon(steps), ScenarioError) << steps;
+    for (const BackendKind kind : {BackendKind::kFluid, BackendKind::kPacket}) {
+      EXPECT_THROW((void)backend_for(kind).run(spec), ScenarioError)
+          << steps << " " << backend_name(kind);
+    }
+  }
+  EXPECT_NO_THROW(validate_horizon(1));
+}
+
+TEST(ScenarioValidation, PacketBackendRejectsAHorizonPastItsClock) {
+  // 40 ms steps: LONG_MAX of them is ~1e26 ns, far past SimTime's int64.
+  const cc::Aimd aimd(1.0, 0.5);
+  ScenarioSpec spec = small_spec(std::numeric_limits<long>::max());
+  spec.add_sender(aimd, 1.0);
+  EXPECT_NO_THROW(validate_scenario(spec));
+  EXPECT_THROW((void)backend_for(BackendKind::kPacket).run(spec),
+               ScenarioError);
+}
+
 TEST(Topology, ParkingLotRunsOnBothBackends) {
   const cc::Aimd aimd(1.0, 0.5);
   ScenarioSpec spec = small_spec(120);

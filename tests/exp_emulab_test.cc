@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 #include "util/check.h"
 
 namespace axiomcc::exp {
@@ -109,6 +113,21 @@ TEST(RunEmulabGrid, SingleCellEndToEnd) {
     if (v.metric == core::Metric::kEfficiency) efficiency_matches = v.matches;
   }
   EXPECT_TRUE(efficiency_matches);
+}
+
+TEST(RunEmulabGrid, NonFiniteDurationThrowsInsteadOfHanging) {
+  // lround(NaN) is no step count: the engine's horizon check rejects it.
+  EmulabGridConfig cfg;
+  cfg.sender_counts = {2};
+  cfg.bandwidths_mbps = {20.0};
+  cfg.buffers_packets = {100};
+  cfg.jobs = 1;
+  for (const double duration :
+       {std::nan(""), -1.0, std::numeric_limits<double>::infinity()}) {
+    cfg.duration_seconds = duration;
+    EXPECT_THROW((void)run_emulab_grid(cfg), std::invalid_argument)
+        << duration;
+  }
 }
 
 }  // namespace
