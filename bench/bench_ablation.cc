@@ -159,8 +159,8 @@ void ablate_robust_eps(long steps, engine::BackendKind backend, long jobs) {
 
 int run_bench(bench::Harness& h) {
   const ArgParser& args = h.args();
-  const double duration = args.get_double("duration", 20.0);
-  const long steps = args.get_int("steps", 3000);
+  const double duration = args.get_double("duration");
+  const long steps = args.get_int("steps");
   const engine::BackendKind backend = h.backend();
   const long jobs = h.jobs();
 
@@ -189,6 +189,8 @@ int run_bench(bench::Harness& h) {
 
 int main(int argc, char** argv) {
   return bench::run(argc, argv, "ablation",
-                    {"duration", "steps", "backend", "jobs"},
+                    {{"duration", Flag::kReal, "20", Bound::kPositive},
+                     {"steps", Flag::kInt, "3000", Bound::kPositive},
+                     bench::backend_flag(), Flag::jobs()},
                     run_bench);
 }

@@ -54,13 +54,14 @@ namespace {
 int run_bench(bench::Harness& h) {
   const ArgParser& args = h.args();
 
+  const double mbps = args.get_double("mbps");
+  const double rtt_ms = args.get_double("rtt-ms");
+  const double buffer = args.get_double("buffer");
   exp::CrosscheckConfig cfg;
-  cfg.base.link = fluid::make_link_mbps(args.get_double("mbps", 30.0),
-                                        args.get_double("rtt-ms", 42.0),
-                                        args.get_double("buffer", 100.0));
-  cfg.base.num_senders = static_cast<int>(args.get_int("senders", 2));
-  cfg.base.steps = args.get_int("steps", 4000);
-  cfg.protocol_specs = args.get_list("protocols", "");
+  cfg.base.link = fluid::make_link_mbps(mbps, rtt_ms, buffer);
+  cfg.base.num_senders = static_cast<int>(args.get_int("senders"));
+  cfg.base.steps = args.get_int("steps");
+  cfg.protocol_specs = args.get_list("protocols");
   cfg.jobs = h.jobs();
 
   if (!args.has("csv")) {
@@ -68,14 +69,13 @@ int run_bench(bench::Harness& h) {
     std::printf(
         "Link: %.0f Mbps, %.0f ms RTT, %.0f MSS buffer, %d senders; %ld "
         "jobs\n\n",
-        args.get_double("mbps", 30.0), args.get_double("rtt-ms", 42.0),
-        args.get_double("buffer", 100.0), cfg.base.num_senders, cfg.jobs);
+        mbps, rtt_ms, buffer, cfg.base.num_senders, cfg.jobs);
   }
 
   // --record rides the topology leg (per-cell recordings), so asking for
   // it without --topology implies the default 3-bottleneck parking lot.
-  const auto record = h.record();
-  int topology_bottlenecks = static_cast<int>(args.get_int("topology", 0));
+  const auto& record = h.record();
+  int topology_bottlenecks = static_cast<int>(args.get_int("topology"));
   if (record && topology_bottlenecks == 0) topology_bottlenecks = 3;
 
   WallTimer timer;
@@ -95,7 +95,7 @@ int run_bench(bench::Harness& h) {
     topo_cfg.protocol_specs = cfg.protocol_specs;
     topo_cfg.jobs = cfg.jobs;
     topo_cfg.scope.enabled = true;
-    topo_cfg.scope.window_steps = args.get_int("scope-window", 0);
+    topo_cfg.scope.window_steps = args.get_int("scope-window");
     if (record) {
       topo_cfg.record.enabled = true;
       topo_cfg.record.classes = record->classes;
@@ -237,8 +237,15 @@ int run_bench(bench::Harness& h) {
 
 int main(int argc, char** argv) {
   return bench::run(argc, argv, "crosscheck",
-                    {"mbps", "rtt-ms", "buffer", "senders", "steps",
-                     "protocols", "topology", "record", "scope-window", "jobs",
-                     "csv", "markdown"},
+                    {{"mbps", Flag::kReal, "30", Bound::kPositive},
+                     {"rtt-ms", Flag::kReal, "42", Bound::kPositive},
+                     {"buffer", Flag::kReal, "100", Bound::kNonNegative},
+                     {"senders", Flag::kInt, "2", Bound::kPositive},
+                     {"steps", Flag::kInt, "4000", Bound::kPositive},
+                     {"protocols", Flag::kList},
+                     {"topology", Flag::kInt, "0", Bound::kNonNegative},
+                     bench::record_flag(),
+                     {"scope-window", Flag::kInt, "0", Bound::kNonNegative},
+                     Flag::jobs(), {"csv"}, {"markdown"}},
                     run_bench);
 }

@@ -36,7 +36,7 @@ int run_bench(bench::Harness& h) {
   const ArgParser& args = h.args();
 
   exp::EmulabGridConfig cfg;
-  cfg.duration_seconds = args.get_double("duration", 30.0);
+  cfg.duration_seconds = args.get_double("duration");
   cfg.jobs = h.jobs();
   if (!args.has("full")) {
     cfg.sender_counts = {2, 4};
@@ -107,6 +107,9 @@ int run_bench(bench::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run(argc, argv, "emulab", {"full", "duration", "jobs"},
+  return bench::run(argc, argv, "emulab",
+                    {{"full"},
+                     {"duration", Flag::kReal, "30", Bound::kPositive},
+                     Flag::jobs()},
                     run_bench);
 }

@@ -181,9 +181,9 @@ void bbr_in_the_metric_space(long steps, engine::BackendKind backend,
 
 int run_bench(bench::Harness& h) {
   const ArgParser& args = h.args();
-  const long steps = args.get_int("steps", 3000);
+  const long steps = args.get_int("steps");
   const engine::BackendKind backend = h.backend();
-  const double duration = args.get_double("duration", 20.0);
+  const double duration = args.get_double("duration");
   const long jobs = h.jobs();
 
   std::printf("=== future-work extensions, measured (%ld jobs) ===\n\n",
@@ -208,6 +208,8 @@ int run_bench(bench::Harness& h) {
 
 int main(int argc, char** argv) {
   return bench::run(argc, argv, "extensions",
-                    {"steps", "duration", "backend", "jobs"},
+                    {{"steps", Flag::kInt, "3000", Bound::kPositive},
+                     {"duration", Flag::kReal, "20", Bound::kPositive},
+                     bench::backend_flag(), Flag::jobs()},
                     run_bench);
 }

@@ -75,7 +75,7 @@ int run_bench(bench::Harness& h) {
                 "model at sample points (%ld jobs)\n",
                 jobs);
     core::EvalConfig cfg;
-    cfg.steps = args.get_int("steps", 4000);
+    cfg.steps = args.get_int("steps");
     cfg.backend = backend;
     timer.reset();
     const auto checks = exp::verify_attainment(cfg, jobs);
@@ -117,7 +117,8 @@ int run_bench(bench::Harness& h) {
 
 int main(int argc, char** argv) {
   return bench::run(argc, argv, "figure1",
-                    {"skip-attainment", "steps", "backend", "jobs",
-                     "markdown"},
+                    {{"skip-attainment"},
+                     {"steps", Flag::kInt, "4000", Bound::kPositive},
+                     bench::backend_flag(), Flag::jobs(), {"markdown"}},
                     run_bench);
 }

@@ -100,18 +100,17 @@ int run_bench(bench::Harness& h) {
   const ArgParser& args = h.args();
 
   fuzz::FuzzConfig cfg;
-  cfg.runs = args.get_int("runs", 2000);
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  cfg.runs = args.get_int("runs");
+  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   cfg.jobs = h.jobs();
-  cfg.batch = args.get_int("batch", 32);
+  cfg.batch = args.get_int("batch");
   cfg.minimize = !args.has("no-minimize");
-  cfg.runner.divergence_threshold =
-      args.get_double("divergence-threshold", 0.35);
+  cfg.runner.divergence_threshold = args.get_double("divergence-threshold");
   // --record[=dir[,classes=list]]: flight-record every oracle run and
   // auto-dump a post-mortem (reproducer + both backends' recorded tails)
   // for each finding next to the other artifacts. A classes list narrows
   // capture to the named event lanes.
-  if (const auto record = h.record()) {
+  if (const auto& record = h.record()) {
     cfg.runner.record.enabled = true;
     cfg.runner.record.classes = record->classes;
     cfg.runner.postmortem_dir = record->dir;
@@ -121,8 +120,8 @@ int run_bench(bench::Harness& h) {
                                            : TextTable::Format::kAscii;
 
   std::vector<std::string> corpus_files;
-  if (const auto dir = args.get("corpus")) {
-    corpus_files = fuzz::list_corpus_files(*dir);
+  if (args.has("corpus")) {
+    corpus_files = fuzz::list_corpus_files(args.get_text("corpus"));
   }
 
   if (args.has("replay")) {
@@ -188,11 +187,11 @@ int run_bench(bench::Harness& h) {
   }
   std::printf("%s\n", table.render(format).c_str());
 
-  if (const auto save_dir = args.get("save")) {
+  if (args.has("save")) {
     for (const fuzz::Finding& finding : result.findings) {
       const engine::ScenarioSpec& spec = finding.minimized.spec;
-      const std::string path =
-          *save_dir + "/" + fuzz::corpus_file_name(spec, finding.expect);
+      const std::string path = args.get_text("save") + "/" +
+                               fuzz::corpus_file_name(spec, finding.expect);
       fuzz::save_scenario_file(path, spec, finding.expect);
       std::printf("saved %s\n", path.c_str());
     }
@@ -212,8 +211,13 @@ int run_bench(bench::Harness& h) {
 
 int main(int argc, char** argv) {
   return bench::run(argc, argv, "fuzz",
-                    {"runs", "seed", "jobs", "batch", "corpus", "save",
-                     "no-minimize", "divergence-threshold", "replay", "record",
-                     "markdown"},
+                    {{"runs", Flag::kInt, "2000", Bound::kPositive},
+                     {"seed", Flag::kInt, "1"}, Flag::jobs(),
+                     {"batch", Flag::kInt, "32", Bound::kPositive},
+                     {"corpus", Flag::kText}, {"save", Flag::kText},
+                     {"no-minimize"},
+                     {"divergence-threshold", Flag::kReal, "0.35",
+                      Bound::kNonNegative},
+                     {"replay"}, bench::record_flag(), {"markdown"}},
                     run_bench);
 }

@@ -43,21 +43,22 @@ namespace {
 int run_bench(bench::Harness& h) {
   const ArgParser& args = h.args();
 
+  const double mbps = args.get_double("mbps");
+  const double rtt_ms = args.get_double("rtt-ms");
+  const double buffer = args.get_double("buffer");
   exp::GauntletConfig cfg;
-  cfg.link = fluid::make_link_mbps(args.get_double("mbps", 30.0),
-                                   args.get_double("rtt-ms", 42.0),
-                                   args.get_double("buffer", 100.0));
-  cfg.num_senders = static_cast<int>(args.get_int("senders", 2));
-  cfg.steps = args.get_int("steps", 900);
+  cfg.link = fluid::make_link_mbps(mbps, rtt_ms, buffer);
+  cfg.num_senders = static_cast<int>(args.get_int("senders"));
+  cfg.steps = args.get_int("steps");
   cfg.seeds.clear();
-  const long num_seeds = args.get_int("seeds", 3);
+  const long num_seeds = args.get_int("seeds");
   for (long s = 1; s <= num_seeds; ++s) {
     cfg.seeds.push_back(static_cast<std::uint64_t>(s));
   }
   cfg.include_axiom_metrics = !args.has("no-axioms");
   // The gauntlet propagates the backend into axiom_cfg itself.
   cfg.backend = h.backend();
-  cfg.topology_bottlenecks = static_cast<int>(args.get_int("topology", 0));
+  cfg.topology_bottlenecks = static_cast<int>(args.get_int("topology"));
   cfg.jobs = h.jobs();
   // --record[=dir[,classes=list]]: flight-record every cell and dump a
   // post-mortem for each faulting one next to the other artifacts. A
@@ -73,17 +74,17 @@ int run_bench(bench::Harness& h) {
   cfg.axiom_cfg.fast_utilization_steps = 1000;
   cfg.axiom_cfg.robustness_steps = 1200;
 
+  // An empty --protocols list runs the default roster.
   const std::vector<std::string> specs =
-      args.has("protocols") ? args.get_list("protocols", "")
-                            : exp::default_gauntlet_specs();
+      args.get_list("protocols").empty() ? exp::default_gauntlet_specs()
+                                         : args.get_list("protocols");
 
   if (!args.has("csv")) {
     std::printf("=== Robustness gauntlet ===\n");
     std::printf(
         "Link: %.0f Mbps, %.0f ms RTT, %.0f MSS buffer; %d senders, %ld "
         "steps, %zu seeds, %zu protocols, %ld jobs\n\n",
-        args.get_double("mbps", 30.0), args.get_double("rtt-ms", 42.0),
-        args.get_double("buffer", 100.0), cfg.num_senders, cfg.steps,
+        mbps, rtt_ms, buffer, cfg.num_senders, cfg.steps,
         cfg.seeds.size(), specs.size(), cfg.jobs);
     if (cfg.topology_bottlenecks > 0) {
       std::printf("Topology: %d-bottleneck parking lot per cell\n\n",
@@ -176,8 +177,18 @@ int run_bench(bench::Harness& h) {
 
 int main(int argc, char** argv) {
   return bench::run(argc, argv, "gauntlet",
-                    {"mbps", "rtt-ms", "buffer", "senders", "steps", "seeds",
-                     "protocols", "no-axioms", "backend", "topology", "jobs",
-                     "record", "cells", "csv", "markdown"},
+                    {{"mbps", Flag::kReal, "30", Bound::kPositive},
+                     {"rtt-ms", Flag::kReal, "42", Bound::kPositive},
+                     {"buffer", Flag::kReal, "100", Bound::kNonNegative},
+                     {"senders", Flag::kInt, "2", Bound::kPositive},
+                     // exp::run_gauntlet needs at least 100 steps.
+                     {"steps", Flag::kInt, "900",
+                      {100.0, Bound::kMax, "", " >= 100"}},
+                     {"seeds", Flag::kInt, "3", Bound::kPositive},
+                     {"protocols", Flag::kList}, {"no-axioms"},
+                     bench::backend_flag(),
+                     {"topology", Flag::kInt, "0", Bound::kNonNegative},
+                     Flag::jobs(), bench::record_flag(), {"cells"}, {"csv"},
+                     {"markdown"}},
                     run_bench);
 }

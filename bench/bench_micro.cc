@@ -496,25 +496,17 @@ void run_recorded_probe(const bench::RecordRequest& request) {
 int run_bench(bench::Harness& h, int argc, char** argv) {
   const ArgParser& args = h.args();
   g_backend = h.backend();
-  // --senders-scaling alone runs up to 100000 senders.
-  long senders_scaling_max = 0;  // 0 = bench not requested
-  if (args.has("senders-scaling")) {
-    senders_scaling_max =
-        args.get_or("senders-scaling", "").empty()
-            ? 100000
-            : args.get_int("senders-scaling", 0, Sign::kPositive);
-  }
-  const auto record = h.record();
+  const auto& record = h.record();
 
   BenchReport& bench = h.report();
   if (record) run_recorded_probe(*record);
   if (!args.has("skip-pool")) run_pool_throughput_bench(bench);
-  if (senders_scaling_max > 0) {
+  if (args.has("senders-scaling")) {
     // Its own ledger group: the scaling runs' workload (and therefore any
     // deterministic telemetry it would carry) varies with maxN, so mixing it
     // into the `micro` group would trip the sentinel's exact-counter gate.
     run_senders_scaling_bench(h.report("senders_scaling"),
-                              senders_scaling_max);
+                              args.get_int("senders-scaling"));
   }
   if (!args.has("skip-overhead")) run_telemetry_overhead_bench(bench);
   h.finish(engine::backend_name(g_backend));
@@ -538,8 +530,12 @@ int run_bench(bench::Harness& h, int argc, char** argv) {
 
 int main(int argc, char** argv) {
   return bench::run(argc, argv, "micro",
-                    {"backend", "record", "skip-pool", "skip-overhead",
-                     "senders-scaling", "benchmark_*"},
+                    {bench::backend_flag(), bench::record_flag(),
+                     {"skip-pool"}, {"skip-overhead"},
+                     // --senders-scaling alone runs up to 100000 senders.
+                     {"senders-scaling", Flag::kInt, "100000",
+                      Bound::kPositive},
+                     {"benchmark_*", Flag::kText}},
                     [&](bench::Harness& h) {
                       return run_bench(h, argc, argv);
                     });

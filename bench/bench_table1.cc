@@ -36,12 +36,13 @@ std::string cell(double nuanced, double worst, double measured) {
 
 int run_bench(bench::Harness& h) {
   const ArgParser& args = h.args();
+  const double mbps = args.get_double("mbps");
+  const double rtt_ms = args.get_double("rtt-ms");
+  const double buffer = args.get_double("buffer");
   core::EvalConfig cfg;
-  cfg.link = fluid::make_link_mbps(args.get_double("mbps", 30.0),
-                                   args.get_double("rtt-ms", 42.0),
-                                   args.get_double("buffer", 100.0));
-  cfg.num_senders = static_cast<int>(args.get_int("senders", 2));
-  cfg.steps = args.get_int("steps", 4000);
+  cfg.link = fluid::make_link_mbps(mbps, rtt_ms, buffer);
+  cfg.num_senders = static_cast<int>(args.get_int("senders"));
+  cfg.steps = args.get_int("steps");
   cfg.backend = h.backend();
   const long jobs = h.jobs();
   if (cfg.backend != engine::BackendKind::kFluid) {
@@ -53,8 +54,7 @@ int run_bench(bench::Harness& h) {
   std::printf(
       "Link: %.0f Mbps, %.0f ms RTT, %.0f MSS buffer, %d senders, %ld "
       "jobs\n",
-      args.get_double("mbps", 30.0), args.get_double("rtt-ms", 42.0),
-      args.get_double("buffer", 100.0), cfg.num_senders, jobs);
+      mbps, rtt_ms, buffer, cfg.num_senders, jobs);
   std::printf("Cell format: theory <worst-case> | measured\n\n");
 
   WallTimer timer;
@@ -107,7 +107,11 @@ int run_bench(bench::Harness& h) {
 
 int main(int argc, char** argv) {
   return bench::run(argc, argv, "table1",
-                    {"mbps", "rtt-ms", "buffer", "senders", "steps",
-                     "backend", "jobs", "markdown"},
+                    {{"mbps", Flag::kReal, "30", Bound::kPositive},
+                     {"rtt-ms", Flag::kReal, "42", Bound::kPositive},
+                     {"buffer", Flag::kReal, "100", Bound::kNonNegative},
+                     {"senders", Flag::kInt, "2", Bound::kPositive},
+                     {"steps", Flag::kInt, "4000", Bound::kPositive},
+                     bench::backend_flag(), Flag::jobs(), {"markdown"}},
                     run_bench);
 }

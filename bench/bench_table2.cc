@@ -34,7 +34,7 @@ namespace {
 int run_bench(bench::Harness& h) {
   const ArgParser& args = h.args();
   exp::Table2Config cfg;
-  cfg.steps = args.get_int("steps", 4000);
+  cfg.steps = args.get_int("steps");
   cfg.jobs = h.jobs();
 
   const engine::BackendKind backend = h.backend();
@@ -48,7 +48,7 @@ int run_bench(bench::Harness& h) {
 
   WallTimer timer;
   const auto cells =
-      packet ? exp::build_table2_packet(cfg, args.get_double("duration", 30.0))
+      packet ? exp::build_table2_packet(cfg, args.get_double("duration"))
              : exp::build_table2(cfg);
   const double grid_seconds = timer.seconds();
 
@@ -96,6 +96,8 @@ int run_bench(bench::Harness& h) {
 
 int main(int argc, char** argv) {
   return bench::run(argc, argv, "table2",
-                    {"steps", "duration", "backend", "jobs", "markdown"},
+                    {{"steps", Flag::kInt, "4000", Bound::kPositive},
+                     {"duration", Flag::kReal, "30", Bound::kPositive},
+                     bench::backend_flag(), Flag::jobs(), {"markdown"}},
                     run_bench);
 }

@@ -43,7 +43,7 @@ int print_checks(const char* title, const std::vector<exp::TheoremCheck>& checks
 int run_bench(bench::Harness& h) {
   const ArgParser& args = h.args();
   core::EvalConfig cfg;
-  cfg.steps = args.get_int("steps", 3000);
+  cfg.steps = args.get_int("steps");
   cfg.backend = h.backend();
   const long jobs = h.jobs();
   if (cfg.backend != engine::BackendKind::kFluid) {
@@ -112,6 +112,8 @@ int run_bench(bench::Harness& h) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return bench::run(argc, argv, "theorems", {"steps", "backend", "jobs"},
+  return bench::run(argc, argv, "theorems",
+                    {{"steps", Flag::kInt, "3000", Bound::kPositive},
+                     bench::backend_flag(), Flag::jobs()},
                     run_bench);
 }

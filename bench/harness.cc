@@ -37,26 +37,56 @@ std::string span_flame_summary(
   return analysis::bar_chart(bars, 50, "span time by category (ms):");
 }
 
-/// The flags every bench reads, then the bench's own.
-std::vector<std::string> with_common_flags(
-    std::initializer_list<std::string_view> flags) {
-  std::vector<std::string> all{"out", "telemetry"};
+/// --out and --telemetry, then the bench's own flags.
+std::vector<Flag> with_common_flags(const std::vector<Flag>& flags) {
+  std::vector<Flag> all{{"out", Flag::kText}, {"telemetry"}};
   all.insert(all.end(), flags.begin(), flags.end());
   return all;
 }
 
+bool declares(const std::vector<Flag>& flags, std::string_view name) {
+  return std::any_of(flags.begin(), flags.end(),
+                     [name](const Flag& f) { return f.name == name; });
+}
+
+/// The --record value `value`; an empty directory means `out_dir`.
+RecordRequest parse_record(const std::string& value,
+                           const std::string& out_dir) {
+  // Everything after ",classes=" is the class list, which may itself be
+  // comma-separated, so split at the marker rather than the first comma.
+  static constexpr std::string_view kClasses = ",classes=";
+  const auto marker = value.find(kClasses);
+  RecordRequest request;
+  request.dir = value.substr(0, marker);
+  if (request.dir.empty()) request.dir = out_dir;
+  if (marker == std::string::npos) return request;
+  try {
+    request.classes = recorder::parse_class_mask(
+        value.substr(marker + kClasses.size()).c_str());
+  } catch (const std::invalid_argument& e) {
+    throw UsageError("invalid value for --record: " + std::string(e.what()));
+  }
+  return request;
+}
+
 }  // namespace
 
+Flag backend_flag() {
+  return {"backend", Flag::kChoice, "fluid", Bound::kAny, {"fluid", "packet"}};
+}
+
+Flag record_flag() { return {"record", Flag::kText}; }
+
 Harness::Harness(int argc, const char* const* argv, std::string name,
-                 std::initializer_list<std::string_view> flags)
+                 std::vector<Flag> flags)
     : args_(argc, argv, with_common_flags(flags)), name_(std::move(name)) {
   AXIOMCC_EXPECTS(!name_.empty());
-  if (!args_.get_or("telemetry", "").empty()) {
-    throw UsageError("--telemetry is a switch and takes no value (the trace "
-                     "lands in --out)");
-  }
-  out_dir_ = args_.get_or("out", "");
+  out_dir_ = args_.get_text("out");
   if (out_dir_.empty()) out_dir_ = "artifacts";
+  report_jobs_ = declares(flags, "jobs") ? jobs() : hardware_jobs();
+  if (declares(flags, "record") && args_.has("record")) {
+    record_ = parse_record(args_.get_text("record"), out_dir_);
+  }
 
   if (!args_.has("telemetry")) return;
   telemetry_ = true;
@@ -69,39 +99,13 @@ Harness::~Harness() {
   if (telemetry_) telemetry::set_enabled(false);
 }
 
-long Harness::jobs() const {
-  AXIOMCC_EXPECTS_MSG(args_.reads("jobs"), "the bench does not read --jobs");
-  return args_.get_jobs();
-}
-
 engine::BackendKind Harness::backend() const {
-  AXIOMCC_EXPECTS_MSG(args_.reads("backend"),
-                      "the bench does not read --backend");
-  return engine::parse_backend(args_.get_or("backend", "fluid"));
-}
-
-std::optional<RecordRequest> Harness::record() const {
-  AXIOMCC_EXPECTS_MSG(args_.reads("record"),
-                      "the bench does not read --record");
-  const auto value = args_.get("record");
-  if (!value) return std::nullopt;
-  // Everything after ",classes=" is the class list, which may itself be
-  // comma-separated, so split at the marker rather than the first comma.
-  static constexpr std::string_view kClasses = ",classes=";
-  const auto marker = value->find(kClasses);
-  RecordRequest request;
-  request.dir = value->substr(0, marker);
-  if (request.dir.empty()) request.dir = out_dir_;
-  if (marker != std::string::npos) {
-    request.classes = recorder::parse_class_mask(
-        value->substr(marker + kClasses.size()).c_str());
-  }
-  return request;
+  return engine::parse_backend(args_.get_text("backend"));
 }
 
 BenchReport& Harness::report(std::string name) {
   BenchReport& report = reports_.emplace_back(name.empty() ? name_ : name);
-  report.set_jobs(args_.reads("jobs") ? jobs() : hardware_jobs());
+  report.set_jobs(report_jobs_);
   return report;
 }
 
@@ -156,10 +160,9 @@ void Harness::finish(std::string_view backend) {
 }
 
 int run(int argc, const char* const* argv, std::string name,
-        std::initializer_list<std::string_view> flags,
-        const std::function<int(Harness&)>& body) {
+        std::vector<Flag> flags, const std::function<int(Harness&)>& body) {
   return run_cli([&] {
-    Harness harness(argc, argv, std::move(name), flags);
+    Harness harness(argc, argv, std::move(name), std::move(flags));
     return body(harness);
   });
 }

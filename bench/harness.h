@@ -8,14 +8,17 @@
 //   --out=dir                       where the ledger and trace land
 //                                   (default artifacts)
 //   --telemetry                     record the metrics registry and spans
-//   --jobs=N                        worker count (see resolve_jobs)
-//   --backend=fluid|packet          simulator (default fluid)
-//   --record[=dir[,classes=list]]   flight-recorder capture (dir: --out)
+//   --jobs=N                        worker count (Flag::jobs, see get_jobs)
+//   --backend=fluid|packet          simulator (backend_flag, default fluid)
+//   --record[=dir[,classes=list]]   flight-recorder capture (record_flag;
+//                                   dir: --out)
 //
-// Each bench lists the flags it reads; --out and --telemetry are always
-// read. Any other flag, a positional argument (the ArgParser contract), or
-// a value on the --telemetry switch is rejected before the body runs:
-// `error: ...` naming it and exit 2.
+// Each bench declares the flags it reads (util/cli.h); --out and
+// --telemetry are always declared. The Harness parses every declared flag,
+// --backend and --record included, before the body runs: a flag the bench
+// does not declare, a positional argument, a value on the --telemetry
+// switch, or a value a declaration rejects (an unknown backend or recorder
+// class among them) is `error: ...` naming the flag and exit 2.
 //
 // The body makes its reports with report() and ends with finish(backend),
 // which appends exactly one ledger record per report to <out>/ledger.jsonl
@@ -28,10 +31,10 @@
 
 #include <deque>
 #include <functional>
-#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "engine/scenario.h"
 #include "recorder/event.h"
@@ -47,13 +50,19 @@ struct RecordRequest {
   unsigned classes = recorder::kAllClasses;
 };
 
+/// The shared --backend=fluid|packet flag (default fluid).
+[[nodiscard]] Flag backend_flag();
+/// The shared --record[=dir[,classes=list]] flag.
+[[nodiscard]] Flag record_flag();
+
 class Harness {
  public:
-  /// Parses the command line of bench `name` reading `flags` (ArgParser's
-  /// form). Throws UsageError on a flag it does not read; turns telemetry
-  /// recording on under --telemetry.
+  /// Parses the command line of bench `name` against `flags` plus --out and
+  /// --telemetry. Throws UsageError on a flag it does not declare or a
+  /// value a declaration rejects; turns telemetry recording on under
+  /// --telemetry.
   Harness(int argc, const char* const* argv, std::string name,
-          std::initializer_list<std::string_view> flags);
+          std::vector<Flag> flags);
   ~Harness();
 
   Harness(const Harness&) = delete;
@@ -63,14 +72,14 @@ class Harness {
   [[nodiscard]] const ArgParser& args() const { return args_; }
   [[nodiscard]] const std::string& out_dir() const { return out_dir_; }
 
-  /// --jobs=N resolved by resolve_jobs. Requires the bench to read --jobs.
-  [[nodiscard]] long jobs() const;
-  /// --backend. Requires the bench to read --backend.
+  /// --jobs=N resolved by ArgParser::get_jobs. Requires Flag::jobs().
+  [[nodiscard]] long jobs() const { return args_.get_jobs(); }
+  /// --backend. Requires backend_flag().
   [[nodiscard]] engine::BackendKind backend() const;
-  /// --record, nullopt without the flag. Requires the bench to read
-  /// --record. Throws std::invalid_argument on an unknown or empty class
-  /// list.
-  [[nodiscard]] std::optional<RecordRequest> record() const;
+  /// --record, nullopt without the flag (or without record_flag()).
+  [[nodiscard]] const std::optional<RecordRequest>& record() const {
+    return record_;
+  }
 
   /// A new report named `name` (default: the bench's name), its job count
   /// preset to jobs(), or to hardware_jobs() for a bench without --jobs.
@@ -86,6 +95,8 @@ class Harness {
   ArgParser args_;
   std::string name_;
   std::string out_dir_;
+  long report_jobs_ = 0;
+  std::optional<RecordRequest> record_;
   bool telemetry_ = false;
   bool finished_ = false;
   std::deque<BenchReport> reports_;
@@ -94,7 +105,6 @@ class Harness {
 /// Runs `body` under a Harness built from the command line, under run_cli:
 /// exit 2 on a UsageError, 1 on any other exception.
 int run(int argc, const char* const* argv, std::string name,
-        std::initializer_list<std::string_view> flags,
-        const std::function<int(Harness&)>& body);
+        std::vector<Flag> flags, const std::function<int(Harness&)>& body);
 
 }  // namespace axiomcc::bench

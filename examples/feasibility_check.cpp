@@ -20,15 +20,22 @@ using namespace axiomcc;
 
 int main(int argc, char** argv) {
   return run_cli([&] {
-    const ArgParser args(argc, argv,
-                         {"min-efficiency", "min-fast", "max-loss",
-                          "min-fairness", "min-convergence", "min-robustness",
-                          "min-friendliness", "max-latency", "mbps", "rtt-ms",
-                          "buffer", "steps"});
+    const ArgParser args(
+        argc, argv,
+        {{"min-efficiency", Flag::kReal, ""}, {"min-fast", Flag::kReal, ""},
+         {"max-loss", Flag::kReal, ""}, {"min-fairness", Flag::kReal, ""},
+         {"min-convergence", Flag::kReal, ""},
+         {"min-robustness", Flag::kReal, ""},
+         {"min-friendliness", Flag::kReal, ""},
+         {"max-latency", Flag::kReal, ""},
+         {"mbps", Flag::kReal, "30", Bound::kPositive},
+         {"rtt-ms", Flag::kReal, "42", Bound::kPositive},
+         {"buffer", Flag::kReal, "100", Bound::kNonNegative},
+         {"steps", Flag::kInt, "3000", Bound::kPositive}});
 
     core::FeasibilityQuery query;
     const auto bind = [&](const char* flag, std::optional<double>& field) {
-      if (args.has(flag)) field = args.get_double(flag, 0.0);
+      if (args.has(flag)) field = args.get_double(flag);
     };
     bind("min-efficiency", query.min_efficiency);
     bind("min-fast", query.min_fast_utilization);
@@ -40,11 +47,10 @@ int main(int argc, char** argv) {
     bind("max-latency", query.max_latency);
 
     core::EvalConfig cfg;
-    cfg.link = fluid::make_link_mbps(
-        args.get_double("mbps", 30.0, Sign::kPositive),
-        args.get_double("rtt-ms", 42.0, Sign::kPositive),
-        args.get_double("buffer", 100.0, Sign::kNonNegative));
-    cfg.steps = args.get_int("steps", 3000, Sign::kPositive);
+    cfg.link = fluid::make_link_mbps(args.get_double("mbps"),
+                                     args.get_double("rtt-ms"),
+                                     args.get_double("buffer"));
+    cfg.steps = args.get_int("steps");
 
     std::printf("query: %s\n", query.describe().c_str());
     std::printf("searching %zu candidate protocol instances...\n\n",

@@ -19,23 +19,25 @@ using namespace axiomcc;
 
 int main(int argc, char** argv) {
   return run_cli([&] {
-    const ArgParser args(argc, argv,
-                         {"protocol", "mbps", "rtt-ms", "buffer", "duration",
-                          "loss", "watch", "csv", "dump"});
+    const ArgParser args(
+        argc, argv,
+        {{"protocol", Flag::kList, "reno,reno"},
+         {"mbps", Flag::kReal, "20", Bound::kPositive},
+         {"rtt-ms", Flag::kReal, "42", Bound::kPositive},
+         {"buffer", Flag::kInt, "50", Bound::kNonNegative},
+         {"duration", Flag::kReal, "20", Bound::kPositive},
+         {"loss", Flag::kReal, "0", Bound::kFraction},
+         {"watch", Flag::kInt, "0", Bound::kNonNegative}, {"csv"},
+         {"dump", Flag::kText}});
 
     sim::DumbbellConfig cfg;
-    cfg.bottleneck_mbps = args.get_double("mbps", 20.0, Sign::kPositive);
-    cfg.rtt_ms = args.get_double("rtt-ms", 42.0, Sign::kPositive);
-    cfg.buffer_packets = static_cast<std::size_t>(
-        args.get_int("buffer", 50, Sign::kNonNegative));
-    cfg.duration_seconds =
-        args.get_double("duration", 20.0, Sign::kPositive);
-    cfg.random_loss_rate = args.get_double("loss", 0.0, Sign::kNonNegative);
-    if (cfg.random_loss_rate >= 1.0) {
-      throw UsageError("--loss must be below 1");
-    }
-    const auto specs = args.get_list("protocol", "reno,reno");
-    const long watch = args.get_int("watch", 0, Sign::kNonNegative);
+    cfg.bottleneck_mbps = args.get_double("mbps");
+    cfg.rtt_ms = args.get_double("rtt-ms");
+    cfg.buffer_packets = static_cast<std::size_t>(args.get_int("buffer"));
+    cfg.duration_seconds = args.get_double("duration");
+    cfg.random_loss_rate = args.get_double("loss");
+    const auto& specs = args.get_list("protocol");
+    const long watch = args.get_int("watch");
     if (watch >= static_cast<long>(specs.size())) {
       throw UsageError("--watch=" + std::to_string(watch) +
                        " names no flow (there are " +
@@ -87,9 +89,10 @@ int main(int argc, char** argv) {
                 exp.bottleneck_utilization() * 100.0,
                 exp.simulator().events_processed());
 
-    if (const auto dump = args.get("dump")) {
-      analysis::write_trace_csv_file(exp.trace(), *dump);
-      std::printf("sampled window trace written to %s\n", dump->c_str());
+    if (args.has("dump")) {
+      const std::string& dump = args.get_text("dump");
+      analysis::write_trace_csv_file(exp.trace(), dump);
+      std::printf("sampled window trace written to %s\n", dump.c_str());
     }
     return 0;
   });

@@ -56,30 +56,26 @@ std::vector<Candidate> sweep_robust_aimd(const core::EvalConfig& cfg) {
 
 int main(int argc, char** argv) {
   return run_cli([&] {
-    const ArgParser args(argc, argv,
-                         {"family", "mbps", "rtt-ms", "buffer", "steps",
-                          "markdown"});
+    const ArgParser args(
+        argc, argv,
+        {{"family", Flag::kChoice, "aimd", Bound::kAny,
+          {"aimd", "robust_aimd"}},
+         {"mbps", Flag::kReal, "30", Bound::kPositive},
+         {"rtt-ms", Flag::kReal, "42", Bound::kPositive},
+         {"buffer", Flag::kReal, "100", Bound::kNonNegative},
+         {"steps", Flag::kInt, "3000", Bound::kPositive}, {"markdown"}});
     core::EvalConfig cfg;
-    cfg.link = fluid::make_link_mbps(
-        args.get_double("mbps", 30.0, Sign::kPositive),
-        args.get_double("rtt-ms", 42.0, Sign::kPositive),
-        args.get_double("buffer", 100.0, Sign::kNonNegative));
-    cfg.steps = args.get_int("steps", 3000, Sign::kPositive);
+    cfg.link = fluid::make_link_mbps(args.get_double("mbps"),
+                                     args.get_double("rtt-ms"),
+                                     args.get_double("buffer"));
+    cfg.steps = args.get_int("steps");
 
-    const std::string family = args.get_or("family", "aimd");
+    const std::string& family = args.get_text("family");
     std::printf("=== Pareto exploration of the %s family ===\n", family.c_str());
     std::printf("(evaluating the parameter grid; ~1s)\n\n");
 
-    std::vector<Candidate> candidates;
-    if (family == "aimd") {
-      candidates = sweep_aimd(cfg);
-    } else if (family == "robust_aimd") {
-      candidates = sweep_robust_aimd(cfg);
-    } else {
-      std::fprintf(stderr, "unknown --family=%s (aimd | robust_aimd)\n",
-                   family.c_str());
-      return 1;
-    }
+    const std::vector<Candidate> candidates =
+        family == "aimd" ? sweep_aimd(cfg) : sweep_robust_aimd(cfg);
 
     std::vector<std::vector<double>> points;
     for (const auto& c : candidates) {

@@ -21,16 +21,18 @@ using namespace axiomcc;
 
 int main(int argc, char** argv) {
   return run_cli([&] {
-    const ArgParser args(argc, argv,
-                         {"protocol", "max-hops", "mbps", "steps", "duration"});
-    const std::string spec = args.get_or("protocol", "robust_aimd(1,0.5,0.01)");
-    const int max_hops =
-        static_cast<int>(args.get_int("max-hops", 4, Sign::kPositive));
-    const double mbps = args.get_double("mbps", 20.0, Sign::kPositive);
-    const long steps = args.get_int("steps", 3000, Sign::kPositive);
-    const double duration =
-        args.get_double("duration", 20.0, Sign::kPositive);
-    const auto prototype = cc::make_protocol(spec);
+    const ArgParser args(
+        argc, argv,
+        {{"protocol", Flag::kText, "robust_aimd(1,0.5,0.01)"},
+         {"max-hops", Flag::kInt, "4", Bound::kPositive},
+         {"mbps", Flag::kReal, "20", Bound::kPositive},
+         {"steps", Flag::kInt, "3000", Bound::kPositive},
+         {"duration", Flag::kReal, "20", Bound::kPositive}});
+    const int max_hops = static_cast<int>(args.get_int("max-hops"));
+    const double mbps = args.get_double("mbps");
+    const long steps = args.get_int("steps");
+    const double duration = args.get_double("duration");
+    const auto prototype = cc::make_protocol(args.get_text("protocol"));
 
     std::printf("=== parking lot: %s over 1..%d bottlenecks ===\n\n",
                 prototype->name().c_str(), max_hops);

@@ -19,20 +19,23 @@ using namespace axiomcc;
 
 int main(int argc, char** argv) {
   return run_cli([&] {
-    const ArgParser args(argc, argv,
-                         {"protocols", "initial", "mbps", "rtt-ms", "buffer",
-                          "steps"});
-    const auto specs = args.get_list("protocols", "reno,reno");
-    const auto initials =
-        args.get_doubles("initial", "1,60", Sign::kNonNegative);
+    const ArgParser args(
+        argc, argv,
+        {{"protocols", Flag::kList, "reno,reno"},
+         {"initial", Flag::kReals, "1,60", Bound::kNonNegative},
+         {"mbps", Flag::kReal, "30", Bound::kPositive},
+         {"rtt-ms", Flag::kReal, "42", Bound::kPositive},
+         {"buffer", Flag::kReal, "100", Bound::kNonNegative},
+         {"steps", Flag::kInt, "600", Bound::kPositive}});
+    const auto& specs = args.get_list("protocols");
+    const auto& initials = args.get_doubles("initial");
 
     fluid::SimOptions opt;
-    opt.steps = args.get_int("steps", 600, Sign::kPositive);
+    opt.steps = args.get_int("steps");
     fluid::FluidSimulation sim(
-        fluid::make_link_mbps(
-            args.get_double("mbps", 30.0, Sign::kPositive),
-            args.get_double("rtt-ms", 42.0, Sign::kPositive),
-            args.get_double("buffer", 100.0, Sign::kNonNegative)),
+        fluid::make_link_mbps(args.get_double("mbps"),
+                              args.get_double("rtt-ms"),
+                              args.get_double("buffer")),
         opt);
 
     for (std::size_t i = 0; i < specs.size(); ++i) {

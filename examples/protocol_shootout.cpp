@@ -20,23 +20,25 @@ using namespace axiomcc;
 
 int main(int argc, char** argv) {
   return run_cli([&] {
-    const ArgParser args(argc, argv,
-                         {"protocols", "mbps", "rtt-ms", "buffer", "senders",
-                          "steps", "markdown"});
-    const auto specs = args.get_list(
-        "protocols",
-        "reno,cubic-linux,scalable,bin(1,1,1,0),robust_aimd(1,0.8,0.01),pcc,"
-        "vegas(2,4)");
-
-    const double mbps = args.get_double("mbps", 30.0, Sign::kPositive);
-    const double rtt_ms = args.get_double("rtt-ms", 42.0, Sign::kPositive);
-    const double buffer = args.get_double("buffer", 100.0, Sign::kNonNegative);
+    const ArgParser args(
+        argc, argv,
+        {{"protocols", Flag::kList,
+          "reno,cubic-linux,scalable,bin(1,1,1,0),robust_aimd(1,0.8,0.01),pcc,"
+          "vegas(2,4)"},
+         {"mbps", Flag::kReal, "30", Bound::kPositive},
+         {"rtt-ms", Flag::kReal, "42", Bound::kPositive},
+         {"buffer", Flag::kReal, "100", Bound::kNonNegative},
+         {"senders", Flag::kInt, "2", Bound::kPositive},
+         {"steps", Flag::kInt, "4000", Bound::kPositive}, {"markdown"}});
+    const auto& specs = args.get_list("protocols");
+    const double mbps = args.get_double("mbps");
+    const double rtt_ms = args.get_double("rtt-ms");
+    const double buffer = args.get_double("buffer");
 
     core::EvalConfig cfg;
     cfg.link = fluid::make_link_mbps(mbps, rtt_ms, buffer);
-    cfg.num_senders =
-        static_cast<int>(args.get_int("senders", 2, Sign::kPositive));
-    cfg.steps = args.get_int("steps", 4000, Sign::kPositive);
+    cfg.num_senders = static_cast<int>(args.get_int("senders"));
+    cfg.steps = args.get_int("steps");
 
     std::printf("=== protocol shootout: %zu protocols, %.0f Mbps / %.0f ms / "
                 "%.0f MSS ===\n\n",

@@ -19,19 +19,21 @@ using namespace axiomcc;
 int main(int argc, char** argv) {
   return run_cli([&] {
     const ArgParser args(argc, argv,
-                         {"protocol", "mbps", "rtt-ms", "buffer", "senders",
-                          "steps"});
-    const std::string spec = args.get_or("protocol", "aimd(1,0.5)");
-    const auto protocol = cc::make_protocol(spec);
-    const double mbps = args.get_double("mbps", 30.0, Sign::kPositive);
-    const double rtt_ms = args.get_double("rtt-ms", 42.0, Sign::kPositive);
-    const double buffer = args.get_double("buffer", 100.0, Sign::kNonNegative);
+                         {{"protocol", Flag::kText, "aimd(1,0.5)"},
+                          {"mbps", Flag::kReal, "30", Bound::kPositive},
+                          {"rtt-ms", Flag::kReal, "42", Bound::kPositive},
+                          {"buffer", Flag::kReal, "100", Bound::kNonNegative},
+                          {"senders", Flag::kInt, "2", Bound::kPositive},
+                          {"steps", Flag::kInt, "4000", Bound::kPositive}});
+    const auto protocol = cc::make_protocol(args.get_text("protocol"));
+    const double mbps = args.get_double("mbps");
+    const double rtt_ms = args.get_double("rtt-ms");
+    const double buffer = args.get_double("buffer");
 
     core::EvalConfig cfg;
     cfg.link = fluid::make_link_mbps(mbps, rtt_ms, buffer);
-    cfg.num_senders =
-        static_cast<int>(args.get_int("senders", 2, Sign::kPositive));
-    cfg.steps = args.get_int("steps", 4000, Sign::kPositive);
+    cfg.num_senders = static_cast<int>(args.get_int("senders"));
+    cfg.steps = args.get_int("steps");
 
     std::printf("Evaluating %s on a %.0f Mbps / %.0f ms RTT / %.0f MSS "
                 "buffer link with %d senders...\n\n",

@@ -22,14 +22,16 @@ using namespace axiomcc;
 int main(int argc, char** argv) {
   return run_cli([&] {
     const ArgParser args(argc, argv,
-                         {"loss", "mbps", "rtt-ms", "steps", "duration"});
-    const double loss = args.get_double("loss", 0.008, Sign::kNonNegative);
-    if (loss >= 1.0) throw UsageError("--loss must be below 1");
-    const double mbps = args.get_double("mbps", 20.0, Sign::kPositive);
-    const double rtt_ms = args.get_double("rtt-ms", 42.0, Sign::kPositive);
-    const long steps = args.get_int("steps", 2000, Sign::kPositive);
-    const double duration =
-        args.get_double("duration", 30.0, Sign::kPositive);
+                         {{"loss", Flag::kReal, "0.008", Bound::kFraction},
+                          {"mbps", Flag::kReal, "20", Bound::kPositive},
+                          {"rtt-ms", Flag::kReal, "42", Bound::kPositive},
+                          {"steps", Flag::kInt, "2000", Bound::kPositive},
+                          {"duration", Flag::kReal, "30", Bound::kPositive}});
+    const double loss = args.get_double("loss");
+    const double mbps = args.get_double("mbps");
+    const double rtt_ms = args.get_double("rtt-ms");
+    const long steps = args.get_int("steps");
+    const double duration = args.get_double("duration");
 
     std::printf("=== non-congestion loss demo: %.2f%% random loss on a "
                 "%.0f Mbps path ===\n\n",

@@ -1,65 +1,49 @@
 #include "util/cli.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <exception>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
+#include "util/check.h"
 #include "util/task_pool.h"
 
 namespace axiomcc {
-
-ArgParser::ArgParser(int argc, const char* const* argv,
-                     std::vector<std::string> flags, Positionals positionals)
-    : reads_(std::move(flags)) {
-  const std::string_view path = argc > 0 ? argv[0] : "";
-  const std::string program(path.substr(path.rfind('/') + 1));
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      if (positionals == Positionals::kRejected) {
-        throw UsageError("unexpected argument '" + arg +
-                         "' (flags are --key=value)");
-      }
-      positional_.push_back(arg);
-      continue;
-    }
-    const auto eq = arg.find('=');
-    const std::string key = arg.substr(2, eq - 2);  // npos - 2: to the end
-    if (!reads(key)) {
-      std::string accepted;
-      for (const std::string& f : reads_) accepted += " --" + f;
-      throw UsageError("unknown flag --" + key + " (" + program + " reads" +
-                       accepted + ")");
-    }
-    values_[key] = eq == std::string::npos ? "" : arg.substr(eq + 1);
-  }
-}
-
-std::optional<std::string> ArgParser::get(const std::string& key) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::string ArgParser::get_or(const std::string& key,
-                              const std::string& fallback) const {
-  return get(key).value_or(fallback);
-}
-
 namespace {
 
-/// `text`, the value of --key, parsed whole as a T (long or double). Any
-/// failure is a UsageError naming the flag, its value and what it takes.
+static_assert(TaskPool::kMaxThreads == 1024, "Flag::jobs() states the cap");
+
+/// The comma list `text`, split only outside parentheses.
+std::vector<std::string> split_list(const std::string& text) {
+  std::vector<std::string> out;
+  std::string item;
+  int depth = 0;
+  for (const char c : text) {
+    if (c == '(') ++depth;
+    if (c == ')' && depth > 0) --depth;
+    if (c == ',' && depth == 0) {
+      if (!item.empty()) out.push_back(std::move(item));
+      item.clear();
+      continue;
+    }
+    item.push_back(c);
+  }
+  if (!item.empty()) out.push_back(std::move(item));
+  return out;
+}
+
+/// `text`, the value of --key, parsed whole as a T (long or double) inside
+/// `bound`. Any failure is a UsageError naming the flag, its value and
+/// what it takes.
 template <typename T>
-T parse_number(const std::string& key, const std::string& text, Sign sign) {
+T parse_number(const std::string& key, const std::string& text, Bound bound) {
   constexpr bool kInteger = std::is_integral_v<T>;
-  const std::string noun = kInteger ? "integer" : "real number";
-  std::string expected = kInteger ? "an integer" : "a real number";
-  if (sign == Sign::kNonNegative) expected = "a non-negative " + noun;
-  if (sign == Sign::kPositive) expected = "a positive " + noun;
+  const std::string adjective = bound.adjective;
+  const std::string expected =
+      (adjective.empty() ? (kInteger ? "an " : "a ") : "a " + adjective + " ") +
+      (kInteger ? "integer" : "real number") + bound.suffix;
 
   std::size_t pos = std::string::npos;
   T parsed{};
@@ -83,71 +67,126 @@ T parse_number(const std::string& key, const std::string& text, Sign sign) {
                      key + "=" + (kInteger ? "4" : "2.5") + ")");
   }
   const auto value = static_cast<double>(parsed);
-  const bool fits = sign == Sign::kAny ||
-                    (std::isfinite(value) &&
-                     (sign == Sign::kPositive ? value > 0.0 : value >= 0.0));
-  if (!fits) {
+  if (!(value >= bound.min && value <= bound.max)) {
     throw UsageError("invalid value for --" + key + ": '" + text +
                      "' (expected " + expected + ")");
   }
   return parsed;
 }
 
+/// A name ending in '*' declares every flag with that prefix.
+bool matches(const Flag& flag, const std::string& key) {
+  const std::string& name = flag.name;
+  return name == key || (name.ends_with('*') &&
+                         key.starts_with(name.substr(0, name.size() - 1)));
+}
+
 }  // namespace
 
-double ArgParser::get_double(const std::string& key, double fallback,
-                             Sign sign) const {
-  const auto v = get(key);
-  return v ? parse_number<double>(key, *v, sign) : fallback;
-}
-
-long ArgParser::get_int(const std::string& key, long fallback,
-                        Sign sign) const {
-  const auto v = get(key);
-  return v ? parse_number<long>(key, *v, sign) : fallback;
-}
-
-std::vector<double> ArgParser::get_doubles(const std::string& key,
-                                           const std::string& fallback,
-                                           Sign sign) const {
-  std::vector<double> out;
-  for (const std::string& item : get_list(key, fallback)) {
-    out.push_back(parse_number<double>(key, item, sign));
+ArgParser::Value ArgParser::parse(const Flag& flag, const std::string& text) {
+  switch (flag.kind) {
+    case Flag::kSwitch:
+      break;
+    case Flag::kText:
+      return text;
+    case Flag::kChoice: {
+      std::string expected;
+      for (const std::string& c : flag.choices) {
+        if (c == text) return text;
+        expected += (expected.empty() ? "" : "|") + c;
+      }
+      throw UsageError("invalid value for --" + flag.name + ": '" + text +
+                       "' (expected " + expected + ")");
+    }
+    case Flag::kInt:
+      return parse_number<long>(flag.name, text, flag.bound);
+    case Flag::kReal:
+      return parse_number<double>(flag.name, text, flag.bound);
+    case Flag::kList:
+      return split_list(text);
+    case Flag::kReals: {
+      std::vector<double> out;
+      for (const std::string& item : split_list(text)) {
+        out.push_back(parse_number<double>(flag.name, item, flag.bound));
+      }
+      if (out.empty()) throw UsageError("--" + flag.name + " lists no value");
+      return out;
+    }
   }
-  return out;
+  return std::monostate{};
 }
 
-std::vector<std::string> ArgParser::get_list(
-    const std::string& key, const std::string& fallback) const {
-  std::vector<std::string> out;
-  std::string item;
-  int depth = 0;
-  for (const char c : get_or(key, fallback)) {
-    if (c == '(') ++depth;
-    if (c == ')' && depth > 0) --depth;
-    if (c == ',' && depth == 0) {
-      if (!item.empty()) out.push_back(std::move(item));
-      item.clear();
+ArgParser::ArgParser(int argc, const char* const* argv,
+                     std::vector<Flag> flags, Positionals positionals) {
+  for (Flag& flag : flags) {
+    Entry& entry = entries_.emplace_back(Entry{std::move(flag)});
+    const Flag::Kind kind = entry.flag.kind;
+    // A default parses like a given value, so a bad one fails every run.
+    try {
+      if (!entry.flag.fallback.empty() || kind == Flag::kText ||
+          kind == Flag::kList) {
+        entry.value = parse(entry.flag, entry.flag.fallback);
+      }
+    } catch (const UsageError& e) {
+      AXIOMCC_EXPECTS_MSG(false, std::string("malformed default: ") + e.what());
+    }
+  }
+
+  const std::string_view path = argc > 0 ? argv[0] : "";
+  const std::string program(path.substr(path.rfind('/') + 1));
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      if (positionals == Positionals::kRejected) {
+        throw UsageError("unexpected argument '" + arg +
+                         "' (flags are --key=value)");
+      }
+      positional_.push_back(arg);
       continue;
     }
-    item.push_back(c);
+    const auto eq = arg.find('=');
+    const std::string key = arg.substr(2, eq - 2);  // npos - 2: to the end
+    const auto it = std::find_if(
+        entries_.begin(), entries_.end(),
+        [&key](const Entry& e) { return matches(e.flag, key); });
+    if (it == entries_.end()) {
+      std::string accepted;
+      for (const Entry& e : entries_) accepted += " --" + e.flag.name;
+      throw UsageError("unknown flag --" + key + " (" + program + " reads" +
+                       accepted + ")");
+    }
+    if (it->flag.name != key) continue;  // a prefix flag: passed on unread
+    if (it->flag.kind == Flag::kSwitch && eq != std::string::npos) {
+      throw UsageError("--" + key + " is a switch and takes no value, got '" +
+                       arg + "'");
+    }
+    it->value = parse(it->flag, eq == std::string::npos ? it->flag.fallback
+                                                        : arg.substr(eq + 1));
+    it->given = true;
   }
-  if (!item.empty()) out.push_back(std::move(item));
-  return out;
 }
 
-bool ArgParser::has(const std::string& key) const {
-  return values_.contains(key);
+const ArgParser::Entry& ArgParser::find(const std::string& name) const {
+  const auto it = std::find_if(
+      entries_.begin(), entries_.end(),
+      [&name](const Entry& e) { return e.flag.name == name; });
+  AXIOMCC_EXPECTS_MSG(it != entries_.end(), "--" + name + " is not declared");
+  return *it;
 }
 
-bool ArgParser::reads(std::string_view flag) const {
-  return std::any_of(reads_.begin(), reads_.end(), [flag](std::string_view f) {
-    return f == flag ||
-           (f.ends_with('*') && flag.starts_with(f.substr(0, f.size() - 1)));
-  });
+const ArgParser::Value& ArgParser::value(const std::string& name,
+                                         Flag::Kind kind) const {
+  const Entry& entry = find(name);
+  AXIOMCC_EXPECTS_MSG(entry.flag.kind == kind ||
+                          (kind == Flag::kText &&
+                           entry.flag.kind == Flag::kChoice),
+                      "--" + name + " is read as another kind");
+  AXIOMCC_EXPECTS_MSG(!std::holds_alternative<std::monostate>(entry.value),
+                      "--" + name + " has no default and was not given");
+  return entry.value;
 }
 
-long ArgParser::get_jobs() const { return resolve_jobs(get_int("jobs", 0)); }
+long ArgParser::get_jobs() const { return resolve_jobs(get_int("jobs")); }
 
 int run_cli(const std::function<int()>& body) {
   try {

@@ -22,7 +22,7 @@ long resolve_jobs(long requested) {
 }
 
 TaskPool::TaskPool(int num_threads) {
-  AXIOMCC_EXPECTS(num_threads >= 1 && num_threads <= 1024);
+  AXIOMCC_EXPECTS(num_threads >= 1 && num_threads <= kMaxThreads);
   workers_.reserve(static_cast<std::size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
     workers_.push_back(std::make_unique<Worker>());

@@ -53,7 +53,11 @@ namespace axiomcc {
 /// slow protocol in a sweep) do not idle the other workers.
 class TaskPool {
  public:
-  /// Spawns `num_threads` workers (>= 1; the calling thread only submits).
+  /// The most workers one pool takes.
+  static constexpr int kMaxThreads = 1024;
+
+  /// Spawns `num_threads` workers (1..kMaxThreads; the calling thread only
+  /// submits).
   explicit TaskPool(int num_threads);
 
   /// Drains remaining tasks, then joins the workers.

@@ -2,6 +2,7 @@
 // common flags, and the one-record-per-report ledger artifact.
 #include "bench/harness.h"
 
+#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -17,12 +18,13 @@
 namespace axiomcc::bench {
 namespace {
 
-/// A Harness for bench "probe" over `args`, reading `flags`.
+/// A Harness for bench "probe" over `args`, declaring `flags`.
 Harness make(std::initializer_list<const char*> args,
-             std::initializer_list<std::string_view> flags = {}) {
+             std::vector<Flag> flags = {}) {
   std::vector<const char*> argv{"bench_probe"};
   argv.insert(argv.end(), args.begin(), args.end());
-  return Harness(static_cast<int>(argv.size()), argv.data(), "probe", flags);
+  return Harness(static_cast<int>(argv.size()), argv.data(), "probe",
+                 std::move(flags));
 }
 
 /// A fresh, empty directory for one test's --out.
@@ -48,7 +50,7 @@ TEST(BenchHarness, AppendsOneRecordPerReport) {
   const std::string dir = fresh_dir("one_per_report");
   const std::string out = "--out=" + dir;
   {
-    Harness h = make({out.c_str(), "--jobs=3"}, {"jobs"});
+    Harness h = make({out.c_str(), "--jobs=3"}, {Flag::jobs()});
     h.report().add_counter("cells", 4.0);
     h.report("probe_extra").add_phase("run", 0.5);
     h.finish("packet");
@@ -65,7 +67,7 @@ TEST(BenchHarness, AppendsOneRecordPerReport) {
 
   // A second run appends; the ledger accumulates.
   {
-    Harness h = make({out.c_str(), "--jobs=3"}, {"jobs"});
+    Harness h = make({out.c_str(), "--jobs=3"}, {Flag::jobs()});
     (void)h.report();
     h.finish("packet");
   }
@@ -75,7 +77,7 @@ TEST(BenchHarness, AppendsOneRecordPerReport) {
 TEST(BenchHarness, ReportJobCountFollowsJobsOrHardware) {
   const std::string dir = fresh_dir("job_count");
   const std::string out = "--out=" + dir;
-  Harness with_jobs = make({out.c_str(), "--jobs=2"}, {"jobs"});
+  Harness with_jobs = make({out.c_str(), "--jobs=2"}, {Flag::jobs()});
   EXPECT_EQ(with_jobs.report().jobs(), 2);
   Harness without = make({out.c_str()});
   EXPECT_EQ(without.report().jobs(), hardware_jobs());
@@ -168,7 +170,7 @@ TEST(BenchHarness, DeterministicCountersGatedOnTelemetry) {
 
 TEST(BenchHarness, RejectsAFlagTheBenchDoesNotRead) {
   try {
-    (void)make({"--job=1"}, {"jobs"});
+    (void)make({"--job=1"}, {Flag::jobs()});
     FAIL() << "--job=1 should be rejected";
   } catch (const UsageError& e) {
     EXPECT_NE(std::string(e.what()).find("--job "), std::string::npos)
@@ -177,20 +179,21 @@ TEST(BenchHarness, RejectsAFlagTheBenchDoesNotRead) {
   // The benches no longer read --ledger: the record is always written.
   EXPECT_THROW((void)make({"--ledger"}), UsageError);
   // A common flag the bench does not list is just as unknown.
-  EXPECT_THROW((void)make({"--backend=packet"}, {"jobs"}), UsageError);
+  EXPECT_THROW((void)make({"--backend=packet"}, {Flag::jobs()}), UsageError);
   EXPECT_THROW((void)make({"stray"}), UsageError);
   // --telemetry is a switch; the trace goes to --out.
   EXPECT_THROW((void)make({"--telemetry=dir"}), UsageError);
   // A trailing '*' reads a whole prefix (bench_micro's --benchmark_*).
-  EXPECT_NO_THROW((void)make({"--benchmark_filter=BM_x"}, {"benchmark_*"}));
-  EXPECT_THROW((void)make({"--benchmarks"}, {"benchmark_*"}), UsageError);
+  const Flag benchmark{"benchmark_*", Flag::kText};
+  EXPECT_NO_THROW((void)make({"--benchmark_filter=BM_x"}, {benchmark}));
+  EXPECT_THROW((void)make({"--benchmarks"}, {benchmark}), UsageError);
 }
 
 TEST(BenchHarness, RunExitsTwoBeforeTheBodyOnAnUnknownFlag) {
   std::vector<const char*> argv{"bench_probe", "--job=1"};
   bool ran = false;
   const int code = run(static_cast<int>(argv.size()), argv.data(), "probe",
-                       {"jobs"}, [&ran](Harness&) {
+                       {Flag::jobs()}, [&ran](Harness&) {
                          ran = true;
                          return 0;
                        });
@@ -200,15 +203,15 @@ TEST(BenchHarness, RunExitsTwoBeforeTheBodyOnAnUnknownFlag) {
   // A malformed value is a usage error too...
   argv = {"bench_probe", "--steps=abc"};
   EXPECT_EQ(run(static_cast<int>(argv.size()), argv.data(), "probe",
-                {"steps"},
+                {{"steps", Flag::kInt, "1"}},
                 [](Harness& h) {
-                  return static_cast<int>(h.args().get_int("steps", 1));
+                  return static_cast<int>(h.args().get_int("steps"));
                 }),
             2);
   // ...and any other error escaping the body exits 1.
   argv = {"bench_probe", "--steps=3"};
   EXPECT_EQ(run(static_cast<int>(argv.size()), argv.data(), "probe",
-                {"steps"},
+                {{"steps", Flag::kInt, "1"}},
                 [](Harness&) -> int { throw std::runtime_error("boom"); }),
             1);
 }
@@ -220,21 +223,21 @@ TEST(BenchHarness, OutDirFlagAndDefault) {
 }
 
 TEST(BenchHarness, BackendDefaultsToFluid) {
-  EXPECT_EQ(make({}, {"backend"}).backend(), engine::BackendKind::kFluid);
+  EXPECT_EQ(make({}, {backend_flag()}).backend(), engine::BackendKind::kFluid);
 }
 
 TEST(BenchHarness, BackendFlagParsesToBackendKind) {
-  EXPECT_EQ(make({"--backend=packet"}, {"backend"}).backend(),
+  EXPECT_EQ(make({"--backend=packet"}, {backend_flag()}).backend(),
             engine::BackendKind::kPacket);
-  EXPECT_EQ(make({"--backend=fluid"}, {"backend"}).backend(),
+  EXPECT_EQ(make({"--backend=fluid"}, {backend_flag()}).backend(),
             engine::BackendKind::kFluid);
 }
 
 TEST(BenchHarness, UnknownBackendThrows) {
   try {
-    (void)make({"--backend=ns3"}, {"backend"}).backend();
+    (void)make({"--backend=ns3"}, {backend_flag()});
     FAIL() << "--backend=ns3 should throw";
-  } catch (const std::invalid_argument& e) {
+  } catch (const UsageError& e) {
     // The message must list the accepted values.
     EXPECT_NE(std::string(e.what()).find("fluid|packet"), std::string::npos)
         << e.what();
@@ -244,15 +247,15 @@ TEST(BenchHarness, UnknownBackendThrows) {
 }
 
 TEST(BenchHarness, RecordOffByDefault) {
-  EXPECT_FALSE(make({}, {"record"}).record().has_value());
+  EXPECT_FALSE(make({}, {record_flag()}).record().has_value());
 }
 
 TEST(BenchHarness, RecordFlagVariants) {
   // Bare flag -> recordings land in --out.
-  EXPECT_EQ(make({"--record"}, {"record"}).record()->dir, "artifacts");
-  EXPECT_EQ(make({"--record", "--out=o"}, {"record"}).record()->dir, "o");
+  EXPECT_EQ(make({"--record"}, {record_flag()}).record()->dir, "artifacts");
+  EXPECT_EQ(make({"--record", "--out=o"}, {record_flag()}).record()->dir, "o");
   // Explicit directory; no class list records every class.
-  const auto request = make({"--record=/tmp/rec"}, {"record"}).record();
+  const auto request = make({"--record=/tmp/rec"}, {record_flag()}).record();
   ASSERT_TRUE(request.has_value());
   EXPECT_EQ(request->dir, "/tmp/rec");
   EXPECT_EQ(request->classes, recorder::kAllClasses);
@@ -263,14 +266,14 @@ TEST(BenchHarness, RecordClassesSuffixParsesToClassMask) {
       recorder::class_bit(recorder::EventClass::kWindow) |
       recorder::class_bit(recorder::EventClass::kLoss);
   const auto request =
-      make({"--record=/tmp/rec,classes=window+loss"}, {"record"}).record();
+      make({"--record=/tmp/rec,classes=window+loss"}, {record_flag()}).record();
   ASSERT_TRUE(request.has_value());
   EXPECT_EQ(request->dir, "/tmp/rec");
   EXPECT_EQ(request->classes, window_loss);
   // The list may itself be comma-separated: everything after ",classes="
   // belongs to the list, not the directory.
   const auto commas =
-      make({"--record=/tmp/rec,classes=window,loss"}, {"record"}).record();
+      make({"--record=/tmp/rec,classes=window,loss"}, {record_flag()}).record();
   ASSERT_TRUE(commas.has_value());
   EXPECT_EQ(commas->dir, "/tmp/rec");
   EXPECT_EQ(commas->classes, window_loss);
@@ -278,7 +281,7 @@ TEST(BenchHarness, RecordClassesSuffixParsesToClassMask) {
 
 TEST(BenchHarness, RecordClassesWithoutDirUsesOutDir) {
   const auto request =
-      make({"--record=,classes=loss", "--out=o"}, {"record"}).record();
+      make({"--record=,classes=loss", "--out=o"}, {record_flag()}).record();
   ASSERT_TRUE(request.has_value());
   EXPECT_EQ(request->dir, "o");
   EXPECT_EQ(request->classes, recorder::class_bit(recorder::EventClass::kLoss));
@@ -286,11 +289,43 @@ TEST(BenchHarness, RecordClassesWithoutDirUsesOutDir) {
 
 TEST(BenchHarness, RecordEmptyOrUnknownClassListRejected) {
   // A dangling ",classes=" is a usage error, not "all classes".
-  EXPECT_THROW((void)make({"--record=/tmp/rec,classes="}, {"record"}).record(),
-               std::invalid_argument);
-  EXPECT_THROW(
-      (void)make({"--record=/tmp/rec,classes=bogus"}, {"record"}).record(),
-      std::invalid_argument);
+  EXPECT_THROW((void)make({"--record=/tmp/rec,classes="}, {record_flag()}),
+               UsageError);
+  EXPECT_THROW((void)make({"--record=/tmp/rec,classes=bogus"}, {record_flag()}),
+               UsageError);
+}
+
+/// bench::run's exit code, stdout and stderr over `args`, declaring
+/// `flags`; the body prints a line.
+struct RunResult {
+  int code;
+  std::string out;
+  std::string err;
+};
+RunResult run_probe(std::vector<const char*> args, std::vector<Flag> flags) {
+  args.insert(args.begin(), "bench_probe");
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  const int code = run(static_cast<int>(args.size()), args.data(), "probe",
+                       std::move(flags), [](Harness&) {
+                         std::printf("ran\n");
+                         return 0;
+                       });
+  std::string out = testing::internal::GetCapturedStdout();
+  return {code, std::move(out), testing::internal::GetCapturedStderr()};
+}
+
+TEST(BenchHarness, BadBackendOrRecordIsAUsageErrorBeforeTheBody) {
+  for (const char* arg :
+       {"--backend=pakcet", "--record=,classes=bogus", "--record=d,classes="}) {
+    const RunResult r = run_probe({arg}, {backend_flag(), record_flag()});
+    EXPECT_EQ(r.code, 2) << arg;
+    EXPECT_EQ(r.out, "") << arg;
+    const std::string flag(arg, std::string(arg).find('='));
+    EXPECT_TRUE(r.err.starts_with("error: ")) << r.err;
+    EXPECT_NE(r.err.find(flag), std::string::npos) << r.err;
+  }
+  EXPECT_EQ(run_probe({"--backend=packet"}, {backend_flag()}).out, "ran\n");
 }
 
 }  // namespace

@@ -68,16 +68,24 @@ std::vector<ledger::LedgerRecord> load_records(const std::string& path,
 }
 
 int run(int argc, char** argv) {
-  const ArgParser args(argc, argv,
-                       {"ledger", "bench", "window", "threshold", "mad-k",
-                        "floor", "no-spark", "report"},
-                       ArgParser::Positionals::kAccepted);
+  const ArgParser args(
+      argc, argv,
+      {{"ledger", Flag::kText}, {"bench", Flag::kText},
+       // No default here: it is 8 prior runs when diffing, 12 in --report.
+       {"window", Flag::kInt, "", Bound::kPositive},
+       {"threshold", Flag::kReal, "0.20", Bound::kNonNegative},
+       {"mad-k", Flag::kReal, "3", Bound::kNonNegative},
+       {"floor", Flag::kReal, "0.01", Bound::kNonNegative},
+       {"no-spark"}, {"report"}},
+      ArgParser::Positionals::kAccepted);
   ledger::SentinelOptions options;
-  options.timing_threshold = args.get_double("threshold", 0.20);
-  options.mad_k = args.get_double("mad-k", 3.0);
-  options.timing_floor_seconds = args.get_double("floor", 0.01);
-  const long window_size = args.get_int("window", 8);
-  const std::string bench_filter = args.get_or("bench", "");
+  options.timing_threshold = args.get_double("threshold");
+  options.mad_k = args.get_double("mad-k");
+  options.timing_floor_seconds = args.get_double("floor");
+  const bool report_mode = args.has("report");
+  const long window_size =
+      args.has("window") ? args.get_int("window") : (report_mode ? 12 : 8);
+  const std::string& bench_filter = args.get_text("bench");
 
   const auto spark = args.has("no-spark")
                          ? std::function<std::string(const std::vector<double>&)>()
@@ -86,13 +94,13 @@ int run(int argc, char** argv) {
                            };
 
   const auto& positional = args.positional();
-  const std::string ledger_path = args.get_or("ledger", "").empty()
+  const std::string ledger_path = args.get_text("ledger").empty()
                                       ? "artifacts/ledger.jsonl"
-                                      : *args.get("ledger");
+                                      : args.get_text("ledger");
   bool regression = false;
   bool compared_anything = false;
 
-  if (args.has("report")) {
+  if (report_mode) {
     if (!positional.empty()) {
       std::fprintf(stderr,
                    "usage: axiomcc-benchdiff --report [--ledger=path] "
@@ -101,8 +109,7 @@ int run(int argc, char** argv) {
     }
     ledger::ReportOptions report_options;
     report_options.bench_filter = bench_filter;
-    report_options.max_history = static_cast<std::size_t>(
-        std::max(1L, args.get_int("window", 12)));
+    report_options.max_history = static_cast<std::size_t>(window_size);
     std::fputs(ledger::render_ledger_report(load_records(ledger_path, ""),
                                             report_options, spark)
                    .c_str(),
@@ -154,8 +161,8 @@ int run(int argc, char** argv) {
     }
     compared_anything = true;
     const std::size_t prior = records.size() - 1;
-    const std::size_t take = std::min(
-        prior, static_cast<std::size_t>(window_size > 0 ? window_size : 1));
+    const std::size_t take =
+        std::min(prior, static_cast<std::size_t>(window_size));
     const std::span<const ledger::LedgerRecord> window(
         records.data() + (prior - take), take);
     const ledger::DiffReport report =

@@ -33,6 +33,7 @@
 // unknown flag among them).
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
 #include <string>
 
 #include "analysis/recorder_report.h"
@@ -74,46 +75,51 @@ FileKind sniff(const std::string& text, const std::string& path) {
                            ": not a scenario, recording, or post-mortem");
 }
 
-recorder::AlignOptions align_options(const ArgParser& args) {
-  recorder::AlignOptions options;
-  options.tolerance = args.get_double("tolerance", options.tolerance);
-  options.context = args.get_int("context", options.context);
+/// What the flags ask of every mode, read before any work (the library
+/// structs hold the defaults of the flags not given).
+struct Options {
+  recorder::AlignOptions align;
+  fuzz::RunnerConfig runner;
+  analysis::TimelineOptions timeline;
+};
+
+Options read_options(const ArgParser& args) {
+  Options o;
+  if (args.has("tolerance")) o.align.tolerance = args.get_double("tolerance");
+  if (args.has("context")) o.align.context = args.get_int("context");
   if (args.has("with-cohort")) {
-    options.classes |= recorder::class_bit(recorder::EventClass::kCohort);
+    o.align.classes |= recorder::class_bit(recorder::EventClass::kCohort);
   }
   // --classes=metric asks the metric-view question alone: "where do the
   // backends' axiom estimates first disagree", skipping raw-lane gaps.
-  if (const auto classes = args.get("classes")) {
-    options.classes = recorder::parse_class_mask(classes->c_str());
+  if (args.has("classes")) {
+    try {
+      o.align.classes =
+          recorder::parse_class_mask(args.get_text("classes").c_str());
+    } catch (const std::invalid_argument& e) {
+      throw UsageError("invalid value for --classes: " + std::string(e.what()));
+    }
   }
-  return options;
-}
-
-fuzz::RunnerConfig runner_config(const ArgParser& args) {
-  fuzz::RunnerConfig config;
-  config.record.enabled = true;
-  config.record.sample_stride = args.get_int("stride", 16);
-  config.record.ring_depth = args.get_int("depth", 256);
+  o.runner.record.enabled = true;
+  if (args.has("stride")) {
+    o.runner.record.sample_stride = args.get_int("stride");
+  }
+  if (args.has("depth")) o.runner.record.ring_depth = args.get_int("depth");
   // Metric windows ride the recording as kMetric events; 0 turns the
   // scope off (e.g. to reproduce a pre-scope capture byte-for-byte).
-  const long window = args.get_int("scope-window", 64);
-  config.scope.enabled = window > 0;
-  config.scope.window_steps = window;
-  return config;
-}
-
-analysis::TimelineOptions timeline_options(const ArgParser& args) {
-  analysis::TimelineOptions options;
-  options.max_events = args.get_int("events", options.max_events);
-  return options;
+  const long window = args.get_int("scope-window");
+  o.runner.scope.enabled = window > 0;
+  o.runner.scope.window_steps = window;
+  if (args.has("events")) o.timeline.max_events = args.get_int("events");
+  return o;
 }
 
 /// Runs a reproducer on both backends with recording on. Prints the
 /// outcome line the fuzz oracle would classify it as.
 fuzz::RecordedScenario run_reproducer(const std::string& text,
-                                      const ArgParser& args) {
+                                      const Options& options) {
   fuzz::RecordedScenario rs = fuzz::run_scenario_recorded(
-      fuzz::parse_scenario(text), runner_config(args));
+      fuzz::parse_scenario(text), options.runner);
   // Stamp provenance so a saved capture of this run can later be aligned
   // against one from another checkout.
   const std::string sha = ledger::current_provenance().git_sha;
@@ -136,7 +142,8 @@ std::string recorded_sha(const recorder::Recording& r) {
 int align_and_render(const recorder::Recording& left,
                      const recorder::Recording& right,
                      const std::string& left_label,
-                     const std::string& right_label, const ArgParser& args) {
+                     const std::string& right_label,
+                     const recorder::AlignOptions& options) {
   // Cross-SHA alignment: when the two recordings were captured under
   // different checkouts, say so up front and tag the side labels, so the
   // divergence report reads as "old code vs new code", not fluid-vs-packet.
@@ -151,12 +158,13 @@ int align_and_render(const recorder::Recording& left,
     rl += "@" + right_sha;
   }
   const recorder::AlignResult result =
-      recorder::align_recordings(left, right, align_options(args));
+      recorder::align_recordings(left, right, options);
   std::fputs(analysis::render_alignment(result, ll, rl).c_str(), stdout);
   return result.diverged ? 2 : 0;
 }
 
 int run(const ArgParser& args) {
+  const Options options = read_options(args);
   const auto& files = args.positional();
   if (files.empty()) {
     std::fprintf(stderr,
@@ -171,7 +179,7 @@ int run(const ArgParser& args) {
           recorder::parse_recording_jsonl(recorder::read_text_file(files[0]));
       const recorder::Recording right =
           recorder::parse_recording_jsonl(recorder::read_text_file(files[1]));
-      return align_and_render(left, right, files[0], files[1], args);
+      return align_and_render(left, right, files[0], files[1], options.align);
     }
     if (files.size() == 1) {
       const std::string text = recorder::read_text_file(files[0]);
@@ -181,8 +189,9 @@ int run(const ArgParser& args) {
                      "pass two recording files to align artifacts\n");
         return 1;
       }
-      const fuzz::RecordedScenario rs = run_reproducer(text, args);
-      return align_and_render(rs.fluid, rs.packet, "fluid", "packet", args);
+      const fuzz::RecordedScenario rs = run_reproducer(text, options);
+      return align_and_render(rs.fluid, rs.packet, "fluid", "packet",
+                              options.align);
     }
     std::fprintf(stderr, "--align takes one .scn or two recording files\n");
     return 1;
@@ -193,31 +202,29 @@ int run(const ArgParser& args) {
     const std::string text = recorder::read_text_file(path);
     switch (sniff(text, path)) {
       case FileKind::kScenario: {
-        const fuzz::RecordedScenario rs = run_reproducer(text, args);
+        const fuzz::RecordedScenario rs = run_reproducer(text, options);
         std::fputs(
-            analysis::render_timeline(rs.fluid, timeline_options(args))
-                .c_str(),
+            analysis::render_timeline(rs.fluid, options.timeline).c_str(),
             stdout);
         std::fputs(
-            analysis::render_timeline(rs.packet, timeline_options(args))
-                .c_str(),
+            analysis::render_timeline(rs.packet, options.timeline).c_str(),
             stdout);
-        const int rc =
-            align_and_render(rs.fluid, rs.packet, "fluid", "packet", args);
+        const int rc = align_and_render(rs.fluid, rs.packet, "fluid",
+                                        "packet", options.align);
         status = rc != 0 ? rc : status;
         break;
       }
       case FileKind::kRecording:
         std::fputs(
             analysis::render_timeline(recorder::parse_recording_jsonl(text),
-                                      timeline_options(args))
+                                      options.timeline)
                 .c_str(),
             stdout);
         break;
       case FileKind::kPostMortem:
         std::fputs(
             analysis::render_postmortem(recorder::parse_postmortem_jsonl(text),
-                                        timeline_options(args))
+                                        options.timeline)
                 .c_str(),
             stdout);
         break;
@@ -230,11 +237,16 @@ int run(const ArgParser& args) {
 
 int main(int argc, char** argv) {
   try {
-    return run(ArgParser(argc, argv,
-                         {"align", "tolerance", "context", "with-cohort",
-                          "classes", "stride", "depth", "scope-window",
-                          "events"},
-                         ArgParser::Positionals::kAccepted));
+    return run(ArgParser(
+        argc, argv,
+        {{"align"}, {"tolerance", Flag::kReal, "", Bound::kNonNegative},
+         {"context", Flag::kInt, "", Bound::kNonNegative}, {"with-cohort"},
+         {"classes", Flag::kText},
+         {"stride", Flag::kInt, "", Bound::kPositive},
+         {"depth", Flag::kInt, "", Bound::kPositive},
+         {"scope-window", Flag::kInt, "64", Bound::kNonNegative},
+         {"events", Flag::kInt, "", Bound::kNonNegative}},
+        ArgParser::Positionals::kAccepted));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "axiomcc-inspect: %s\n", e.what());
     return 1;
