@@ -16,7 +16,6 @@ namespace axiomcc::fuzz {
 
 namespace {
 
-constexpr const char* kHeaderV1 = "axiomcc-scenario v1";
 constexpr const char* kHeaderV2 = "axiomcc-scenario v2";
 
 [[noreturn]] void fail(std::size_t line, const std::string& why) {
@@ -261,24 +260,22 @@ engine::ScenarioSpec parse_scenario(const std::string& text,
 
   // The header must be the first non-comment, non-blank line (checked-in
   // corpus entries carry a triage comment block above it).
-  int version = 0;
+  bool header = false;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
-    if (line == kHeaderV1) version = 1;
-    if (line == kHeaderV2) version = 2;
+    header = line == kHeaderV2;
     break;
   }
-  if (version == 0) {
+  if (!header) {
     throw std::invalid_argument(
         "scenario missing header (expected first content line '" +
-        std::string(kHeaderV2) + "' or '" + kHeaderV1 + "')");
+        std::string(kHeaderV2) + "')");
   }
 
   engine::ScenarioSpec spec = default_scenario();
   spec.senders.clear();
   ExpectDesc parsed_expect;
-  long parking_lot = 0;  // v1 `topology parking-lot k`
   std::map<std::string, bool> seen;
   const auto once = [&seen, &line_no](const std::string& directive) {
     if (seen[directive]) fail(line_no, "duplicate '" + directive + "' line");
@@ -297,24 +294,10 @@ engine::ScenarioSpec parse_scenario(const std::string& text,
                           " value(s), got " + std::to_string(tok.size() - 1));
       }
     };
-    const auto require_version = [&](int wanted) {
-      if (version != wanted) {
-        fail(line_no, "'" + directive + "' is a v" + std::to_string(wanted) +
-                          " directive");
-      }
-    };
 
     if (directive == "link") {
       once("link");
-      if (version == 1) {
-        // v1: bandwidth in Mbps, round-trip propagation delay in ms.
-        require_argc(3);
-        spec.link = fluid::make_link_mbps(parse_num(tok[1], line_no),
-                                          parse_num(tok[2], line_no),
-                                          parse_num(tok[3], line_no));
-      } else {
-        spec.link = parse_link(tok, line_no);
-      }
+      spec.link = parse_link(tok, line_no);
     } else if (directive == "steps") {
       once("steps");
       require_argc(1);
@@ -353,7 +336,6 @@ engine::ScenarioSpec parse_scenario(const std::string& text,
           parse_num(tok[base + 1], line_no), parse_num(tok[base + 2], line_no),
           cohort ? parse_long(tok[1], line_no) : 1));
     } else if (directive == "route") {
-      require_version(2);
       if (spec.senders.empty()) {
         fail(line_no, "'route' must follow a sender line");
       }
@@ -374,31 +356,7 @@ engine::ScenarioSpec parse_scenario(const std::string& text,
         fail(line_no,
              "unknown trace detail '" + tok[1] + "' (expected full|aggregate)");
       }
-    } else if (directive == "exec") {
-      require_version(1);
-      once("exec");
-      require_argc(1);
-      // The fluid backend picks its step loop from the run's shape; the
-      // retired execution modes still parse (as no-ops) so older corpus
-      // files replay unchanged.
-      if (tok[1] != "batch" && tok[1] != "scalar") {
-        fail(line_no,
-             "unknown exec mode '" + tok[1] + "' (expected scalar|batch)");
-      }
-    } else if (directive == "topology") {
-      require_version(1);
-      once("topology");
-      require_argc(2);
-      if (tok[1] != "parking-lot") {
-        fail(line_no,
-             "unknown topology kind '" + tok[1] + "' (expected parking-lot)");
-      }
-      parking_lot = parse_long(tok[2], line_no);
-      if (parking_lot < 0 || parking_lot > 16) {
-        fail(line_no, "parking-lot depth must be in [0, 16]");
-      }
     } else if (directive == "topology-link") {
-      require_version(2);
       spec.topology.links.push_back(parse_link(tok, line_no));
     } else if (directive == "workload") {
       once("workload");
@@ -474,12 +432,6 @@ engine::ScenarioSpec parse_scenario(const std::string& text,
     }
   }
 
-  // v1 parking lots lower to k copies of the link with derived routes.
-  if (parking_lot > 0) {
-    spec.topology.links.assign(static_cast<std::size_t>(parking_lot),
-                               spec.link);
-    route_parking_lot(spec);
-  }
   check_readable(spec);
   if (expect != nullptr) *expect = std::move(parsed_expect);
   return spec;

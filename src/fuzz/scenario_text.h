@@ -10,8 +10,7 @@
 // delay in seconds, buffer in MSS) with topology links and routes spelled
 // out. The contract the corpus relies on: serialize(parse(text)) == text
 // for any text serialize produced (doubles print in shortest exact form).
-// v1 files (link in Mbps and RTT ms, parking lots as one depth scalar)
-// still read; docs/fuzzing.md describes both versions.
+// docs/fuzzing.md describes the format.
 #pragma once
 
 #include <string>
@@ -46,8 +45,7 @@ struct ExpectDesc {
 
 /// Routes `spec`'s senders over its k topology links as a parking lot:
 /// slot 0 is the long flow over every link, slot i >= 1 crosses link
-/// (i - 1) mod k. v1 `topology parking-lot k` lines and the mutator's
-/// topology axis both lay routes out this way.
+/// (i - 1) mod k. The mutator's topology axis lays routes out this way.
 void route_parking_lot(engine::ScenarioSpec& spec);
 
 /// Renders `v` in the shortest "%.Ng" form that strtod parses back to
@@ -62,7 +60,7 @@ void route_parking_lot(engine::ScenarioSpec& spec);
 [[nodiscard]] std::string serialize_scenario(const engine::ScenarioSpec& spec,
                                              const ExpectDesc& expect = {});
 
-/// Parses a v1 or v2 scenario file, storing its `expect` line in `*expect`
+/// Parses a v2 scenario file, storing its `expect` line in `*expect`
 /// when `expect` is non-null. Throws std::invalid_argument on a missing or
 /// wrong header, an unknown directive, a malformed or non-finite number, or
 /// a scenario check_readable rejects. Routes, sender activity windows and

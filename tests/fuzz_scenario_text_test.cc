@@ -1,5 +1,5 @@
 // Tests for the `.scn` text format: byte-identical round-trips, schedule
-// edge cases, parser rejection paths, v1 lowering, and the runnable
+// edge cases, parser rejection paths, parking-lot routes, and the runnable
 // engine::ScenarioSpec a file reads into.
 #include "fuzz/scenario_text.h"
 
@@ -137,7 +137,6 @@ TEST(FuzzScenarioText, ExecutionAxesEmittedOnlyWhenNonDefault) {
   // new directives.
   const std::string plain = serialize_scenario(default_scenario());
   EXPECT_EQ(plain.find("trace "), std::string::npos) << plain;
-  EXPECT_EQ(plain.find("exec "), std::string::npos) << plain;
   EXPECT_EQ(plain.find("senders "), std::string::npos) << plain;
 
   ScenarioSpec spec = default_scenario();
@@ -145,35 +144,27 @@ TEST(FuzzScenarioText, ExecutionAxesEmittedOnlyWhenNonDefault) {
   spec.senders = {sender_slot("reno", 1.0, 0.0, -1.0, 4)};
   const std::string text = serialize_scenario(spec);
   EXPECT_NE(text.find("trace aggregate\n"), std::string::npos) << text;
-  EXPECT_EQ(text.find("exec "), std::string::npos) << text;
   EXPECT_NE(text.find("senders 4 1 0 -1 reno\n"), std::string::npos) << text;
   expect_same(parse_scenario(text), spec);
 }
 
 TEST(FuzzScenarioText, ExplicitDefaultAxesParseBackToDefaults) {
   const ScenarioSpec parsed = parse_scenario(
-      "axiomcc-scenario v1\ntrace full\nexec scalar\nsender 1 0 -1 reno\n");
+      "axiomcc-scenario v2\ntrace full\nsenders 1 1 0 -1 reno\n");
   expect_same(parsed, default_scenario());
-  // The retired execution modes parse as no-ops, so older corpus files
-  // replay unchanged.
-  expect_same(parse_scenario(
-                  "axiomcc-scenario v1\nexec batch\nsender 1 0 -1 reno\n"),
-              default_scenario());
-  // They belong to v1 only.
+  // The fluid backend picks its step loop from the run's shape; there is
+  // no execution-mode directive.
   EXPECT_THROW(parse_scenario(
                    "axiomcc-scenario v2\nexec batch\nsender 1 0 -1 reno\n"),
                std::invalid_argument);
 }
 
 TEST(FuzzScenarioText, BadAxisValuesRejected) {
-  EXPECT_THROW(parse_scenario("axiomcc-scenario v1\ntrace sometimes\n"
-                              "sender 1 0 -1 reno\n"),
-               std::invalid_argument);
-  EXPECT_THROW(parse_scenario("axiomcc-scenario v1\nexec warp\n"
+  EXPECT_THROW(parse_scenario("axiomcc-scenario v2\ntrace sometimes\n"
                               "sender 1 0 -1 reno\n"),
                std::invalid_argument);
   // Cohort counts below one are a domain violation.
-  EXPECT_THROW(parse_scenario("axiomcc-scenario v1\nsenders 0 1 0 -1 reno\n"),
+  EXPECT_THROW(parse_scenario("axiomcc-scenario v2\nsenders 0 1 0 -1 reno\n"),
                std::invalid_argument);
 }
 
@@ -228,36 +219,34 @@ TEST(FuzzScenarioText, TopologyAndWorkloadAxesRoundTripByteIdentical) {
 }
 
 TEST(FuzzScenarioText, BadTopologyAndWorkloadRejected) {
-  EXPECT_THROW(parse_scenario("axiomcc-scenario v1\ntopology fat-tree 2\n"
+  EXPECT_THROW(parse_scenario("axiomcc-scenario v2\ntopology-link 2500 0.021\n"
                               "sender 1 0 -1 reno\n"),
                std::invalid_argument);
-  EXPECT_THROW(parse_scenario("axiomcc-scenario v1\ntopology parking-lot -1\n"
+  EXPECT_THROW(parse_scenario("axiomcc-scenario v2\n"
+                              "topology-link 2500 -0.021 100\n"
                               "sender 1 0 -1 reno\n"),
                std::invalid_argument);
-  EXPECT_THROW(parse_scenario("axiomcc-scenario v1\nworkload incast 0 16\n"
+  EXPECT_THROW(parse_scenario("axiomcc-scenario v2\nworkload incast 0 16\n"
                               "sender 1 0 -1 reno\n"),
                std::invalid_argument);
-  EXPECT_THROW(parse_scenario("axiomcc-scenario v1\nworkload onoff 2 0 25 1.5\n"
+  EXPECT_THROW(parse_scenario("axiomcc-scenario v2\nworkload onoff 2 0 25 1.5\n"
                               "sender 1 0 -1 reno\n"),
                std::invalid_argument);
-  EXPECT_THROW(parse_scenario("axiomcc-scenario v1\nworkload poisson 3\n"
+  EXPECT_THROW(parse_scenario("axiomcc-scenario v2\nworkload poisson 3\n"
                               "sender 1 0 -1 reno\n"),
                std::invalid_argument);
 }
 
 TEST(FuzzScenarioText, ParkingLotCompilesDerivedRoutes) {
-  // A v1 parking lot lowers to k copies of the link with derived routes.
-  const ScenarioSpec spec = parse_scenario(
-      "axiomcc-scenario v1\nlink 30 42 100\ntopology parking-lot 2\n"
-      "sender 1 0 -1 reno\nsender 1 0 -1 reno\n"
-      "sender 1 0 -1 reno\nsender 1 0 -1 reno\n");
+  // route_parking_lot lays routes over k copies of the link; the routes
+  // it derives survive the text form.
+  ScenarioSpec spec = default_scenario();
+  spec.topology.links.assign(2, spec.link);
+  spec.senders.assign(4, sender_slot("reno"));
+  route_parking_lot(spec);
+  spec = parse_scenario(serialize_scenario(spec));
   ASSERT_EQ(spec.topology.num_links(), 2);
   ASSERT_EQ(spec.senders.size(), 4u);
-  for (const fluid::LinkParams& link : spec.topology.links) {
-    EXPECT_EQ(link.bandwidth, spec.link.bandwidth);
-    EXPECT_EQ(link.propagation_delay, spec.link.propagation_delay);
-    EXPECT_EQ(link.buffer_mss, spec.link.buffer_mss);
-  }
   // Slot 0 is the long flow over every bottleneck; slot i >= 1 crosses
   // bottleneck (i-1) mod k.
   EXPECT_EQ(spec.senders[0].route, (std::vector<int>{0, 1}));
@@ -289,13 +278,16 @@ TEST(FuzzScenarioText, LeadingCommentsBeforeHeaderAccepted) {
 }
 
 TEST(FuzzScenarioText, MissingHeaderRejected) {
-  EXPECT_THROW(parse_scenario("link 30 42 100\n"), std::invalid_argument);
+  EXPECT_THROW(parse_scenario("link 2500 0.021 100\n"), std::invalid_argument);
   EXPECT_THROW(parse_scenario(""), std::invalid_argument);
+  // v2 is the only format.
+  EXPECT_THROW(parse_scenario("axiomcc-scenario v1\nsender 1 0 -1 reno\n"),
+               std::invalid_argument);
 }
 
 TEST(FuzzScenarioText, OutOfOrderScheduleTimestampsRejected) {
   const std::string base =
-      "axiomcc-scenario v1\nsender 1 0 -1 reno\n";
+      "axiomcc-scenario v2\nsender 1 0 -1 reno\n";
   EXPECT_THROW(parse_scenario(base + "bw 100 0.5 50 2\n"),
                std::invalid_argument);
   // Duplicate timestamps are out-of-order too (strictly increasing).
@@ -305,29 +297,29 @@ TEST(FuzzScenarioText, OutOfOrderScheduleTimestampsRejected) {
 
 TEST(FuzzScenarioText, DuplicateScalarLineRejected) {
   EXPECT_THROW(
-      parse_scenario("axiomcc-scenario v1\nsteps 100\nsteps 200\n"
+      parse_scenario("axiomcc-scenario v2\nsteps 100\nsteps 200\n"
                      "sender 1 0 -1 reno\n"),
       std::invalid_argument);
 }
 
 TEST(FuzzScenarioText, MalformedNumberRejected) {
   EXPECT_THROW(
-      parse_scenario("axiomcc-scenario v1\nsteps banana\nsender 1 0 -1 reno\n"),
+      parse_scenario("axiomcc-scenario v2\nsteps banana\nsender 1 0 -1 reno\n"),
       std::invalid_argument);
   EXPECT_THROW(
-      parse_scenario("axiomcc-scenario v1\nlink 30 nan 100\n"
+      parse_scenario("axiomcc-scenario v2\nlink 2500 nan 100\n"
                      "sender 1 0 -1 reno\n"),
       std::invalid_argument);
 }
 
 TEST(FuzzScenarioText, UnknownDirectiveRejected) {
   EXPECT_THROW(
-      parse_scenario("axiomcc-scenario v1\nfrobnicate 3\nsender 1 0 -1 reno\n"),
+      parse_scenario("axiomcc-scenario v2\nfrobnicate 3\nsender 1 0 -1 reno\n"),
       std::invalid_argument);
 }
 
 TEST(FuzzScenarioText, ScenarioWithoutSendersRejected) {
-  EXPECT_THROW(parse_scenario("axiomcc-scenario v1\nsteps 100\n"),
+  EXPECT_THROW(parse_scenario("axiomcc-scenario v2\nsteps 100\n"),
                std::invalid_argument);
 }
 
@@ -335,10 +327,10 @@ TEST(FuzzScenarioText, TailOfOneRejected) {
   // A tail fraction of 1 leaves no tail to score: every estimator and the
   // packet backend's per-flow reports need at least one sample.
   const std::string text =
-      "axiomcc-scenario v1\nsteps 60\ntail 1\nsender 1 0 -1 reno\n";
+      "axiomcc-scenario v2\nsteps 60\ntail 1\nsender 1 0 -1 reno\n";
   EXPECT_THROW(parse_scenario(text), std::invalid_argument);
   EXPECT_NO_THROW(parse_scenario(
-      "axiomcc-scenario v1\nsteps 60\ntail 0.99\nsender 1 0 -1 reno\n"));
+      "axiomcc-scenario v2\nsteps 60\ntail 0.99\nsender 1 0 -1 reno\n"));
 }
 
 TEST(FuzzScenarioText, DomainViolationsRejected) {
@@ -362,7 +354,7 @@ TEST(FuzzScenarioText, DomainViolationsRejected) {
   EXPECT_THROW(check_readable(spec), std::invalid_argument);
   // Storm windows must satisfy 0 <= start < end: an empty or negative
   // window is a typed parse error, not a fault inside the run.
-  const std::string base = "axiomcc-scenario v1\nsender 1 0 -1 reno\n";
+  const std::string base = "axiomcc-scenario v2\nsender 1 0 -1 reno\n";
   EXPECT_THROW(parse_scenario(base + "loss storm 10 10 0.2 0.3 0 0.3\n"),
                std::invalid_argument);
   EXPECT_THROW(parse_scenario(base + "loss storm -5 50 0.2 0.3 0 0.3\n"),
@@ -425,15 +417,12 @@ TEST(FuzzScenarioText, RouteToMissingLinkRejected) {
     EXPECT_THROW((void)engine::backend_for(kind).run(spec),
                  engine::ScenarioError);
   }
-  // A route needs a sender before it, one per sender, and is v2 only.
+  // A route needs a sender before it, and one per sender.
   EXPECT_THROW(parse_scenario("axiomcc-scenario v2\nroute 0\n"
                               "sender 1 0 -1 reno\n"),
                std::invalid_argument);
   EXPECT_THROW(parse_scenario("axiomcc-scenario v2\ntopology-link 2500 "
                               "0.021 100\nsender 1 0 -1 reno\nroute 0\n"
-                              "route 0\n"),
-               std::invalid_argument);
-  EXPECT_THROW(parse_scenario("axiomcc-scenario v1\nsender 1 0 -1 reno\n"
                               "route 0\n"),
                std::invalid_argument);
 }

@@ -79,15 +79,15 @@ TEST(RecorderPins, CorpusFixtures) {
 // One link: a 3-sender cohort, a CUBIC that joins at 30 and leaves at 150, a
 // Reno that joins at 60, Bernoulli injected loss and both schedules.
 TEST(RecorderPins, SingleLinkChurnLossSchedules) {
-  expect_pins(parse_scenario("axiomcc-scenario v1\n"
-                             "link 30 42 100\n"
+  expect_pins(parse_scenario("axiomcc-scenario v2\n"
+                             "link 2.5e+03 0.021 1e+02\n"
                              "steps 200\n"
                              "window 1 1e+09\n"
                              "tail 0.5\n"
                              "seed 7\n"
                              "senders 3 1 0 -1 aimd(1,0.5)\n"
-                             "sender 1 30 150 cubic(0.4,0.8)\n"
-                             "sender 1 60 -1 reno\n"
+                             "sender 1 3e+01 1.5e+02 cubic(0.4,0.8)\n"
+                             "sender 1 6e+01 -1 reno\n"
                              "loss bernoulli 0.2 0.05\n"
                              "bw 50 0.5\n"
                              "bw 120 1.5\n"
@@ -99,18 +99,24 @@ TEST(RecorderPins, SingleLinkChurnLossSchedules) {
 // Three bottlenecks in a parking lot with an aggregate trace: a cohort on the
 // long route, churning cross traffic, a loss storm and an RTT breakpoint.
 TEST(RecorderPins, ParkingLotAggregateStorm) {
-  expect_pins(parse_scenario("axiomcc-scenario v1\n"
-                             "link 30 42 100\n"
+  expect_pins(parse_scenario("axiomcc-scenario v2\n"
+                             "link 2.5e+03 0.021 1e+02\n"
                              "steps 240\n"
                              "window 1 1e+09\n"
                              "tail 0.5\n"
                              "seed 3\n"
                              "trace aggregate\n"
-                             "topology parking-lot 3\n"
+                             "topology-link 2.5e+03 0.021 1e+02\n"
+                             "topology-link 2.5e+03 0.021 1e+02\n"
+                             "topology-link 2.5e+03 0.021 1e+02\n"
                              "senders 2 1 0 -1 aimd(1,0.5)\n"
+                             "route 0 1 2\n"
                              "sender 1 0 -1 reno\n"
-                             "sender 1 40 180 cubic(0.4,0.8)\n"
-                             "sender 1 90 -1 aimd(1,0.5)\n"
+                             "route 0\n"
+                             "sender 1 4e+01 1.8e+02 cubic(0.4,0.8)\n"
+                             "route 1\n"
+                             "sender 1 9e+01 -1 aimd(1,0.5)\n"
+                             "route 2\n"
                              "loss storm 100 140 0.1 0.3 0 0.2\n"
                              "rtt 160 1.5\n"),
               "8733139e883f48cd", "f57685ea48385b74");
