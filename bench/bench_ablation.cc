@@ -36,10 +36,13 @@ using namespace axiomcc;
 
 namespace {
 
+/// The dumbbell's RTT, which is also its sampling interval.
+constexpr double kRttMs = 42.0;
+
 sim::DumbbellConfig base_dumbbell(double duration) {
   sim::DumbbellConfig cfg;
   cfg.bottleneck_mbps = 20.0;
-  cfg.rtt_ms = 42.0;
+  cfg.rtt_ms = kRttMs;
   cfg.buffer_packets = 100;
   cfg.duration_seconds = duration;
   return cfg;
@@ -189,7 +192,10 @@ int run_bench(bench::Harness& h) {
 
 int main(int argc, char** argv) {
   return bench::run(argc, argv, "ablation",
-                    {{"duration", Flag::kReal, "20", Bound::kPositive},
+                    // The dumbbell samples once per RTT; a shorter run
+                    // leaves the estimators no tail to score.
+                    {{"duration", Flag::kReal, "20",
+                      {kRttMs / 1000.0, Bound::kMax, "", " >= 0.042"}},
                      {"steps", Flag::kInt, "3000", Bound::kPositive},
                      bench::backend_flag(), Flag::jobs()},
                     run_bench);

@@ -208,7 +208,10 @@ int run_bench(bench::Harness& h) {
 
 int main(int argc, char** argv) {
   return bench::run(argc, argv, "extensions",
-                    {{"steps", Flag::kInt, "3000", Bound::kPositive},
+                    // The responsiveness probe switches bandwidth at step
+                    // steps / 2, which must be a step of the run.
+                    {{"steps", Flag::kInt, "3000",
+                      {2.0, Bound::kMax, "", " >= 2"}},
                      {"duration", Flag::kReal, "20", Bound::kPositive},
                      bench::backend_flag(), Flag::jobs()},
                     run_bench);
