@@ -113,18 +113,13 @@ void Harness::finish(std::string_view backend) {
   AXIOMCC_EXPECTS_MSG(!finished_, "finish() runs once");
   finished_ = true;
 
-  std::string snapshot_json;
   std::vector<std::pair<std::string, std::int64_t>> deterministic;
   if (telemetry_) {
     telemetry_ = false;
     telemetry::set_enabled(false);
-    const telemetry::RegistrySnapshot snapshot =
-        telemetry::Registry::global().snapshot();
-    snapshot_json = snapshot.to_json();
-    for (const telemetry::CounterSnapshot& c : snapshot.counters) {
-      if (c.stability == telemetry::Stability::kDeterministic) {
-        deterministic.emplace_back(c.name, c.value);
-      }
+    for (telemetry::CounterSnapshot& c :
+         telemetry::Registry::global().snapshot().counters) {
+      deterministic.emplace_back(std::move(c.name), c.value);
     }
 
     const auto events = telemetry::Tracer::global().collect();
@@ -152,7 +147,6 @@ void Harness::finish(std::string_view backend) {
     ledger::LedgerRecord record =
         ledger::record_from_bench(report, std::string(backend));
     record.deterministic_counters = deterministic;
-    record.telemetry = snapshot_json;
     ledger::append_record(path, record);
     std::fprintf(stderr, "[ledger] appended %s -> %s\n", report.name().c_str(),
                  path.c_str());

@@ -7,7 +7,7 @@
 //
 //   --out=dir                       where the ledger and trace land
 //                                   (default artifacts)
-//   --telemetry                     record the metrics registry and spans
+//   --telemetry                     record the counters and spans
 //   --jobs=N                        worker count (Flag::jobs, see get_jobs)
 //   --backend=fluid|packet          simulator (backend_flag, default fluid)
 //   --record[=dir[,classes=list]]   flight-recorder capture (record_flag;
@@ -23,10 +23,9 @@
 // The body makes its reports with report() and ends with finish(backend),
 // which appends exactly one ledger record per report to <out>/ledger.jsonl
 // — the benches' only artifact. Under --telemetry every record also carries
-// the registry's deterministic counters and its full snapshot,
-// trace_<name>.json (open in chrome://tracing or ui.perfetto.dev) lands in
-// --out, and a flame summary of span time goes to stderr, so --csv output
-// stays pure.
+// the registry's counters as deterministic_counters, trace_<name>.json
+// (open in chrome://tracing or ui.perfetto.dev) lands in --out, and a flame
+// summary of span time goes to stderr, so --csv output stays pure.
 #pragma once
 
 #include <deque>

@@ -52,9 +52,8 @@ CrosscheckResult run_crosscheck(const CrosscheckConfig& cfg) {
         const engine::BackendKind backend = (i % 2 == 0)
                                                 ? engine::BackendKind::kFluid
                                                 : engine::BackendKind::kPacket;
-        TELEMETRY_SPAN_DYN("exp.crosscheck",
-                           std::string(engine::backend_name(backend)) + "/" +
-                               spec);
+        TELEMETRY_SPAN("exp.crosscheck",
+                       std::string(engine::backend_name(backend)) + "/" + spec);
         TELEMETRY_COUNT("exp.crosscheck.cells", 1);
         const auto proto = cc::make_protocol(spec);
         core::EvalConfig ec = cfg.base;
@@ -185,9 +184,8 @@ TopologyCheckResult run_topology_crosscheck(const TopologyCheckConfig& cfg) {
         const engine::BackendKind backend = (i % 2 == 0)
                                                 ? engine::BackendKind::kFluid
                                                 : engine::BackendKind::kPacket;
-        TELEMETRY_SPAN_DYN("exp.crosscheck.topology",
-                           std::string(engine::backend_name(backend)) + "/" +
-                               spec);
+        TELEMETRY_SPAN("exp.crosscheck.topology",
+                       std::string(engine::backend_name(backend)) + "/" + spec);
         TELEMETRY_COUNT("exp.crosscheck.topology_cells", 1);
         const auto proto = cc::make_protocol(spec);
         engine::ScenarioSpec scenario;

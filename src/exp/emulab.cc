@@ -116,10 +116,10 @@ std::vector<EmulabCell> run_emulab_grid(const EmulabGridConfig& cfg) {
         const std::size_t buffer = cfg.buffers_packets[i % per_bw];
         // .append, not "n" + ...: GCC 12 warns (-Wrestrict, a false
         // positive) on a literal prepended to a temporary string.
-        TELEMETRY_SPAN_DYN("exp.emulab",
-                           std::string("n").append(std::to_string(n)) +
-                               "/bw" + std::to_string(bw) + "/buf" +
-                               std::to_string(buffer));
+        TELEMETRY_SPAN("exp.emulab",
+                       std::string("n").append(std::to_string(n)) +
+                           "/bw" + std::to_string(bw) + "/buf" +
+                           std::to_string(buffer));
         TELEMETRY_COUNT("exp.emulab.cells", 1);
 
         const auto reno = cc::presets::reno();

@@ -26,9 +26,9 @@ std::vector<Figure1Verification> verify_attainment(const core::EvalConfig& cfg,
       samples,
       [&](const std::pair<double, double>& sample) {
         const auto [alpha, beta] = sample;
-        TELEMETRY_SPAN_DYN("exp.figure1",
-                           "aimd(" + std::to_string(alpha) + "," +
-                               std::to_string(beta) + ")");
+        TELEMETRY_SPAN("exp.figure1",
+                       "aimd(" + std::to_string(alpha) + "," +
+                           std::to_string(beta) + ")");
         TELEMETRY_COUNT("exp.figure1.samples", 1);
         const cc::Aimd proto(alpha, beta);
         Figure1Verification v;

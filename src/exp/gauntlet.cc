@@ -140,8 +140,8 @@ Baseline run_baseline(const cc::Protocol& proto, const GauntletConfig& cfg) {
 GauntletCell run_cell(const cc::Protocol& proto,
                       const GauntletOverlay& scenario, std::uint64_t seed,
                       const Baseline& baseline, const GauntletConfig& cfg) {
-  TELEMETRY_SPAN_DYN("exp.gauntlet", proto.name() + "/" + scenario.name +
-                                         "/s" + std::to_string(seed));
+  TELEMETRY_SPAN("exp.gauntlet", proto.name() + "/" + scenario.name +
+                                     "/s" + std::to_string(seed));
   TELEMETRY_COUNT("exp.gauntlet.cells", 1);
   GauntletCell cell;
   cell.protocol = proto.name();
@@ -299,7 +299,7 @@ struct ProtocolContext {
 
 ProtocolContext run_protocol_context(const cc::Protocol& proto,
                                      const GauntletConfig& cfg) {
-  TELEMETRY_SPAN_DYN("exp.gauntlet", proto.name() + "/context");
+  TELEMETRY_SPAN("exp.gauntlet", proto.name() + "/context");
   ProtocolContext ctx;
   ctx.baseline = run_baseline(proto, cfg);
   if (cfg.include_axiom_metrics) {

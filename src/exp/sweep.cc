@@ -41,8 +41,8 @@ void flag_non_finite_scores(SweepRow& row) {
 SweepRow run_cell(const cc::Protocol& proto, const LinkShape& shape,
                   [[maybe_unused]] std::size_t grid_index,
                   const core::EvalConfig& base) {
-  TELEMETRY_SPAN_DYN("exp.sweep", proto.name() + "/cell" +
-                                      std::to_string(grid_index));
+  TELEMETRY_SPAN("exp.sweep", proto.name() + "/cell" +
+                                  std::to_string(grid_index));
   TELEMETRY_COUNT("exp.sweep.cells", 1);
   core::EvalConfig cfg = base;
   cfg.link = fluid::make_link_mbps(shape.bandwidth_mbps, shape.rtt_ms,

@@ -145,7 +145,7 @@ std::vector<Table1Entry> build_table1(const core::EvalConfig& cfg, long jobs) {
   return parallel_map(
       std::size_t{6},
       [&](std::size_t row) -> Table1Entry {
-        TELEMETRY_SPAN_DYN("exp.table1", "row" + std::to_string(row));
+        TELEMETRY_SPAN("exp.table1", "row" + std::to_string(row));
         TELEMETRY_COUNT("exp.table1.rows", 1);
         switch (row) {
           case 0: {

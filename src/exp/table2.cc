@@ -38,8 +38,8 @@ std::vector<Table2Cell> build_table2(const Table2Config& cfg) {
       cfg.sender_counts.size() * cfg.bandwidths_mbps.size(),
       [&](std::size_t i) {
         const auto [n, bw] = grid_cell(cfg, i);
-        TELEMETRY_SPAN_DYN("exp.table2", "fluid/n" + std::to_string(n) +
-                                             "/bw" + std::to_string(bw));
+        TELEMETRY_SPAN("exp.table2", "fluid/n" + std::to_string(n) +
+                                         "/bw" + std::to_string(bw));
         TELEMETRY_COUNT("exp.table2.cells", 1);
         // Presets are built inside the task: cc::Protocol instances are
         // stateful and must not be shared across threads.
@@ -91,8 +91,8 @@ std::vector<Table2Cell> build_table2_packet(const Table2Config& cfg,
       cfg.sender_counts.size() * cfg.bandwidths_mbps.size(),
       [&](std::size_t i) {
         const auto [n, bw] = grid_cell(cfg, i);
-        TELEMETRY_SPAN_DYN("exp.table2", "packet/n" + std::to_string(n) +
-                                             "/bw" + std::to_string(bw));
+        TELEMETRY_SPAN("exp.table2", "packet/n" + std::to_string(n) +
+                                         "/bw" + std::to_string(bw));
         TELEMETRY_COUNT("exp.table2.cells", 1);
         const auto robust = cc::presets::robust_aimd_table2();
         const auto pcc = cc::presets::pcc();

@@ -39,7 +39,7 @@ Claim1Result check_claim1(const core::EvalConfig& cfg, long jobs) {
   const std::vector<double> measured = parallel_map(
       std::size_t{3},
       [&](std::size_t i) {
-        TELEMETRY_SPAN_DYN("exp.theorems", "claim1/run" + std::to_string(i));
+        TELEMETRY_SPAN("exp.theorems", "claim1/run" + std::to_string(i));
         TELEMETRY_COUNT("exp.theorems.cells", 1);
         const cc::CautiousProbe probe;
         if (i == 0) {
@@ -85,9 +85,9 @@ std::vector<TheoremCheck> check_theorem1(const core::EvalConfig& cfg,
   return parallel_map(
       grid,
       [&](const std::pair<double, double>& ab) {
-        TELEMETRY_SPAN_DYN("exp.theorems",
-                           "thm1/aimd(" + std::to_string(ab.first) + "," +
-                               std::to_string(ab.second) + ")");
+        TELEMETRY_SPAN("exp.theorems",
+                       "thm1/aimd(" + std::to_string(ab.first) + "," +
+                           std::to_string(ab.second) + ")");
         TELEMETRY_COUNT("exp.theorems.cells", 1);
         const cc::Aimd proto(ab.first, ab.second);
         const fluid::Trace shared = core::run_shared_link(proto, cfg);
@@ -117,9 +117,9 @@ std::vector<TheoremCheck> check_theorem2(const core::EvalConfig& cfg,
       grid,
       [&](const std::pair<double, double>& ab) {
         const auto [a, b] = ab;
-        TELEMETRY_SPAN_DYN("exp.theorems",
-                           "thm2/aimd(" + std::to_string(a) + "," +
-                               std::to_string(b) + ")");
+        TELEMETRY_SPAN("exp.theorems",
+                       "thm2/aimd(" + std::to_string(a) + "," +
+                           std::to_string(b) + ")");
         TELEMETRY_COUNT("exp.theorems.cells", 1);
         const cc::Aimd proto(a, b);
         const double friendliness =
@@ -162,7 +162,7 @@ std::vector<TheoremCheck> check_theorem3(const core::EvalConfig& cfg,
   const std::vector<double> friendliness_curve = parallel_map(
       eps_grid.size() + 1,
       [&](std::size_t i) {
-        TELEMETRY_SPAN_DYN("exp.theorems", "thm3/point" + std::to_string(i));
+        TELEMETRY_SPAN("exp.theorems", "thm3/point" + std::to_string(i));
         TELEMETRY_COUNT("exp.theorems.cells", 1);
         if (i == 0) {
           const cc::Aimd base(1.0, 0.8);
@@ -226,7 +226,7 @@ std::vector<TheoremCheck> check_theorem4(const core::EvalConfig& cfg,
   const std::vector<Measurement> measured = parallel_map(
       kNumAggressors + 1,
       [&](std::size_t i) {
-        TELEMETRY_SPAN_DYN("exp.theorems", "thm4/run" + std::to_string(i));
+        TELEMETRY_SPAN("exp.theorems", "thm4/run" + std::to_string(i));
         TELEMETRY_COUNT("exp.theorems.cells", 1);
         const cc::Aimd p(1.0, 0.5);
         Measurement m;
@@ -274,7 +274,7 @@ std::vector<TheoremCheck> check_theorem5(const core::EvalConfig& cfg,
   return parallel_map(
       std::size_t{2},
       [&](std::size_t i) {
-        TELEMETRY_SPAN_DYN("exp.theorems", "thm5/run" + std::to_string(i));
+        TELEMETRY_SPAN("exp.theorems", "thm5/run" + std::to_string(i));
         TELEMETRY_COUNT("exp.theorems.cells", 1);
         const cc::VegasLike vegas(2.0, 4.0);
         const auto p = make_loss_based(i);

@@ -1,7 +1,6 @@
 #include "fluid/sim.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <limits>
 #include <utility>
 
@@ -108,32 +107,6 @@ struct LoopTelemetry {
     TELEMETRY_COUNT("fluid.loss_event_steps", loss_event_steps);
     TELEMETRY_COUNT("fluid.injected_loss_samples", injected_loss_samples);
   }
-};
-
-/// Times 1 tick in 64 into fluid.tick_us while telemetry records: a tick
-/// costs nanoseconds, so timing every one would multiply its cost.
-class TickTimer {
- public:
-  TickTimer(const LoopTelemetry& tel, long step) {
-    if (tel.on && (step & 63) == 0) {
-      static telemetry::Histogram& hist =
-          telemetry::Registry::global().latency_histogram("fluid.tick_us");
-      hist_ = &hist;
-      start_us_ = telemetry::Tracer::global().now_us();
-    }
-  }
-  ~TickTimer() {
-    if (hist_ != nullptr) {
-      hist_->record(static_cast<double>(telemetry::Tracer::global().now_us() -
-                                        start_us_));
-    }
-  }
-  TickTimer(const TickTimer&) = delete;
-  TickTimer& operator=(const TickTimer&) = delete;
-
- private:
-  telemetry::Histogram* hist_ = nullptr;
-  std::int64_t start_us_ = 0;
 };
 
 }  // namespace
@@ -255,7 +228,6 @@ Trace FluidSimulation::scalar_loop() {
   LoopTelemetry tel;
   detail::ScheduledLink sched({&link_, 1}, bandwidth_scale_, rtt_scale_);
   for (long step = 0; step < options_.steps; ++step) {
-    const TickTimer tick_timer(tel, step);
     WindowFold fold;
     for (const double w : windows) fold.add(w, 1);
     const FluidLink& active_link = sched.at(step).front();
@@ -410,7 +382,6 @@ Trace FluidSimulation::tick_loop() {
   }
 
   for (long step = 0; step < options_.steps; ++step) {
-    const TickTimer tick_timer(tel, step);
     // Churn: a joining cohort restarts from its initial window; a departing
     // one stops contributing immediately. Activity is uniform within a
     // cohort, so the O(width) fills run only at join/leave steps.

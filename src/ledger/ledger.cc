@@ -63,12 +63,7 @@ std::string to_jsonl(const LedgerRecord& record) {
     out += ":";
     out += std::to_string(record.deterministic_counters[i].second);
   }
-  out += "}";
-  if (!record.telemetry.empty()) {
-    out += ",\"telemetry\":";
-    out += record.telemetry;
-  }
-  out += "}";
+  out += "}}";
   return out;
 }
 
@@ -140,10 +135,6 @@ std::optional<LedgerRecord> parse_record(std::string_view line) {
             name, static_cast<std::int64_t>(value.number));
       }
     }
-  }
-  if (const JsonValue* telemetry = doc.find("telemetry");
-      telemetry != nullptr && telemetry->is_object()) {
-    append_json_value(record.telemetry, *telemetry);
   }
   return record;
 }

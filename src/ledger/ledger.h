@@ -5,10 +5,10 @@
 // record holds the report (phases, counters, wall-clock) plus provenance
 // (git SHA, build flavor, backend, jobs, hardware jobs, an ISO-8601 UTC
 // timestamp) and, when the run recorded telemetry, the registry's
-// deterministic counters and full snapshot. The record is the benches' only
-// artifact, and the ledger is what turns one-shot runs into a trajectory:
-// the regression sentinel (sentinel.h) and the axiomcc-benchdiff CLI read
-// it back to diff runs and flag drift.
+// counters. The record is the benches' only artifact, and the ledger is
+// what turns one-shot runs into a trajectory: the regression sentinel
+// (sentinel.h) and the axiomcc-benchdiff CLI read it back to diff runs and
+// flag drift.
 //
 // Format: one JSON object per line ("JSONL"), schema-versioned via the
 // record's `schema_version` field. Readers are tolerant: malformed or
@@ -46,14 +46,10 @@ struct LedgerRecord {
   std::vector<std::pair<std::string, double>> phases;
   /// Workload counters sorted by key (name -> value).
   std::vector<std::pair<std::string, double>> counters;
-  /// Deterministic telemetry counters sorted by name. Populated only when
-  /// the run recorded telemetry; byte-identical for the same workload at
-  /// any --jobs level — the sentinel's strictest signal.
+  /// Telemetry counters sorted by name. Populated only when the run
+  /// recorded telemetry; byte-identical for the same workload at any --jobs
+  /// level — the sentinel's strictest signal.
   std::vector<std::pair<std::string, std::int64_t>> deterministic_counters;
-  /// The telemetry registry snapshot (telemetry::RegistrySnapshot::to_json,
-  /// one compact JSON object) when the run recorded telemetry; empty
-  /// otherwise, and then left off the line.
-  std::string telemetry;
 };
 
 /// Renders `record` as one newline-free JSON line (the trailing '\n' is the
@@ -83,7 +79,7 @@ void append_record(const std::string& path, const LedgerRecord& record);
 
 /// Builds a record from a finished BenchReport: copies name/timestamp/
 /// jobs/phases/counters/total and stamps provenance (git SHA + build
-/// flavor). The telemetry fields stay empty; the bench harness fills them
+/// flavor). deterministic_counters stays empty; the bench harness fills it
 /// when the run recorded telemetry.
 [[nodiscard]] LedgerRecord record_from_bench(const BenchReport& bench,
                                              const std::string& backend);

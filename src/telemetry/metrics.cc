@@ -1,11 +1,6 @@
 #include "telemetry/metrics.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "util/check.h"
 #include "util/json.h"
-#include "util/stats.h"
 
 namespace axiomcc::telemetry {
 
@@ -20,164 +15,15 @@ int this_thread_shard() {
 
 }  // namespace detail
 
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)),
-      counts_((bounds_.size() + 1) * kMaxShards),
-      min_(std::numeric_limits<double>::infinity()),
-      max_(-std::numeric_limits<double>::infinity()) {
-  AXIOMCC_EXPECTS(!bounds_.empty());
-  AXIOMCC_EXPECTS(std::is_sorted(bounds_.begin(), bounds_.end()));
-  for (const double b : bounds_) AXIOMCC_EXPECTS(std::isfinite(b));
-  for (std::atomic<double>& sum : sums_) {
-    sum.store(0.0, std::memory_order_relaxed);
-  }
-}
-
-void Histogram::record(double value) {
-  if (!std::isfinite(value)) return;  // non-finite timings carry no signal
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const auto bucket = static_cast<std::size_t>(it - bounds_.begin());
-  const int shard = detail::this_thread_shard();
-  counts_[bucket * kMaxShards + static_cast<std::size_t>(shard)]
-      .value.fetch_add(1, std::memory_order_relaxed);
-  double cur = sums_[shard].load(std::memory_order_relaxed);
-  while (!sums_[shard].compare_exchange_weak(cur, cur + value,
-                                             std::memory_order_relaxed)) {
-  }
-  detail::atomic_min(min_, value);
-  detail::atomic_max(max_, value);
-}
-
-Histogram::Data Histogram::data() const {
-  Data out;
-  out.upper_bounds = bounds_;
-  out.bucket_counts.resize(bounds_.size() + 1, 0);
-  for (std::size_t b = 0; b < out.bucket_counts.size(); ++b) {
-    std::uint64_t count = 0;
-    for (int s = 0; s < kMaxShards; ++s) {
-      count += static_cast<std::uint64_t>(
-          counts_[b * kMaxShards + static_cast<std::size_t>(s)].value.load(
-              std::memory_order_relaxed));
-    }
-    out.bucket_counts[b] = count;
-    out.count += count;
-  }
-  for (const std::atomic<double>& sum : sums_) {
-    out.sum += sum.load(std::memory_order_relaxed);
-  }
-  out.min = min_.load(std::memory_order_relaxed);
-  out.max = max_.load(std::memory_order_relaxed);
-  return out;
-}
-
-void Histogram::reset() {
-  for (detail::Cell& cell : counts_) {
-    cell.value.store(0, std::memory_order_relaxed);
-  }
-  for (std::atomic<double>& sum : sums_) {
-    sum.store(0.0, std::memory_order_relaxed);
-  }
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-  max_.store(-std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-}
-
-const std::vector<double>& default_latency_bounds_us() {
-  static const std::vector<double> bounds = [] {
-    std::vector<double> out;
-    for (double b = 1.0; b <= 8.5e6; b *= 2.0) out.push_back(b);
-    return out;
-  }();
-  return bounds;
-}
-
-double HistogramSnapshot::quantile(double p) const {
-  return histogram_quantile(data.upper_bounds, data.bucket_counts, data.min,
-                            data.max, p);
-}
-
-namespace {
-
-void append_i64(std::string& out, std::int64_t v) {
-  out += std::to_string(v);
-}
-
-/// {"name": value, ...} over (name, int64) pairs, already sorted by name.
-template <typename Range, typename ValueOf>
-void append_flat_object(std::string& out, const Range& range,
-                        ValueOf&& value_of) {
-  out.push_back('{');
-  bool first = true;
-  for (const auto& entry : range) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, entry.name);
+std::string RegistrySnapshot::to_json() const {
+  std::string out = "{";
+  for (std::size_t i = 0; i < counters.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    append_json_string(out, counters[i].name);
     out.push_back(':');
-    append_i64(out, value_of(entry));
+    out += std::to_string(counters[i].value);
   }
   out.push_back('}');
-}
-
-}  // namespace
-
-std::string RegistrySnapshot::deterministic_json() const {
-  std::vector<CounterSnapshot> det;
-  for (const CounterSnapshot& c : counters) {
-    if (c.stability == Stability::kDeterministic) det.push_back(c);
-  }
-  std::string out;
-  append_flat_object(out, det,
-                     [](const CounterSnapshot& c) { return c.value; });
-  return out;
-}
-
-std::string RegistrySnapshot::to_json() const {
-  std::string out = "{\"counters\":";
-  out += deterministic_json();
-
-  out += ",\"scheduling\":{\"counters\":";
-  std::vector<CounterSnapshot> sched;
-  for (const CounterSnapshot& c : counters) {
-    if (c.stability == Stability::kScheduleDependent) sched.push_back(c);
-  }
-  append_flat_object(out, sched,
-                     [](const CounterSnapshot& c) { return c.value; });
-  out += ",\"gauges\":";
-  append_flat_object(out, gauges,
-                     [](const GaugeSnapshot& g) { return g.value; });
-  out += "}";
-
-  out += ",\"histograms\":{";
-  bool first = true;
-  for (const HistogramSnapshot& h : histograms) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, h.name);
-    out += ":{\"count\":";
-    append_i64(out, static_cast<std::int64_t>(h.data.count));
-    out += ",\"sum\":";
-    append_json_number(out, h.data.count > 0 ? h.data.sum : 0.0);
-    out += ",\"min\":";
-    append_json_number(out, h.data.count > 0 ? h.data.min : 0.0);
-    out += ",\"max\":";
-    append_json_number(out, h.data.count > 0 ? h.data.max : 0.0);
-    out += ",\"mean\":";
-    append_json_number(
-        out, h.data.count > 0 ? h.data.sum / static_cast<double>(h.data.count)
-                              : 0.0);
-    for (const auto& [label, p] :
-         {std::pair<const char*, double>{"p50", 50.0},
-          {"p90", 90.0},
-          {"p99", 99.0}}) {
-      out += ",\"";
-      out += label;
-      out += "\":";
-      append_json_number(out, h.data.count > 0 ? h.quantile(p) : 0.0);
-    }
-    out += "}";
-  }
-  out += "}}";
   return out;
 }
 
@@ -186,45 +32,11 @@ Registry& Registry::global() {
   return instance;
 }
 
-Counter& Registry::counter(const std::string& name, Stability stability) {
+Counter& Registry::counter(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(name, std::make_unique<Counter>(stability)).first;
-  } else {
-    AXIOMCC_EXPECTS_MSG(it->second->stability() == stability,
-                        "counter " + name +
-                            " re-registered with a different stability tag");
-  }
-  return *it->second;
-}
-
-Gauge& Registry::gauge(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(name, std::make_unique<Gauge>()).first;
-  }
-  return *it->second;
-}
-
-Histogram& Registry::histogram(const std::string& name,
-                               const std::vector<double>& upper_bounds) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(name, std::make_unique<Histogram>(upper_bounds))
-             .first;
-  } else {
-    AXIOMCC_EXPECTS_MSG(it->second->upper_bounds() == upper_bounds,
-                        "histogram " + name +
-                            " re-registered with different bucket bounds");
-  }
-  return *it->second;
-}
-
-Histogram& Registry::latency_histogram(const std::string& name) {
-  return histogram(name, default_latency_bounds_us());
+  std::unique_ptr<Counter>& slot = counters_[name];
+  if (slot == nullptr) slot = std::make_unique<Counter>();
+  return *slot;
 }
 
 RegistrySnapshot Registry::snapshot() const {
@@ -232,16 +44,7 @@ RegistrySnapshot Registry::snapshot() const {
   RegistrySnapshot snap;
   snap.counters.reserve(counters_.size());
   for (const auto& [name, counter] : counters_) {
-    snap.counters.push_back(
-        CounterSnapshot{name, counter->value(), counter->stability()});
-  }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    snap.gauges.push_back(GaugeSnapshot{name, gauge->value()});
-  }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
-    snap.histograms.push_back(HistogramSnapshot{name, histogram->data()});
+    snap.counters.push_back(CounterSnapshot{name, counter->value()});
   }
   return snap;
 }
@@ -249,8 +52,6 @@ RegistrySnapshot Registry::snapshot() const {
 void Registry::reset_values() {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [_, counter] : counters_) counter->reset();
-  for (const auto& [_, gauge] : gauges_) gauge->reset();
-  for (const auto& [_, histogram] : histograms_) histogram->reset();
 }
 
 }  // namespace axiomcc::telemetry

@@ -1,26 +1,22 @@
-// metrics.h — the process-wide metrics registry.
+// metrics.h — the process-wide counter registry.
 //
-// Counters, gauges, and fixed-bucket histograms for the hot paths (task
-// pool, fluid tick loop, guarded stress runner, experiment fan-outs). Every
-// metric is sharded into per-thread cells — an instrumented hot path does a
-// relaxed fetch_add on a cache line no other thread touches — and the shards
-// are summed only when a snapshot is taken. Telemetry is off by default
-// (telemetry.h's macros check `enabled()` first), so uninstrumented runs pay
-// one predicted branch per probe.
+// Counters for the hot paths (fluid tick loop, guarded stress runner,
+// fuzzer, experiment fan-outs). Every counter is sharded into per-thread
+// cells — an instrumented hot path does a relaxed fetch_add on a cache line
+// no other thread touches — and the shards are summed only when a snapshot
+// is taken. Telemetry is off by default (telemetry.h's macros check
+// `enabled()` first), so uninstrumented runs pay one predicted branch per
+// probe.
 //
-// Determinism contract: every counter is registered with a Stability tag.
-// kDeterministic counters count simulation *content* (ticks, loss events,
-// cells, faults) and must land on identical values at any --jobs level;
-// RegistrySnapshot::deterministic_json() renders exactly those, sorted by
-// name, so two snapshots of the same workload are byte-comparable.
-// kScheduleDependent metrics (steals, queue depth, latency histograms)
-// describe the *execution*, vary run to run, and render in a separate block.
+// Determinism contract: a counter counts simulation *content* (ticks, loss
+// events, cells, faults), never the execution, so it lands on the same value
+// at any --jobs level; RegistrySnapshot::to_json() renders the counters
+// sorted by name, so two snapshots of the same workload are byte-comparable.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -29,11 +25,7 @@
 
 namespace axiomcc::telemetry {
 
-/// Whether a metric's value is a pure function of the workload
-/// (kDeterministic) or of thread scheduling (kScheduleDependent).
-enum class Stability : int { kDeterministic = 0, kScheduleDependent = 1 };
-
-/// Number of per-thread cells per metric. Threads beyond this share cells
+/// Number of per-thread cells per counter. Threads beyond this share cells
 /// round-robin — values stay exact (the cells are atomic), only contention
 /// rises. 32 comfortably covers TaskPool's 1024-worker cap in practice.
 inline constexpr int kMaxShards = 32;
@@ -48,21 +40,6 @@ struct alignas(64) Cell {
   std::atomic<std::int64_t> value{0};
 };
 
-/// Lock-free min/max tracking for histogram tails.
-inline void atomic_min(std::atomic<double>& target, double v) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !target.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-inline void atomic_max(std::atomic<double>& target, double v) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !target.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace detail
 
 /// Monotonic (in intent) event counter. add() is wait-free on the calling
@@ -70,38 +47,6 @@ inline void atomic_max(std::atomic<double>& target, double v) {
 /// are mid-add — exact once the instrumented work has joined).
 class Counter {
  public:
-  explicit Counter(Stability stability) : stability_(stability) {}
-
-  void add(std::int64_t delta) {
-    shards_[detail::this_thread_shard()].value.fetch_add(
-        delta, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::int64_t value() const {
-    std::int64_t sum = 0;
-    for (const detail::Cell& cell : shards_) {
-      sum += cell.value.load(std::memory_order_relaxed);
-    }
-    return sum;
-  }
-
-  [[nodiscard]] Stability stability() const { return stability_; }
-
-  void reset() {
-    for (detail::Cell& cell : shards_) {
-      cell.value.store(0, std::memory_order_relaxed);
-    }
-  }
-
- private:
-  std::array<detail::Cell, kMaxShards> shards_;
-  Stability stability_;
-};
-
-/// Up/down level indicator (queue depth, in-flight cells). Implemented as a
-/// sharded sum of signed deltas; always schedule-dependent.
-class Gauge {
- public:
   void add(std::int64_t delta) {
     shards_[detail::this_thread_shard()].value.fetch_add(
         delta, std::memory_order_relaxed);
@@ -124,111 +69,35 @@ class Gauge {
  private:
   std::array<detail::Cell, kMaxShards> shards_;
 };
-
-/// Fixed-bucket histogram. `upper_bounds` are ascending, upper-inclusive
-/// bucket edges (value v lands in the first bucket with v <= bound); values
-/// above the last bound land in an implicit overflow bucket. Bucket counts
-/// are sharded like counters; sum/min/max are tracked exactly so quantile
-/// summaries can clamp interpolation to the observed range.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void record(double value);
-
-  /// Aggregated view (bucket_counts has upper_bounds.size() + 1 entries;
-  /// the final entry is the overflow bucket).
-  struct Data {
-    std::vector<double> upper_bounds;
-    std::vector<std::uint64_t> bucket_counts;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = std::numeric_limits<double>::infinity();
-    double max = -std::numeric_limits<double>::infinity();
-  };
-  [[nodiscard]] Data data() const;
-
-  [[nodiscard]] const std::vector<double>& upper_bounds() const {
-    return bounds_;
-  }
-
-  void reset();
-
- private:
-  std::vector<double> bounds_;
-  /// counts_[bucket * kMaxShards + shard].
-  std::vector<detail::Cell> counts_;
-  std::array<std::atomic<double>, kMaxShards> sums_;
-  std::atomic<double> min_;
-  std::atomic<double> max_;
-};
-
-/// Exponential µs buckets 1, 2, 4, ..., ~8.4s — the default latency scale
-/// for per-task and per-tick timings.
-[[nodiscard]] const std::vector<double>& default_latency_bounds_us();
 
 struct CounterSnapshot {
   std::string name;
   std::int64_t value = 0;
-  Stability stability = Stability::kDeterministic;
 };
 
-struct GaugeSnapshot {
-  std::string name;
-  std::int64_t value = 0;
-};
-
-struct HistogramSnapshot {
-  std::string name;
-  Histogram::Data data;
-
-  /// Quantile estimate (p in [0,100]) via util/stats.h histogram_quantile:
-  /// linear interpolation inside the containing bucket, clamped to the
-  /// exact observed [min, max]. NaN when the histogram is empty.
-  [[nodiscard]] double quantile(double p) const;
-};
-
-/// Point-in-time aggregation of every registered metric, sorted by name.
+/// Point-in-time values of every registered counter, sorted by name.
 struct RegistrySnapshot {
   std::vector<CounterSnapshot> counters;
-  std::vector<GaugeSnapshot> gauges;
-  std::vector<HistogramSnapshot> histograms;
 
-  /// Only the kDeterministic counters, as a flat sorted JSON object —
-  /// byte-identical for the same workload at any --jobs level.
-  [[nodiscard]] std::string deterministic_json() const;
-
-  /// The full snapshot: {"counters": {...deterministic...},
-  /// "scheduling": {"counters": {...}, "gauges": {...}},
-  /// "histograms": {name: {count,sum,min,max,mean,p50,p90,p99}}}.
+  /// The counters as a flat JSON object in name order — byte-identical for
+  /// the same workload at any --jobs level.
   [[nodiscard]] std::string to_json() const;
 };
 
-/// The process-wide registry. Registration (the `counter`/`gauge`/
-/// `histogram` lookups) takes a mutex; the returned references are stable
-/// for the process lifetime, so instrumentation sites resolve them once
-/// into a function-local static and never touch the lock again.
+/// The process-wide registry. Registration takes a mutex; the returned
+/// references are stable for the process lifetime, so instrumentation sites
+/// resolve them once into a function-local static and never touch the lock
+/// again.
 class Registry {
  public:
   [[nodiscard]] static Registry& global();
 
-  /// Registers (or looks up) a counter. Re-registration must agree on
-  /// `stability`.
-  Counter& counter(const std::string& name, Stability stability);
-
-  Gauge& gauge(const std::string& name);
-
-  /// Registers (or looks up) a histogram. Re-registration must agree on
-  /// the bucket bounds.
-  Histogram& histogram(const std::string& name,
-                       const std::vector<double>& upper_bounds);
-
-  /// histogram(name, default_latency_bounds_us()).
-  Histogram& latency_histogram(const std::string& name);
+  /// Registers (or looks up) the counter `name`.
+  Counter& counter(const std::string& name);
 
   [[nodiscard]] RegistrySnapshot snapshot() const;
 
-  /// Zeroes every value; registrations (names, bounds) are kept.
+  /// Zeroes every counter; registrations are kept.
   void reset_values();
 
  private:
@@ -236,8 +105,6 @@ class Registry {
 
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace axiomcc::telemetry

@@ -93,14 +93,6 @@ void Tracer::reset() {
   }
 }
 
-SpanToken begin_span() { return SpanToken{Tracer::global().now_us()}; }
-
-void end_span(const SpanToken& token, std::string category, std::string name) {
-  Tracer& tracer = Tracer::global();
-  tracer.record(std::move(category), std::move(name), token.start_us,
-                tracer.now_us() - token.start_us);
-}
-
 bool write_chrome_trace(const std::string& path,
                         const std::vector<SpanEvent>& events) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";

@@ -102,16 +102,6 @@ class ScopedSpan {
   std::int64_t start_us_;
 };
 
-/// Explicit begin/end for spans that cross scopes (async work). The token is
-/// plain data; end_span may run on a different thread than begin_span (the
-/// span is attributed to the ending thread's ring).
-struct SpanToken {
-  std::int64_t start_us = 0;
-};
-
-[[nodiscard]] SpanToken begin_span();
-void end_span(const SpanToken& token, std::string category, std::string name);
-
 /// Writes `events` (plus process metadata) as Chrome trace-event JSON to
 /// `path`. Returns false if the file could not be opened.
 bool write_chrome_trace(const std::string& path,

@@ -4,15 +4,12 @@
 // string grammar (quotes, backslashes, control characters as \u00XX), (2) a
 // deterministic number formatter (finite doubles render with
 // up-to-12-significant-digit shortest form, non-finite as null — JSON has no
-// inf/nan), (3) a small recursive-descent parser that reads back the ledger
-// lines, recordings and trace_*.json artifacts, and (4) a compact writer for
-// a parsed document. The parser preserves object key order so tests can
-// assert stable key ordering byte-for-byte.
+// inf/nan), and (3) a small recursive-descent parser that reads back the
+// ledger lines, recordings and trace_*.json artifacts. The parser preserves
+// object key order so tests can assert stable key ordering byte-for-byte.
 #pragma once
 
 #include <cctype>
-#include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -294,42 +291,6 @@ class Parser {
 /// Parses one JSON document; throws std::runtime_error on malformed input.
 [[nodiscard]] inline JsonValue parse_json(std::string_view text) {
   return json_detail::Parser(text).parse_document();
-}
-
-/// Appends `v` as compact JSON, the inverse of parse_json: integral numbers
-/// below 2^53 render as integers, other numbers as append_json_number does.
-inline void append_json_value(std::string& out, const JsonValue& v) {
-  switch (v.kind) {
-    case JsonValue::Kind::kNull: out += "null"; return;
-    case JsonValue::Kind::kBool: out += v.boolean ? "true" : "false"; return;
-    case JsonValue::Kind::kNumber:
-      if (std::fabs(v.number) < 9007199254740992.0 &&
-          v.number == std::floor(v.number)) {
-        out += std::to_string(static_cast<std::int64_t>(v.number));
-      } else {
-        append_json_number(out, v.number);
-      }
-      return;
-    case JsonValue::Kind::kString: append_json_string(out, v.string); return;
-    case JsonValue::Kind::kArray:
-      out.push_back('[');
-      for (std::size_t i = 0; i < v.array.size(); ++i) {
-        if (i > 0) out.push_back(',');
-        append_json_value(out, v.array[i]);
-      }
-      out.push_back(']');
-      return;
-    case JsonValue::Kind::kObject:
-      out.push_back('{');
-      for (std::size_t i = 0; i < v.object.size(); ++i) {
-        if (i > 0) out.push_back(',');
-        append_json_string(out, v.object[i].first);
-        out.push_back(':');
-        append_json_value(out, v.object[i].second);
-      }
-      out.push_back('}');
-      return;
-  }
 }
 
 }  // namespace axiomcc

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
@@ -132,44 +131,6 @@ class RunningStats {
   AXIOMCC_EXPECTS(!xs.empty());
   std::sort(xs.begin(), xs.end());
   return percentile_sorted(xs, p);
-}
-
-/// Quantile estimate for a fixed-bucket histogram with upper-inclusive
-/// bucket edges (telemetry::Histogram's layout: `bucket_counts` has one
-/// entry per bound plus a final overflow bucket). Interpolates linearly
-/// inside the containing bucket and clamps the bucket edges to the exact
-/// observed [min_seen, max_seen], which shares the percentile_sorted
-/// boundary conventions: p<=0 is the minimum, p>=100 the maximum, and a
-/// single sample is its own every-percentile. NaN when empty.
-[[nodiscard]] inline double histogram_quantile(
-    std::span<const double> upper_bounds,
-    std::span<const std::uint64_t> bucket_counts, double min_seen,
-    double max_seen, double p) {
-  AXIOMCC_EXPECTS(bucket_counts.size() == upper_bounds.size() + 1);
-  AXIOMCC_EXPECTS(p >= 0.0 && p <= 100.0);
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : bucket_counts) total += c;
-  if (total == 0) return std::numeric_limits<double>::quiet_NaN();
-  if (total == 1 || p <= 0.0) return min_seen;
-  if (p >= 100.0) return max_seen;
-  const double target = p / 100.0 * static_cast<double>(total);
-  std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < bucket_counts.size(); ++b) {
-    if (bucket_counts[b] == 0) continue;
-    const double before = static_cast<double>(cumulative);
-    cumulative += bucket_counts[b];
-    if (static_cast<double>(cumulative) < target) continue;
-    const double lower =
-        b == 0 ? min_seen : std::max(upper_bounds[b - 1], min_seen);
-    const double upper =
-        b == upper_bounds.size() ? max_seen
-                                 : std::min(upper_bounds[b], max_seen);
-    const double frac =
-        (target - before) / static_cast<double>(bucket_counts[b]);
-    const double value = lower + (upper - lower) * frac;
-    return std::clamp(value, min_seen, max_seen);
-  }
-  return max_seen;
 }
 
 /// Median of a span (copies and sorts); even sizes average the two middle

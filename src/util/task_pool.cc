@@ -2,8 +2,6 @@
 
 #include <cstdlib>
 
-#include "telemetry/telemetry.h"
-
 namespace axiomcc {
 
 long hardware_jobs() {
@@ -55,8 +53,6 @@ void TaskPool::submit(std::function<void()> task) {
     queued_.fetch_add(1, std::memory_order_release);
     ++pending_;
   }
-  TELEMETRY_COUNT_SCHED("pool.tasks_submitted", 1);
-  TELEMETRY_GAUGE_ADD("pool.queue_depth", 1);
   work_cv_.notify_one();
 }
 
@@ -73,7 +69,6 @@ bool TaskPool::acquire(std::size_t self, std::function<void()>& out) {
       out = std::move(own.tasks.back());
       own.tasks.pop_back();
       queued_.fetch_sub(1, std::memory_order_acq_rel);
-      TELEMETRY_GAUGE_ADD("pool.queue_depth", -1);
       return true;
     }
   }
@@ -86,12 +81,9 @@ bool TaskPool::acquire(std::size_t self, std::function<void()>& out) {
       out = std::move(victim.tasks.front());
       victim.tasks.pop_front();
       queued_.fetch_sub(1, std::memory_order_acq_rel);
-      TELEMETRY_GAUGE_ADD("pool.queue_depth", -1);
-      TELEMETRY_COUNT_SCHED("pool.steals", 1);
       return true;
     }
   }
-  TELEMETRY_COUNT_SCHED("pool.steal_fails", 1);
   return false;
 }
 
@@ -99,11 +91,7 @@ void TaskPool::worker_loop(std::size_t self) {
   for (;;) {
     std::function<void()> task;
     if (acquire(self, task)) {
-      {
-        TELEMETRY_SCOPED_TIMER_US("pool.task_latency_us");
-        task();
-      }
-      TELEMETRY_COUNT_SCHED("pool.tasks_executed", 1);
+      task();
       const std::lock_guard<std::mutex> lock(sync_);
       --pending_;
       if (pending_ == 0) idle_cv_.notify_all();

@@ -11,8 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "ledger/ledger.h"
+#include "recorder/io.h"
 #include "telemetry/telemetry.h"
-#include "util/json.h"
 #include "util/task_pool.h"
 
 namespace axiomcc::bench {
@@ -42,8 +42,7 @@ std::vector<ledger::LedgerRecord> records_in(const std::string& dir) {
 }
 
 telemetry::Counter& det_counter() {
-  return telemetry::Registry::global().counter(
-      "test.bench_harness.det", telemetry::Stability::kDeterministic);
+  return telemetry::Registry::global().counter("test.bench_harness.det");
 }
 
 TEST(BenchHarness, AppendsOneRecordPerReport) {
@@ -102,7 +101,7 @@ TEST(BenchHarness, WritesNoBenchArtifact) {
   EXPECT_EQ(records_in(dir).size(), 1u);
 }
 
-TEST(BenchHarness, TelemetryRecordCarriesDeterministicCountersAndSnapshot) {
+TEST(BenchHarness, TelemetryRecordCarriesDeterministicCountersAndTrace) {
   const std::string dir = fresh_dir("telemetry");
   const std::string out = "--out=" + dir;
   {
@@ -124,15 +123,12 @@ TEST(BenchHarness, TelemetryRecordCarriesDeterministicCountersAndSnapshot) {
     }
   }
   EXPECT_TRUE(found);
-  // The snapshot the BENCH_*.json artifact used to embed, whole.
-  ASSERT_FALSE(record.telemetry.empty());
-  const JsonValue snapshot = parse_json(record.telemetry);
-  ASSERT_NE(snapshot.find("counters"), nullptr);
-  EXPECT_EQ(snapshot.find("counters")->find("test.bench_harness.det")->number,
-            5.0);
-  EXPECT_NE(snapshot.find("histograms"), nullptr);
-  EXPECT_NE(snapshot.find("scheduling"), nullptr);
-  EXPECT_TRUE(std::filesystem::exists(dir + "/trace_probe.json"));
+  // The counters are the record's only telemetry; the spans go to the
+  // trace file.
+  EXPECT_EQ(ledger::to_jsonl(record).find("\"telemetry\""),
+            std::string::npos);
+  EXPECT_NO_THROW((void)telemetry::parse_chrome_trace(
+      recorder::read_text_file(dir + "/trace_probe.json")));
 }
 
 TEST(BenchHarness, DeterministicCountersGatedOnTelemetry) {
@@ -156,7 +152,6 @@ TEST(BenchHarness, DeterministicCountersGatedOnTelemetry) {
   const auto records = records_in(dir);
   ASSERT_FALSE(records.empty());
   EXPECT_TRUE(records[0].deterministic_counters.empty());
-  EXPECT_TRUE(records[0].telemetry.empty());
   ASSERT_EQ(records.size(), 2u);
   bool found = false;
   for (const auto& [name, value] : records[1].deterministic_counters) {

@@ -1,16 +1,20 @@
-// Tests for the run ledger: JSONL round trips, tolerant reads of malformed
-// and truncated lines, and provenance stamping.
+// Tests for the run ledger: JSONL round trips, tolerant reads of malformed,
+// truncated and older-format lines, and provenance stamping.
 #include "ledger/ledger.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ledger/provenance.h"
+#include "ledger/sentinel.h"
 #include "util/check.h"
 
 namespace axiomcc::ledger {
@@ -64,19 +68,53 @@ TEST(LedgerRecord, JsonlRoundTripsEveryField) {
   EXPECT_EQ(parsed->deterministic_counters[0].second, 184200);
 }
 
-TEST(LedgerRecord, TelemetrySnapshotEmbedsVerbatim) {
-  LedgerRecord record = sample_record();
-  EXPECT_EQ(to_jsonl(record).find("\"telemetry\""), std::string::npos);
+TEST(LedgerRecord, OldTelemetrySnapshotLineStillReads) {
+  // Ledgers written before the registry snapshot left the record carry a
+  // "telemetry" object after deterministic_counters. The reader ignores it.
+  const std::string old_line =
+      "{\"schema_version\":" + std::to_string(kLedgerSchemaVersion) +
+      ",\"timestamp_utc\":\"2026-08-06T12:34:56Z\",\"bench\":\"table1\","
+      "\"git_sha\":\"0123456789abcdef0123456789abcdef01234567\","
+      "\"build_flavor\":\"Release\",\"backend\":\"fluid\",\"jobs\":4,"
+      "\"hardware_jobs\":8,\"total_seconds\":1.75,"
+      "\"phases\":{\"build\":1.5,\"check\":0.25},"
+      "\"counters\":{\"cells\":6,\"cells_per_sec\":3.4285},"
+      "\"deterministic_counters\":{\"exp.table1.rows\":6,"
+      "\"fluid.ticks\":184200},"
+      "\"telemetry\":{\"counters\":{\"exp.table1.rows\":6,"
+      "\"fluid.ticks\":184200},\"scheduling\":{\"counters\":"
+      "{\"pool.steals\":3},\"gauges\":{\"pool.queue_depth\":0}},"
+      "\"histograms\":{\"fluid.tick_us\":{\"count\":2,\"sum\":1,\"min\":0,"
+      "\"max\":1,\"mean\":0.5,\"p50\":0.5,\"p90\":0.9,\"p99\":0.99}}}}";
+  const auto old_record = parse_record(old_line);
+  ASSERT_TRUE(old_record.has_value());
+  const std::vector<std::pair<std::string, std::int64_t>> counters{
+      {"exp.table1.rows", 6}, {"fluid.ticks", 184200}};
+  EXPECT_EQ(old_record->deterministic_counters, counters);
+  EXPECT_EQ(to_jsonl(*old_record).find("\"telemetry\""), std::string::npos);
 
-  record.telemetry =
-      "{\"counters\":{\"fluid.ticks\":12},\"histograms\":{\"h\":"
-      "{\"count\":2,\"sum\":0.75,\"big\":9007199254740991}}}";
-  const std::string line = to_jsonl(record);
-  EXPECT_EQ(line.find('\n'), std::string::npos);
-  const auto parsed = parse_record(line);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->telemetry, record.telemetry);
-  EXPECT_EQ(to_jsonl(*parsed), line);
+  // Against a new-format record its counters compare as usual.
+  LedgerRecord current = sample_record();
+  current.deterministic_counters = counters;
+  ASSERT_EQ(to_jsonl(current).find("\"telemetry\""), std::string::npos);
+  const DiffReport same = diff_records(*old_record, current);
+  EXPECT_FALSE(same.regression());
+  std::size_t compared = 0;
+  for (const MetricDelta& delta : same.deltas) {
+    if (delta.kind != MetricDelta::Kind::kDeterministic) continue;
+    ++compared;
+    EXPECT_EQ(delta.verdict, Verdict::kIdentical) << delta.name;
+  }
+  EXPECT_EQ(compared, counters.size());
+  current.deterministic_counters[1].second = 184201;
+  const DiffReport drift = diff_records(*old_record, current);
+  EXPECT_TRUE(drift.regression());
+  ASSERT_EQ(drift.count(Verdict::kMismatch), 1u);
+  for (const MetricDelta& delta : drift.deltas) {
+    if (delta.verdict != Verdict::kMismatch) continue;
+    EXPECT_EQ(delta.name, "det/fluid.ticks");
+    EXPECT_EQ(delta.kind, MetricDelta::Kind::kDeterministic);
+  }
 }
 
 TEST(LedgerRecord, ParseRejectsMalformedAndIncompleteLines) {
@@ -161,7 +199,6 @@ TEST(RecordFromBench, CopiesReportAndStampsProvenance) {
   EXPECT_EQ(record.counters[0].first, "alpha");
   // The harness, not the report, carries telemetry into a record.
   EXPECT_TRUE(record.deterministic_counters.empty());
-  EXPECT_TRUE(record.telemetry.empty());
 }
 
 TEST(Provenance, EnvironmentOverrideWinsAndIsValidated) {

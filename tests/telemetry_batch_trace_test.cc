@@ -1,16 +1,16 @@
 // Chrome-trace export round-trip and snapshot identity for the fluid tick
-// loop's telemetry. Two contracts:
+// loop's telemetry. Three contracts:
 //
 //  * spans recorded while a materialized kernel cohort fans out over the
 //    task pool survive a write_chrome_trace -> parse_chrome_trace round
 //    trip exactly (category, name, thread, timing — the inspect/triage
 //    workflow reads traces back from disk);
-//  * the deterministic counter snapshot of a run is byte-identical
-//    at --jobs=1 and --jobs=4 — the telemetry face of the determinism
-//    contract the trace-level tests already pin;
+//  * the counter snapshot of a run is byte-identical at --jobs=1 and
+//    --jobs=4 — the telemetry face of the determinism contract the
+//    trace-level tests already pin;
 //  * a lone constant-loss probe (the robustness search's run) counts
-//    every tick and injected-loss sample and times 1 tick in 64, and its
-//    trace is byte-identical with telemetry on and off.
+//    every tick and injected-loss sample, and its trace is byte-identical
+//    with telemetry on and off.
 //
 // The name contains "telemetry" so the TSan CI preset picks it up: the
 // jobs=4 runs exercise the tracer's per-thread rings under real fan-out.
@@ -125,13 +125,11 @@ TEST(TelemetryBatchTrace, DeterministicSnapshotIdenticalAcrossJobs) {
 
   Registry::global().reset_values();
   (void)run_materialized_sim(1);
-  const std::string serial =
-      Registry::global().snapshot().deterministic_json();
+  const std::string serial = Registry::global().snapshot().to_json();
 
   Registry::global().reset_values();
   (void)run_materialized_sim(4);
-  const std::string parallel =
-      Registry::global().snapshot().deterministic_json();
+  const std::string parallel = Registry::global().snapshot().to_json();
 
   EXPECT_EQ(serial, parallel);
   EXPECT_NE(serial.find("fluid.ticks"), std::string::npos) << serial;
@@ -165,15 +163,8 @@ TEST(TelemetryBatchTrace, LoneProbeCountsEveryTickAndKeepsItsTrace) {
     return run_probe(kSteps);
   }();
   Registry& registry = Registry::global();
-  EXPECT_EQ(registry.counter("fluid.ticks", Stability::kDeterministic).value(),
-            kSteps);
-  EXPECT_EQ(registry
-                .counter("fluid.injected_loss_samples",
-                         Stability::kDeterministic)
-                .value(),
-            kSteps);
-  EXPECT_EQ(registry.latency_histogram("fluid.tick_us").data().count,
-            static_cast<std::uint64_t>((kSteps + 63) / 64));
+  EXPECT_EQ(registry.counter("fluid.ticks").value(), kSteps);
+  EXPECT_EQ(registry.counter("fluid.injected_loss_samples").value(), kSteps);
 
   EXPECT_TRUE(same_bits(quiet.windows(0), traced.windows(0)));
   EXPECT_TRUE(same_bits(quiet.observed_loss(0), traced.observed_loss(0)));

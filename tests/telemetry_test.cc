@@ -1,13 +1,11 @@
 // Tests for the telemetry subsystem: exact sharded counters under
-// concurrency, upper-inclusive histogram bucketing, quantile summaries,
-// span nesting and ring-drop accounting, Chrome trace-event round-trips,
-// and the deterministic-vs-scheduling snapshot split.
+// concurrency, the sorted snapshot, the probe macros, span nesting and
+// ring-drop accounting, and Chrome trace-event round-trips.
 //
 // The registry and tracer are process-wide singletons, so every test uses
-// its own metric names and resets recorded values up front.
+// its own counter names and resets recorded values up front.
 #include "telemetry/telemetry.h"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -17,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/check.h"
 #include "util/json.h"
 
 namespace axiomcc::telemetry {
@@ -36,8 +33,7 @@ class EnabledScope {
 // --- sharded counters ---------------------------------------------------------
 
 TEST(TelemetryCounter, ExactUnderConcurrentWriters) {
-  Counter& counter =
-      Registry::global().counter("test.concurrent", Stability::kDeterministic);
+  Counter& counter = Registry::global().counter("test.concurrent");
   counter.reset();
 
   constexpr int kThreads = 8;
@@ -56,137 +52,36 @@ TEST(TelemetryCounter, ExactUnderConcurrentWriters) {
                                  kAddsPerThread);
 }
 
-TEST(TelemetryCounter, StabilityMustAgreeOnReRegistration) {
-  (void)Registry::global().counter("test.stability",
-                                   Stability::kDeterministic);
-  EXPECT_THROW((void)Registry::global().counter(
-                   "test.stability", Stability::kScheduleDependent),
-               ContractViolation);
-}
-
-TEST(TelemetryGauge, SignedDeltasSumAcrossThreads) {
-  Gauge& gauge = Registry::global().gauge("test.gauge");
-  gauge.reset();
-  std::thread up([&gauge] {
-    for (int i = 0; i < 1000; ++i) gauge.add(2);
-  });
-  std::thread down([&gauge] {
-    for (int i = 0; i < 1000; ++i) gauge.add(-1);
-  });
-  up.join();
-  down.join();
-  EXPECT_EQ(gauge.value(), 1000);
-}
-
-// --- histograms ---------------------------------------------------------------
-
-TEST(TelemetryHistogram, BucketEdgesAreUpperInclusive) {
-  Histogram hist({1.0, 2.0, 4.0});
-  hist.record(0.5);  // bucket 0 (v <= 1)
-  hist.record(1.0);  // bucket 0 (edge is inclusive)
-  hist.record(1.5);  // bucket 1
-  hist.record(2.0);  // bucket 1
-  hist.record(4.0);  // bucket 2
-  hist.record(9.0);  // overflow bucket
-
-  const Histogram::Data data = hist.data();
-  ASSERT_EQ(data.bucket_counts.size(), 4u);
-  EXPECT_EQ(data.bucket_counts[0], 2u);
-  EXPECT_EQ(data.bucket_counts[1], 2u);
-  EXPECT_EQ(data.bucket_counts[2], 1u);
-  EXPECT_EQ(data.bucket_counts[3], 1u);
-  EXPECT_EQ(data.count, 6u);
-  EXPECT_DOUBLE_EQ(data.sum, 0.5 + 1.0 + 1.5 + 2.0 + 4.0 + 9.0);
-  EXPECT_DOUBLE_EQ(data.min, 0.5);
-  EXPECT_DOUBLE_EQ(data.max, 9.0);
-}
-
-TEST(TelemetryHistogram, IgnoresNonFiniteValues) {
-  Histogram hist({1.0});
-  hist.record(std::nan(""));
-  hist.record(std::numeric_limits<double>::infinity());
-  EXPECT_EQ(hist.data().count, 0u);
-}
-
-TEST(TelemetryHistogram, QuantilesClampToObservedRange) {
-  Histogram hist({10.0, 100.0, 1000.0});
-  for (int i = 1; i <= 100; ++i) hist.record(static_cast<double>(i));
-
-  HistogramSnapshot snap;
-  snap.name = "q";
-  snap.data = hist.data();
-  EXPECT_DOUBLE_EQ(snap.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(snap.quantile(100.0), 100.0);
-  // The p50 falls in the (10, 100] bucket; interpolation stays inside it.
-  const double p50 = snap.quantile(50.0);
-  EXPECT_GT(p50, 10.0);
-  EXPECT_LE(p50, 100.0);
-  EXPECT_NEAR(p50, 50.0, 10.0);
-}
-
-TEST(TelemetryHistogram, ConcurrentRecordsKeepExactCount) {
-  Histogram& hist = Registry::global().latency_histogram("test.hist");
-  hist.reset();
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 20000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&hist, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        hist.record(static_cast<double>(t * kPerThread + i));
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const Histogram::Data data = hist.data();
-  EXPECT_EQ(data.count, static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_DOUBLE_EQ(data.min, 0.0);
-  EXPECT_DOUBLE_EQ(data.max, kThreads * kPerThread - 1.0);
-}
-
 // --- snapshot rendering -------------------------------------------------------
-
-TEST(TelemetrySnapshot, DeterministicJsonExcludesScheduleDependentCounters) {
-  Registry& reg = Registry::global();
-  Counter& det = reg.counter("test.snap.det", Stability::kDeterministic);
-  Counter& sched = reg.counter("test.snap.sched",
-                               Stability::kScheduleDependent);
-  det.reset();
-  sched.reset();
-  det.add(7);
-  sched.add(3);
-
-  const std::string json = reg.snapshot().deterministic_json();
-  EXPECT_NE(json.find("\"test.snap.det\":7"), std::string::npos) << json;
-  EXPECT_EQ(json.find("test.snap.sched"), std::string::npos);
-}
 
 TEST(TelemetrySnapshot, ToJsonIsParseable) {
   Registry& reg = Registry::global();
-  reg.counter("test.json.counter", Stability::kDeterministic).add(1);
-  reg.gauge("test.json.gauge").add(-2);
-  reg.latency_histogram("test.json.hist").record(5.0);
+  reg.counter("test.json.b").reset();
+  reg.counter("test.json.a").reset();
+  reg.counter("test.json.b").add(7);
+  reg.counter("test.json.a").add(-2);
 
-  const JsonValue doc = parse_json(reg.snapshot().to_json());
+  const std::string json = reg.snapshot().to_json();
+  const JsonValue doc = parse_json(json);
   ASSERT_TRUE(doc.is_object());
-  ASSERT_NE(doc.find("counters"), nullptr);
-  ASSERT_NE(doc.find("scheduling"), nullptr);
-  const JsonValue* hists = doc.find("histograms");
-  ASSERT_NE(hists, nullptr);
-  const JsonValue* hist = hists->find("test.json.hist");
-  ASSERT_NE(hist, nullptr);
-  ASSERT_NE(hist->find("count"), nullptr);
-  EXPECT_EQ(hist->find("count")->number, 1.0);
+  ASSERT_NE(doc.find("test.json.a"), nullptr);
+  ASSERT_NE(doc.find("test.json.b"), nullptr);
+  EXPECT_EQ(doc.find("test.json.a")->number, -2.0);
+  EXPECT_EQ(doc.find("test.json.b")->number, 7.0);
+  // A flat object in name order, so equal workloads compare byte for byte.
+  EXPECT_NE(json.find("\"test.json.a\":-2,\"test.json.b\":7"),
+            std::string::npos)
+      << json;
 }
 
 TEST(TelemetryRegistry, ResetValuesKeepsRegistrations) {
   Registry& reg = Registry::global();
-  Counter& counter = reg.counter("test.reset", Stability::kDeterministic);
+  Counter& counter = reg.counter("test.reset");
   counter.add(5);
   reg.reset_values();
   EXPECT_EQ(counter.value(), 0);
-  // Same name, same stability: still resolves to the same counter.
-  EXPECT_EQ(&reg.counter("test.reset", Stability::kDeterministic), &counter);
+  // The same name still resolves to the same counter.
+  EXPECT_EQ(&reg.counter("test.reset"), &counter);
 }
 
 // --- macros -------------------------------------------------------------------
@@ -198,17 +93,36 @@ TEST(TelemetryMacros, DisabledProbesRecordNothing) {
   set_enabled(was);
   // The counter was never registered (the handle resolves lazily), so the
   // snapshot must not contain it.
-  const std::string json = Registry::global().snapshot().deterministic_json();
+  const std::string json = Registry::global().snapshot().to_json();
   EXPECT_EQ(json.find("test.macro.off"), std::string::npos);
 }
 
 TEST(TelemetryMacros, EnabledProbesCount) {
   EnabledScope scope;
   for (int i = 0; i < 3; ++i) TELEMETRY_COUNT("test.macro.on", 2);
-  EXPECT_EQ(Registry::global()
-                .counter("test.macro.on", Stability::kDeterministic)
-                .value(),
-            6);
+  EXPECT_EQ(Registry::global().counter("test.macro.on").value(), 6);
+}
+
+TEST(TelemetryMacros, SpanLabelIsBuiltOnlyWhenEnabled) {
+  Tracer::global().reset();
+  int built = 0;
+  const auto label = [&built] {
+    ++built;
+    return std::string("labelled");
+  };
+  const bool was = enabled();
+  set_enabled(false);
+  { TELEMETRY_SPAN("test", label()); }
+  EXPECT_EQ(built, 0);
+  EXPECT_TRUE(Tracer::global().collect().empty());
+  set_enabled(true);
+  { TELEMETRY_SPAN("test", label()); }
+  set_enabled(was);
+  EXPECT_EQ(built, 1);
+  const std::vector<SpanEvent> events = Tracer::global().collect();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].category, "test");
+  EXPECT_EQ(events[0].name, "labelled");
 }
 
 // --- spans --------------------------------------------------------------------
@@ -231,18 +145,6 @@ TEST(TelemetrySpans, NestedScopesRecordContainedIntervals) {
   EXPECT_LE(outer.start_us, inner.start_us);
   EXPECT_LE(inner.start_us + inner.duration_us,
             outer.start_us + outer.duration_us);
-}
-
-TEST(TelemetrySpans, ExplicitBeginEndAttributesToEndingThread) {
-  EnabledScope scope;
-  Tracer::global().reset();
-  const SpanToken token = begin_span();
-  end_span(token, "test", "async");
-  const std::vector<SpanEvent> events = Tracer::global().collect();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].category, "test");
-  EXPECT_EQ(events[0].name, "async");
-  EXPECT_GE(events[0].duration_us, 0);
 }
 
 TEST(TelemetrySpans, RingOverflowCountsDrops) {

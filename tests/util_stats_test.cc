@@ -128,32 +128,6 @@ TEST(PercentileSorted, SkipsTheSortAndMatchesPercentile) {
   EXPECT_THROW((void)percentile_sorted({}, 50.0), ContractViolation);
 }
 
-TEST(HistogramQuantile, InterpolatesInsideTheContainingBucket) {
-  // 100 uniform samples in (0, 100]: bounds {10, 100}, counts {10, 90, 0}.
-  const std::vector<double> bounds{10.0, 100.0};
-  const std::vector<std::uint64_t> counts{10, 90, 0};
-  const double p50 = histogram_quantile(bounds, counts, 1.0, 100.0, 50.0);
-  EXPECT_GT(p50, 10.0);
-  EXPECT_LE(p50, 100.0);
-  EXPECT_NEAR(p50, 50.0, 6.0);
-}
-
-TEST(HistogramQuantile, BoundariesAndClamping) {
-  const std::vector<double> bounds{10.0, 100.0};
-  const std::vector<std::uint64_t> counts{5, 5, 0};
-  // p<=0 is the observed minimum, p>=100 the observed maximum — never the
-  // bucket edges.
-  EXPECT_DOUBLE_EQ(histogram_quantile(bounds, counts, 2.0, 42.0, 0.0), 2.0);
-  EXPECT_DOUBLE_EQ(histogram_quantile(bounds, counts, 2.0, 42.0, 100.0),
-                   42.0);
-  // Every estimate stays inside [min_seen, max_seen].
-  for (double p : {10.0, 50.0, 90.0, 99.0}) {
-    const double q = histogram_quantile(bounds, counts, 2.0, 42.0, p);
-    EXPECT_GE(q, 2.0);
-    EXPECT_LE(q, 42.0);
-  }
-}
-
 TEST(MedianOf, OddEvenAndEmpty) {
   EXPECT_TRUE(std::isnan(median_of({})));
   const std::vector<double> one{7.0};
@@ -179,45 +153,6 @@ TEST(MadOf, IgnoresASingleOutlier) {
   const std::vector<double> xs{2.0, 2.0, 2.0, 2.0, 1000.0};
   EXPECT_DOUBLE_EQ(median_of(xs), 2.0);
   EXPECT_DOUBLE_EQ(mad_of(xs), 0.0);
-}
-
-TEST(HistogramQuantile, SingleBucketHistogram) {
-  // No finite bounds: one bucket holding everything (plus no overflow
-  // split). Every quantile interpolates between min_seen and max_seen.
-  const std::vector<double> no_bounds{};
-  const std::vector<std::uint64_t> counts{8};
-  const double q25 = histogram_quantile(no_bounds, counts, 10.0, 20.0, 25.0);
-  EXPECT_GE(q25, 10.0);
-  EXPECT_LE(q25, 20.0);
-  EXPECT_DOUBLE_EQ(histogram_quantile(no_bounds, counts, 10.0, 20.0, 0.0),
-                   10.0);
-  EXPECT_DOUBLE_EQ(histogram_quantile(no_bounds, counts, 10.0, 20.0, 100.0),
-                   20.0);
-}
-
-TEST(HistogramQuantile, AllEqualSamplesCollapseToThatValue) {
-  // Every sample is 5.0: min_seen == max_seen pins every quantile.
-  const std::vector<double> bounds{10.0};
-  const std::vector<std::uint64_t> counts{12, 0};
-  for (double p : {0.0, 25.0, 50.0, 99.0, 100.0}) {
-    EXPECT_DOUBLE_EQ(histogram_quantile(bounds, counts, 5.0, 5.0, p), 5.0);
-  }
-}
-
-TEST(HistogramQuantile, DegenerateInputs) {
-  const std::vector<double> bounds{10.0};
-  const std::vector<std::uint64_t> empty{0, 0};
-  EXPECT_TRUE(std::isnan(histogram_quantile(bounds, empty, 0.0, 0.0, 50.0)));
-  const std::vector<std::uint64_t> one{1, 0};
-  EXPECT_DOUBLE_EQ(histogram_quantile(bounds, one, 3.0, 3.0, 50.0), 3.0);
-  const std::vector<std::uint64_t> overflow_only{0, 4};
-  const double q = histogram_quantile(bounds, overflow_only, 20.0, 40.0, 75.0);
-  EXPECT_GE(q, 20.0);
-  EXPECT_LE(q, 40.0);
-  // Mismatched bucket count violates the contract.
-  const std::vector<std::uint64_t> short_counts{1};
-  EXPECT_THROW((void)histogram_quantile(bounds, short_counts, 0.0, 1.0, 50.0),
-               ContractViolation);
 }
 
 TEST(JainIndex, EqualSharesGiveOne) {
