@@ -2,6 +2,14 @@
 // exit, the ProbeBW gain cycle, and its metric signature on the fluid model.
 #include "cc/bbr_like.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <deque>
+#include <limits>
+#include <memory>
+#include <random>
+
 #include <gtest/gtest.h>
 
 #include "cc/aimd.h"
@@ -100,6 +108,128 @@ TEST(BbrLike, ResetRestartsStartup) {
 TEST(BbrLike, ConstructionContracts) {
   EXPECT_THROW(BbrLike(0, 10), ContractViolation);
   EXPECT_THROW(BbrLike(10, 0), ContractViolation);
+}
+
+// --- differential check against the full-rescan filter -------------------
+
+/// The estimator as a plain rescan: every sample is kept in a deque of the
+/// window's length and the estimates are std::max_element/std::min_element
+/// over it. Same startup and gain-cycle logic as BbrLike.
+class RescanBbr {
+ public:
+  RescanBbr(std::size_t bw_window, std::size_t rtt_window)
+      : bw_window_(bw_window), rtt_window_(rtt_window) {}
+
+  double next_window(const Observation& o) {
+    if (o.rtt_seconds <= 0.0) return std::max(o.window * 2.0, 4.0);
+    const double rate = o.window * (1.0 - o.loss_rate) / o.rtt_seconds;
+    push(bw_, rate, bw_window_);
+    push(rtt_, o.rtt_seconds, rtt_window_);
+    if (startup_) {
+      const bool growing = last_rate_ <= 0.0 || rate >= last_rate_ * 1.10;
+      last_rate_ = rate;
+      if (growing) return std::max(o.window * 2.0, 4.0);
+      startup_ = false;
+      cycle_ = 1;
+    }
+    constexpr double kGain[] = {1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
+    const double gain = kGain[cycle_ % 8];
+    cycle_ = (cycle_ + 1) % 8;
+    const double bdp = bandwidth_estimate() * min_rtt_estimate();
+    return std::max(gain * bdp, 4.0);
+  }
+  double bandwidth_estimate() const {
+    return bw_.empty() ? 0.0 : *std::max_element(bw_.begin(), bw_.end());
+  }
+  double min_rtt_estimate() const {
+    return rtt_.empty() ? 0.0 : *std::min_element(rtt_.begin(), rtt_.end());
+  }
+  bool in_startup() const { return startup_; }
+
+ private:
+  static void push(std::deque<double>& d, double v, std::size_t cap) {
+    d.push_back(v);
+    while (d.size() > cap) d.pop_front();
+  }
+  std::size_t bw_window_;
+  std::size_t rtt_window_;
+  std::deque<double> bw_;
+  std::deque<double> rtt_;
+  bool startup_ = true;
+  double last_rate_ = 0.0;
+  std::size_t cycle_ = 0;
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Drives `bbr` and a fresh rescan reference through one seeded stream of
+/// 3000 observations drawn from small value sets (so samples repeat and
+/// the filters see ties, +0 against -0 among them), with runs of constant RTT and an occasional
+/// zero RTT (no sample). At step 1000 both are reset; at step 2000 `bbr`
+/// is replaced by its clone and the reference by a fresh one.
+void expect_same_as_rescan(std::size_t bw_window, std::size_t rtt_window,
+                           std::uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << "bw_window=" << bw_window
+                                  << " rtt_window=" << rtt_window
+                                  << " seed=" << seed);
+  std::unique_ptr<Protocol> bbr =
+      std::make_unique<BbrLike>(bw_window, rtt_window);
+  auto ref = std::make_unique<RescanBbr>(bw_window, rtt_window);
+  std::mt19937_64 rng(seed);
+  const auto pick = [&rng](std::initializer_list<double> xs) {
+    return *(xs.begin() + rng() % xs.size());
+  };
+  double window = 10.0;
+  double rtt = 0.05;
+  for (int step = 0; step < 3000; ++step) {
+    if (step == 1000) {
+      bbr->reset();
+      ref = std::make_unique<RescanBbr>(bw_window, rtt_window);
+    }
+    if (step == 2000) {
+      bbr = bbr->clone();
+      ref = std::make_unique<RescanBbr>(bw_window, rtt_window);
+    }
+    // Signed zeros make ties visible in the bits: both filters must keep
+    // the oldest of equal samples, as max_element/min_element return it.
+    if (rng() % 4 == 0) {
+      window = pick({-0.0, 0.0, 1.0, 4.0, 10.0, 10.0, 40.0, 250.0});
+    }
+    if (rng() % 5 == 0) rtt = pick({0.0, 0.04, 0.05, 0.05, 0.08, 0.2});
+    const double loss = pick({0.0, 0.0, 0.0, 0.01, 0.5, 1.0});
+    const Observation o{window, loss, rtt};
+    const double got = bbr->next_window(o);
+    const double want = ref->next_window(o);
+    ASSERT_EQ(bits(got), bits(want)) << "step " << step;
+    const auto& fast = static_cast<const BbrLike&>(*bbr);
+    ASSERT_EQ(bits(fast.bandwidth_estimate()), bits(ref->bandwidth_estimate()))
+        << "step " << step;
+    ASSERT_EQ(bits(fast.min_rtt_estimate()), bits(ref->min_rtt_estimate()))
+        << "step " << step;
+    ASSERT_EQ(fast.in_startup(), ref->in_startup()) << "step " << step;
+    // Half the time, feed the protocol its own answer back.
+    if (rng() % 2 == 0) window = got;
+  }
+}
+
+TEST(BbrLike, FilterMatchesFullRescanBitForBit) {
+  const std::size_t lengths[] = {1, 3, 10, 100};
+  std::uint64_t seed = 1;
+  for (const std::size_t bw : lengths) {
+    for (const std::size_t rtt : lengths) {
+      expect_same_as_rescan(bw, rtt, seed++);
+    }
+  }
+}
+
+TEST(BbrLike, FilterStorageDoesNotScaleWithTheWindowLength) {
+  // Any window >= 1 is valid; one this long must cost only what the
+  // samples seen so far need.
+  constexpr std::size_t kHuge = std::numeric_limits<std::size_t>::max();
+  BbrLike bbr(kHuge, kHuge);
+  for (int i = 0; i < 50; ++i) (void)bbr.next_window(obs(40.0, 0.0, 0.05));
+  EXPECT_NEAR(bbr.bandwidth_estimate(), 800.0, 1e-9);
+  EXPECT_DOUBLE_EQ(bbr.min_rtt_estimate(), 0.05);
 }
 
 // --- fluid-model signature -----------------------------------------------

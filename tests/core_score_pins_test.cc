@@ -3,6 +3,9 @@
 // change to an estimator that moves any score by one ULP moves a digest:
 //   - core::evaluate_protocol for Table 1's six rows, on both backends (all
 //     eight metrics, through every post-hoc estimator the evaluator calls);
+//   - core::evaluate_protocol for the registry families whose cc code keeps
+//     per-connection filters or cached constants (BBR with default and
+//     short, sample-evicting windows; HighSpeed; CUBIC), on both backends;
 //   - on one fluid shared-link trace, the estimators evaluate_protocol does
 //     not reach: the percentile convergence, Jain's index and the
 //     fast-utilization coefficient of one sender's series.
@@ -23,6 +26,7 @@
 #include "cc/binomial.h"
 #include "cc/cubic.h"
 #include "cc/mimd.h"
+#include "cc/registry.h"
 #include "cc/robust_aimd.h"
 #include "core/evaluator.h"
 #include "core/extra_metrics.h"
@@ -89,6 +93,38 @@ TEST(CoreScorePins, Table1Packet) {
       "a1078205ac2b0c2b", "6b6ef058ae892c25", "73367561777afcea",
   };
   expect_table1(engine::BackendKind::kPacket, kPins);
+}
+
+/// Registry specs pinned below, in pin order.
+constexpr const char* kFamilySpecs[4] = {
+    "bbr", "bbr(3,7)", "highspeed(31.03,9.047e+04,0.2882)",
+    "cubic(0.229,0.6228)"};
+
+void expect_families(engine::BackendKind backend,
+                     const char* const (&pins)[4]) {
+  EvalConfig cfg;
+  cfg.backend = backend;
+  for (int i = 0; i < 4; ++i) {
+    SCOPED_TRACE(kFamilySpecs[i]);
+    const auto proto = cc::make_protocol(kFamilySpecs[i]);
+    EXPECT_EQ(digest(evaluate_protocol(*proto, cfg)), pins[i]);
+  }
+}
+
+TEST(CoreScorePins, RegistryFamiliesFluid) {
+  constexpr const char* kPins[4] = {
+      "c299acdde83a128b", "6222672896cd4c95", "ad7b3b91663e5246",
+      "aa600f00e7f83c03",
+  };
+  expect_families(engine::BackendKind::kFluid, kPins);
+}
+
+TEST(CoreScorePins, RegistryFamiliesPacket) {
+  constexpr const char* kPins[4] = {
+      "3855374bc092d938", "d8403f884aa13802", "59acaa21682baa84",
+      "010b5055c4071381",
+  };
+  expect_families(engine::BackendKind::kPacket, kPins);
 }
 
 TEST(CoreScorePins, SharedTraceEstimators) {
