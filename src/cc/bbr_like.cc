@@ -1,6 +1,7 @@
 #include "cc/bbr_like.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "util/check.h"
@@ -19,37 +20,55 @@ constexpr double kStartupGain = 2.0;
 constexpr double kMinWindow = 4.0;
 }  // namespace
 
+template <class Beats>
+void BbrLike::WindowedExtreme<Beats>::push(double value) {
+  // Strictly beaten samples can never be the extreme again; an equal one
+  // stays, so among ties the oldest is the extreme.
+  while (queue_.size() > head_ && Beats{}(value, queue_.back().value)) {
+    queue_.pop_back();
+  }
+  queue_.push_back({pushed_, value});
+  ++pushed_;
+  // Queued indices were all inside the window before this push, so at
+  // most the front one has just left it.
+  if (pushed_ - queue_[head_].index > length_) ++head_;
+  // Compact once the dead prefix is as long as the live queue: O(1)
+  // amortized, and the storage stays within twice the live queue.
+  if (head_ >= queue_.size() - head_) {
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
+template <class Beats>
+void BbrLike::WindowedExtreme<Beats>::clear() {
+  queue_.clear();
+  head_ = 0;
+  pushed_ = 0;
+}
+
 BbrLike::BbrLike(std::size_t bw_window, std::size_t rtt_window)
-    : bw_window_(bw_window), rtt_window_(rtt_window) {
+    : bw_window_(bw_window),
+      rtt_window_(rtt_window),
+      bw_filter_(bw_window),
+      rtt_filter_(rtt_window) {
   AXIOMCC_EXPECTS(bw_window >= 1);
   AXIOMCC_EXPECTS(rtt_window >= 1);
 }
 
-void BbrLike::push_sample(std::deque<double>& window, double value,
-                          std::size_t capacity) {
-  window.push_back(value);
-  while (window.size() > capacity) window.pop_front();
-}
-
-double BbrLike::bandwidth_estimate() const {
-  if (bw_samples_.empty()) return 0.0;
-  return *std::max_element(bw_samples_.begin(), bw_samples_.end());
-}
-
-double BbrLike::min_rtt_estimate() const {
-  if (rtt_samples_.empty()) return 0.0;
-  return *std::min_element(rtt_samples_.begin(), rtt_samples_.end());
-}
-
 double BbrLike::next_window(const Observation& obs) {
+  AXIOMCC_EXPECTS_MSG(!std::isnan(obs.rtt_seconds), "BBR RTT sample is NaN");
   if (obs.rtt_seconds <= 0.0) {
     return std::max(obs.window * kStartupGain, kMinWindow);
   }
 
   const double delivery_rate =
       obs.window * (1.0 - obs.loss_rate) / obs.rtt_seconds;
-  push_sample(bw_samples_, delivery_rate, bw_window_);
-  push_sample(rtt_samples_, obs.rtt_seconds, rtt_window_);
+  AXIOMCC_EXPECTS_MSG(!std::isnan(delivery_rate),
+                      "BBR delivery-rate sample is NaN");
+  bw_filter_.push(delivery_rate);
+  rtt_filter_.push(obs.rtt_seconds);
 
   if (startup_) {
     const bool still_growing =
@@ -81,8 +100,8 @@ std::unique_ptr<Protocol> BbrLike::clone() const {
 }
 
 void BbrLike::reset() {
-  bw_samples_.clear();
-  rtt_samples_.clear();
+  bw_filter_.clear();
+  rtt_filter_.clear();
   startup_ = true;
   last_delivery_rate_ = 0.0;
   cycle_index_ = 0;

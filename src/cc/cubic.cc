@@ -21,20 +21,25 @@ double Cubic::next_window(const Observation& obs) {
     // starting the epoch clock at K.
     seen_first_step_ = true;
     x_max_ = obs.window;
-    const double plateau = std::cbrt(x_max_ * (1.0 - b_) / c_);
-    steps_since_loss_ = static_cast<long>(std::llround(std::ceil(plateau)));
+    plateau_ = std::cbrt(x_max_ * (1.0 - b_) / c_);
+    plateau_stale_ = false;
+    steps_since_loss_ = static_cast<long>(std::llround(std::ceil(plateau_)));
   }
 
   if (obs.loss_rate > 0.0) {
     x_max_ = obs.window;
+    plateau_stale_ = true;
     steps_since_loss_ = 0;
     return b_ * x_max_;
   }
 
   ++steps_since_loss_;
-  const double plateau = std::cbrt(x_max_ * (1.0 - b_) / c_);
+  if (plateau_stale_) {
+    plateau_ = std::cbrt(x_max_ * (1.0 - b_) / c_);
+    plateau_stale_ = false;
+  }
   const double t = static_cast<double>(steps_since_loss_);
-  const double delta = t - plateau;
+  const double delta = t - plateau_;
   return x_max_ + c_ * delta * delta * delta;
 }
 
@@ -52,6 +57,8 @@ void Cubic::reset() {
   seen_first_step_ = false;
   x_max_ = 0.0;
   steps_since_loss_ = 0;
+  plateau_ = 0.0;
+  plateau_stale_ = true;
 }
 
 }  // namespace axiomcc::cc

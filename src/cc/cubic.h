@@ -36,6 +36,11 @@ class Cubic final : public Protocol {
   bool seen_first_step_ = false;
   double x_max_ = 0.0;   ///< window at the last loss (or initial window).
   long steps_since_loss_ = 0;
+  /// K = cbrt(x_max (1-b) / c), cached: x_max_ changes only on a loss, so
+  /// a loss marks it stale and the next loss-free step recomputes it. A
+  /// loss step never pays for the cbrt.
+  double plateau_ = 0.0;
+  bool plateau_stale_ = true;
 };
 
 }  // namespace axiomcc::cc

@@ -12,7 +12,9 @@ HighSpeed::HighSpeed(double low_window, double high_window,
                      double high_decrease)
     : low_window_(low_window),
       high_window_(high_window),
-      high_decrease_(high_decrease) {
+      high_decrease_(high_decrease),
+      log_high_(std::log(high_window)),
+      log_span_(std::log(high_window) - std::log(low_window)) {
   AXIOMCC_EXPECTS_MSG(low_window >= 1.0, "HighSpeed low window must be >= 1");
   AXIOMCC_EXPECTS_MSG(high_window > low_window,
                       "HighSpeed high window must exceed the low window");
@@ -23,9 +25,8 @@ HighSpeed::HighSpeed(double low_window, double high_window,
 double HighSpeed::decrease_fraction(double window) const {
   if (window <= low_window_) return 0.5;  // Reno regime
   const double w = std::min(window, high_window_);
-  const double span = std::log(high_window_) - std::log(low_window_);
-  const double position = std::log(high_window_) - std::log(w);
-  return high_decrease_ + (0.5 - high_decrease_) * position / span;
+  const double position = log_high_ - std::log(w);
+  return high_decrease_ + (0.5 - high_decrease_) * position / log_span_;
 }
 
 double HighSpeed::additive_increase(double window) const {

@@ -49,6 +49,9 @@ class HighSpeed final : public Protocol, public BatchProtocol {
   double low_window_;
   double high_window_;
   double high_decrease_;
+  /// log W_high and log W_high − log W_low, fixed at construction.
+  double log_high_;
+  double log_span_;
 };
 
 }  // namespace axiomcc::cc

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include "cc/aimd.h"
@@ -128,6 +129,24 @@ void require_arity(const ParsedSpec& s, std::size_t arity) {
   }
 }
 
+/// Upper bound on a filter length in steps: far beyond any run's horizon,
+/// and small enough that the conversion to std::size_t is exact.
+constexpr double kMaxFilterSteps = 1e6;
+
+/// `value` as a filter length: a whole number in [1, kMaxFilterSteps].
+[[nodiscard]] std::size_t filter_steps(const ParsedSpec& s, double value,
+                                       const char* what) {
+  if (!(value >= 1.0 && value <= kMaxFilterSteps) ||
+      value != std::floor(value)) {
+    std::ostringstream os;
+    os << "protocol '" << s.name << "' argument " << what
+       << " must be a whole number in [1, " << kMaxFilterSteps << "], got "
+       << value;
+    throw std::invalid_argument(os.str());
+  }
+  return static_cast<std::size_t>(value);
+}
+
 }  // namespace
 
 std::unique_ptr<Protocol> make_protocol(const std::string& spec) {
@@ -199,8 +218,8 @@ std::unique_ptr<Protocol> make_protocol(const std::string& spec) {
   if (s.name == "bbr") {
     if (s.args.empty()) return std::make_unique<BbrLike>();
     require_arity(s, 2);
-    return std::make_unique<BbrLike>(static_cast<std::size_t>(s.args[0]),
-                                     static_cast<std::size_t>(s.args[1]));
+    return std::make_unique<BbrLike>(filter_steps(s, s.args[0], "bw_window"),
+                                     filter_steps(s, s.args[1], "rtt_window"));
   }
   if (s.name == "cautious") {
     if (s.args.empty()) return std::make_unique<CautiousProbe>();

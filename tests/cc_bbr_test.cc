@@ -110,6 +110,25 @@ TEST(BbrLike, ConstructionContracts) {
   EXPECT_THROW(BbrLike(10, 0), ContractViolation);
 }
 
+TEST(BbrLike, RejectsNaNSamples) {
+  // A rescan's answer over a window holding a NaN depends on where the NaN
+  // sits; no order-keeping filter can reproduce that, so NaN is refused.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  BbrLike bbr;
+  EXPECT_THROW((void)bbr.next_window(obs(10.0, 0.0, kNaN)), ContractViolation);
+  EXPECT_THROW((void)bbr.next_window(obs(kNaN, 0.0, 0.05)), ContractViolation);
+  EXPECT_THROW((void)bbr.next_window(obs(10.0, kNaN, 0.05)), ContractViolation);
+  // inf / inf: a NaN delivery rate from finite-looking code paths.
+  EXPECT_THROW((void)bbr.next_window(obs(kInf, 0.0, kInf)), ContractViolation);
+  // A refused sample leaves no trace in the filters.
+  EXPECT_DOUBLE_EQ(bbr.bandwidth_estimate(), 0.0);
+  EXPECT_DOUBLE_EQ(bbr.min_rtt_estimate(), 0.0);
+  (void)bbr.next_window(obs(40.0, 0.0, 0.05));
+  EXPECT_NEAR(bbr.bandwidth_estimate(), 800.0, 1e-9);
+  EXPECT_DOUBLE_EQ(bbr.min_rtt_estimate(), 0.05);
+}
+
 // --- differential check against the full-rescan filter -------------------
 
 /// The estimator as a plain rescan: every sample is kept in a deque of the
@@ -164,9 +183,10 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 /// Drives `bbr` and a fresh rescan reference through one seeded stream of
 /// 3000 observations drawn from small value sets (so samples repeat and
-/// the filters see ties, +0 against -0 among them), with runs of constant RTT and an occasional
-/// zero RTT (no sample). At step 1000 both are reset; at step 2000 `bbr`
-/// is replaced by its clone and the reference by a fresh one.
+/// the filters see ties, +0 against -0 among them), with runs of constant
+/// RTT and an occasional zero RTT (no sample). At step 1000 both are
+/// reset; at step 2000 `bbr` is replaced by its clone and the reference by
+/// a fresh one.
 void expect_same_as_rescan(std::size_t bw_window, std::size_t rtt_window,
                            std::uint64_t seed) {
   SCOPED_TRACE(testing::Message() << "bw_window=" << bw_window

@@ -1,6 +1,9 @@
 // Unit tests for the protocol spec parser (cc/registry.h).
 #include "cc/registry.h"
 
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "util/check.h"
@@ -85,6 +88,34 @@ TEST(Registry, RejectsHostileInputsWithInvalidArgument) {
     EXPECT_THROW((void)make_protocol(spec), std::invalid_argument)
         << "spec: " << spec;
   }
+}
+
+TEST(Registry, BbrWindowsMustBeWholeNumbersFromOne) {
+  // Negative (a wrapping size_t conversion), fractional (silent
+  // truncation), below one and beyond the cap: each is a spec error that
+  // names the argument.
+  const std::pair<std::string, std::string> cases[] = {
+      {"bbr(-1,10)", "bw_window"},
+      {"bbr(2.7,10)", "bw_window"},
+      {"bbr(0.5,10)", "bw_window"},
+      {"bbr(1e30,10)", "bw_window"},
+      {"bbr(10,0)", "rtt_window"},
+      {"bbr(10,7.5)", "rtt_window"},
+  };
+  for (const auto& [spec, arg] : cases) {
+    try {
+      (void)make_protocol(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(arg), std::string::npos)
+          << spec << ": " << e.what();
+    } catch (...) {
+      ADD_FAILURE() << spec << " threw something other than invalid_argument";
+    }
+  }
+  const auto bbr = make_protocol("bbr(1,1e6)");
+  EXPECT_EQ(bbr->name(), "BBR-like(bw_win=1,rtt_win=1000000)");
+  EXPECT_EQ(make_protocol("bbr(3,7)")->name(), "BBR-like(bw_win=3,rtt_win=7)");
 }
 
 TEST(Registry, DomainErrorsPropagateFromConstructors) {

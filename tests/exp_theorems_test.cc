@@ -1,6 +1,9 @@
 // Asserts the empirical theorem checks in exp/theorems.h all hold.
 #include "exp/theorems.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace axiomcc::exp {
@@ -45,6 +48,25 @@ TEST(Theorem4, FriendlinessTransfersToMoreAggressiveProtocols) {
   for (const auto& check : check_theorem4(cfg())) {
     EXPECT_TRUE(check.holds) << check.description;
   }
+}
+
+TEST(Theorem4, AnUnmetPremiseIsAFailedCheckThatNamesIt) {
+  // At 200 steps the aggressors have not yet shown they out-grab Reno:
+  // that premise is reported as a failed check, not a thrown contract.
+  core::EvalConfig short_run = cfg();
+  short_run.steps = 200;
+  std::vector<TheoremCheck> checks;
+  ASSERT_NO_THROW(checks = check_theorem4(short_run, 1));
+  ASSERT_EQ(checks.size(), 3u);
+  std::size_t unmet = 0;
+  for (const auto& check : checks) {
+    if (check.description.find("premise unmet") == std::string::npos) continue;
+    ++unmet;
+    EXPECT_FALSE(check.holds) << check.description;
+    EXPECT_NE(check.description.find("more aggressive than Reno"),
+              std::string::npos);
+  }
+  EXPECT_GE(unmet, 1u);
 }
 
 TEST(Theorem5, LossBasedProtocolsStarveLatencyAvoiders) {
