@@ -55,7 +55,8 @@ std::size_t ablate_synchronization(double duration, long jobs) {
               "packet sim) ---\n");
   const core::EstimatorConfig est{0.5};
   // A second flow that starts at or after the scored tail's start would be
-  // scored as a flow that never sent: such offsets are not run.
+  // scored as a flow that never sent: such offsets are not run. The
+  // offsets ascend, so the scored ones are a prefix.
   const double tail_start = duration * (1.0 - est.tail_fraction);
   const std::vector<double> staggers{0.0, 0.25, 1.0, 3.0};
   std::vector<double> scored;

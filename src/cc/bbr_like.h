@@ -31,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -81,18 +82,12 @@ class BbrLike final : public Protocol {
     std::size_t head_ = 0;      ///< queue_[head_, size) is the live queue
     std::vector<Sample> queue_;
   };
-  struct Greater {
-    bool operator()(double a, double b) const { return a > b; }
-  };
-  struct Less {
-    bool operator()(double a, double b) const { return a < b; }
-  };
 
   std::size_t bw_window_;
   std::size_t rtt_window_;
 
-  WindowedExtreme<Greater> bw_filter_;  // max delivery rate, MSS/s
-  WindowedExtreme<Less> rtt_filter_;    // min RTT, seconds
+  WindowedExtreme<std::greater<>> bw_filter_;  // max delivery rate, MSS/s
+  WindowedExtreme<std::less<>> rtt_filter_;     // min RTT, seconds
   bool startup_ = true;
   double last_delivery_rate_ = 0.0;
   std::size_t cycle_index_ = 0;

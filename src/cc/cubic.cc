@@ -57,7 +57,6 @@ void Cubic::reset() {
   seen_first_step_ = false;
   x_max_ = 0.0;
   steps_since_loss_ = 0;
-  plateau_ = 0.0;
   plateau_stale_ = true;
 }
 
