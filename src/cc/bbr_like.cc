@@ -49,10 +49,7 @@ void BbrLike::WindowedExtreme<Beats>::clear() {
 }
 
 BbrLike::BbrLike(std::size_t bw_window, std::size_t rtt_window)
-    : bw_window_(bw_window),
-      rtt_window_(rtt_window),
-      bw_filter_(bw_window),
-      rtt_filter_(rtt_window) {
+    : bw_filter_(bw_window), rtt_filter_(rtt_window) {
   AXIOMCC_EXPECTS(bw_window >= 1);
   AXIOMCC_EXPECTS(rtt_window >= 1);
 }
@@ -91,12 +88,14 @@ double BbrLike::next_window(const Observation& obs) {
 
 std::string BbrLike::name() const {
   std::ostringstream os;
-  os << "BBR-like(bw_win=" << bw_window_ << ",rtt_win=" << rtt_window_ << ")";
+  os << "BBR-like(bw_win=" << bw_filter_.length()
+     << ",rtt_win=" << rtt_filter_.length() << ")";
   return os.str();
 }
 
 std::unique_ptr<Protocol> BbrLike::clone() const {
-  return std::make_unique<BbrLike>(bw_window_, rtt_window_);
+  return std::make_unique<BbrLike>(bw_filter_.length(),
+                                   rtt_filter_.length());
 }
 
 void BbrLike::reset() {

@@ -26,7 +26,11 @@
 // one std::max_element/std::min_element would return over the window, so
 // every estimate is bit-identical to a full rescan (tests/cc_bbr_test.cc
 // checks that). A NaN sample has no place in such an order: next_window
-// rejects a NaN RTT or delivery rate.
+// rejects a NaN RTT or delivery rate. The queue is a vector read from a
+// head index and compacted when half of it is dead, not a std::deque: a
+// deque version, which allocates and frees a block every 32 samples, cost
+// about twice as much per call and made perfbench eval-fluid's op_s_tail
+// (its bbr input) 10 % longer.
 #pragma once
 
 #include <cstddef>
@@ -70,6 +74,7 @@ class BbrLike final : public Protocol {
     [[nodiscard]] double best() const {
       return head_ == queue_.size() ? 0.0 : queue_[head_].value;
     }
+    [[nodiscard]] std::size_t length() const { return length_; }
     void clear();
 
    private:
@@ -82,9 +87,6 @@ class BbrLike final : public Protocol {
     std::size_t head_ = 0;      ///< queue_[head_, size) is the live queue
     std::vector<Sample> queue_;
   };
-
-  std::size_t bw_window_;
-  std::size_t rtt_window_;
 
   WindowedExtreme<std::greater<>> bw_filter_;  // max delivery rate, MSS/s
   WindowedExtreme<std::less<>> rtt_filter_;     // min RTT, seconds
