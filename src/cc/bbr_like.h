@@ -19,8 +19,8 @@
 // Each filter is a monotonic queue of (sample index, value): a new sample
 // drops the queued samples it beats from the back, the one sample that
 // left the window drops from the front, and the front is the estimate. A
-// call is O(1) amortized, whatever the window lengths (~26 ns against
-// ~187 ns for a rescan of the default 10 + 100 samples, perfbench's
+// call is O(1) amortized, whatever the window lengths (11–26 ns against
+// 120–190 ns for a rescan of the default 10 + 100 samples, perfbench's
 // cc.scalar.bbr_ns_per_call on a 4-core x86-64 container), and the queue
 // holds at most the samples seen so far. Ties keep the oldest sample, the
 // one std::max_element/std::min_element would return over the window, so
