@@ -1,11 +1,15 @@
 #include "core/evaluator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "cc/presets.h"
 #include "engine/backend.h"
+#include "engine/topology.h"
 #include "fluid/loss_model.h"
 #include "scope/scope.h"
 #include "util/check.h"
@@ -85,11 +89,80 @@ const engine::SimBackend& backend(const EvalConfig& cfg) {
   return engine::backend_for(cfg.backend);
 }
 
+/// Throws the ScenarioError for EvalConfig field `field` unless `ok`.
+void require(bool ok, const char* field, const char* rule, double value) {
+  if (ok) return;
+  std::ostringstream what;
+  what << "EvalConfig." << field << " must be " << rule << ", got " << value;
+  throw engine::ScenarioError(what.str());
+}
+
+bool positive_finite(double v) { return std::isfinite(v) && v > 0.0; }
+
 }  // namespace
+
+void EvalConfig::validate() const {
+  engine::validate_link(link, "EvalConfig.link");
+  require(num_senders >= 1, "num_senders", ">= 1", num_senders);
+  require(steps >= 1, "steps", ">= 1", static_cast<double>(steps));
+  require(tail_fraction >= 0.0 && tail_fraction < 1.0, "tail_fraction",
+          "in [0, 1)", tail_fraction);
+  require(fast_utilization_steps >= 1, "fast_utilization_steps", ">= 1",
+          static_cast<double>(fast_utilization_steps));
+  require(robustness_steps >= 1, "robustness_steps", ">= 1",
+          static_cast<double>(robustness_steps));
+  require(positive_finite(robustness_escape_window),
+          "robustness_escape_window", "finite and positive",
+          robustness_escape_window);
+  require(robustness_search_iterations >= 0, "robustness_search_iterations",
+          ">= 0", robustness_search_iterations);
+  require(robustness_max_rate >= 0.0 && robustness_max_rate < 1.0,
+          "robustness_max_rate", "in [0, 1)", robustness_max_rate);
+  require(num_protocol_senders >= 1, "num_protocol_senders", ">= 1",
+          num_protocol_senders);
+  require(num_reno_senders >= 1, "num_reno_senders", ">= 1",
+          num_reno_senders);
+  require(backend == engine::BackendKind::kFluid ||
+              backend == engine::BackendKind::kPacket,
+          "backend", "fluid or packet", static_cast<double>(backend));
+  require(packet.max_window_mss >= 1.0 && std::isfinite(packet.max_window_mss),
+          "packet.max_window_mss", "finite and >= 1", packet.max_window_mss);
+  require(std::isfinite(packet.infinite_capacity_mss) &&
+              packet.infinite_capacity_mss > packet.max_window_mss,
+          "packet.infinite_capacity_mss",
+          "finite and above packet.max_window_mss",
+          packet.infinite_capacity_mss);
+  require(packet.max_steps >= 1, "packet.max_steps", ">= 1",
+          static_cast<double>(packet.max_steps));
+  require(packet.fast_utilization_steps >= 1, "packet.fast_utilization_steps",
+          ">= 1", static_cast<double>(packet.fast_utilization_steps));
+  require(packet.robustness_steps >= 1, "packet.robustness_steps", ">= 1",
+          static_cast<double>(packet.robustness_steps));
+  require(packet.robustness_search_iterations >= 0,
+          "packet.robustness_search_iterations", ">= 0",
+          packet.robustness_search_iterations);
+  require(positive_finite(packet.robustness_escape_window) &&
+              packet.robustness_escape_window < packet.max_window_mss,
+          "packet.robustness_escape_window",
+          "finite, positive and below packet.max_window_mss",
+          packet.robustness_escape_window);
+  // The coefficient needs two windows past the warmup, in the run the
+  // chosen backend makes (the packet clamp may shorten it; the member of
+  // the same name hides the helper above).
+  const long fast_steps = core::fast_utilization_steps(*this);
+  if (fast_utilization_warmup < 0 ||
+      fast_utilization_warmup >= fast_steps - 1) {
+    throw engine::ScenarioError(
+        "EvalConfig.fast_utilization_warmup must be in [0, " +
+        std::to_string(fast_steps - 1) + ") for a " +
+        std::to_string(fast_steps) + "-step fast-utilization run, got " +
+        std::to_string(fast_utilization_warmup));
+  }
+}
 
 fluid::Trace run_shared_link(const cc::Protocol& prototype,
                              const EvalConfig& cfg) {
-  AXIOMCC_EXPECTS(cfg.num_senders > 0);
+  cfg.validate();
   engine::ScenarioSpec spec = base_spec(cfg, shared_steps(cfg));
   const double capacity = fluid::FluidLink(cfg.link).capacity_mss();
   for (int i = 0; i < cfg.num_senders; ++i) {
@@ -105,13 +178,13 @@ fluid::Trace run_shared_link(const cc::Protocol& prototype,
 
 double measure_fast_utilization_score(const cc::Protocol& prototype,
                                       const EvalConfig& cfg) {
+  cfg.validate();
   engine::ScenarioSpec spec = base_spec(cfg, fast_utilization_steps(cfg));
   spec.link = infinite_link(cfg);
   spec.add_sender(prototype, 1.0);
   const fluid::Trace trace = backend(cfg).run(spec).trace;
   const auto windows = trace.windows(0);
   const long warmup = cfg.fast_utilization_warmup;
-  AXIOMCC_EXPECTS(warmup >= 0);
   AXIOMCC_EXPECTS(windows.size() > static_cast<std::size_t>(warmup) + 1);
   // Protocols with multiplicative growth (PCC's STARTING phase doubles every
   // step) hit the window cap within the run, so the coefficient truncates
@@ -122,26 +195,30 @@ double measure_fast_utilization_score(const cc::Protocol& prototype,
 namespace {
 
 /// One robustness probe: does the lone sender escape past the β threshold
-/// under constant injected loss `rate`?
+/// under constant injected loss `rate`? The probe reads only where the
+/// window ended, so it keeps only the last step.
 bool escapes_under_loss(const cc::Protocol& prototype, const EvalConfig& cfg,
                         double rate) {
   engine::ScenarioSpec spec = base_spec(cfg, robustness_steps(cfg));
   spec.link = infinite_link(cfg);
   spec.add_sender(prototype, 1.0);
-  // Kind constant even at rate 0: the injector's 1-(1-L)(1-0) combination
-  // is not bitwise L, so swapping in "no loss" would move every score.
+  spec.trace_detail = fluid::TraceDetail::kLast;
+  // Kind constant even at rate 0, so every probe of the search is the same
+  // scenario at another rate. Not for the bits: "no loss" at rate 0 gives
+  // the same trace on both backends — fluid observes combine_loss(c, 0)
+  // either way, and the packet InjectedRateLoss filter draws no coin at
+  // rate 0 — and the score pins pass with it.
   spec.loss.kind = fluid::LossSpec::Kind::kConstant;
   spec.loss.rate = rate;
   const fluid::Trace trace = backend(cfg).run(spec).trace;
-  const auto windows = trace.windows(0);
-  if (windows.empty()) return false;
-  return windows.back() >= escape_window(cfg);
+  return trace.windows(0).back() >= escape_window(cfg);
 }
 
 }  // namespace
 
 double measure_robustness_score(const cc::Protocol& prototype,
                                 const EvalConfig& cfg) {
+  cfg.validate();
   if (!escapes_under_loss(prototype, cfg, 0.0)) {
     return 0.0;  // cannot even utilize a clean link; trivially 0-robust
   }
@@ -192,6 +269,7 @@ MixedRun run_mixed(const cc::Protocol& p, const cc::Protocol& q, int n_p,
 
 double measure_tcp_friendliness_score(const cc::Protocol& prototype,
                                       const EvalConfig& cfg) {
+  cfg.validate();
   const auto reno = cc::presets::reno();
   return measure_friendliness_between(prototype, *reno, cfg);
 }
@@ -199,6 +277,7 @@ double measure_tcp_friendliness_score(const cc::Protocol& prototype,
 double measure_friendliness_between(const cc::Protocol& p,
                                     const cc::Protocol& q,
                                     const EvalConfig& cfg) {
+  cfg.validate();
   const MixedRun run = run_mixed(p, q, cfg.num_protocol_senders,
                                  cfg.num_reno_senders, cfg);
   return measure_friendliness(run.trace, run.p_senders, run.q_senders,
@@ -207,6 +286,7 @@ double measure_friendliness_between(const cc::Protocol& p,
 
 bool is_more_aggressive(const cc::Protocol& p, const cc::Protocol& q,
                         const EvalConfig& cfg) {
+  cfg.validate();
   const MixedRun run = run_mixed(p, q, cfg.num_protocol_senders,
                                  cfg.num_reno_senders, cfg);
   double min_p = std::numeric_limits<double>::infinity();
@@ -222,6 +302,7 @@ bool is_more_aggressive(const cc::Protocol& p, const cc::Protocol& q,
 
 MetricReport evaluate_protocol(const cc::Protocol& prototype,
                                const EvalConfig& cfg) {
+  cfg.validate();
   MetricReport report;
 
   const fluid::Trace shared = run_shared_link(prototype, cfg);

@@ -79,6 +79,18 @@ struct EvalConfig {
   [[nodiscard]] EstimatorConfig estimator() const {
     return EstimatorConfig{tail_fraction};
   }
+
+  /// Throws engine::ScenarioError naming the first field no run can honour:
+  /// a link that fails engine::validate_link; a sender count below 1; a
+  /// horizon or `packet` horizon below 1; `tail_fraction` outside [0, 1);
+  /// a `fast_utilization_warmup` that leaves fewer than two steps of the
+  /// fast-utilization run the backend makes; an escape window that is not
+  /// finite and positive; a negative search iteration count; a
+  /// `robustness_max_rate` outside [0, 1) (a constant loss rate); an unknown
+  /// backend; and `packet` window bounds out of order (cap ≥ 1, escape
+  /// window below the cap, infinite capacity above it). Every public entry
+  /// point below that takes an EvalConfig calls it first.
+  void validate() const;
 };
 
 /// Runs the homogeneous shared-link scenario and returns its trace (exposed

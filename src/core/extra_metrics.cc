@@ -12,6 +12,7 @@ namespace axiomcc::core {
 
 long measure_responsiveness(const cc::Protocol& prototype,
                             const EvalConfig& cfg, double target_fraction) {
+  cfg.validate();
   AXIOMCC_EXPECTS(target_fraction > 0.0 && target_fraction <= 1.0);
 
   const long switch_step = cfg.steps / 2;

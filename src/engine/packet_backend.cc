@@ -319,16 +319,11 @@ RunTrace PacketBackend::run(const ScenarioSpec& spec) const {
   if (scope != nullptr) scope->finish();
 
   TELEMETRY_COUNT("engine.packet_runs", 1);
-  // The network records full per-flow series internally; an aggregate-detail
-  // request is honoured by reducing post-hoc, so both backends hand the
-  // caller the same trace shape.
-  fluid::Trace trace =
-      spec.trace_detail == fluid::TraceDetail::kAggregate
-          ? fluid::Trace::aggregated(
-                net.trace(),
-                fluid::default_tracked_senders(net.trace().num_senders(),
-                                               spec.tracked_senders))
-          : net.trace();
+  // The network records full per-flow series internally; an aggregate or
+  // last-step request is honoured by reducing post-hoc, so both backends
+  // hand the caller the same trace shape.
+  fluid::Trace trace = fluid::Trace::reduced(net.trace(), spec.trace_detail,
+                                             spec.tracked_senders);
   return RunTrace{std::move(trace), BackendKind::kPacket, net.flow_reports(),
                   net.max_link_utilization()};
 }

@@ -54,7 +54,9 @@ enum class BackendKind { kFluid, kPacket };
 /// Typed error for an invalid ScenarioSpec (bad routes, topology/field
 /// mismatches). Thrown by engine::validate_scenario (topology.h) and by the
 /// backends before executing a topology scenario, so callers can distinguish
-/// a malformed spec from a programming-contract violation.
+/// a malformed spec from a programming-contract violation; also by
+/// core::EvalConfig::validate for the configs the evaluator builds specs
+/// from.
 class ScenarioError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
@@ -177,8 +179,9 @@ struct ScenarioSpec {
   /// this).
   double tail_fraction = 0.5;
   /// Trace retention: kAggregate keeps per-step population statistics plus
-  /// `tracked_senders` full series instead of every sender's series (the
-  /// packet backend reduces its full trace post-hoc).
+  /// `tracked_senders` full series instead of every sender's series; kLast
+  /// keeps only the last recorded step, every sender's values included (the
+  /// packet backend reduces its full trace post-hoc to either).
   fluid::TraceDetail trace_detail = fluid::TraceDetail::kFull;
   int tracked_senders = 8;
   /// Flight-recorder capture options (event classes, ring depth, sample

@@ -95,12 +95,9 @@ Trace FluidNetwork::run() {
   }
 
   const bool aggregate = options_.trace_detail == TraceDetail::kAggregate;
-  Trace trace = aggregate
-                    ? Trace(nf, min_capacity, min_route_rtt,
-                            TraceDetail::kAggregate,
-                            default_tracked_senders(nf,
-                                                    options_.tracked_senders))
-                    : Trace(nf, min_capacity, min_route_rtt);
+  Trace trace(nf, min_capacity, min_route_rtt, options_.trace_detail,
+              aggregate ? default_tracked_senders(nf, options_.tracked_senders)
+                        : std::vector<int>{});
   trace.reserve(static_cast<std::size_t>(options_.steps));
 
   const auto clamp_window = [&](double w) {

@@ -46,7 +46,7 @@ struct NetworkOptions {
   double min_window_mss = 1.0;
   double max_window_mss = 1e9;
   /// Trace retention, as in SimOptions: kAggregate keeps population stats
-  /// plus `tracked_senders` full series.
+  /// plus `tracked_senders` full series; kLast keeps the last step only.
   TraceDetail trace_detail = TraceDetail::kFull;
   int tracked_senders = 8;
   /// Non-owning flight-recorder sink (null = no recording).

@@ -201,12 +201,11 @@ Trace FluidSimulation::run() {
 
 Trace FluidSimulation::new_trace() const {
   const int n = num_senders();
-  Trace trace =
-      options_.trace_detail == TraceDetail::kAggregate
-          ? Trace(n, link_.capacity_mss(), link_.min_rtt().value(),
-                  TraceDetail::kAggregate,
-                  default_tracked_senders(n, options_.tracked_senders))
-          : Trace(n, link_.capacity_mss(), link_.min_rtt().value());
+  const TraceDetail detail = options_.trace_detail;
+  Trace trace(n, link_.capacity_mss(), link_.min_rtt().value(), detail,
+              detail == TraceDetail::kAggregate
+                  ? default_tracked_senders(n, options_.tracked_senders)
+                  : std::vector<int>{});
   trace.reserve(static_cast<std::size_t>(options_.steps));
   return trace;
 }
@@ -215,8 +214,12 @@ Trace FluidSimulation::scalar_loop() {
   TELEMETRY_SPAN("fluid", "sim.scalar_loop");
   // Sender i is group i and updates every step: its worst loss since the
   // last update is 0 and its mean RTT is the step's RTT. Trace::add_step's
-  // aggregate reduction folds in WindowFold's order.
+  // aggregate reduction folds in WindowFold's order. This loop never stops
+  // early, so a last-step trace skips the out-of-line append until the
+  // final step instead of overwriting every step.
   Trace trace = new_trace();
+  const long first_recorded =
+      options_.trace_detail == TraceDetail::kLast ? options_.steps - 1 : 0;
   const double min_w = options_.min_window_mss;
   const double max_w = options_.max_window_mss;
   const std::size_t n = groups_.size();
@@ -238,7 +241,9 @@ Trace FluidSimulation::scalar_loop() {
     std::fill(observed.begin(), observed.end(), seen);
     tel.injected(injected, static_cast<long>(n));
     tel.tick(congestion_loss);
-    trace.add_step(windows, rtt_value, congestion_loss, observed);
+    if (step >= first_recorded) {
+      trace.add_step(windows, rtt_value, congestion_loss, observed);
+    }
     for (std::size_t i = 0; i < n; ++i) {
       double pending = 0.0;
       update_member(*groups_[i].spec.protocol, windows[i], pending, seen,

@@ -10,7 +10,8 @@
 // group one sender, active from step 0 and updating every step, stateless
 // injected loss, no step monitor, scope or recorder — with nothing per
 // cohort: per step one fold, the link's loss and RTT, one injector sample,
-// the trace append, and one virtual Protocol::next_window call per sender.
+// the trace append (at a last-step trace, only at the final step), and one
+// virtual Protocol::next_window call per sender.
 //
 // The cohort loop runs everything else. Each sender group is a cohort
 // stored at one of two widths: every member (materialized), or a single
@@ -78,7 +79,8 @@ struct SimOptions {
   double max_window_mss = 1e9;   ///< the paper's M (1 << M).
   /// Trace retention: kFull keeps every sender's series; kAggregate keeps
   /// per-step population statistics plus `tracked_senders` full series, so
-  /// trace memory is independent of the population size.
+  /// trace memory is independent of the population size; kLast keeps only
+  /// the last recorded step (the scalar loop appends nothing before it).
   TraceDetail trace_detail = TraceDetail::kFull;
   int tracked_senders = 8;       ///< k for kAggregate (clamped to n).
   /// No longer read: run() picks its step loop from the run's shape. Kept

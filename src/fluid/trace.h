@@ -5,14 +5,17 @@
 // stores every sender's window, the step's RTT, the congestion loss rate, and
 // each sender's observed (congestion + injected) loss rate.
 //
-// Two detail levels exist. kFull (the default) keeps every sender's series —
-// O(n·steps) memory, what the estimators consume. kAggregate keeps per-step
+// Three detail levels exist. kFull (the default) keeps every sender's series
+// — O(n·steps) memory, what the estimators consume. kAggregate keeps per-step
 // population statistics (sum/min/max/mean over active senders plus the
 // active-sender count) and full series for only a small tracked subset, so a
 // million-sender run costs O(steps + k·steps) trace memory. Per-sender
 // accessors in aggregate mode resolve tracked sender ids and reject the rest.
+// kLast keeps one step, the last one recorded, in the full-detail layout —
+// for callers that read only where a run ended (the robustness probes).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <span>
@@ -27,6 +30,7 @@ namespace axiomcc::fluid {
 enum class TraceDetail {
   kFull,       ///< every sender's window/loss series (the default).
   kAggregate,  ///< per-step population stats + k tracked sender series.
+  kLast,       ///< the last recorded step only, in the kFull layout.
 };
 
 /// The deterministic tracked-sender selection for aggregate traces: k ids
@@ -66,7 +70,7 @@ class Trace {
         detail_(detail),
         tracked_(std::move(tracked)) {
     AXIOMCC_EXPECTS(num_senders > 0);
-    if (detail_ == TraceDetail::kFull) {
+    if (detail_ != TraceDetail::kAggregate) {
       AXIOMCC_EXPECTS(tracked_.empty());
       tracked_.resize(static_cast<std::size_t>(num_senders));
       for (int i = 0; i < num_senders; ++i) {
@@ -85,7 +89,8 @@ class Trace {
   }
 
   /// Appends one step. `windows` and `observed_loss` are per-sender (full
-  /// population in either mode); aggregate mode reduces them here.
+  /// population in every mode); aggregate mode reduces them here, and last
+  /// mode overwrites the step it holds.
   ///
   /// The appends stay out of line: inlined into a large caller such as the
   /// fluid tick loop, their per-series push_backs stop inlining and each
@@ -96,7 +101,8 @@ class Trace {
     AXIOMCC_EXPECTS(windows.size() == static_cast<std::size_t>(num_senders_));
     AXIOMCC_EXPECTS(observed_loss.size() ==
                     static_cast<std::size_t>(num_senders_));
-    if (detail_ == TraceDetail::kFull) {
+    if (detail_ != TraceDetail::kAggregate) {
+      if (detail_ == TraceDetail::kLast) drop_steps();
       double total = 0.0;
       for (int i = 0; i < num_senders_; ++i) {
         window_series_[static_cast<std::size_t>(i)].push_back(windows[i]);
@@ -156,8 +162,9 @@ class Trace {
                          rtt_seconds, congestion_loss);
   }
 
-  /// Reserves storage for `steps` steps (optional).
+  /// Reserves storage for `steps` steps (optional; last mode needs one).
   void reserve(std::size_t steps) {
+    if (detail_ == TraceDetail::kLast) steps = std::min<std::size_t>(steps, 1);
     for (auto& s : window_series_) s.reserve(steps);
     for (auto& s : observed_loss_series_) s.reserve(steps);
     total_window_.reserve(steps);
@@ -190,7 +197,8 @@ class Trace {
   [[nodiscard]] double min_rtt_seconds() const { return min_rtt_seconds_; }
 
   /// Per-sender series, addressed by GLOBAL sender id. In aggregate mode the
-  /// id must be one of tracked_senders().
+  /// id must be one of tracked_senders(). In last mode each series holds at
+  /// most one value.
   [[nodiscard]] std::span<const double> windows(int sender) const {
     return window_series_[slot_or_die(sender)];
   }
@@ -226,19 +234,26 @@ class Trace {
     return active_senders_;
   }
 
-  /// Post-hoc reduction of a full trace to aggregate detail (used by the
-  /// packet backend, whose experiment records full traces internally).
-  [[nodiscard]] static Trace aggregated(const Trace& full,
-                                        std::vector<int> tracked) {
+  /// Post-hoc reduction of a full trace to `detail` (used by the packet
+  /// backend, whose experiment records full traces internally). An
+  /// aggregate reduction tracks default_tracked_senders(n, tracked_senders);
+  /// a last-step reduction replays only the final step.
+  [[nodiscard]] static Trace reduced(const Trace& full, TraceDetail detail,
+                                     int tracked_senders) {
     AXIOMCC_EXPECTS(full.detail() == TraceDetail::kFull);
-    Trace out(full.num_senders(), full.link_capacity_mss(),
-              full.min_rtt_seconds(), TraceDetail::kAggregate,
-              std::move(tracked));
-    out.reserve(full.num_steps());
+    if (detail == TraceDetail::kFull) return full;
     const int n = full.num_senders();
+    Trace out(n, full.link_capacity_mss(), full.min_rtt_seconds(), detail,
+              detail == TraceDetail::kAggregate
+                  ? default_tracked_senders(n, tracked_senders)
+                  : std::vector<int>{});
+    const std::size_t steps = full.num_steps();
+    out.reserve(steps);
+    const std::size_t first =
+        detail == TraceDetail::kLast && steps > 0 ? steps - 1 : 0;
     std::vector<double> w(static_cast<std::size_t>(n));
     std::vector<double> l(static_cast<std::size_t>(n));
-    for (std::size_t t = 0; t < full.num_steps(); ++t) {
+    for (std::size_t t = first; t < steps; ++t) {
       for (int i = 0; i < n; ++i) {
         w[static_cast<std::size_t>(i)] = full.windows(i)[t];
         l[static_cast<std::size_t>(i)] = full.observed_loss(i)[t];
@@ -249,6 +264,15 @@ class Trace {
   }
 
  private:
+  /// Empties every per-step series (last mode, before its overwrite).
+  void drop_steps() {
+    for (auto& s : window_series_) s.clear();
+    for (auto& s : observed_loss_series_) s.clear();
+    total_window_.clear();
+    rtt_seconds_.clear();
+    congestion_loss_.clear();
+  }
+
   void push_aggregate_stats(double total_window, double window_min,
                             double window_max, long active_senders,
                             double rtt_seconds, double congestion_loss) {
@@ -266,7 +290,7 @@ class Trace {
   /// Index into the series arrays for a global sender id, or -1.
   [[nodiscard]] long tracked_slot(int sender) const {
     if (sender < 0 || sender >= num_senders_) return -1;
-    if (detail_ == TraceDetail::kFull) return sender;
+    if (detail_ != TraceDetail::kAggregate) return sender;
     // Tracked ids ascend; binary search keeps k-tracked lookups cheap.
     long lo = 0;
     long hi = static_cast<long>(tracked_.size()) - 1;

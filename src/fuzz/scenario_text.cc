@@ -182,6 +182,8 @@ std::string serialize_scenario(const engine::ScenarioSpec& spec,
   out += "seed " + std::to_string(spec.seed) + '\n';
   if (spec.trace_detail == fluid::TraceDetail::kAggregate) {
     out += "trace aggregate\n";
+  } else if (spec.trace_detail == fluid::TraceDetail::kLast) {
+    out += "trace last\n";
   }
   for (const fluid::LinkParams& link : spec.topology.links) {
     out += "topology-link " + link_fields(link) + '\n';
@@ -352,9 +354,11 @@ engine::ScenarioSpec parse_scenario(const std::string& text,
         spec.trace_detail = fluid::TraceDetail::kAggregate;
       } else if (tok[1] == "full") {
         spec.trace_detail = fluid::TraceDetail::kFull;
+      } else if (tok[1] == "last") {
+        spec.trace_detail = fluid::TraceDetail::kLast;
       } else {
-        fail(line_no,
-             "unknown trace detail '" + tok[1] + "' (expected full|aggregate)");
+        fail(line_no, "unknown trace detail '" + tok[1] +
+                          "' (expected full|aggregate|last)");
       }
     } else if (directive == "topology-link") {
       spec.topology.links.push_back(parse_link(tok, line_no));

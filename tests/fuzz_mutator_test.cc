@@ -114,6 +114,26 @@ TEST(FuzzMutator, MutationReachesExecutionAxesAndCohorts) {
   EXPECT_TRUE(saw_cohort);
 }
 
+TEST(FuzzMutator, NeverEmitsLastStepTraces) {
+  // The runner's trace oracles need at least 4 steps; a last-step trace
+  // holds one, so neither mutation nor splicing may introduce it.
+  const Mutator mutator;
+  const std::vector<ScenarioSpec> seeds = Mutator::seed_corpus();
+  Rng rng(59);
+  for (const ScenarioSpec& seed : seeds) {
+    ScenarioSpec current = seed;
+    for (int i = 0; i < 200; ++i) {
+      current = mutator.mutate(current, rng);
+      ASSERT_NE(current.trace_detail, fluid::TraceDetail::kLast) << i;
+    }
+  }
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    const ScenarioSpec child =
+        mutator.splice(seeds[i], seeds[(i + 1) % seeds.size()], rng);
+    EXPECT_NE(child.trace_detail, fluid::TraceDetail::kLast);
+  }
+}
+
 TEST(FuzzMutator, MutationReachesTopologyAndWorkloadAxes) {
   const Mutator mutator;
   Rng rng(47);
