@@ -139,6 +139,11 @@ const char* outcome_kind_name(OutcomeKind kind) {
 }
 
 engine::ScenarioSpec oracle_spec(engine::ScenarioSpec spec) {
+  // The trace oracles read the whole run (reduce_trace needs 4 steps); a
+  // last-step trace holds one, so the oracle runs it at full detail.
+  if (spec.trace_detail == fluid::TraceDetail::kLast) {
+    spec.trace_detail = fluid::TraceDetail::kFull;
+  }
   if (spec.trace_detail != fluid::TraceDetail::kAggregate) return spec;
   // Workload generators change the run's population; track the expanded
   // count. A workload the engine rejects faults before any trace exists.

@@ -102,7 +102,8 @@ struct RunnerConfig {
 
 /// `spec` as the oracle runs it on each backend: an aggregate trace tracks
 /// the whole expanded population, so the estimators read every sender's
-/// series and classify exactly as they would a full trace.
+/// series and classify exactly as they would a full trace; a last-step
+/// trace runs as a full one.
 [[nodiscard]] engine::ScenarioSpec oracle_spec(engine::ScenarioSpec spec);
 
 /// Runs `spec` on both backends and classifies the outcome. A spec the

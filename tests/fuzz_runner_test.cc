@@ -60,6 +60,22 @@ TEST(FuzzRunner, DivergenceThresholdControlsClassification) {
   EXPECT_DOUBLE_EQ(lax.divergence, tight.divergence);
 }
 
+TEST(FuzzRunner, LastStepTraceClassifiesLikeItsFullTwin) {
+  // A one-step trace would leave the tail estimators nothing to read and
+  // the outage would replay clean; the oracle runs it at full detail.
+  const engine::ScenarioSpec full = outage_spec();
+  engine::ScenarioSpec last = full;
+  last.trace_detail = fluid::TraceDetail::kLast;
+  const RunOutcome a = run_scenario(full);
+  const RunOutcome b = run_scenario(last);
+  ASSERT_EQ(a.kind, OutcomeKind::kDivergence);
+  EXPECT_EQ(b.kind, a.kind);
+  EXPECT_EQ(b.novelty_key, a.novelty_key);
+  EXPECT_DOUBLE_EQ(b.divergence, a.divergence);
+  EXPECT_DOUBLE_EQ(b.fluid.efficiency, a.fluid.efficiency);
+  EXPECT_DOUBLE_EQ(b.packet.efficiency, a.packet.efficiency);
+}
+
 TEST(FuzzRunner, ExpectForRoundTripsThroughMatches) {
   const RunOutcome outcome = run_scenario(outage_spec());
   ASSERT_TRUE(outcome.is_finding());
