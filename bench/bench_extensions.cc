@@ -30,9 +30,9 @@
 #include "cc/robust_aimd.h"
 #include "core/evaluator.h"
 #include "core/extra_metrics.h"
-#include "engine/scenario.h"
 #include "core/metrics.h"
-#include "fluid/network.h"
+#include "engine/backend.h"
+#include "engine/topology.h"
 #include "sim/network.h"
 #include "util/bench_json.h"
 #include "util/cli.h"
@@ -97,14 +97,16 @@ void parking_lots(long steps, double duration, long jobs) {
   const auto fluid_ratios = parallel_map(
       fluid_ks,
       [&](int k) {
-        fluid::NetworkOptions opt;
-        opt.steps = steps;
-        fluid::ParkingLot lot = fluid::make_parking_lot(
-            fluid::make_link_mbps(20.0, 40.0, 20.0), k,
-            cc::RobustAimd(1.0, 0.5, 0.01), opt);
-        const fluid::Trace t = lot.network.run();
-        return mean_of(tail_view(t.windows(lot.long_flow), 0.5)) /
-               mean_of(tail_view(t.windows(lot.short_flows[0]), 0.5));
+        const cc::RobustAimd prototype(1.0, 0.5, 0.01);
+        engine::ScenarioSpec spec;
+        spec.steps = steps;
+        engine::apply_parking_lot(
+            spec, fluid::make_link_mbps(20.0, 40.0, 20.0), k, prototype);
+        const fluid::Trace t =
+            engine::backend_for(engine::BackendKind::kFluid).run(spec).trace;
+        // Flow 0 is the long flow, flow 1 the first link's cross flow.
+        return mean_of(tail_view(t.windows(0), 0.5)) /
+               mean_of(tail_view(t.windows(1), 0.5));
       },
       jobs);
   for (std::size_t i = 0; i < fluid_ks.size(); ++i) {

@@ -46,7 +46,6 @@
 #include "fluid/sim.h"
 #include "recorder/io.h"
 #include "sim/dumbbell.h"
-#include "fluid/network.h"
 #include "sim/event.h"
 #include "sim/network.h"
 #include "sim/queue.h"
@@ -252,13 +251,15 @@ BENCHMARK(BM_RedQueueDiscipline);
 
 void BM_FluidNetworkParkingLot(benchmark::State& state) {
   const int hops = static_cast<int>(state.range(0));
+  const cc::Aimd aimd(1.0, 0.5);
+  engine::ScenarioSpec spec;
+  spec.steps = 2000;
+  engine::apply_parking_lot(spec, fluid::make_link_mbps(20.0, 40.0, 20.0),
+                            hops, aimd);
+  const engine::SimBackend& backend =
+      engine::backend_for(engine::BackendKind::kFluid);
   for (auto _ : state) {
-    fluid::NetworkOptions opt;
-    opt.steps = 2000;
-    fluid::ParkingLot lot = fluid::make_parking_lot(
-        fluid::make_link_mbps(20.0, 40.0, 20.0), hops, cc::Aimd(1.0, 0.5),
-        opt);
-    benchmark::DoNotOptimize(lot.network.run());
+    benchmark::DoNotOptimize(backend.run(spec));
   }
   state.SetItemsProcessed(state.iterations() * 2000);
 }
@@ -356,7 +357,6 @@ void run_pool_throughput_bench(BenchReport& bench) {
 void run_senders_scaling_bench(BenchReport& bench, long max_n) {
   constexpr long kSteps = 1000;
   constexpr double kMinCells = 1e6;
-  const long jobs = hardware_jobs();
   const auto seconds_per_run = [&](long n, bool materialized) {
     // Per-sender bandwidth held constant so dynamics are n-independent.
     const auto link = fluid::make_link_mbps(
@@ -365,7 +365,6 @@ void run_senders_scaling_bench(BenchReport& bench, long max_n) {
     opt.steps = kSteps;
     opt.trace_detail = fluid::TraceDetail::kAggregate;
     opt.tracked_senders = 8;
-    opt.jobs = jobs;
     const long reps = std::max(
         1L, static_cast<long>(kMinCells / static_cast<double>(n * kSteps)));
     WallTimer timer;
@@ -381,8 +380,7 @@ void run_senders_scaling_bench(BenchReport& bench, long max_n) {
     return timer.seconds() / static_cast<double>(reps);
   };
 
-  std::printf("--- senders scaling: %ld-step AIMD runs, jobs=%ld ---\n",
-              kSteps, jobs);
+  std::printf("--- senders scaling: %ld-step AIMD runs ---\n", kSteps);
   (void)seconds_per_run(1, /*materialized=*/false);  // warm-up, untimed
   for (const long n : {1L, 2L, 8L, 1000L, 10000L, 100000L, 1000000L}) {
     if (n > max_n) break;

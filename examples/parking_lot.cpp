@@ -11,7 +11,8 @@
 #include <cstdio>
 
 #include "cc/registry.h"
-#include "fluid/network.h"
+#include "engine/backend.h"
+#include "engine/topology.h"
 #include "sim/network.h"
 #include "util/cli.h"
 #include "util/stats.h"
@@ -41,20 +42,20 @@ int main(int argc, char** argv) {
     table.set_header({"bottlenecks", "fluid long/short ratio",
                       "packet long/short ratio"});
     for (int k = 1; k <= max_hops; ++k) {
-      // Fluid network.
-      fluid::NetworkOptions opt;
-      opt.steps = steps;
-      fluid::ParkingLot fluid_lot = fluid::make_parking_lot(
-          fluid::make_link_mbps(mbps, 40.0, 20.0), k, *prototype, opt);
-      const fluid::Trace trace = fluid_lot.network.run();
+      // Fluid network: flow 0 is the long flow, flows 1..k the cross flows.
+      engine::ScenarioSpec spec;
+      spec.steps = steps;
+      engine::apply_parking_lot(spec, fluid::make_link_mbps(mbps, 40.0, 20.0),
+                                k, *prototype);
+      const fluid::Trace trace =
+          engine::backend_for(engine::BackendKind::kFluid).run(spec).trace;
       double fluid_short = 0.0;
-      for (int f : fluid_lot.short_flows) {
+      for (int f = 1; f <= k; ++f) {
         fluid_short += mean_of(tail_view(trace.windows(f), 0.5));
       }
-      fluid_short /= static_cast<double>(fluid_lot.short_flows.size());
+      fluid_short /= static_cast<double>(k);
       const double fluid_ratio =
-          mean_of(tail_view(trace.windows(fluid_lot.long_flow), 0.5)) /
-          fluid_short;
+          mean_of(tail_view(trace.windows(0), 0.5)) / fluid_short;
 
       // Packet-level network.
       sim::MultiHopNetwork::Config cfg;

@@ -294,7 +294,7 @@ RunTrace PacketBackend::run(const ScenarioSpec& spec) const {
         spec.record_sink, "packet", std::move(lanes), spec.bandwidth_scale,
         spec.rtt_scale, spec.trace_detail == fluid::TraceDetail::kAggregate,
         total_slot_senders(classes));
-    const StepMonitor user = spec.step_monitor;
+    const fluid::StepMonitor user = spec.step_monitor;
     net.set_step_monitor([srec = std::move(srec), scope, flow_class, user](
                              long step, std::span<const double> windows,
                              double rtt_seconds,

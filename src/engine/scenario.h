@@ -15,9 +15,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -139,14 +137,6 @@ struct SenderSlot {
   std::string protocol;
 };
 
-/// Per-step observer with the same shape as fluid::FluidSimulation's
-/// StepMonitor and sim::MultiHopNetwork's StepMonitorFn: called after each
-/// recorded step with (step, windows, rtt_seconds, congestion_loss);
-/// returning false ends the run early, keeping the steps recorded so far.
-using StepMonitor = std::function<bool(
-    long step, std::span<const double> windows, double rtt_seconds,
-    double congestion_loss)>;
-
 /// Everything a backend needs to execute one run.
 struct ScenarioSpec {
   fluid::LinkParams link = fluid::make_link_mbps(30.0, 42.0, 100.0);
@@ -173,7 +163,8 @@ struct ScenarioSpec {
   fluid::Schedule bandwidth_scale;
   fluid::Schedule rtt_scale;
   std::uint64_t seed = 42;
-  StepMonitor step_monitor;
+  /// Per-step observer (fluid/trace.h), installed on whichever loop runs.
+  fluid::StepMonitor step_monitor;
   /// Scoring-tail fraction for the packet backend's per-flow reports (the
   /// fluid model computes tails in the estimators instead, so it ignores
   /// this).

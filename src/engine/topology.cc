@@ -38,8 +38,23 @@ void validate_horizon(long steps) {
   }
 }
 
+void validate_window_bounds(double min_window_mss, double max_window_mss) {
+  if (!positive_finite(min_window_mss) || !(max_window_mss > min_window_mss)) {
+    throw ScenarioError(
+        "window bounds must satisfy 0 < min < max with a finite min, got "
+        "min " + std::to_string(min_window_mss) + ", max " +
+        std::to_string(max_window_mss));
+  }
+}
+
 void validate_scenario(const ScenarioSpec& spec) {
   validate_horizon(spec.steps);
+  validate_window_bounds(spec.min_window_mss, spec.max_window_mss);
+  if (spec.trace_detail == fluid::TraceDetail::kAggregate &&
+      spec.tracked_senders < 1) {
+    throw ScenarioError("an aggregate trace must track at least one sender, "
+                        "got " + std::to_string(spec.tracked_senders));
+  }
   validate_link(spec.link, "link");
   const int nl = spec.topology.num_links();
   for (int l = 0; l < nl; ++l) {

@@ -31,6 +31,8 @@ namespace axiomcc::engine {
 
 /// Validates every data axis of a spec. Throws ScenarioError when
 ///  * `spec.steps` fails validate_horizon;
+///  * the window bounds fail validate_window_bounds;
+///  * an aggregate trace tracks fewer than one sender;
 ///  * `spec.link` or a topology link fails validate_link;
 ///  * a slot sets both or neither of `prototype` and `protocol`, or its
 ///    `protocol` spec does not build (unknown name, bad arguments);
@@ -49,6 +51,11 @@ void validate_scenario(const ScenarioSpec& spec);
 
 /// Throws ScenarioError when `steps`, a run's horizon, is not positive.
 void validate_horizon(long steps);
+
+/// Throws ScenarioError unless the window floor is finite and positive and
+/// the cap lies above it (the fluid model clamps every window to
+/// [min, max] and divides by windows near the floor).
+void validate_window_bounds(double min_window_mss, double max_window_mss);
 
 /// Throws ScenarioError when a link has a non-finite or non-positive
 /// bandwidth or propagation delay, or a non-finite or negative buffer (a

@@ -264,22 +264,4 @@ Trace FluidNetwork::run() {
   return trace;
 }
 
-ParkingLot make_parking_lot(const LinkParams& per_link, int bottlenecks,
-                            const cc::Protocol& prototype,
-                            FluidNetwork::Options options) {
-  AXIOMCC_EXPECTS(bottlenecks >= 1);
-  ParkingLot lot{FluidNetwork(options), 0, {}};
-
-  std::vector<int> long_route;
-  for (int i = 0; i < bottlenecks; ++i) {
-    long_route.push_back(lot.network.add_link(per_link));
-  }
-  lot.long_flow = lot.network.add_flow(prototype.clone(), long_route, 1.0);
-  for (int i = 0; i < bottlenecks; ++i) {
-    lot.short_flows.push_back(
-        lot.network.add_flow(prototype.clone(), {long_route[i]}, 1.0));
-  }
-  return lot;
-}
-
 }  // namespace axiomcc::fluid

@@ -17,16 +17,13 @@
 // (non-congestion) loss process composed into each flow's observation,
 // network-wide bandwidth/RTT perturbation schedules, a step monitor that can
 // stop the run early, aggregate-detail traces, and flight-recorder emission.
-// engine::FluidBackend routes topology scenarios here.
-//
-// The classic "parking lot" topology (one long flow crossing k bottlenecks,
-// k short cross-flows) is provided as a builder; it exposes the beat-down of
+// engine::FluidBackend routes topology scenarios here; engine::
+// apply_parking_lot builds the classic parking lot (one long flow crossing k
+// bottlenecks, k short cross-flows), which exposes the beat-down of
 // multi-hop flows that single-link analysis cannot see.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -60,12 +57,6 @@ struct NetworkOptions {
 class FluidNetwork {
  public:
   using Options = NetworkOptions;
-  /// Same shape as FluidSimulation::StepMonitor: sees the windows the flows
-  /// just chose for the NEXT step; returning false stops the run, keeping
-  /// the steps recorded so far.
-  using StepMonitor = std::function<bool(
-      long step, std::span<const double> windows, double rtt_seconds,
-      double congestion_loss)>;
 
   /// A flow with churn: active on steps in [start_step, stop_step), with a
   /// negative stop meaning "forever". Rejoining is not modeled (one interval
@@ -128,18 +119,5 @@ class FluidNetwork {
   std::vector<double> link_mean_utilization_;
   bool ran_ = false;
 };
-
-/// Builds the k-bottleneck parking lot: one long flow over links 0..k−1 and
-/// one short flow per link, all running clones of `prototype`. Flow 0 is the
-/// long flow. All links share the same parameters.
-struct ParkingLot {
-  FluidNetwork network;
-  int long_flow = 0;
-  std::vector<int> short_flows;
-};
-[[nodiscard]] ParkingLot make_parking_lot(const LinkParams& per_link,
-                                          int bottlenecks,
-                                          const cc::Protocol& prototype,
-                                          FluidNetwork::Options options = {});
 
 }  // namespace axiomcc::fluid

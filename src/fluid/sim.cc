@@ -9,7 +9,6 @@
 #include "telemetry/telemetry.h"
 #include "util/check.h"
 #include "util/repeated_add.h"
-#include "util/task_pool.h"
 
 namespace axiomcc::fluid {
 
@@ -32,10 +31,6 @@ struct Cohort {
   int state_size = 0;
   std::vector<double> state;           ///< kernel state, member-major.
   std::vector<cc::Protocol*> members;  ///< per-member dispatch otherwise.
-  /// RTT aggregation since the last update, shared by all members (they
-  /// share churn and update phase).
-  double pending_rtt_sum = 0.0;
-  long pending_steps = 0;
 
   [[nodiscard]] bool active_at(long step) const {
     return step >= spec->start_step &&
@@ -65,25 +60,16 @@ struct WindowFold {
   }
 };
 
-/// One member's update at the end of a step: folds the step's observed loss
-/// into its worst loss since its last update and, at a due step, consults
-/// its protocol (worst loss, mean RTT) and clamps the window it picks.
-void update_member(cc::Protocol& protocol, double& window, double& pending,
-                   double seen, bool due, double mean_rtt, double min_w,
-                   double max_w) {
-  const double worst_loss = std::max(pending, seen);
-  if (!due) {
-    pending = worst_loss;
-    return;
-  }
-  window = std::clamp(protocol.next_window({window, worst_loss, mean_rtt}),
-                      min_w, max_w);
-  pending = 0.0;
+/// One member's update at the end of a step: consults its protocol with the
+/// step's observed loss and RTT and clamps the window it picks.
+void update_member(cc::Protocol& protocol, double& window, double seen,
+                   double rtt, double min_w, double max_w) {
+  window = std::clamp(protocol.next_window({window, seen, rtt}), min_w, max_w);
 }
 
 /// Tick and loss tallies, flushed to the registry once after the loop so
 /// the hot loop never touches shared metric state. They count simulation
-/// content, so they are deterministic at any --jobs.
+/// content, so they are deterministic.
 struct LoopTelemetry {
   bool on = telemetry::enabled();
   long ticks = 0;
@@ -116,7 +102,6 @@ FluidSimulation::FluidSimulation(const LinkParams& link, SimOptions options)
   AXIOMCC_EXPECTS(options.steps > 0);
   AXIOMCC_EXPECTS(options.min_window_mss > 0.0);
   AXIOMCC_EXPECTS(options.max_window_mss > options.min_window_mss);
-  AXIOMCC_EXPECTS(options.jobs >= 0);
   if (options.trace_detail == TraceDetail::kAggregate) {
     AXIOMCC_EXPECTS(options.tracked_senders > 0);
   }
@@ -134,9 +119,6 @@ void FluidSimulation::add_sender(SenderSpec spec) {
 void FluidSimulation::add_senders(SenderSpec spec, long count) {
   AXIOMCC_EXPECTS(spec.protocol != nullptr);
   AXIOMCC_EXPECTS(spec.initial_window_mss >= 0.0);
-  AXIOMCC_EXPECTS(spec.update_period >= 1);
-  AXIOMCC_EXPECTS(spec.update_phase >= 0 &&
-                  spec.update_phase < spec.update_period);
   AXIOMCC_EXPECTS(spec.start_step >= 0);
   AXIOMCC_EXPECTS(spec.stop_step < 0 || spec.stop_step > spec.start_step);
   AXIOMCC_EXPECTS(count >= 1);
@@ -175,10 +157,10 @@ Trace FluidSimulation::run() {
   AXIOMCC_EXPECTS_MSG(!ran_, "FluidSimulation::run may be called only once");
   ran_ = true;
   TELEMETRY_SPAN("fluid", "sim.run");
-  // The scope observes each step from the tick loop's serial section, in
-  // ascending (cohort, member) order — the same fold order at any layout
-  // or job count. resolve() only adopts fields the caller left unset, so
-  // an engine-layer resolve (which knows the tail fraction) wins.
+  // The scope observes each step in ascending (cohort, member) order — the
+  // same fold order at either cohort width. resolve() only adopts fields
+  // the caller left unset, so an engine-layer resolve (which knows the tail
+  // fraction) wins.
   if (options_.scope_sink != nullptr) {
     options_.scope_sink->resolve(options_.steps, 0.0, link_.capacity_mss(),
                                  link_.min_rtt().value(),
@@ -191,8 +173,7 @@ Trace FluidSimulation::run() {
       !step_monitor_ && options_.scope_sink == nullptr &&
       options_.record_sink == nullptr && injector_->stateless() &&
       std::all_of(groups_.begin(), groups_.end(), [](const SenderGroup& g) {
-        return g.count == 1 && g.spec.start_step == 0 && g.spec.stop_step < 0 &&
-               g.spec.update_period == 1;
+        return g.count == 1 && g.spec.start_step == 0 && g.spec.stop_step < 0;
       });
   Trace trace = scalar ? scalar_loop() : tick_loop();
   if (options_.scope_sink != nullptr) options_.scope_sink->finish();
@@ -212,11 +193,10 @@ Trace FluidSimulation::new_trace() const {
 
 Trace FluidSimulation::scalar_loop() {
   TELEMETRY_SPAN("fluid", "sim.scalar_loop");
-  // Sender i is group i and updates every step: its worst loss since the
-  // last update is 0 and its mean RTT is the step's RTT. Trace::add_step's
-  // aggregate reduction folds in WindowFold's order. This loop never stops
-  // early, so a last-step trace skips the out-of-line append until the
-  // final step instead of overwriting every step.
+  // Sender i is group i. Trace::add_step's aggregate reduction folds in
+  // WindowFold's order. This loop never stops early, so a last-step trace
+  // skips the out-of-line append until the final step instead of
+  // overwriting every step.
   Trace trace = new_trace();
   const long first_recorded =
       options_.trace_detail == TraceDetail::kLast ? options_.steps - 1 : 0;
@@ -245,9 +225,8 @@ Trace FluidSimulation::scalar_loop() {
       trace.add_step(windows, rtt_value, congestion_loss, observed);
     }
     for (std::size_t i = 0; i < n; ++i) {
-      double pending = 0.0;
-      update_member(*groups_[i].spec.protocol, windows[i], pending, seen,
-                    /*due=*/true, rtt_value, min_w, max_w);
+      update_member(*groups_[i].spec.protocol, windows[i], seen, rtt_value,
+                    min_w, max_w);
     }
   }
   tel.flush();
@@ -308,49 +287,23 @@ Trace FluidSimulation::tick_loop() {
     cohorts.push_back(std::move(c));
   }
 
-  // Fixed-size chunking keeps shard boundaries independent of the job count
-  // (docs/parallel.md's determinism contract); every sharded loop is a pure
-  // elementwise write to a disjoint range, so results cannot depend on the
-  // schedule. One persistent pool serves every step — parallel_map's
-  // per-call pool would pay a thread spawn per tick.
-  constexpr long kChunk = 16384;
-  std::unique_ptr<TaskPool> pool;
-  if (slots >= 2 * kChunk) {
-    const long jobs = resolve_jobs(options_.jobs);
-    if (jobs > 1) pool = std::make_unique<TaskPool>(static_cast<int>(jobs));
-  }
-  const auto for_range = [&pool](long lo, long hi, const auto& body) {
-    if (pool == nullptr || hi - lo < 2 * kChunk) {
-      body(lo, hi);
-      return;
-    }
-    for (long c0 = lo; c0 < hi; c0 += kChunk) {
-      const long c1 = std::min(hi, c0 + kChunk);
-      pool->submit([&body, c0, c1] { body(c0, c1); });
-    }
-    pool->wait_idle();
-  };
-
   Trace trace = new_trace();
 
   const double min_w = options_.min_window_mss;
   const double max_w = options_.max_window_mss;
-  // Per-slot step state. Inactive members hold window, observed loss and
-  // pending loss at exactly 0 (zeroed at the leave transition).
+  // Per-slot step state. Inactive members hold window and observed loss at
+  // exactly 0 (zeroed at the leave transition).
   std::vector<double> windows(static_cast<std::size_t>(slots), 0.0);
   std::vector<double> observed(static_cast<std::size_t>(slots), 0.0);
-  std::vector<double> pending_max(static_cast<std::size_t>(slots), 0.0);
   // Kernel staging: the RTT input broadcast and the unclamped output (a
   // kernel may reread its window input after writing out, so it cannot
   // update in place).
   std::vector<double> kernel_rtt(any_kernel ? slots : 0);
   std::vector<double> kernel_out(any_kernel ? slots : 0);
-  // The arrays never resize; plain pointers (windows, pending worst loss,
-  // the loss each member has seen this step) spare the per-member update
-  // reloading them after every virtual call, and keep the vectors from
-  // escaping into the pool's tasks.
+  // The arrays never resize; plain pointers (windows, the loss each member
+  // has seen this step) spare the per-member update reloading them after
+  // every virtual call.
   double* const win = windows.data();
-  double* const pend = pending_max.data();
   double* const seen = observed.data();
   for (Cohort& c : cohorts) {
     c.active = c.active_at(0);
@@ -395,9 +348,6 @@ Trace FluidSimulation::tick_loop() {
       if (!active && c.active) {
         std::fill_n(win + c.slot, c.width, 0.0);
         std::fill_n(seen + c.slot, c.width, 0.0);
-        std::fill_n(pend + c.slot, c.width, 0.0);
-        c.pending_rtt_sum = 0.0;
-        c.pending_steps = 0;
       } else if (active && step == c.spec->start_step && step != 0) {
         std::fill_n(win + c.slot, c.width,
                     std::clamp(c.spec->initial_window_mss, min_w, max_w));
@@ -464,52 +414,28 @@ Trace FluidSimulation::tick_loop() {
       scope->step_end();
     }
 
-    // Window update. Each member aggregates its observations since its last
-    // update (worst loss, mean RTT) and consults its protocol at due steps,
-    // holding its window in between; due-ness is uniform across a cohort.
-    // Every-step updates see a mean RTT of (0 + rtt) / 1 == rtt, bitwise, so
-    // they skip the RTT bookkeeping and its division.
+    // Window update: every active member consults its protocol with the
+    // loss it saw and the step's RTT, one serial pass in slot order.
     for (Cohort& c : cohorts) {
       if (!c.active) continue;
-      const long period = c.spec->update_period;
-      const bool due = period == 1 || step % period == c.spec->update_phase;
-      double mean_rtt = rtt_value;
-      if (period != 1) {
-        c.pending_rtt_sum += rtt_value;
-        ++c.pending_steps;
-        if (due) {
-          mean_rtt = c.pending_rtt_sum / static_cast<double>(c.pending_steps);
-          c.pending_rtt_sum = 0.0;
-          c.pending_steps = 0;
-        }
-      }
       if (c.kernel == nullptr) {
-        // Per-member dispatch, serial.
         for (long i = c.slot; i < c.slot + c.width; ++i) {
           update_member(*c.members[static_cast<std::size_t>(i - c.slot)],
-                        win[i], pend[i], seen[i], due, mean_rtt, min_w, max_w);
+                        win[i], seen[i], rtt_value, min_w, max_w);
         }
-      } else {
-        for_range(c.slot, c.slot + c.width,
-                  [&c, &kernel_rtt, &kernel_out, win, pend, seen, due,
-                   mean_rtt, min_w, max_w](long lo, long hi) {
-          for (long i = lo; i < hi; ++i) pend[i] = std::max(pend[i], seen[i]);
-          if (!due) return;
-          const auto len = static_cast<std::size_t>(hi - lo);
-          std::fill(kernel_rtt.begin() + lo, kernel_rtt.begin() + hi, mean_rtt);
-          c.kernel->next_window_batch(
-              std::span<const double>(win + lo, len),
-              std::span<const double>(pend + lo, len),
-              std::span<const double>(kernel_rtt.data() + lo, len),
-              std::span<double>(c.state).subspan(
-                  static_cast<std::size_t>((lo - c.slot) * c.state_size),
-                  len * static_cast<std::size_t>(c.state_size)),
-              std::span<double>(kernel_out.data() + lo, len));
-          for (long i = lo; i < hi; ++i) {
-            win[i] = std::clamp(kernel_out[i], min_w, max_w);
-            pend[i] = 0.0;
-          }
-        });
+        continue;
+      }
+      const auto lo = static_cast<std::size_t>(c.slot);
+      const auto len = static_cast<std::size_t>(c.width);
+      std::fill_n(kernel_rtt.begin() + c.slot, c.width, rtt_value);
+      c.kernel->next_window_batch(
+          std::span<const double>(win + lo, len),
+          std::span<const double>(seen + lo, len),
+          std::span<const double>(kernel_rtt.data() + lo, len),
+          std::span<double>(c.state),
+          std::span<double>(kernel_out.data() + lo, len));
+      for (std::size_t i = lo; i < lo + len; ++i) {
+        win[i] = std::clamp(kernel_out[i], min_w, max_w);
       }
     }
 

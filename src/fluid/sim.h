@@ -2,16 +2,17 @@
 //
 // n senders share one FluidLink. Time advances in steps of one RTT. At each
 // step the link computes the RTT and the synchronized droptail loss rate from
-// the aggregate window; every sender observes them (plus any injected
-// non-congestion loss) and picks its next window via its Protocol.
+// the aggregate window; every active sender observes them (plus any injected
+// non-congestion loss) and picks its next window via its Protocol. Updates
+// are synchronized: every sender updates at every step it is active.
 //
 // Two step loops; run() picks one from the run's shape before the first
 // step. The scalar loop runs the core evaluator's small scenarios — every
-// group one sender, active from step 0 and updating every step, stateless
-// injected loss, no step monitor, scope or recorder — with nothing per
-// cohort: per step one fold, the link's loss and RTT, one injector sample,
-// the trace append (at a last-step trace, only at the final step), and one
-// virtual Protocol::next_window call per sender.
+// group one sender active from step 0 on, stateless injected loss, no step
+// monitor, scope or recorder — with nothing per cohort: per step one fold,
+// the link's loss and RTT, one injector sample, the trace append (at a
+// last-step trace, only at the final step), and one virtual
+// Protocol::next_window call per sender.
 //
 // The cohort loop runs everything else. Each sender group is a cohort
 // stored at one of two widths: every member (materialized), or a single
@@ -20,20 +21,18 @@
 // identical senders cost O(cohorts) per step: a representative folds its
 // `count` windows into the serial aggregate with util/repeated_add, the
 // exact closed form of that many adds. Materialized cohorts of batchable
-// families advance through SoA kernels (cc::BatchProtocol), sharded across
-// util/task_pool in fixed-size chunks; everything else makes one virtual
-// Protocol::next_window call per member per step.
+// families advance through SoA kernels (cc::BatchProtocol), one call per
+// cohort per step; everything else makes one virtual Protocol::next_window
+// call per member per step.
 //
 // Both loops share one helper per formula (fold, link, combine_loss,
-// member update). Determinism: the aggregate-window fold and stateful loss
-// sampling stay serial in ascending sender order, and sharded loops are
-// pure elementwise writes over fixed ranges, so traces are byte-identical
-// in either loop, at either width and any jobs count.
+// member update). Determinism: the loop is serial — the aggregate-window
+// fold, stateful loss sampling and the window update all run in ascending
+// sender order — so traces are byte-identical in either loop and at either
+// width.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "cc/protocol.h"
@@ -48,13 +47,6 @@ namespace axiomcc::fluid {
 
 /// One sender: a protocol plus its initial window.
 ///
-/// `update_period`/`update_phase` model UNSYNCHRONIZED feedback (a paper
-/// future-work item): the sender consults its protocol only at steps t with
-/// t ≡ phase (mod period), holding its window in between. The default
-/// (period 1) is the paper's synchronized model. The observation delivered
-/// at an update step aggregates the steps since the previous update: worst
-/// (max) loss, mean RTT.
-///
 /// `start_step`/`stop_step` model flow churn (stress scenarios): the sender
 /// is active on steps t with start ≤ t < stop (negative stop → forever).
 /// While inactive its window is exactly 0 — it contributes nothing to the
@@ -63,14 +55,13 @@ namespace axiomcc::fluid {
 struct SenderSpec {
   std::unique_ptr<cc::Protocol> protocol;
   double initial_window_mss = 1.0;
-  long update_period = 1;
-  long update_phase = 0;
   long start_step = 0;
   long stop_step = -1;
 };
 
 /// Simulation-wide options. (The pragma keeps the implicit special members'
-/// use of the deprecated `batch` field from warning in every includer.)
+/// use of the deprecated `batch` and `jobs` fields from warning in every
+/// includer.)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 struct SimOptions {
@@ -87,22 +78,19 @@ struct SimOptions {
   /// only so existing callers that assign it still compile.
   [[deprecated("the fluid simulation picks its step loop itself")]] bool
       batch = false;
-  /// Shard count for materialized cohorts' elementwise loops: >0 explicit,
-  /// 0 = resolve_jobs (AXIOMCC_JOBS / hardware). Traces are identical at
-  /// any value; this is purely a throughput knob.
-  long jobs = 1;
-  /// Non-owning flight-recorder sink (null = no recording). All emission
-  /// happens from the serial sections of the tick loop — churn/schedule/
-  /// loss transitions plus stride-sampled windows — so recordings are
-  /// byte-identical across cohort widths and job counts (modulo the kCohort
-  /// setup events naming each cohort's execution mode).
+  /// No longer read: a run is one serial loop. Kept only so existing
+  /// callers that assign it still compile.
+  [[deprecated("the fluid simulation runs serially")]] long jobs = 1;
+  /// Non-owning flight-recorder sink (null = no recording). Emission —
+  /// churn/schedule/loss transitions plus stride-sampled windows — is
+  /// byte-identical across cohort widths (modulo the kCohort setup events
+  /// naming each cohort's execution mode).
   recorder::Recorder* record_sink = nullptr;
-  /// Non-owning streaming-metric scope (null = no scope). Fed from the same
-  /// serial sections as the recorder — one step_begin/observe/step_end
-  /// sweep per step, with counted repeated-add folds for uniform
-  /// representatives — so its series is byte-identical across cohort widths
-  /// and job counts. When `record_sink` is also installed, closed metric
-  /// windows are forwarded to it as kMetric events.
+  /// Non-owning streaming-metric scope (null = no scope). Fed once per step
+  /// like the recorder — one step_begin/observe/step_end sweep, with counted
+  /// repeated-add folds for uniform representatives — so its series is
+  /// byte-identical across cohort widths. When `record_sink` is also
+  /// installed, closed metric windows are forwarded to it as kMetric events.
   scope::MetricScope* scope_sink = nullptr;
 };
 #pragma GCC diagnostic pop
@@ -143,15 +131,9 @@ class FluidSimulation {
   /// also scales the capacity C = B·2Θ, as it does physically.
   void set_rtt_schedule(Schedule scale);
 
-  /// Per-step observer, called at the end of each step (after the step is
-  /// recorded) with that step's index, the per-sender windows the protocols
-  /// just chose for the NEXT step, the step RTT, and the congestion-loss
-  /// rate. Returning false stops the run early (the trace keeps the steps
-  /// recorded so far) — the hook the guarded stress runner uses to catch
-  /// divergence (NaN, blowup) before the link's preconditions explode on it.
-  using StepMonitor = std::function<bool(
-      long step, std::span<const double> windows, double rtt_seconds,
-      double congestion_loss)>;
+  /// Installs a per-step observer (fluid/trace.h) — the hook the guarded
+  /// stress runner uses to catch divergence (NaN, blowup) before the link's
+  /// preconditions explode on it.
   void set_step_monitor(StepMonitor monitor);
 
   /// Number of senders added so far.

@@ -55,9 +55,8 @@ class ScheduledLink {
 
 /// Flight-recorder emission. Everything is derived from the cohort specs,
 /// the schedules, and the per-step values the trace records — never from
-/// execution state such as the storage layout or the shard count — so a
-/// scenario yields byte-identical recordings however it executes, and on
-/// whichever backend. All calls happen in the serial sections of the loops.
+/// execution state such as the storage layout — so a scenario yields
+/// byte-identical recordings however it executes, and on whichever backend.
 class StepRecorder {
  public:
   /// One recorder lane: `count` senders active on [start_step, stop_step)

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <limits>
 #include <span>
 #include <utility>
@@ -33,9 +34,19 @@ enum class TraceDetail {
   kLast,       ///< the last recorded step only, in the kFull layout.
 };
 
+/// Per-step observer shared by every step loop (FluidSimulation,
+/// FluidNetwork, sim::MultiHopNetwork and the engine backends): called at
+/// the end of each step, after the step is recorded, with that step's
+/// index, the per-sender windows the senders just chose for the NEXT step,
+/// the step RTT and the congestion-loss rate. Returning false stops the run
+/// early; the trace keeps the steps recorded so far.
+using StepMonitor = std::function<bool(
+    long step, std::span<const double> windows, double rtt_seconds,
+    double congestion_loss)>;
+
 /// The deterministic tracked-sender selection for aggregate traces: k ids
 /// spread evenly across [0, n) (id floor(j·n/k)), always including sender 0.
-/// Independent of execution mode and job count.
+/// Independent of execution mode.
 [[nodiscard]] inline std::vector<int> default_tracked_senders(int n, int k) {
   AXIOMCC_EXPECTS(n > 0);
   AXIOMCC_EXPECTS(k > 0);

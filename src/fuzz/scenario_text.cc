@@ -443,10 +443,7 @@ engine::ScenarioSpec parse_scenario(const std::string& text,
 
 void check_readable(const engine::ScenarioSpec& spec) {
   engine::validate_horizon(spec.steps);
-  if (!(spec.min_window_mss >= 0.0 &&
-        spec.max_window_mss >= spec.min_window_mss)) {
-    reject("window bounds must satisfy 0 <= min <= max");
-  }
+  engine::validate_window_bounds(spec.min_window_mss, spec.max_window_mss);
   if (!(spec.tail_fraction > 0.0 && spec.tail_fraction < 1.0)) {
     reject("tail fraction must be in (0, 1), got " +
            format_double(spec.tail_fraction));

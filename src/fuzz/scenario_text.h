@@ -54,8 +54,8 @@ void route_parking_lot(engine::ScenarioSpec& spec);
 
 /// Serializes `spec` as format v2 in the canonical field order, with the
 /// `expect` line when `expect` is set. Every slot must name its protocol by
-/// spec string; run-time fields (sinks, monitor, tracked senders, jobs) are
-/// not part of the text. Output ends with a newline; the first line is the
+/// spec string; run-time fields (sinks, monitor, tracked senders) are not
+/// part of the text. Output ends with a newline; the first line is the
 /// header "axiomcc-scenario v2".
 [[nodiscard]] std::string serialize_scenario(const engine::ScenarioSpec& spec,
                                              const ExpectDesc& expect = {});
@@ -69,11 +69,11 @@ void route_parking_lot(engine::ScenarioSpec& spec);
 [[nodiscard]] engine::ScenarioSpec parse_scenario(const std::string& text,
                                                   ExpectDesc* expect = nullptr);
 
-/// The reader's checks: 0 <= min window <= max window, a tail fraction in
-/// (0, 1), at least one sender, every slot naming a protocol spec with a
-/// cohort count >= 1, a finite initial window >= 0 and a finite start >= 0,
-/// at most 16 topology links and 256 workload flows per slot, and the
-/// engine's own horizon, link, workload, loss and schedule checks. Throws
+/// The reader's checks: a tail fraction in (0, 1), at least one sender,
+/// every slot naming a protocol spec with a cohort count >= 1, a finite
+/// initial window >= 0 and a finite start >= 0, at most 16 topology links
+/// and 256 workload flows per slot, and the engine's own horizon, window
+/// bound, link, workload, loss and schedule checks. Throws
 /// std::invalid_argument.
 void check_readable(const engine::ScenarioSpec& spec);
 

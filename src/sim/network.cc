@@ -93,7 +93,7 @@ int MultiHopNetwork::add_flow(std::unique_ptr<cc::Protocol> protocol,
   return flow_id;
 }
 
-void MultiHopNetwork::set_step_monitor(StepMonitorFn monitor) {
+void MultiHopNetwork::set_step_monitor(fluid::StepMonitor monitor) {
   AXIOMCC_EXPECTS_MSG(!ran_, "set_step_monitor must precede run()");
   AXIOMCC_EXPECTS(monitor != nullptr);
   step_monitor_ = std::move(monitor);

@@ -18,9 +18,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -79,14 +77,10 @@ class MultiHopNetwork : private PacketHandler {
                double start_seconds = 0.0, double initial_window = 2.0,
                double stop_seconds = -1.0);
 
-  /// Same shape as fluid::FluidSimulation's StepMonitor: called after every
-  /// trace sample with (step, windows, rtt_seconds, congestion_loss);
+  /// Installs a fluid::StepMonitor, called after every trace sample;
   /// returning false stops the simulation at that sample (the trace keeps
   /// the steps recorded so far). Must be set before run().
-  using StepMonitorFn = std::function<bool(
-      long step, std::span<const double> windows, double rtt_seconds,
-      double congestion_loss)>;
-  void set_step_monitor(StepMonitorFn monitor);
+  void set_step_monitor(fluid::StepMonitor monitor);
 
   /// Injected (non-congestion) loss applied to forward data packets on final
   /// delivery. Default: none. Must be set before run().
@@ -164,7 +158,7 @@ class MultiHopNetwork : private PacketHandler {
   std::vector<std::unique_ptr<Receiver>> receivers_;
 
   std::unique_ptr<PacketFilter> forward_filter_;
-  StepMonitorFn step_monitor_;
+  fluid::StepMonitor step_monitor_;
   bool monitor_stopped_ = false;
 
   std::unique_ptr<fluid::Trace> trace_;

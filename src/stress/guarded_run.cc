@@ -34,7 +34,7 @@ namespace {
 /// monitor also narrates itself into the flight recorder: a sampled kCheck
 /// on the run lane (a = aggregate window) and a kTrip on the offending
 /// sender's lane (a = offending value, b = FaultKind) the moment it fires.
-engine::StepMonitor make_guard_monitor(FaultReport& fault,
+fluid::StepMonitor make_guard_monitor(FaultReport& fault,
                                        const GuardConfig& config,
                                        double capacity,
                                        recorder::Recorder* sink) {

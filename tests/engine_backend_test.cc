@@ -16,6 +16,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "cc/aimd.h"
@@ -528,6 +529,43 @@ TEST(ScenarioValidation, RejectsNonPositiveHorizonsOnBothBackends) {
     }
   }
   EXPECT_NO_THROW(validate_horizon(1));
+}
+
+TEST(ScenarioValidation, RejectsBadWindowBoundsAndTrackingOnBothBackends) {
+  // The fluid model clamps windows to [min, max] and requires 0 < min < max;
+  // a spec outside that is a typed error before any step, on either
+  // backend, not a contract violation inside the fluid simulation.
+  const cc::Aimd aimd(1.0, 0.5);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<double, double>> bad{
+      {0.0, 1e9}, {5.0, 5.0}, {-1.0, 10.0}, {inf, inf}, {nan, 10.0},
+      {1.0, nan}, {10.0, 2.0}};
+  for (const auto& [min_w, max_w] : bad) {
+    ScenarioSpec spec = small_spec(60);
+    spec.min_window_mss = min_w;
+    spec.max_window_mss = max_w;
+    spec.add_sender(aimd, 1.0);
+    EXPECT_THROW(validate_window_bounds(min_w, max_w), ScenarioError)
+        << min_w << " " << max_w;
+    for (const BackendKind kind : {BackendKind::kFluid, BackendKind::kPacket}) {
+      EXPECT_THROW((void)backend_for(kind).run(spec), ScenarioError)
+          << min_w << " " << max_w << " " << backend_name(kind);
+    }
+  }
+  EXPECT_NO_THROW(validate_window_bounds(1e-3, 2e-3));
+
+  ScenarioSpec untracked = small_spec(60);
+  untracked.trace_detail = fluid::TraceDetail::kAggregate;
+  untracked.tracked_senders = 0;
+  untracked.add_senders(aimd, 3, 1.0);
+  for (const BackendKind kind : {BackendKind::kFluid, BackendKind::kPacket}) {
+    EXPECT_THROW((void)backend_for(kind).run(untracked), ScenarioError)
+        << backend_name(kind);
+  }
+  // Only an aggregate trace tracks senders.
+  untracked.trace_detail = fluid::TraceDetail::kFull;
+  EXPECT_NO_THROW(validate_scenario(untracked));
 }
 
 TEST(ScenarioValidation, PacketBackendRejectsAHorizonPastItsClock) {

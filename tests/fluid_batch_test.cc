@@ -1,13 +1,13 @@
 // fluid_batch_test.cc — the cohort tick loop against the reference oracle.
 //
 // The contract under test (src/cc/batch.h, src/fluid/sim.h): for every
-// protocol family, at any population size, across churn, injected loss,
-// unsynchronized update periods, and any shard count, FluidSimulation —
-// SoA kernels, per-member fallback dispatch, uniform representatives —
-// produces a byte-identical Trace to the plain per-sender loop in
-// tests/fluid_reference.h. Every configuration also runs with a
-// pass-through step monitor, which forces the cohort loop and stores every
-// member: without it FluidSimulation picks its own loop and cohort width.
+// protocol family, at any population size, across churn and injected loss,
+// FluidSimulation — SoA kernels, per-member fallback dispatch, uniform
+// representatives — produces a byte-identical Trace to the plain
+// per-sender loop in tests/fluid_reference.h. Every configuration also runs
+// with a pass-through step monitor, which forces the cohort loop and stores
+// every member: without it FluidSimulation picks its own loop and cohort
+// width.
 #include <cstring>
 #include <memory>
 #include <string>
@@ -59,9 +59,6 @@ struct RunConfig {
   long steps = 120;
   bool churn = false;          ///< splits the population into join/leave cohorts
   bool injected_loss = false;  ///< Bernoulli episodes (stateful injector)
-  long update_period = 1;
-  long update_phase = 0;
-  long jobs = 1;
   TraceDetail detail = TraceDetail::kFull;
   int tracked = 4;
   double mbps = 24.0;  ///< link bandwidth; buffer and RTT stay fixed
@@ -105,14 +102,12 @@ Trace run_config(const cc::Protocol& prototype, const RunConfig& cfg,
   options.steps = cfg.steps;
   options.trace_detail = cfg.detail;
   options.tracked_senders = cfg.tracked;
-  options.jobs = cfg.jobs;
 
   std::vector<ReferenceGroup> groups;
   const auto cohort = [&](long count, double initial, long start, long stop) {
     if (count <= 0) return;
-    groups.push_back({SenderSpec{prototype.clone(), initial, cfg.update_period,
-                                 cfg.update_phase, start, stop},
-                      count});
+    groups.push_back(
+        {SenderSpec{prototype.clone(), initial, start, stop}, count});
   };
   if (cfg.spread) {
     for (int i = 0; i < cfg.n; ++i) cohort(1, 1.0 + 37.5 * i, 0, -1);
@@ -125,8 +120,8 @@ Trace run_config(const cc::Protocol& prototype, const RunConfig& cfg,
     cohort(cfg.n, 2.0, 0, -1);
   }
   if (cfg.partner != nullptr) {
-    groups.push_back({SenderSpec{cfg.partner->clone(), 1.0, 1, 0,
-                                 cfg.partner_start, cfg.partner_stop},
+    groups.push_back({SenderSpec{cfg.partner->clone(), 1.0, cfg.partner_start,
+                                 cfg.partner_stop},
                       1});
   }
   std::unique_ptr<fluid::LossInjector> injector;
@@ -242,21 +237,6 @@ TEST_P(EveryFamily, ChurnAndInjectedLoss) {
   expect_matches_reference(*prototype, both);
 }
 
-TEST_P(EveryFamily, UnsynchronizedUpdates) {
-  const auto prototype = cc::make_protocol(GetParam());
-  RunConfig cfg;
-  cfg.n = 7;
-  cfg.update_period = 3;
-  cfg.update_phase = 1;
-  expect_matches_reference(*prototype, cfg);
-
-  cfg.update_period = 5;
-  cfg.update_phase = 0;
-  cfg.churn = true;
-  cfg.n = 12;
-  expect_matches_reference(*prototype, cfg);
-}
-
 TEST_P(EveryFamily, EvaluatorScenarioShapes) {
   // The fluid runs core::evaluate_protocol makes, every cohort one count-1
   // sender: the lone robustness / fast-utilization probe on the infinite
@@ -288,9 +268,8 @@ TEST_P(EveryFamily, EvaluatorScenarioShapes) {
 
 TEST_P(EveryFamily, NearEvaluatorScenarioShapes) {
   // Just outside those shapes, one condition broken at a time: a count-2
-  // cohort; an AIMD partner that joins late, or leaves early; a lone
-  // sender updating every third step; count-1 senders under a stateful
-  // injector; and three churned count-1 senders.
+  // cohort; an AIMD partner that joins late, or leaves early; count-1
+  // senders under a stateful injector; and three churned count-1 senders.
   const auto prototype = cc::make_protocol(GetParam());
   const auto aimd = cc::make_protocol("aimd(1,0.5)");
   const auto check = [&](const char* what, const RunConfig& cfg) {
@@ -309,11 +288,6 @@ TEST_P(EveryFamily, NearEvaluatorScenarioShapes) {
   leaves.partner_start = 0;
   leaves.partner_stop = 80;
   check("partner leaves early", leaves);
-  RunConfig unsync;
-  unsync.n = 1;
-  unsync.update_period = 3;
-  unsync.update_phase = 1;
-  check("lone sender updating every third step", unsync);
   RunConfig stateful;
   stateful.n = 3;
   stateful.spread = true;
@@ -323,21 +297,6 @@ TEST_P(EveryFamily, NearEvaluatorScenarioShapes) {
   churned.n = 3;
   churned.churn = true;
   check("churned count-1 senders", churned);
-}
-
-TEST_P(EveryFamily, ShardedJobsMatchSerial) {
-  const auto prototype = cc::make_protocol(GetParam());
-  RunConfig serial;
-  serial.n = 1000;
-  serial.steps = 40;
-  serial.jobs = 1;
-  RunConfig sharded = serial;
-  sharded.jobs = 4;
-  const Trace reference = run_config(*prototype, serial, Runner::kReference);
-  const Trace jobs1 = run_config(*prototype, serial, Runner::kSimulation);
-  const Trace jobs4 = run_config(*prototype, sharded, Runner::kSimulation);
-  expect_trace_identical(reference, jobs1);
-  expect_trace_identical(jobs1, jobs4);
 }
 
 TEST_P(EveryFamily, AggregateMatchesScalarAggregate) {
@@ -353,10 +312,9 @@ TEST_P(EveryFamily, AggregateMatchesScalarAggregate) {
 }
 
 TEST(FluidBatch, ShardedKernelCohortsMatchReference) {
-  // Large enough that materialized kernel cohorts split into several
-  // 16384-slot chunks on the pool (the family suite's n = 1000 stays on
-  // one chunk); churn puts chunk boundaries inside and across cohorts, and
-  // per-sender injected loss makes members (and kernel state) diverge.
+  // Population scale for materialized kernel cohorts: three churn cohorts
+  // of ~33k members each, and per-sender injected loss makes members (and
+  // kernel state) diverge.
   const cc::SlowStartWrapper slow_start(std::make_unique<cc::Aimd>(1.0, 0.5),
                                         48.0);
   const auto aimd = cc::make_protocol("aimd(1,0.5)");
@@ -365,12 +323,11 @@ TEST(FluidBatch, ShardedKernelCohortsMatchReference) {
       aimd.get(), highspeed.get(), &slow_start};
   for (const cc::Protocol* prototype : prototypes) {
     RunConfig cfg;
-    cfg.n = 3 * 2 * 16384 + 7;  // every churn cohort spans 2+ chunks
+    cfg.n = 3 * 2 * 16384 + 7;
     cfg.steps = 40;
     cfg.churn = true;
     cfg.injected_loss = true;
     cfg.detail = TraceDetail::kAggregate;
-    cfg.jobs = 4;
     cfg.mbps = 24.0 * 2000.0;  // ~1 MSS of capacity per sender: slow
                                // start lasts past the first steps
     expect_matches_reference(*prototype, cfg);
@@ -387,16 +344,15 @@ TEST(FluidBatch, UniformFoldMatchesReferenceAtScale) {
   options.steps = 40;
   options.trace_detail = TraceDetail::kAggregate;
   options.tracked_senders = 6;
-  options.jobs = 2;
   const LinkParams link = test_link(24.0 * 6000.0);
   const auto aimd = cc::make_protocol("aimd(1,0.5)");
   const auto cubic = cc::make_protocol("cubic(0.4,0.8)");
   const auto bin = cc::make_protocol("bin(1,1,1,0.5)");
   const auto groups = [&] {
     std::vector<ReferenceGroup> g;
-    g.push_back({SenderSpec{aimd->clone(), 2.0, 1, 0, 0, -1}, 90001});
-    g.push_back({SenderSpec{cubic->clone(), 5.0, 1, 0, 12, -1}, 60000});
-    g.push_back({SenderSpec{bin->clone(), 1.5, 1, 0, 0, 25}, 49999});
+    g.push_back({SenderSpec{aimd->clone(), 2.0, 0, -1}, 90001});
+    g.push_back({SenderSpec{cubic->clone(), 5.0, 12, -1}, 60000});
+    g.push_back({SenderSpec{bin->clone(), 1.5, 0, 25}, 49999});
     return g;
   };
   const Trace reference = fluid::run_reference(link, options, groups());
@@ -431,11 +387,6 @@ TEST(FluidBatch, SlowStartWrapperBatches) {
   churned.churn = true;
   churned.injected_loss = true;
   expect_matches_reference(prototype, churned);
-  RunConfig unsync;
-  unsync.n = 9;
-  unsync.update_period = 2;
-  unsync.update_phase = 1;
-  expect_matches_reference(prototype, unsync);
 }
 
 TEST(FluidBatch, SlowStartOverStatefulInnerStaysScalar) {
@@ -458,7 +409,7 @@ TEST(FluidBatch, MixedCohortsKernelAndFallback) {
     std::vector<ReferenceGroup> g;
     g.push_back({SenderSpec{aimd->clone(), 2.0}, 20});
     g.push_back({SenderSpec{cubic->clone(), 2.0}, 20});
-    g.push_back({SenderSpec{aimd->clone(), 1.0, 1, 0, 25, 75}, 10});
+    g.push_back({SenderSpec{aimd->clone(), 1.0, 25, 75}, 10});
     return g;
   };
   FluidSimulation sim(test_link(), options);

@@ -10,6 +10,7 @@
 #include <memory>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "fluid/sim.h"
 
@@ -25,6 +26,31 @@ namespace axiomcc::fluid {
 namespace {
 
 LinkParams small_link() { return make_link_mbps(20.0, 40.0, 20.0); }
+
+/// The k-bottleneck parking lot, built flow by flow: flow 0 crosses links
+/// 0..k−1, then one cross flow per link; every flow a clone of `prototype`
+/// starting from window 1 (engine::apply_parking_lot's order).
+struct ParkingLot {
+  FluidNetwork network;
+  int long_flow = 0;
+  std::vector<int> short_flows;
+};
+
+ParkingLot make_parking_lot(const LinkParams& per_link, int bottlenecks,
+                            const cc::Protocol& prototype,
+                            const NetworkOptions& options) {
+  ParkingLot lot{FluidNetwork(options), 0, {}};
+  std::vector<int> long_route;
+  for (int i = 0; i < bottlenecks; ++i) {
+    long_route.push_back(lot.network.add_link(per_link));
+  }
+  lot.long_flow = lot.network.add_flow(prototype.clone(), long_route, 1.0);
+  for (const int link : long_route) {
+    lot.short_flows.push_back(
+        lot.network.add_flow(prototype.clone(), {link}, 1.0));
+  }
+  return lot;
+}
 
 TEST(FluidNetwork, SingleLinkMatchesSingleLinkModel) {
   // A 1-link network must reproduce FluidSimulation's dynamics.

@@ -1,8 +1,7 @@
 // Flight-recorder equivalence tests for the fluid engine's cohort tick
 // loop. The determinism contract the trace tests pin extends to
-// recordings: the same scenario yields byte-identical JSONL at any --jobs,
-// and the materialized and uniform cohort layouts differ only in the
-// kCohort execution-mode metadata the aligner masks by default.
+// recordings: the materialized and uniform cohort layouts differ only in
+// the kCohort execution-mode metadata the aligner masks by default.
 #include "fluid/sim.h"
 
 #include <memory>
@@ -30,14 +29,13 @@ using recorder::Recording;
 /// `materialized` installs a pass-through step monitor, which makes the
 /// simulation store every member even where uniform representatives would
 /// do.
-Recording record_scenario(bool materialized, long jobs, TraceDetail detail,
+Recording record_scenario(bool materialized, TraceDetail detail,
                           recorder::RecordOptions ropts) {
   ropts.enabled = true;
   recorder::Recorder sink(ropts);
 
   SimOptions options;
   options.steps = 96;
-  options.jobs = jobs;
   options.trace_detail = detail;
   options.record_sink = &sink;
   FluidSimulation sim(make_link_mbps(24.0, 40.0, 30.0), options);
@@ -70,23 +68,13 @@ bool has_code(const Recording& rec, EventCode code) {
   return false;
 }
 
-TEST(FluidRecord, BatchRecordingBytesIdenticalAcrossJobs) {
-  for (const TraceDetail detail :
-       {TraceDetail::kFull, TraceDetail::kAggregate}) {
-    const Recording serial = record_scenario(true, /*jobs=*/1, detail, {});
-    const Recording sharded = record_scenario(true, /*jobs=*/4, detail, {});
-    ASSERT_FALSE(serial.empty());
-    EXPECT_EQ(recording_to_jsonl(serial), recording_to_jsonl(sharded));
-  }
-}
-
 TEST(FluidRecord, MaterializedAndUniformRecordIdenticallyModuloCohortMetadata) {
   // With the execution-mode class captured, each layout stamps its own
   // setup events: kernel cohorts when materialized, uniform otherwise...
   const Recording materialized =
-      record_scenario(true, 1, TraceDetail::kAggregate, {});
+      record_scenario(true, TraceDetail::kAggregate, {});
   const Recording uniform =
-      record_scenario(false, 2, TraceDetail::kAggregate, {});
+      record_scenario(false, TraceDetail::kAggregate, {});
   EXPECT_TRUE(has_code(materialized, EventCode::kKernel));
   EXPECT_FALSE(has_code(materialized, EventCode::kFallback))
       << "aimd has a batch kernel";
@@ -105,9 +93,9 @@ TEST(FluidRecord, MaterializedAndUniformRecordIdenticallyModuloCohortMetadata) {
   recorder::RecordOptions masked;
   masked.classes = recorder::kAllClasses & ~class_bit(EventClass::kCohort);
   const Recording materialized_masked =
-      record_scenario(true, 1, TraceDetail::kAggregate, masked);
+      record_scenario(true, TraceDetail::kAggregate, masked);
   const Recording uniform_masked =
-      record_scenario(false, 4, TraceDetail::kAggregate, masked);
+      record_scenario(false, TraceDetail::kAggregate, masked);
   ASSERT_FALSE(materialized_masked.empty());
   EXPECT_EQ(recording_to_jsonl(materialized_masked),
             recording_to_jsonl(uniform_masked));
@@ -119,7 +107,7 @@ TEST(FluidRecord, AggregateModeKeepsLanesBoundedAcrossLayouts) {
   // every sender.
   for (const bool materialized : {true, false}) {
     for (const auto& e :
-         record_scenario(materialized, 1, TraceDetail::kAggregate, {})
+         record_scenario(materialized, TraceDetail::kAggregate, {})
              .events) {
       EXPECT_NE(e.subject_kind, recorder::Subject::kSender)
           << "aggregate mode must not materialize per-sender lanes";
@@ -127,15 +115,14 @@ TEST(FluidRecord, AggregateModeKeepsLanesBoundedAcrossLayouts) {
   }
   bool sender_lane = false;
   for (const auto& e :
-       record_scenario(false, 1, TraceDetail::kFull, {}).events) {
+       record_scenario(false, TraceDetail::kFull, {}).events) {
     sender_lane |= e.subject_kind == recorder::Subject::kSender;
   }
   EXPECT_TRUE(sender_lane);
 }
 
 TEST(FluidRecord, ChurnScheduleAndLossTransitionsLandAtTheirSteps) {
-  const Recording rec =
-      record_scenario(false, 1, TraceDetail::kFull, {});
+  const Recording rec = record_scenario(false, TraceDetail::kFull, {});
   EXPECT_EQ(rec.backend, "fluid");
   EXPECT_EQ(rec.senders, 32);
   EXPECT_EQ(rec.steps, 96);

@@ -41,10 +41,6 @@ Trace run_reference(const LinkParams& link_params, const SimOptions& options,
   }
   std::vector<double> observed(specs.size());
   std::vector<double> next(specs.size());
-  // Per-sender aggregation between (possibly unsynchronized) update steps.
-  std::vector<double> pending_max_loss(specs.size(), 0.0);
-  std::vector<double> pending_rtt_sum(specs.size(), 0.0);
-  std::vector<long> pending_steps(specs.size(), 0);
 
   for (long step = 0; step < options.steps; ++step) {
     // Churn: joiners restart from their initial window; leavers drop to 0.
@@ -73,28 +69,10 @@ Trace run_reference(const LinkParams& link_params, const SimOptions& options,
     trace.add_step(windows, rtt, congestion_loss, observed);
 
     for (int i = 0; i < n; ++i) {
-      const SenderSpec& spec = *specs[i];
-      if (!active_at(spec, step)) {
-        next[i] = 0.0;
-        pending_max_loss[i] = 0.0;
-        pending_rtt_sum[i] = 0.0;
-        pending_steps[i] = 0;
-        continue;
-      }
-      pending_max_loss[i] = std::max(pending_max_loss[i], observed[i]);
-      pending_rtt_sum[i] += rtt;
-      ++pending_steps[i];
-      if (step % spec.update_period != spec.update_phase) {
-        next[i] = windows[i];  // hold between updates
-        continue;
-      }
-      const cc::Observation obs{
-          windows[i], pending_max_loss[i],
-          pending_rtt_sum[i] / static_cast<double>(pending_steps[i])};
-      next[i] = clamp_window(protocols[i]->next_window(obs));
-      pending_max_loss[i] = 0.0;
-      pending_rtt_sum[i] = 0.0;
-      pending_steps[i] = 0;
+      next[i] = active_at(*specs[i], step)
+                    ? clamp_window(protocols[i]->next_window(
+                          {windows[i], observed[i], rtt}))
+                    : 0.0;
     }
     windows.swap(next);
   }

@@ -2,10 +2,9 @@
 // oracle for fluid::FluidSimulation.
 //
 // One virtual Protocol::next_window call per sender per step, every sender
-// materialized, no cohorts, kernels, sharding, recorder, scope or
-// telemetry: the paper's Section 2 model written as directly as possible.
-// FluidSimulation must reproduce its traces byte for byte at every cohort
-// width and job count.
+// materialized, no cohorts, kernels, recorder, scope or telemetry: the
+// paper's Section 2 model written as directly as possible. FluidSimulation
+// must reproduce its traces byte for byte at every cohort width.
 #pragma once
 
 #include <vector>

@@ -186,6 +186,17 @@ TEST(FuzzScenarioText, BadAxisValuesRejected) {
                std::invalid_argument);
 }
 
+TEST(FuzzScenarioText, WindowBoundsOutsideTheFluidModelRejected) {
+  // The reader applies the engine's rule: a finite floor above 0 and a cap
+  // above the floor.
+  const std::string base = "axiomcc-scenario v2\nsender 1 0 -1 reno\n";
+  EXPECT_THROW(parse_scenario(base + "window 0 1e+09\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_scenario(base + "window 5 5\n"), std::invalid_argument);
+  EXPECT_THROW(parse_scenario(base + "window 10 2\n"), std::invalid_argument);
+  EXPECT_NO_THROW(parse_scenario(base + "window 0.5 5\n"));
+}
+
 TEST(FuzzScenarioText, TopologyAndWorkloadAxesRoundTripByteIdentical) {
   // Default: no topology/workload directives, so pre-axis corpus files keep
   // round-tripping byte-identically.

@@ -189,8 +189,8 @@ TEST(MetricScope, CountedObserveMatchesRepeatedObserveBitwise) {
 /// mid-run bandwidth drop) and returns the scope series. `materialized`
 /// installs a pass-through step monitor, which makes the simulation store
 /// every member even where uniform representatives would do.
-ScopeSeries fluid_series(bool materialized, long jobs,
-                         fluid::TraceDetail detail, long window_steps) {
+ScopeSeries fluid_series(bool materialized, fluid::TraceDetail detail,
+                         long window_steps) {
   ScopeConfig config;
   config.enabled = true;
   config.window_steps = window_steps;
@@ -198,7 +198,6 @@ ScopeSeries fluid_series(bool materialized, long jobs,
 
   fluid::SimOptions options;
   options.steps = 96;
-  options.jobs = jobs;
   options.trace_detail = detail;
   options.scope_sink = &scope;
   fluid::FluidSimulation sim(fluid::make_link_mbps(24.0, 40.0, 30.0),
@@ -228,9 +227,9 @@ TEST(ScopeDeterminism, FullAndAggregateDetailSeriesAreByteIdentical) {
   // member stored) and an aggregate run (uniform representatives) observe
   // the same bits.
   const auto full =
-      fluid_series(false, 1, fluid::TraceDetail::kFull, /*window=*/16);
+      fluid_series(false, fluid::TraceDetail::kFull, /*window=*/16);
   const auto aggregate =
-      fluid_series(false, 1, fluid::TraceDetail::kAggregate, /*window=*/16);
+      fluid_series(false, fluid::TraceDetail::kAggregate, /*window=*/16);
   EXPECT_EQ(series_bits(full), series_bits(aggregate));
 }
 
@@ -240,22 +239,10 @@ TEST(ScopeDeterminism, UniformCohortPathIsByteIdentical) {
   // as repeated adds), the monitored run materializes every member. Same
   // bits either way.
   const auto materialized =
-      fluid_series(true, 1, fluid::TraceDetail::kAggregate, /*window=*/16);
+      fluid_series(true, fluid::TraceDetail::kAggregate, /*window=*/16);
   const auto uniform =
-      fluid_series(false, 4, fluid::TraceDetail::kAggregate, /*window=*/16);
+      fluid_series(false, fluid::TraceDetail::kAggregate, /*window=*/16);
   EXPECT_EQ(series_bits(materialized), series_bits(uniform));
-}
-
-TEST(ScopeDeterminism, SeriesIsByteIdenticalAcrossJobCounts) {
-  for (const bool materialized : {true, false}) {
-    const auto jobs1 = fluid_series(materialized, 1,
-                                    fluid::TraceDetail::kAggregate,
-                                    /*window=*/0);
-    const auto jobs4 = fluid_series(materialized, 4,
-                                    fluid::TraceDetail::kAggregate,
-                                    /*window=*/0);
-    EXPECT_EQ(series_bits(jobs1), series_bits(jobs4)) << materialized;
-  }
 }
 
 TEST(ScopeTopology, FluidNetworkFillsPerLinkAndPerFlowChannels) {

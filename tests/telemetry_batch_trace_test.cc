@@ -1,19 +1,14 @@
-// Chrome-trace export round-trip and snapshot identity for the fluid tick
+// Chrome-trace export round-trip and tick counters for the fluid tick
 // loop's telemetry. Three contracts:
 //
-//  * spans recorded while a materialized kernel cohort fans out over the
-//    task pool survive a write_chrome_trace -> parse_chrome_trace round
-//    trip exactly (category, name, thread, timing — the inspect/triage
-//    workflow reads traces back from disk);
-//  * the counter snapshot of a run is byte-identical at --jobs=1 and
-//    --jobs=4 — the telemetry face of the determinism contract the
-//    trace-level tests already pin;
+//  * spans recorded while a materialized kernel cohort runs survive a
+//    write_chrome_trace -> parse_chrome_trace round trip exactly
+//    (category, name, thread, timing — the inspect/triage workflow reads
+//    traces back from disk);
+//  * the counter snapshot of a materialized run counts every tick;
 //  * a lone constant-loss probe (the robustness search's run) counts
 //    every tick and injected-loss sample, and its trace is byte-identical
 //    with telemetry on and off.
-//
-// The name contains "telemetry" so the TSan CI preset picks it up: the
-// jobs=4 runs exercise the tracer's per-thread rings under real fan-out.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -45,14 +40,12 @@ class EnabledScope {
   bool was_;
 };
 
-/// Runs a materialized kernel cohort large enough to shard (two 16384-slot
-/// chunks and more) at the given fan-out width. The pass-through step
+/// Runs a 40000-member materialized kernel cohort. The pass-through step
 /// monitor keeps every member stored; the aggregate trace keeps memory
 /// small.
-fluid::Trace run_materialized_sim(long jobs) {
+fluid::Trace run_materialized_sim() {
   fluid::SimOptions options;
   options.steps = 200;
-  options.jobs = jobs;
   options.trace_detail = fluid::TraceDetail::kAggregate;
   fluid::FluidSimulation sim(fluid::make_link_mbps(30.0, 42.0, 100.0),
                              options);
@@ -76,7 +69,7 @@ TEST(TelemetryBatchTrace, ChromeTraceRoundTripsBatchTickLoopSpans) {
   EnabledScope scope;
   Tracer::global().reset();
 
-  const fluid::Trace trace = run_materialized_sim(4);
+  const fluid::Trace trace = run_materialized_sim();
   ASSERT_EQ(trace.num_steps(), 200);
 
   const std::vector<SpanEvent> recorded = Tracer::global().collect();
@@ -104,35 +97,14 @@ TEST(TelemetryBatchTrace, ChromeTraceRoundTripsBatchTickLoopSpans) {
   std::remove(path.c_str());
 }
 
-TEST(TelemetryBatchTrace, TickLoopSpanSetIdenticalAcrossJobs) {
-  EnabledScope scope;
-
-  Tracer::global().reset();
-  (void)run_materialized_sim(1);
-  const auto serial = span_names(Tracer::global().collect());
-
-  Tracer::global().reset();
-  (void)run_materialized_sim(4);
-  const auto parallel = span_names(Tracer::global().collect());
-
-  // Span timing is scheduling-dependent; the set of (category, name) pairs
-  // the run emits is not allowed to be.
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(TelemetryBatchTrace, DeterministicSnapshotIdenticalAcrossJobs) {
+TEST(TelemetryBatchTrace, MaterializedRunSnapshotCountsEveryTick) {
   EnabledScope scope;
 
   Registry::global().reset_values();
-  (void)run_materialized_sim(1);
-  const std::string serial = Registry::global().snapshot().to_json();
-
-  Registry::global().reset_values();
-  (void)run_materialized_sim(4);
-  const std::string parallel = Registry::global().snapshot().to_json();
-
-  EXPECT_EQ(serial, parallel);
-  EXPECT_NE(serial.find("fluid.ticks"), std::string::npos) << serial;
+  (void)run_materialized_sim();
+  EXPECT_EQ(Registry::global().counter("fluid.ticks").value(), 200);
+  const std::string snapshot = Registry::global().snapshot().to_json();
+  EXPECT_NE(snapshot.find("fluid.ticks"), std::string::npos) << snapshot;
 }
 
 /// A lone sender on core::evaluate_protocol's fluid infinite link under
