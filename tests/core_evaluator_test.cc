@@ -225,14 +225,15 @@ const double kNaN = std::numeric_limits<double>::quiet_NaN();
 INSTANTIATE_TEST_SUITE_P(
     EveryField, EvalConfigValidate,
     ::testing::Values(
-        BadField{"link", "link",
+        BadField{"link_zero_bandwidth", "link",
                  [](EvalConfig& c) {
                    c.link.bandwidth = Bandwidth::from_mss_per_sec(0.0);
                  }},
-        BadField{"num_senders", "num_senders",
+        BadField{"num_senders_zero", "num_senders",
                  [](EvalConfig& c) { c.num_senders = 0; }},
-        BadField{"steps", "steps", [](EvalConfig& c) { c.steps = 0; }},
-        BadField{"tail_fraction", "tail_fraction",
+        BadField{"steps_zero_length", "steps",
+                 [](EvalConfig& c) { c.steps = 0; }},
+        BadField{"tail_fraction_one", "tail_fraction",
                  [](EvalConfig& c) { c.tail_fraction = 1.0; }},
         BadField{"fast_utilization_steps", "fast_utilization_steps",
                  [](EvalConfig& c) { c.fast_utilization_steps = 0; }},
@@ -263,7 +264,7 @@ INSTANTIATE_TEST_SUITE_P(
                  [](EvalConfig& c) { c.num_protocol_senders = 0; }},
         BadField{"num_reno_senders", "num_reno_senders",
                  [](EvalConfig& c) { c.num_reno_senders = 0; }},
-        BadField{"backend", "backend",
+        BadField{"backend_out_of_range", "backend",
                  [](EvalConfig& c) {
                    c.backend = static_cast<engine::BackendKind>(7);
                  }},
