@@ -26,7 +26,6 @@
 // length is the smallest route RTT; cohort slots run as independent flows in
 // the fluid backend's flow-id order.
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <span>
@@ -164,7 +163,8 @@ RunTrace PacketBackend::run(const ScenarioSpec& spec) const {
   // link 0. The scope and recorder classes are its sender slots (cohorts),
   // mirroring FluidSimulation's group order; a routed spec runs one flow per
   // cohort member, so its classes are the flattened flows, mirroring
-  // FluidNetwork. Member j of class g is flow begin(g) + j either way.
+  // FluidSimulation's routed loop. Member j of class g is flow begin(g) + j
+  // either way.
   const bool routed = !spec.topology.empty();
   const TopologySpec topology =
       routed ? spec.topology : dumbbell_topology(spec.link);
@@ -285,9 +285,9 @@ RunTrace PacketBackend::run(const ScenarioSpec& spec) const {
     std::vector<fluid::StepRecorder::Cohort> lanes;
     long begin = 0;
     for (const SenderSlot& slot : classes) {
-      lanes.push_back({std::lround(slot.start_step),
-                       slot.stop_step < 0.0 ? -1 : std::lround(slot.stop_step),
-                       slot.count, begin});
+      const WholeSteps window = whole_steps(slot);
+      lanes.push_back(
+          {window.start_step, window.stop_step, slot.count, begin});
       begin += slot.count;
     }
     fluid::StepRecorder srec(

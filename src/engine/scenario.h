@@ -14,6 +14,7 @@
 // `.scn` text format (src/fuzz/scenario_text.h) reads and writes.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -137,13 +138,27 @@ struct SenderSlot {
   std::string protocol;
 };
 
+/// A slot's activity window on the whole-step grid: fractional steps round
+/// to the nearest step, and a negative stop stays -1 ("forever"). The fluid
+/// backend runs these steps, the packet backend's recorder lanes mark them,
+/// and engine::validate_scenario requires at least one of them.
+struct WholeSteps {
+  long start_step = 0;
+  long stop_step = -1;
+};
+
+[[nodiscard]] inline WholeSteps whole_steps(const SenderSlot& slot) {
+  return {std::lround(slot.start_step),
+          slot.stop_step < 0.0 ? -1 : std::lround(slot.stop_step)};
+}
+
 /// Everything a backend needs to execute one run.
 struct ScenarioSpec {
   fluid::LinkParams link = fluid::make_link_mbps(30.0, 42.0, 100.0);
   /// Multi-bottleneck topology (empty = single-link mode over `link`). When
   /// non-empty, `link` is ignored and every sender slot must carry a route
   /// over `topology.links`; both backends execute the routed network
-  /// (fluid::FluidNetwork / sim::MultiHopNetwork).
+  /// (fluid::FluidSimulation's routed loop / sim::MultiHopNetwork).
   TopologySpec topology;
   /// Workload generator applied to the sender slots before the backend runs
   /// them (kNone = slots run verbatim). Seeded from `seed`; see

@@ -88,7 +88,7 @@ void validate_scenario(const ScenarioSpec& spec) {
         !(std::isfinite(slot.start_step) && slot.start_step >= 0.0 &&
           std::isfinite(slot.stop_step) &&
           (slot.stop_step < 0.0 ||
-           std::lround(slot.stop_step) > std::lround(slot.start_step)))) {
+           whole_steps(slot).stop_step > whole_steps(slot).start_step))) {
       throw ScenarioError(label + " activity window [" +
                           std::to_string(slot.start_step) + ", " +
                           std::to_string(slot.stop_step) +

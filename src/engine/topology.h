@@ -1,8 +1,9 @@
 // topology.h — multi-bottleneck topology builders and route validation.
 //
 // A ScenarioSpec with a non-empty TopologySpec runs on the routed network
-// substrates (fluid::FluidNetwork / sim::MultiHopNetwork) instead of the
-// single shared link. This header provides the standard shapes:
+// substrates (fluid::FluidSimulation's routed loop /
+// sim::MultiHopNetwork) instead of the single shared link. This header
+// provides the standard shapes:
 //
 //   * dumbbell_topology  — the degenerate one-link network (every flow
 //     routed over link 0); the packet backend runs every single-link spec

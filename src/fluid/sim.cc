@@ -98,7 +98,14 @@ struct LoopTelemetry {
 }  // namespace
 
 FluidSimulation::FluidSimulation(const LinkParams& link, SimOptions options)
-    : link_(link), options_(options), injector_(std::make_unique<NoLoss>()) {
+    : FluidSimulation(std::vector<LinkParams>{link}, options) {}
+
+FluidSimulation::FluidSimulation(const std::vector<LinkParams>& links,
+                                 SimOptions options)
+    : links_(links.begin(), links.end()),
+      options_(options),
+      injector_(std::make_unique<NoLoss>()) {
+  AXIOMCC_EXPECTS_MSG(!links.empty(), "a run needs at least one link");
   AXIOMCC_EXPECTS(options.steps > 0);
   AXIOMCC_EXPECTS(options.min_window_mss > 0.0);
   AXIOMCC_EXPECTS(options.max_window_mss > options.min_window_mss);
@@ -125,6 +132,17 @@ void FluidSimulation::add_senders(SenderSpec spec, long count) {
   AXIOMCC_EXPECTS_MSG(
       total_senders_ + count <= std::numeric_limits<int>::max(),
       "sender population exceeds the index space");
+  AXIOMCC_EXPECTS_MSG(groups_.empty() || spec.route.empty() ==
+                                             groups_.front().spec.route.empty(),
+                      "a run has routes on every sender or on none");
+  AXIOMCC_EXPECTS_MSG(!spec.route.empty() || links_.size() == 1,
+                      "a sender on a multi-link run needs a route");
+  for (auto l = spec.route.begin(); l != spec.route.end(); ++l) {
+    AXIOMCC_EXPECTS_MSG(*l >= 0 && static_cast<std::size_t>(*l) < links_.size(),
+                        "route names an unknown link id");
+    AXIOMCC_EXPECTS_MSG(std::find(spec.route.begin(), l, *l) == l,
+                        "a route may cross each link once");
+  }
   groups_.push_back(SenderGroup{std::move(spec), count});
   total_senders_ += count;
 }
@@ -157,25 +175,38 @@ Trace FluidSimulation::run() {
   AXIOMCC_EXPECTS_MSG(!ran_, "FluidSimulation::run may be called only once");
   ran_ = true;
   TELEMETRY_SPAN("fluid", "sim.run");
-  // The scope observes each step in ascending (cohort, member) order — the
-  // same fold order at either cohort width. resolve() only adopts fields
-  // the caller left unset, so an engine-layer resolve (which knows the tail
+  const bool routed = !groups_.front().spec.route.empty();
+  // Trace geometry: the smallest link capacity on any route and the
+  // smallest route RTT (a single-link run's one route is the link itself).
+  static constexpr int kOnlyLink[] = {0};
+  for (const SenderGroup& g : groups_) {
+    double route_rtt = 0.0;
+    for (const int l : routed ? std::span<const int>(g.spec.route)
+                              : std::span<const int>(kOnlyLink)) {
+      capacity_mss_ = std::min(capacity_mss_, links_[l].capacity_mss());
+      route_rtt += links_[l].min_rtt().value();
+    }
+    min_rtt_seconds_ = std::min(min_rtt_seconds_, route_rtt);
+  }
+  // The scope's classes are the sender groups, or the flows of a routed
+  // run, which also feeds it every link. resolve() only adopts fields the
+  // caller left unset, so an engine-layer resolve (which knows the tail
   // fraction) wins.
   if (options_.scope_sink != nullptr) {
-    options_.scope_sink->resolve(options_.steps, 0.0, link_.capacity_mss(),
-                                 link_.min_rtt().value(),
-                                 options_.max_window_mss);
-    options_.scope_sink->begin_run(static_cast<int>(groups_.size()),
-                                   /*num_links=*/0);
+    options_.scope_sink->resolve(options_.steps, 0.0, capacity_mss_,
+                                 min_rtt_seconds_, options_.max_window_mss);
+    options_.scope_sink->begin_run(
+        routed ? num_senders() : static_cast<int>(groups_.size()),
+        routed ? static_cast<int>(links_.size()) : 0);
   }
   // The scalar loop's shape (see the comment at the top of sim.h).
   const bool scalar =
-      !step_monitor_ && options_.scope_sink == nullptr &&
+      !routed && !step_monitor_ && options_.scope_sink == nullptr &&
       options_.record_sink == nullptr && injector_->stateless() &&
       std::all_of(groups_.begin(), groups_.end(), [](const SenderGroup& g) {
         return g.count == 1 && g.spec.start_step == 0 && g.spec.stop_step < 0;
       });
-  Trace trace = scalar ? scalar_loop() : tick_loop();
+  Trace trace = routed ? routed_loop() : scalar ? scalar_loop() : tick_loop();
   if (options_.scope_sink != nullptr) options_.scope_sink->finish();
   return trace;
 }
@@ -183,7 +214,7 @@ Trace FluidSimulation::run() {
 Trace FluidSimulation::new_trace() const {
   const int n = num_senders();
   const TraceDetail detail = options_.trace_detail;
-  Trace trace(n, link_.capacity_mss(), link_.min_rtt().value(), detail,
+  Trace trace(n, capacity_mss_, min_rtt_seconds_, detail,
               detail == TraceDetail::kAggregate
                   ? default_tracked_senders(n, options_.tracked_senders)
                   : std::vector<int>{});
@@ -209,7 +240,7 @@ Trace FluidSimulation::scalar_loop() {
     windows[i] = std::clamp(groups_[i].spec.initial_window_mss, min_w, max_w);
   }
   LoopTelemetry tel;
-  detail::ScheduledLink sched({&link_, 1}, bandwidth_scale_, rtt_scale_);
+  detail::ScheduledLink sched(links_, bandwidth_scale_, rtt_scale_);
   for (long step = 0; step < options_.steps; ++step) {
     WindowFold fold;
     for (const double w : windows) fold.add(w, 1);
@@ -329,7 +360,7 @@ Trace FluidSimulation::tick_loop() {
   std::vector<double> tracked_obs(tracked_slots.size());
 
   LoopTelemetry tel;
-  detail::ScheduledLink sched({&link_, 1}, bandwidth_scale_, rtt_scale_);
+  detail::ScheduledLink sched(links_, bandwidth_scale_, rtt_scale_);
   StepRecorder srec(options_.record_sink, "fluid", std::move(lanes),
                     bandwidth_scale_, rtt_scale_, aggregate, num_senders());
   for (std::size_t ci = 0; ci < cohorts.size(); ++ci) {
@@ -448,6 +479,174 @@ Trace FluidSimulation::tick_loop() {
     }
   }
   tel.flush();
+  return trace;
+}
+
+Trace FluidSimulation::routed_loop() {
+  TELEMETRY_SPAN("fluid", "sim.routed_loop");
+  // One flow per cohort member, each with its own protocol; flow ids are
+  // sender ids (slot order, then member order).
+  struct Flow {
+    const SenderSpec* spec;
+    cc::Protocol* protocol;
+  };
+  std::vector<std::unique_ptr<cc::Protocol>> owned;
+  std::vector<Flow> flows;
+  for (const SenderGroup& group : groups_) {
+    for (long j = 0; j < group.count; ++j) {
+      cc::Protocol* protocol = group.spec.protocol.get();
+      if (group.count > 1) {
+        owned.push_back(protocol->clone());
+        protocol = owned.back().get();
+      }
+      flows.push_back({&group.spec, protocol});
+    }
+  }
+  const int nf = num_senders();
+  const int nl = static_cast<int>(links_.size());
+  const bool aggregate = options_.trace_detail == TraceDetail::kAggregate;
+  Trace trace = new_trace();
+
+  const auto clamp_window = [&](double w) {
+    return std::clamp(w, options_.min_window_mss, options_.max_window_mss);
+  };
+  const auto active_at = [](const Flow& f, long step) {
+    return step >= f.spec->start_step &&
+           (f.spec->stop_step < 0 || step < f.spec->stop_step);
+  };
+
+  std::vector<double> windows(nf);
+  for (int f = 0; f < nf; ++f) {
+    windows[f] = active_at(flows[f], 0)
+                     ? clamp_window(flows[f].spec->initial_window_mss)
+                     : 0.0;
+  }
+
+  std::vector<double> link_loss(nl, 0.0);
+  std::vector<double> arrivals(nl, 0.0);
+  std::vector<double> flow_loss(nf);
+  std::vector<double> observed_loss(nf);
+  std::vector<double> flow_rtt(nf);
+  std::vector<double> next_windows(nf);
+
+  detail::ScheduledLink sched(links_, bandwidth_scale_, rtt_scale_);
+  // Each flow is its own count-1 recorder lane, so lane ids are flow ids
+  // and the packet backend's routed recordings step-align.
+  std::vector<StepRecorder::Cohort> lanes;
+  for (int f = 0; f < nf; ++f) {
+    const SenderSpec& spec = *flows[f].spec;
+    lanes.push_back({spec.start_step, spec.stop_step, 1, f});
+  }
+  StepRecorder srec(options_.record_sink, "fluid", std::move(lanes),
+                    bandwidth_scale_, rtt_scale_, aggregate, nf);
+  scope::MetricScope* scope = options_.scope_sink;
+
+  for (long step = 0; step < options_.steps; ++step) {
+    // Churn: flows joining at this step restart from their initial window;
+    // departed flows stop contributing immediately.
+    for (int f = 0; f < nf; ++f) {
+      const SenderSpec& spec = *flows[f].spec;
+      if (!active_at(flows[f], step)) {
+        windows[f] = 0.0;
+      } else if (step == spec.start_step && step != 0) {
+        windows[f] = clamp_window(spec.initial_window_mss);
+      }
+    }
+
+    const std::span<const FluidLink> active_links = sched.at(step);
+
+    // Fixed-point iteration for consistent carried loads: upstream loss
+    // thins downstream arrivals, and arrivals determine loss. A handful of
+    // rounds converges because loss rates are small and monotone.
+    std::fill(link_loss.begin(), link_loss.end(), 0.0);
+    for (int round = 0; round < 4; ++round) {
+      std::fill(arrivals.begin(), arrivals.end(), 0.0);
+      for (int f = 0; f < nf; ++f) {
+        double carried = windows[f];
+        for (int l : flows[f].spec->route) {
+          arrivals[l] += carried;
+          carried *= 1.0 - link_loss[l];
+        }
+      }
+      for (int l = 0; l < nl; ++l) {
+        link_loss[l] = active_links[l].loss_rate(arrivals[l]);
+      }
+    }
+
+    // Per-flow observations: loss composes, delay adds, across the route;
+    // injected (non-congestion) loss composes on top, exactly like the
+    // single-link model.
+    double max_link_loss = 0.0;
+    for (double loss : link_loss) max_link_loss = std::max(max_link_loss, loss);
+    double total = 0.0;
+    for (double w : windows) total += w;
+    double rtt_sum = 0.0;
+    int rtt_count = 0;
+    for (int f = 0; f < nf; ++f) {
+      if (!active_at(flows[f], step)) {
+        flow_loss[f] = 0.0;
+        observed_loss[f] = 0.0;
+        flow_rtt[f] = 0.0;
+        continue;
+      }
+      double survive = 1.0;
+      double rtt = 0.0;
+      for (int l : flows[f].spec->route) {
+        survive *= 1.0 - link_loss[l];
+        rtt += active_links[l].rtt(arrivals[l]).value();
+      }
+      flow_loss[f] = 1.0 - survive;
+      const double injected = injector_->sample(step, f);
+      observed_loss[f] = combine_loss(flow_loss[f], injected);
+      flow_rtt[f] = rtt;
+      rtt_sum += rtt;
+      ++rtt_count;
+    }
+    const double mean_rtt = rtt_count > 0
+                                ? rtt_sum / static_cast<double>(rtt_count)
+                                : min_rtt_seconds_;
+
+    trace.add_step(windows, mean_rtt, max_link_loss, observed_loss);
+    srec.on_step(step, total, mean_rtt, max_link_loss, windows, observed_loss);
+    if (scope != nullptr) {
+      scope->step_begin(step, total, mean_rtt, max_link_loss);
+      for (int f = 0; f < nf; ++f) {
+        scope->observe_class(f, windows[f], observed_loss[f]);
+      }
+      for (int l = 0; l < nl; ++l) {
+        // Per-link view: utilization against the step's (scheduled)
+        // capacity, the link's own droptail loss, and the loaded/zero-load
+        // RTT ratio against the CONFIGURED link so RTT schedules register
+        // as latency inflation.
+        const double base_rtt = links_[l].min_rtt().value();
+        const double rtt_ratio =
+            base_rtt > 0.0
+                ? active_links[l].rtt(arrivals[l]).value() / base_rtt
+                : 1.0;
+        scope->observe_link(
+            l, std::min(1.0, arrivals[l] / active_links[l].capacity_mss()),
+            link_loss[l], rtt_ratio);
+      }
+      scope->step_end();
+    }
+
+    for (int f = 0; f < nf; ++f) {
+      if (!active_at(flows[f], step)) {
+        next_windows[f] = 0.0;
+        continue;
+      }
+      const cc::Observation obs{windows[f], observed_loss[f], flow_rtt[f]};
+      next_windows[f] = clamp_window(flows[f].protocol->next_window(obs));
+    }
+    windows.swap(next_windows);
+
+    // The monitor sees the windows the flows just chose for the NEXT step,
+    // as in the tick loop.
+    if (step_monitor_ &&
+        !step_monitor_(step, windows, mean_rtt, max_link_loss)) {
+      break;
+    }
+  }
   return trace;
 }
 

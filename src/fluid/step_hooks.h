@@ -1,8 +1,8 @@
 // step_hooks.h — per-step hooks of the simulation loops.
 //  - fluid::StepRecorder narrates a run into the flight recorder. Every
-//    backend uses it: the fluid cohort loops (FluidSimulation's tick loop,
-//    FluidNetwork) and the packet backend's step monitor, so each event is
-//    written in one place and the backends' recordings step-align.
+//    backend uses it: FluidSimulation's tick and routed loops and the packet
+//    backend's step monitor, so each event is written in one place and the
+//    backends' recordings step-align.
 //  - fluid::detail::ScheduledLink is the fluid loops' scheduled link set
 //    (internal to src/fluid).
 // The common no-schedule / no-recorder case is an inline check; the work

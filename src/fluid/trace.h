@@ -34,8 +34,8 @@ enum class TraceDetail {
   kLast,       ///< the last recorded step only, in the kFull layout.
 };
 
-/// Per-step observer shared by every step loop (FluidSimulation,
-/// FluidNetwork, sim::MultiHopNetwork and the engine backends): called at
+/// Per-step observer shared by every step loop (FluidSimulation's three,
+/// sim::MultiHopNetwork and the engine backends): called at
 /// the end of each step, after the step is recorded, with that step's
 /// index, the per-sender windows the senders just chose for the NEXT step,
 /// the step RTT and the congestion-loss rate. Returning false stops the run

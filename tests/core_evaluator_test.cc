@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <limits>
+#include <ostream>
 #include <string>
 
 #include "cc/aimd.h"
@@ -173,6 +174,10 @@ struct BadField {
   const char* field;  ///< the field path the error must name.
   std::function<void(EvalConfig&)> spoil;
 };
+
+/// gtest prints a parameter into each listed test name; the default dump of
+/// a BadField's bytes holds addresses that change from run to run.
+void PrintTo(const BadField& bad, std::ostream* os) { *os << bad.name; }
 
 class EvalConfigValidate : public ::testing::TestWithParam<BadField> {};
 

@@ -6,8 +6,8 @@
 // identity is not the vacuous one of a hook that never ran.
 //
 // Paths: the fluid cohort loop (churn, Bernoulli loss, a bandwidth
-// schedule), the routed FluidNetwork on a parking lot, and the packet
-// backend on both scenarios.
+// schedule), the fluid routed loop on a parking lot, and the packet backend
+// on both scenarios.
 #include <algorithm>
 #include <sstream>
 #include <string>

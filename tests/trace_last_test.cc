@@ -1,6 +1,6 @@
 // Pins last-step trace retention (fluid::TraceDetail::kLast): on every path
 // that records a trace — FluidSimulation's scalar loop and its cohort loop
-// (also when a step monitor stops the run early), FluidNetwork, and the
+// (also when a step monitor stops the run early), its routed loop, and the
 // packet backend on one link and on a topology — a kLast run holds exactly
 // the last step of the kFull run of the same spec, bit for bit, and the
 // aggregate-only accessors reject it.
