@@ -556,10 +556,14 @@ Trace FluidSimulation::routed_loop() {
     const std::span<const FluidLink> active_links = sched.at(step);
 
     // Fixed-point iteration for consistent carried loads: upstream loss
-    // thins downstream arrivals, and arrivals determine loss. A handful of
-    // rounds converges because loss rates are small and monotone.
+    // thins downstream arrivals, and arrivals determine loss. A round fixes
+    // the loss of every link whose upstream links were fixed the round
+    // before, so an acyclic route set settles one hop per round, within
+    // `nl` rounds, and the round after changes no loss. A cyclic one need
+    // not settle exactly and stops at the nl + 1 cap. A step with no lossy
+    // link stops after one round.
     std::fill(link_loss.begin(), link_loss.end(), 0.0);
-    for (int round = 0; round < 4; ++round) {
+    for (int round = 0; round <= nl; ++round) {
       std::fill(arrivals.begin(), arrivals.end(), 0.0);
       for (int f = 0; f < nf; ++f) {
         double carried = windows[f];
@@ -568,9 +572,13 @@ Trace FluidSimulation::routed_loop() {
           carried *= 1.0 - link_loss[l];
         }
       }
+      bool changed = false;
       for (int l = 0; l < nl; ++l) {
-        link_loss[l] = active_links[l].loss_rate(arrivals[l]);
+        const double loss = active_links[l].loss_rate(arrivals[l]);
+        changed |= loss != link_loss[l];
+        link_loss[l] = loss;
       }
+      if (!changed) break;
     }
 
     // Per-flow observations: loss composes, delay adds, across the route;

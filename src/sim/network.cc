@@ -133,7 +133,7 @@ void MultiHopNetwork::run() {
   AXIOMCC_EXPECTS_MSG(num_flows() > 0, "add at least one flow before run()");
   ran_ = true;
 
-  // Trace conventions as in fluid/network.h.
+  // Trace conventions as in FluidSimulation's routed loop (fluid/sim.h).
   double min_capacity = std::numeric_limits<double>::infinity();
   double min_rtt_ms = std::numeric_limits<double>::infinity();
   for (const FlowInfo& f : flows_) {

@@ -5,8 +5,9 @@
 // delivers to the flow's receiver, whose ACK returns after the route's
 // reverse propagation delay. The paper's dumbbell (Section 5.1) is the
 // one-link case (sim/dumbbell.h builds it); longer routes are the
-// packet-level counterpart of fluid/network.h (the paper's "network-wide
-// interaction" future work), with the same parking-lot builder.
+// packet-level counterpart of FluidSimulation's routed loop (fluid/sim.h;
+// the paper's "network-wide interaction" future work), with the same
+// parking-lot builder.
 //
 // The network carries the full engine-substrate hook set: flow churn
 // (start/stop times), a forward-path packet filter for injected loss, a step

@@ -74,13 +74,6 @@ T parse_number(const std::string& key, const std::string& text, Bound bound) {
   return parsed;
 }
 
-/// A name ending in '*' declares every flag with that prefix.
-bool matches(const Flag& flag, const std::string& key) {
-  const std::string& name = flag.name;
-  return name == key || (name.ends_with('*') &&
-                         key.starts_with(name.substr(0, name.size() - 1)));
-}
-
 }  // namespace
 
 ArgParser::Value ArgParser::parse(const Flag& flag, const std::string& text) {
@@ -148,14 +141,13 @@ ArgParser::ArgParser(int argc, const char* const* argv,
     const std::string key = arg.substr(2, eq - 2);  // npos - 2: to the end
     const auto it = std::find_if(
         entries_.begin(), entries_.end(),
-        [&key](const Entry& e) { return matches(e.flag, key); });
+        [&key](const Entry& e) { return e.flag.name == key; });
     if (it == entries_.end()) {
       std::string accepted;
       for (const Entry& e : entries_) accepted += " --" + e.flag.name;
       throw UsageError("unknown flag --" + key + " (" + program + " reads" +
                        accepted + ")");
     }
-    if (it->flag.name != key) continue;  // a prefix flag: passed on unread
     if (it->flag.kind == Flag::kSwitch && eq != std::string::npos) {
       throw UsageError("--" + key + " is a switch and takes no value, got '" +
                        arg + "'");

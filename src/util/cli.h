@@ -48,8 +48,7 @@ inline constexpr Bound Bound::kFraction{0.0, 0x1.fffffffffffffp-1, "",
 struct Flag {
   enum Kind {
     kSwitch,  ///< `--name` alone; a value is a usage error
-    kText,    ///< any text; a name ending in '*' takes every flag with that
-              ///< prefix, unparsed and unread (--benchmark_* in bench_micro)
+    kText,    ///< any text
     kChoice,  ///< one of `choices`
     kInt,
     kReal,

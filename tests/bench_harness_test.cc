@@ -178,10 +178,6 @@ TEST(BenchHarness, RejectsAFlagTheBenchDoesNotRead) {
   EXPECT_THROW((void)make({"stray"}), UsageError);
   // --telemetry is a switch; the trace goes to --out.
   EXPECT_THROW((void)make({"--telemetry=dir"}), UsageError);
-  // A trailing '*' reads a whole prefix (bench_micro's --benchmark_*).
-  const Flag benchmark{"benchmark_*", Flag::kText};
-  EXPECT_NO_THROW((void)make({"--benchmark_filter=BM_x"}, {benchmark}));
-  EXPECT_THROW((void)make({"--benchmarks"}, {benchmark}), UsageError);
 }
 
 TEST(BenchHarness, RunExitsTwoBeforeTheBodyOnAnUnknownFlag) {

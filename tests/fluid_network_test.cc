@@ -104,6 +104,47 @@ TEST(FluidNetwork, RouteLossComposesAcrossLinks) {
   }
 }
 
+TEST(FluidNetwork, CarriedLoadsReachTheFixedPointOnALongRoute) {
+  // A 6-hop parking lot whose long flow starts above every link's C + τ:
+  // every link is lossy at step 0, and link l's arrivals depend on the loss
+  // of the l links before it, so the carried loads settle only after six
+  // rounds. The long flow's step-0 loss must be the exact fixed point.
+  constexpr int kLinks = 6;
+  const FluidLink link(small_link());
+  const double long_window = 4.0 * link.loss_threshold_mss();
+  SimOptions opt;
+  opt.steps = 1;
+  FluidSimulation net = make_network(kLinks, opt);
+  const cc::Aimd aimd(1.0, 0.5);
+  std::vector<int> long_route;
+  for (int l = 0; l < kLinks; ++l) long_route.push_back(l);
+  const int long_flow = add_flow(net, aimd, long_route, long_window);
+  for (const int l : long_route) add_flow(net, aimd, {l});
+  const Trace trace = net.run();
+
+  // Iterate the per-link loss from zero until no value changes, with the
+  // routed loop's arrival order: the long flow, then each link's cross flow.
+  std::vector<double> loss(kLinks, 0.0);
+  for (bool changed = true; changed;) {
+    changed = false;
+    double carried = long_window;
+    std::vector<double> next(kLinks);
+    for (int l = 0; l < kLinks; ++l) {
+      next[l] = link.loss_rate(carried + 1.0);
+      carried *= 1.0 - loss[l];
+    }
+    for (int l = 0; l < kLinks; ++l) changed = changed || next[l] != loss[l];
+    loss = next;
+  }
+  double survive = 1.0;
+  for (const double l : loss) {
+    EXPECT_GT(l, 0.0);
+    survive *= 1.0 - l;
+  }
+  EXPECT_EQ(trace.observed_loss(long_flow)[0],
+            combine_loss(1.0 - survive, 0.0));
+}
+
 TEST(FluidNetwork, SynchronizedAimdEqualizesEvenAcrossHops) {
   // A model insight the single-link analysis cannot show: with synchronized
   // feedback and a BINARY loss response (AIMD halves on any loss > 0), the

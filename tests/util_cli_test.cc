@@ -235,13 +235,6 @@ TEST(ArgParser, StrictRejectsPositionalsUnlessAccepted) {
   EXPECT_EQ(args.positional().size(), 2u);
 }
 
-TEST(ArgParser, StarSuffixReadsAPrefix) {
-  EXPECT_EQ(usage_error({"--benchmark_filter=BM_x", "--benchmark_list_tests"},
-                        {{"benchmark_*", Flag::kText}}),
-            "");
-  EXPECT_NE(usage_error({"--benchmarks"}, {{"benchmark_*", Flag::kText}}), "");
-}
-
 TEST(ArgParser, GetListSplitsOnlyOutsideParentheses) {
   EXPECT_EQ(list_of("--p=aimd(1,0.5),vegas(2,4)"),
             (std::vector<std::string>{"aimd(1,0.5)", "vegas(2,4)"}));
