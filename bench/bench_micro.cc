@@ -13,7 +13,8 @@
 // telemetry-overhead bench times the same workload with probes
 // runtime-disabled vs runtime-enabled. Both land in the `micro` ledger
 // record, which states hardware_jobs() as its job count (there is no
-// --jobs). --skip-pool / --skip-overhead skip the respective bench;
+// --jobs). --skip-pool / --skip-overhead skip the respective bench, and
+// with both there is no `micro` record;
 // --senders-scaling[=maxN] adds the materialized-vs-uniform
 // population-scaling bench from n=1 (default maxN 100000; =1000000 adds the
 // million-sender uniform-only point) as its own `senders_scaling` record.
@@ -255,9 +256,12 @@ void run_recorded_probe(const bench::RecordRequest& request) {
 
 int run_bench(bench::Harness& h) {
   const ArgParser& args = h.args();
-  BenchReport& bench = h.report();
+  const bool pool = !args.has("skip-pool");
+  const bool overhead = !args.has("skip-overhead");
+  // The `micro` record exists only when one of its benches runs.
+  BenchReport* bench = pool || overhead ? &h.report() : nullptr;
   if (h.record()) run_recorded_probe(*h.record());
-  if (!args.has("skip-pool")) run_pool_throughput_bench(bench);
+  if (pool) run_pool_throughput_bench(*bench);
   if (args.has("senders-scaling")) {
     // Its own ledger group: the scaling runs' workload (and therefore any
     // deterministic telemetry it would carry) varies with maxN, so mixing it
@@ -265,7 +269,7 @@ int run_bench(bench::Harness& h) {
     run_senders_scaling_bench(h.report("senders_scaling"),
                               args.get_int("senders-scaling"));
   }
-  if (!args.has("skip-overhead")) run_telemetry_overhead_bench(bench);
+  if (overhead) run_telemetry_overhead_bench(*bench);
   h.finish("fluid");  // every timed bench here runs the fluid engine
   return 0;
 }

@@ -20,12 +20,18 @@ struct Later {
 }  // namespace
 
 void Simulator::push(const Event& event) {
+  if (top_vacant_) {
+    // The running event's slot is free: fill it with one sift-down.
+    top_vacant_ = false;
+    replace_top(event);
+    return;
+  }
   heap_.push_back(event);
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-// Replaces the heap top with `event`, whose key is not below the old top's,
-// and sifts it down.
+// Puts `event` at the heap top in place of the entry there and sifts it
+// down.
 void Simulator::replace_top(const Event& event) {
   const std::size_t n = heap_.size();
   std::size_t hole = 0;
@@ -38,25 +44,30 @@ void Simulator::replace_top(const Event& event) {
   heap_[hole] = event;
 }
 
-Simulator::Event Simulator::pop() {
-  const Event event = heap_.front();
+// The top entry is about to run: a line head's successor takes its place at
+// once; any other entry's slot stays vacant for the first push while it runs.
+void Simulator::release_top(const Event& event) {
   if (event.handler != nullptr && event.slot != kNoLine) {
     Line& line = lines_[event.slot];
-    if (line.count > 0) {
-      // The line's next event takes the head's place under its own key.
-      const LineEvent& next = line.ring[line.front];
+    if (!line.queue.empty()) {
+      const LineEvent& next = line.queue.front();
       replace_top(Event{next.time, next.sequence, line.handler, line.port,
                         event.slot, next.packet});
-      line.front = (line.front + 1) & (line.ring.size() - 1);
-      --line.count;
+      line.queue.pop_front();
       --line_queued_;
-      return event;
+      return;
     }
     line.armed = false;
   }
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  top_vacant_ = true;
+}
+
+// Nothing took the vacant top: the last entry moves into it.
+void Simulator::close_top() {
+  top_vacant_ = false;
+  const Event last = heap_.back();
   heap_.pop_back();
-  return event;
+  if (!heap_.empty()) replace_top(last);
 }
 
 Simulator::LineId Simulator::add_line(PacketHandler& handler, int port) {
@@ -65,16 +76,6 @@ Simulator::LineId Simulator::add_line(PacketHandler& handler, int port) {
   line.handler = &handler;
   line.port = port;
   return static_cast<LineId>(lines_.size() - 1);
-}
-
-void Simulator::grow(Line& line) {
-  const std::size_t capacity = line.ring.size();
-  std::vector<LineEvent> ring(capacity == 0 ? 8 : 2 * capacity);
-  for (std::size_t i = 0; i < line.count; ++i) {
-    ring[i] = line.ring[(line.front + i) & (capacity - 1)];
-  }
-  line.ring = std::move(ring);
-  line.front = 0;
 }
 
 void Simulator::schedule_on_line(LineId id, SimTime delay,
@@ -90,10 +91,7 @@ void Simulator::schedule_on_line(LineId id, SimTime delay,
     push(Event{t, sequence, line.handler, line.port, id, packet});
   } else if (t >= line.tail) {
     // Later sequence, time not below the tail: the key ascends.
-    if (line.count == line.ring.size()) grow(line);
-    line.ring[(line.front + line.count) & (line.ring.size() - 1)] =
-        LineEvent{t, sequence, packet};
-    ++line.count;
+    line.queue.push_back(LineEvent{t, sequence, packet});
     ++line_queued_;
     line.tail = t;
   } else {
@@ -105,7 +103,7 @@ void Simulator::schedule_on_line(LineId id, SimTime delay,
 
 std::size_t Simulator::line_capacity(LineId id) const {
   AXIOMCC_EXPECTS(id < lines_.size());
-  return lines_[id].ring.size();
+  return lines_[id].queue.capacity();
 }
 
 std::uint32_t Simulator::acquire_slot(EventFn fn, SimTime interval,
@@ -152,31 +150,38 @@ void Simulator::dispatch(const Event& event) {
     event.handler->on_packet_event(event.port, event.packet);
     return;
   }
-  // Move the function out first: it may schedule callbacks that grow (and
-  // reallocate) the slab or reuse this very slot.
-  Slot& slot = slots_[event.slot];
-  EventFn fn = std::move(slot.fn);
+  Slot& slot = slots_[event.slot];  // a deque: growing it moves no slot
   const SimTime next = event.time + slot.interval;
-  const bool rearm = slot.interval.ns() > 0 && next <= slot.last;
-  if (rearm) {
+  if (slot.interval.ns() > 0 && next <= slot.last) {
     // The next occurrence's sequence number was reserved at registration.
     push(Event{next, event.sequence + 1, nullptr, 0, event.slot, Packet{}});
-  } else {
-    free_slots_.push_back(event.slot);
+    slot.fn();
+    return;
   }
+  // Move the function out first: a callback it schedules may reuse the slot.
+  EventFn fn = std::move(slot.fn);
+  free_slots_.push_back(event.slot);
   fn();
-  if (rearm) slots_[event.slot].fn = std::move(fn);
 }
 
 std::size_t Simulator::drain(SimTime end) {
+  AXIOMCC_EXPECTS_MSG(!top_vacant_, "run() called from inside an event");
   stop_requested_ = false;
   std::size_t executed = 0;
   while (!stop_requested_ && !heap_.empty() && heap_.front().time <= end) {
-    const Event event = pop();
+    const Event event = heap_.front();
+    release_top(event);
     now_ = event.time;
     ++events_processed_;
     ++executed;
-    dispatch(event);
+    try {
+      dispatch(event);
+    } catch (...) {
+      // The stale entry must not run again on the next run().
+      if (top_vacant_) close_top();
+      throw;
+    }
+    if (top_vacant_) close_top();
   }
   return executed;
 }

@@ -18,23 +18,30 @@
 //    flight. An event whose key is below its line's tail (the delay shrank
 //    mid-run) becomes a plain heap entry instead, so every queued event's
 //    key is at least its line head's and the global order is the one a
-//    single heap would give. Lines live in grow-only ring buffers.
+//    single heap would give. Lines live in grow-only rings (sim/ring.h).
 //  - Callbacks (schedule_at/schedule_in) are control events: sender timers,
 //    flow start/stop, schedules installed by backends and tests. The
-//    function lives in a reusable slot slab and the heap entry holds the
-//    slot index; it is moved out of its slot before it runs, so a callback
-//    may schedule further callbacks.
+//    function lives in a reusable slot of a deque, which moves no slot as it
+//    grows, and the heap entry holds the slot index; it is moved out of its
+//    slot before it runs, so a callback it schedules may reuse the slot.
 //  - A periodic series (schedule_every) is one heap entry that re-arms
-//    itself after each occurrence. Registration reserves the sequence number
-//    of every occurrence, so occurrence k has the key it would have had if
-//    all occurrences had been scheduled up front.
+//    itself before each occurrence runs in place in its slot. Registration
+//    reserves the sequence number of every occurrence, so occurrence k has
+//    the key it would have had if all occurrences had been scheduled up front.
+//
+// An event runs with its entry left at the heap top (a line head's successor
+// takes it first). The first event it schedules takes that slot with one
+// sift-down; otherwise the last entry fills it afterwards, also before an
+// exception leaves run(). An event costs one sift-down, not a pop and a push.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
 #include "sim/packet.h"
+#include "sim/ring.h"
 #include "util/check.h"
 #include "util/units.h"
 
@@ -127,7 +134,7 @@ class Simulator {
   /// behind delay-line heads. A periodic series with occurrences left counts
   /// once, however many occurrences remain.
   [[nodiscard]] std::size_t pending() const {
-    return heap_.size() + line_queued_;
+    return heap_.size() - (top_vacant_ ? 1 : 0) + line_queued_;
   }
 
  private:
@@ -155,11 +162,7 @@ class Simulator {
     int port = 0;
     bool armed = false;  // its head is in the heap
     SimTime tail{0};     // time of the newest event on the line
-    // Ring buffer of the events behind the head; its size is the capacity,
-    // a power of two (or zero before the first queued event).
-    std::vector<LineEvent> ring;
-    std::size_t front = 0;
-    std::size_t count = 0;
+    Ring<LineEvent> queue;  // the events behind the head
   };
   struct Slot {
     EventFn fn;
@@ -169,8 +172,8 @@ class Simulator {
 
   void push(const Event& event);
   void replace_top(const Event& event);
-  Event pop();
-  static void grow(Line& line);
+  void release_top(const Event& event);
+  void close_top();
   std::uint32_t acquire_slot(EventFn fn, SimTime interval, SimTime last);
   void dispatch(const Event& event);
   std::size_t drain(SimTime end);
@@ -180,9 +183,10 @@ class Simulator {
   std::size_t events_processed_ = 0;
   bool stop_requested_ = false;
   std::vector<Event> heap_;  // binary min-heap on (time, sequence)
+  bool top_vacant_ = false;  // heap_[0] is the running event's stale entry
   std::vector<Line> lines_;
   std::size_t line_queued_ = 0;  // events behind line heads
-  std::vector<Slot> slots_;
+  std::deque<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
 };
 

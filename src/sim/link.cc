@@ -8,17 +8,18 @@ namespace axiomcc::sim {
 
 SimLink::SimLink(Simulator& simulator, double rate_bps,
                  SimTime propagation_delay,
-                 std::unique_ptr<QueueDiscipline> queue, DeliverFn deliver)
+                 std::unique_ptr<QueueDiscipline> queue, PacketHandler& sink,
+                 int sink_port)
     : simulator_(simulator),
       rate_bps_(rate_bps),
       propagation_delay_(propagation_delay),
       queue_(std::move(queue)),
-      deliver_(std::move(deliver)),
+      sink_(sink),
+      sink_port_(sink_port),
       delivery_line_(simulator.add_line(*this, kDelivery)) {
   AXIOMCC_EXPECTS_MSG(rate_bps > 0.0, "link rate must be positive");
   AXIOMCC_EXPECTS(propagation_delay.ns() >= 0);
   AXIOMCC_EXPECTS(queue_ != nullptr);
-  AXIOMCC_EXPECTS(deliver_ != nullptr);
 }
 
 SimTime SimLink::serialization_time(int size_bytes) const {
@@ -28,6 +29,7 @@ SimTime SimLink::serialization_time(int size_bytes) const {
 }
 
 void SimLink::send(const Packet& p) {
+  AXIOMCC_EXPECTS(p.size_bytes > 0);
   if (!queue_->enqueue(p)) return;  // dropped; queue counts it
   ++accepted_;
   if (!transmitting_) begin_transmission();
@@ -40,9 +42,12 @@ void SimLink::begin_transmission() {
     return;
   }
   transmitting_ = true;
+  if (next->size_bytes != tx_size_bytes_) {
+    tx_time_ = serialization_time(next->size_bytes);
+    tx_size_bytes_ = next->size_bytes;
+  }
   // The last bit leaves after the serialization time (kTxDone).
-  simulator_.schedule_packet_in(serialization_time(next->size_bytes), *this,
-                                kTxDone, *next);
+  simulator_.schedule_packet_in(tx_time_, *this, kTxDone, *next);
 }
 
 void SimLink::on_packet_event(int port, const Packet& packet) {
@@ -54,7 +59,7 @@ void SimLink::on_packet_event(int port, const Packet& packet) {
   }
   ++delivered_;
   bytes_delivered_ += static_cast<std::size_t>(packet.size_bytes);
-  deliver_(packet);
+  sink_.on_packet_event(sink_port_, packet);
 }
 
 }  // namespace axiomcc::sim

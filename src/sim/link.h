@@ -4,15 +4,15 @@
 // Packets admitted by the queue are transmitted one at a time at `rate_bps`
 // and delivered `propagation_delay` after their last bit leaves. This is the
 // store-and-forward output-port model ns-3's point-to-point links use. Both
-// steps are typed packet events (sim/event.h) and allocate nothing per
-// packet. The link has at most one tx-done event in the heap; its deliveries
+// steps are typed packet events (sim/event.h) and a delivery is a virtual
+// call to the sink: no std::function, and no allocation once the rings are
+// warm. The link has at most one tx-done event in the heap; its deliveries
 // ride one delay line, so however many packets are on the wire, they cost
 // one heap entry between them (a packet overtaking others after the delay
 // shrinks takes its own).
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 
 #include "sim/event.h"
@@ -22,13 +22,13 @@
 
 namespace axiomcc::sim {
 
-/// Downstream delivery callback.
-using DeliverFn = std::function<void(const Packet&)>;
-
 class SimLink final : private PacketHandler {
  public:
+  /// Delivered packets go to `sink.on_packet_event(sink_port, packet)`; the
+  /// sink must outlive the link's events.
   SimLink(Simulator& simulator, double rate_bps, SimTime propagation_delay,
-          std::unique_ptr<QueueDiscipline> queue, DeliverFn deliver);
+          std::unique_ptr<QueueDiscipline> queue, PacketHandler& sink,
+          int sink_port);
 
   /// Offers a packet to the link; it is queued, transmitted, and delivered,
   /// or dropped by the queue discipline.
@@ -42,6 +42,7 @@ class SimLink final : private PacketHandler {
   void set_rate_bps(double rate_bps) {
     AXIOMCC_EXPECTS(rate_bps > 0.0);
     rate_bps_ = rate_bps;
+    tx_size_bytes_ = 0;
   }
   [[nodiscard]] SimTime propagation_delay() const { return propagation_delay_; }
 
@@ -72,8 +73,12 @@ class SimLink final : private PacketHandler {
   double rate_bps_;
   SimTime propagation_delay_;
   std::unique_ptr<QueueDiscipline> queue_;
-  DeliverFn deliver_;
+  PacketHandler& sink_;
+  int sink_port_;
   Simulator::LineId delivery_line_;
+  // serialization_time(tx_size_bytes_) at the current rate; 0: none cached.
+  int tx_size_bytes_ = 0;
+  SimTime tx_time_{0};
 
   bool transmitting_ = false;
   std::size_t accepted_ = 0;

@@ -2,14 +2,11 @@
 //
 // The fluid model injects loss as a rate (fluid/loss_model.h); here loss is a
 // per-packet Bernoulli (or Gilbert-Elliott) coin flip, which is the behaviour
-// the paper's Metric VI abstracts. A PacketFilter sits between a link's
-// delivery side and the receiver.
+// the paper's Metric VI abstracts. MultiHopNetwork applies its forward
+// PacketFilter to each data packet leaving the last link of its route.
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <memory>
-#include <utility>
 
 #include "sim/packet.h"
 #include "util/check.h"
@@ -17,8 +14,7 @@
 
 namespace axiomcc::sim {
 
-/// Decides packet-by-packet whether to drop. Stateless callers simply wrap
-/// their delivery callback with `filtered`.
+/// Decides packet-by-packet whether to drop.
 class PacketFilter {
  public:
   virtual ~PacketFilter() = default;
@@ -94,14 +90,5 @@ class GilbertElliottPacketLoss final : public PacketFilter {
   Rng rng_;
   bool bad_state_ = false;
 };
-
-/// Wraps `next` so packets pass through `filter` first. The filter must
-/// outlive the returned callback.
-[[nodiscard]] inline std::function<void(const Packet&)> filtered(
-    PacketFilter& filter, std::function<void(const Packet&)> next) {
-  return [&filter, next = std::move(next)](const Packet& p) {
-    if (!filter.drop(p)) next(p);
-  };
-}
 
 }  // namespace axiomcc::sim

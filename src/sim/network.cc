@@ -28,8 +28,7 @@ int MultiHopNetwork::add_link(double mbps, double one_way_delay_ms,
   info.mbps = mbps;
   info.link = std::make_unique<SimLink>(
       simulator_, mbps * 1e6, SimTime::from_millis(one_way_delay_ms),
-      std::move(queue),
-      [this, link_id](const Packet& p) { deliver_from_link(link_id, p); });
+      std::move(queue), static_cast<PacketHandler&>(*this), link_id + 1);
   links_.push_back(std::move(info));
   return link_id;
 }
@@ -71,12 +70,6 @@ int MultiHopNetwork::add_flow(std::unique_ptr<cc::Protocol> protocol,
   flow.ack_line = simulator_.add_line(*this, kAckReturn);
   flows_.push_back(std::move(flow));
 
-  receivers_.push_back(
-      std::make_unique<Receiver>([this, flow_id](const Packet& ack) {
-        const FlowInfo& f = flows_[flow_id];
-        simulator_.schedule_on_line(f.ack_line, f.reverse_delay, ack);
-      }));
-
   SenderConfig sc;
   sc.flow_id = flow_id;
   sc.mss_bytes = config_.mss_bytes;
@@ -113,19 +106,29 @@ void MultiHopNetwork::deliver_from_link(int link_id, const Packet& p) {
       link < flow.next_hop.size() ? flow.next_hop[link] : 0;
   AXIOMCC_EXPECTS_MSG(next != 0,
                       "packet delivered by a link not on its flow's route");
-  if (next >= flow.route.size()) {
-    // Injected loss on final delivery: the packet crossed every queue
-    // (consuming capacity) but never reaches the receiver, so the sender
-    // observes it as loss.
-    if (forward_filter_ && forward_filter_->drop(p)) return;
-    receivers_[p.flow_id]->on_packet(p);
-  } else {
+  if (next < flow.route.size()) {
     links_[flow.route[next]].link->send(p);
+    return;
   }
+  // Injected loss on final delivery: the packet crossed every queue
+  // (consuming capacity) but never reaches the receiver, so the sender
+  // observes it as loss.
+  if (forward_filter_ && forward_filter_->drop(p)) return;
+  // The receiver ACKs every packet, echoing its sequence number and send
+  // timestamp. No delayed ACKs: the sender reads an ACK for seq s while an
+  // older packet is unACKed as loss, so a skipped ACK would look like a drop.
+  simulator_.schedule_on_line(
+      flow.ack_line, flow.reverse_delay,
+      Packet{.flow_id = p.flow_id, .seq = p.seq, .size_bytes = kAckBytes,
+             .is_ack = true, .sent_at = p.sent_at});
 }
 
-void MultiHopNetwork::on_packet_event(int /*port*/, const Packet& ack) {
-  senders_[ack.flow_id]->on_ack(ack);
+void MultiHopNetwork::on_packet_event(int port, const Packet& packet) {
+  if (port == kAckReturn) {
+    senders_[packet.flow_id]->on_ack(packet);
+  } else {
+    deliver_from_link(port - 1, packet);
+  }
 }
 
 void MultiHopNetwork::run() {

@@ -1,13 +1,16 @@
 // network.h — the packet-level simulator's one substrate: flows routed over
 // shared links.
 //
-// Packets are forwarded hop by hop through each link's queue; the last hop
-// delivers to the flow's receiver, whose ACK returns after the route's
-// reverse propagation delay. The paper's dumbbell (Section 5.1) is the
-// one-link case (sim/dumbbell.h builds it); longer routes are the
-// packet-level counterpart of FluidSimulation's routed loop (fluid/sim.h;
-// the paper's "network-wide interaction" future work), with the same
-// parking-lot builder.
+// Packets are forwarded hop by hop through each link's queue. Every link
+// delivers to the network itself as a packet event on port link_id + 1, and
+// the network forwards the packet to the next hop. After the last hop it
+// acts as the receiver: it ACKs every packet, echoing its sequence number and
+// send timestamp, and the ACK returns on the flow's ACK line (port
+// kAckReturn) after the route's reverse propagation delay. The paper's
+// dumbbell (Section 5.1) is the one-link case (sim/dumbbell.h builds it);
+// longer routes are the packet-level counterpart of FluidSimulation's routed
+// loop (fluid/sim.h; the paper's "network-wide interaction" future work),
+// with the same parking-lot builder.
 //
 // The network carries the full engine-substrate hook set: flow churn
 // (start/stop times), a forward-path packet filter for injected loss, a step
@@ -29,7 +32,6 @@
 #include "sim/link.h"
 #include "sim/loss.h"
 #include "sim/queue.h"
-#include "sim/receiver.h"
 #include "sim/sender.h"
 
 namespace axiomcc::sim {
@@ -120,10 +122,11 @@ class MultiHopNetwork : private PacketHandler {
   [[nodiscard]] double max_link_utilization() const;
 
  private:
-  /// The one packet-event port: an ACK reaching its sender.
+  /// Packet-event port of an ACK reaching its sender; port link_id + 1 is
+  /// a packet leaving link link_id.
   static constexpr int kAckReturn = 0;
 
-  void on_packet_event(int port, const Packet& ack) override;
+  void on_packet_event(int port, const Packet& packet) override;
   void sample_trace();
   [[nodiscard]] FlowReport tail_report(int flow) const;
 
@@ -156,7 +159,6 @@ class MultiHopNetwork : private PacketHandler {
   std::vector<LinkInfo> links_;
   std::vector<FlowInfo> flows_;
   std::vector<std::unique_ptr<Sender>> senders_;
-  std::vector<std::unique_ptr<Receiver>> receivers_;
 
   std::unique_ptr<PacketFilter> forward_filter_;
   fluid::StepMonitor step_monitor_;

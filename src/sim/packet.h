@@ -16,7 +16,6 @@ struct Packet {
   int size_bytes = 1500;        ///< MSS for data, 40 for ACKs.
   bool is_ack = false;
   SimTime sent_at{0};           ///< when the DATA packet was sent (echoed in ACKs).
-  std::uint64_t monitor_interval = 0;  ///< sender-side MI id (echoed in ACKs).
 };
 
 /// Conventional ACK size in bytes.

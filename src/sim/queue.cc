@@ -6,6 +6,24 @@
 
 namespace axiomcc::sim {
 
+bool QueueDiscipline::enqueue(const Packet& p) {
+  if (!admit(p)) {
+    ++drops_;
+    return false;
+  }
+  fifo_.push_back(p);
+  bytes_ += static_cast<std::size_t>(p.size_bytes);
+  return true;
+}
+
+std::optional<Packet> QueueDiscipline::dequeue() {
+  if (fifo_.empty()) return std::nullopt;
+  const Packet p = fifo_.front();
+  fifo_.pop_front();
+  bytes_ -= static_cast<std::size_t>(p.size_bytes);
+  return p;
+}
+
 // --- DropTail ----------------------------------------------------------------
 
 DropTailQueue::DropTailQueue(std::size_t capacity_packets)
@@ -13,22 +31,8 @@ DropTailQueue::DropTailQueue(std::size_t capacity_packets)
   AXIOMCC_EXPECTS_MSG(capacity_packets > 0, "queue capacity must be positive");
 }
 
-bool DropTailQueue::enqueue(const Packet& p) {
-  if (queue_.size() >= capacity_) {
-    count_drop();
-    return false;
-  }
-  queue_.push_back(p);
-  bytes_ += static_cast<std::size_t>(p.size_bytes);
-  return true;
-}
-
-std::optional<Packet> DropTailQueue::dequeue() {
-  if (queue_.empty()) return std::nullopt;
-  Packet p = queue_.front();
-  queue_.pop_front();
-  bytes_ -= static_cast<std::size_t>(p.size_bytes);
-  return p;
+bool DropTailQueue::admit(const Packet& /*p*/) {
+  return size_packets() < capacity_;
 }
 
 // --- RED ----------------------------------------------------------------------
@@ -42,12 +46,12 @@ REDQueue::REDQueue(const Params& params) : params_(params), rng_(params.seed) {
   AXIOMCC_EXPECTS(params.queue_weight > 0.0 && params.queue_weight <= 1.0);
 }
 
-bool REDQueue::enqueue(const Packet& p) {
+bool REDQueue::admit(const Packet& /*p*/) {
   avg_queue_ = (1.0 - params_.queue_weight) * avg_queue_ +
-               params_.queue_weight * static_cast<double>(queue_.size());
+               params_.queue_weight * static_cast<double>(size_packets());
 
   bool drop = false;
-  if (queue_.size() >= params_.capacity_packets) {
+  if (size_packets() >= params_.capacity_packets) {
     drop = true;  // physical overflow
   } else if (avg_queue_ >= params_.max_threshold) {
     drop = true;
@@ -64,21 +68,10 @@ bool REDQueue::enqueue(const Packet& p) {
 
   if (drop) {
     count_since_drop_ = 0;
-    count_drop();
     return false;
   }
   ++count_since_drop_;
-  queue_.push_back(p);
-  bytes_ += static_cast<std::size_t>(p.size_bytes);
   return true;
-}
-
-std::optional<Packet> REDQueue::dequeue() {
-  if (queue_.empty()) return std::nullopt;
-  Packet p = queue_.front();
-  queue_.pop_front();
-  bytes_ -= static_cast<std::size_t>(p.size_bytes);
-  return p;
 }
 
 }  // namespace axiomcc::sim

@@ -1,42 +1,51 @@
 // queue.h — queueing disciplines for link buffers.
 //
 // The paper's model is FIFO droptail; RED is provided as an extension for the
-// ablation benches (DESIGN.md Section 5).
+// ablation benches (DESIGN.md Section 5). Both share QueueDiscipline's FIFO,
+// a grow-only ring buffer (sim/ring.h), so a queue that has reached its
+// working depth allocates nothing per packet; a discipline supplies only its
+// admission rule.
 #pragma once
 
 #include <cstddef>
-#include <deque>
-#include <memory>
 #include <optional>
 #include <string>
 
 #include "sim/packet.h"
+#include "sim/ring.h"
 #include "util/rng.h"
 
 namespace axiomcc::sim {
 
-/// A bounded packet queue. enqueue returns false when the packet is dropped.
+/// A bounded FIFO packet queue. enqueue returns false when the packet is
+/// dropped.
 class QueueDiscipline {
  public:
   virtual ~QueueDiscipline() = default;
 
   /// Attempts to admit `p`; returns false on drop.
-  virtual bool enqueue(const Packet& p) = 0;
+  bool enqueue(const Packet& p);
 
   /// Removes the next packet to transmit, or nullopt when empty.
-  virtual std::optional<Packet> dequeue() = 0;
+  std::optional<Packet> dequeue();
 
-  [[nodiscard]] virtual std::size_t size_packets() const = 0;
-  [[nodiscard]] virtual std::size_t size_bytes() const = 0;
+  [[nodiscard]] std::size_t size_packets() const { return fifo_.size(); }
+  [[nodiscard]] std::size_t size_bytes() const { return bytes_; }
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Total packets dropped by admission control so far.
   [[nodiscard]] std::size_t drops() const { return drops_; }
 
- protected:
-  void count_drop() { ++drops_; }
+  /// Packets the FIFO holds before it grows; it never shrinks.
+  [[nodiscard]] std::size_t ring_capacity() const { return fifo_.capacity(); }
 
  private:
+  /// The discipline's admission rule: true admits `p` at the current
+  /// occupancy, false drops it.
+  virtual bool admit(const Packet& p) = 0;
+
+  Ring<Packet> fifo_;
+  std::size_t bytes_ = 0;
   std::size_t drops_ = 0;
 };
 
@@ -45,20 +54,13 @@ class DropTailQueue final : public QueueDiscipline {
  public:
   explicit DropTailQueue(std::size_t capacity_packets);
 
-  bool enqueue(const Packet& p) override;
-  std::optional<Packet> dequeue() override;
-  [[nodiscard]] std::size_t size_packets() const override {
-    return queue_.size();
-  }
-  [[nodiscard]] std::size_t size_bytes() const override { return bytes_; }
   [[nodiscard]] std::string name() const override { return "droptail"; }
-
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
+  bool admit(const Packet& p) override;
+
   std::size_t capacity_;
-  std::size_t bytes_ = 0;
-  std::deque<Packet> queue_;
 };
 
 /// Random Early Detection (Floyd & Jacobson 1993): probabilistic drops that
@@ -77,24 +79,18 @@ class REDQueue final : public QueueDiscipline {
 
   explicit REDQueue(const Params& params);
 
-  bool enqueue(const Packet& p) override;
-  std::optional<Packet> dequeue() override;
-  [[nodiscard]] std::size_t size_packets() const override {
-    return queue_.size();
-  }
-  [[nodiscard]] std::size_t size_bytes() const override { return bytes_; }
   [[nodiscard]] std::string name() const override { return "red"; }
 
   /// The current EWMA of queue occupancy (exposed for tests).
   [[nodiscard]] double average_queue() const { return avg_queue_; }
 
  private:
+  bool admit(const Packet& p) override;
+
   Params params_;
-  std::size_t bytes_ = 0;
   double avg_queue_ = 0.0;
   std::size_t count_since_drop_ = 0;
   Rng rng_;
-  std::deque<Packet> queue_;
 };
 
 }  // namespace axiomcc::sim

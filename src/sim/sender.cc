@@ -193,7 +193,6 @@ void Sender::try_send() {
     p.size_bytes = config_.mss_bytes;
     p.is_ack = false;
     p.sent_at = simulator_.now();
-    p.monitor_interval = current_mi_;
 
     packet_states_.push_back(PacketState::kInFlight);
     packet_mi_.push_back(current_mi_);

@@ -2,11 +2,12 @@
 //
 // The sender is ACK-clocked: it keeps `in_flight < cwnd`. Loss is accounted
 // per *monitor interval* (MI), the mechanism PCC and the paper's Robust-AIMD
-// use: time is sliced into intervals of roughly one RTT; each packet is
-// stamped with its MI; when an MI's ACKs have had time to return, the sender
-// computes the interval's loss rate and average RTT and feeds them to the
-// congestion-control protocol as one Observation — exactly the per-RTT-step
-// feedback of the fluid model, but measured rather than oracle-provided.
+// use: time is sliced into intervals of roughly one RTT; the sender notes
+// each packet's MI by sequence number; when an MI's ACKs have had time to
+// return, the sender computes the interval's loss rate and average RTT and
+// feeds them to the congestion-control protocol as one Observation — exactly
+// the per-RTT-step feedback of the fluid model, but measured rather than
+// oracle-provided.
 //
 // Packets the MI evaluation deems lost are written off (removed from
 // in_flight) rather than retransmitted: the simulator measures congestion

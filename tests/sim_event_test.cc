@@ -1,8 +1,13 @@
 // Unit tests for the discrete-event kernel: ordering, FIFO ties, run_until
 // semantics, scheduling contracts, typed packet events, delay lines and
-// periodic series.
+// periodic series, and a seeded differential test against a reference
+// ordered set.
 #include "sim/event.h"
 
+#include <array>
+#include <map>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace axiomcc::sim {
 namespace {
@@ -475,6 +481,274 @@ TEST(Simulator, CallbacksSchedulingCallbacksKeepPendingSlotsIntact) {
   EXPECT_EQ(late, (std::vector<std::string>{pad + "0", pad + "1", pad + "2",
                                             pad + "3"}));
   EXPECT_EQ(sim.pending(), 0u);
+}
+
+// --- Differential test against a reference model ----------------------------
+
+/// The scheduling calls the differential test makes; the kernel and a
+/// reference model both implement them.
+class Scheduler {
+ public:
+  [[nodiscard]] virtual SimTime now() const = 0;
+  [[nodiscard]] virtual std::size_t pending() const = 0;
+  virtual void callback(SimTime delay, std::uint64_t id) = 0;
+  virtual void packet(SimTime delay, std::uint64_t id) = 0;
+  virtual void line(int line, SimTime delay, std::uint64_t id) = 0;
+  /// schedule_every from now + `first` to now + `last`.
+  virtual void series(SimTime first, SimTime interval, SimTime last,
+                      std::uint64_t id) = 0;
+  virtual void stop() = 0;
+
+ protected:
+  ~Scheduler() = default;
+};
+
+/// A seeded random schedule. Every event logs its id, now() and pending()
+/// when it runs and schedules 0-3 more from a shared random stream, so two
+/// schedulers that dispatch in the same order see the same schedule and the
+/// same log.
+struct Script {
+  static constexpr int kLines = 3;
+  static constexpr std::uint64_t kBudget = 4000;
+
+  Script(std::uint64_t seed, bool throwing) : rng(seed), throws(throwing) {}
+
+  SimTime delay() {
+    return SimTime(rng.bernoulli(0.2)
+                       ? 0
+                       : 1 + static_cast<std::int64_t>(rng.uniform_index(40)));
+  }
+
+  void spawn(Scheduler& s) {
+    if (expected_runs.size() >= kBudget) return;
+    const std::uint64_t id = expected_runs.size();
+    expected_runs.push_back(1);
+    const std::uint64_t kind = rng.uniform_index(10);
+    if (kind < 3) {
+      s.callback(delay(), id);
+    } else if (kind < 5) {
+      s.packet(delay(), id);
+    } else if (kind < 9) {
+      const auto l = static_cast<int>(rng.uniform_index(kLines));
+      if (rng.bernoulli(0.1)) {
+        // The line's delay grows or shrinks; a shrink overtakes its queue.
+        const auto d = 1 + static_cast<std::int64_t>(rng.uniform_index(60));
+        if (d < line_delay[l]) ++shrinks;
+        line_delay[l] = d;
+      }
+      s.line(l, SimTime(line_delay[l]), id);
+    } else {
+      // Up to 6 occurrences; -1 (first > last) schedules none.
+      const SimTime first = delay();
+      const auto interval =
+          1 + static_cast<std::int64_t>(rng.uniform_index(20));
+      const auto count = static_cast<std::int64_t>(rng.uniform_index(7)) - 1;
+      expected_runs[id] = static_cast<int>(count + 1);
+      s.series(first, SimTime(interval),
+               first + SimTime(count >= 0 ? interval * count : -1), id);
+    }
+  }
+
+  void on_event(Scheduler& s, std::uint64_t id) {
+    log.push_back({id, s.now().ns(), s.pending()});
+    for (std::uint64_t n = rng.uniform_index(4); n > 0; --n) spawn(s);
+    if (rng.bernoulli(0.01)) {
+      ++stops;
+      s.stop();
+    }
+    if (throws && rng.bernoulli(0.02)) {
+      ++thrown;
+      throw std::runtime_error("handler failed");
+    }
+  }
+
+  Rng rng;
+  bool throws;
+  std::array<std::int64_t, kLines> line_delay{30, 30, 30};
+  std::vector<int> expected_runs;  // by id
+  struct Run {
+    std::uint64_t id;
+    std::int64_t now;
+    std::size_t pending;  // while it runs, not counting itself
+    bool operator==(const Run&) const = default;
+  };
+  std::vector<Run> log;
+  int shrinks = 0;
+  int stops = 0;
+  int thrown = 0;
+};
+
+/// The kernel, driven through the Scheduler calls.
+class KernelUnderTest final : public Scheduler, private PacketHandler {
+ public:
+  explicit KernelUnderTest(Script& script) : script_(script) {
+    for (int l = 0; l < Script::kLines; ++l) {
+      lines_[l] = sim_.add_line(*this, 1 + l);
+    }
+  }
+
+  SimTime now() const override { return sim_.now(); }
+  void callback(SimTime delay, std::uint64_t id) override {
+    sim_.schedule_in(delay, [this, id] { script_.on_event(*this, id); });
+  }
+  void packet(SimTime delay, std::uint64_t id) override {
+    sim_.schedule_packet_in(delay, *this, 0, packet_with_seq(id));
+  }
+  void line(int line, SimTime delay, std::uint64_t id) override {
+    sim_.schedule_on_line(lines_[line], delay, packet_with_seq(id));
+  }
+  void series(SimTime first, SimTime interval, SimTime last,
+              std::uint64_t id) override {
+    sim_.schedule_every(sim_.now() + first, interval, sim_.now() + last,
+                        [this, id] { script_.on_event(*this, id); });
+  }
+  void stop() override { sim_.request_stop(); }
+
+  std::size_t run_until(SimTime end) { return sim_.run_until(end); }
+  std::size_t events_processed() const { return sim_.events_processed(); }
+  std::size_t pending() const override { return sim_.pending(); }
+
+ private:
+  void on_packet_event(int /*port*/, const Packet& packet) override {
+    script_.on_event(*this, packet.seq);
+  }
+
+  Script& script_;
+  Simulator sim_;
+  std::array<Simulator::LineId, Script::kLines> lines_{};
+};
+
+/// The kernel's contract as an ordered map on (time, sequence): every
+/// schedule draws the next sequence number (a series reserves one per
+/// occurrence), and a series re-arms before its occurrence runs.
+class ReferenceKernel final : public Scheduler {
+ public:
+  explicit ReferenceKernel(Script& script) : script_(script) {}
+
+  SimTime now() const override { return now_; }
+  void callback(SimTime delay, std::uint64_t id) override {
+    queue_.emplace(Key{now_ + delay, next_sequence_++}, Entry{id});
+  }
+  void packet(SimTime delay, std::uint64_t id) override {
+    callback(delay, id);
+  }
+  void line(int /*line*/, SimTime delay, std::uint64_t id) override {
+    callback(delay, id);
+  }
+  void series(SimTime first, SimTime interval, SimTime last,
+              std::uint64_t id) override {
+    if (first > last) return;
+    queue_.emplace(Key{now_ + first, next_sequence_},
+                   Entry{id, interval, now_ + last});
+    next_sequence_ +=
+        static_cast<std::uint64_t>((last - first).ns() / interval.ns()) + 1;
+  }
+  void stop() override { stop_ = true; }
+
+  std::size_t run_until(SimTime end) {
+    stop_ = false;
+    std::size_t executed = 0;
+    while (!stop_ && !queue_.empty() && queue_.begin()->first.first <= end) {
+      const auto [key, entry] = *queue_.begin();
+      queue_.erase(queue_.begin());
+      now_ = key.first;
+      ++processed_;
+      ++executed;
+      const SimTime next = key.first + entry.interval;
+      if (entry.interval.ns() > 0 && next <= entry.last) {
+        queue_.emplace(Key{next, key.second + 1}, entry);
+      }
+      script_.on_event(*this, entry.id);
+    }
+    if (!stop_ && now_ < end) now_ = end;
+    return executed;
+  }
+  std::size_t events_processed() const { return processed_; }
+  std::size_t pending() const override { return queue_.size(); }
+
+ private:
+  using Key = std::pair<SimTime, std::uint64_t>;
+  struct Entry {
+    std::uint64_t id;
+    SimTime interval{0};
+    SimTime last{0};
+  };
+
+  Script& script_;
+  std::map<Key, Entry> queue_;
+  SimTime now_{0};
+  std::uint64_t next_sequence_ = 0;
+  std::size_t processed_ = 0;
+  bool stop_ = false;
+};
+
+/// Runs `kernel` to `end`; nullopt when a handler threw.
+template <typename Kernel>
+std::optional<std::size_t> run_to(Kernel& kernel, SimTime end) {
+  try {
+    return kernel.run_until(end);
+  } catch (const std::runtime_error&) {
+    return std::nullopt;
+  }
+}
+
+/// Drives the kernel and the reference through the same seeded schedule in
+/// random run_until slices, comparing after every slice; returns the
+/// kernel's script.
+Script differential_run(std::uint64_t seed, bool throws) {
+  Script script(seed, throws);
+  Script reference_script(seed, throws);
+  KernelUnderTest kernel(script);
+  ReferenceKernel reference(reference_script);
+  for (int i = 0; i < 20; ++i) {
+    script.spawn(kernel);
+    reference_script.spawn(reference);
+  }
+  Rng slices(seed + 1000);
+  SimTime end(0);
+  while (kernel.pending() > 0 || reference.pending() > 0) {
+    end = end + SimTime(1 + static_cast<std::int64_t>(slices.uniform_index(60)));
+    const auto ran = run_to(kernel, end);
+    const auto reference_ran = run_to(reference, end);
+    EXPECT_EQ(ran, reference_ran);
+    EXPECT_EQ(kernel.now(), reference.now());
+    EXPECT_EQ(kernel.events_processed(), reference.events_processed());
+    EXPECT_EQ(kernel.pending(), reference.pending());
+    EXPECT_EQ(script.log.size(), reference_script.log.size());
+    if (testing::Test::HasFailure()) break;
+  }
+  EXPECT_EQ(script.log, reference_script.log);
+  return script;
+}
+
+/// Every event ran exactly as often as it was scheduled to: once, or once per
+/// occurrence of a series.
+void expect_each_event_ran_as_scheduled(const Script& script) {
+  std::vector<int> runs(script.expected_runs.size(), 0);
+  for (const Script::Run& run : script.log) ++runs[run.id];
+  EXPECT_EQ(runs, script.expected_runs);
+}
+
+TEST(Simulator, MatchesAReferenceOrderedSet) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Script script = differential_run(seed, false);
+    EXPECT_EQ(script.expected_runs.size(), Script::kBudget);
+    EXPECT_GT(script.shrinks, 0);
+    EXPECT_GT(script.stops, 0);
+    expect_each_event_ran_as_scheduled(script);
+  }
+}
+
+TEST(Simulator, AThrowingHandlerRunsOnceAndLosesNoEvent) {
+  // A handler that throws leaves run_until() with the exception; the next
+  // run_until() must neither run the throwing event again nor lose the rest.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Script script = differential_run(seed, true);
+    EXPECT_GT(script.thrown, 0);
+    expect_each_event_ran_as_scheduled(script);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
-// Tests for the packet-level loss channels (Bernoulli, Gilbert-Elliott) and
-// the filtered() delivery adaptor.
+// Tests for the packet-level loss channels (Bernoulli, Gilbert-Elliott).
 #include "sim/loss.h"
 
 #include <vector>
@@ -78,17 +77,6 @@ TEST(GilbertElliott, BurstsLossesInBadState) {
 TEST(GilbertElliott, AllGoodIsClean) {
   GilbertElliottPacketLoss loss(0.0, 1.0, 0.0, 0.9, 3);
   for (int i = 0; i < 1000; ++i) EXPECT_FALSE(loss.drop(packet(i)));
-}
-
-TEST(Filtered, PassesSurvivorsOnly) {
-  BernoulliPacketLoss loss(0.5, 17);
-  std::vector<std::uint64_t> delivered;
-  auto deliver = filtered(
-      loss, [&](const Packet& p) { delivered.push_back(p.seq); });
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) deliver(packet(i));
-  EXPECT_EQ(delivered.size() + loss.dropped(), static_cast<std::size_t>(n));
-  EXPECT_NEAR(static_cast<double>(delivered.size()) / n, 0.5, 0.03);
 }
 
 }  // namespace

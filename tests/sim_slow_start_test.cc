@@ -26,7 +26,6 @@ struct Loopback {
       ack.size_bytes = kAckBytes;
       ack.is_ack = true;
       ack.sent_at = p.sent_at;
-      ack.monitor_interval = p.monitor_interval;
       sim.schedule_in(rtt, [this, ack] { sender->on_ack(ack); });
     };
   }
