@@ -85,11 +85,7 @@ class InjectedRateLoss final : public sim::PacketFilter {
       ++last_step_[flow];
       rate_[flow] = injector_->sample(last_step_[flow], p.flow_id);
     }
-    if (rate_[flow] > 0.0 && rng_.bernoulli(rate_[flow])) {
-      count_drop();
-      return true;
-    }
-    return false;
+    return rate_[flow] > 0.0 && rng_.bernoulli(rate_[flow]);
   }
 
  private:

@@ -70,36 +70,41 @@ void measure_homogeneous(const EmulabGridConfig& cfg, double bw,
   out.loss_rate = loss_sum / static_cast<double>(rt.flows.size());
 }
 
-/// Mixed run: (n−1) protocol senders + 1 Reno; fills tcp_friendliness.
-void measure_friendliness(const EmulabGridConfig& cfg, double bw,
-                          std::size_t buffer, int n, const cc::Protocol& proto,
-                          EmulabScores& out) {
-  engine::ScenarioSpec spec = cell_spec(cfg, bw, buffer);
-  const auto reno = cc::presets::reno();
-  std::vector<int> p_idx;
-  std::vector<int> q_idx;
-  for (int i = 0; i + 1 < n; ++i) {
-    spec.add_sender(proto, 2.0, stagger_step(cfg, i));
-    p_idx.push_back(i);
-  }
-  spec.add_sender(*reno, 2.0, stagger_step(cfg, n - 1));
-  q_idx.push_back(n - 1);
-  const engine::RunTrace rt = packet_backend().run(spec);
-  out.tcp_friendliness = core::measure_friendliness(
-      rt.trace, p_idx, q_idx, core::EstimatorConfig{cfg.tail_fraction});
-}
-
 EmulabScores measure_protocol(const EmulabGridConfig& cfg, double bw,
                               std::size_t buffer, int n,
                               const cc::Protocol& proto) {
   EmulabScores scores;
   scores.protocol = proto.name();
   measure_homogeneous(cfg, bw, buffer, n, proto, scores);
-  measure_friendliness(cfg, bw, buffer, n, proto, scores);
+  scores.tcp_friendliness = packet_reno_friendliness(
+      proto, n, bw, cfg.rtt_ms, static_cast<double>(buffer),
+      cfg.duration_seconds, cfg.tail_fraction);
   return scores;
 }
 
 }  // namespace
+
+double packet_reno_friendliness(const cc::Protocol& proto, int n,
+                                double bandwidth_mbps, double rtt_ms,
+                                double buffer_mss, double duration_seconds,
+                                double tail_fraction) {
+  engine::ScenarioSpec spec;
+  spec.link = fluid::make_link_mbps(bandwidth_mbps, rtt_ms, buffer_mss);
+  const double step_seconds = rtt_ms / 1e3;
+  spec.steps = std::lround(duration_seconds / step_seconds);
+  spec.tail_fraction = tail_fraction;
+  const auto reno = cc::presets::reno();
+  std::vector<int> p_idx;
+  for (int i = 0; i + 1 < n; ++i) {
+    spec.add_sender(proto, 2.0, 0.05 * i / step_seconds);
+    p_idx.push_back(i);
+  }
+  spec.add_sender(*reno, 2.0, 0.05 * (n - 1) / step_seconds);
+  const std::vector<int> q_idx{n - 1};
+  return core::measure_friendliness(packet_backend().run(spec).trace, p_idx,
+                                    q_idx,
+                                    core::EstimatorConfig{tail_fraction});
+}
 
 std::vector<EmulabCell> run_emulab_grid(const EmulabGridConfig& cfg) {
   // Cells in row order: n outermost, buffer innermost — the same order the

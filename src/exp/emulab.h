@@ -56,6 +56,14 @@ struct EmulabCell {
 [[nodiscard]] std::vector<EmulabCell> run_emulab_grid(
     const EmulabGridConfig& cfg);
 
+/// Reno's share against (n−1) `proto` senders on the packet dumbbell
+/// (Metric VII): every sender starts at window 2, flow i joins at 0.05·i s,
+/// and the run lasts lround(duration_seconds / RTT) one-RTT steps. The
+/// mixed run of both this grid and Table 2's packet grid (exp/table2.h).
+[[nodiscard]] double packet_reno_friendliness(
+    const cc::Protocol& proto, int n, double bandwidth_mbps, double rtt_ms,
+    double buffer_mss, double duration_seconds, double tail_fraction);
+
 /// The hierarchy check: for each metric, whether the ordering of the three
 /// protocols measured in `cell` matches the theory-induced ordering.
 struct HierarchyVerdict {

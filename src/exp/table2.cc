@@ -1,11 +1,9 @@
 #include "exp/table2.h"
 
-#include <cmath>
 #include <utility>
 
 #include "cc/presets.h"
-#include "core/metrics.h"
-#include "engine/backend.h"
+#include "exp/emulab.h"
 #include "fluid/link.h"
 #include "telemetry/telemetry.h"
 #include "util/task_pool.h"
@@ -57,34 +55,6 @@ std::vector<Table2Cell> build_table2(const Table2Config& cfg) {
       cfg.jobs);
 }
 
-namespace {
-
-/// Friendliness of (n−1) `proto` senders toward one Reno sender on the
-/// packet-level dumbbell, run through the engine's packet backend.
-double packet_friendliness(const cc::Protocol& proto, int n, double bw_mbps,
-                           const Table2Config& cfg, double duration_seconds) {
-  engine::ScenarioSpec spec;
-  spec.link = fluid::make_link_mbps(bw_mbps, cfg.rtt_ms, cfg.buffer_mss);
-  const double step_seconds = cfg.rtt_ms / 1e3;
-  spec.steps = std::lround(duration_seconds / step_seconds);
-  spec.tail_fraction = cfg.tail_fraction;
-
-  const auto reno = cc::presets::reno();
-  std::vector<int> p_idx;
-  for (int i = 0; i + 1 < n; ++i) {
-    spec.add_sender(proto, 2.0, 0.05 * i / step_seconds);
-    p_idx.push_back(i);
-  }
-  spec.add_sender(*reno, 2.0, 0.05 * (n - 1) / step_seconds);
-  const std::vector<int> q_idx{n - 1};
-  const engine::RunTrace rt =
-      engine::backend_for(engine::BackendKind::kPacket).run(spec);
-  return core::measure_friendliness(rt.trace, p_idx, q_idx,
-                                    core::EstimatorConfig{cfg.tail_fraction});
-}
-
-}  // namespace
-
 std::vector<Table2Cell> build_table2_packet(const Table2Config& cfg,
                                             double duration_seconds) {
   return parallel_map(
@@ -99,10 +69,12 @@ std::vector<Table2Cell> build_table2_packet(const Table2Config& cfg,
         Table2Cell cell;
         cell.n = n;
         cell.bandwidth_mbps = bw;
-        cell.robust_aimd_friendliness =
-            packet_friendliness(*robust, n, bw, cfg, duration_seconds);
-        cell.pcc_friendliness =
-            packet_friendliness(*pcc, n, bw, cfg, duration_seconds);
+        cell.robust_aimd_friendliness = packet_reno_friendliness(
+            *robust, n, bw, cfg.rtt_ms, cfg.buffer_mss, duration_seconds,
+            cfg.tail_fraction);
+        cell.pcc_friendliness = packet_reno_friendliness(
+            *pcc, n, bw, cfg.rtt_ms, cfg.buffer_mss, duration_seconds,
+            cfg.tail_fraction);
         return cell;
       },
       cfg.jobs);

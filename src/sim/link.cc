@@ -15,11 +15,12 @@ SimLink::SimLink(Simulator& simulator, double rate_bps,
       propagation_delay_(propagation_delay),
       queue_(std::move(queue)),
       sink_(sink),
-      sink_port_(sink_port),
-      delivery_line_(simulator.add_line(*this, kDelivery)) {
+      sink_port_(sink_port) {
   AXIOMCC_EXPECTS_MSG(rate_bps > 0.0, "link rate must be positive");
   AXIOMCC_EXPECTS(propagation_delay.ns() >= 0);
   AXIOMCC_EXPECTS(queue_ != nullptr);
+  // Registered last: a constructor that throws leaves no line behind.
+  delivery_line_ = simulator.add_line(*this, kDelivery);
 }
 
 SimTime SimLink::serialization_time(int size_bytes) const {

@@ -75,7 +75,7 @@ class SimLink final : private PacketHandler {
   std::unique_ptr<QueueDiscipline> queue_;
   PacketHandler& sink_;
   int sink_port_;
-  Simulator::LineId delivery_line_;
+  Simulator::LineId delivery_line_ = 0;
   // serialization_time(tx_size_bytes_) at the current rate; 0: none cached.
   int tx_size_bytes_ = 0;
   SimTime tx_time_{0};

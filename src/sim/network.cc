@@ -28,7 +28,8 @@ int MultiHopNetwork::add_link(double mbps, double one_way_delay_ms,
   info.mbps = mbps;
   info.link = std::make_unique<SimLink>(
       simulator_, mbps * 1e6, SimTime::from_millis(one_way_delay_ms),
-      std::move(queue), static_cast<PacketHandler&>(*this), link_id + 1);
+      std::move(queue), static_cast<PacketHandler&>(*this),
+      kLinkExit + link_id);
   links_.push_back(std::move(info));
   return link_id;
 }
@@ -78,11 +79,9 @@ int MultiHopNetwork::add_flow(std::unique_ptr<cc::Protocol> protocol,
   // Before the first RTT sample, pace MIs at the route's propagation RTT.
   sc.initial_mi = SimTime::from_millis(flows_.back().route_rtt_ms);
 
-  const int first_link = route.front();
   senders_.push_back(std::make_unique<Sender>(
-      simulator_, sc, std::move(protocol), [this, first_link](const Packet& p) {
-        links_[first_link].link->send(p);
-      }));
+      simulator_, sc, std::move(protocol), static_cast<PacketHandler&>(*this),
+      kRouteEntry));
   return flow_id;
 }
 
@@ -126,8 +125,10 @@ void MultiHopNetwork::deliver_from_link(int link_id, const Packet& p) {
 void MultiHopNetwork::on_packet_event(int port, const Packet& packet) {
   if (port == kAckReturn) {
     senders_[packet.flow_id]->on_ack(packet);
+  } else if (port == kRouteEntry) {
+    links_[flows_[packet.flow_id].route.front()].link->send(packet);
   } else {
-    deliver_from_link(port - 1, packet);
+    deliver_from_link(port - kLinkExit, packet);
   }
 }
 

@@ -1,16 +1,17 @@
 // network.h — the packet-level simulator's one substrate: flows routed over
 // shared links.
 //
-// Packets are forwarded hop by hop through each link's queue. Every link
-// delivers to the network itself as a packet event on port link_id + 1, and
-// the network forwards the packet to the next hop. After the last hop it
-// acts as the receiver: it ACKs every packet, echoing its sequence number and
-// send timestamp, and the ACK returns on the flow's ACK line (port
-// kAckReturn) after the route's reverse propagation delay. The paper's
-// dumbbell (Section 5.1) is the one-link case (sim/dumbbell.h builds it);
-// longer routes are the packet-level counterpart of FluidSimulation's routed
-// loop (fluid/sim.h; the paper's "network-wide interaction" future work),
-// with the same parking-lot builder.
+// Packets are forwarded hop by hop through each link's queue. A sender hands
+// each data packet to the network on port kRouteEntry, every link delivers
+// to it on port kLinkExit + link_id, and the network forwards the packet to
+// the next hop. After the last hop it acts as the receiver: it ACKs every
+// packet, echoing its sequence number and send timestamp, and the ACK
+// returns on the flow's ACK line (port kAckReturn) after the route's
+// reverse propagation delay. The paper's dumbbell (Section 5.1) is the
+// one-link case (sim/dumbbell.h builds it); longer routes are the
+// packet-level counterpart of FluidSimulation's routed loop (fluid/sim.h;
+// the paper's "network-wide interaction" future work), with the same
+// parking-lot builder.
 //
 // The network carries the full engine-substrate hook set: flow churn
 // (start/stop times), a forward-path packet filter for injected loss, a step
@@ -122,9 +123,9 @@ class MultiHopNetwork : private PacketHandler {
   [[nodiscard]] double max_link_utilization() const;
 
  private:
-  /// Packet-event port of an ACK reaching its sender; port link_id + 1 is
-  /// a packet leaving link link_id.
-  static constexpr int kAckReturn = 0;
+  /// Packet-event ports: an ACK reaching its sender, a data packet entering
+  /// its route; port kLinkExit + link_id is a packet leaving link link_id.
+  enum Port : int { kAckReturn = 0, kRouteEntry = 1, kLinkExit = 2 };
 
   void on_packet_event(int port, const Packet& packet) override;
   void sample_trace();

@@ -8,16 +8,17 @@
 namespace axiomcc::sim {
 
 Sender::Sender(Simulator& simulator, const SenderConfig& config,
-               std::unique_ptr<cc::Protocol> protocol, SendFn send)
+               std::unique_ptr<cc::Protocol> protocol, PacketHandler& out,
+               int out_port)
     : simulator_(simulator),
       config_(config),
       protocol_(std::move(protocol)),
-      send_(std::move(send)),
+      out_(out),
+      out_port_(out_port),
       cwnd_(config.initial_window),
       in_slow_start_(config.slow_start),
       ssthresh_(config.initial_ssthresh) {
   AXIOMCC_EXPECTS(protocol_ != nullptr);
-  AXIOMCC_EXPECTS(send_ != nullptr);
   AXIOMCC_EXPECTS(config.mss_bytes > 0);
   AXIOMCC_EXPECTS(config.min_window >= 1.0);
   AXIOMCC_EXPECTS(config.initial_window >= config.min_window);
@@ -47,18 +48,10 @@ SimTime Sender::current_mi_duration() const {
 }
 
 void Sender::begin_monitor_interval() {
-  current_mi_ = monitor_records_.size();
-  MonitorRecord rec;
-  rec.start = simulator_.now();
-  rec.window = cwnd_;
-  monitor_records_.push_back(rec);
-  mi_seqs_.push_back(MiSeqRange{next_seq_, 0});
-  mi_rtt_sum_.push_back(0.0);
-  mi_rtt_count_.push_back(0);
-  mi_lost_.push_back(0);
-  mi_lost_new_epoch_.push_back(0);
-
-  const std::uint64_t mi = current_mi_;
+  monitor_records_.push_back(MonitorRecord{.start = simulator_.now(),
+                                           .window = cwnd_,
+                                           .first_seq = packet_states_.size()});
+  const std::uint64_t mi = current_mi();
   simulator_.schedule_in(current_mi_duration(),
                          [this, mi] { end_monitor_interval(mi); });
 }
@@ -87,8 +80,8 @@ void Sender::end_monitor_interval(std::uint64_t mi) {
 }
 
 void Sender::writeoff_stragglers(std::uint64_t mi) {
-  const MiSeqRange range = mi_seqs_[mi];
-  for (std::uint64_t seq = range.first; seq < range.first + range.count;
+  const MonitorRecord& rec = monitor_records_[mi];
+  for (std::uint64_t seq = rec.first_seq; seq < rec.first_seq + rec.sent;
        ++seq) {
     if (packet_states_[seq] == PacketState::kInFlight) {
       record_loss(seq);
@@ -101,12 +94,12 @@ void Sender::record_loss(std::uint64_t seq) {
   packet_states_[seq] = PacketState::kWrittenOff;
   AXIOMCC_ENSURES(in_flight_ > 0);
   --in_flight_;
-  const std::uint64_t mi = packet_mi_[seq];
-  ++mi_lost_[mi];
+  MonitorRecord& rec = monitor_records_[packet_mi_[seq]];
+  ++rec.lost;
   // Epoch classification happens at detection time: the recovery marker only
   // ever advances, and a packet sent before the last window reduction can
   // never become "new" again.
-  if (seq >= recovery_until_seq_) ++mi_lost_new_epoch_[mi];
+  if (seq >= recovery_until_seq_) ++rec.lost_new_epoch;
 }
 
 void Sender::finalize_monitor_interval(std::uint64_t mi) {
@@ -117,16 +110,13 @@ void Sender::finalize_monitor_interval(std::uint64_t mi) {
   // still in flight at a forced (loss-triggered) finalization are expected
   // to be delivered — lost/sent is the interval's final rate to first
   // order, where lost/(acked+lost) would wildly overestimate it.
-  const std::uint64_t lost = mi_lost_[mi];
-  const std::uint64_t resolved = rec.acked + lost;
-  rec.loss_rate =
-      rec.sent > 0 ? static_cast<double>(lost) / static_cast<double>(rec.sent)
-      : resolved > 0
-          ? static_cast<double>(lost) / static_cast<double>(resolved)
-          : 0.0;
-  rec.rtt_seconds = mi_rtt_count_[mi] > 0
-                        ? mi_rtt_sum_[mi] / static_cast<double>(mi_rtt_count_[mi])
-                        : srtt_seconds_;
+  rec.loss_rate = rec.sent > 0 ? static_cast<double>(rec.lost) /
+                                     static_cast<double>(rec.sent)
+                               : 0.0;
+  // Until now every ACK of the MI added its sample to rtt_sum_seconds.
+  rec.rtt_seconds = rec.acked > 0 ? rec.rtt_sum_seconds /
+                                        static_cast<double>(rec.acked)
+                                  : srtt_seconds_;
   rec.evaluated = true;
 
   // An interval that carried no data gives the protocol no feedback —
@@ -139,7 +129,7 @@ void Sender::finalize_monitor_interval(std::uint64_t mi) {
   // window must only react once. Only losses among packets sent AFTER the
   // last window reduction (classified at detection time in record_loss) may
   // trigger another one; pure old-epoch loss is reported as loss-free.
-  const bool loss_already_handled = mi_lost_new_epoch_[mi] == 0;
+  const bool loss_already_handled = rec.lost_new_epoch == 0;
   const double effective_loss = loss_already_handled ? 0.0 : rec.loss_rate;
 
   // TCP slow start: exponential growth handled by the transport, not the
@@ -163,7 +153,7 @@ void Sender::finalize_monitor_interval(std::uint64_t mi) {
   cwnd_ = std::clamp(protocol_->next_window(obs), config_.min_window,
                      config_.max_window);
   if (effective_loss > 0.0 && cwnd_ < previous_cwnd) {
-    recovery_until_seq_ = next_seq_;
+    recovery_until_seq_ = packet_states_.size();
   }
 }
 
@@ -187,20 +177,15 @@ void Sender::try_send() {
       return;
     }
     ++burst;
-    Packet p;
-    p.flow_id = config_.flow_id;
-    p.seq = next_seq_++;
-    p.size_bytes = config_.mss_bytes;
-    p.is_ack = false;
-    p.sent_at = simulator_.now();
-
+    const Packet p{.flow_id = config_.flow_id,
+                   .seq = packet_states_.size(),
+                   .size_bytes = config_.mss_bytes,
+                   .sent_at = simulator_.now()};
     packet_states_.push_back(PacketState::kInFlight);
-    packet_mi_.push_back(current_mi_);
-    ++mi_seqs_[current_mi_].count;
-    ++monitor_records_[current_mi_].sent;
+    packet_mi_.push_back(current_mi());
+    ++monitor_records_.back().sent;
     ++in_flight_;
-    ++packets_sent_;
-    send_(p);
+    out_.on_packet_event(out_port_, p);
   }
 }
 
@@ -218,7 +203,6 @@ void Sender::on_ack(const Packet& ack) {
     AXIOMCC_ENSURES(in_flight_ > 0);
     --in_flight_;
   }
-  bytes_acked_ += static_cast<std::size_t>(config_.mss_bytes);
 
   // RTT sample from the echoed send timestamp.
   const double sample = (simulator_.now() - ack.sent_at).seconds();
@@ -228,12 +212,9 @@ void Sender::on_ack(const Packet& ack) {
   // Credit the MI the packet belonged to. The delivery count always updates
   // (flow reports want true goodput), but a late ACK must not retroactively
   // change an already-consumed Observation's RTT sample set.
-  const std::uint64_t mi = packet_mi_[ack.seq];
-  ++monitor_records_[mi].acked;
-  if (!monitor_records_[mi].evaluated) {
-    mi_rtt_sum_[mi] += sample;
-    ++mi_rtt_count_[mi];
-  }
+  MonitorRecord& acked_rec = monitor_records_[packet_mi_[ack.seq]];
+  ++acked_rec.acked;
+  if (!acked_rec.evaluated) acked_rec.rtt_sum_seconds += sample;
 
   // The per-flow path is FIFO: this ACK proves every older unACKed packet
   // was dropped. Write them off now (dup-ACK-style one-RTT loss detection)
@@ -254,12 +235,9 @@ void Sender::on_ack(const Packet& ack) {
   // interval timer fires. Same trustworthiness guard as above: the early
   // verdict needs a majority of the interval resolved.
   {
-    const MonitorRecord& active_rec = monitor_records_[current_mi_];
-    const std::uint64_t resolved =
-        active_rec.acked + mi_lost_[current_mi_];
-    if (mi_lost_new_epoch_[current_mi_] > 0 &&
-        2 * resolved >= active_rec.sent) {
-      const std::uint64_t active = current_mi_;
+    const std::uint64_t active = current_mi();
+    const MonitorRecord& rec = monitor_records_[active];
+    if (rec.lost_new_epoch > 0 && 2 * (rec.acked + rec.lost) >= rec.sent) {
       end_monitor_interval(active);
       finalize_monitor_interval(active);
     }
@@ -272,16 +250,16 @@ void Sender::on_ack(const Packet& ack) {
   // estimate is only trustworthy once most packets have reported back;
   // finalizing a barely-resolved interval under sustained overload would
   // report a sliver of the true loss rate.
-  while (eval_cursor_ < current_mi_) {
+  while (eval_cursor_ < current_mi()) {
     const MonitorRecord& rec = monitor_records_[eval_cursor_];
     if (rec.evaluated) {
       ++eval_cursor_;
       continue;
     }
-    const std::uint64_t resolved = rec.acked + mi_lost_[eval_cursor_];
+    const std::uint64_t resolved = rec.acked + rec.lost;
     const bool fully_resolved = resolved >= rec.sent;
     const bool loss_verdict_trustworthy =
-        mi_lost_new_epoch_[eval_cursor_] > 0 && 2 * resolved >= rec.sent;
+        rec.lost_new_epoch > 0 && 2 * resolved >= rec.sent;
     if (fully_resolved || loss_verdict_trustworthy) {
       finalize_monitor_interval(eval_cursor_);
       ++eval_cursor_;

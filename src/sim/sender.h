@@ -2,12 +2,17 @@
 //
 // The sender is ACK-clocked: it keeps `in_flight < cwnd`. Loss is accounted
 // per *monitor interval* (MI), the mechanism PCC and the paper's Robust-AIMD
-// use: time is sliced into intervals of roughly one RTT; the sender notes
-// each packet's MI by sequence number; when an MI's ACKs have had time to
-// return, the sender computes the interval's loss rate and average RTT and
-// feeds them to the congestion-control protocol as one Observation — exactly
-// the per-RTT-step feedback of the fluid model, but measured rather than
-// oracle-provided.
+// use: time is sliced into intervals of roughly one RTT, and each MI owns the
+// contiguous run of sequence numbers sent while it was active. When an MI's
+// ACKs have had time to return, the sender computes the interval's loss rate
+// and average RTT and feeds them to the congestion-control protocol as one
+// Observation — exactly the per-RTT-step feedback of the fluid model, but
+// measured rather than oracle-provided. history() holds one MonitorRecord per
+// MI: what it sent, what came back, what was lost, and the RTT it saw.
+//
+// Data packets leave through a PacketHandler port (the network's route
+// entry), called synchronously: sending schedules no event. ACKs come back
+// through on_ack().
 //
 // Packets the MI evaluation deems lost are written off (removed from
 // in_flight) rather than retransmitted: the simulator measures congestion
@@ -15,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -25,9 +29,6 @@
 #include "util/units.h"
 
 namespace axiomcc::sim {
-
-/// Callback that injects a packet into the sender's first link.
-using SendFn = std::function<void(const Packet&)>;
 
 struct SenderConfig {
   int flow_id = 0;
@@ -55,23 +56,37 @@ struct SenderConfig {
   double initial_ssthresh = 1e9;
 };
 
-/// One completed monitor interval (the packet-level analogue of a fluid step).
+/// One monitor interval (the packet-level analogue of a fluid step). It owns
+/// sequence numbers [first_seq, first_seq + sent).
 struct MonitorRecord {
   SimTime start{0};
   SimTime end{0};
-  double window = 0.0;      ///< cwnd while the MI was active.
-  std::uint64_t sent = 0;   ///< data packets sent during the MI.
-  std::uint64_t acked = 0;  ///< of those, ACKed by evaluation time.
-  double loss_rate = 0.0;   ///< lost/(acked+lost) at evaluation time.
-  double rtt_seconds = 0.0; ///< mean RTT sample of the MI's ACKs.
-  bool ended = false;       ///< no longer the active interval.
-  bool evaluated = false;   ///< observation consumed by the protocol.
+  double window = 0.0;           ///< cwnd while the MI was active.
+  std::uint64_t first_seq = 0;   ///< first sequence number sent in the MI.
+  std::uint64_t sent = 0;        ///< data packets sent during the MI.
+  std::uint64_t acked = 0;       ///< of those, ACKed so far.
+  /// Of those, written off as lost so far. A packet the grace timer wrote
+  /// off whose ACK still arrived counts here and in `acked`.
+  std::uint64_t lost = 0;
+  /// Of `lost`, those sent after the window's last loss-driven decrease
+  /// (the current congestion epoch); only these may trigger another one.
+  std::uint64_t lost_new_epoch = 0;
+  /// Sum of the RTT samples of ACKs that arrived before evaluation; there
+  /// are `acked` of them until the MI is evaluated.
+  double rtt_sum_seconds = 0.0;
+  double loss_rate = 0.0;        ///< lost/sent at evaluation time.
+  double rtt_seconds = 0.0;      ///< mean RTT sample of the MI's ACKs.
+  bool ended = false;            ///< no longer the active interval.
+  bool evaluated = false;        ///< observation consumed by the protocol.
 };
 
 class Sender {
  public:
+  /// Data packets go to `out.on_packet_event(out_port, packet)`; `out`
+  /// must outlive the sender.
   Sender(Simulator& simulator, const SenderConfig& config,
-         std::unique_ptr<cc::Protocol> protocol, SendFn send);
+         std::unique_ptr<cc::Protocol> protocol, PacketHandler& out,
+         int out_port);
 
   Sender(const Sender&) = delete;
   Sender& operator=(const Sender&) = delete;
@@ -102,9 +117,10 @@ class Sender {
   [[nodiscard]] bool in_slow_start() const { return in_slow_start_; }
   [[nodiscard]] double ssthresh() const { return ssthresh_; }
 
-  [[nodiscard]] std::uint64_t packets_sent() const { return packets_sent_; }
+  [[nodiscard]] std::uint64_t packets_sent() const {
+    return packet_states_.size();
+  }
   [[nodiscard]] std::uint64_t acks_received() const { return acks_received_; }
-  [[nodiscard]] std::uint64_t bytes_acked() const { return bytes_acked_; }
 
   /// All monitor intervals so far (the last ones may be unevaluated).
   [[nodiscard]] const std::vector<MonitorRecord>& history() const {
@@ -125,11 +141,16 @@ class Sender {
   /// call more than once; only the first call takes effect.
   void finalize_monitor_interval(std::uint64_t mi);
   [[nodiscard]] SimTime current_mi_duration() const;
+  /// The active (last begun) MI; valid once the start event has fired.
+  [[nodiscard]] std::uint64_t current_mi() const {
+    return monitor_records_.size() - 1;
+  }
 
   Simulator& simulator_;
   SenderConfig config_;
   std::unique_ptr<cc::Protocol> protocol_;
-  SendFn send_;
+  PacketHandler& out_;
+  int out_port_;
 
   bool started_ = false;
   bool begun_ = false;    ///< the start event has fired.
@@ -139,27 +160,14 @@ class Sender {
   double ssthresh_ = 1e9;
   double srtt_seconds_ = 0.0;  ///< 0 until the first sample.
   std::uint64_t in_flight_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t current_mi_ = 0;
   /// Losses among packets with seq below this belong to an epoch the window
   /// already reacted to (one decrease per congestion epoch).
   std::uint64_t recovery_until_seq_ = 0;
 
-  std::vector<PacketState> packet_states_;          // indexed by seq
-  std::vector<std::uint64_t> packet_mi_;            // indexed by seq
-  struct MiSeqRange {
-    std::uint64_t first = 0;
-    std::uint64_t count = 0;
-  };
-  std::vector<MiSeqRange> mi_seqs_;                 // indexed by MI id
-  std::vector<MonitorRecord> monitor_records_;
-  std::vector<double> mi_rtt_sum_;                  // indexed by MI id
-  std::vector<std::uint64_t> mi_rtt_count_;         // indexed by MI id
-  std::vector<std::uint64_t> mi_lost_;              // indexed by MI id
-  /// Of mi_lost_, those belonging to the CURRENT congestion epoch (packets
-  /// sent after the last window reduction); only these may trigger another
-  /// reduction.
-  std::vector<std::uint64_t> mi_lost_new_epoch_;    // indexed by MI id
+  // Indexed by seq; the next packet's seq is their size.
+  std::vector<PacketState> packet_states_;
+  std::vector<std::uint64_t> packet_mi_;
+  std::vector<MonitorRecord> monitor_records_;  // indexed by MI id
   bool pacing_rearm_scheduled_ = false;
   /// All packets below this seq are resolved (ACKed or written off). The
   /// delivery path is FIFO per flow, so an ACK for seq s proves every older
@@ -167,10 +175,7 @@ class Sender {
   /// detection instead of waiting for the MI grace timer.
   std::uint64_t lowest_unresolved_seq_ = 0;
   std::uint64_t eval_cursor_ = 0;  ///< first not-yet-evaluated MI.
-
-  std::uint64_t packets_sent_ = 0;
   std::uint64_t acks_received_ = 0;
-  std::uint64_t bytes_acked_ = 0;
 };
 
 }  // namespace axiomcc::sim

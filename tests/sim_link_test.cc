@@ -151,5 +151,17 @@ TEST(SimLink, ConstructorContracts) {
   EXPECT_THROW(link.send(data(0, 0)), ContractViolation);
 }
 
+TEST(SimLink, ThrowingConstructorLeavesNoLine) {
+  // A rejected link must not leave a delivery line whose handler is gone.
+  Simulator sim;
+  Sink sink(sim);
+  EXPECT_THROW(SimLink(sim, 0.0, SimTime(0), std::make_unique<DropTailQueue>(1),
+                       sink, 0),
+               ContractViolation);
+  EXPECT_THROW(SimLink(sim, 1e6, SimTime(0), nullptr, sink, 0),
+               ContractViolation);
+  EXPECT_EQ(sim.add_line(sink, 0), 0u);
+}
+
 }  // namespace
 }  // namespace axiomcc::sim

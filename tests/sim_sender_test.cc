@@ -3,7 +3,6 @@
 // harness with a programmable loss set.
 #include "sim/sender.h"
 
-#include <functional>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -16,27 +15,29 @@
 namespace axiomcc::sim {
 namespace {
 
-/// Loopback network: every sent packet is ACKed after `rtt`, unless its seq
-/// is in `lost`.
-struct Loopback {
+/// Loopback ports: data packets from the sender, ACKs back to it.
+enum LoopbackPort : int { kData = 0, kAck = 1 };
+
+/// Loopback network: every data packet the sender hands it is ACKed after
+/// `rtt`, unless its seq is in `lost`.
+struct Loopback final : PacketHandler {
   Simulator sim;
   SimTime rtt = SimTime::from_millis(40);
   std::set<std::uint64_t> lost;
   Sender* sender = nullptr;
   std::uint64_t packets_seen = 0;
 
-  SendFn send_fn() {
-    return [this](const Packet& p) {
-      ++packets_seen;
-      if (lost.contains(p.seq)) return;
-      Packet ack;
-      ack.flow_id = p.flow_id;
-      ack.seq = p.seq;
-      ack.size_bytes = kAckBytes;
-      ack.is_ack = true;
-      ack.sent_at = p.sent_at;
-      sim.schedule_in(rtt, [this, ack] { sender->on_ack(ack); });
-    };
+  void on_packet_event(int port, const Packet& p) override {
+    if (port == kAck) {
+      sender->on_ack(p);
+      return;
+    }
+    ++packets_seen;
+    if (lost.contains(p.seq)) return;
+    Packet ack = p;
+    ack.size_bytes = kAckBytes;
+    ack.is_ack = true;
+    sim.schedule_packet_in(rtt, *this, kAck, ack);
   }
 };
 
@@ -53,7 +54,7 @@ TEST(Sender, AckClockingLimitsInFlight) {
   // Robust-AIMD with a huge tolerance and tiny increase approximates "hold",
   // but simplest is AIMD with tiny increase.
   Sender sender(net.sim, config_with_window(2.0),
-                std::make_unique<cc::Aimd>(0.001, 0.5), net.send_fn());
+                std::make_unique<cc::Aimd>(0.001, 0.5), net, kData);
   net.sender = &sender;
 
   sender.start(SimTime(0));
@@ -70,7 +71,7 @@ TEST(Sender, AckClockingLimitsInFlight) {
 TEST(Sender, CleanRunReportsZeroLossAndGrowsWindow) {
   Loopback net;
   Sender sender(net.sim, config_with_window(2.0),
-                std::make_unique<cc::Aimd>(1.0, 0.5), net.send_fn());
+                std::make_unique<cc::Aimd>(1.0, 0.5), net, kData);
   net.sender = &sender;
   sender.start(SimTime(0));
   net.sim.run_until(SimTime::from_seconds(5.0));
@@ -95,7 +96,7 @@ TEST(Sender, CleanRunReportsZeroLossAndGrowsWindow) {
 TEST(Sender, RttEstimateConvergesToPathRtt) {
   Loopback net;
   Sender sender(net.sim, config_with_window(2.0),
-                std::make_unique<cc::Aimd>(1.0, 0.5), net.send_fn());
+                std::make_unique<cc::Aimd>(1.0, 0.5), net, kData);
   net.sender = &sender;
   sender.start(SimTime(0));
   net.sim.run_until(SimTime::from_seconds(2.0));
@@ -115,7 +116,7 @@ TEST(Sender, LostPacketsAreWrittenOffAndReported) {
   for (std::uint64_t seq = 4; seq < 10; ++seq) net.lost.insert(seq);
 
   Sender sender(net.sim, config_with_window(8.0),
-                std::make_unique<cc::RobustAimd>(1.0, 0.5, 0.9), net.send_fn());
+                std::make_unique<cc::RobustAimd>(1.0, 0.5, 0.9), net, kData);
   net.sender = &sender;
   sender.start(SimTime(0));
   net.sim.run_until(SimTime::from_seconds(3.0));
@@ -135,6 +136,36 @@ TEST(Sender, LostPacketsAreWrittenOffAndReported) {
   EXPECT_TRUE(saw_loss);
 }
 
+TEST(Sender, HistoryRecordsAccountForEverySequenceNumber) {
+  Loopback net;
+  net.lost = {4, 5, 6, 7, 8, 9, 60, 61, 150, 300, 301, 302};
+  Sender sender(net.sim, config_with_window(8.0),
+                std::make_unique<cc::RobustAimd>(1.0, 0.5, 0.9), net, kData);
+  net.sender = &sender;
+  sender.start(SimTime(0));
+  sender.stop_at(SimTime::from_seconds(3.0));
+  net.sim.run();  // drains: every MI ends and its stragglers are written off
+
+  std::uint64_t sent = 0;
+  std::uint64_t lost = 0;
+  for (const MonitorRecord& rec : sender.history()) {
+    EXPECT_EQ(rec.first_seq, sent);  // the MIs tile the sequence space
+    std::uint64_t lost_in_range = 0;
+    for (std::uint64_t seq = rec.first_seq; seq < rec.first_seq + rec.sent;
+         ++seq) {
+      lost_in_range += net.lost.contains(seq) ? 1 : 0;
+    }
+    EXPECT_EQ(rec.lost, lost_in_range);
+    EXPECT_LE(rec.lost_new_epoch, rec.lost);
+    EXPECT_LE(rec.acked + rec.lost, rec.sent);  // no ACK outlives its write-off
+    EXPECT_TRUE(rec.ended);
+    sent += rec.sent;
+    lost += rec.lost;
+  }
+  EXPECT_EQ(sent, sender.packets_sent());
+  EXPECT_EQ(lost, net.lost.size());
+}
+
 TEST(Sender, TotalLossDoesNotDeadlock) {
   Loopback net;
   // Everything is lost: the sender must still cycle MIs, observe loss 1.0,
@@ -142,7 +173,7 @@ TEST(Sender, TotalLossDoesNotDeadlock) {
   for (std::uint64_t seq = 0; seq < 100000; ++seq) net.lost.insert(seq);
 
   Sender sender(net.sim, config_with_window(4.0),
-                std::make_unique<cc::Aimd>(1.0, 0.5), net.send_fn());
+                std::make_unique<cc::Aimd>(1.0, 0.5), net, kData);
   net.sender = &sender;
   sender.start(SimTime(0));
   net.sim.run_until(SimTime::from_seconds(3.0));
@@ -164,8 +195,8 @@ TEST(Sender, WindowRespectsConfiguredBounds) {
   Loopback net;
   SenderConfig cfg = config_with_window(2.0);
   cfg.max_window = 16.0;
-  Sender sender(net.sim, cfg, std::make_unique<cc::Aimd>(5.0, 0.5),
-                net.send_fn());
+  Sender sender(net.sim, cfg, std::make_unique<cc::Aimd>(5.0, 0.5), net,
+                kData);
   net.sender = &sender;
   sender.start(SimTime(0));
   net.sim.run_until(SimTime::from_seconds(3.0));
@@ -175,7 +206,7 @@ TEST(Sender, WindowRespectsConfiguredBounds) {
 TEST(Sender, StartTwiceViolatesContract) {
   Loopback net;
   Sender sender(net.sim, config_with_window(2.0),
-                std::make_unique<cc::Aimd>(1.0, 0.5), net.send_fn());
+                std::make_unique<cc::Aimd>(1.0, 0.5), net, kData);
   net.sender = &sender;
   sender.start(SimTime(0));
   EXPECT_THROW(sender.start(SimTime(1)), ContractViolation);
@@ -183,13 +214,12 @@ TEST(Sender, StartTwiceViolatesContract) {
 
 TEST(Sender, ConstructionContracts) {
   Loopback net;
-  EXPECT_THROW(Sender(net.sim, config_with_window(2.0), nullptr,
-                      net.send_fn()),
+  EXPECT_THROW(Sender(net.sim, config_with_window(2.0), nullptr, net, kData),
                ContractViolation);
   SenderConfig bad = config_with_window(2.0);
   bad.min_window = 0.0;
-  EXPECT_THROW(Sender(net.sim, bad, std::make_unique<cc::Aimd>(1.0, 0.5),
-                      net.send_fn()),
+  EXPECT_THROW(Sender(net.sim, bad, std::make_unique<cc::Aimd>(1.0, 0.5), net,
+                      kData),
                ContractViolation);
 }
 

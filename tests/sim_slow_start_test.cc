@@ -10,24 +10,26 @@
 namespace axiomcc::sim {
 namespace {
 
+/// Loopback ports: data packets from the sender, ACKs back to it.
+enum LoopbackPort : int { kData = 0, kAck = 1 };
+
 /// Same loopback harness as sim_sender_test.
-struct Loopback {
+struct Loopback final : PacketHandler {
   Simulator sim;
   SimTime rtt = SimTime::from_millis(40);
   std::set<std::uint64_t> lost;
   Sender* sender = nullptr;
 
-  SendFn send_fn() {
-    return [this](const Packet& p) {
-      if (lost.contains(p.seq)) return;
-      Packet ack;
-      ack.flow_id = p.flow_id;
-      ack.seq = p.seq;
-      ack.size_bytes = kAckBytes;
-      ack.is_ack = true;
-      ack.sent_at = p.sent_at;
-      sim.schedule_in(rtt, [this, ack] { sender->on_ack(ack); });
-    };
+  void on_packet_event(int port, const Packet& p) override {
+    if (port == kAck) {
+      sender->on_ack(p);
+      return;
+    }
+    if (lost.contains(p.seq)) return;
+    Packet ack = p;
+    ack.size_bytes = kAckBytes;
+    ack.is_ack = true;
+    sim.schedule_packet_in(rtt, *this, kAck, ack);
   }
 };
 
@@ -43,7 +45,7 @@ SenderConfig slow_start_config(double ssthresh) {
 TEST(SlowStart, DoublesUntilSsthreshThenHandsOver) {
   Loopback net;
   Sender sender(net.sim, slow_start_config(32.0),
-                std::make_unique<cc::Aimd>(1.0, 0.5), net.send_fn());
+                std::make_unique<cc::Aimd>(1.0, 0.5), net, kData);
   net.sender = &sender;
   sender.start(SimTime(0));
 
@@ -63,7 +65,7 @@ TEST(SlowStart, RampIsExponentiallyFasterThanCongestionAvoidance) {
     cfg.max_window = 4096.0;  // keep the loopback's packet count bounded
     cfg.slow_start = slow_start;
     Sender sender(net.sim, cfg, std::make_unique<cc::Aimd>(1.0, 0.5),
-                  net.send_fn());
+                  net, kData);
     net.sender = &sender;
     sender.start(SimTime(0));
     net.sim.run_until(SimTime::from_seconds(1.0));
@@ -77,7 +79,7 @@ TEST(SlowStart, LossExitsAndSetsSsthresh) {
   for (std::uint64_t seq = 40; seq < 46; ++seq) net.lost.insert(seq);
 
   Sender sender(net.sim, slow_start_config(1e9),
-                std::make_unique<cc::Aimd>(1.0, 0.5), net.send_fn());
+                std::make_unique<cc::Aimd>(1.0, 0.5), net, kData);
   net.sender = &sender;
   sender.start(SimTime(0));
   net.sim.run_until(SimTime::from_seconds(3.0));
@@ -93,7 +95,7 @@ TEST(SlowStart, DisabledByDefault) {
   SenderConfig cfg;
   cfg.initial_mi = SimTime::from_millis(40);
   Sender sender(net.sim, cfg, std::make_unique<cc::Aimd>(1.0, 0.5),
-                net.send_fn());
+                net, kData);
   net.sender = &sender;
   EXPECT_FALSE(sender.in_slow_start());
 }
